@@ -161,15 +161,13 @@ def scale(a: complex, x: Circulant) -> Circulant:
 def mul_naive(x: Circulant, y: Circulant) -> Circulant:
     """Direct O(d^2) cyclic convolution of the first rows."""
     _check_same_order(x, y)
-    a, b = _canonical_pair(x.row, y.row)
-    return Circulant(_cyclic_convolve_direct(a, b))
+    return Circulant(_mul_rows(x.row, y.row, fft=False))
 
 
 def mul_fft(x: Circulant, y: Circulant) -> Circulant:
     """O(d log d) cyclic convolution via forward/inverse FFT."""
     _check_same_order(x, y)
-    a, b = _canonical_pair(x.row, y.row)
-    return Circulant(np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)))
+    return Circulant(_mul_rows(x.row, y.row, fft=True))
 
 
 def mul(x: Circulant, y: Circulant, fft_threshold: int | None = None) -> Circulant:
@@ -185,20 +183,23 @@ def mul(x: Circulant, y: Circulant, fft_threshold: int | None = None) -> Circula
     return mul_naive(x, y)
 
 
+def _mul_rows(a: np.ndarray, b: np.ndarray, fft: bool) -> np.ndarray:
+    """Cyclic convolution of two first rows, by FFT or directly."""
+    a, b = _canonical_pair(a, b)
+    if fft:
+        return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+    full = np.convolve(a, b)
+    out = full[: a.size].copy()
+    out[: a.size - 1] += full[a.size :]
+    return out
+
+
 def _canonical_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Fix an operand order so mul(X, Y) and mul(Y, X) run the identical
     # float computation; summation order is not commutative in IEEE.
     if a.tobytes() <= b.tobytes():
         return a, b
     return b, a
-
-
-def _cyclic_convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a.size
-    full = np.convolve(a, b)
-    out = full[:d].copy()
-    out[: d - 1] += full[d:]
-    return out
 
 
 def power(x: Circulant, k: int) -> Circulant:
@@ -227,3 +228,13 @@ def to_dense(x: Circulant) -> np.ndarray:
 def frobenius_norm(x: Circulant) -> float:
     """Frobenius norm of the dense expansion, sqrt(d * sum |row_j|^2)."""
     return float(np.sqrt(x.d * np.sum(np.abs(x.row) ** 2)))
+
+
+def horner(coeff_rows: Sequence[np.ndarray], z_row: np.ndarray) -> np.ndarray:
+    """First row of C_0 Z^n + ... + C_n by ring Horner: each step is the product
+    of :func:`mul` plus the next coefficient, on rows, without a Circulant."""
+    fft = z_row.size >= _fft_threshold
+    acc = coeff_rows[0]
+    for c in coeff_rows[1:]:
+        acc = _mul_rows(acc, z_row, fft) + c
+    return acc

@@ -70,10 +70,7 @@ class CircPoly:
         """Horner evaluation in the circulant ring."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {self.d}")
-        acc = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            acc = core.add(core.mul(acc, z), c)
-        return acc
+        return Circulant(core.horner([c.row for c in self.coeffs], z.row))
 
     def channel_matrix(self) -> np.ndarray:
         """Spectral coefficients, shape (degree + 1, d); column i is channel i.

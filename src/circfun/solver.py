@@ -12,11 +12,15 @@ relative tolerance are discarded:
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
 with invertible leading coefficient therefore has between 1 and n^d roots.
+
+No duplicate check is needed: each channel's roots are distinct after
+clustering, so distinct combinations are distinct spectra, which the
+bijective inverse transform maps to distinct circulants.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,8 +33,8 @@ from .errors import (
     RecombinationLimitError,
     SolverError,
 )
-from .functions import COEFFICIENT_REL_TOL, CircPoly
-from .spectral import from_spectrum
+from .functions import COEFFICIENT_REL_TOL, CircPoly, polyval_with_scale
+from .spectral import from_spectrum, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
 DEFAULT_RECOMBINATION_LIMIT = 10**6
@@ -38,8 +42,8 @@ DEFAULT_RECOMBINATION_LIMIT = 10**6
 #: Relative clustering width for assigning multiplicities to scalar roots.
 CLUSTER_REL_TOL = 1e-7
 
-#: Max-entry distance below which two reconstructed roots are duplicates.
-DEDUP_TOL = 1e-8
+#: Root combinations rebuilt per batched inverse transform.
+RECOMBINE_CHUNK = 1024
 
 
 class SolutionStatus(Enum):
@@ -89,11 +93,13 @@ class SolutionSet:
             raise ValueError("sampling applies to infinite families only")
         rng = np.random.default_rng(seed)
         free = set(self.free_channels)
-        fixed_choices = list(itertools.product(*self._fixed_spectra)) or [()]
+        sizes = [len(s) for s in self._fixed_spectra]
+        total = math.prod(sizes)
         d = len(self.free_channels) + len(self._fixed_spectra)
         members = []
         for k in range(count):
-            chosen = iter(fixed_choices[k % len(fixed_choices)])
+            digits = _mixed_radix_digits(k % total, sizes)
+            chosen = iter(s[j] for s, j in zip(self._fixed_spectra, digits))
             values = np.empty(d, dtype=np.complex128)
             for i in range(d):
                 if i + 1 in free:
@@ -102,6 +108,17 @@ class SolutionSet:
                     values[i] = next(chosen)
             members.append(from_spectrum(values))
         return members
+
+
+def _mixed_radix_digits(index, radices: list[int]) -> list:
+    """Digits of ``index`` (a Python int or an integer array) in the mixed
+    radix ``radices``, last digit fastest: index k names the k-th tuple of
+    ``itertools.product`` over sequences of those lengths."""
+    digits = []
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits[::-1]
 
 
 def solve_scalar_poly(
@@ -140,7 +157,7 @@ def solve_scalar_poly(
     roots = _newton_polish(monic, roots)
     distinct, mult = _cluster_roots(roots, cluster_tol)
 
-    values, scales = _polyval_and_scale(monic, distinct)
+    values, scales = polyval_with_scale(monic, distinct)
     max_residual = float(np.max(np.abs(values)))
     if np.any(np.abs(values) > tol * np.maximum(scales, 1.0)):
         raise SolverError(
@@ -153,16 +170,6 @@ def solve_scalar_poly(
         iterations=iterations,
         max_residual=max_residual,
     )
-
-
-def _polyval_and_scale(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    value = np.zeros_like(z)
-    scl = np.zeros(z.shape, dtype=np.float64)
-    absz = np.abs(z)
-    for ck in c:
-        value = value * z + ck
-        scl = scl * absz + np.abs(ck)
-    return value, scl
 
 
 def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
@@ -244,10 +251,11 @@ def solve_circ_poly(
 ) -> SolutionSet:
     """Classify and solve P(Z) = 0.
 
-    Channels are solved independently at their effective degree; the finite
-    case recombines one root per channel through the inverse transform, in
-    lexicographic channel-root order, deduplicates, and verifies every
-    residual directly.
+    Channels are solved independently at their effective degree.  The finite
+    case returns every combination of one root per channel, without dedup, in
+    ``itertools.product`` order; each chunk of ``RECOMBINE_CHUNK`` takes its
+    spectra from the mixed-radix digits of the combination index, goes through
+    one batched inverse transform, and has every residual verified directly.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -307,19 +315,16 @@ def solve_circ_poly(
             _fixed_spectra=fixed,
         )
 
-    count = 1
-    for roots in per_channel_roots:
-        count *= roots.size
-        if count > recombination_limit:
-            raise RecombinationLimitError(
-                f"root combinations exceed the cap of {recombination_limit}"
-            )
+    sizes = [r.size for r in per_channel_roots]
+    count = math.prod(sizes)
+    if count > recombination_limit:
+        raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
 
-    candidates = [
-        from_spectrum(np.array(combo, dtype=np.complex128))
-        for combo in itertools.product(*per_channel_roots)
-    ]
-    roots = _dedup(candidates)
+    roots: list[Circulant] = []
+    for start in range(0, count, RECOMBINE_CHUNK):
+        digits = _mixed_radix_digits(np.arange(start, min(start + RECOMBINE_CHUNK, count)), sizes)
+        grid = np.column_stack([r[k] for r, k in zip(per_channel_roots, digits)])
+        roots.extend(Circulant(row) for row in inverse_rows(grid))
     residuals = tuple(residual(p, r) for r in roots)
     allowed = tol * max(1.0, scale)
     worst = max(residuals, default=0.0)
@@ -331,20 +336,3 @@ def solve_circ_poly(
         residuals=residuals,
         channel_reports=tuple(reports),
     )
-
-
-def _dedup(candidates: list[Circulant]) -> list[Circulant]:
-    if len(candidates) <= 2000:
-        kept: list[Circulant] = []
-        for c in candidates:
-            if not any(c.isclose(k, DEDUP_TOL) for k in kept):
-                kept.append(c)
-        return kept
-    # Large sets: bucket on rounded rows; exact near-boundary pairs may
-    # survive, which is acceptable for a safety net.
-    seen: dict[bytes, Circulant] = {}
-    for c in candidates:
-        key = np.round(c.row, 8).tobytes()
-        if key not in seen:
-            seen[key] = c
-    return list(seen.values())

@@ -43,11 +43,6 @@ class FourierContext:
         exponents = np.outer(np.arange(d), np.arange(d)) % d
         return self.power_table[exponents]
 
-    @functools.cached_property
-    def inverse_matrix(self) -> np.ndarray:
-        """S^-1, whose entries are the conjugated entries of S divided by d."""
-        return np.conj(self.matrix) / self.d
-
 
 @functools.lru_cache(maxsize=64)
 def fourier_context(d: int) -> FourierContext:
@@ -78,10 +73,18 @@ def from_spectrum(values: np.ndarray) -> Circulant:
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 1 or values.size < 2:
         raise DimensionError(f"spectrum must be a vector of length >= 2, got shape {values.shape}")
-    if values.size >= get_fft_threshold():
-        return Circulant(np.fft.ifft(values))
-    ctx = fourier_context(values.size)
-    return Circulant((ctx.matrix @ values) / values.size)
+    return Circulant(inverse_rows(values[None])[0])
+
+
+def inverse_rows(spectra: np.ndarray) -> np.ndarray:
+    """Batched inverse transform of the rows of ``spectra`` (shape (N, d)).
+    Below the FFT threshold it runs stacked matrix-vector products, not
+    ``spectra @ S.T`` (another summation order for d >= 3), so each row is
+    bit-identical to a one-row call."""
+    d = spectra.shape[1]
+    if d >= get_fft_threshold():
+        return np.fft.ifft(spectra, axis=1)
+    return np.matmul(fourier_context(d).matrix, spectra[:, :, None])[:, :, 0] / d
 
 
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:

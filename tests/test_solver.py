@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ from circfun import (
 )
 from circfun.solver import newton_polish
 from circfun.testkit import random_regular_poly
+
+
+def poly_from_channels(channel_coeffs, degree):
+    """CircPoly whose channel i has the scalar coefficients ``channel_coeffs[i]``
+    (leading first), padded with leading zeros up to ``degree``."""
+    cm = np.zeros((degree + 1, len(channel_coeffs)), dtype=np.complex128)
+    for i, c in enumerate(channel_coeffs):
+        cm[degree + 1 - len(c) :, i] = c
+    return CircPoly([cf.from_spectrum(row) for row in cm])
+
+
+def random_monic(rng, n):
+    return np.poly(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 class TestScalarRoots:
@@ -100,6 +115,23 @@ class TestCircSolve:
         members = sol.sample_members(10, seed=3)
         assert max(cf.residual(p, m) for m in members) <= 1e-10
 
+    @pytest.mark.parametrize("d, n, count", [(4, 2, 19), (16, 8, 3)])
+    def test_sample_members_follow_product_order(self, rng, d, n, count):
+        # Channel d is identically zero and every other channel has n roots,
+        # so the d=16 family has 8^15 fixed-channel combinations, far too
+        # many to list.
+        p = poly_from_channels([random_monic(rng, n) for _ in range(d - 1)] + [[0.0]], n)
+        sol = cf.solve_circ_poly(p)
+        assert sol.status is SolutionStatus.INFINITE_FAMILY
+        assert sol.free_channels == (d,)
+        fixed = [r.roots for r in sol.channel_reports[: d - 1]]
+        expected = itertools.islice(itertools.cycle(itertools.product(*fixed)), count)
+        members = sol.sample_members(count, seed=5)
+        assert len(members) == count
+        for member, combo in zip(members, expected):
+            np.testing.assert_allclose(cf.spectrum(member)[: d - 1], combo, rtol=0, atol=1e-12)
+            assert cf.residual(p, member) <= 1e-8
+
     def test_random_regular_counts(self, rng):
         for _ in range(12):
             d = int(rng.integers(2, 4))
@@ -112,6 +144,32 @@ class TestCircSolve:
                 distinct *= len(r.roots)
             assert len(sol.roots) == distinct == n**d
             assert max(sol.residuals) <= 1e-8
+
+    def test_close_channel_roots_give_distinct_solutions(self):
+        # Channel 1 is u(u - 5e-7); every other channel is u - 0.01 i. The two
+        # solutions then differ by only 5e-7 / 64 in each row entry.
+        d = 64
+        channels = [[1.0, -5e-7, 0.0]] + [[1.0, -0.01 * i] for i in range(2, d + 1)]
+        sol = cf.solve_circ_poly(poly_from_channels(channels, 2))
+        assert sol.status is SolutionStatus.FINITE
+        assert len(sol.channel_reports[0].roots) == 2
+        assert len(sol.roots) == 2
+        assert max(sol.residuals) <= 1e-8
+
+    @pytest.mark.parametrize("d", [2, 5, 12, 31, 32, 40])
+    def test_roots_are_inverse_transforms_of_root_combinations(self, rng, d):
+        # 2048 to 3125 roots span several recombination chunks (d > 2); d >= 32
+        # takes the FFT path, and d = 40 has more channels than numpy 1.x has
+        # array dimensions, so a grid built by np.meshgrid would fail there.
+        degrees = {2: [5, 4], 5: [5] * 5}.get(d, [2] * 11 + [1] * (d - 11))
+        p = poly_from_channels([random_monic(rng, k) for k in degrees], max(degrees))
+        sol = cf.solve_circ_poly(p)
+        assert sol.status is SolutionStatus.FINITE
+        combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
+        assert len(sol.roots) == len(sol.residuals) == len(combos)
+        for root, res, combo in zip(sol.roots, sol.residuals, combos):
+            assert np.array_equal(root.row, cf.from_spectrum(np.array(combo)).row)
+            assert res == cf.residual(p, root)
 
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4
@@ -173,5 +231,5 @@ class TestResidual:
         p = random_regular_poly(rng, 2, 2)
         sol = cf.solve_circ_poly(p, tol=1e-8)
         for root, res in zip(sol.roots, sol.residuals):
-            assert cf.residual(p, root) == pytest.approx(res, abs=1e-12)
+            assert cf.residual(p, root) == res
             assert res <= 1e-8
