@@ -24,7 +24,7 @@ from .errors import (
     DimensionError,
     InvalidIncrementError,
 )
-from .spectral import from_spectrum, is_invertible, pseudoinverse, spectrum
+from .spectral import RANK_REL_TOL, from_spectrum, is_invertible, pseudoinverse, spectrum
 
 #: Relative tolerance for deciding that a spectral coefficient vanishes,
 #: measured against the largest spectral magnitude over all coefficients.
@@ -284,7 +284,7 @@ class RationalFunction(CircFunction):
         q, _ = polyval_with_scale(self.denominator.channel_matrix(), u)
         out = np.zeros_like(p)
         largest = np.max(np.abs(q))
-        keep = np.abs(q) > SINGULARITY_REL_TOL * self.d * largest if largest > 0 else np.zeros(q.shape, bool)
+        keep = np.abs(q) > RANK_REL_TOL * self.d * largest if largest > 0 else np.zeros(q.shape, bool)
         out[keep] = p[keep] / q[keep]
         return out
 
@@ -318,7 +318,7 @@ class RationalFunction(CircFunction):
         if largest == 0.0:
             zeroed = tuple(range(1, self.d + 1))
         else:
-            zeroed = tuple(int(i) + 1 for i in np.nonzero(q_spec <= 1e-12 * self.d * largest)[0])
+            zeroed = tuple(int(i) + 1 for i in np.nonzero(q_spec <= RANK_REL_TOL * self.d * largest)[0])
         return value, zeroed
 
 

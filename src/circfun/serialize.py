@@ -8,11 +8,12 @@ circulant is {"d": int, "row": [[re, im], ...]}; a function is
 
 from __future__ import annotations
 
+import cmath
 from typing import Any
 
 import numpy as np
 
-from .characterize import ChannelEstimate, DegreeReport, DivisorReport, ZeroBoundReport
+from .characterize import ChannelEstimate, DegreeReport, DivisorReport
 from .core import Circulant
 from .functions import (
     CircFunction,
@@ -43,7 +44,13 @@ def pair_to_complex(value: Any, field: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise SchemaError(field, f"expected a [re, im] number pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:  # an integer beyond the float range
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise SchemaError(field, f"expected finite numbers, got {value!r}")
+    return z
 
 
 def circulant_to_obj(x: Circulant) -> dict:
@@ -195,13 +202,3 @@ def degree_report_to_obj(r: DegreeReport) -> dict:
         "channels": _channel_estimates_to_obj(r.channels),
     }
 
-
-def zero_bound_report_to_obj(r: ZeroBoundReport) -> dict:
-    return {
-        "matched": r.matched,
-        "n": r.n,
-        "bound": r.bound,
-        "degree_check": r.degree_check,
-        "retries_used": r.retries_used,
-        "channels": _channel_estimates_to_obj(r.channels),
-    }

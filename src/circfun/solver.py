@@ -9,6 +9,15 @@ relative tolerance are discarded:
   equation has no solution at all,
 * identically zero: any value works, giving a free complex parameter.
 
+The root-bearing channels are grouped by effective degree n, and each group
+is solved as one (m, n + 1) matrix of monic rows: Ehrlich-Aberth on the
+(m, n) iterate with an (m, n, n) repulsion tensor, rows leaving the active
+set as they converge, then Newton polishing, clustering into multiplicities
+and the residual check, all row-wise.  Rows run in blocks that bound the
+tensor's size.  Each step does on a row exactly what it would do on that row
+alone, so a channel's roots do not depend on the rest of the polynomial, and
+:func:`solve_scalar_poly` is the one-row case.
+
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
 with invertible leading coefficient therefore has between 1 and n^d roots.
@@ -44,6 +53,12 @@ CLUSTER_REL_TOL = 1e-7
 
 #: Root combinations rebuilt per batched inverse transform.
 RECOMBINE_CHUNK = 1024
+
+#: Entries of the (rows, n, n) Aberth temporaries per block of channels.
+BLOCK_ENTRIES = 2**15
+
+#: Aberth iterations before the companion-matrix fallback.
+ABERTH_MAX_ITER = 100
 
 
 class SolutionStatus(Enum):
@@ -125,7 +140,7 @@ def solve_scalar_poly(
     coeffs,
     tol: float = 1e-10,
     cluster_tol: float = CLUSTER_REL_TOL,
-    max_iter: int = 100,
+    max_iter: int = ABERTH_MAX_ITER,
 ) -> ScalarRoots:
     """All complex roots of a scalar polynomial (leading coefficient first).
 
@@ -136,7 +151,8 @@ def solve_scalar_poly(
     per root and merges near-coincident roots into multiplicities.
 
     Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
-    condition-aware scale sum |c_k| |r|^(n-k).
+    condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
+    the batched solve that :func:`solve_circ_poly` runs over its channels.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
@@ -148,75 +164,154 @@ def solve_scalar_poly(
         raise DegeneratePolynomialError("identically zero polynomial")
     lead = int(np.argmax(np.abs(c) > COEFFICIENT_REL_TOL * scale))
     c = c[lead:]
-    n = c.size - 1
-    if n == 0:
+    if c.size == 1:
         raise DegeneratePolynomialError("constant polynomial has no roots")
-
-    monic = c / c[0]
-    roots, iterations = _aberth(monic, max_iter)
-    roots = _newton_polish(monic, roots)
-    distinct, mult = _cluster_roots(roots, cluster_tol)
-
-    values, scales = polyval_with_scale(monic, distinct)
-    max_residual = float(np.max(np.abs(values)))
-    if np.any(np.abs(values) > tol * np.maximum(scales, 1.0)):
-        raise SolverError(
-            f"root residual {max_residual:.3e} exceeds tolerance {tol:.1e} after polishing"
-        )
-    order = np.lexsort((distinct.imag, distinct.real))
-    return ScalarRoots(
-        roots=distinct[order],
-        multiplicities=mult[order],
-        iterations=iterations,
-        max_residual=max_residual,
-    )
+    result = _solve_monic_rows((c / c[0])[None], tol, cluster_tol, max_iter)[0]
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
-def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
-    n = monic.size - 1
+def _solve_monic_rows(
+    monic: np.ndarray, tol: float, cluster_tol: float, max_iter: int
+) -> list[ScalarRoots | SolverError]:
+    """Roots of each row of ``monic``, shape (m, n + 1) with n >= 1, or the
+    row's SolverError.
+
+    Rows run in blocks whose (rows, n, n) temporaries hold about
+    ``BLOCK_ENTRIES`` entries.  Every step acts on a row exactly as it would
+    on that row alone, so the results do not depend on the grouping.
+    """
+    n = monic.shape[1] - 1
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    results: list[ScalarRoots | SolverError] = []
+    for start in range(0, monic.shape[0], step):
+        block = monic[start : start + step]
+        roots, iterations, failures = _aberth(block, max_iter)
+        roots = _newton_polish(block, roots)
+        distinct, mults = _cluster_roots(roots, cluster_tol)
+        values, scales = polyval_with_scale(block.T[:, :, None], distinct)
+        max_residuals = np.max(np.abs(values), axis=1)
+        rejected = np.any(np.abs(values) > tol * np.maximum(scales, 1.0), axis=1)
+        for i, mult in enumerate(mults):
+            if i in failures:
+                results.append(failures[i])
+            elif rejected[i]:
+                results.append(
+                    SolverError(
+                        f"root residual {max_residuals[i]:.3e} exceeds tolerance {tol:.1e} after polishing"
+                    )
+                )
+            else:
+                results.append(
+                    ScalarRoots(
+                        roots=distinct[i, : mult.size],
+                        multiplicities=mult,
+                        iterations=int(iterations[i]),
+                        max_residual=float(max_residuals[i]),
+                    )
+                )
+    return results
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.polyval``: row i of ``coeffs`` evaluated at row i of ``z``."""
+    value = np.zeros_like(z)
+    for k in range(coeffs.shape[1]):
+        value = value * z + coeffs[:, k : k + 1]
+    return value
+
+
+def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Ehrlich-Aberth on every row; a row leaves the active set once its
+    corrections are negligible.  Returns the roots, the iteration counts and
+    the SolverError of each row whose companion-matrix fallback failed."""
+    m, n = monic.shape[0], monic.shape[1] - 1
     if n == 1:
-        return np.array([-monic[1]]), 0
-    dcoef = monic[:-1] * np.arange(n, 0, -1)
-    radius = 1.0 + np.max(np.abs(monic[1:]))
+        return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
+    dcoef = monic[:, :-1] * np.arange(n, 0, -1)
+    radius = 1.0 + np.max(np.abs(monic[:, 1:]), axis=1, keepdims=True)
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
     z = radius * np.exp(1j * angles)
+    roots = np.empty_like(z)
+    iterations = np.full(m, max_iter, dtype=np.intp)
+    active = np.arange(m)
+    diagonal = np.arange(n)
+    buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
-        p = np.polyval(monic, z)
-        dp = np.polyval(dcoef, z)
+        p = _horner(monic[active], z)
+        dp = _horner(dcoef[active], z)
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        repulsion = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal's 1/1
+        diff = np.subtract(z[:, :, None], z[:, None, :], out=buffer[: z.shape[0]])
+        diff[:, diagonal, diagonal] = 1.0
+        repulsion = np.sum(np.divide(1.0, diff, out=diff), axis=2) - 1.0  # remove the diagonal's 1/1
         denom = 1.0 - w * repulsion
         denom = np.where(denom == 0, 1e-300, denom)
         correction = w / denom
         z = z - correction
-        if np.all(np.abs(correction) <= 1e-14 * (1.0 + np.abs(z))):
-            return z, iteration
+        done = np.all(np.abs(correction) <= 1e-14 * (1.0 + np.abs(z)), axis=1)
+        roots[active[done]] = z[done]
+        iterations[active[done]] = iteration
+        active, z = active[~done], z[~done]
+        if active.size == 0:
+            break
     # Stalled (typically root clusters): companion-matrix eigenvalues.
-    try:
-        return np.roots(monic), max_iter
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverError("companion-matrix fallback failed to converge") from exc
+    failures = {}
+    for i in active.tolist():
+        try:
+            roots[i] = np.roots(monic[i])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            failures[i] = SolverError("companion-matrix fallback failed to converge")
+            failures[i].__cause__ = exc
+            roots[i] = np.nan
+    return roots, iterations, failures
 
 
 def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One Newton step per root, kept only where it lowers |p|."""
-    n = monic.size - 1
-    dcoef = monic[:-1] * np.arange(n, 0, -1)
-    p = np.polyval(monic, roots)
-    dp = np.polyval(dcoef, roots)
+    """One Newton step per root, kept only where it lowers |p|; row i of
+    ``roots`` belongs to row i of ``monic``."""
+    n = monic.shape[1] - 1
+    dcoef = monic[:, :-1] * np.arange(n, 0, -1)
+    p = _horner(monic, roots)
+    dp = _horner(dcoef, roots)
     safe = dp != 0
     stepped = roots.copy()
     stepped[safe] = roots[safe] - p[safe] / dp[safe]
-    better = np.abs(np.polyval(monic, stepped)) < np.abs(p)
+    better = np.abs(_horner(monic, stepped)) < np.abs(p)
     return np.where(better, stepped, roots)
 
 
-def _cluster_roots(roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((roots.imag, roots.real))
-    sorted_roots = roots[order]
+def _cluster_roots(roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct roots of each row in lexicographic order, with multiplicities.
+
+    Row i of the returned matrix starts with the row's k_i distinct roots and
+    is padded with copies of the first; entry i of the list holds their k_i
+    multiplicities.  If no sorted root lies within twice the clustering width
+    of an earlier one, the greedy running-mean loop keeps every root as its
+    own group, whose mean is the root itself, so only rows with a close pair
+    run the loop.  The factor 2 covers rounding differences between this
+    distance and the loop's scalar ``abs``.
+    """
+    rows = np.arange(roots.shape[0])[:, None]
+    roots = roots[rows, np.lexsort((roots.imag, roots.real))]
+    gap = roots.real[:, :, None] - roots.real[:, None, :]
+    gap = np.hypot(gap, roots.imag[:, :, None] - roots.imag[:, None, :], out=gap)  # |r_i - r_j|
+    width = 2 * cluster_tol * np.maximum(1.0, np.abs(roots))
+    close = np.any(np.tril(gap <= width[:, None, :], -1), axis=(1, 2))
+    distinct = (roots + 0.0) / 1  # np.mean of a one-root group, bit for bit
+    distinct = distinct[rows, np.lexsort((distinct.imag, distinct.real))]
+    mults = list(np.ones(roots.shape, dtype=np.intp))
+    for i in np.flatnonzero(close):
+        centers, mult = _greedy_clusters(roots[i], cluster_tol)
+        order = np.lexsort((centers.imag, centers.real))
+        distinct[i, : centers.size] = centers[order]
+        distinct[i, centers.size :] = centers[order[0]]
+        mults[i] = mult[order]
+    return distinct, mults
+
+
+def _greedy_clusters(sorted_roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     groups: list[list[complex]] = []
     for r in sorted_roots:
         placed = False
@@ -236,7 +331,7 @@ def _cluster_roots(roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, n
 def newton_polish(coeffs, roots) -> np.ndarray:
     """Public polishing pass: one Newton step per root where it improves."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    return _newton_polish(c / c[0], np.asarray(roots, dtype=np.complex128))
+    return _newton_polish((c / c[0])[None], np.asarray(roots, dtype=np.complex128)[None])[0]
 
 
 def residual(p: CircPoly, z: Circulant) -> float:
@@ -251,8 +346,9 @@ def solve_circ_poly(
 ) -> SolutionSet:
     """Classify and solve P(Z) = 0.
 
-    Channels are solved independently at their effective degree.  The finite
-    case returns every combination of one root per channel, without dedup, in
+    The root-bearing channels are grouped by effective degree, and each group
+    goes through one batched scalar solve; if channels fail, the error names
+    the lowest-numbered one.  The finite case returns every combination of one root per channel, without dedup, in
     ``itertools.product`` order; each chunk of ``RECOMBINE_CHUNK`` takes its
     spectra from the mixed-radix digits of the combination index, goes through
     one batched inverse transform, and has every residual verified directly.
@@ -264,37 +360,43 @@ def solve_circ_poly(
 
     cm = p.channel_matrix()
     scale = float(np.max(np.abs(cm)))
+    threshold = COEFFICIENT_REL_TOL * scale
+    zero = (scale == 0.0) | np.all(np.abs(cm) <= threshold, axis=0)
+    degrees = cm.shape[0] - 1 - np.argmax(np.abs(cm) > threshold, axis=0)
+    scalars: dict[int, ScalarRoots | SolverError] = {}
+    for k in sorted(set(degrees[~zero & (degrees > 0)].tolist())):
+        channels = np.flatnonzero(~zero & (degrees == k))
+        coeffs = cm[cm.shape[0] - 1 - k :, channels].T
+        solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, CLUSTER_REL_TOL, ABERTH_MAX_ITER)
+        scalars.update(zip(channels.tolist(), solved))
+    failed = [i for i, r in scalars.items() if isinstance(r, SolverError)]
+    if failed:
+        first = min(failed)
+        raise SolverError(f"channel {first + 1}: {scalars[first]}") from scalars[first]
+
     reports: list[ChannelReport] = []
     per_channel_roots: list[np.ndarray] = []
     zero_channels: list[int] = []
     constant_channels: list[int] = []
-
-    for i in range(p.d):
-        col = cm[:, i]
-        if scale == 0.0 or np.all(np.abs(col) <= COEFFICIENT_REL_TOL * scale):
+    for i, (is_zero, degree) in enumerate(zip(zero.tolist(), degrees.tolist())):
+        if is_zero:
             reports.append(ChannelReport(channel=i + 1, kind="identically-zero"))
             zero_channels.append(i + 1)
-            continue
-        nonzero = np.abs(col) > COEFFICIENT_REL_TOL * scale
-        eff_degree = col.size - 1 - int(np.argmax(nonzero))
-        if eff_degree == 0:
+        elif degree == 0:
             reports.append(ChannelReport(channel=i + 1, kind="nonzero-constant", effective_degree=0))
             constant_channels.append(i + 1)
-            continue
-        try:
-            scalar = solve_scalar_poly(col[col.size - 1 - eff_degree :], tol=tol)
-        except SolverError as exc:
-            raise SolverError(f"channel {i + 1}: {exc}") from exc
-        reports.append(
-            ChannelReport(
-                channel=i + 1,
-                kind="roots",
-                effective_degree=eff_degree,
-                roots=tuple(complex(r) for r in scalar.roots),
-                multiplicities=tuple(int(m) for m in scalar.multiplicities),
+        else:
+            scalar = scalars[i]
+            reports.append(
+                ChannelReport(
+                    channel=i + 1,
+                    kind="roots",
+                    effective_degree=degree,
+                    roots=tuple(complex(r) for r in scalar.roots),
+                    multiplicities=tuple(int(m) for m in scalar.multiplicities),
+                )
             )
-        )
-        per_channel_roots.append(scalar.roots)
+            per_channel_roots.append(scalar.roots)
 
     if constant_channels:
         return SolutionSet(

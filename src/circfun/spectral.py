@@ -18,6 +18,10 @@ import numpy as np
 from .core import Circulant, get_fft_threshold
 from .errors import DimensionError
 
+#: Rank tolerance per unit of order: an eigenvalue counts as zero when its
+#: modulus is at most ``(RANK_REL_TOL * d) * max_j |u_j|``.
+RANK_REL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FourierContext:
@@ -92,10 +96,10 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
 
     Channels whose eigenvalue modulus is at most ``rel_tol * max_j |u_j|``
     are treated as rank-deficient and zeroed; the rest are inverted.  The
-    default tolerance is ``1e-12 * d``.  The zero matrix maps to itself.
+    default tolerance is ``RANK_REL_TOL * d``.  The zero matrix maps to itself.
     """
     if rel_tol is None:
-        rel_tol = 1e-12 * x.d
+        rel_tol = RANK_REL_TOL * x.d
     if rel_tol < 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     u = spectrum(x)
@@ -111,7 +115,7 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
 def is_invertible(x: Circulant, rel_tol: float | None = None) -> bool:
     """True when every eigenvalue clears the relative rank threshold."""
     if rel_tol is None:
-        rel_tol = 1e-12 * x.d
+        rel_tol = RANK_REL_TOL * x.d
     u = np.abs(spectrum(x))
     largest = np.max(u)
     return bool(largest > 0.0 and np.min(u) > rel_tol * largest)

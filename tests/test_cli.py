@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import circfun as cf
 from circfun.cli import run
@@ -116,6 +117,19 @@ class TestErrorsAndDeterminism:
         bad.write_text(json.dumps({"d": 2, "row": [[1, 0]]}))
         assert run(["spectrum", "--input", str(bad), "--output", "-"]) == 1
         assert "row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, row, field",
+        [("spectrum", "[[NaN, 0], [1, 0]]", "row[0]"), ("pinv", "[[1, 0], [0, -Infinity]]", "row[1]")],
+    )
+    def test_non_finite_entry_names_field(self, tmp_path, capsys, command, row, field):
+        # json.loads accepts NaN and Infinity, which are not JSON numbers.
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"d": 2, "row": {row}}}')
+        assert run([command, "--input", str(bad), "--output", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"circulant.{field}: expected finite numbers" in captured.err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["spectrum", "--bogus"]) == 1

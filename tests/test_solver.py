@@ -9,7 +9,9 @@ from circfun import (
     DegeneratePolynomialError,
     RecombinationLimitError,
     SolutionStatus,
+    SolverError,
 )
+from circfun import solver
 from circfun.solver import newton_polish
 from circfun.testkit import random_regular_poly
 
@@ -170,6 +172,63 @@ class TestCircSolve:
         for root, res, combo in zip(sol.roots, sol.residuals, combos):
             assert np.array_equal(root.row, cf.from_spectrum(np.array(combo)).row)
             assert res == cf.residual(p, root)
+
+    @staticmethod
+    def assert_reports_match_scalar_solves(p, sol, reports=None):
+        cm = p.channel_matrix()
+        for report in sol.channel_reports if reports is None else reports:
+            if report.kind != "roots":
+                continue
+            col = cm[cm.shape[0] - 1 - report.effective_degree :, report.channel - 1]
+            alone = cf.solve_scalar_poly(col, tol=1e-8)
+            assert report.roots == tuple(complex(r) for r in alone.roots)
+            assert report.multiplicities == tuple(int(m) for m in alone.multiplicities)
+
+    def test_batched_channels_match_scalar_solves(self, rng):
+        # Degrees 1, 3 and 5 in one polynomial: (u - 2)^2 (u + 1) has a double
+        # root that takes the greedy clustering loop, and (u - 2)^3 (u + 1)^2
+        # stalls Aberth into the companion-matrix fallback.
+        channels = [
+            [1.0, -3.0, 0.0, 4.0],
+            np.poly([2, 2, 2, -1, -1]),
+            [2.0, 1.0 - 1.0j],
+            random_monic(rng, 5),
+            random_monic(rng, 3),
+            [1.0, 0.5],
+        ]
+        p = poly_from_channels(channels, 5)
+        sol = cf.solve_circ_poly(p)
+        assert sol.status is SolutionStatus.FINITE
+        assert [r.effective_degree for r in sol.channel_reports] == [3, 5, 1, 5, 3, 1]
+        assert sol.channel_reports[0].multiplicities == (1, 2)
+        col = p.channel_matrix()[:, 1]
+        assert cf.solve_scalar_poly(col, tol=1e-8).iterations == solver.ABERTH_MAX_ITER
+        self.assert_reports_match_scalar_solves(p, sol)
+
+    def test_lowest_failing_channel_is_reported(self):
+        # At tol 1e-30 only exactly representable roots pass the residual
+        # check. Channels 3 (degree 3) and 5 (degree 2) both fail; channel 5's
+        # degree group is solved first, but the error names channel 3.
+        channels = [[1.0, -1.0], [1.0, -2.0], [1.0, 0.0, 0.0, -5.0], [1.0, -3.0], [1.0, 0.0, -2.0]]
+        p = poly_from_channels(channels, 3)
+        for i in (2, 4):
+            with pytest.raises(SolverError):
+                cf.solve_scalar_poly(channels[i], tol=1e-30)
+        with pytest.raises(SolverError, match=r"^channel 3: root residual"):
+            cf.solve_circ_poly(p, tol=1e-30)
+
+    def test_infinite_family_spanning_several_blocks(self, rng):
+        d, n = 1024, 8
+        p = poly_from_channels([random_monic(rng, n) for _ in range(d - 1)] + [[0.0]], n)
+        assert d - 1 > solver.BLOCK_ENTRIES // n**2
+        sol = cf.solve_circ_poly(p)
+        assert sol.status is SolutionStatus.INFINITE_FAMILY
+        assert sol.free_channels == (d,)
+        assert all(sum(r.multiplicities) == n for r in sol.channel_reports[:-1])
+        # Every 31st channel, and the channels on both sides of each block edge.
+        step = solver.BLOCK_ENTRIES // n**2
+        sample = set(range(0, d, 31)) | {k * step + j for k in range(1, d // step) for j in (-1, 0)}
+        self.assert_reports_match_scalar_solves(p, sol, [sol.channel_reports[i] for i in sorted(sample)])
 
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4
