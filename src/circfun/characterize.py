@@ -24,16 +24,11 @@ import numpy as np
 from .core import Circulant
 from .errors import ChannelSingularityError
 from .functions import (
-    COEFFICIENT_REL_TOL,
     CircFunction,
-    CircPoly,
-    ExpPolyFunction,
     PolyFunction,
     RationalFunction,
     _derivative_rows,
-    _raise_on_zero,
     classify,
-    polyval_with_scale,
 )
 from .spectral import from_spectrum, spectrum
 
@@ -189,32 +184,6 @@ def _analyze_sequence(
     return None, False, refined, float(tail[2])
 
 
-def _channel_is_degenerate(poly: CircPoly, channel: int) -> bool:
-    cm = poly.channel_matrix()
-    scale = float(np.max(np.abs(cm)))
-    if scale == 0.0:
-        return True
-    return bool(np.all(np.abs(cm[:, channel]) <= COEFFICIENT_REL_TOL * scale))
-
-
-def _indeterminate_channels(f: CircFunction) -> set[int]:
-    """0-based channels where the function collapses to 0/0 or identically 0."""
-    if isinstance(f, PolyFunction):
-        polys = [f.poly]
-    elif isinstance(f, RationalFunction):
-        polys = [f.numerator, f.denominator]
-    elif isinstance(f, ExpPolyFunction):
-        polys = [f.poly]
-    else:  # pragma: no cover
-        return set()
-    bad: set[int] = set()
-    for poly in polys:
-        for i in range(f.d):
-            if _channel_is_degenerate(poly, i):
-                bad.add(i)
-    return bad
-
-
 def _estimate_channels(
     f: CircFunction,
     path: PathSpec,
@@ -222,18 +191,16 @@ def _estimate_channels(
     round_tol: float,
     use_richardson: bool,
 ) -> tuple[list[ChannelEstimate], int]:
-    indeterminate = _indeterminate_channels(f)
-    if len(indeterminate) == f.d:
-        raise ChannelSingularityError(
-            sorted(i + 1 for i in indeterminate), "every channel is degenerate"
-        )
+    indeterminate = f.degenerate_channels()
+    if np.all(indeterminate):
+        raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
 
     # Degenerate channels would raise on every direction; scan only the rest.
-    estimates, retries = _scan(f, path, qfun, indeterminate)
+    estimates, retries = _scan(f, path, qfun, np.flatnonzero(~indeterminate))
 
     channels: list[ChannelEstimate] = []
     for i in range(f.d):
-        if i in indeterminate:
+        if indeterminate[i]:
             channels.append(
                 ChannelEstimate(
                     channel=i + 1,
@@ -260,14 +227,13 @@ def _estimate_channels(
     return channels, retries
 
 
-def _scan(f, path: PathSpec, qfun, indeterminate: set[int]) -> tuple[np.ndarray, int]:
-    """Estimate sequences for the live channels over the path's scales.
+def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
+    """Estimate sequences for the ``live`` channels over the path's scales.
 
-    Returns an array of shape (n_scales, d) with zeros in masked columns.
+    Returns an array of shape (n_scales, d) with zeros in the other columns.
     On a channel singularity the direction is re-randomized (seeded) up to
     the retry budget, after which the error propagates.
     """
-    live = [i for i in range(f.d) if i not in indeterminate]
     rng = np.random.default_rng(path.seed)
     direction = path.direction
     last_error: ChannelSingularityError | None = None
@@ -277,7 +243,7 @@ def _scan(f, path: PathSpec, qfun, indeterminate: set[int]) -> tuple[np.ndarray,
             for t in path.scales:
                 u = spectrum(from_spectrum(t * direction))
                 row = np.zeros(f.d, dtype=np.complex128)
-                values = u[live] * _logderiv_live(f, u[live], live)
+                values = u[live] * f.channel_logderiv(u, live)
                 if qfun is not None:
                     values = values - u[live] * qfun(u)[live]
                 row[live] = values
@@ -290,40 +256,6 @@ def _scan(f, path: PathSpec, qfun, indeterminate: set[int]) -> tuple[np.ndarray,
         last_error.channels if last_error else (),
         f"path singularity persisted across {path.retry_budget} phase retries",
     )
-
-
-def _logderiv_live(f: CircFunction, u_sub: np.ndarray, live: list[int]) -> np.ndarray:
-    """F'/F restricted to the given channel columns, with original 1-based
-    channel indices restored in any singularity error."""
-    try:
-        return _sub_channel_logderiv(f, u_sub, live)
-    except ChannelSingularityError as exc:
-        original = [live[c - 1] + 1 for c in exc.channels]
-        raise ChannelSingularityError(original) from exc
-
-
-def _sub_channel_logderiv(f: CircFunction, u_sub: np.ndarray, live: list[int]) -> np.ndarray:
-    def ratio(poly: CircPoly, what: str) -> tuple[np.ndarray, np.ndarray]:
-        cm = poly.channel_matrix()[:, live]
-        p, p_scale = polyval_with_scale(cm, u_sub)
-        _raise_on_zero(p, p_scale, what)
-        dp, _ = polyval_with_scale(_derivative_rows(cm), u_sub)
-        return dp, p
-
-    if isinstance(f, PolyFunction):
-        dp, p = ratio(f.poly, "polynomial value")
-        return dp / p
-    if isinstance(f, RationalFunction):
-        dp, p = ratio(f.numerator, "numerator")
-        dq, q = ratio(f.denominator, "denominator")
-        return dp / p - dq / q
-    if isinstance(f, ExpPolyFunction):
-        dp, p = ratio(f.poly, "polynomial factor")
-        dg, _ = polyval_with_scale(
-            _derivative_rows(f.exponent.channel_matrix()[:, live]), u_sub
-        )
-        return dp / p + dg
-    raise TypeError(f"unsupported function kind: {f!r}")
 
 
 def estimate_divisor(
@@ -339,12 +271,10 @@ def estimate_divisor(
     degrees n and m; when both polynomials are regular the global value
     equals n - m and is cross-checked against that expectation.
     """
-    if isinstance(f, PolyFunction):
-        num, den = f.poly, None
-    elif isinstance(f, RationalFunction):
-        num, den = f.numerator, f.denominator
-    else:
+    if not isinstance(f, (PolyFunction, RationalFunction)):
         raise TypeError("divisor estimation applies to polynomial and rational functions")
+    parts = f.parts()
+    num, den = parts["P"], parts.get("Q")
 
     if path is None:
         path = PathSpec.default(f.d)
@@ -432,14 +362,10 @@ def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool
     """When the witness equals G' channel-wise, n should be deg P."""
     if not isinstance(q_entire, PolyFunction):
         return None
-    if isinstance(f, ExpPolyFunction):
-        g_prime = _derivative_rows(f.exponent.channel_matrix())
-        factor = f.poly
-    elif isinstance(f, PolyFunction):
-        g_prime = np.zeros((1, f.d), dtype=np.complex128)
-        factor = f.poly
-    else:  # pragma: no cover
-        return None
+    g = f.parts().get("G")  # a polynomial is P exp(0)
+    g_prime = (
+        _derivative_rows(g.channel_matrix()) if g is not None else np.zeros((1, f.d), dtype=np.complex128)
+    )
     q_cm = q_entire.poly.channel_matrix()
     rows = max(q_cm.shape[0], g_prime.shape[0])
     q_pad = np.vstack([np.zeros((rows - q_cm.shape[0], f.d)), q_cm])
@@ -447,7 +373,7 @@ def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool
     scale = max(float(np.max(np.abs(q_pad))), float(np.max(np.abs(g_pad))), 1.0)
     if np.max(np.abs(q_pad - g_pad)) > 1e-9 * scale:
         return None
-    return n == factor.degree
+    return n == f.parts()["P"].degree
 
 
 def detect_poly_degree(

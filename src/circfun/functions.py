@@ -13,7 +13,7 @@ argument.  A finite-difference variant is provided for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -83,11 +83,24 @@ class CircPoly:
         if self._channel_matrix is None:
             cm = np.stack([spectrum(c) for c in self.coeffs])
             top = np.max(np.abs(cm))
-            if top > 0.0:
+            if 0.0 < top < np.inf:  # an overflowed entry would snap every finite one
                 cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0
             cm.flags.writeable = False
             self._channel_matrix = cm
         return self._channel_matrix
+
+    def channel_degrees(self) -> np.ndarray:
+        """Effective degree of each channel, -1 where it is identically zero.
+
+        A spectral coefficient counts as zero at or below
+        ``COEFFICIENT_REL_TOL`` times the largest magnitude over all
+        coefficients, so the leading ones that fall below it drop out.
+        """
+        cm = self.channel_matrix()
+        nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * float(np.max(np.abs(cm)))
+        degrees = cm.shape[0] - 1 - np.argmax(nonzero, axis=0)
+        degrees[~np.any(nonzero, axis=0)] = -1
+        return degrees
 
     def derivative_poly(self) -> "CircPoly":
         """Formal derivative; the zero polynomial for constants."""
@@ -107,10 +120,6 @@ class CircPoly:
 
     def __repr__(self) -> str:
         return f"CircPoly(d={self.d}, degree={self.degree})"
-
-
-def poly_eval(p: CircPoly, z: Circulant) -> Circulant:
-    return p.evaluate(z)
 
 
 @dataclass(frozen=True)
@@ -186,13 +195,29 @@ def _derivative_rows(coeffs: np.ndarray) -> np.ndarray:
 class CircFunction:
     """Base class of the supported function kinds (tagged union).
 
-    Subclasses provide the channel-wise scalar value, derivative, and
-    logarithmic derivative; ring-level evaluation and differentiation are
-    derived from those here.
+    Subclasses name their constituent polynomials in ``PARTS`` and provide
+    the channel-wise scalar value, derivative, and logarithmic derivative;
+    ring-level evaluation and differentiation are derived from those here.
     """
 
     kind: str
     d: int
+    #: Constituent polynomial letter -> attribute: P for every kind, then the
+    #: denominator Q (rational) or the exponent G (exppoly).  The letters are
+    #: the JSON field names, read and written in this order.
+    PARTS: ClassVar[dict[str, str]]
+
+    def parts(self) -> dict[str, CircPoly]:
+        return {letter: getattr(self, name) for letter, name in self.PARTS.items()}
+
+    def degenerate_channels(self) -> np.ndarray:
+        """Mask of the channels where F is identically 0 or 0/0: P or Q is
+        identically zero there.  exp(G) never vanishes, so G is not checked."""
+        mask = np.zeros(self.d, dtype=bool)
+        for letter, poly in self.parts().items():
+            if letter != "G":
+                mask |= poly.channel_degrees() < 0
+        return mask
 
     def channel_values(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -200,9 +225,13 @@ class CircFunction:
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def channel_logderiv(self, u: np.ndarray) -> np.ndarray:
+    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
         """F'_i(u_i) / F_i(u_i), computed in ratio form so that it stays
-        finite even where F itself would overflow."""
+        finite even where F itself would overflow.
+
+        ``channels`` (0-based indices into ``u``) restricts the evaluation
+        to those channels, in that order.  A ChannelSingularityError names
+        the offending channels by their 1-based numbers among all d."""
         raise NotImplementedError
 
     def evaluate(self, z: Circulant) -> Circulant:
@@ -230,6 +259,7 @@ class CircFunction:
 class PolyFunction(CircFunction):
     poly: CircPoly
     kind: str = field(default="poly", init=False)
+    PARTS = {"P": "poly"}
 
     @property
     def d(self) -> int:
@@ -243,11 +273,8 @@ class PolyFunction(CircFunction):
         value, _ = polyval_with_scale(_derivative_rows(self.poly.channel_matrix()), u)
         return value
 
-    def channel_logderiv(self, u: np.ndarray) -> np.ndarray:
-        cm = self.poly.channel_matrix()
-        p, p_scale = polyval_with_scale(cm, u)
-        _raise_on_zero(p, p_scale, "polynomial value")
-        dp, _ = polyval_with_scale(_derivative_rows(cm), u)
+    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
+        dp, p = _quotient_terms(self.poly, u, channels, "polynomial value")
         return dp / p
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
@@ -266,6 +293,7 @@ class RationalFunction(CircFunction):
     numerator: CircPoly
     denominator: CircPoly
     kind: str = field(default="rational", init=False)
+    PARTS = {"P": "numerator", "Q": "denominator"}
 
     def __post_init__(self):
         if self.numerator.d != self.denominator.d:
@@ -298,15 +326,9 @@ class RationalFunction(CircFunction):
         dq, _ = polyval_with_scale(_derivative_rows(qm), u)
         return (dp * q - dq * p) / (q * q)
 
-    def channel_logderiv(self, u: np.ndarray) -> np.ndarray:
-        pm = self.numerator.channel_matrix()
-        qm = self.denominator.channel_matrix()
-        p, p_scale = polyval_with_scale(pm, u)
-        _raise_on_zero(p, p_scale, "numerator")
-        q, q_scale = polyval_with_scale(qm, u)
-        _raise_on_zero(q, q_scale, "denominator")
-        dp, _ = polyval_with_scale(_derivative_rows(pm), u)
-        dq, _ = polyval_with_scale(_derivative_rows(qm), u)
+    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
+        dp, p = _quotient_terms(self.numerator, u, channels, "numerator")
+        dq, q = _quotient_terms(self.denominator, u, channels, "denominator")
         return dp / p - dq / q
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
@@ -329,6 +351,7 @@ class ExpPolyFunction(CircFunction):
     poly: CircPoly
     exponent: CircPoly
     kind: str = field(default="exppoly", init=False)
+    PARTS = {"P": "poly", "G": "exponent"}
 
     def __post_init__(self):
         if self.poly.d != self.exponent.d:
@@ -354,28 +377,45 @@ class ExpPolyFunction(CircFunction):
         dg, _ = polyval_with_scale(_derivative_rows(gm), u)
         return (dp + p * dg) * np.exp(g)
 
-    def channel_logderiv(self, u: np.ndarray) -> np.ndarray:
-        pm = self.poly.channel_matrix()
-        p, p_scale = polyval_with_scale(pm, u)
-        _raise_on_zero(p, p_scale, "polynomial factor")
-        dp, _ = polyval_with_scale(_derivative_rows(pm), u)
-        dg, _ = polyval_with_scale(_derivative_rows(self.exponent.channel_matrix()), u)
+    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
+        dp, p = _quotient_terms(self.poly, u, channels, "polynomial factor")
+        gm, u = _columns(self.exponent, u, channels)
+        dg, _ = polyval_with_scale(_derivative_rows(gm), u)
         return dp / p + dg
 
 
-def _raise_on_zero(values: np.ndarray, scales: np.ndarray, what: str) -> None:
+#: Function kind name (the JSON "kind") -> class.
+FUNCTION_KINDS: dict[str, type[CircFunction]] = {
+    cls.kind: cls for cls in (PolyFunction, RationalFunction, ExpPolyFunction)
+}
+
+
+def _columns(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray]:
+    """The channel matrix and the points, restricted to ``channels`` if given."""
+    cm = poly.channel_matrix()
+    if channels is None:
+        return cm, u
+    return cm[:, channels], u[channels]
+
+
+def _quotient_terms(poly: CircPoly, u: np.ndarray, channels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(P'(u), P(u)) on the selected channels, raising where P vanishes."""
+    cm, u = _columns(poly, u, channels)
+    p, p_scale = polyval_with_scale(cm, u)
+    _raise_on_zero(p, p_scale, what, channels)
+    dp, _ = polyval_with_scale(_derivative_rows(cm), u)
+    return dp, p
+
+
+def _raise_on_zero(values: np.ndarray, scales: np.ndarray, what: str, channels=None) -> None:
+    """``channels`` maps positions in ``values`` to 0-based channel indices."""
     bad = np.abs(values) <= SINGULARITY_REL_TOL * np.maximum(scales, 1e-300)
     if np.any(bad):
-        channels = [int(i) + 1 for i in np.nonzero(bad)[0]]
-        raise ChannelSingularityError(channels, f"{what} vanishes at channel(s) {channels}")
-
-
-def func_eval(f: CircFunction, z: Circulant) -> Circulant:
-    return f.evaluate(z)
-
-
-def derivative(f: CircFunction, z: Circulant) -> Circulant:
-    return f.derivative(z)
+        index = np.nonzero(bad)[0]
+        if channels is not None:
+            index = np.asarray(channels)[index]
+        numbers = [int(i) + 1 for i in index]
+        raise ChannelSingularityError(numbers, f"{what} vanishes at channel(s) {numbers}")
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,7 @@ import numpy as np
 
 from .characterize import ChannelEstimate, DegreeReport, DivisorReport
 from .core import Circulant
-from .functions import (
-    CircFunction,
-    CircPoly,
-    ExpPolyFunction,
-    PolyFunction,
-    RationalFunction,
-)
+from .functions import FUNCTION_KINDS, CircFunction, CircPoly
 from .solver import SolutionSet
 
 
@@ -95,51 +89,32 @@ def poly_to_obj(p: CircPoly) -> list:
 
 
 def function_to_obj(f: CircFunction) -> dict:
-    if isinstance(f, PolyFunction):
-        return {"kind": "poly", "d": f.d, "P": poly_to_obj(f.poly)}
-    if isinstance(f, RationalFunction):
-        return {
-            "kind": "rational",
-            "d": f.d,
-            "P": poly_to_obj(f.numerator),
-            "Q": poly_to_obj(f.denominator),
-        }
-    if isinstance(f, ExpPolyFunction):
-        return {
-            "kind": "exppoly",
-            "d": f.d,
-            "P": poly_to_obj(f.poly),
-            "G": poly_to_obj(f.exponent),
-        }
-    raise TypeError(f"unsupported function: {f!r}")
+    obj = {"kind": f.kind, "d": f.d}
+    for letter, poly in f.parts().items():
+        obj[letter] = poly_to_obj(poly)
+    return obj
 
 
 def function_from_obj(obj: Any, field: str = "function") -> CircFunction:
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object")
     kind = obj.get("kind")
-    if kind not in ("poly", "rational", "exppoly"):
-        raise SchemaError(f"{field}.kind", f"expected 'poly', 'rational' or 'exppoly', got {kind!r}")
+    if kind not in tuple(FUNCTION_KINDS):  # a tuple: JSON lists and objects are unhashable
+        *names, last = (repr(k) for k in FUNCTION_KINDS)
+        raise SchemaError(f"{field}.kind", f"expected {', '.join(names)} or {last}, got {kind!r}")
     d = obj.get("d")
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise SchemaError(f"{field}.d", f"expected an integer >= 2, got {d!r}")
-    if "P" not in obj:
-        raise SchemaError(f"{field}.P", "missing")
-    p = _poly_from_obj(obj["P"], d, f"{field}.P")
-    if kind == "poly":
-        return PolyFunction(p)
-    if kind == "rational":
-        if "Q" not in obj:
-            raise SchemaError(f"{field}.Q", "missing")
-        q = _poly_from_obj(obj["Q"], d, f"{field}.Q")
-        try:
-            return RationalFunction(p, q)
-        except ValueError as exc:
-            raise SchemaError(f"{field}.Q", str(exc)) from exc
-    if "G" not in obj:
-        raise SchemaError(f"{field}.G", "missing")
-    g = _poly_from_obj(obj["G"], d, f"{field}.G")
-    return ExpPolyFunction(p, g)
+    cls = FUNCTION_KINDS[kind]
+    parts = {}
+    for letter, name in cls.PARTS.items():
+        if letter not in obj:
+            raise SchemaError(f"{field}.{letter}", "missing")
+        parts[name] = _poly_from_obj(obj[letter], d, f"{field}.{letter}")
+    try:
+        return cls(**parts)
+    except ValueError as exc:  # a rational checks its last part, Q, for an invertible coefficient
+        raise SchemaError(f"{field}.{letter}", str(exc)) from exc
 
 
 def solution_set_to_obj(s: SolutionSet) -> dict:

@@ -153,10 +153,13 @@ def solve_scalar_poly(
     Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
     condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
     the batched solve that :func:`solve_circ_poly` runs over its channels.
+    NaN or infinite coefficients raise ValueError.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty vector")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     scale = np.max(np.abs(c))
@@ -192,7 +195,7 @@ def _solve_monic_rows(
         distinct, mults = _cluster_roots(roots, cluster_tol)
         values, scales = polyval_with_scale(block.T[:, :, None], distinct)
         max_residuals = np.max(np.abs(values), axis=1)
-        rejected = np.any(np.abs(values) > tol * np.maximum(scales, 1.0), axis=1)
+        rejected = ~np.all(np.abs(values) <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
         for i, mult in enumerate(mults):
             if i in failures:
                 results.append(failures[i])
@@ -352,6 +355,7 @@ def solve_circ_poly(
     ``itertools.product`` order; each chunk of ``RECOMBINE_CHUNK`` takes its
     spectra from the mixed-radix digits of the combination index, goes through
     one batched inverse transform, and has every residual verified directly.
+    A channel matrix with NaN or infinite entries raises ValueError.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -359,13 +363,13 @@ def solve_circ_poly(
         raise ValueError("polynomial degree must be >= 1")
 
     cm = p.channel_matrix()
+    if not np.all(np.isfinite(cm)):
+        raise ValueError("polynomial coefficients must be finite")
     scale = float(np.max(np.abs(cm)))
-    threshold = COEFFICIENT_REL_TOL * scale
-    zero = (scale == 0.0) | np.all(np.abs(cm) <= threshold, axis=0)
-    degrees = cm.shape[0] - 1 - np.argmax(np.abs(cm) > threshold, axis=0)
+    degrees = p.channel_degrees()
     scalars: dict[int, ScalarRoots | SolverError] = {}
-    for k in sorted(set(degrees[~zero & (degrees > 0)].tolist())):
-        channels = np.flatnonzero(~zero & (degrees == k))
+    for k in sorted(set(degrees[degrees > 0].tolist())):
+        channels = np.flatnonzero(degrees == k)
         coeffs = cm[cm.shape[0] - 1 - k :, channels].T
         solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, CLUSTER_REL_TOL, ABERTH_MAX_ITER)
         scalars.update(zip(channels.tolist(), solved))
@@ -378,8 +382,8 @@ def solve_circ_poly(
     per_channel_roots: list[np.ndarray] = []
     zero_channels: list[int] = []
     constant_channels: list[int] = []
-    for i, (is_zero, degree) in enumerate(zip(zero.tolist(), degrees.tolist())):
-        if is_zero:
+    for i, degree in enumerate(degrees.tolist()):
+        if degree < 0:
             reports.append(ChannelReport(channel=i + 1, kind="identically-zero"))
             zero_channels.append(i + 1)
         elif degree == 0:
@@ -429,8 +433,8 @@ def solve_circ_poly(
         roots.extend(Circulant(row) for row in inverse_rows(grid))
     residuals = tuple(residual(p, r) for r in roots)
     allowed = tol * max(1.0, scale)
-    worst = max(residuals, default=0.0)
-    if worst > allowed:
+    worst = float(np.max(residuals, initial=0.0))  # NaN propagates, unlike max()
+    if not worst <= allowed:
         raise SolverError(f"reconstructed root residual {worst:.3e} exceeds {allowed:.1e}")
     return SolutionSet(
         status=SolutionStatus.FINITE,

@@ -9,6 +9,22 @@ import circfun as cf
 from circfun.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+EXPECTED = FIXTURES / "expected"
+FUNCTION_FIXTURES = (
+    "poly_z2_minus_i_d2",
+    "poly_no_solution_d2",
+    "poly_infinite_family_d2",
+    "rational_mixed_d2",
+    "exppoly_iz_d2",
+)
+#: Every subcommand on every committed fixture it takes, including the
+#: function kinds that solve and divisor reject.
+GOLDEN_CASES = [
+    ("spectrum", "circ_2_1"),
+    ("pinv", "circ_2_1"),
+    ("eval", "eval_reciprocal"),
+    *[(command, stem) for command in ("solve", "divisor", "degree") for stem in FUNCTION_FIXTURES],
+]
 
 
 def run_to_file(tmp_path, argv_head, input_name, extra=()):
@@ -155,10 +171,11 @@ class TestErrorsAndDeterminism:
 
 
 class TestRoundTrips:
-    def test_function_roundtrip(self):
+    @pytest.mark.parametrize("name", ["rational_mixed_d2.json", "poly_z2_minus_i_d2.json", "exppoly_iz_d2.json"])
+    def test_function_roundtrip(self, name):
         from circfun import serialize as ser
 
-        doc = json.loads((FIXTURES / "rational_mixed_d2.json").read_text())
+        doc = json.loads((FIXTURES / name).read_text())
         f = ser.function_from_obj(doc)
         assert ser.function_to_obj(f) == doc
 
@@ -176,3 +193,18 @@ class TestRoundTrips:
         assert obj["status"] == "infinite-family"
         assert obj["free_channels"] == [2]
         assert obj["channels"][0]["roots"] == [[-1.0, 0.0]]
+
+
+class TestGoldenOutput:
+    """CLI bytes pinned against files recorded from an earlier build: stdout
+    in ``expected/<command>/<fixture>.stdout``, exit code and stderr in
+    ``expected/status.json``."""
+
+    @pytest.mark.parametrize("command, stem", GOLDEN_CASES, ids=[f"{c}-{s}" for c, s in GOLDEN_CASES])
+    def test_cli_output_is_unchanged(self, capsysbinary, command, stem):
+        code = run([command, "--input", str(FIXTURES / f"{stem}.json")])
+        captured = capsysbinary.readouterr()
+        status = json.loads((EXPECTED / "status.json").read_text())[f"{command}/{stem}"]
+        assert captured.out == (EXPECTED / command / f"{stem}.stdout").read_bytes()
+        assert captured.err.decode() == status["stderr"]
+        assert code == status["exit"]

@@ -146,6 +146,58 @@ class TestFuncEval:
             RationalFunction(CircPoly([cf.identity(d)]), meromorphic_denominator)
 
 
+def channel_poly(cm) -> CircPoly:
+    """CircPoly with the given channel matrix (rows leading first)."""
+    return CircPoly([cf.from_spectrum(np.asarray(row, dtype=np.complex128)) for row in cm])
+
+
+def one_of_each_kind(rng, d):
+    p = random_regular_poly(rng, d, 3)
+    return [
+        PolyFunction(p),
+        RationalFunction(p, random_regular_poly(rng, d, 2)),
+        ExpPolyFunction(p, random_regular_poly(rng, d, 1)),
+    ]
+
+
+class TestChannelModel:
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["poly", "rational", "exppoly"])
+    def test_restricted_logderiv_selects_columns(self, rng, kind):
+        d = 7
+        f = one_of_each_kind(rng, d)[kind]
+        u = cf.spectrum(random_invertible_circulant(rng, d, lo=1.2, hi=2.0))
+        full = f.channel_logderiv(u)
+        for channels in ([4, 0, 2], [6], list(range(d)), np.array([5, 3])):
+            np.testing.assert_array_equal(f.channel_logderiv(u, channels), full[channels])
+
+    @pytest.mark.parametrize("kind", ["poly", "numerator", "denominator", "exppoly"])
+    def test_restricted_singularity_names_original_channel(self, kind):
+        # Z - A vanishes on channel index 3 at u; the call sees channels 1 and 3.
+        d = 4
+        u = np.array([2.0, 3.0 + 1.0j, -1.5j, 0.5 - 2.0j])
+        a = np.array([7.0, 1.0, 1.0, u[3]])
+        linear = channel_poly([np.ones(d), -a])
+        one = CircPoly([cf.identity(d)])
+        f = {
+            "poly": PolyFunction(linear),
+            "numerator": RationalFunction(linear, one),
+            "denominator": RationalFunction(one, linear),
+            "exppoly": ExpPolyFunction(linear, linear),
+        }[kind]
+        with pytest.raises(ChannelSingularityError) as err:
+            f.channel_logderiv(u, [1, 3])
+        assert err.value.channels == (4,)
+        assert "channel(s) [4]" in str(err.value)
+        assert f.channel_logderiv(u, [0, 1, 2]).shape == (3,)
+
+    def test_degenerate_channels_ignore_the_exponent(self):
+        # P vanishes identically on channel index 1, G on channel index 0.
+        p = channel_poly([[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]])
+        g = channel_poly([[0.0, 1.0, 1.0]])
+        assert ExpPolyFunction(p, g).degenerate_channels().tolist() == [False, True, False]
+        assert PolyFunction(g).degenerate_channels().tolist() == [True, False, False]
+
+
 class TestDerivative:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_monomial_rule(self, n, rng):

@@ -67,6 +67,17 @@ class TestScalarRoots:
         with pytest.raises(DegeneratePolynomialError):
             cf.solve_scalar_poly([0.0, 0.0])
 
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf], [1.0, 2.0, complex(0, -np.inf)]])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            cf.solve_scalar_poly(coeffs)
+
+    def test_nan_residual_fails_the_row_gate(self):
+        # A NaN root has a NaN residual, which compares False with any bound.
+        (result,) = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, solver.CLUSTER_REL_TOL, 100)
+        assert isinstance(result, SolverError)
+        assert "root residual nan" in str(result)
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             cf.solve_scalar_poly([1, 1], tol=0.0)
@@ -261,6 +272,42 @@ class TestCircSolve:
         b = cf.solve_circ_poly(p)
         for r1, r2 in zip(a.roots, b.roots):
             assert np.array_equal(r1.row, r2.row)
+
+    @pytest.mark.parametrize(
+        "channels, degrees",
+        [
+            ([[0.0, 0.0, 0.0], [1.0, 0.0, -1.0], [2.0, 1.0]], [-1, 2, 1]),  # zero and degree drop
+            ([[0.0, 0.0, 3.0], [1.0, 0.5, 0.0], [0.0]], [0, 2, -1]),  # constant, zero, drop
+            ([[0.0, 0.0], [0.0]], [-1, -1]),  # all zero
+        ],
+    )
+    def test_channel_degrees_match_solver_reports(self, channels, degrees):
+        p = poly_from_channels(channels, max(len(c) for c in channels) - 1)
+        assert p.channel_degrees().tolist() == degrees
+        for report, degree in zip(cf.solve_circ_poly(p).channel_reports, degrees):
+            kind = {-1: "identically-zero", 0: "nonzero-constant"}.get(degree, "roots")
+            assert report.kind == kind
+            assert report.effective_degree == (None if degree < 0 else degree)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 0.0], [np.nan, 0.0]],  # every channel reads u + NaN
+            [[1.0, 0.0], [0.0, np.inf]],
+            [[1.0, 0.0], [1e308, 1e308]],  # finite, but its spectrum overflows
+        ],
+    )
+    def test_non_finite_coefficients_rejected(self, rows):
+        p = CircPoly([cf.from_row(r) for r in rows])
+        with pytest.raises(ValueError, match="finite"):
+            cf.solve_circ_poly(p)
+
+    def test_nan_residual_fails_the_reconstruction_gate(self, monkeypatch):
+        # max() drops a NaN that follows a number; the gate must not.
+        values = iter([0.0, np.nan, 0.0, 0.0])
+        monkeypatch.setattr(solver, "residual", lambda p, z: next(values))
+        with pytest.raises(SolverError, match="reconstructed root residual nan"):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 2))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
