@@ -30,7 +30,7 @@ from .functions import (
     _derivative_rows,
     classify,
 )
-from .spectral import from_spectrum, spectrum
+from .spectral import forward_rows, inverse_rows, spectrum
 
 #: |estimate - nearest integer| accepted as converged, after extrapolation.
 ROUND_TOL = 1e-3
@@ -158,30 +158,41 @@ def _analyze_sequence(
     values: np.ndarray,
     round_tol: float,
     use_richardson: bool,
-) -> tuple[int | None, bool, np.ndarray, float | None]:
-    """Decide convergence of one channel's estimate sequence.
+):
+    """Decide convergence of the estimate sequences in the columns of
+    ``values`` (shape (n_scales, C)), one per channel; n_scales >= 4, as
+    PathSpec requires.
 
     Converged means: the last three (extrapolated) estimates sit within
     ``round_tol`` of one integer and the error does not grow, allowing
-    floating-point jitter once the tail is at machine level.
+    floating-point jitter once the tail is at machine level.  A column whose
+    estimates or final extrapolated estimate are not finite diverges with no
+    k and no error, and keeps its raw estimates as its refined sequence.
+
+    Returns per-column lists: k (int or None), converged (bool), refined
+    sequence and final error (float or None).  A 1-D ``values`` is the
+    one-column case and gets those four back for its one column.
     """
-    if not np.all(np.isfinite(values)):
-        return None, False, values, None
-    refined = _richardson(scales, values) if use_richardson else values
-    if refined.size < 3:
-        return None, False, refined, None
-    final = refined[-1]
-    k = int(round(final.real))
-    errors = np.abs(refined - k)
-    tail = errors[-3:]
-    within = bool(np.all(tail <= round_tol)) and abs(final.imag) <= round_tol
-    shrinking = bool(
-        (tail[1] <= tail[0] * 1.5 or tail[1] <= NOISE_FLOOR)
-        and (tail[2] <= tail[1] * 1.5 or tail[2] <= NOISE_FLOOR)
-    )
-    if within and shrinking:
-        return k, True, refined, float(tail[2])
-    return None, False, refined, float(tail[2])
+    if values.ndim == 1:
+        k, ok, refined, err = _analyze_sequence(scales, values[:, None], round_tol, use_richardson)
+        return k[0], ok[0], np.array(refined[0]), err[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        refined = _richardson(scales[:, None], values) if use_richardson else values
+        final = refined[-1]
+        usable = np.all(np.isfinite(values), axis=0) & np.isfinite(final)
+        k = np.rint(np.where(usable, final.real, 0.0))
+        tail = np.abs(refined[-3:] - k)
+        within = np.all(tail <= round_tol, axis=0) & (np.abs(final.imag) <= round_tol)
+        shrinking = ((tail[1] <= tail[0] * 1.5) | (tail[1] <= NOISE_FLOOR)) & (
+            (tail[2] <= tail[1] * 1.5) | (tail[2] <= NOISE_FLOOR)
+        )
+    columns = refined.T.tolist()
+    for j in np.flatnonzero(~usable):
+        columns[j] = values[:, j].tolist()
+    ok = (usable & within & shrinking).tolist()
+    ks = [int(v) if c else None for v, c in zip(k.tolist(), ok)]
+    errors = [e if c else None for e, c in zip(tail[2].tolist(), usable.tolist())]
+    return ks, ok, columns, errors
 
 
 def _estimate_channels(
@@ -196,62 +207,58 @@ def _estimate_channels(
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
 
     # Degenerate channels would raise on every direction; scan only the rest.
-    estimates, retries = _scan(f, path, qfun, np.flatnonzero(~indeterminate))
+    live = np.flatnonzero(~indeterminate)
+    estimates, retries = _scan(f, path, qfun, live)
+    ks, ok, refined, errors = _analyze_sequence(path.scales, estimates, round_tol, use_richardson)
 
-    channels: list[ChannelEstimate] = []
-    for i in range(f.d):
-        if indeterminate[i]:
-            channels.append(
-                ChannelEstimate(
-                    channel=i + 1,
-                    flag="indeterminate",
-                    k=None,
-                    estimates=(),
-                    refined=(),
-                    final_error=None,
-                )
-            )
-            continue
-        seq = estimates[:, i]
-        k, ok, refined, err = _analyze_sequence(path.scales, seq, round_tol, use_richardson)
-        channels.append(
-            ChannelEstimate(
-                channel=i + 1,
-                flag="converged" if ok else "diverged",
-                k=k,
-                estimates=tuple(complex(v) for v in seq),
-                refined=tuple(complex(v) for v in refined),
-                final_error=err,
-            )
+    channels = [
+        ChannelEstimate(
+            channel=i + 1, flag="indeterminate", k=None, estimates=(), refined=(), final_error=None
+        )
+        for i in range(f.d)
+    ]
+    for j, (i, seq) in enumerate(zip(live.tolist(), estimates.T.tolist())):
+        channels[i] = ChannelEstimate(
+            channel=i + 1,
+            flag="converged" if ok[j] else "diverged",
+            k=ks[j],
+            estimates=tuple(seq),
+            refined=tuple(refined[j]),
+            final_error=errors[j],
         )
     return channels, retries
 
 
 def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
-    """Estimate sequences for the ``live`` channels over the path's scales.
+    """Estimate sequences for the ``live`` channels over the path's scales,
+    all scales in one batch.
 
-    Returns an array of shape (n_scales, d) with zeros in the other columns.
-    On a channel singularity the direction is re-randomized (seeded) up to
-    the retry budget, after which the error propagates.
+    Returns an array of shape (n_scales, len(live)), one column per live
+    channel.  On a channel singularity the direction is re-randomized
+    (seeded) up to the retry budget, after which the error propagates,
+    naming the channels of the first scale where the singularity sits.
+
+    The points are u = spectrum(from_spectrum(t * direction)), computed for
+    all scales by one inverse_rows and one forward_rows call, not
+    t * direction itself: the round trip makes u the exact spectrum of a
+    representable circulant Z on the path, so each estimate is a channel
+    value of the diagonal of Z F'(Z) F(Z)^+ at a matrix argument, and the
+    CLI output pinned by the golden files depends on those bits.
     """
     rng = np.random.default_rng(path.seed)
     direction = path.direction
     last_error: ChannelSingularityError | None = None
     for attempt in range(path.retry_budget + 1):
+        u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
-            rows = []
-            for t in path.scales:
-                u = spectrum(from_spectrum(t * direction))
-                row = np.zeros(f.d, dtype=np.complex128)
-                values = u[live] * f.channel_logderiv(u, live)
-                if qfun is not None:
-                    values = values - u[live] * qfun(u)[live]
-                row[live] = values
-                rows.append(row)
-            return np.array(rows), attempt
+            values = u[:, live] * f.channel_logderiv(u, live)
         except ChannelSingularityError as exc:
             last_error = exc
             direction = np.exp(2j * np.pi * rng.uniform(size=path.d))
+            continue
+        if qfun is not None:
+            values = values - u[:, live] * qfun(u)[:, live]
+        return values, attempt
     raise ChannelSingularityError(
         last_error.channels if last_error else (),
         f"path singularity persisted across {path.retry_budget} phase retries",

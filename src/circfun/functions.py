@@ -274,7 +274,8 @@ class PolyFunction(CircFunction):
         return value
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
-        dp, p = _quotient_terms(self.poly, u, channels, "polynomial value")
+        dp, p, p_scale = _quotient_terms(self.poly, u, channels)
+        _raise_on_zero([(p, p_scale, "polynomial value")], channels)
         return dp / p
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
@@ -321,14 +322,15 @@ class RationalFunction(CircFunction):
         qm = self.denominator.channel_matrix()
         p, _ = polyval_with_scale(pm, u)
         q, q_scale = polyval_with_scale(qm, u)
-        _raise_on_zero(q, q_scale, "denominator")
+        _raise_on_zero([(q, q_scale, "denominator")])
         dp, _ = polyval_with_scale(_derivative_rows(pm), u)
         dq, _ = polyval_with_scale(_derivative_rows(qm), u)
         return (dp * q - dq * p) / (q * q)
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
-        dp, p = _quotient_terms(self.numerator, u, channels, "numerator")
-        dq, q = _quotient_terms(self.denominator, u, channels, "denominator")
+        dp, p, p_scale = _quotient_terms(self.numerator, u, channels)
+        dq, q, q_scale = _quotient_terms(self.denominator, u, channels)
+        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")], channels)
         return dp / p - dq / q
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
@@ -378,7 +380,8 @@ class ExpPolyFunction(CircFunction):
         return (dp + p * dg) * np.exp(g)
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
-        dp, p = _quotient_terms(self.poly, u, channels, "polynomial factor")
+        dp, p, p_scale = _quotient_terms(self.poly, u, channels)
+        _raise_on_zero([(p, p_scale, "polynomial factor")], channels)
         gm, u = _columns(self.exponent, u, channels)
         dg, _ = polyval_with_scale(_derivative_rows(gm), u)
         return dp / p + dg
@@ -391,31 +394,43 @@ FUNCTION_KINDS: dict[str, type[CircFunction]] = {
 
 
 def _columns(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray]:
-    """The channel matrix and the points, restricted to ``channels`` if given."""
+    """The channel matrix and the points, restricted to ``channels`` if given.
+    ``u`` may carry a leading points axis: shape (d,) or (S, d)."""
     cm = poly.channel_matrix()
     if channels is None:
         return cm, u
-    return cm[:, channels], u[channels]
+    return cm[:, channels], u[..., channels]
 
 
-def _quotient_terms(poly: CircPoly, u: np.ndarray, channels, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(P'(u), P(u)) on the selected channels, raising where P vanishes."""
+def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
+    """(P'(u), P(u), scale of P(u)) on the selected channels; the scale is
+    what :func:`_raise_on_zero` measures P(u) against."""
     cm, u = _columns(poly, u, channels)
     p, p_scale = polyval_with_scale(cm, u)
-    _raise_on_zero(p, p_scale, what, channels)
     dp, _ = polyval_with_scale(_derivative_rows(cm), u)
-    return dp, p
+    return dp, p, p_scale
 
 
-def _raise_on_zero(values: np.ndarray, scales: np.ndarray, what: str, channels=None) -> None:
-    """``channels`` maps positions in ``values`` to 0-based channel indices."""
-    bad = np.abs(values) <= SINGULARITY_REL_TOL * np.maximum(scales, 1e-300)
-    if np.any(bad):
-        index = np.nonzero(bad)[0]
-        if channels is not None:
-            index = np.asarray(channels)[index]
-        numbers = [int(i) + 1 for i in index]
-        raise ChannelSingularityError(numbers, f"{what} vanishes at channel(s) {numbers}")
+def _raise_on_zero(checks, channels=None) -> None:
+    """Raise ChannelSingularityError where a checked value vanishes.
+
+    ``checks`` lists (values, scales, what) in order; the values have shape
+    (C,) or (S, C) with a leading points axis.  The error names the channels
+    of the first point where any check fails, by the first check that fails
+    there, so a batch over points raises as a loop over them would.
+    ``channels`` maps positions in the last axis to 0-based channel indices.
+    """
+    bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * np.maximum(s, 1e-300) for v, s, _ in checks])
+    if not np.any(bad):
+        return
+    bad = bad.reshape(len(checks), -1, bad.shape[-1])
+    point = np.argmax(np.any(bad, axis=(0, 2)))
+    which = np.argmax(np.any(bad[:, point], axis=1))
+    index = np.nonzero(bad[which, point])[0]
+    if channels is not None:
+        index = np.asarray(channels)[index]
+    numbers = [int(i) + 1 for i in index]
+    raise ChannelSingularityError(numbers, f"{checks[which][2]} vanishes at channel(s) {numbers}")
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,11 @@ class FourierContext:
         exponents = np.outer(np.arange(d), np.arange(d)) % d
         return self.power_table[exponents]
 
+    @functools.cached_property
+    def conj_matrix(self) -> np.ndarray:
+        """conj(S), the forward transform matrix."""
+        return np.conj(self.matrix)
+
 
 @functools.lru_cache(maxsize=64)
 def fourier_context(d: int) -> FourierContext:
@@ -63,13 +68,25 @@ def fourier_matrix(d: int) -> np.ndarray:
 def spectrum(x: Circulant) -> np.ndarray:
     """Eigenvalues u_i = sum_j row_j * conj(omega)^((i-1)(j-1)), channel order i = 1..d.
 
-    This is the forward DFT of the first row: the FFT kernel is used at or
-    above the multiplication threshold, the exact summation below it.
+    This is the forward DFT of the first row, the one-row case of
+    :func:`forward_rows`.
     """
-    if x.d >= get_fft_threshold():
-        return np.fft.fft(x.row)
-    ctx = fourier_context(x.d)
-    return np.conj(ctx.matrix) @ x.row
+    return forward_rows(x.row)
+
+
+def forward_rows(rows: np.ndarray) -> np.ndarray:
+    """Forward transform of one row (shape (d,)) or of each row of a stack
+    (shape (N, d)): the FFT kernel at or above the multiplication threshold,
+    the exact summation below it.  Below the threshold a stack runs stacked
+    matrix-vector products, as :func:`inverse_rows` does, so each row is
+    bit-identical to a one-row call."""
+    d = rows.shape[-1]
+    if d >= get_fft_threshold():
+        return np.fft.fft(rows, axis=-1)
+    matrix = fourier_context(d).conj_matrix
+    if rows.ndim == 1:
+        return matrix @ rows
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
 
 
 def from_spectrum(values: np.ndarray) -> Circulant:

@@ -10,7 +10,8 @@ from circfun import (
     PolyFunction,
     RationalFunction,
 )
-from circfun.characterize import _analyze_sequence
+from circfun.characterize import _analyze_sequence, _scan
+from circfun.spectral import forward_rows, from_spectrum, spectrum
 from circfun.testkit import (
     dense_conjugate,
     random_circulant,
@@ -167,6 +168,21 @@ class TestEstimateDivisor:
         with pytest.raises(ChannelSingularityError):
             cf.estimate_divisor(f, path=starved)
 
+    def test_persistent_singularity_names_channels_of_first_failing_scale(self):
+        # The denominator vanishes on channel 2 at the first scale, the
+        # numerator on channel 1 at the sixth: the first scale decides.
+        d = 2
+        path = PathSpec.default(d)
+        starved = PathSpec(direction=path.direction, scales=path.scales, retry_budget=0)
+        v, t = path.direction, path.scales
+        num_root = cf.from_spectrum(np.array([t[5] * v[0], 0.5 + 0j]))
+        den_root = cf.from_spectrum(np.array([0.5 + 0j, t[0] * v[1]]))
+        i = cf.identity(d)
+        f = RationalFunction(CircPoly([i, cf.neg(num_root)]), CircPoly([i, cf.neg(den_root)]))
+        with pytest.raises(ChannelSingularityError) as info:
+            cf.estimate_divisor(f, path=starved)
+        assert info.value.channels == (2,)
+
     def test_asymptotic_tail_shrinks_like_one_over_t(self, rng):
         d = 2
         f = RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1))
@@ -199,6 +215,70 @@ class TestAnalyzeSequence:
         k, ok, _, err = _analyze_sequence(scales, values, 1e-3, True)
         assert ok and k == 2
         assert err <= 1e-6
+
+
+    def test_overflowing_extrapolation_diverges(self):
+        # finite estimates whose Richardson step overflows to inf - inf
+        scales = np.geomspace(1e3, 1e8, 8)
+        values = 1e300 * scales / scales[0] + 0j
+        k, ok, refined, err = _analyze_sequence(scales, values, 1e-3, True)
+        assert not ok and k is None and err is None
+        np.testing.assert_array_equal(refined, values)
+
+    def test_columns_match_one_column_calls(self):
+        scales = np.geomspace(1e3, 1e8, 8)
+        block = np.stack(
+            [2.0 + 3.7 / scales, scales, np.full(8, np.nan), 1e300 * scales, -1.0 + 0.3j / scales],
+            axis=1,
+        ).astype(complex)
+        ks, oks, refined, errors = _analyze_sequence(scales, block, 1e-3, True)
+        for j in range(block.shape[1]):
+            k, ok, column, err = _analyze_sequence(scales, block[:, j], 1e-3, True)
+            assert (ks[j], oks[j], errors[j]) == (k, ok, err)
+            np.testing.assert_array_equal(np.array(refined[j]), column)
+        assert ks[0] == 2 and ks[4] == -1 and oks == [True, False, False, False, True]
+
+
+class TestScan:
+    """Each row of the batched scan is the estimate of one scale, computed
+    bit for bit as a one-scale evaluation at that scale would."""
+
+    @pytest.mark.parametrize("d", [2, 31, 32, 100])
+    @pytest.mark.parametrize("kind", ["poly", "rational", "exppoly", "exppoly+witness"])
+    def test_rows_equal_per_scale_estimates(self, rng, d, kind):
+        p = random_regular_poly(rng, d, 3)
+        g = random_regular_poly(rng, d, 1)
+        f = {
+            "poly": PolyFunction(p),
+            "rational": RationalFunction(p, random_regular_poly(rng, d, 2)),
+            "exppoly": ExpPolyFunction(p, g),
+            "exppoly+witness": ExpPolyFunction(p, g),
+        }[kind]
+        qfun = PolyFunction(CircPoly([g.coeffs[0]])).channel_values if kind.endswith("witness") else None
+        path = PathSpec.default(d)
+        live = np.arange(0, d, 2)
+        values, attempt = _scan(f, path, qfun, live)
+        assert attempt == 0 and values.shape == (path.scales.size, live.size)
+        for row, t in zip(values, path.scales):
+            u = spectrum(from_spectrum(t * path.direction))
+            expected = u[live] * f.channel_logderiv(u, live)
+            if qfun is not None:
+                expected = expected - u[live] * qfun(u)[live]
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("threshold", [None, 10**9])
+    @pytest.mark.parametrize("d", [2, 3, 31, 32, 100])
+    def test_forward_rows_equal_spectrum_row_by_row(self, rng, d, threshold):
+        rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        old = cf.get_fft_threshold()
+        try:
+            if threshold is not None:
+                cf.set_fft_threshold(threshold)
+            batch = forward_rows(rows)
+            for row, got in zip(rows, batch):
+                assert np.array_equal(got, spectrum(cf.Circulant(row)))
+        finally:
+            cf.set_fft_threshold(old)
 
 
 class TestEntireZeroBound:
@@ -259,6 +339,17 @@ class TestDetectPolyDegree:
         coeffs = [random_invertible_circulant(rng, d), cf.zero(d), random_circulant(rng, d)]
         report = cf.detect_poly_degree(PolyFunction(CircPoly(coeffs)))
         assert report.is_polynomial and report.degree == 2
+
+    def test_overflowing_extrapolation_is_not_polynomial(self):
+        # (Z + I) exp(1e294 Z): the estimates near 1e302 are finite, but
+        # their Richardson step overflows.
+        d = 2
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly([i, i]), CircPoly([cf.scale(1e294, i), o]))
+        report = cf.detect_poly_degree(f)
+        assert not report.is_polynomial and report.degree is None
+        for c in report.channels:
+            assert c.flag == "diverged" and c.k is None and c.final_error is None
 
     def test_exponential_is_not_polynomial(self):
         d = 2

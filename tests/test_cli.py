@@ -112,6 +112,21 @@ class TestDivisorAndDegree:
         assert code == 4
         assert not doc["is_polynomial"]
 
+    def test_degree_overflowing_extrapolation_exit_4(self, tmp_path):
+        # (Z + I) exp(1e294 Z): finite estimates whose extrapolation overflows
+        i, o = cf.identity(2), cf.zero(2)
+        f = cf.ExpPolyFunction(cf.CircPoly([i, i]), cf.CircPoly([cf.scale(1e294, i), o]))
+        document = tmp_path / "overflow.json"
+        from circfun import serialize as ser
+
+        document.write_text(json.dumps(ser.function_to_obj(f)))
+        out = tmp_path / "out.json"
+        code = run(["degree", "--input", str(document), "--output", str(out)])
+        assert code == 4
+        doc = json.loads(out.read_text())
+        assert not doc["is_polynomial"]
+        assert [c["final_error"] for c in doc["channels"]] == [None, None]
+
     def test_path_flags_accepted(self, tmp_path):
         code, doc = run_to_file(
             tmp_path, ["divisor"], "rational_mixed_d2.json",
