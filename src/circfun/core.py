@@ -42,12 +42,14 @@ def _as_row(entries: Sequence[complex] | np.ndarray) -> np.ndarray:
     return row
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Circulant:
     """A d x d complex circulant matrix, stored as its first row.
 
     Instances are immutable: the row array is copied on construction and
-    marked read-only, so values are safe to share between threads.
+    marked read-only, so values are safe to share between threads.  The
+    class has slots and no instance dictionary, since a solve can hold
+    millions of roots.
     """
 
     row: np.ndarray = field(repr=False)
@@ -58,6 +60,11 @@ class Circulant:
             raise DimensionError(f"order must be >= 2, got {row.size}")
         row.flags.writeable = False
         object.__setattr__(self, "row", row)
+
+    def __reduce__(self):
+        # Unpickle through the constructor: a restored row would otherwise
+        # come back writeable.
+        return Circulant, (self.row,)
 
     @property
     def d(self) -> int:

@@ -102,13 +102,6 @@ class CircPoly:
         degrees[~np.any(nonzero, axis=0)] = -1
         return degrees
 
-    def derivative_poly(self) -> "CircPoly":
-        """Formal derivative; the zero polynomial for constants."""
-        n = self.degree
-        if n == 0:
-            return CircPoly([core.zero(self.d)])
-        return CircPoly([core.scale(n - k, self.coeffs[k]) for k in range(n)])
-
     def __mul__(self, other: "CircPoly") -> "CircPoly":
         if not isinstance(other, CircPoly):
             return NotImplemented

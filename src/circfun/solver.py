@@ -25,6 +25,17 @@ with invertible leading coefficient therefore has between 1 and n^d roots.
 No duplicate check is needed: each channel's roots are distinct after
 clustering, so distinct combinations are distinct spectra, which the
 bijective inverse transform maps to distinct circulants.
+
+Recombined roots are verified a chunk at a time in the spectral domain.  The
+forward transform of the chunk's rows gives the spectra u_k, the channel
+matrix is evaluated at them with its scales, and by Parseval the residual
+||P(Z_k)||_F is sqrt(sum_i |p_i(u_ki)|^2).  Each channel value must pass the
+backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
+scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
+modulus.  Since that check reads the same channel matrix the solve used, the
+root of each chunk with the worst ratio to its bound is also evaluated by
+ring Horner on the coefficient rows, and its Frobenius norm must stay within
+the 2-norm of its channel bounds.
 """
 
 from __future__ import annotations
@@ -39,11 +50,12 @@ from . import core
 from .core import Circulant
 from .errors import (
     DegeneratePolynomialError,
+    DimensionError,
     RecombinationLimitError,
     SolverError,
 )
 from .functions import COEFFICIENT_REL_TOL, CircPoly, polyval_with_scale
-from .spectral import from_spectrum, inverse_rows
+from .spectral import forward_rows, from_spectrum, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
 DEFAULT_RECOMBINATION_LIMIT = 10**6
@@ -338,8 +350,22 @@ def newton_polish(coeffs, roots) -> np.ndarray:
 
 
 def residual(p: CircPoly, z: Circulant) -> float:
-    """Frobenius norm of P(Z)."""
-    return core.frobenius_norm(p.evaluate(z))
+    """Frobenius norm of P(Z), by Parseval from the channel values at the
+    spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the
+    check :func:`solve_circ_poly` runs on its roots, so it reproduces their
+    residuals exactly."""
+    if z.d != p.d:
+        raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {p.d}")
+    return float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
+
+
+def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moduli |p_i(u_ki)| of the channel values and their scales, shape
+    (N, d), at the spectra u_k of ``rows`` (N, d), with the Frobenius norm of
+    P(Z_k) for each row."""
+    values, scales = polyval_with_scale(cm[:, None, :], forward_rows(rows))
+    magnitudes = np.abs(values)
+    return magnitudes, scales, np.sqrt(np.sum(np.square(magnitudes), axis=1))
 
 
 def solve_circ_poly(
@@ -351,11 +377,15 @@ def solve_circ_poly(
 
     The root-bearing channels are grouped by effective degree, and each group
     goes through one batched scalar solve; if channels fail, the error names
-    the lowest-numbered one.  The finite case returns every combination of one root per channel, without dedup, in
-    ``itertools.product`` order; each chunk of ``RECOMBINE_CHUNK`` takes its
-    spectra from the mixed-radix digits of the combination index, goes through
-    one batched inverse transform, and has every residual verified directly.
-    A channel matrix with NaN or infinite entries raises ValueError.
+    the lowest-numbered one.  The finite case returns every combination of
+    one root per channel, without dedup, in ``itertools.product`` order; each
+    chunk of ``RECOMBINE_CHUNK`` takes its spectra from the mixed-radix
+    digits of the combination index, goes through one batched inverse
+    transform, and is verified in one spectral pass: Parseval residuals, the
+    per-channel backward-error gate, and ring Horner on the chunk's worst
+    root (see the module docstring).  A root failing a check raises
+    SolverError.  A channel matrix with NaN or infinite entries raises
+    ValueError.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -426,19 +456,37 @@ def solve_circ_poly(
     if count > recombination_limit:
         raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
 
+    coeff_rows = [c.row for c in p.coeffs]
+    floor = max(1.0, scale)
     roots: list[Circulant] = []
+    residuals: list[float] = []
     for start in range(0, count, RECOMBINE_CHUNK):
         digits = _mixed_radix_digits(np.arange(start, min(start + RECOMBINE_CHUNK, count)), sizes)
         grid = np.column_stack([r[k] for r, k in zip(per_channel_roots, digits)])
-        roots.extend(Circulant(row) for row in inverse_rows(grid))
-    residuals = tuple(residual(p, r) for r in roots)
-    allowed = tol * max(1.0, scale)
-    worst = float(np.max(residuals, initial=0.0))  # NaN propagates, unlike max()
-    if not worst <= allowed:
-        raise SolverError(f"reconstructed root residual {worst:.3e} exceeds {allowed:.1e}")
+        rows = inverse_rows(grid)
+        magnitudes, scales, norms = _channel_residuals(cm, rows)
+        bounds = tol * np.maximum(scales, floor)
+        passed = (magnitudes <= bounds) & np.isfinite(bounds)  # NaN fails; an overflowed scale bounds nothing
+        # A failing entry ranks first; otherwise the worst ratio to its bound.
+        ratios = np.divide(magnitudes, bounds, out=np.full(bounds.shape, np.inf), where=passed)
+        k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if not passed[k, i]:
+            raise SolverError(
+                f"reconstructed root residual {magnitudes[k, i]:.3e} exceeds {bounds[k, i]:.1e}"
+                f" in channel {i + 1} of root {start + k + 1}"
+            )
+        ring = core.frobenius_norm(Circulant(core.horner(coeff_rows, rows[k])))
+        allowed = float(np.sqrt(np.sum(np.square(bounds[k]))))
+        if not ring <= allowed:
+            raise SolverError(
+                f"reconstructed root residual {ring:.3e} exceeds {allowed:.1e}"
+                f" in the ring check of root {start + k + 1}"
+            )
+        roots.extend(Circulant(row) for row in rows)
+        residuals.extend(norms.tolist())
     return SolutionSet(
         status=SolutionStatus.FINITE,
         roots=tuple(roots),
-        residuals=residuals,
+        residuals=tuple(residuals),
         channel_reports=tuple(reports),
     )

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,15 @@ class TestConstructors:
         x = cf.ones(3)
         with pytest.raises(ValueError):
             x.row[0] = 5.0
+
+    def test_slotted_instances_stay_frozen_and_pickle(self):
+        x = cf.from_row([1.0, 2.0 - 1j, 0.5])
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.row = np.zeros(3)
+        y = pickle.loads(pickle.dumps(x))
+        assert np.array_equal(y.row, x.row)
+        assert not y.row.flags.writeable
 
 
 class TestRingOps:

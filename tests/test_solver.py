@@ -13,7 +13,8 @@ from circfun import (
 )
 from circfun import solver
 from circfun.solver import newton_polish
-from circfun.testkit import random_regular_poly
+from circfun.spectral import inverse_rows
+from circfun.testkit import dense_mul, random_circulant, random_regular_poly
 
 
 def poly_from_channels(channel_coeffs, degree):
@@ -27,6 +28,24 @@ def poly_from_channels(channel_coeffs, degree):
 
 def random_monic(rng, n):
     return np.poly(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def dense_backward_errors(p, roots):
+    """||P(Z)||_F by dense Horner with ``dense_mul`` for each root Z, over
+    the backward-error scale sqrt(d) * sum_k ||C_k||_2 ||Z||_2^(n-k)."""
+    coeffs = [cf.to_dense(c) for c in p.coeffs]
+    norms = [np.linalg.norm(c, 2) for c in coeffs]
+    errors = []
+    for z in roots:
+        zd = cf.to_dense(z)
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = dense_mul(acc, zd) + c
+        znorm, scale = np.linalg.norm(zd, 2), 0.0
+        for norm in norms:
+            scale = scale * znorm + norm
+        errors.append(np.linalg.norm(acc) / (np.sqrt(p.d) * scale))
+    return errors
 
 
 class TestScalarRoots:
@@ -302,12 +321,55 @@ class TestCircSolve:
         with pytest.raises(ValueError, match="finite"):
             cf.solve_circ_poly(p)
 
+    @staticmethod
+    def corrupt_rows(monkeypatch, change):
+        """Route recombination through ``change(rows)``; returns the list that
+        collects the uncorrupted spectra of each chunk."""
+        grids = []
+
+        def corrupted(spectra):
+            grids.append(spectra)
+            rows = inverse_rows(spectra)
+            change(rows)
+            return rows
+
+        monkeypatch.setattr(solver, "inverse_rows", corrupted)
+        return grids
+
     def test_nan_residual_fails_the_reconstruction_gate(self, monkeypatch):
-        # max() drops a NaN that follows a number; the gate must not.
-        values = iter([0.0, np.nan, 0.0, 0.0])
-        monkeypatch.setattr(solver, "residual", lambda p, z: next(values))
+        # One NaN row after a finite one; NaN compares False with any bound.
+        self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__(1, np.nan))
         with pytest.raises(SolverError, match="reconstructed root residual nan"):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 2))
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_perturbed_root_fails_the_gate(self, monkeypatch, d):
+        # Moving one row entry by 1e-6 moves every channel value by 2e-6,
+        # a hundred times its bound 1e-8 * max(scale, 1) = 2e-8.
+        self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((3, 0), rows[3, 0] + 1e-6))
+        with pytest.raises(SolverError, match=r"^reconstructed root residual .* in channel 1 of root 4$"):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], d))
+
+    def test_ring_check_rejects_a_row_the_spectral_check_misses(self, monkeypatch, rng):
+        # Z - A has the one root A. The spectral check is handed the exact
+        # spectrum, so only the ring Horner spot-check sees the corrupted row.
+        a = random_circulant(rng, 5)
+        p = CircPoly([cf.identity(5), cf.neg(a)])
+        assert len(cf.solve_circ_poly(p).roots) == 1
+        grids = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((0, 2), rows[0, 2] + 1e-6))
+        monkeypatch.setattr(solver, "forward_rows", lambda rows: grids[-1])
+        with pytest.raises(SolverError, match=r"^reconstructed root residual .* in the ring check of root 1$"):
+            cf.solve_circ_poly(p)
+
+    def test_deep_order_two_equations_pass_a_dense_backward_error_check(self, rng):
+        # Degree 30 at d = 2: the per-channel gate scales with each root's
+        # own |p_i| yardstick, where one bound tol * max(1, S) rejected most.
+        for _ in range(5):
+            p = random_regular_poly(rng, 2, 30)
+            sol = cf.solve_circ_poly(p)
+            assert sol.status is SolutionStatus.FINITE
+            assert len(sol.roots) == 900
+            assert max(dense_backward_errors(p, sol.roots)) <= 1e-9
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -332,6 +394,21 @@ class TestResidual:
         for d in (2, 5):
             p = CircPoly.from_scalars([1, 0, -1], d)
             assert cf.residual(p, cf.scale(2, cf.identity(d))) == pytest.approx(3 * np.sqrt(d))
+
+    def test_order_mismatch(self):
+        with pytest.raises(cf.DimensionError):
+            cf.residual(CircPoly.from_scalars([1, 0, -1], 2), cf.identity(3))
+
+    @pytest.mark.parametrize("d", [2, 5, 12, 31, 32, 40, 64])
+    def test_spectral_residuals_match_ring_horner(self, rng, d):
+        # Parseval: sqrt(sum_i |p_i(u_i)|^2) is ||P(Z)||_F evaluated in the ring.
+        for _ in range(3):
+            degrees = [2] * min(d, 6) + [1] * (d - min(d, 6))
+            p = poly_from_channels([random_monic(rng, k) for k in degrees], 2)
+            sol = cf.solve_circ_poly(p)
+            allowed = 1e-12 * max(1.0, float(np.max(np.abs(p.channel_matrix()))))
+            for root, res in zip(sol.roots, sol.residuals):
+                assert abs(res - cf.frobenius_norm(p.evaluate(root))) <= allowed
 
     def test_solver_outputs_replay(self, rng):
         p = random_regular_poly(rng, 2, 2)
