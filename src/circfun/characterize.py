@@ -153,36 +153,27 @@ def _richardson(scales: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (t2 * values[1:] - t1 * values[:-1]) / (t2 - t1)
 
 
-def _analyze_sequence(
-    scales: np.ndarray,
-    values: np.ndarray,
-    round_tol: float,
-    use_richardson: bool,
-):
+def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
     """Decide convergence of the estimate sequences in the columns of
     ``values`` (shape (n_scales, C)), one per channel; n_scales >= 4, as
     PathSpec requires.
 
-    Converged means: the last three (extrapolated) estimates sit within
-    ``round_tol`` of one integer and the error does not grow, allowing
+    Converged means: the last three Richardson-extrapolated estimates sit
+    within ``ROUND_TOL`` of one integer and the error does not grow, allowing
     floating-point jitter once the tail is at machine level.  A column whose
     estimates or final extrapolated estimate are not finite diverges with no
     k and no error, and keeps its raw estimates as its refined sequence.
 
     Returns per-column lists: k (int or None), converged (bool), refined
-    sequence and final error (float or None).  A 1-D ``values`` is the
-    one-column case and gets those four back for its one column.
+    sequence and final error (float or None).
     """
-    if values.ndim == 1:
-        k, ok, refined, err = _analyze_sequence(scales, values[:, None], round_tol, use_richardson)
-        return k[0], ok[0], np.array(refined[0]), err[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        refined = _richardson(scales[:, None], values) if use_richardson else values
+        refined = _richardson(scales[:, None], values)
         final = refined[-1]
         usable = np.all(np.isfinite(values), axis=0) & np.isfinite(final)
         k = np.rint(np.where(usable, final.real, 0.0))
         tail = np.abs(refined[-3:] - k)
-        within = np.all(tail <= round_tol, axis=0) & (np.abs(final.imag) <= round_tol)
+        within = np.all(tail <= ROUND_TOL, axis=0) & (np.abs(final.imag) <= ROUND_TOL)
         shrinking = ((tail[1] <= tail[0] * 1.5) | (tail[1] <= NOISE_FLOOR)) & (
             (tail[2] <= tail[1] * 1.5) | (tail[2] <= NOISE_FLOOR)
         )
@@ -195,13 +186,7 @@ def _analyze_sequence(
     return ks, ok, columns, errors
 
 
-def _estimate_channels(
-    f: CircFunction,
-    path: PathSpec,
-    qfun,
-    round_tol: float,
-    use_richardson: bool,
-) -> tuple[list[ChannelEstimate], int]:
+def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[list[ChannelEstimate], int]:
     indeterminate = f.degenerate_channels()
     if np.all(indeterminate):
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
@@ -209,7 +194,7 @@ def _estimate_channels(
     # Degenerate channels would raise on every direction; scan only the rest.
     live = np.flatnonzero(~indeterminate)
     estimates, retries = _scan(f, path, qfun, live)
-    ks, ok, refined, errors = _analyze_sequence(path.scales, estimates, round_tol, use_richardson)
+    ks, ok, refined, errors = _analyze_sequence(path.scales, estimates)
 
     channels = [
         ChannelEstimate(
@@ -268,8 +253,6 @@ def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
 def estimate_divisor(
     f: CircFunction,
     path: PathSpec | None = None,
-    round_tol: float = ROUND_TOL,
-    use_richardson: bool = True,
 ) -> DivisorReport:
     """Estimate the per-channel divisors k_i of a polynomial or rational
     function and the global divisor when they agree.
@@ -285,7 +268,7 @@ def estimate_divisor(
 
     if path is None:
         path = PathSpec.default(f.d)
-    channels, retries = _estimate_channels(f, path, None, round_tol, use_richardson)
+    channels, retries = _estimate_channels(f, path, None)
 
     n = num.degree
     m = den.degree if den is not None else 0
@@ -319,14 +302,14 @@ def entire_zero_bound(
     f: CircFunction,
     q_entire: CircFunction,
     path: PathSpec | None = None,
-    round_tol: float = ROUND_TOL,
-    use_richardson: bool = True,
 ) -> ZeroBoundReport:
     """Zero-count bound for an entire function from a witnessing entire Q.
 
     Estimates u_i (F_i'/F_i - q_i(u_i)) along the path.  If every channel
     converges to one nonnegative integer n, the number of solutions of
-    F(Z) = 0 is at most n^d; otherwise the witness does not match.
+    F(Z) = 0 is at most n^d; otherwise the witness does not match.  Nor
+    does it match when it equals G' channel-wise and n differs from deg P,
+    which the report shows as ``degree_check=False``.
     """
     if isinstance(f, RationalFunction):
         raise TypeError("zero-count bounds apply to entire functions only")
@@ -337,30 +320,24 @@ def entire_zero_bound(
 
     if path is None:
         path = PathSpec.default(f.d)
-    channels, retries = _estimate_channels(
-        f, path, q_entire.channel_values, round_tol, use_richardson
-    )
+    channels, retries = _estimate_channels(f, path, q_entire.channel_values)
 
     converged = [c for c in channels if c.flag == "converged"]
     ks = {c.k for c in converged}
-    matched = (
-        len(converged) == len(channels)
-        and len(ks) == 1
-        and next(iter(ks)) is not None
-        and next(iter(ks)) >= 0
-    )
-    if not matched:
+    common = len(converged) == len(channels) and len(ks) == 1 and min(ks) >= 0
+    n = ks.pop() if common else None
+    degree_check = None if n is None else _degree_cross_check(f, q_entire, n)
+    if n is None or degree_check is False:
         return ZeroBoundReport(
             matched=False, n=None, bound=None, channels=tuple(channels),
-            degree_check=None, retries_used=retries,
+            degree_check=degree_check, retries_used=retries,
         )
-    n = ks.pop()
     return ZeroBoundReport(
         matched=True,
         n=n,
         bound=n**f.d,
         channels=tuple(channels),
-        degree_check=_degree_cross_check(f, q_entire, n),
+        degree_check=degree_check,
         retries_used=retries,
     )
 
@@ -386,15 +363,13 @@ def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool
 def detect_poly_degree(
     f: CircFunction,
     path: PathSpec | None = None,
-    round_tol: float = ROUND_TOL,
-    use_richardson: bool = True,
 ) -> DegreeReport:
     """Recover the degree of a regular polynomial function from its
     log-derivative limit; anything without a common nonnegative integer
     limit is reported as not polynomial."""
     if path is None:
         path = PathSpec.default(f.d)
-    channels, retries = _estimate_channels(f, path, None, round_tol, use_richardson)
+    channels, retries = _estimate_channels(f, path, None)
     converged = [c for c in channels if c.flag == "converged"]
     ks = {c.k for c in converged}
     if len(converged) == len(channels) and len(ks) == 1:

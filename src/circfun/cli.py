@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import core, serialize
+from . import serialize
 from .characterize import PathSpec, detect_poly_degree, estimate_divisor
 from .errors import CircfunError
 from .functions import PolyFunction
@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output", "-o", default="-", help="output JSON path, or - for stdout")
         cmd.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
         cmd.add_argument("--seed", type=int, default=0, help="seed for retry phases")
-        cmd.add_argument("--fft-threshold", type=int, default=None, help="order threshold for FFT dispatch")
         if name in ("divisor", "degree"):
             cmd.add_argument("--t-min", type=float, default=1e3, help="smallest path scale")
             cmd.add_argument("--t-max", type=float, default=1e8, help="largest path scale")
@@ -152,8 +151,6 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "fft_threshold", None) is not None:
-        core.set_fft_threshold(args.fft_threshold)
     try:
         document, code = _HANDLERS[args.command](args)
     except SchemaError as exc:

@@ -3,9 +3,9 @@
 A circulant matrix is determined by its first row; every row below is the
 previous one shifted cyclically to the right.  The ring element is therefore
 stored as a length-d complex vector, and the matrix product reduces to the
-cyclic convolution of first rows.  Multiplication dispatches between a direct
-O(d^2) convolution and an FFT-based O(d log d) path above a configurable
-order threshold; both paths accept arbitrary d.
+cyclic convolution of first rows.  Multiplication dispatches on the order
+alone: a direct O(d^2) convolution below ``FFT_THRESHOLD`` and an FFT-based
+O(d log d) path at or above it; both paths accept arbitrary d.
 """
 
 from __future__ import annotations
@@ -17,22 +17,9 @@ import numpy as np
 
 from .errors import DimensionError
 
-#: Orders at or above this use the FFT multiplication path by default.
-DEFAULT_FFT_THRESHOLD = 32
-
-_fft_threshold = DEFAULT_FFT_THRESHOLD
-
-
-def set_fft_threshold(threshold: int) -> None:
-    """Set the global order threshold for FFT dispatch (process-wide)."""
-    global _fft_threshold
-    if threshold < 2:
-        raise ValueError(f"fft threshold must be >= 2, got {threshold}")
-    _fft_threshold = int(threshold)
-
-
-def get_fft_threshold() -> int:
-    return _fft_threshold
+#: Orders at or above this multiply and transform by FFT.  Stacks of rows,
+#: as the solver and the limit scan transform them, favour the FFT from here.
+FFT_THRESHOLD = 32
 
 
 def _as_row(entries: Sequence[complex] | np.ndarray) -> np.ndarray:
@@ -177,15 +164,14 @@ def mul_fft(x: Circulant, y: Circulant) -> Circulant:
     return Circulant(_mul_rows(x.row, y.row, fft=True))
 
 
-def mul(x: Circulant, y: Circulant, fft_threshold: int | None = None) -> Circulant:
+def mul(x: Circulant, y: Circulant) -> Circulant:
     """Ring product: cyclic convolution of rows, equal to the dense matrix product.
 
-    Dispatches to the direct path below ``fft_threshold`` (the process
-    default when None) and to the FFT path at or above it.
+    Dispatches to the direct path below ``FFT_THRESHOLD`` and to the FFT
+    path at or above it.
     """
     _check_same_order(x, y)
-    threshold = _fft_threshold if fft_threshold is None else fft_threshold
-    if x.d >= threshold:
+    if x.d >= FFT_THRESHOLD:
         return mul_fft(x, y)
     return mul_naive(x, y)
 
@@ -240,7 +226,7 @@ def frobenius_norm(x: Circulant) -> float:
 def horner(coeff_rows: Sequence[np.ndarray], z_row: np.ndarray) -> np.ndarray:
     """First row of C_0 Z^n + ... + C_n by ring Horner: each step is the product
     of :func:`mul` plus the next coefficient, on rows, without a Circulant."""
-    fft = z_row.size >= _fft_threshold
+    fft = z_row.size >= FFT_THRESHOLD
     acc = coeff_rows[0]
     for c in coeff_rows[1:]:
         acc = _mul_rows(acc, z_row, fft) + c

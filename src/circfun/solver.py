@@ -55,7 +55,7 @@ from .errors import (
     SolverError,
 )
 from .functions import COEFFICIENT_REL_TOL, CircPoly, polyval_with_scale
-from .spectral import forward_rows, from_spectrum, inverse_rows
+from .spectral import forward_rows, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
 DEFAULT_RECOMBINATION_LIMIT = 10**6
@@ -113,28 +113,25 @@ class SolutionSet:
         """Materialize concrete members of an infinite family.
 
         Fixed channels cycle deterministically through their root
-        combinations; free channels draw complex values from a seeded
-        generator.  Only meaningful when status is INFINITE_FAMILY.
+        combinations in ``itertools.product`` order; free channels draw
+        complex values from a seeded generator, real part first, member by
+        member and channel by channel.  All members go through one batched
+        inverse transform.  Only meaningful when status is INFINITE_FAMILY.
         """
         if self.status is not SolutionStatus.INFINITE_FAMILY:
             raise ValueError("sampling applies to infinite families only")
-        rng = np.random.default_rng(seed)
-        free = set(self.free_channels)
+        free = np.array(self.free_channels, dtype=np.intp) - 1
+        fixed = np.setdiff1d(np.arange(free.size + len(self._fixed_spectra)), free)
         sizes = [len(s) for s in self._fixed_spectra]
-        total = math.prod(sizes)
-        d = len(self.free_channels) + len(self._fixed_spectra)
-        members = []
-        for k in range(count):
-            digits = _mixed_radix_digits(k % total, sizes)
-            chosen = iter(s[j] for s, j in zip(self._fixed_spectra, digits))
-            values = np.empty(d, dtype=np.complex128)
-            for i in range(d):
-                if i + 1 in free:
-                    values[i] = magnitude * complex(rng.standard_normal(), rng.standard_normal())
-                else:
-                    values[i] = next(chosen)
-            members.append(from_spectrum(values))
-        return members
+        total = math.prod(sizes)  # a Python int: it may exceed int64
+        index = np.arange(count)
+        digits = _mixed_radix_digits(index if total > count else index % total, sizes)
+        grid = np.empty((count, free.size + fixed.size), dtype=np.complex128)
+        for channel, values, k in zip(fixed, self._fixed_spectra, digits):
+            grid[:, channel] = np.array(values)[k]
+        draws = np.random.default_rng(seed).standard_normal((count, free.size, 2))
+        grid[:, free] = magnitude * draws.view(np.complex128)[:, :, 0]
+        return [Circulant(row) for row in inverse_rows(grid)]
 
 
 def _mixed_radix_digits(index, radices: list[int]) -> list:
@@ -151,7 +148,6 @@ def _mixed_radix_digits(index, radices: list[int]) -> list:
 def solve_scalar_poly(
     coeffs,
     tol: float = 1e-10,
-    cluster_tol: float = CLUSTER_REL_TOL,
     max_iter: int = ABERTH_MAX_ITER,
 ) -> ScalarRoots:
     """All complex roots of a scalar polynomial (leading coefficient first).
@@ -181,15 +177,13 @@ def solve_scalar_poly(
     c = c[lead:]
     if c.size == 1:
         raise DegeneratePolynomialError("constant polynomial has no roots")
-    result = _solve_monic_rows((c / c[0])[None], tol, cluster_tol, max_iter)[0]
+    result = _solve_monic_rows((c / c[0])[None], tol, max_iter)[0]
     if isinstance(result, SolverError):
         raise result
     return result
 
 
-def _solve_monic_rows(
-    monic: np.ndarray, tol: float, cluster_tol: float, max_iter: int
-) -> list[ScalarRoots | SolverError]:
+def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int) -> list[ScalarRoots | SolverError]:
     """Roots of each row of ``monic``, shape (m, n + 1) with n >= 1, or the
     row's SolverError.
 
@@ -204,7 +198,7 @@ def _solve_monic_rows(
         block = monic[start : start + step]
         roots, iterations, failures = _aberth(block, max_iter)
         roots = _newton_polish(block, roots)
-        distinct, mults = _cluster_roots(roots, cluster_tol)
+        distinct, mults = _cluster_roots(roots)
         values, scales = polyval_with_scale(block.T[:, :, None], distinct)
         max_residuals = np.max(np.abs(values), axis=1)
         rejected = ~np.all(np.abs(values) <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
@@ -297,7 +291,7 @@ def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(better, stepped, roots)
 
 
-def _cluster_roots(roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _cluster_roots(roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Distinct roots of each row in lexicographic order, with multiplicities.
 
     Row i of the returned matrix starts with the row's k_i distinct roots and
@@ -312,13 +306,13 @@ def _cluster_roots(roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, l
     roots = roots[rows, np.lexsort((roots.imag, roots.real))]
     gap = roots.real[:, :, None] - roots.real[:, None, :]
     gap = np.hypot(gap, roots.imag[:, :, None] - roots.imag[:, None, :], out=gap)  # |r_i - r_j|
-    width = 2 * cluster_tol * np.maximum(1.0, np.abs(roots))
+    width = 2 * CLUSTER_REL_TOL * np.maximum(1.0, np.abs(roots))
     close = np.any(np.tril(gap <= width[:, None, :], -1), axis=(1, 2))
     distinct = (roots + 0.0) / 1  # np.mean of a one-root group, bit for bit
     distinct = distinct[rows, np.lexsort((distinct.imag, distinct.real))]
     mults = list(np.ones(roots.shape, dtype=np.intp))
     for i in np.flatnonzero(close):
-        centers, mult = _greedy_clusters(roots[i], cluster_tol)
+        centers, mult = _greedy_clusters(roots[i])
         order = np.lexsort((centers.imag, centers.real))
         distinct[i, : centers.size] = centers[order]
         distinct[i, centers.size :] = centers[order[0]]
@@ -326,13 +320,13 @@ def _cluster_roots(roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, l
     return distinct, mults
 
 
-def _greedy_clusters(sorted_roots: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_clusters(sorted_roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     groups: list[list[complex]] = []
     for r in sorted_roots:
         placed = False
         for g in groups:
             center = np.mean(g)
-            if abs(r - center) <= cluster_tol * max(1.0, abs(center)):
+            if abs(r - center) <= CLUSTER_REL_TOL * max(1.0, abs(center)):
                 g.append(r)
                 placed = True
                 break
@@ -392,7 +386,8 @@ def solve_circ_poly(
     if p.degree < 1:
         raise ValueError("polynomial degree must be >= 1")
 
-    cm = p.channel_matrix()
+    with np.errstate(over="ignore", invalid="ignore"):  # such input is rejected next
+        cm = p.channel_matrix()
     if not np.all(np.isfinite(cm)):
         raise ValueError("polynomial coefficients must be finite")
     scale = float(np.max(np.abs(cm)))
@@ -401,7 +396,7 @@ def solve_circ_poly(
     for k in sorted(set(degrees[degrees > 0].tolist())):
         channels = np.flatnonzero(degrees == k)
         coeffs = cm[cm.shape[0] - 1 - k :, channels].T
-        solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, CLUSTER_REL_TOL, ABERTH_MAX_ITER)
+        solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER)
         scalars.update(zip(channels.tolist(), solved))
     failed = [i for i, r in scalars.items() if isinstance(r, SolverError)]
     if failed:

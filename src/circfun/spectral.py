@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, get_fft_threshold
+from .core import FFT_THRESHOLD, Circulant
 from .errors import DimensionError
 
 #: Rank tolerance per unit of order: an eigenvalue counts as zero when its
@@ -76,12 +76,12 @@ def spectrum(x: Circulant) -> np.ndarray:
 
 def forward_rows(rows: np.ndarray) -> np.ndarray:
     """Forward transform of one row (shape (d,)) or of each row of a stack
-    (shape (N, d)): the FFT kernel at or above the multiplication threshold,
-    the exact summation below it.  Below the threshold a stack runs stacked
+    (shape (N, d)): the FFT kernel at or above ``FFT_THRESHOLD``, the exact
+    summation below it.  Below the threshold a stack runs stacked
     matrix-vector products, as :func:`inverse_rows` does, so each row is
     bit-identical to a one-row call."""
     d = rows.shape[-1]
-    if d >= get_fft_threshold():
+    if d >= FFT_THRESHOLD:
         return np.fft.fft(rows, axis=-1)
     matrix = fourier_context(d).conj_matrix
     if rows.ndim == 1:
@@ -103,7 +103,7 @@ def inverse_rows(spectra: np.ndarray) -> np.ndarray:
     ``spectra @ S.T`` (another summation order for d >= 3), so each row is
     bit-identical to a one-row call."""
     d = spectra.shape[1]
-    if d >= get_fft_threshold():
+    if d >= FFT_THRESHOLD:
         return np.fft.ifft(spectra, axis=1)
     return np.matmul(fourier_context(d).matrix, spectra[:, :, None])[:, :, 0] / d
 
@@ -129,10 +129,9 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     return from_spectrum(inverted)
 
 
-def is_invertible(x: Circulant, rel_tol: float | None = None) -> bool:
-    """True when every eigenvalue clears the relative rank threshold."""
-    if rel_tol is None:
-        rel_tol = RANK_REL_TOL * x.d
+def is_invertible(x: Circulant) -> bool:
+    """True when every eigenvalue clears the rank threshold
+    ``(RANK_REL_TOL * d) * max_j |u_j|``."""
     u = np.abs(spectrum(x))
     largest = np.max(u)
-    return bool(largest > 0.0 and np.min(u) > rel_tol * largest)
+    return bool(largest > 0.0 and np.min(u) > RANK_REL_TOL * x.d * largest)

@@ -186,7 +186,7 @@ class TestEstimateDivisor:
     def test_asymptotic_tail_shrinks_like_one_over_t(self, rng):
         d = 2
         f = RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1))
-        report = cf.estimate_divisor(f, use_richardson=False)
+        report = cf.estimate_divisor(f)
         assert report.status == "rational"
         for c in report.channels:
             raw_errors = np.abs(np.array(c.estimates) - c.k)
@@ -196,23 +196,29 @@ class TestEstimateDivisor:
             assert raw_errors[2] <= raw_errors[0] + 1e-9
 
 
+def analyze_one(scales, values):
+    """The one-column case of _analyze_sequence, unpacked."""
+    ks, oks, refined, errors = _analyze_sequence(scales, values[:, None])
+    return ks[0], oks[0], np.array(refined[0]), errors[0]
+
+
 class TestAnalyzeSequence:
     def test_divergent_sequence_rejected(self):
         scales = np.geomspace(1e3, 1e8, 8)
         values = scales.astype(complex)  # grows like t
-        k, ok, _, _ = _analyze_sequence(scales, values, 1e-3, True)
+        k, ok, _, _ = analyze_one(scales, values)
         assert not ok
 
     def test_non_finite_rejected(self):
         scales = np.geomspace(1e3, 1e8, 8)
         values = np.full(8, np.nan, dtype=complex)
-        _, ok, _, _ = _analyze_sequence(scales, values, 1e-3, True)
+        _, ok, _, _ = analyze_one(scales, values)
         assert not ok
 
     def test_clean_tail_accepted(self):
         scales = np.geomspace(1e3, 1e8, 8)
         values = 2.0 + 3.7 / scales + 0j
-        k, ok, _, err = _analyze_sequence(scales, values, 1e-3, True)
+        k, ok, _, err = analyze_one(scales, values)
         assert ok and k == 2
         assert err <= 1e-6
 
@@ -221,7 +227,7 @@ class TestAnalyzeSequence:
         # finite estimates whose Richardson step overflows to inf - inf
         scales = np.geomspace(1e3, 1e8, 8)
         values = 1e300 * scales / scales[0] + 0j
-        k, ok, refined, err = _analyze_sequence(scales, values, 1e-3, True)
+        k, ok, refined, err = analyze_one(scales, values)
         assert not ok and k is None and err is None
         np.testing.assert_array_equal(refined, values)
 
@@ -231,9 +237,9 @@ class TestAnalyzeSequence:
             [2.0 + 3.7 / scales, scales, np.full(8, np.nan), 1e300 * scales, -1.0 + 0.3j / scales],
             axis=1,
         ).astype(complex)
-        ks, oks, refined, errors = _analyze_sequence(scales, block, 1e-3, True)
+        ks, oks, refined, errors = _analyze_sequence(scales, block)
         for j in range(block.shape[1]):
-            k, ok, column, err = _analyze_sequence(scales, block[:, j], 1e-3, True)
+            k, ok, column, err = analyze_one(scales, block[:, j])
             assert (ks[j], oks[j], errors[j]) == (k, ok, err)
             np.testing.assert_array_equal(np.array(refined[j]), column)
         assert ks[0] == 2 and ks[4] == -1 and oks == [True, False, False, False, True]
@@ -266,19 +272,12 @@ class TestScan:
                 expected = expected - u[live] * qfun(u)[live]
             assert np.array_equal(row, expected)
 
-    @pytest.mark.parametrize("threshold", [None, 10**9])
     @pytest.mark.parametrize("d", [2, 3, 31, 32, 100])
-    def test_forward_rows_equal_spectrum_row_by_row(self, rng, d, threshold):
+    def test_forward_rows_equal_spectrum_row_by_row(self, rng, d):
         rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
-        old = cf.get_fft_threshold()
-        try:
-            if threshold is not None:
-                cf.set_fft_threshold(threshold)
-            batch = forward_rows(rows)
-            for row, got in zip(rows, batch):
-                assert np.array_equal(got, spectrum(cf.Circulant(row)))
-        finally:
-            cf.set_fft_threshold(old)
+        batch = forward_rows(rows)
+        for row, got in zip(rows, batch):
+            assert np.array_equal(got, spectrum(cf.Circulant(row)))
 
 
 class TestEntireZeroBound:
@@ -325,6 +324,17 @@ class TestEntireZeroBound:
         # witness q = 2 differs from G' = 1: estimate u(P'/P + 1 - 2) diverges
         report = cf.entire_zero_bound(f, PolyFunction(CircPoly.from_scalars([2], d)))
         assert not report.matched
+
+    def test_failed_degree_check_is_not_a_match(self):
+        # (Z + I) exp(1e10 Z) with the witness G' = 1e10 I: the witness
+        # swamps P'/P, every estimate reads 0, yet Z = -I is a root.
+        d = 2
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly([i, i]), CircPoly([cf.scale(1e10, i), o]))
+        report = cf.entire_zero_bound(f, PolyFunction(CircPoly([cf.scale(1e10, i)])))
+        assert report.degree_check is False
+        assert not report.matched
+        assert report.n is None and report.bound is None
 
 
 class TestDetectPolyDegree:

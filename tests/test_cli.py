@@ -175,15 +175,6 @@ class TestErrorsAndDeterminism:
         assert run([*args, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_fft_threshold_flag(self, tmp_path):
-        old = cf.get_fft_threshold()
-        try:
-            code, _ = run_to_file(tmp_path, ["spectrum"], "circ_2_1.json", extra=["--fft-threshold", "8"])
-            assert code == 0
-            assert cf.get_fft_threshold() == 8
-        finally:
-            cf.set_fft_threshold(old)
-
 
 class TestRoundTrips:
     @pytest.mark.parametrize("name", ["rational_mixed_d2.json", "poly_z2_minus_i_d2.json", "exppoly_iz_d2.json"])

@@ -175,17 +175,16 @@ class TestMulAgainstDenseOracle:
         rel = np.max(np.abs(a.row - b.row)) / np.max(np.abs(b.row))
         assert rel <= 1e-10
 
-    def test_threshold_dispatch_is_configurable(self, rng):
-        x, y = random_circulant(rng, 8), random_circulant(rng, 8)
-        assert_circ_close(cf.mul(x, y, fft_threshold=2), cf.mul(x, y, fft_threshold=1000), 1e-12)
-        old = cf.get_fft_threshold()
-        try:
-            cf.set_fft_threshold(4)
-            assert cf.get_fft_threshold() == 4
-        finally:
-            cf.set_fft_threshold(old)
-        with pytest.raises(ValueError):
-            cf.set_fft_threshold(1)
+    @pytest.mark.parametrize("d", [cf.core.FFT_THRESHOLD - 1, cf.core.FFT_THRESHOLD])
+    def test_dispatch_is_fixed_at_the_threshold(self, d, rng):
+        x, y = random_circulant(rng, d), random_circulant(rng, d)
+        kernel = cf.mul_fft if d >= cf.core.FFT_THRESHOLD else cf.mul_naive
+        assert np.array_equal(cf.mul(x, y).row, kernel(x, y).row)
+        coeffs = [random_circulant(rng, d) for _ in range(4)]
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = cf.add(cf.mul(acc, x), c)
+        assert np.array_equal(cf.core.horner([c.row for c in coeffs], x.row), acc.row)
 
 
 finite_complex = st.complex_numbers(

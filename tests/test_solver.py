@@ -93,7 +93,7 @@ class TestScalarRoots:
 
     def test_nan_residual_fails_the_row_gate(self):
         # A NaN root has a NaN residual, which compares False with any bound.
-        (result,) = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, solver.CLUSTER_REL_TOL, 100)
+        (result,) = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, 100)
         assert isinstance(result, SolverError)
         assert "root residual nan" in str(result)
 
@@ -147,11 +147,11 @@ class TestCircSolve:
         members = sol.sample_members(10, seed=3)
         assert max(cf.residual(p, m) for m in members) <= 1e-10
 
-    @pytest.mark.parametrize("d, n, count", [(4, 2, 19), (16, 8, 3)])
+    @pytest.mark.parametrize("d, n, count", [(4, 2, 19), (16, 8, 3), (24, 8, 3)])
     def test_sample_members_follow_product_order(self, rng, d, n, count):
         # Channel d is identically zero and every other channel has n roots,
         # so the d=16 family has 8^15 fixed-channel combinations, far too
-        # many to list.
+        # many to list, and the d=24 family's 8^23 exceed int64.
         p = poly_from_channels([random_monic(rng, n) for _ in range(d - 1)] + [[0.0]], n)
         sol = cf.solve_circ_poly(p)
         assert sol.status is SolutionStatus.INFINITE_FAMILY
@@ -163,6 +163,17 @@ class TestCircSolve:
         for member, combo in zip(members, expected):
             np.testing.assert_allclose(cf.spectrum(member)[: d - 1], combo, rtol=0, atol=1e-12)
             assert cf.residual(p, member) <= 1e-8
+
+    def test_free_channels_draw_member_by_member(self, rng):
+        # Channels 2 and 4 are free; each member draws its free values in
+        # channel order, real part first.
+        p = poly_from_channels([random_monic(rng, 2), [0.0], random_monic(rng, 2), [0.0]], 2)
+        sol = cf.solve_circ_poly(p)
+        assert sol.free_channels == (2, 4)
+        draws = np.random.default_rng(9)
+        for member in sol.sample_members(5, seed=9, magnitude=2.0):
+            expected = [2.0 * complex(draws.standard_normal(), draws.standard_normal()) for _ in range(2)]
+            np.testing.assert_allclose(cf.spectrum(member)[[1, 3]], expected, rtol=0, atol=1e-12)
 
     def test_random_regular_counts(self, rng):
         for _ in range(12):
@@ -316,6 +327,7 @@ class TestCircSolve:
             [[1.0, 0.0], [1e308, 1e308]],  # finite, but its spectrum overflows
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_coefficients_rejected(self, rows):
         p = CircPoly([cf.from_row(r) for r in rows])
         with pytest.raises(ValueError, match="finite"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import circfun as cf
+from circfun.spectral import fourier_context
 from circfun.testkit import (
     dense_conjugate,
     penrose_check,
@@ -36,15 +37,11 @@ class TestSpectrum:
     def test_direct_and_fft_kernels_agree_across_threshold(self, rng):
         for d in (31, 32, 33):
             x = random_circulant(rng, d)
-            old = cf.get_fft_threshold()
-            try:
-                cf.set_fft_threshold(10**9)
-                direct = cf.spectrum(x)
-                cf.set_fft_threshold(2)
-                fft = cf.spectrum(x)
-            finally:
-                cf.set_fft_threshold(old)
-            assert np.max(np.abs(direct - fft)) <= 1e-10 * max(1.0, np.max(np.abs(fft)))
+            u = cf.spectrum(x)
+            fft = np.fft.fft(x.row)
+            direct = fourier_context(d).conj_matrix @ x.row
+            for other in (fft, direct):
+                assert np.max(np.abs(u - other)) <= 1e-10 * max(1.0, np.max(np.abs(other)))
 
     def test_multiplicativity(self, rng):
         for d in (2, 5, 16, 40):
