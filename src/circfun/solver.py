@@ -13,9 +13,13 @@ The root-bearing channels are grouped by effective degree n, and each group
 is solved as one (m, n + 1) matrix of monic rows: Ehrlich-Aberth on the
 (m, n) iterate with an (m, n, n) repulsion tensor, rows leaving the active
 set as they converge, then Newton polishing, clustering into multiplicities
-and the residual check, all row-wise.  Rows run in blocks that bound the
-tensor's size.  Each step does on a row exactly what it would do on that row
-alone, so a channel's roots do not depend on the rest of the polynomial, and
+and the residual check, all row-wise.  Each row starts from Bini's
+Newton-polygon radii: the slopes of the upper concave hull of the points
+(k, log|a_k|) give one radius per root near its modulus, so rows whose roots
+spread over many decades converge in a few iterations instead of creeping in
+from the Cauchy bound.  Rows run in blocks that bound the tensor's size.  Each
+step does on a row exactly what it would do on that row alone, so a channel's
+roots do not depend on the rest of the polynomial, and
 :func:`solve_scalar_poly` is the one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
@@ -154,9 +158,11 @@ def solve_scalar_poly(
 
     Runs the Ehrlich-Aberth simultaneous iteration, which updates every root
     approximation at once using the Newton correction damped by the repulsion
-    from the other approximations.  Falls back to companion-matrix
-    eigenvalues if the iteration stalls, then polishes with one Newton step
-    per root and merges near-coincident roots into multiplicities.
+    from the other approximations.  The approximations start on the radii of
+    the Newton polygon of the coefficients (see :func:`_polygon_radii`), at
+    evenly spaced angles.  Falls back to companion-matrix eigenvalues if the
+    iteration stalls, then polishes with one Newton step per root and merges
+    near-coincident roots into multiplicities.
 
     Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
     condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
@@ -227,21 +233,48 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row-wise ``np.polyval``: row i of ``coeffs`` evaluated at row i of ``z``."""
     value = np.zeros_like(z)
     for k in range(coeffs.shape[1]):
-        value = value * z + coeffs[:, k : k + 1]
+        np.multiply(value, z, out=value)
+        np.add(value, coeffs[:, k : k + 1], out=value)
     return value
+
+
+def _polygon_radii(monic: np.ndarray) -> np.ndarray:
+    """Starting radii from the Newton polygon of each row, shape (m, n).
+
+    With y_k = log|a_k| for the coefficient a_k of u^k, slot t gets
+    exp(-s_t), where s_t = min_{i <= t} max_{j > t} (y_j - y_i) / (j - i) is
+    the slope of the upper concave hull of the points (k, y_k) on [t, t + 1]
+    (Bini, Numer. Algorithms 13, 1996).  A zero root gives radius 0, which is
+    raised to 1e-3 times the row's smallest positive radius (1 if it has
+    none) so that the starting points stay distinct.
+    """
+    n = monic.shape[1] - 1
+    k = np.arange(n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A contiguous copy: np.log of a strided view can round differently,
+        # and a channel's start must not depend on its block.
+        y = np.log(np.abs(np.ascontiguousarray(monic[:, ::-1])))
+        slopes = (y[:, None, :] - y[:, :, None]) / (k - k[:, None])  # [row, i, j]
+    slopes[np.isnan(slopes)] = -np.inf  # both coefficients zero
+    beyond = np.maximum.accumulate(slopes[:, :, :0:-1], axis=2)[:, :, ::-1]  # [row, i, t]: max over j > t
+    hull = np.min(np.where(k[:, None] <= k[None, :-1], beyond, np.inf), axis=1)  # min over i <= t
+    radius = np.exp(-hull)
+    smallest = np.min(np.where(radius > 0, radius, np.inf), axis=1, keepdims=True)
+    return np.maximum(radius, np.where(np.isfinite(smallest), 1e-3 * smallest, 1.0))
 
 
 def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Ehrlich-Aberth on every row; a row leaves the active set once its
-    corrections are negligible.  Returns the roots, the iteration counts and
-    the SolverError of each row whose companion-matrix fallback failed."""
+    corrections are negligible.  Slot t of every row starts at its
+    Newton-polygon radius and the angle 2 pi t / n + 0.7.  Returns the roots,
+    the iteration counts and the SolverError of each row whose
+    companion-matrix fallback failed."""
     m, n = monic.shape[0], monic.shape[1] - 1
     if n == 1:
         return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
     dcoef = monic[:, :-1] * np.arange(n, 0, -1)
-    radius = 1.0 + np.max(np.abs(monic[:, 1:]), axis=1, keepdims=True)
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
-    z = radius * np.exp(1j * angles)
+    z = _polygon_radii(monic) * np.exp(1j * angles)
     roots = np.empty_like(z)
     iterations = np.full(m, max_iter, dtype=np.intp)
     active = np.arange(m)
@@ -421,8 +454,8 @@ def solve_circ_poly(
                     channel=i + 1,
                     kind="roots",
                     effective_degree=degree,
-                    roots=tuple(complex(r) for r in scalar.roots),
-                    multiplicities=tuple(int(m) for m in scalar.multiplicities),
+                    roots=tuple(scalar.roots.tolist()),
+                    multiplicities=tuple(scalar.multiplicities.tolist()),
                 )
             )
             per_channel_roots.append(scalar.roots)

@@ -98,14 +98,18 @@ def brute_force_roots(p: CircPoly, grid: LatticeSpec = LatticeSpec()) -> list[Ci
     z0, z1 = np.meshgrid(entry, entry, indexing="ij")
     z0, z1 = z0.ravel(), z1.ravel()
 
-    shift = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    dense_z = z0[:, None, None] * eye + z1[:, None, None] * shift
-
-    acc = np.broadcast_to(to_dense(p.coeffs[0]), dense_z.shape).copy()
+    # Dense Horner acc <- acc @ [[z0, z1], [z1, z0]] + C, written entry by
+    # entry over all lattice points at once.
+    a00, a01, a10, a11 = (np.full(z0.shape, c) for c in to_dense(p.coeffs[0]).ravel())
     for coeff in p.coeffs[1:]:
-        acc = acc @ dense_z + to_dense(coeff)
-    residuals = np.sqrt(np.sum(np.abs(acc) ** 2, axis=(1, 2)))
+        c00, c01, c10, c11 = to_dense(coeff).ravel()
+        a00, a01, a10, a11 = (
+            a00 * z0 + a01 * z1 + c00,
+            a00 * z1 + a01 * z0 + c01,
+            a10 * z0 + a11 * z1 + c10,
+            a10 * z1 + a11 * z0 + c11,
+        )
+    residuals = np.sqrt(sum(np.abs(a) ** 2 for a in (a00, a01, a10, a11)))
 
     passing = np.nonzero(residuals <= grid.tol)[0]
     clusters: list[list[int]] = []

@@ -101,6 +101,28 @@ class TestScalarRoots:
         with pytest.raises(ValueError):
             cf.solve_scalar_poly([1, 1], tol=0.0)
 
+    def test_polygon_radii_follow_root_moduli(self):
+        radii = solver._polygon_radii(np.poly([1e-3, 1e3])[None])
+        np.testing.assert_allclose(radii, [[1e-3, 1e3]], rtol=1e-2)
+
+    def test_zero_roots_converge_from_floored_radii(self):
+        # u^3 (u - 1)(u - 2): the three zero roots start on a circle of radius
+        # 1e-3 times the smallest positive radius, not at the origin.
+        r = cf.solve_scalar_poly(np.poly([0, 0, 0, 1, 2]))
+        order = np.argsort(r.roots.real)
+        np.testing.assert_allclose(r.roots[order], [0, 1, 2], atol=1e-12)
+        np.testing.assert_array_equal(r.multiplicities[order], [3, 1, 1])
+        assert r.iterations < solver.ABERTH_MAX_ITER
+
+    def test_root_moduli_over_six_decades_need_no_fallback(self):
+        # From one circle of radius 1 + max|c_k| this stalls into np.roots.
+        rng = np.random.default_rng(3)
+        roots = 10.0 ** rng.uniform(-3, 3, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+        r = cf.solve_scalar_poly(np.poly(roots))
+        assert r.iterations < solver.ABERTH_MAX_ITER
+        assert np.array_equal(r.multiplicities, np.ones(16))
+        np.testing.assert_allclose(np.sort_complex(r.roots), np.sort_complex(roots), rtol=1e-10)
+
     def test_newton_polish_drives_residual_down(self, rng):
         coeffs = np.poly([1.5, -0.25 + 1j, 3.0])
         rough = np.array([1.5 + 1e-6, -0.25 + 1j + 1e-6, 3.0 - 1e-6])
