@@ -236,13 +236,17 @@ def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
     for attempt in range(path.retry_budget + 1):
         u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
-            values = u[:, live] * f.channel_logderiv(u, live)
+            if qfun is None:
+                values = u[:, live] * f.channel_logderiv(u, live)
+            else:
+                # The witness approximates G', so it comes off G' before P'/P
+                # is added: P'/P + G' would lose P'/P when G' is large.
+                dlog_p, dg = f._logderiv_terms(u, live)
+                values = u[:, live] * (dlog_p + (dg - qfun(u)[:, live]))
         except ChannelSingularityError as exc:
             last_error = exc
             direction = np.exp(2j * np.pi * rng.uniform(size=path.d))
             continue
-        if qfun is not None:
-            values = values - u[:, live] * qfun(u)[:, live]
         return values, attempt
     raise ChannelSingularityError(
         last_error.channels if last_error else (),
@@ -305,7 +309,9 @@ def entire_zero_bound(
 ) -> ZeroBoundReport:
     """Zero-count bound for an entire function from a witnessing entire Q.
 
-    Estimates u_i (F_i'/F_i - q_i(u_i)) along the path.  If every channel
+    Estimates u_i (P_i'/P_i + (G_i' - q_i(u_i))) along the path, that is
+    u_i (F_i'/F_i - q_i(u_i)) with the witness taken off G' first, so that
+    a large G' cannot swamp P'/P.  If every channel
     converges to one nonnegative integer n, the number of solutions of
     F(Z) = 0 is at most n^d; otherwise the witness does not match.  Nor
     does it match when it equals G' channel-wise and n differs from deg P,

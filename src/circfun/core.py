@@ -33,10 +33,16 @@ def _as_row(entries: Sequence[complex] | np.ndarray) -> np.ndarray:
 class Circulant:
     """A d x d complex circulant matrix, stored as its first row.
 
-    Instances are immutable: the row array is copied on construction and
-    marked read-only, so values are safe to share between threads.  The
+    Instances are immutable: the constructor copies and checks the row and
+    marks it read-only, so values are safe to share between threads.  The
     class has slots and no instance dictionary, since a solve can hold
     millions of roots.
+
+    Roots recombined by the solver skip that copy: each is a read-only view
+    of one row of the (1024, d) array its chunk was verified in (see
+    :meth:`_of_rows`).  Such a view cannot be made writeable again, but a
+    root kept alone keeps its whole chunk alive, about 196 KB at d = 12.
+    Unpickling goes through the constructor, so it copies the row.
     """
 
     row: np.ndarray = field(repr=False)
@@ -47,6 +53,21 @@ class Circulant:
             raise DimensionError(f"order must be >= 2, got {row.size}")
         row.flags.writeable = False
         object.__setattr__(self, "row", row)
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> list["Circulant"]:
+        """One instance per row of ``rows``, a fresh (N, d >= 2) complex128
+        array allocated by the library, never caller input.  The array is
+        made read-only once and each instance holds a view of its row, with
+        no copy or check per row."""
+        rows.flags.writeable = False
+        new, set_row = object.__new__, object.__setattr__
+        out = []
+        for row in rows:
+            c = new(cls)
+            set_row(c, "row", row)
+            out.append(c)
+        return out
 
     def __reduce__(self):
         # Unpickle through the constructor: a restored row would otherwise

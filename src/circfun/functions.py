@@ -267,9 +267,13 @@ class PolyFunction(CircFunction):
         return value
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
+        return self._logderiv_terms(u, channels)[0]
+
+    def _logderiv_terms(self, u: np.ndarray, channels=None) -> tuple[np.ndarray, float]:
+        """(P'/P, G') with G' = 0: a polynomial is P exp(0)."""
         dp, p, p_scale = _quotient_terms(self.poly, u, channels)
         _raise_on_zero([(p, p_scale, "polynomial value")], channels)
-        return dp / p
+        return dp / p, 0.0
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
@@ -373,11 +377,17 @@ class ExpPolyFunction(CircFunction):
         return (dp + p * dg) * np.exp(g)
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
+        dlog_p, dg = self._logderiv_terms(u, channels)
+        return dlog_p + dg
+
+    def _logderiv_terms(self, u: np.ndarray, channels=None) -> tuple[np.ndarray, np.ndarray]:
+        """(P'/P, G') on the selected channels, the terms of F'/F kept apart:
+        a large G' swamps P'/P in their sum."""
         dp, p, p_scale = _quotient_terms(self.poly, u, channels)
         _raise_on_zero([(p, p_scale, "polynomial factor")], channels)
         gm, u = _columns(self.exponent, u, channels)
         dg, _ = polyval_with_scale(_derivative_rows(gm), u)
-        return dp / p + dg
+        return dp / p, dg
 
 
 #: Function kind name (the JSON "kind") -> class.

@@ -31,6 +31,12 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _pairs(values) -> list[list[float]]:
+    """[re, im] pairs of a complex vector or sequence, built in one pass: the
+    same floats, -0.0 included, as :func:`complex_to_pair` on each entry."""
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
 def pair_to_complex(value: Any, field: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -48,7 +54,7 @@ def pair_to_complex(value: Any, field: str) -> complex:
 
 
 def circulant_to_obj(x: Circulant) -> dict:
-    return {"d": x.d, "row": [complex_to_pair(z) for z in x.row]}
+    return {"d": x.d, "row": _pairs(x.row)}
 
 
 def circulant_from_obj(obj: Any, field: str = "circulant") -> Circulant:
@@ -69,7 +75,7 @@ def circulant_from_obj(obj: Any, field: str = "circulant") -> Circulant:
 
 
 def spectrum_to_obj(values: np.ndarray) -> dict:
-    return {"d": int(values.size), "values": [complex_to_pair(z) for z in values]}
+    return {"d": int(values.size), "values": _pairs(values)}
 
 
 def _poly_from_obj(obj: Any, d: int, field: str) -> CircPoly:
@@ -125,7 +131,7 @@ def solution_set_to_obj(s: SolutionSet) -> dict:
                 "channel": r.channel,
                 "kind": r.kind,
                 "effective_degree": r.effective_degree,
-                "roots": [complex_to_pair(z) for z in r.roots],
+                "roots": _pairs(r.roots),
                 "multiplicities": list(r.multiplicities),
             }
         )
@@ -148,7 +154,7 @@ def _channel_estimates_to_obj(channels: tuple[ChannelEstimate, ...]) -> list:
                 "k": c.k,
                 "final_estimate": complex_to_pair(c.refined[-1]) if c.refined else None,
                 "final_error": c.final_error,
-                "estimates": [complex_to_pair(v) for v in c.estimates],
+                "estimates": _pairs(c.estimates),
             }
         )
     return out

@@ -10,6 +10,7 @@ from circfun import (
     PolyFunction,
     RationalFunction,
 )
+from circfun import characterize
 from circfun.characterize import _analyze_sequence, _scan
 from circfun.spectral import forward_rows, from_spectrum, spectrum
 from circfun.testkit import (
@@ -267,9 +268,11 @@ class TestScan:
         assert attempt == 0 and values.shape == (path.scales.size, live.size)
         for row, t in zip(values, path.scales):
             u = spectrum(from_spectrum(t * path.direction))
-            expected = u[live] * f.channel_logderiv(u, live)
-            if qfun is not None:
-                expected = expected - u[live] * qfun(u)[live]
+            if qfun is None:
+                expected = u[live] * f.channel_logderiv(u, live)
+            else:
+                dlog_p, dg = f._logderiv_terms(u, live)
+                expected = u[live] * (dlog_p + (dg - qfun(u)[live]))
             assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("d", [2, 3, 31, 32, 100])
@@ -325,16 +328,30 @@ class TestEntireZeroBound:
         report = cf.entire_zero_bound(f, PolyFunction(CircPoly.from_scalars([2], d)))
         assert not report.matched
 
-    def test_failed_degree_check_is_not_a_match(self):
-        # (Z + I) exp(1e10 Z) with the witness G' = 1e10 I: the witness
-        # swamps P'/P, every estimate reads 0, yet Z = -I is a root.
+    def test_failed_degree_check_is_not_a_match(self, monkeypatch):
+        # The quadratic factor matches its witness G' = I, unless the
+        # cross-check against deg P fails.
+        d = 2
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly.from_scalars([1, -3, 2], d), CircPoly([i, o]))
+        monkeypatch.setattr(characterize, "_degree_cross_check", lambda f, q, n: False)
+        report = cf.entire_zero_bound(f, PolyFunction(CircPoly([i])))
+        assert report.degree_check is False
+        assert not report.matched
+        assert report.n is None and report.bound is None
+
+    def test_large_exponent_does_not_swamp_the_polynomial_factor(self):
+        # (Z + I) exp(1e10 Z) with the witness G' = 1e10 I: in P'/P + G' the
+        # 1/(u + 1) of P'/P sits below the rounding of 1e10, so the witness
+        # comes off G' first.  Z = -I is the one root.
         d = 2
         i, o = cf.identity(d), cf.zero(d)
         f = ExpPolyFunction(CircPoly([i, i]), CircPoly([cf.scale(1e10, i), o]))
         report = cf.entire_zero_bound(f, PolyFunction(CircPoly([cf.scale(1e10, i)])))
-        assert report.degree_check is False
-        assert not report.matched
-        assert report.n is None and report.bound is None
+        assert report.matched
+        assert report.n == 1 and report.bound == 1
+        assert report.degree_check is True
+        assert all(c.flag == "converged" and c.k == 1 for c in report.channels)
 
 
 class TestDetectPolyDegree:

@@ -191,6 +191,16 @@ class TestRoundTrips:
         x = cf.from_row([1 + 2j, 3, -0.5j])
         assert ser.circulant_from_obj(ser.circulant_to_obj(x)).isclose(x, 0)
 
+    def test_batched_pairs_match_per_entry_pairs(self, rng):
+        from circfun import serialize as ser
+
+        row = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        row[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-310 - 1e300j]
+        x = cf.Circulant(row)
+        per_entry = {"d": 12, "row": [ser.complex_to_pair(z) for z in row]}
+        assert json.dumps(ser.circulant_to_obj(x)) == json.dumps(per_entry)
+        assert json.dumps(ser.spectrum_to_obj(row)) == json.dumps({"d": 12, "values": per_entry["row"]})
+
     def test_solution_set_serialization(self):
         from circfun import serialize as ser
 

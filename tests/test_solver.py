@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from circfun import (
 from circfun import solver
 from circfun.solver import newton_polish
 from circfun.spectral import inverse_rows
-from circfun.testkit import dense_mul, random_circulant, random_regular_poly
+from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
 
 
 def poly_from_channels(channel_coeffs, degree):
@@ -232,8 +233,12 @@ class TestCircSolve:
         assert sol.status is SolutionStatus.FINITE
         combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
         assert len(sol.roots) == len(sol.residuals) == len(combos)
-        for root, res, combo in zip(sol.roots, sol.residuals, combos):
+        # The chunked views hold the bits that copies of one transform of the
+        # whole product grid hold.
+        copies = [cf.Circulant(row) for row in inverse_rows(np.array(combos))]
+        for root, res, combo, copy in zip(sol.roots, sol.residuals, combos, copies):
             assert np.array_equal(root.row, cf.from_spectrum(np.array(combo)).row)
+            assert root.row.tobytes() == copy.row.tobytes()
             assert res == cf.residual(p, root)
 
     @staticmethod
@@ -450,3 +455,34 @@ class TestResidual:
         for root, res in zip(sol.roots, sol.residuals):
             assert cf.residual(p, root) == res
             assert res <= 1e-8
+
+
+class TestZeroCopyRoots:
+    """Recombined roots and sampled members are read-only views of the array
+    their batch was rebuilt in, bit for bit the rows a copy would hold."""
+
+    def test_roots_are_read_only_for_good(self, rng):
+        p, _ = integer_rooted_poly(rng, 5, 3)
+        sol = cf.solve_circ_poly(p)
+        assert len(sol.roots) == 3**5
+        for k, root in enumerate(sol.roots):
+            assert not root.row.flags.writeable
+            with pytest.raises(ValueError):
+                root.row.flags.writeable = True
+            assert sol.residuals[k] == cf.residual(p, root)
+
+    def test_unpickled_root_owns_a_read_only_copy(self, rng):
+        p, _ = integer_rooted_poly(rng, 5, 3)
+        root = cf.solve_circ_poly(p).roots[7]
+        restored = pickle.loads(pickle.dumps(root))
+        assert np.array_equal(restored.row, root.row)
+        assert restored.row.flags.owndata
+        assert not restored.row.flags.writeable
+
+    def test_sampled_members_are_read_only(self, rng):
+        p = poly_from_channels([random_monic(rng, 2), [0.0], random_monic(rng, 3)], 3)
+        members = cf.solve_circ_poly(p).sample_members(6, seed=2)
+        for member in members:
+            assert not member.row.flags.writeable
+            with pytest.raises(ValueError):
+                member.row.flags.writeable = True
