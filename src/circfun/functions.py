@@ -24,7 +24,7 @@ from .errors import (
     DimensionError,
     InvalidIncrementError,
 )
-from .spectral import RANK_REL_TOL, from_spectrum, is_invertible, pseudoinverse, spectrum
+from .spectral import RANK_REL_TOL, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum
 
 #: Relative tolerance for deciding that a spectral coefficient vanishes,
 #: measured against the largest spectral magnitude over all coefficients.
@@ -81,7 +81,7 @@ class CircPoly:
         arguments.  Computed once and cached; the returned array is read-only.
         """
         if self._channel_matrix is None:
-            cm = np.stack([spectrum(c) for c in self.coeffs])
+            cm = forward_rows(np.stack([c.row for c in self.coeffs]))
             top = np.max(np.abs(cm))
             if 0.0 < top < np.inf:  # an overflowed entry would snap every finite one
                 cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0

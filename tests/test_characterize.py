@@ -1,3 +1,7 @@
+import dataclasses
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,7 @@ from circfun import (
 )
 from circfun import characterize
 from circfun.characterize import _analyze_sequence, _scan
-from circfun.spectral import forward_rows, from_spectrum, spectrum
+from circfun.spectral import forward_rows, from_spectrum, inverse_rows, spectrum
 from circfun.testkit import (
     dense_conjugate,
     random_circulant,
@@ -91,6 +95,121 @@ class TestPathSpec:
             PathSpec(direction=ones, scales=np.array([1e3, 1e4, 1e5]))  # too few
         with pytest.raises(ValueError):
             PathSpec(direction=ones, scales=np.array([1e4, 1e3, 1e5, 1e6]))
+
+    @pytest.mark.parametrize(
+        "direction, scales, field",
+        [
+            ([np.nan, 1], [1e3, 1e4, 1e5, 1e6], "direction"),
+            ([1, np.inf], [1e3, 1e4, 1e5, 1e6], "direction"),
+            ([1, 1j], [1e3, np.nan, 1e5, 1e6], "scales"),
+            ([1, 1j], [1e3, 1e4, 1e5, np.inf], "scales"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, direction, scales, field):
+        # NaN fails every comparison, so the modulus and ordering checks
+        # alone would let it through.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} "):
+                PathSpec(direction=np.array(direction, dtype=complex), scales=np.array(scales))
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, field",
+        [
+            (np.nan, 1e8, "t_min"),
+            (np.inf, np.inf, "t_min"),
+            (-5.0, 1e8, "t_min"),
+            (0.0, 1e8, "t_min"),
+            (1e3, np.nan, "t_max"),
+            (1e3, np.inf, "t_max"),
+            (1e9, 1e8, "t_max"),
+            (1e3, 1e3, "t_max"),
+        ],
+    )
+    def test_default_rejects_bad_scale_bounds(self, t_min, t_max, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} "):
+                PathSpec.default(2, t_min=t_min, t_max=t_max)
+
+
+class TestPathMemo:
+    """PathSpec.default is memoized, and a path caches its first-attempt
+    scan points; neither can be changed through an array."""
+
+    def test_default_is_shared_and_read_only(self):
+        path = PathSpec.default(8)
+        assert PathSpec.default(8) is path
+        for array in (path.direction, path.scales, path._points):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_path_ignores_later_writes_to_caller_arrays(self):
+        reference = PathSpec.default(5)
+        direction, scales = reference.direction.copy(), reference.scales.copy()
+        read_early = PathSpec(direction=direction, scales=scales)
+        early_points = read_early._points.copy()
+        read_late = PathSpec(direction=direction, scales=scales)
+        direction[:] = 1.0
+        scales *= 2.0
+        for path in (read_early, read_late):
+            assert path.direction.tobytes() == reference.direction.tobytes()
+            assert path.scales.tobytes() == reference.scales.tobytes()
+            assert path._points.tobytes() == early_points.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 31, 32, 100])
+    def test_cached_points_equal_a_fresh_transform(self, d):
+        path = PathSpec.default(d)
+        fresh = forward_rows(inverse_rows(path.scales[:, None] * path.direction))
+        assert path._points.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", ["divisor", "degree", "zero_bound"])
+    def test_reports_equal_on_cold_and_warm_cache(self, rng, kind):
+        d = 16
+        p, q, g = (random_regular_poly(rng, d, n) for n in (3, 1, 1))
+        estimate = {
+            "divisor": functools.partial(cf.estimate_divisor, RationalFunction(p, q)),
+            "degree": functools.partial(cf.detect_poly_degree, PolyFunction(p)),
+            "zero_bound": functools.partial(
+                cf.entire_zero_bound, ExpPolyFunction(p, g), PolyFunction(CircPoly([g.coeffs[0]]))
+            ),
+        }[kind]
+        PathSpec.default.cache_clear()
+        cold = estimate()
+        hits = PathSpec.default.cache_info().hits
+        warm = estimate()
+        assert PathSpec.default.cache_info().hits == hits + 1
+        for field in dataclasses.fields(cold):
+            assert getattr(cold, field.name) == getattr(warm, field.name), field.name
+
+    def test_retries_draw_as_an_eager_generator_would(self):
+        # Channel 1 vanishes on the default direction and channel 2 on the
+        # first retry's, so the second retry succeeds; the reference scan
+        # makes its generator up front and transforms every attempt.
+        d = 2
+        path = PathSpec.default(d)
+        first_retry = np.exp(2j * np.pi * np.random.default_rng(path.seed).uniform(size=d))
+        i = cf.identity(d)
+        r1 = from_spectrum(np.array([path.scales[0] * path.direction[0], 0.5]))
+        r2 = from_spectrum(np.array([0.5, path.scales[3] * first_retry[1]]))
+        f = PolyFunction(CircPoly([i, cf.neg(r1)]) * CircPoly([i, cf.neg(r2)]))
+
+        rng = np.random.default_rng(path.seed)
+        direction = path.direction
+        for attempt in range(path.retry_budget + 1):
+            u = forward_rows(inverse_rows(path.scales[:, None] * direction))
+            try:
+                expected = u * f.channel_logderiv(u)
+                break
+            except ChannelSingularityError:
+                direction = np.exp(2j * np.pi * rng.uniform(size=d))
+
+        report = cf.detect_poly_degree(f)
+        assert report.retries_used == attempt == 2
+        assert report.degree == 2
+        for c, column in zip(report.channels, expected.T):
+            assert np.array_equal(np.array(c.estimates), column)
 
 
 class TestEstimateDivisor:

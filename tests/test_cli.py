@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestErrorsAndDeterminism:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"circulant.{field}: expected finite numbers" in captured.err
+
+    @pytest.mark.parametrize("command", ["divisor", "degree"])
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--t-min", "nan"], "t_min"), (["--t-max", "inf"], "t_max"), (["--t-min", "-5"], "t_min")],
+    )
+    def test_bad_path_scale_names_field(self, capsys, command, flags, field):
+        # Checked before any scale is computed: no output, no numpy warning.
+        argv = [command, "--input", str(FIXTURES / "rational_mixed_d2.json"), "--output", "-", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be finite")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["spectrum", "--bogus"]) == 1

@@ -12,6 +12,8 @@ from circfun import (
     PolyFunction,
     RationalFunction,
 )
+from circfun.core import FFT_THRESHOLD
+from circfun.functions import SPECTRAL_SNAP_REL_TOL
 from circfun.testkit import dense_mul, random_circulant, random_invertible_circulant, random_regular_poly
 
 from conftest import assert_circ_close
@@ -82,6 +84,19 @@ class TestChannelDecomposition:
         np.testing.assert_allclose(chans[0].coeffs, [p_prime, 0, 0], atol=1e-12)
         for chan in chans[1:]:
             assert np.max(np.abs(chan.coeffs)) == 0.0
+
+    @pytest.mark.parametrize("d", [FFT_THRESHOLD - 1, FFT_THRESHOLD])
+    def test_channel_matrix_equals_per_coefficient_spectra(self, rng, d):
+        # One batched forward transform gives each row bit for bit as
+        # spectrum() of that coefficient, on both sides of the FFT dispatch.
+        coeffs = [
+            cf.Circulant(s * (rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+            for s in (1e4, 1.0, 1e-4, 3.0)
+        ]
+        expected = np.stack([cf.spectrum(c) for c in coeffs])
+        top = np.max(np.abs(expected))
+        expected[np.abs(expected) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0
+        assert CircPoly(coeffs).channel_matrix().tobytes() == expected.tobytes()
 
     def test_scalar_poly_call(self):
         p = CircPoly.from_scalars([1, 0, -1], 2)  # u^2 - 1 per channel
