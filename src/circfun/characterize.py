@@ -19,16 +19,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Circulant
 from .errors import ChannelSingularityError
 from .functions import (
+    ChannelView,
     CircFunction,
     PolyFunction,
     RationalFunction,
     _derivative_rows,
+    _same_columns,
     classify,
 )
 from .spectral import forward_rows, inverse_rows, spectrum
@@ -132,11 +135,66 @@ class ChannelEstimate:
     final_error: float | None
 
 
+#: Channel flags; a table stores each as its index here.
+FLAGS = ("converged", "diverged", "indeterminate")
+CONVERGED, DIVERGED, INDETERMINATE = range(3)
+
+
+class ChannelTable(NamedTuple):
+    """Per-channel results of a limit estimate as arrays over the d channels.
+
+    ``flag`` holds indices into ``FLAGS``.  ``k`` holds the rounded limits,
+    NaN where k is None: wherever the flag is not converged.  ``estimates``
+    (S, d) and ``refined`` (S - 1, d) hold each channel's estimate and
+    Richardson-extrapolated sequences, NaN on indeterminate channels.
+    ``final_error`` is NaN where it is None: on indeterminate channels and
+    where an estimate or the final extrapolated estimate is not finite, and
+    there the refined sequence a channel reports is its raw one.  Every
+    array is read-only.
+    """
+
+    flag: np.ndarray
+    k: np.ndarray
+    estimates: np.ndarray
+    refined: np.ndarray
+    final_error: np.ndarray
+
+    __eq__ = _same_columns
+    __ne__ = lambda self, other: not _same_columns(self, other)  # noqa: E731
+    __hash__ = None
+
+    def channel(self, i: int) -> ChannelEstimate:
+        """The record of 0-based channel ``i``."""
+        flag = int(self.flag[i])
+        if flag == INDETERMINATE:
+            return ChannelEstimate(i + 1, FLAGS[flag], None, (), (), None)
+        error = float(self.final_error[i])
+        estimates = tuple(self.estimates[:, i].tolist())
+        usable = not math.isnan(error)
+        return ChannelEstimate(
+            channel=i + 1,
+            flag=FLAGS[flag],
+            k=int(self.k[i]) if flag == CONVERGED else None,
+            estimates=estimates,
+            refined=tuple(self.refined[:, i].tolist()) if usable else estimates,
+            final_error=error if usable else None,
+        )
+
+
+class _ChannelRecords:
+    """``channels``: the report's table as ChannelEstimate records, built on
+    access (see :class:`ChannelView`)."""
+
+    @property
+    def channels(self) -> ChannelView:
+        return ChannelView(self.table.channel, self.table.flag.size)
+
+
 @dataclass(frozen=True)
-class DivisorReport:
+class DivisorReport(_ChannelRecords):
     status: str  # "rational" | "not-rational"
     k: int | None
-    channels: tuple[ChannelEstimate, ...]
+    table: ChannelTable
     numerator_degree: int
     denominator_degree: int
     expected_k: int | None  # n - m when both polynomials are regular
@@ -151,20 +209,20 @@ class DivisorReport:
 
 
 @dataclass(frozen=True)
-class ZeroBoundReport:
+class ZeroBoundReport(_ChannelRecords):
     matched: bool
     n: int | None
     bound: int | None
-    channels: tuple[ChannelEstimate, ...]
+    table: ChannelTable
     degree_check: bool | None
     retries_used: int
 
 
 @dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(_ChannelRecords):
     is_polynomial: bool
     degree: int | None
-    channels: tuple[ChannelEstimate, ...]
+    table: ChannelTable
     retries_used: int
 
 
@@ -193,10 +251,12 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
     within ``ROUND_TOL`` of one integer and the error does not grow, allowing
     floating-point jitter once the tail is at machine level.  A column whose
     estimates or final extrapolated estimate are not finite diverges with no
-    k and no error, and keeps its raw estimates as its refined sequence.
+    k and no error.
 
-    Returns per-column lists: k (int or None), converged (bool), refined
-    sequence and final error (float or None).
+    Returns arrays over the columns: k (the rounded limit, NaN where the
+    column did not converge), converged (bool), the refined sequences
+    (n_scales - 1, C) and the final error (NaN for a column that is not
+    finite, which reports its raw estimates as its refined sequence).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         refined = _richardson(scales[:, None], values)
@@ -208,16 +268,11 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
         shrinking = ((tail[1] <= tail[0] * 1.5) | (tail[1] <= NOISE_FLOOR)) & (
             (tail[2] <= tail[1] * 1.5) | (tail[2] <= NOISE_FLOOR)
         )
-    columns = refined.T.tolist()
-    for j in np.flatnonzero(~usable):
-        columns[j] = values[:, j].tolist()
-    ok = (usable & within & shrinking).tolist()
-    ks = [int(v) if c else None for v, c in zip(k.tolist(), ok)]
-    errors = [e if c else None for e, c in zip(tail[2].tolist(), usable.tolist())]
-    return ks, ok, columns, errors
+    converged = usable & within & shrinking
+    return np.where(converged, k, np.nan), converged, refined, np.where(usable, tail[2], np.nan)
 
 
-def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[list[ChannelEstimate], int]:
+def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTable, int]:
     indeterminate = f.degenerate_channels()
     if np.all(indeterminate):
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
@@ -225,23 +280,16 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[list[Chan
     # Degenerate channels would raise on every direction; scan only the rest.
     live = np.flatnonzero(~indeterminate)
     estimates, retries = _scan(f, path, qfun, live)
-    ks, ok, refined, errors = _analyze_sequence(path.scales, estimates)
-
-    channels: list[ChannelEstimate | None] = [None] * f.d
-    for i in np.flatnonzero(indeterminate).tolist():
-        channels[i] = ChannelEstimate(
-            channel=i + 1, flag="indeterminate", k=None, estimates=(), refined=(), final_error=None
-        )
-    for j, (i, seq) in enumerate(zip(live.tolist(), estimates.T.tolist())):
-        channels[i] = ChannelEstimate(
-            channel=i + 1,
-            flag="converged" if ok[j] else "diverged",
-            k=ks[j],
-            estimates=tuple(seq),
-            refined=tuple(refined[j]),
-            final_error=errors[j],
-        )
-    return channels, retries
+    k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
+    columns = [np.where(converged, CONVERGED, DIVERGED), k, estimates, refined, errors]
+    if live.size < f.d:
+        fills = (INDETERMINATE, np.nan, np.nan, np.nan, np.nan)
+        for j, (column, fill) in enumerate(zip(columns, fills)):
+            columns[j] = np.full(column.shape[:-1] + (f.d,), fill, dtype=column.dtype)
+            columns[j][..., live] = column
+    for column in columns:
+        column.flags.writeable = False
+    return ChannelTable(*columns), retries
 
 
 def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
@@ -307,34 +355,40 @@ def estimate_divisor(
 
     if path is None:
         path = PathSpec.default(f.d)
-    channels, retries = _estimate_channels(f, path, None)
+    table, retries = _estimate_channels(f, path, None)
 
     n = num.degree
     m = den.degree if den is not None else 0
-    defined = [c for c in channels if c.flag != "indeterminate"]
-    converged = [c for c in defined if c.flag == "converged"]
-    status = "rational" if defined and len(converged) == len(defined) else "not-rational"
-
-    ks = {c.k for c in converged}
-    global_k = ks.pop() if status == "rational" and len(ks) == 1 else None
+    ks = table.k[table.flag == CONVERGED]
+    # Some channel is defined, or the scan raised; so every defined one converged.
+    rational = not np.any(table.flag == DIVERGED)
+    global_k = int(ks[0]) if rational and np.all(ks == ks[0]) else None
 
     regular = classify(num).regular and (den is None or classify(den).regular)
     expected = n - m if regular else None
     matches = (global_k == expected) if (expected is not None and global_k is not None) else None
-    bounds_ok = all(-m <= c.k <= n for c in converged) if converged else None
+    bounds_ok = bool(np.all((-m <= ks) & (ks <= n))) if ks.size else None
 
     return DivisorReport(
-        status=status,
+        status="rational" if rational else "not-rational",
         k=global_k,
-        channels=tuple(channels),
+        table=table,
         numerator_degree=n,
         denominator_degree=m,
         expected_k=expected,
         matches_expected=matches,
         bounds_ok=bounds_ok,
         retries_used=retries,
-        scales=tuple(float(t) for t in path.scales),
+        scales=tuple(path.scales.tolist()),
     )
+
+
+def _common_limit(table: ChannelTable) -> int | None:
+    """The k every channel converged to, when it is one nonnegative integer."""
+    k = table.k
+    if np.all(table.flag == CONVERGED) and np.all(k == k[0]) and k[0] >= 0:
+        return int(k[0])
+    return None
 
 
 def entire_zero_bound(
@@ -361,23 +415,20 @@ def entire_zero_bound(
 
     if path is None:
         path = PathSpec.default(f.d)
-    channels, retries = _estimate_channels(f, path, q_entire.channel_values)
+    table, retries = _estimate_channels(f, path, q_entire.channel_values)
 
-    converged = [c for c in channels if c.flag == "converged"]
-    ks = {c.k for c in converged}
-    common = len(converged) == len(channels) and len(ks) == 1 and min(ks) >= 0
-    n = ks.pop() if common else None
+    n = _common_limit(table)
     degree_check = None if n is None else _degree_cross_check(f, q_entire, n)
     if n is None or degree_check is False:
         return ZeroBoundReport(
-            matched=False, n=None, bound=None, channels=tuple(channels),
+            matched=False, n=None, bound=None, table=table,
             degree_check=degree_check, retries_used=retries,
         )
     return ZeroBoundReport(
         matched=True,
         n=n,
         bound=n**f.d,
-        channels=tuple(channels),
+        table=table,
         degree_check=degree_check,
         retries_used=retries,
     )
@@ -410,16 +461,8 @@ def detect_poly_degree(
     limit is reported as not polynomial."""
     if path is None:
         path = PathSpec.default(f.d)
-    channels, retries = _estimate_channels(f, path, None)
-    converged = [c for c in channels if c.flag == "converged"]
-    ks = {c.k for c in converged}
-    if len(converged) == len(channels) and len(ks) == 1:
-        candidate = ks.pop()
-        if candidate is not None and candidate >= 0:
-            return DegreeReport(
-                is_polynomial=True, degree=candidate, channels=tuple(channels),
-                retries_used=retries,
-            )
+    table, retries = _estimate_channels(f, path, None)
+    degree = _common_limit(table)
     return DegreeReport(
-        is_polynomial=False, degree=None, channels=tuple(channels), retries_used=retries
+        is_polynomial=degree is not None, degree=degree, table=table, retries_used=retries
     )

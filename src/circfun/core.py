@@ -118,11 +118,6 @@ class Circulant:
         return power(self, k)
 
 
-def from_row(entries: Sequence[complex] | np.ndarray) -> Circulant:
-    """Build a circulant from its first row (length d >= 2)."""
-    return Circulant(entries)
-
-
 def elementary(d: int) -> Circulant:
     """The cyclic-shift generator circ(0, 1, 0, ..., 0); its d-th power is the identity."""
     if d < 2:

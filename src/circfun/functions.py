@@ -12,8 +12,10 @@ argument.  A finite-difference variant is provided for cross-validation.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -56,6 +58,7 @@ class CircPoly:
         self.coeffs = coeffs
         self.d = d
         self._channel_matrix: np.ndarray | None = None
+        self._channel_degrees: np.ndarray | None = None
 
     @classmethod
     def from_scalars(cls, scalars: Sequence[complex], d: int) -> "CircPoly":
@@ -78,7 +81,8 @@ class CircPoly:
         Entries below ``SPECTRAL_SNAP_REL_TOL`` times the largest magnitude
         are zeroed: they are transform round-off, and keeping them would turn
         exact channel degree drops into huge spurious terms at large
-        arguments.  Computed once and cached; the returned array is read-only.
+        arguments.  Computed once and cached, with that largest magnitude
+        (snapping leaves it in place); the returned array is read-only.
         """
         if self._channel_matrix is None:
             cm = forward_rows(np.stack([c.row for c in self.coeffs]))
@@ -86,7 +90,7 @@ class CircPoly:
             if 0.0 < top < np.inf:  # an overflowed entry would snap every finite one
                 cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0
             cm.flags.writeable = False
-            self._channel_matrix = cm
+            self._channel_matrix, self._scale = cm, float(top)
         return self._channel_matrix
 
     def channel_degrees(self) -> np.ndarray:
@@ -95,12 +99,16 @@ class CircPoly:
         A spectral coefficient counts as zero at or below
         ``COEFFICIENT_REL_TOL`` times the largest magnitude over all
         coefficients, so the leading ones that fall below it drop out.
+        Computed once and cached; the returned array is read-only.
         """
-        cm = self.channel_matrix()
-        nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * float(np.max(np.abs(cm)))
-        degrees = cm.shape[0] - 1 - np.argmax(nonzero, axis=0)
-        degrees[~np.any(nonzero, axis=0)] = -1
-        return degrees
+        if self._channel_degrees is None:
+            cm = self.channel_matrix()
+            nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * self._scale
+            degrees = cm.shape[0] - 1 - np.argmax(nonzero, axis=0)
+            degrees[~np.any(nonzero, axis=0)] = -1
+            degrees.flags.writeable = False
+            self._channel_degrees = degrees
+        return self._channel_degrees
 
     def __mul__(self, other: "CircPoly") -> "CircPoly":
         if not isinstance(other, CircPoly):
@@ -116,24 +124,6 @@ class CircPoly:
 
 
 @dataclass(frozen=True)
-class ScalarPoly:
-    """One channel of a circulant polynomial: plain complex coefficients,
-    leading first.  ``channel`` is the 0-based channel index."""
-
-    channel: int
-    coeffs: np.ndarray
-
-    def __call__(self, u: complex) -> complex:
-        return complex(np.polyval(self.coeffs, u))
-
-
-def channel_polys(p: CircPoly) -> list[ScalarPoly]:
-    """Decompose into the d scalar channel polynomials."""
-    cm = p.channel_matrix()
-    return [ScalarPoly(channel=i, coeffs=cm[:, i].copy()) for i in range(p.d)]
-
-
-@dataclass(frozen=True)
 class Classification:
     """Regular/singular verdict for a circulant polynomial."""
 
@@ -142,19 +132,19 @@ class Classification:
     coefficient_scale: float
 
 
-def classify(p: CircPoly, rel_tol: float = COEFFICIENT_REL_TOL) -> Classification:
+def classify(p: CircPoly) -> Classification:
     """Regular iff the leading coefficient is invertible.
 
     The per-channel test compares the leading spectral coefficient against
     the largest spectral magnitude over all coefficients.
     """
     cm = p.channel_matrix()
-    scale = float(np.max(np.abs(cm)))
+    scale = p._scale
     if scale == 0.0:
         vanishing = tuple(range(1, p.d + 1))
         return Classification(False, vanishing, 0.0)
     leading = np.abs(cm[0])
-    vanishing = tuple(int(i) + 1 for i in np.nonzero(leading <= rel_tol * scale)[0])
+    vanishing = tuple(int(i) + 1 for i in np.nonzero(leading <= COEFFICIENT_REL_TOL * scale)[0])
     return Classification(not vanishing, vanishing, scale)
 
 
@@ -407,11 +397,27 @@ def _columns(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.nd
 
 def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
     """(P'(u), P(u), scale of P(u)) on the selected channels; the scale is
-    what :func:`_raise_on_zero` measures P(u) against."""
+    what :func:`_raise_on_zero` measures P(u) against.
+
+    One in-place Horner pass computes all three: the derivative rows, behind
+    a leading zero row, are stacked under the value rows, and |coefficients|
+    is taken once.  The zero row leaves the derivative at exact zero, so
+    each result equals :func:`polyval_with_scale` on its own rows bit for bit.
+    """
     cm, u = _columns(poly, u, channels)
-    p, p_scale = polyval_with_scale(cm, u)
-    dp, _ = polyval_with_scale(_derivative_rows(cm), u)
-    return dp, p, p_scale
+    n = cm.shape[0] - 1
+    rows = np.zeros((n + 1, 2, cm.shape[1]), dtype=np.complex128)
+    rows[:, 0] = cm
+    rows[1:, 1] = cm[:-1] * np.arange(n, 0, -1)[:, None]  # the rows of _derivative_rows
+    rows = rows.reshape(n + 1, 2, *(1,) * (u.ndim - 1), -1)  # broadcast over a points axis
+    magnitudes = np.abs(cm)
+    absu = np.abs(u)
+    value = np.zeros((2,) + u.shape, dtype=np.complex128)
+    scale = np.zeros(u.shape, dtype=np.float64)
+    for row, magnitude in zip(rows, magnitudes):
+        np.add(np.multiply(value, u, out=value), row, out=value)
+        np.add(np.multiply(scale, absu, out=scale), magnitude, out=scale)
+    return value[1], value[0], scale
 
 
 def _raise_on_zero(checks, channels=None) -> None:
@@ -434,6 +440,49 @@ def _raise_on_zero(checks, channels=None) -> None:
         index = np.asarray(channels)[index]
     numbers = [int(i) + 1 for i in index]
     raise ChannelSingularityError(numbers, f"{checks[which][2]} vanishes at channel(s) {numbers}")
+
+
+class ChannelView(abc.Sequence):
+    """Read-only sequence of the d per-channel records of a result whose
+    storage is arrays over channels: ``build(i)`` makes the record of 0-based
+    channel i on access.  A slice gives a tuple; a view equals a view or a
+    tuple of equal records."""
+
+    __slots__ = ("_build", "_size")
+
+    def __init__(self, build: Callable[[int], object], size: int):
+        self._build, self._size = build, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._build, range(*index.indices(self._size))))
+        i = operator.index(index)
+        if not -self._size <= i < self._size:
+            raise IndexError("channel index out of range")
+        return self._build(i % self._size)
+
+    def __iter__(self):
+        return map(self._build, range(self._size))
+
+    def __eq__(self, other):
+        if not isinstance(other, (ChannelView, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ChannelView({tuple(self)!r})"
+
+
+def _same_columns(a: tuple, b) -> bool:
+    """Equality of two tables of arrays over channels (NamedTuples of one
+    type): equal shapes and values, a NaN equal to a NaN.  Tuple equality
+    would ask numpy for the truth of an array."""
+    return type(a) is type(b) and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)

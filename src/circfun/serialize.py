@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .characterize import ChannelEstimate, DegreeReport, DivisorReport
+from .characterize import CONVERGED, FLAGS, INDETERMINATE, ChannelTable, DegreeReport, DivisorReport
 from .core import Circulant
 from .functions import FUNCTION_KINDS, CircFunction, CircPoly
 from .solver import SolutionSet
@@ -144,20 +144,26 @@ def solution_set_to_obj(s: SolutionSet) -> dict:
     }
 
 
-def _channel_estimates_to_obj(channels: tuple[ChannelEstimate, ...]) -> list:
-    out = []
-    for c in channels:
-        out.append(
-            {
-                "channel": c.channel,
-                "flag": c.flag,
-                "k": c.k,
-                "final_estimate": complex_to_pair(c.refined[-1]) if c.refined else None,
-                "final_error": c.final_error,
-                "estimates": _pairs(c.estimates),
-            }
-        )
-    return out
+def _channel_estimates_to_obj(t: ChannelTable) -> list:
+    """The channel records of a limit report, read from its table in numpy
+    passes.  A channel's final estimate is the last of its refined sequence,
+    which is its raw one where the final error is NaN (None)."""
+    flags = t.flag.tolist()
+    ks = t.k.tolist()
+    errors = t.final_error.tolist()
+    finals = _pairs(np.where(np.isnan(t.final_error), t.estimates[-1], t.refined[-1]))
+    estimates = np.ascontiguousarray(t.estimates.T).view(np.float64).reshape(len(flags), -1, 2).tolist()
+    return [
+        {
+            "channel": i + 1,
+            "flag": FLAGS[flag],
+            "k": int(ks[i]) if flag == CONVERGED else None,
+            "final_estimate": finals[i] if flag != INDETERMINATE else None,
+            "final_error": None if errors[i] != errors[i] else errors[i],  # NaN stands for None
+            "estimates": estimates[i] if flag != INDETERMINATE else [],
+        }
+        for i, flag in enumerate(flags)
+    ]
 
 
 def divisor_report_to_obj(r: DivisorReport) -> dict:
@@ -171,7 +177,7 @@ def divisor_report_to_obj(r: DivisorReport) -> dict:
         "bounds_ok": r.bounds_ok,
         "retries_used": r.retries_used,
         "scales": list(r.scales),
-        "channels": _channel_estimates_to_obj(r.channels),
+        "channels": _channel_estimates_to_obj(r.table),
     }
 
 
@@ -180,6 +186,6 @@ def degree_report_to_obj(r: DegreeReport) -> dict:
         "is_polynomial": r.is_polynomial,
         "degree": r.degree,
         "retries_used": r.retries_used,
-        "channels": _channel_estimates_to_obj(r.channels),
+        "channels": _channel_estimates_to_obj(r.table),
     }
 

@@ -376,12 +376,6 @@ def _greedy_clusters(sorted_roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, mult
 
 
-def newton_polish(coeffs, roots) -> np.ndarray:
-    """Public polishing pass: one Newton step per root where it improves."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return _newton_polish((c / c[0])[None], np.asarray(roots, dtype=np.complex128)[None])[0]
-
-
 def residual(p: CircPoly, z: Circulant) -> float:
     """Frobenius norm of P(Z), by Parseval from the channel values at the
     spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the

@@ -93,7 +93,7 @@ def test_criterion_04_pseudoinverse():
                 x = random_circulant(rng, d)
             worst = max(worst, penrose_check(x, cf.pseudoinverse(x)).max_deviation)
         assert worst <= 1e-9
-        assert cf.pseudoinverse(cf.ones(2)).isclose(cf.from_row([0.25, 0.25]), 1e-12)
+        assert cf.pseudoinverse(cf.ones(2)).isclose(cf.Circulant([0.25, 0.25]), 1e-12)
 
 
 def test_criterion_05_derivative_consistency():

@@ -15,7 +15,7 @@ from circfun import (
     RationalFunction,
 )
 from circfun import characterize
-from circfun.characterize import _analyze_sequence, _scan
+from circfun.characterize import DIVERGED, ChannelTable, _analyze_sequence, _scan
 from circfun.spectral import forward_rows, from_spectrum, inverse_rows, spectrum
 from circfun.testkit import (
     dense_conjugate,
@@ -317,9 +317,10 @@ class TestEstimateDivisor:
 
 
 def analyze_one(scales, values):
-    """The one-column case of _analyze_sequence, unpacked."""
+    """The one-column case of _analyze_sequence: k, converged, refined
+    sequence and final error of the column."""
     ks, oks, refined, errors = _analyze_sequence(scales, values[:, None])
-    return ks[0], oks[0], np.array(refined[0]), errors[0]
+    return ks[0], oks[0], refined[:, 0], errors[0]
 
 
 class TestAnalyzeSequence:
@@ -327,7 +328,7 @@ class TestAnalyzeSequence:
         scales = np.geomspace(1e3, 1e8, 8)
         values = scales.astype(complex)  # grows like t
         k, ok, _, _ = analyze_one(scales, values)
-        assert not ok
+        assert not ok and np.isnan(k)
 
     def test_non_finite_rejected(self):
         scales = np.geomspace(1e3, 1e8, 8)
@@ -342,14 +343,19 @@ class TestAnalyzeSequence:
         assert ok and k == 2
         assert err <= 1e-6
 
-
     def test_overflowing_extrapolation_diverges(self):
         # finite estimates whose Richardson step overflows to inf - inf
         scales = np.geomspace(1e3, 1e8, 8)
         values = 1e300 * scales / scales[0] + 0j
         k, ok, refined, err = analyze_one(scales, values)
-        assert not ok and k is None and err is None
-        np.testing.assert_array_equal(refined, values)
+        assert not ok and np.isnan(k) and np.isnan(err)  # NaN: no k, no error
+        # A channel with no error reports its raw estimates as its refined ones.
+        table = ChannelTable(
+            np.array([DIVERGED]), np.array([k]), values[:, None], refined[:, None], np.array([err])
+        )
+        record = table.channel(0)
+        assert (record.k, record.final_error) == (None, None)
+        assert record.refined == record.estimates == tuple(values.tolist())
 
     def test_columns_match_one_column_calls(self):
         scales = np.geomspace(1e3, 1e8, 8)
@@ -360,9 +366,20 @@ class TestAnalyzeSequence:
         ks, oks, refined, errors = _analyze_sequence(scales, block)
         for j in range(block.shape[1]):
             k, ok, column, err = analyze_one(scales, block[:, j])
-            assert (ks[j], oks[j], errors[j]) == (k, ok, err)
-            np.testing.assert_array_equal(np.array(refined[j]), column)
-        assert ks[0] == 2 and ks[4] == -1 and oks == [True, False, False, False, True]
+            np.testing.assert_array_equal([ks[j], errors[j]], [k, err])  # NaN equals NaN here
+            assert oks[j] == ok
+            np.testing.assert_array_equal(refined[:, j], column)
+        assert ks[0] == 2 and ks[4] == -1 and oks.tolist() == [True, False, False, False, True]
+        assert np.all(np.isnan(ks[1:4])) and np.all(np.isnan(errors[2:4]))
+
+    def test_returns_arrays_over_columns(self):
+        scales = np.geomspace(1e3, 1e8, 8)
+        block = np.stack([2.0 + 3.7 / scales, scales, np.full(8, np.nan)], axis=1).astype(complex)
+        ks, oks, refined, errors = _analyze_sequence(scales, block)
+        assert (ks.shape, oks.shape, refined.shape, errors.shape) == ((3,), (3,), (7, 3), (3,))
+        assert (ks.dtype, oks.dtype, refined.dtype, errors.dtype) == (
+            np.float64, np.bool_, np.complex128, np.float64,
+        )
 
 
 class TestScan:

@@ -204,7 +204,7 @@ class TestRoundTrips:
     def test_circulant_roundtrip(self):
         from circfun import serialize as ser
 
-        x = cf.from_row([1 + 2j, 3, -0.5j])
+        x = cf.Circulant([1 + 2j, 3, -0.5j])
         assert ser.circulant_from_obj(ser.circulant_to_obj(x)).isclose(x, 0)
 
     def test_batched_pairs_match_per_entry_pairs(self, rng):

@@ -13,7 +13,6 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
-from circfun.solver import newton_polish
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
 
@@ -25,6 +24,13 @@ def poly_from_channels(channel_coeffs, degree):
     for i, c in enumerate(channel_coeffs):
         cm[degree + 1 - len(c) :, i] = c
     return CircPoly([cf.from_spectrum(row) for row in cm])
+
+
+def polish(coeffs, roots):
+    """One Newton polishing pass on the roots of one scalar polynomial, as
+    the batched solve runs it on a row of monic coefficients."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    return solver._newton_polish((c / c[0])[None], np.asarray(roots, dtype=np.complex128)[None])[0]
 
 
 def random_monic(rng, n):
@@ -127,14 +133,14 @@ class TestScalarRoots:
     def test_newton_polish_drives_residual_down(self, rng):
         coeffs = np.poly([1.5, -0.25 + 1j, 3.0])
         rough = np.array([1.5 + 1e-6, -0.25 + 1j + 1e-6, 3.0 - 1e-6])
-        polished = newton_polish(coeffs, rough)
+        polished = polish(coeffs, rough)
         residuals = np.abs(np.polyval(coeffs, polished))
         assert np.max(residuals) <= 1e-12 * np.max(np.abs(coeffs))
 
     def test_newton_polish_keeps_already_good_roots(self):
         coeffs = np.poly([2.0, -1.0])
         exact = np.array([2.0 + 0j, -1.0 + 0j])
-        polished = newton_polish(coeffs, exact)
+        polished = polish(coeffs, exact)
         np.testing.assert_allclose(polished, exact, atol=1e-15)
 
 
@@ -301,7 +307,7 @@ class TestCircSolve:
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4
         d = 2
-        p = CircPoly([cf.ones(d), cf.identity(d), cf.from_row([0.5, 0.25])])
+        p = CircPoly([cf.ones(d), cf.identity(d), cf.Circulant([0.5, 0.25])])
         sol = cf.solve_circ_poly(p)
         assert sol.status is SolutionStatus.FINITE
         degrees = {r.channel: r.effective_degree for r in sol.channel_reports}
@@ -356,7 +362,7 @@ class TestCircSolve:
     )
     @pytest.mark.filterwarnings("error")
     def test_non_finite_coefficients_rejected(self, rows):
-        p = CircPoly([cf.from_row(r) for r in rows])
+        p = CircPoly([cf.Circulant(r) for r in rows])
         with pytest.raises(ValueError, match="finite"):
             cf.solve_circ_poly(p)
 

@@ -30,7 +30,7 @@ class TestDenseOracles:
         np.testing.assert_allclose(dense_conjugate(cf.identity(3)), np.eye(3), atol=1e-12)
 
     def test_dense_conjugate_row_of_ones(self):
-        got = dense_conjugate(cf.from_row([1, 1]))
+        got = dense_conjugate(cf.Circulant([1, 1]))
         np.testing.assert_allclose(got, np.diag([2.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 16, 64])
@@ -56,11 +56,11 @@ class TestPenrose:
         assert report.max_deviation == 0.0
 
     def test_quarter_row_is_pseudoinverse_of_ones_d2(self):
-        report = penrose_check(cf.ones(2), cf.from_row([0.25, 0.25]))
+        report = penrose_check(cf.ones(2), cf.Circulant([0.25, 0.25]))
         assert report.max_deviation <= 1e-12
 
     def test_wrong_candidate_fails(self):
-        report = penrose_check(cf.ones(2), cf.from_row([1.0, 0.0]))
+        report = penrose_check(cf.ones(2), cf.Circulant([1.0, 0.0]))
         assert report.max_deviation > 0.1
 
     def test_sweep_with_forced_zero_spectra(self, rng):
@@ -82,7 +82,7 @@ class TestPenrose:
                 if rng.uniform() < 0.5
                 else random_invertible_circulant(rng, d)
             )
-            candidate = cf.from_row(np.linalg.pinv(cf.to_dense(x))[0])
+            candidate = cf.Circulant(np.linalg.pinv(cf.to_dense(x))[0])
             assert penrose_check(x, candidate).max_deviation <= 1e-9
             assert np.max(np.abs(candidate.row - cf.pseudoinverse(x).row)) <= 1e-7
 
