@@ -253,8 +253,7 @@ class PolyFunction(CircFunction):
         return value
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        value, _ = polyval_with_scale(_derivative_rows(self.poly.channel_matrix()), u)
-        return value
+        return _quotient_terms(self.poly, u, None)[0]
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
         return self._logderiv_terms(u, channels)[0]
@@ -305,13 +304,9 @@ class RationalFunction(CircFunction):
         return out
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        pm = self.numerator.channel_matrix()
-        qm = self.denominator.channel_matrix()
-        p, _ = polyval_with_scale(pm, u)
-        q, q_scale = polyval_with_scale(qm, u)
+        dp, p, _ = _quotient_terms(self.numerator, u, None)
+        dq, q, q_scale = _quotient_terms(self.denominator, u, None)
         _raise_on_zero([(q, q_scale, "denominator")])
-        dp, _ = polyval_with_scale(_derivative_rows(pm), u)
-        dq, _ = polyval_with_scale(_derivative_rows(qm), u)
         return (dp * q - dq * p) / (q * q)
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
@@ -358,12 +353,8 @@ class ExpPolyFunction(CircFunction):
         return p * np.exp(g)
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        pm = self.poly.channel_matrix()
-        gm = self.exponent.channel_matrix()
-        p, _ = polyval_with_scale(pm, u)
-        g, _ = polyval_with_scale(gm, u)
-        dp, _ = polyval_with_scale(_derivative_rows(pm), u)
-        dg, _ = polyval_with_scale(_derivative_rows(gm), u)
+        dp, p, _ = _quotient_terms(self.poly, u, None)
+        dg, g, _ = _quotient_terms(self.exponent, u, None)
         return (dp + p * dg) * np.exp(g)
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
@@ -375,9 +366,7 @@ class ExpPolyFunction(CircFunction):
         a large G' swamps P'/P in their sum."""
         dp, p, p_scale = _quotient_terms(self.poly, u, channels)
         _raise_on_zero([(p, p_scale, "polynomial factor")], channels)
-        gm, u = _columns(self.exponent, u, channels)
-        dg, _ = polyval_with_scale(_derivative_rows(gm), u)
-        return dp / p, dg
+        return dp / p, _quotient_terms(self.exponent, u, channels)[0]
 
 
 #: Function kind name (the JSON "kind") -> class.
@@ -473,9 +462,6 @@ class ChannelView(abc.Sequence):
         return tuple(self) == tuple(other)
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ChannelView({tuple(self)!r})"
 
 
 def _same_columns(a: tuple, b) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from .characterize import CONVERGED, FLAGS, INDETERMINATE, ChannelTable, DegreeReport, DivisorReport
 from .core import Circulant
 from .functions import FUNCTION_KINDS, CircFunction, CircPoly
-from .solver import SolutionSet
+from .solver import KINDS, SolutionSet
 
 
 class SchemaError(ValueError):
@@ -124,17 +124,20 @@ def function_from_obj(obj: Any, field: str = "function") -> CircFunction:
 
 
 def solution_set_to_obj(s: SolutionSet) -> dict:
-    channels = []
-    for r in s.channel_reports:
-        channels.append(
-            {
-                "channel": r.channel,
-                "kind": r.kind,
-                "effective_degree": r.effective_degree,
-                "roots": _pairs(r.roots),
-                "multiplicities": list(r.multiplicities),
-            }
-        )
+    t = s.table
+    roots = _pairs(t.roots)
+    mults = t.multiplicities.tolist()
+    offsets = t.offsets.tolist()
+    channels = [
+        {
+            "channel": i + 1,
+            "kind": KINDS[min(degree, 1) + 1],
+            "effective_degree": degree if degree >= 0 else None,
+            "roots": roots[lo:hi],
+            "multiplicities": mults[lo:hi],
+        }
+        for i, (degree, lo, hi) in enumerate(zip(t.degrees.tolist(), offsets, offsets[1:]))
+    ]
     return {
         "status": s.status.value,
         "roots": [circulant_to_obj(r) for r in s.roots],

@@ -50,8 +50,9 @@ root unpickles to a copy of its row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from .errors import (
     RecombinationLimitError,
     SolverError,
 )
-from .functions import COEFFICIENT_REL_TOL, CircPoly, polyval_with_scale
+from .functions import COEFFICIENT_REL_TOL, ChannelView, CircPoly, _same_columns, polyval_with_scale
 from .spectral import forward_rows, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
@@ -109,14 +110,56 @@ class ChannelReport:
     multiplicities: tuple[int, ...] = ()
 
 
+#: Channel kind by effective degree: -1 (identically zero), 0, or above.
+KINDS = ("identically-zero", "nonzero-constant", "roots")
+
+
+class ChannelRoots(NamedTuple):
+    """Per-channel outcome of a solve as arrays over the d channels.
+
+    ``degrees`` holds each channel's effective degree, -1 where it is
+    identically zero; it also gives the kind, ``KINDS[min(degree, 1) + 1]``.
+    The distinct roots are in CSR form: those of channel i are
+    ``roots[offsets[i]:offsets[i + 1]]`` with the multiplicities in the same
+    slice of ``multiplicities``.  Every array is read-only.
+    """
+
+    degrees: np.ndarray
+    offsets: np.ndarray
+    roots: np.ndarray
+    multiplicities: np.ndarray
+
+    __eq__ = _same_columns
+    __ne__ = lambda self, other: not _same_columns(self, other)  # noqa: E731
+    __hash__ = None
+
+    def channel(self, i: int) -> ChannelReport:
+        """The report of 0-based channel ``i``."""
+        degree = int(self.degrees[i])
+        if degree < 1:
+            return ChannelReport(i + 1, KINDS[degree + 1], None if degree < 0 else 0)
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return ChannelReport(
+            channel=i + 1,
+            kind="roots",
+            effective_degree=degree,
+            roots=tuple(self.roots[lo:hi].tolist()),
+            multiplicities=tuple(self.multiplicities[lo:hi].tolist()),
+        )
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     status: SolutionStatus
     roots: tuple[Circulant, ...]
     residuals: tuple[float, ...]
-    channel_reports: tuple[ChannelReport, ...]
+    table: ChannelRoots
     free_channels: tuple[int, ...] = ()  # 1-based, infinite families only
-    _fixed_spectra: tuple[tuple[complex, ...], ...] = field(default=(), repr=False)
+
+    @property
+    def channel_reports(self) -> ChannelView:
+        """The table as ChannelReport records, built on access."""
+        return ChannelView(self.table.channel, self.table.degrees.size)
 
     def sample_members(self, count: int, seed: int = 0, magnitude: float = 1.0) -> list[Circulant]:
         """Materialize concrete members of an infinite family.
@@ -130,15 +173,15 @@ class SolutionSet:
         """
         if self.status is not SolutionStatus.INFINITE_FAMILY:
             raise ValueError("sampling applies to infinite families only")
-        free = np.array(self.free_channels, dtype=np.intp) - 1
-        fixed = np.setdiff1d(np.arange(free.size + len(self._fixed_spectra)), free)
-        sizes = [len(s) for s in self._fixed_spectra]
+        t = self.table
+        free = np.flatnonzero(t.degrees < 0)
+        fixed = np.flatnonzero(t.degrees > 0)
+        sizes = np.diff(t.offsets)[fixed].tolist()
         total = math.prod(sizes)  # a Python int: it may exceed int64
         index = np.arange(count)
         digits = _mixed_radix_digits(index if total > count else index % total, sizes)
-        grid = np.empty((count, free.size + fixed.size), dtype=np.complex128)
-        for channel, values, k in zip(fixed, self._fixed_spectra, digits):
-            grid[:, channel] = np.array(values)[k]
+        grid = np.empty((count, t.degrees.size), dtype=np.complex128)
+        grid[:, fixed] = t.roots[t.offsets[fixed] + np.array(digits, dtype=np.intp).reshape(-1, count).T]
         draws = np.random.default_rng(seed).standard_normal((count, free.size, 2))
         grid[:, free] = magnitude * draws.view(np.complex128)[:, :, 0]
         return Circulant._of_rows(inverse_rows(grid))
@@ -189,23 +232,27 @@ def solve_scalar_poly(
     c = c[lead:]
     if c.size == 1:
         raise DegeneratePolynomialError("constant polynomial has no roots")
-    result = _solve_monic_rows((c / c[0])[None], tol, max_iter)[0]
-    if isinstance(result, SolverError):
-        raise result
-    return result
+    roots, mults, iterations, residuals, errors = _solve_monic_rows((c / c[0])[None], tol, max_iter)
+    if errors:
+        raise errors[0]
+    count = np.count_nonzero(mults[0])
+    return ScalarRoots(roots[0, :count], mults[0, :count], int(iterations[0]), float(residuals[0]))
 
 
-def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int) -> list[ScalarRoots | SolverError]:
-    """Roots of each row of ``monic``, shape (m, n + 1) with n >= 1, or the
-    row's SolverError.
+def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
+    """Roots of each row of ``monic``, shape (m, n + 1) with n >= 1.
 
-    Rows run in blocks whose (rows, n, n) temporaries hold about
-    ``BLOCK_ENTRIES`` entries.  Every step acts on a row exactly as it would
-    on that row alone, so the results do not depend on the grouping.
+    Returns arrays over the rows: the distinct roots (m, n), each row's k
+    distinct roots first, then copies of its first; their multiplicities
+    (m, n), zero past the k-th; the iteration counts; the largest residuals;
+    and a dict of the SolverError of each row that failed.  Rows run in
+    blocks whose (rows, n, n) temporaries hold about ``BLOCK_ENTRIES``
+    entries.  Every step acts on a row exactly as it would on that row
+    alone, so the results do not depend on the grouping.
     """
     n = monic.shape[1] - 1
     step = max(1, BLOCK_ENTRIES // (n * n))
-    results: list[ScalarRoots | SolverError] = []
+    blocks, errors = [], {}
     for start in range(0, monic.shape[0], step):
         block = monic[start : start + step]
         roots, iterations, failures = _aberth(block, max_iter)
@@ -214,25 +261,13 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int) -> list[Scal
         values, scales = polyval_with_scale(block.T[:, :, None], distinct)
         max_residuals = np.max(np.abs(values), axis=1)
         rejected = ~np.all(np.abs(values) <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
-        for i, mult in enumerate(mults):
-            if i in failures:
-                results.append(failures[i])
-            elif rejected[i]:
-                results.append(
-                    SolverError(
-                        f"root residual {max_residuals[i]:.3e} exceeds tolerance {tol:.1e} after polishing"
-                    )
-                )
-            else:
-                results.append(
-                    ScalarRoots(
-                        roots=distinct[i, : mult.size],
-                        multiplicities=mult,
-                        iterations=int(iterations[i]),
-                        max_residual=float(max_residuals[i]),
-                    )
-                )
-    return results
+        for i in np.flatnonzero(rejected).tolist():
+            errors[start + i] = SolverError(
+                f"root residual {max_residuals[i]:.3e} exceeds tolerance {tol:.1e} after polishing"
+            )
+        errors.update((start + i, error) for i, error in failures.items())
+        blocks.append((distinct, mults, iterations, max_residuals))
+    return (*(np.concatenate(parts) for parts in zip(*blocks)), errors)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -330,12 +365,12 @@ def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(better, stepped, roots)
 
 
-def _cluster_roots(roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _cluster_roots(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct roots of each row in lexicographic order, with multiplicities.
 
     Row i of the returned matrix starts with the row's k_i distinct roots and
-    is padded with copies of the first; entry i of the list holds their k_i
-    multiplicities.  If no sorted root lies within twice the clustering width
+    is padded with copies of the first; row i of the multiplicity matrix
+    holds their k_i multiplicities, then zeros.  If no sorted root lies within twice the clustering width
     of an earlier one, the greedy running-mean loop keeps every root as its
     own group, whose mean is the root itself, so only rows with a close pair
     run the loop.  The factor 2 covers rounding differences between this
@@ -349,13 +384,14 @@ def _cluster_roots(roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     close = np.any(np.tril(gap <= width[:, None, :], -1), axis=(1, 2))
     distinct = (roots + 0.0) / 1  # np.mean of a one-root group, bit for bit
     distinct = distinct[rows, np.lexsort((distinct.imag, distinct.real))]
-    mults = list(np.ones(roots.shape, dtype=np.intp))
+    mults = np.ones(roots.shape, dtype=np.intp)
     for i in np.flatnonzero(close):
         centers, mult = _greedy_clusters(roots[i])
         order = np.lexsort((centers.imag, centers.real))
         distinct[i, : centers.size] = centers[order]
         distinct[i, centers.size :] = centers[order[0]]
-        mults[i] = mult[order]
+        mults[i, : centers.size] = mult[order]
+        mults[i, centers.size :] = 0
     return distinct, mults
 
 
@@ -423,74 +459,57 @@ def solve_circ_poly(
         cm = p.channel_matrix()
     if not np.all(np.isfinite(cm)):
         raise ValueError("polynomial coefficients must be finite")
-    scale = float(np.max(np.abs(cm)))
     degrees = p.channel_degrees()
-    scalars: dict[int, ScalarRoots | SolverError] = {}
+    counts = np.zeros(p.d, dtype=np.intp)
+    groups, errors = [], {}
     for k in sorted(set(degrees[degrees > 0].tolist())):
         channels = np.flatnonzero(degrees == k)
         coeffs = cm[cm.shape[0] - 1 - k :, channels].T
-        solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER)
-        scalars.update(zip(channels.tolist(), solved))
-    failed = [i for i, r in scalars.items() if isinstance(r, SolverError)]
-    if failed:
-        first = min(failed)
-        raise SolverError(f"channel {first + 1}: {scalars[first]}") from scalars[first]
+        distinct, mults, _, _, failed = _solve_monic_rows(coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER)
+        errors.update((int(channels[i]), error) for i, error in failed.items())
+        counts[channels] = np.count_nonzero(mults, axis=1)
+        groups.append((channels, distinct, mults))
+    if errors:
+        first = min(errors)
+        raise SolverError(f"channel {first + 1}: {errors[first]}") from errors[first]
 
-    reports: list[ChannelReport] = []
-    per_channel_roots: list[np.ndarray] = []
-    zero_channels: list[int] = []
-    constant_channels: list[int] = []
-    for i, degree in enumerate(degrees.tolist()):
-        if degree < 0:
-            reports.append(ChannelReport(channel=i + 1, kind="identically-zero"))
-            zero_channels.append(i + 1)
-        elif degree == 0:
-            reports.append(ChannelReport(channel=i + 1, kind="nonzero-constant", effective_degree=0))
-            constant_channels.append(i + 1)
-        else:
-            scalar = scalars[i]
-            reports.append(
-                ChannelReport(
-                    channel=i + 1,
-                    kind="roots",
-                    effective_degree=degree,
-                    roots=tuple(scalar.roots.tolist()),
-                    multiplicities=tuple(scalar.multiplicities.tolist()),
-                )
-            )
-            per_channel_roots.append(scalar.roots)
+    # The distinct roots of every channel in CSR form, in channel order.
+    offsets = np.zeros(p.d + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    roots_csr = np.empty(offsets[-1], dtype=np.complex128)
+    mults_csr = np.empty(offsets[-1], dtype=np.intp)
+    for channels, distinct, mults in groups:
+        kept = mults > 0
+        slots = (offsets[channels, None] + np.arange(mults.shape[1]))[kept]
+        roots_csr[slots], mults_csr[slots] = distinct[kept], mults[kept]
+    for array in (offsets, roots_csr, mults_csr):
+        array.flags.writeable = False
+    table = ChannelRoots(degrees, offsets, roots_csr, mults_csr)
 
-    if constant_channels:
-        return SolutionSet(
-            status=SolutionStatus.NO_SOLUTION,
-            roots=(),
-            residuals=(),
-            channel_reports=tuple(reports),
-        )
+    if np.any(degrees == 0):
+        return SolutionSet(status=SolutionStatus.NO_SOLUTION, roots=(), residuals=(), table=table)
 
-    if zero_channels:
-        fixed = tuple(tuple(r.roots) for r in reports if r.kind == "roots")
+    if np.any(degrees < 0):
         return SolutionSet(
             status=SolutionStatus.INFINITE_FAMILY,
             roots=(),
             residuals=(),
-            channel_reports=tuple(reports),
-            free_channels=tuple(zero_channels),
-            _fixed_spectra=fixed,
+            table=table,
+            free_channels=tuple((np.flatnonzero(degrees < 0) + 1).tolist()),
         )
 
-    sizes = [r.size for r in per_channel_roots]
+    sizes = counts.tolist()
     count = math.prod(sizes)
     if count > recombination_limit:
         raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
 
     coeff_rows = [c.row for c in p.coeffs]
-    floor = max(1.0, scale)
+    floor = max(1.0, p._scale)  # the largest spectral coefficient modulus
     roots: list[Circulant] = []
     residuals: list[float] = []
     for start in range(0, count, RECOMBINE_CHUNK):
         digits = _mixed_radix_digits(np.arange(start, min(start + RECOMBINE_CHUNK, count)), sizes)
-        grid = np.column_stack([r[k] for r, k in zip(per_channel_roots, digits)])
+        grid = roots_csr[offsets[:-1] + np.column_stack(digits)]
         rows = inverse_rows(grid)
         magnitudes, scales, norms = _channel_residuals(cm, rows)
         bounds = tol * np.maximum(scales, floor)
@@ -516,5 +535,5 @@ def solve_circ_poly(
         status=SolutionStatus.FINITE,
         roots=tuple(roots),
         residuals=tuple(residuals),
-        channel_reports=tuple(reports),
+        table=table,
     )

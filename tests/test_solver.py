@@ -100,9 +100,9 @@ class TestScalarRoots:
 
     def test_nan_residual_fails_the_row_gate(self):
         # A NaN root has a NaN residual, which compares False with any bound.
-        (result,) = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, 100)
-        assert isinstance(result, SolverError)
-        assert "root residual nan" in str(result)
+        *_, errors = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, 100)
+        assert list(errors) == [0] and isinstance(errors[0], SolverError)
+        assert "root residual nan" in str(errors[0])
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
