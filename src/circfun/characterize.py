@@ -71,8 +71,8 @@ class PathSpec:
             raise ValueError("direction entries must have unit modulus")
         if scales.ndim != 1 or scales.size < 4:
             raise ValueError("need at least 4 scale points")
-        if not np.all(np.isfinite(scales)):
-            raise ValueError("scales must be finite")
+        if not (np.all(np.isfinite(scales)) and math.isfinite(float(scales[-1]) * direction.size)):
+            raise ValueError("scales must be finite, and so must the largest times d")
         if np.any(scales <= 0) or np.any(np.diff(scales) <= 0):
             raise ValueError("scales must be positive and strictly increasing")
         direction.flags.writeable = False
@@ -106,7 +106,8 @@ class PathSpec:
 
         The irrational phase step keeps channels away from coincidental
         alignment with real-axis zeros or poles.  Requires finite scales
-        with 0 < t_min < t_max.
+        with 0 < t_min < t_max and a finite t_max * d, the largest modulus
+        a scan point's transform can take.
 
         Memoized on the argument tuple, 16 paths at most: a call with the
         same arguments returns the same read-only path, and its scan points
@@ -115,8 +116,8 @@ class PathSpec:
         """
         if not (math.isfinite(t_min) and t_min > 0):
             raise ValueError(f"t_min must be finite and positive, got {t_min}")
-        if not (math.isfinite(t_max) and t_max > t_min):
-            raise ValueError(f"t_max must be finite and greater than t_min, got {t_max}")
+        if not (math.isfinite(float(t_max) * d) and t_max > t_min):
+            raise ValueError(f"t_max must be finite and greater than t_min, with t_max * d finite, got {t_max}")
         phases = 2 * np.pi * _GOLDEN_FRACTION * np.arange(d)
         direction = np.exp(1j * phases)
         scales = np.geomspace(t_min, t_max, points)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import warnings
 
 import numpy as np
@@ -15,7 +16,8 @@ from circfun import (
     RationalFunction,
 )
 from circfun import characterize
-from circfun.characterize import DIVERGED, ChannelTable, _analyze_sequence, _scan
+from circfun.characterize import DIVERGED, ChannelEstimate, ChannelTable, _analyze_sequence, _scan
+from circfun.serialize import _channel_estimates_to_obj, complex_to_pair
 from circfun.spectral import forward_rows, from_spectrum, inverse_rows, spectrum
 from circfun.testkit import (
     dense_conjugate,
@@ -103,6 +105,7 @@ class TestPathSpec:
             ([1, np.inf], [1e3, 1e4, 1e5, 1e6], "direction"),
             ([1, 1j], [1e3, np.nan, 1e5, 1e6], "scales"),
             ([1, 1j], [1e3, 1e4, 1e5, np.inf], "scales"),
+            ([1, 1j], [1e3, 1e4, 1e5, 1e308], "scales"),  # 2e308 overflows
         ],
     )
     def test_rejects_non_finite_entries(self, direction, scales, field):
@@ -124,6 +127,7 @@ class TestPathSpec:
             (1e3, np.inf, "t_max"),
             (1e9, 1e8, "t_max"),
             (1e3, 1e3, "t_max"),
+            (1e3, 1e308, "t_max"),  # t_max * d overflows
         ],
     )
     def test_default_rejects_bad_scale_bounds(self, t_min, t_max, field):
@@ -131,6 +135,15 @@ class TestPathSpec:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{field} "):
                 PathSpec.default(2, t_min=t_min, t_max=t_max)
+
+    def test_default_bounds_t_max_by_the_order(self):
+        # 1e305 is fine at d = 2 but not at d = 10^4, where a scan point's
+        # transform can reach 1e309.
+        assert PathSpec.default(2, t_max=1e305).scales[-1] == 1e305
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^t_max .* t_max \\* d finite"):
+                PathSpec.default(10**4, t_max=1e305)
 
 
 class TestPathMemo:
@@ -520,3 +533,177 @@ class TestDetectPolyDegree:
         report = cf.detect_poly_degree(f)
         assert not report.is_polynomial
         assert report.degree is None
+
+
+def parent_analyze(scales, values):
+    """Per-column lists (k, converged, refined, final error), as the
+    per-channel object form computed them before reports became tables."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        refined = characterize._richardson(scales[:, None], values)
+        final = refined[-1]
+        usable = np.all(np.isfinite(values), axis=0) & np.isfinite(final)
+        k = np.rint(np.where(usable, final.real, 0.0))
+        tail = np.abs(refined[-3:] - k)
+        within = np.all(tail <= characterize.ROUND_TOL, axis=0) & (
+            np.abs(final.imag) <= characterize.ROUND_TOL
+        )
+        floor = characterize.NOISE_FLOOR
+        shrinking = ((tail[1] <= tail[0] * 1.5) | (tail[1] <= floor)) & (
+            (tail[2] <= tail[1] * 1.5) | (tail[2] <= floor)
+        )
+    columns = refined.T.tolist()
+    for j in np.flatnonzero(~usable):
+        columns[j] = values[:, j].tolist()
+    ok = (usable & within & shrinking).tolist()
+    ks = [int(v) if c else None for v, c in zip(k.tolist(), ok)]
+    errors = [e if c else None for e, c in zip(tail[2].tolist(), usable.tolist())]
+    return ks, ok, columns, errors
+
+
+def parent_records(d, live, scales, values):
+    """One ChannelEstimate per channel, built eagerly from the scan's
+    estimates of the ``live`` channels: the reference for the records a
+    report's table builds on access."""
+    ks, ok, refined, errors = parent_analyze(scales, values)
+    records = [ChannelEstimate(i + 1, "indeterminate", None, (), (), None) for i in range(d)]
+    for j, (i, seq) in enumerate(zip(live.tolist(), values.T.tolist())):
+        records[i] = ChannelEstimate(
+            channel=i + 1,
+            flag="converged" if ok[j] else "diverged",
+            k=ks[j],
+            estimates=tuple(seq),
+            refined=tuple(refined[j]),
+            final_error=errors[j],
+        )
+    return records
+
+
+def parent_channels_json(records):
+    """The channel JSON the per-channel object form wrote."""
+    return json.dumps(
+        [
+            {
+                "channel": c.channel,
+                "flag": c.flag,
+                "k": c.k,
+                "final_estimate": complex_to_pair(c.refined[-1]) if c.refined else None,
+                "final_error": c.final_error,
+                "estimates": [complex_to_pair(z) for z in c.estimates],
+            }
+            for c in records
+        ]
+    )
+
+
+def zero_channel(p: CircPoly, channel: int) -> CircPoly:
+    """``p`` with one eigenchannel zeroed in every coefficient."""
+    cm = np.array(p.channel_matrix())
+    cm[:, channel] = 0.0
+    return CircPoly([from_spectrum(row) for row in cm])
+
+
+class TestChannelRecords:
+    """Reports store arrays over channels; their ``channels`` records,
+    built on access, equal the eagerly built ones field by field, bit for
+    bit, and so does the JSON written from the arrays."""
+
+    KINDS = (
+        "divisor",
+        "divisor_degenerate",
+        "degree_poly",
+        "degree_exppoly",
+        "zero_bound_match",
+        "zero_bound_mismatch",
+    )
+
+    @staticmethod
+    def estimate(rng, d, kind):
+        """One instance of each kind the characterize benchmark runs, and
+        the witness function of the zero-bound kinds."""
+        s = 1.0 / np.sqrt(d)
+        p, q, g = (random_regular_poly(rng, d, n, s) for n in (3, 1, 1))
+        if kind == "divisor":
+            return cf.estimate_divisor, RationalFunction(p, q), None
+        if kind == "divisor_degenerate":
+            return cf.estimate_divisor, RationalFunction(zero_channel(p, d // 2), q), None
+        if kind == "degree_poly":
+            return cf.detect_poly_degree, PolyFunction(p), None
+        f = ExpPolyFunction(p, g)
+        if kind == "degree_exppoly":
+            return cf.detect_poly_degree, f, None
+        witness = g.coeffs[0] if kind == "zero_bound_match" else g.coeffs[0] + random_invertible_circulant(rng, d)
+        return functools.partial(cf.entire_zero_bound, q_entire=PolyFunction(CircPoly([witness]))), f, witness
+
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_records_equal_eager_records(self, rng, d, kind):
+        estimate, f, witness = self.estimate(rng, d, kind)
+        report = estimate(f)
+        path = PathSpec.default(d)
+        live = np.flatnonzero(~f.degenerate_channels())
+        qfun = None if witness is None else PolyFunction(CircPoly([witness])).channel_values
+        values, retries = _scan(f, path, qfun, live)
+        expected = parent_records(d, live, path.scales, values)
+        assert report.retries_used == retries
+        assert len(report.channels) == d
+        assert [repr(c) for c in report.channels] == [repr(c) for c in expected]  # -0.0 and types too
+        assert tuple(report.channels) == tuple(expected)
+        assert json.dumps(_channel_estimates_to_obj(report.table)) == parent_channels_json(expected)
+        flags = {c.flag for c in report.channels}
+        if kind == "divisor_degenerate":
+            assert report.channels[d // 2].flag == "indeterminate"
+        if kind in ("degree_exppoly", "zero_bound_mismatch"):
+            assert "diverged" in flags
+
+    def test_every_flag_in_one_report(self, monkeypatch):
+        # A scan stand-in hands back converged, diverged, non-finite and
+        # overflowing columns; channel 3 of 6 is degenerate.
+        d = 6
+        p = CircPoly([cf.identity(d), cf.ones(d)])
+        f = RationalFunction(zero_channel(p, 2), CircPoly([cf.identity(d)]))
+        path = PathSpec.default(d)
+        t = path.scales
+        block = np.stack(
+            [2.0 + 3.7 / t, t, np.full(t.size, np.nan), 1e300 * t / t[0], -1.0 + 0.3j / t],
+            axis=1,
+        ).astype(complex)
+        monkeypatch.setattr(characterize, "_scan", lambda f, path, qfun, live: (block, 0))
+        report = cf.estimate_divisor(f)
+        live = np.flatnonzero(~f.degenerate_channels())
+        expected = parent_records(d, live, t, block)
+        assert [c.flag for c in expected] == [
+            "converged", "diverged", "indeterminate", "diverged", "diverged", "converged",
+        ]
+        assert [repr(c) for c in report.channels] == [repr(c) for c in expected]
+        assert json.dumps(_channel_estimates_to_obj(report.table)) == parent_channels_json(expected)
+        assert (report.status, report.k, report.bounds_ok) == ("not-rational", None, False)
+
+    def test_view_indexes_like_a_tuple(self, rng):
+        report = cf.estimate_divisor(reciprocal(5))
+        records = tuple(report.channels)
+        view = report.channels
+        assert view[-1] == records[-1] and view[1:4] == records[1:4] and view[::-2] == records[::-2]
+        assert view == records and view == report.channels and list(view) == list(records)
+        with pytest.raises(IndexError):
+            view[5]
+        with pytest.raises(IndexError):
+            view[-6]
+        with pytest.raises(TypeError):
+            hash(view)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_fields_are_scalars_or_tuples(self, rng, kind):
+        # vars() holds no array, every field but the tuples is a plain scalar,
+        # and == on two equal reports is True without asking numpy for the
+        # truth of an array.
+        estimate, f, _ = self.estimate(rng, 8, kind)
+        report, again = estimate(f), estimate(f)
+        fields = vars(report)
+        assert not any(isinstance(v, np.ndarray) for v in fields.values())
+        for name, value in fields.items():
+            if not isinstance(value, tuple):
+                assert type(value) in (bool, int, float, str, type(None)), name
+        assert isinstance(report.table, tuple) and all(isinstance(a, np.ndarray) for a in report.table)
+        assert all(not a.flags.writeable for a in report.table)
+        assert report == again and not (report != again)
+        assert report.table != report.table._replace(flag=report.table.flag + 1)

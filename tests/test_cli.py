@@ -166,7 +166,12 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("command", ["divisor", "degree"])
     @pytest.mark.parametrize(
         "flags, field",
-        [(["--t-min", "nan"], "t_min"), (["--t-max", "inf"], "t_max"), (["--t-min", "-5"], "t_min")],
+        [
+            (["--t-min", "nan"], "t_min"),
+            (["--t-max", "inf"], "t_max"),
+            (["--t-min", "-5"], "t_min"),
+            (["--t-max", "1e308"], "t_max"),  # finite, but the scan points overflow at d = 2
+        ],
     )
     def test_bad_path_scale_names_field(self, capsys, command, flags, field):
         # Checked before any scale is computed: no output, no numpy warning.

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 
 import numpy as np
@@ -13,6 +14,7 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
+from circfun.serialize import complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
 
@@ -492,3 +494,90 @@ class TestZeroCopyRoots:
             assert not member.row.flags.writeable
             with pytest.raises(ValueError):
                 member.row.flags.writeable = True
+
+
+def plant_channel(p: CircPoly, channel: int, keep_constant: bool) -> CircPoly:
+    """``p`` with one eigenchannel zeroed in every coefficient, or in all but
+    the constant one."""
+    cm = np.array(p.channel_matrix())
+    cm[: -1 if keep_constant else None, channel] = 0.0
+    return CircPoly([cf.from_spectrum(row) for row in cm])
+
+
+def eager_reports(p: CircPoly) -> list:
+    """One ChannelReport per channel, each channel solved alone: the
+    reference for the records a solution set's table builds on access."""
+    cm, reports = p.channel_matrix(), []
+    for i, degree in enumerate(p.channel_degrees().tolist()):
+        if degree < 0:
+            reports.append(solver.ChannelReport(channel=i + 1, kind="identically-zero"))
+        elif degree == 0:
+            reports.append(solver.ChannelReport(channel=i + 1, kind="nonzero-constant", effective_degree=0))
+        else:
+            alone = cf.solve_scalar_poly(cm[cm.shape[0] - 1 - degree :, i], tol=1e-8)
+            reports.append(
+                solver.ChannelReport(
+                    channel=i + 1,
+                    kind="roots",
+                    effective_degree=degree,
+                    roots=tuple(alone.roots.tolist()),
+                    multiplicities=tuple(alone.multiplicities.tolist()),
+                )
+            )
+    return reports
+
+
+class TestChannelRecords:
+    """A solution set stores its channels as arrays (degrees and CSR roots);
+    its ``channel_reports``, built on access, equal eagerly built reports
+    field by field, bit for bit, and so does the JSON written from the
+    arrays."""
+
+    @pytest.mark.parametrize("d, n", [(16, 8), (32, 8), (16, 20), (64, 8)])
+    @pytest.mark.parametrize("keep_constant", [False, True])
+    def test_reports_equal_eager_reports(self, rng, d, n, keep_constant):
+        # The solve-channels benchmark's instances: an infinite family, or no
+        # solution when the planted channel keeps its constant.
+        channel = int(rng.integers(d))
+        p = plant_channel(random_regular_poly(rng, d, n, 1.0 / np.sqrt(d)), channel, keep_constant)
+        sol = cf.solve_circ_poly(p)
+        expected = eager_reports(p)
+        assert sol.channel_reports[channel].kind == ("nonzero-constant" if keep_constant else "identically-zero")
+        assert [repr(r) for r in sol.channel_reports] == [repr(r) for r in expected]
+        assert tuple(sol.channel_reports) == tuple(expected)
+        assert json.dumps(solution_set_to_obj(sol)["channels"]) == json.dumps(
+            [
+                {
+                    "channel": r.channel,
+                    "kind": r.kind,
+                    "effective_degree": r.effective_degree,
+                    "roots": [complex_to_pair(z) for z in r.roots],
+                    "multiplicities": list(r.multiplicities),
+                }
+                for r in expected
+            ]
+        )
+
+    def test_finite_roots_recombine_the_records(self, rng):
+        p, _ = integer_rooted_poly(rng, 3, 2)
+        sol = cf.solve_circ_poly(p)
+        reports = tuple(sol.channel_reports)
+        assert reports == tuple(eager_reports(p))
+        combos = itertools.product(*(r.roots for r in reports))
+        for root, combo in zip(sol.roots, combos):
+            np.testing.assert_allclose(cf.spectrum(root), combo, rtol=0, atol=1e-12)
+
+    def test_every_channel_free(self):
+        sol = cf.solve_circ_poly(CircPoly([cf.zero(3), cf.zero(3)]))
+        assert sol.status is SolutionStatus.INFINITE_FAMILY and sol.free_channels == (1, 2, 3)
+        assert sol.table.offsets.tolist() == [0, 0, 0, 0]
+        members = sol.sample_members(4, seed=2)
+        draws = np.random.default_rng(2).standard_normal((4, 3, 2)).view(np.complex128)[:, :, 0]
+        np.testing.assert_allclose([cf.spectrum(m) for m in members], draws, rtol=0, atol=1e-12)
+
+    def test_vars_hold_no_array(self, rng):
+        p = plant_channel(random_regular_poly(rng, 8, 3), 2, keep_constant=False)
+        sol, again = cf.solve_circ_poly(p), cf.solve_circ_poly(p)
+        assert not any(isinstance(v, np.ndarray) for v in vars(sol).values())
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in sol.table)
+        assert sol == again and not (sol != again)
