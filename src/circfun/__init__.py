@@ -1,11 +1,12 @@
 """Function calculus over the commutative ring of complex circulant matrices."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Circulant,
     add,
     elementary,
     frobenius_norm,
-    from_row,
     identity,
     mul,
     mul_fft,
@@ -44,8 +45,6 @@ from .functions import (
     IncrementSpec,
     PolyFunction,
     RationalFunction,
-    ScalarPoly,
-    channel_polys,
     classify,
     numeric_derivative,
 )
@@ -67,57 +66,6 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circulant",
-    "CircFunction",
-    "CircPoly",
-    "ChannelSingularityError",
-    "CircfunError",
-    "Classification",
-    "DegeneratePolynomialError",
-    "DegreeReport",
-    "DimensionError",
-    "DivisorReport",
-    "ExpPolyFunction",
-    "IncrementSpec",
-    "InvalidIncrementError",
-    "PathSpec",
-    "PolyFunction",
-    "RationalFunction",
-    "RecombinationLimitError",
-    "ScalarPoly",
-    "ScalarRoots",
-    "SolutionSet",
-    "SolutionStatus",
-    "SolverError",
-    "ZeroBoundReport",
-    "add",
-    "channel_polys",
-    "classify",
-    "detect_poly_degree",
-    "elementary",
-    "entire_zero_bound",
-    "estimate_divisor",
-    "frobenius_norm",
-    "from_row",
-    "from_spectrum",
-    "fourier_matrix",
-    "identity",
-    "is_invertible",
-    "logderiv_diag",
-    "mul",
-    "mul_fft",
-    "mul_naive",
-    "neg",
-    "numeric_derivative",
-    "ones",
-    "power",
-    "pseudoinverse",
-    "residual",
-    "scale",
-    "solve_circ_poly",
-    "solve_scalar_poly",
-    "spectrum",
-    "to_dense",
-    "zero",
-]
+#: The names imported above, so that the import lists are the one record
+#: of the public API; the submodules themselves are not listed.
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

@@ -30,7 +30,6 @@ from .functions import (
     CircFunction,
     PolyFunction,
     RationalFunction,
-    _derivative_rows,
     _same_columns,
     classify,
 )
@@ -166,20 +165,13 @@ class ChannelTable(NamedTuple):
 
     def channel(self, i: int) -> ChannelEstimate:
         """The record of 0-based channel ``i``."""
-        flag = int(self.flag[i])
+        flag, error = int(self.flag[i]), float(self.final_error[i])
         if flag == INDETERMINATE:
             return ChannelEstimate(i + 1, FLAGS[flag], None, (), (), None)
-        error = float(self.final_error[i])
         estimates = tuple(self.estimates[:, i].tolist())
-        usable = not math.isnan(error)
-        return ChannelEstimate(
-            channel=i + 1,
-            flag=FLAGS[flag],
-            k=int(self.k[i]) if flag == CONVERGED else None,
-            estimates=estimates,
-            refined=tuple(self.refined[:, i].tolist()) if usable else estimates,
-            final_error=error if usable else None,
-        )
+        refined = estimates if math.isnan(error) else tuple(self.refined[:, i].tolist())
+        k = int(self.k[i]) if flag == CONVERGED else None
+        return ChannelEstimate(i + 1, FLAGS[flag], k, estimates, refined, None if math.isnan(error) else error)
 
 
 class _ChannelRecords:
@@ -420,15 +412,11 @@ def entire_zero_bound(
 
     n = _common_limit(table)
     degree_check = None if n is None else _degree_cross_check(f, q_entire, n)
-    if n is None or degree_check is False:
-        return ZeroBoundReport(
-            matched=False, n=None, bound=None, table=table,
-            degree_check=degree_check, retries_used=retries,
-        )
+    matched = n is not None and degree_check is not False
     return ZeroBoundReport(
-        matched=True,
-        n=n,
-        bound=n**f.d,
+        matched=matched,
+        n=n if matched else None,
+        bound=n**f.d if matched else None,
         table=table,
         degree_check=degree_check,
         retries_used=retries,
@@ -440,15 +428,13 @@ def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool
     if not isinstance(q_entire, PolyFunction):
         return None
     g = f.parts().get("G")  # a polynomial is P exp(0)
-    g_prime = (
-        _derivative_rows(g.channel_matrix()) if g is not None else np.zeros((1, f.d), dtype=np.complex128)
-    )
-    q_cm = q_entire.poly.channel_matrix()
-    rows = max(q_cm.shape[0], g_prime.shape[0])
-    q_pad = np.vstack([np.zeros((rows - q_cm.shape[0], f.d)), q_cm])
-    g_pad = np.vstack([np.zeros((rows - g_prime.shape[0], f.d)), g_prime])
-    scale = max(float(np.max(np.abs(q_pad))), float(np.max(np.abs(g_pad))), 1.0)
-    if np.max(np.abs(q_pad - g_pad)) > 1e-9 * scale:
+    gm = g.channel_matrix() if g is not None else np.zeros((1, f.d))
+    qm = q_entire.poly.channel_matrix()
+    rows = max(qm.shape[0], gm.shape[0] - 1)
+    pads = np.zeros((2, rows, f.d), dtype=np.complex128)  # the witness and G', below leading zeros
+    pads[0, rows - qm.shape[0] :] = qm
+    pads[1, rows - gm.shape[0] + 1 :] = gm[:-1] * np.arange(gm.shape[0] - 1, 0, -1)[:, None]
+    if np.max(np.abs(pads[0] - pads[1])) > 1e-9 * max(float(np.max(np.abs(pads))), 1.0):
         return None
     return n == f.parts()["P"].degree
 

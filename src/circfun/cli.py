@@ -153,10 +153,7 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         document, code = _HANDLERS[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CircfunError, ValueError, TypeError) as exc:
+    except (CircfunError, ValueError, TypeError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_document(args.output, document)

@@ -12,7 +12,6 @@ argument.  A finite-difference variant is provided for cross-validation.
 
 from __future__ import annotations
 
-import operator
 from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -164,15 +163,6 @@ def polyval_with_scale(coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
         value = value * u + row
         scl = scl * absu + np.abs(row)
     return value, scl
-
-
-def _derivative_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient rows of the formal derivative (leading first)."""
-    n = coeffs.shape[0] - 1
-    if n == 0:
-        return np.zeros_like(coeffs[:1])
-    powers = np.arange(n, 0, -1).reshape(-1, *([1] * (coeffs.ndim - 1)))
-    return coeffs[:-1] * powers
 
 
 class CircFunction:
@@ -375,29 +365,23 @@ FUNCTION_KINDS: dict[str, type[CircFunction]] = {
 }
 
 
-def _columns(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray]:
-    """The channel matrix and the points, restricted to ``channels`` if given.
-    ``u`` may carry a leading points axis: shape (d,) or (S, d)."""
-    cm = poly.channel_matrix()
-    if channels is None:
-        return cm, u
-    return cm[:, channels], u[..., channels]
-
-
 def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
-    """(P'(u), P(u), scale of P(u)) on the selected channels; the scale is
-    what :func:`_raise_on_zero` measures P(u) against.
+    """(P'(u), P(u), scale of P(u)) on the selected channels of ``u``, shape
+    (d,) or (S, d); the scale is what :func:`_raise_on_zero` measures P(u)
+    against.
 
     One in-place Horner pass computes all three: the derivative rows, behind
     a leading zero row, are stacked under the value rows, and |coefficients|
     is taken once.  The zero row leaves the derivative at exact zero, so
     each result equals :func:`polyval_with_scale` on its own rows bit for bit.
     """
-    cm, u = _columns(poly, u, channels)
+    cm = poly.channel_matrix()
+    if channels is not None:
+        cm, u = cm[:, channels], u[..., channels]
     n = cm.shape[0] - 1
     rows = np.zeros((n + 1, 2, cm.shape[1]), dtype=np.complex128)
     rows[:, 0] = cm
-    rows[1:, 1] = cm[:-1] * np.arange(n, 0, -1)[:, None]  # the rows of _derivative_rows
+    rows[1:, 1] = cm[:-1] * np.arange(n, 0, -1)[:, None]  # P' leading first
     rows = rows.reshape(n + 1, 2, *(1,) * (u.ndim - 1), -1)  # broadcast over a points axis
     magnitudes = np.abs(cm)
     absu = np.abs(u)
@@ -432,12 +416,13 @@ def _raise_on_zero(checks, channels=None) -> None:
 
 
 class ChannelView(abc.Sequence):
-    """Read-only sequence of the d per-channel records of a result whose
-    storage is arrays over channels: ``build(i)`` makes the record of 0-based
-    channel i on access.  A slice gives a tuple; a view equals a view or a
-    tuple of equal records."""
+    """Read-only sequence of the d channel records of a result stored as
+    arrays over channels: ``build(i)`` makes the record of 0-based channel i
+    on access.  A slice gives a tuple; a view equals a view or tuple of equal
+    records."""
 
     __slots__ = ("_build", "_size")
+    __hash__ = None
 
     def __init__(self, build: Callable[[int], object], size: int):
         self._build, self._size = build, size
@@ -446,28 +431,16 @@ class ChannelView(abc.Sequence):
         return self._size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._build, range(*index.indices(self._size))))
-        i = operator.index(index)
-        if not -self._size <= i < self._size:
-            raise IndexError("channel index out of range")
-        return self._build(i % self._size)
-
-    def __iter__(self):
-        return map(self._build, range(self._size))
+        channels = range(self._size)[index]  # IndexError out of range; a slice gives a range
+        return tuple(map(self._build, channels)) if isinstance(channels, range) else self._build(channels)
 
     def __eq__(self, other):
-        if not isinstance(other, (ChannelView, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None
+        return tuple(self) == tuple(other) if isinstance(other, (ChannelView, tuple)) else NotImplemented
 
 
 def _same_columns(a: tuple, b) -> bool:
-    """Equality of two tables of arrays over channels (NamedTuples of one
-    type): equal shapes and values, a NaN equal to a NaN.  Tuple equality
-    would ask numpy for the truth of an array."""
+    """Equality of two tables of arrays (NamedTuples of one type), NaN equal
+    to NaN: tuple equality would ask numpy for the truth of an array."""
     return type(a) is type(b) and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
 
 

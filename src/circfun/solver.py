@@ -135,17 +135,9 @@ class ChannelRoots(NamedTuple):
 
     def channel(self, i: int) -> ChannelReport:
         """The report of 0-based channel ``i``."""
-        degree = int(self.degrees[i])
-        if degree < 1:
-            return ChannelReport(i + 1, KINDS[degree + 1], None if degree < 0 else 0)
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return ChannelReport(
-            channel=i + 1,
-            kind="roots",
-            effective_degree=degree,
-            roots=tuple(self.roots[lo:hi].tolist()),
-            multiplicities=tuple(self.multiplicities[lo:hi].tolist()),
-        )
+        degree, lo, hi = int(self.degrees[i]), self.offsets[i], self.offsets[i + 1]
+        roots, mults = tuple(self.roots[lo:hi].tolist()), tuple(self.multiplicities[lo:hi].tolist())
+        return ChannelReport(i + 1, KINDS[min(degree, 1) + 1], None if degree < 0 else degree, roots, mults)
 
 
 @dataclass(frozen=True)
@@ -370,10 +362,10 @@ def _cluster_roots(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Row i of the returned matrix starts with the row's k_i distinct roots and
     is padded with copies of the first; row i of the multiplicity matrix
-    holds their k_i multiplicities, then zeros.  If no sorted root lies within twice the clustering width
-    of an earlier one, the greedy running-mean loop keeps every root as its
-    own group, whose mean is the root itself, so only rows with a close pair
-    run the loop.  The factor 2 covers rounding differences between this
+    holds their k_i multiplicities, then zeros.  If no sorted root lies
+    within twice the clustering width of an earlier one, the greedy
+    running-mean loop keeps every root as its own group, whose mean is the
+    root itself, so only rows with a close pair run the loop.  The factor 2 covers rounding differences between this
     distance and the loop's scalar ``abs``.
     """
     rows = np.arange(roots.shape[0])[:, None]
@@ -460,31 +452,26 @@ def solve_circ_poly(
     if not np.all(np.isfinite(cm)):
         raise ValueError("polynomial coefficients must be finite")
     degrees = p.channel_degrees()
-    counts = np.zeros(p.d, dtype=np.intp)
-    groups, errors = [], {}
+    width = max(int(degrees.max()), 0)
+    distinct = np.zeros((p.d, width), dtype=np.complex128)  # row i: channel i's roots, padded
+    mults = np.zeros((p.d, width), dtype=np.intp)  # zero past each channel's distinct roots
+    errors = {}
     for k in sorted(set(degrees[degrees > 0].tolist())):
         channels = np.flatnonzero(degrees == k)
         coeffs = cm[cm.shape[0] - 1 - k :, channels].T
-        distinct, mults, _, _, failed = _solve_monic_rows(coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER)
-        errors.update((int(channels[i]), error) for i, error in failed.items())
-        counts[channels] = np.count_nonzero(mults, axis=1)
-        groups.append((channels, distinct, mults))
+        solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER)
+        distinct[channels, :k], mults[channels, :k] = solved[:2]
+        errors.update((int(channels[i]), error) for i, error in solved[4].items())
     if errors:
         first = min(errors)
         raise SolverError(f"channel {first + 1}: {errors[first]}") from errors[first]
 
-    # The distinct roots of every channel in CSR form, in channel order.
-    offsets = np.zeros(p.d + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    roots_csr = np.empty(offsets[-1], dtype=np.complex128)
-    mults_csr = np.empty(offsets[-1], dtype=np.intp)
-    for channels, distinct, mults in groups:
-        kept = mults > 0
-        slots = (offsets[channels, None] + np.arange(mults.shape[1]))[kept]
-        roots_csr[slots], mults_csr[slots] = distinct[kept], mults[kept]
-    for array in (offsets, roots_csr, mults_csr):
+    # Row by row, the kept entries are the distinct roots in CSR form.
+    kept = mults > 0
+    counts = np.count_nonzero(kept, axis=1)
+    table = ChannelRoots(degrees, np.concatenate([[0], np.cumsum(counts)]), distinct[kept], mults[kept])
+    for array in table[1:]:
         array.flags.writeable = False
-    table = ChannelRoots(degrees, offsets, roots_csr, mults_csr)
 
     if np.any(degrees == 0):
         return SolutionSet(status=SolutionStatus.NO_SOLUTION, roots=(), residuals=(), table=table)
@@ -509,7 +496,7 @@ def solve_circ_poly(
     residuals: list[float] = []
     for start in range(0, count, RECOMBINE_CHUNK):
         digits = _mixed_radix_digits(np.arange(start, min(start + RECOMBINE_CHUNK, count)), sizes)
-        grid = roots_csr[offsets[:-1] + np.column_stack(digits)]
+        grid = table.roots[table.offsets[:-1] + np.column_stack(digits)]
         rows = inverse_rows(grid)
         magnitudes, scales, norms = _channel_residuals(cm, rows)
         bounds = tol * np.maximum(scales, floor)
