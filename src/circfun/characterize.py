@@ -12,6 +12,11 @@ nearest integer.
 For entire functions, subtracting a caller-supplied entire witness Q inside
 the limit (u_i (F_i'/F_i - q_i)) isolates the zero count n, bounding the
 solution count of F(Z) = 0 by n^d.
+
+A report is a table with one row per channel, stored as arrays over the
+channels in its ``table`` field (:class:`ChannelTable`); status, k and the
+checks are reduced from those arrays.  ``report.channels`` is a read-only
+view that builds a :class:`ChannelEstimate` per channel on access.
 """
 
 from __future__ import annotations

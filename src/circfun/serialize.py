@@ -4,6 +4,8 @@ Complex numbers serialize as two-element [re, im] arrays everywhere.  A
 circulant is {"d": int, "row": [[re, im], ...]}; a function is
 {"kind": "poly"|"rational"|"exppoly", "d": int, "P": [circulant, ...]} with
 "Q" (rational) or "G" (exppoly) as required, coefficient lists leading-first.
+The channel lists of solution sets and limit reports are written from the
+arrays of their tables in numpy passes, with no per-channel record object.
 """
 
 from __future__ import annotations

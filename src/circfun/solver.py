@@ -45,6 +45,11 @@ A verified chunk is also the storage of its roots: each root is a read-only
 view of one row of the chunk's (1024, d) array, wrapped without a copy.  A
 root kept alone keeps its chunk alive (about 196 KB at d = 12); a pickled
 root unpickles to a copy of its row.
+
+A solution set keeps its channels as arrays in ``table``
+(:class:`ChannelRoots`): the effective degrees, which give the kinds, and
+the distinct roots in CSR form.  Recombination and ``sample_members`` index
+those arrays; ``channel_reports`` builds a ChannelReport per channel on access.
 """
 
 from __future__ import annotations
