@@ -358,7 +358,7 @@ def estimate_divisor(
     n = num.degree
     m = den.degree if den is not None else 0
     ks = table.k[table.flag == CONVERGED]
-    # Some channel is defined, or the scan raised; so every defined one converged.
+    # The scan raised unless some channel is defined: with none diverged, every defined one converged.
     rational = not np.any(table.flag == DIVERGED)
     global_k = int(ks[0]) if rational and np.all(ks == ks[0]) else None
 
