@@ -464,9 +464,10 @@ def solve_circ_poly(
     for k in sorted(set(degrees[degrees > 0].tolist())):
         channels = np.flatnonzero(degrees == k)
         coeffs = cm[cm.shape[0] - 1 - k :, channels].T
-        solved = _solve_monic_rows(coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER)
-        distinct[channels, :k], mults[channels, :k] = solved[:2]
-        errors.update((int(channels[i]), error) for i, error in solved[4].items())
+        distinct[channels, :k], mults[channels, :k], _, _, failed = _solve_monic_rows(
+            coeffs / coeffs[:, :1], tol, ABERTH_MAX_ITER
+        )
+        errors.update((int(channels[i]), error) for i, error in failed.items())
     if errors:
         first = min(errors)
         raise SolverError(f"channel {first + 1}: {errors[first]}") from errors[first]

@@ -535,9 +535,10 @@ class TestDetectPolyDegree:
         assert report.degree is None
 
 
-def parent_analyze(scales, values):
-    """Per-column lists (k, converged, refined, final error), as the
-    per-channel object form computed them before reports became tables."""
+def eager_analyze(scales, values):
+    """Per-column lists (k, converged, refined, final error), with None
+    for a missing k or error and the raw estimates as the refined sequence of
+    a column that is not finite: the reference for the table's records."""
     with np.errstate(over="ignore", invalid="ignore"):
         refined = characterize._richardson(scales[:, None], values)
         final = refined[-1]
@@ -560,11 +561,11 @@ def parent_analyze(scales, values):
     return ks, ok, columns, errors
 
 
-def parent_records(d, live, scales, values):
+def eager_records(d, live, scales, values):
     """One ChannelEstimate per channel, built eagerly from the scan's
     estimates of the ``live`` channels: the reference for the records a
     report's table builds on access."""
-    ks, ok, refined, errors = parent_analyze(scales, values)
+    ks, ok, refined, errors = eager_analyze(scales, values)
     records = [ChannelEstimate(i + 1, "indeterminate", None, (), (), None) for i in range(d)]
     for j, (i, seq) in enumerate(zip(live.tolist(), values.T.tolist())):
         records[i] = ChannelEstimate(
@@ -578,8 +579,8 @@ def parent_records(d, live, scales, values):
     return records
 
 
-def parent_channels_json(records):
-    """The channel JSON the per-channel object form wrote."""
+def eager_channels_json(records):
+    """The channel JSON written record by record from ``records``."""
     return json.dumps(
         [
             {
@@ -643,12 +644,12 @@ class TestChannelRecords:
         live = np.flatnonzero(~f.degenerate_channels())
         qfun = None if witness is None else PolyFunction(CircPoly([witness])).channel_values
         values, retries = _scan(f, path, qfun, live)
-        expected = parent_records(d, live, path.scales, values)
+        expected = eager_records(d, live, path.scales, values)
         assert report.retries_used == retries
         assert len(report.channels) == d
         assert [repr(c) for c in report.channels] == [repr(c) for c in expected]  # -0.0 and types too
         assert tuple(report.channels) == tuple(expected)
-        assert json.dumps(_channel_estimates_to_obj(report.table)) == parent_channels_json(expected)
+        assert json.dumps(_channel_estimates_to_obj(report.table)) == eager_channels_json(expected)
         flags = {c.flag for c in report.channels}
         if kind == "divisor_degenerate":
             assert report.channels[d // 2].flag == "indeterminate"
@@ -670,12 +671,12 @@ class TestChannelRecords:
         monkeypatch.setattr(characterize, "_scan", lambda f, path, qfun, live: (block, 0))
         report = cf.estimate_divisor(f)
         live = np.flatnonzero(~f.degenerate_channels())
-        expected = parent_records(d, live, t, block)
+        expected = eager_records(d, live, t, block)
         assert [c.flag for c in expected] == [
             "converged", "diverged", "indeterminate", "diverged", "diverged", "converged",
         ]
         assert [repr(c) for c in report.channels] == [repr(c) for c in expected]
-        assert json.dumps(_channel_estimates_to_obj(report.table)) == parent_channels_json(expected)
+        assert json.dumps(_channel_estimates_to_obj(report.table)) == eager_channels_json(expected)
         assert (report.status, report.k, report.bounds_ok) == ("not-rational", None, False)
 
     def test_view_indexes_like_a_tuple(self, rng):
