@@ -35,6 +35,7 @@ from .functions import (
     CircFunction,
     PolyFunction,
     RationalFunction,
+    _column_table,
     _same_columns,
     classify,
 )
@@ -83,6 +84,12 @@ class PathSpec:
         scales.flags.writeable = False
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "scales", scales)
+
+    def __reduce__(self):  # through the constructor: read-only arrays, no cached scan points
+        return PathSpec, (self.direction, self.scales, self.retry_budget, self.seed)
+
+    def __eq__(self, other):  # the generated one would ask numpy for the truth of an array
+        return isinstance(other, PathSpec) and _same_columns(self.__reduce__()[1], other.__reduce__()[1])
 
     @property
     def d(self) -> int:
@@ -145,6 +152,7 @@ FLAGS = ("converged", "diverged", "indeterminate")
 CONVERGED, DIVERGED, INDETERMINATE = range(3)
 
 
+@_column_table
 class ChannelTable(NamedTuple):
     """Per-channel results of a limit estimate as arrays over the d channels.
 
@@ -163,10 +171,6 @@ class ChannelTable(NamedTuple):
     estimates: np.ndarray
     refined: np.ndarray
     final_error: np.ndarray
-
-    __eq__ = _same_columns
-    __ne__ = lambda self, other: not _same_columns(self, other)  # noqa: E731
-    __hash__ = None
 
     def channel(self, i: int) -> ChannelEstimate:
         """The record of 0-based channel ``i``."""
@@ -285,9 +289,7 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTa
         for j, (column, fill) in enumerate(zip(columns, fills)):
             columns[j] = np.full(column.shape[:-1] + (f.d,), fill, dtype=column.dtype)
             columns[j][..., live] = column
-    for column in columns:
-        column.flags.writeable = False
-    return ChannelTable(*columns), retries
+    return ChannelTable._make(columns), retries
 
 
 def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:

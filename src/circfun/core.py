@@ -39,10 +39,10 @@ class Circulant:
     millions of roots.
 
     Roots recombined by the solver skip that copy: each is a read-only view
-    of one row of the (1024, d) array its chunk was verified in (see
+    of one row of its solution set's verified (count, d) array (see
     :meth:`_of_rows`).  Such a view cannot be made writeable again, but a
-    root kept alone keeps its whole chunk alive, about 196 KB at d = 12.
-    Unpickling goes through the constructor, so it copies the row.
+    root kept alone keeps that whole array alive, 786 KB for 4096 roots at
+    d = 12.  Unpickling goes through the constructor, so it copies the row.
     """
 
     row: np.ndarray = field(repr=False)
@@ -56,10 +56,9 @@ class Circulant:
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray) -> list["Circulant"]:
-        """One instance per row of ``rows``, a fresh (N, d >= 2) complex128
-        array allocated by the library, never caller input.  The array is
-        made read-only once and each instance holds a view of its row, with
-        no copy or check per row."""
+        """One instance per row of ``rows``, an (N, d >= 2) complex128 array or
+        slice allocated by the library, never caller input, made read-only
+        once: each instance views its row, with no copy or check per row."""
         rows.flags.writeable = False
         new, set_row = object.__new__, object.__setattr__
         out = []

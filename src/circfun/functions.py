@@ -154,15 +154,17 @@ def polyval_with_scale(coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     ``coeffs`` may be 1-D (one polynomial) or 2-D with one column per point
     (channel matrix against a spectrum).  The scale sum |c_k| |u|^(n-k) gives
     a condition-aware yardstick for deciding whether a value is "zero".
+    Horner runs in preallocated arrays, with |coefficients| taken once.
     """
     u = np.asarray(u, dtype=np.complex128)
     absu = np.abs(u)
-    value = np.zeros_like(u)
-    scl = np.zeros(u.shape, dtype=np.float64)
-    for row in coeffs:
-        value = value * u + row
-        scl = scl * absu + np.abs(row)
-    return value, scl
+    value = np.zeros(np.broadcast_shapes(u.shape, np.shape(coeffs)[1:]), dtype=np.complex128)
+    product = np.empty_like(value)  # out=value would round one-entry products differently
+    scale = np.zeros(value.shape, dtype=np.float64)
+    for row, magnitude in zip(coeffs, np.abs(coeffs)):
+        np.add(np.multiply(value, u, out=product), row, out=value)
+        np.add(np.multiply(scale, absu, out=scale), magnitude, out=scale)
+    return value, scale
 
 
 class CircFunction:
@@ -416,10 +418,10 @@ def _raise_on_zero(checks, channels=None) -> None:
 
 
 class ChannelView(abc.Sequence):
-    """Read-only sequence of the d channel records of a result stored as
-    arrays over channels: ``build(i)`` makes the record of 0-based channel i
-    on access.  A slice gives a tuple; a view equals a view or tuple of equal
-    records."""
+    """Read-only sequence of the records of a result stored as arrays, such
+    as the d channel records of a report: ``build(i)`` makes record i
+    (0-based) on access.  A slice gives a tuple; a view equals a view or
+    tuple of equal records."""
 
     __slots__ = ("_build", "_size")
     __hash__ = None
@@ -434,6 +436,9 @@ class ChannelView(abc.Sequence):
         channels = range(self._size)[index]  # IndexError out of range; a slice gives a range
         return tuple(map(self._build, channels)) if isinstance(channels, range) else self._build(channels)
 
+    def __iter__(self):
+        return map(self._build, range(self._size))
+
     def __eq__(self, other):
         return tuple(self) == tuple(other) if isinstance(other, (ChannelView, tuple)) else NotImplemented
 
@@ -442,6 +447,20 @@ def _same_columns(a: tuple, b) -> bool:
     """Equality of two tables of arrays (NamedTuples of one type), NaN equal
     to NaN: tuple equality would ask numpy for the truth of an array."""
     return type(a) is type(b) and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
+
+
+def _column_table(cls):
+    """Class decorator for a NamedTuple of arrays: :func:`_same_columns` equality, no hash,
+    and a ``_make`` (which ``_replace`` and unpickling use) that marks every array read-only."""
+    def _make(cls, columns):
+        table = tuple.__new__(cls, columns)
+        for column in table:
+            column.flags.writeable = False
+        return table
+
+    cls._make, cls.__reduce__ = classmethod(_make), lambda self: (type(self)._make, (tuple(self),))
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_columns, lambda self, other: not _same_columns(self, other), None
+    return cls
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,10 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _pairs(values) -> list[list[float]]:
-    """[re, im] pairs of a complex vector or sequence, built in one pass: the
-    same floats, -0.0 included, as :func:`complex_to_pair` on each entry."""
-    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+def _pairs(values) -> list:
+    """[re, im] pairs of a complex array or sequence, nested as its axes, in
+    one pass: the same floats, -0.0 included, as :func:`complex_to_pair`."""
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).reshape(*np.shape(values), 2).tolist()
 
 
 def pair_to_complex(value: Any, field: str) -> complex:
@@ -142,8 +142,8 @@ def solution_set_to_obj(s: SolutionSet) -> dict:
     ]
     return {
         "status": s.status.value,
-        "roots": [circulant_to_obj(r) for r in s.roots],
-        "residuals": [float(r) for r in s.residuals],
+        "roots": [{"d": s.verified.rows.shape[1], "row": row} for row in _pairs(s.verified.rows)],
+        "residuals": s.verified.residuals.tolist(),
         "free_channels": list(s.free_channels),
         "channels": channels,
     }
@@ -157,7 +157,7 @@ def _channel_estimates_to_obj(t: ChannelTable) -> list:
     ks = t.k.tolist()
     errors = t.final_error.tolist()
     finals = _pairs(np.where(np.isnan(t.final_error), t.estimates[-1], t.refined[-1]))
-    estimates = np.ascontiguousarray(t.estimates.T).view(np.float64).reshape(len(flags), -1, 2).tolist()
+    estimates = _pairs(t.estimates.T)
     return [
         {
             "channel": i + 1,

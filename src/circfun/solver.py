@@ -41,10 +41,9 @@ root of each chunk with the worst ratio to its bound is also evaluated by
 ring Horner on the coefficient rows, and its Frobenius norm must stay within
 the 2-norm of its channel bounds.
 
-A verified chunk is also the storage of its roots: each root is a read-only
-view of one row of the chunk's (1024, d) array, wrapped without a copy.  A
-root kept alone keeps its chunk alive (about 196 KB at d = 12); a pickled
-root unpickles to a copy of its row.
+The verified rows are the storage of the roots: one (count, d) array, kept
+with the residuals in ``verified`` (:class:`RootTable`), whose rows ``roots``
+wraps as read-only Circulant views on access; a root keeps it all alive.
 
 A solution set keeps its channels as arrays in ``table``
 (:class:`ChannelRoots`): the effective degrees, which give the kinds, and
@@ -69,7 +68,7 @@ from .errors import (
     RecombinationLimitError,
     SolverError,
 )
-from .functions import COEFFICIENT_REL_TOL, ChannelView, CircPoly, _same_columns, polyval_with_scale
+from .functions import COEFFICIENT_REL_TOL, ChannelView, CircPoly, _column_table, polyval_with_scale
 from .spectral import forward_rows, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
@@ -119,6 +118,7 @@ class ChannelReport:
 KINDS = ("identically-zero", "nonzero-constant", "roots")
 
 
+@_column_table
 class ChannelRoots(NamedTuple):
     """Per-channel outcome of a solve as arrays over the d channels.
 
@@ -134,10 +134,6 @@ class ChannelRoots(NamedTuple):
     roots: np.ndarray
     multiplicities: np.ndarray
 
-    __eq__ = _same_columns
-    __ne__ = lambda self, other: not _same_columns(self, other)  # noqa: E731
-    __hash__ = None
-
     def channel(self, i: int) -> ChannelReport:
         """The report of 0-based channel ``i``."""
         degree, lo, hi = int(self.degrees[i]), self.offsets[i], self.offsets[i + 1]
@@ -145,13 +141,43 @@ class ChannelRoots(NamedTuple):
         return ChannelReport(i + 1, KINDS[min(degree, 1) + 1], None if degree < 0 else degree, roots, mults)
 
 
+@_column_table
+class RootTable(NamedTuple):
+    """Row k of ``rows`` (count, d) is root k, ``residuals[k]`` its ||P(Z_k)||_F; empty unless finite."""
+
+    rows: np.ndarray
+    residuals: np.ndarray
+
+
+class RootView(ChannelView):
+    """Read-only Circulant views of the rows of ``rows``, made on access or, by iteration, in one batch."""
+
+    def __init__(self, rows: np.ndarray):
+        super().__init__(lambda k: Circulant._of_rows(rows[k : k + 1])[0], rows.shape[0])
+        self._rows = rows
+
+    def __iter__(self):
+        return iter(Circulant._of_rows(self._rows))
+
+    def __eq__(self, other):
+        return np.array_equal(self._rows, other._rows) if isinstance(other, RootView) else NotImplemented
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     status: SolutionStatus
-    roots: tuple[Circulant, ...]
-    residuals: tuple[float, ...]
+    verified: RootTable
     table: ChannelRoots
     free_channels: tuple[int, ...] = ()  # 1-based, infinite families only
+
+    @property
+    def roots(self) -> RootView:
+        """The roots, in ``itertools.product`` order of the channel roots."""
+        return RootView(self.verified.rows)
+
+    @property
+    def residuals(self) -> ChannelView:  # ||P(Z_k)||_F of each root, as Python floats
+        return ChannelView(self.verified.residuals.item, self.verified.residuals.size)
 
     @property
     def channel_reports(self) -> ChannelView:
@@ -438,14 +464,11 @@ def solve_circ_poly(
     The root-bearing channels are grouped by effective degree, and each group
     goes through one batched scalar solve; if channels fail, the error names
     the lowest-numbered one.  The finite case returns every combination of
-    one root per channel, without dedup, in ``itertools.product`` order; each
-    chunk of ``RECOMBINE_CHUNK`` takes its spectra from the mixed-radix
-    digits of the combination index, goes through one batched inverse
-    transform, and is verified in one spectral pass: Parseval residuals, the
-    per-channel backward-error gate, and ring Horner on the chunk's worst
-    root (see the module docstring).  A root failing a check raises
-    SolverError.  A channel matrix with NaN or infinite entries raises
-    ValueError.
+    one root per channel, without dedup, in ``itertools.product`` order, read
+    from the mixed-radix digits of its index and rebuilt and verified a chunk
+    of ``RECOMBINE_CHUNK`` at a time (see the module docstring).  A root
+    failing a check raises SolverError.  A channel matrix with NaN or
+    infinite entries raises ValueError.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -475,36 +498,24 @@ def solve_circ_poly(
     # Row by row, the kept entries are the distinct roots in CSR form.
     kept = mults > 0
     counts = np.count_nonzero(kept, axis=1)
-    table = ChannelRoots(degrees, np.concatenate([[0], np.cumsum(counts)]), distinct[kept], mults[kept])
-    for array in table[1:]:
-        array.flags.writeable = False
+    table = ChannelRoots._make((degrees, np.concatenate([[0], np.cumsum(counts)]), distinct[kept], mults[kept]))
 
-    if np.any(degrees == 0):
-        return SolutionSet(status=SolutionStatus.NO_SOLUTION, roots=(), residuals=(), table=table)
-
-    if np.any(degrees < 0):
-        return SolutionSet(
-            status=SolutionStatus.INFINITE_FAMILY,
-            roots=(),
-            residuals=(),
-            table=table,
-            free_channels=tuple((np.flatnonzero(degrees < 0) + 1).tolist()),
-        )
-
+    # Only a finite set recombines; the others keep an empty root table.
     sizes = counts.tolist()
-    count = math.prod(sizes)
+    count = math.prod(sizes) if np.all(degrees > 0) else 0
     if count > recombination_limit:
         raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
 
     coeff_rows = [c.row for c in p.coeffs]
     floor = max(1.0, p._scale)  # the largest spectral coefficient modulus
-    roots: list[Circulant] = []
-    residuals: list[float] = []
+    roots = np.empty((count, p.d), dtype=np.complex128)
+    residuals = np.empty(count)
     for start in range(0, count, RECOMBINE_CHUNK):
-        digits = _mixed_radix_digits(np.arange(start, min(start + RECOMBINE_CHUNK, count)), sizes)
-        grid = table.roots[table.offsets[:-1] + np.column_stack(digits)]
-        rows = inverse_rows(grid)
-        magnitudes, scales, norms = _channel_residuals(cm, rows)
+        stop = min(start + RECOMBINE_CHUNK, count)
+        digits = _mixed_radix_digits(np.arange(start, stop), sizes)
+        rows = roots[start:stop]  # the chunk is rebuilt and verified in place
+        rows[:] = inverse_rows(table.roots[table.offsets[:-1] + np.column_stack(digits)])
+        magnitudes, scales, residuals[start:stop] = _channel_residuals(cm, rows)
         bounds = tol * np.maximum(scales, floor)
         passed = (magnitudes <= bounds) & np.isfinite(bounds)  # NaN fails; an overflowed scale bounds nothing
         # A failing entry ranks first; otherwise the worst ratio to its bound.
@@ -522,11 +533,6 @@ def solve_circ_poly(
                 f"reconstructed root residual {ring:.3e} exceeds {allowed:.1e}"
                 f" in the ring check of root {start + k + 1}"
             )
-        roots.extend(Circulant._of_rows(rows))
-        residuals.extend(norms.tolist())
-    return SolutionSet(
-        status=SolutionStatus.FINITE,
-        roots=tuple(roots),
-        residuals=tuple(residuals),
-        table=table,
-    )
+    free = () if np.any(degrees == 0) else tuple((np.flatnonzero(degrees < 0) + 1).tolist())
+    status = SolutionStatus.INFINITE_FAMILY if free else SolutionStatus.NO_SOLUTION
+    return SolutionSet(SolutionStatus.FINITE if count else status, RootTable._make((roots, residuals)), table, free)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -144,6 +145,17 @@ class TestPathSpec:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^t_max .* t_max \\* d finite"):
                 PathSpec.default(10**4, t_max=1e305)
+
+
+    def test_pickled_path_keeps_read_only_arrays(self):
+        path = PathSpec.default(4)
+        path._points  # a cached attribute is not carried over
+        restored = pickle.loads(pickle.dumps(path))
+        assert restored == path and restored is not path
+        assert "_points" not in vars(restored)
+        for array in (restored.direction, restored.scales, restored._points):
+            assert not array.flags.writeable
+        np.testing.assert_array_equal(restored._points, path._points)
 
 
 class TestPathMemo:
@@ -708,3 +720,13 @@ class TestChannelRecords:
         assert all(not a.flags.writeable for a in report.table)
         assert report == again and not (report != again)
         assert report.table != report.table._replace(flag=report.table.flag + 1)
+
+    @pytest.mark.parametrize("kind", ["divisor", "divisor_degenerate"])
+    def test_pickled_report_keeps_read_only_arrays(self, rng, kind):
+        estimate, f, _ = self.estimate(rng, 8, kind)
+        report = estimate(f)
+        restored = pickle.loads(pickle.dumps(report))
+        assert restored == report and not (restored != report)
+        assert type(restored.table) is ChannelTable
+        assert all(not a.flags.writeable for a in restored.table)
+        assert tuple(restored.channels) == tuple(report.channels)

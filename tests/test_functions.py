@@ -13,7 +13,8 @@ from circfun import (
     RationalFunction,
 )
 from circfun.core import FFT_THRESHOLD
-from circfun.functions import SPECTRAL_SNAP_REL_TOL
+from circfun.functions import SPECTRAL_SNAP_REL_TOL, polyval_with_scale
+from circfun.spectral import forward_rows
 from circfun.testkit import dense_mul, random_circulant, random_invertible_circulant, random_regular_poly
 
 from conftest import assert_circ_close
@@ -101,6 +102,69 @@ class TestChannelDecomposition:
         p = CircPoly.from_scalars([1, 0, -1], 2)  # u^2 - 1 per channel
         column = p.channel_matrix()[:, 0]
         assert np.polyval(column, 3.0) == pytest.approx(8.0)
+
+
+def allocating_polyval_with_scale(coeffs, u):
+    """The Horner loop that allocates new value and scale arrays each step:
+    the reference the in-place kernel must reproduce bit for bit."""
+    u = np.asarray(u, dtype=np.complex128)
+    absu = np.abs(u)
+    value = np.zeros_like(u)
+    scl = np.zeros(u.shape, dtype=np.float64)
+    for row in coeffs:
+        value = value * u + row
+        scl = scl * absu + np.abs(row)
+    return value, scl
+
+
+def assert_same_bits(actual, expected):
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape and a.dtype == e.dtype
+        assert a.tobytes() == e.tobytes()
+
+
+class TestPolyvalWithScale:
+    """The in-place Horner kernel of the residual gate and the channel model
+    gives the allocating loop's values and scales bit for bit."""
+
+    # One entry matters: numpy multiplies a one-entry complex array into
+    # itself by a loop that can round differently from ``value * u``.
+    @pytest.mark.parametrize("u_shape", [(), (1,), (1, 1), (5,), (3, 4)])
+    def test_one_polynomial(self, rng, u_shape):
+        u = rng.standard_normal(u_shape) + 1j * rng.standard_normal(u_shape)
+        for coeffs in (
+            rng.standard_normal(6) + 1j * rng.standard_normal(6),
+            np.array([1.0, 0.0, -2.0, 0.5]),
+            [3, -1, 0, 2],
+            [2.0 - 1.0j],
+        ):
+            assert_same_bits(polyval_with_scale(coeffs, u), allocating_polyval_with_scale(coeffs, u))
+
+    @pytest.mark.parametrize("d", [2, 12, FFT_THRESHOLD - 1, FFT_THRESHOLD, 64])
+    def test_channel_matrix_against_spectra(self, rng, d):
+        cm = random_regular_poly(rng, d, 4).channel_matrix()
+        rows = 10.0 ** rng.uniform(-3, 3, (40, d)) * np.exp(2j * np.pi * rng.uniform(size=(40, d)))
+        spectra = forward_rows(rows)
+        # As the residual gate reads it: one column per channel against (N, d).
+        assert_same_bits(
+            polyval_with_scale(cm[:, None, :], spectra),
+            allocating_polyval_with_scale(cm[:, None, :], spectra),
+        )
+        # As the channel model reads it: against one spectrum, and (S, d).
+        for u in (spectra[0], spectra[:7]):
+            assert_same_bits(polyval_with_scale(cm, u), allocating_polyval_with_scale(cm, u))
+
+    @pytest.mark.parametrize("m, n", [(9, 5), (1, 1), (1, 3)])
+    def test_scalar_solver_blocks(self, rng, m, n):
+        # Monic rows against their own root approximations, shape (m, n);
+        # one linear row is the solver's one-entry case.
+        block = np.hstack([np.ones((m, 1)), rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))])
+        for _ in range(20):
+            z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            assert_same_bits(
+                polyval_with_scale(block.T[:, :, None], z),
+                allocating_polyval_with_scale(block.T[:, :, None], z),
+            )
 
 
 class TestClassify:

@@ -14,7 +14,7 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
-from circfun.serialize import complex_to_pair, solution_set_to_obj
+from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
 
@@ -494,6 +494,76 @@ class TestZeroCopyRoots:
             assert not member.row.flags.writeable
             with pytest.raises(ValueError):
                 member.row.flags.writeable = True
+
+
+class TestRootViews:
+    """A finite set keeps its verified roots as one read-only (count, d)
+    array and its residuals as one (count,) array; ``roots`` and
+    ``residuals`` are sequences read from them."""
+
+    @pytest.mark.parametrize("d", [11, 12])
+    def test_views_equal_the_eager_reference(self, rng, d):
+        # 2048 and 4096 roots: two and four recombination chunks.
+        p, _ = integer_rooted_poly(rng, d, 2)
+        sol = cf.solve_circ_poly(p)
+        combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
+        rows = inverse_rows(combos)
+        _, _, norms = solver._channel_residuals(p.channel_matrix(), rows)
+        assert len(sol.roots) == len(sol.residuals) == 2**d
+        for k in range(2**d):
+            assert sol.roots[k].row.tobytes() == rows[k].tobytes()
+            assert sol.residuals[k] == norms[k] and type(sol.residuals[k]) is float
+        assert sol.verified.rows.tobytes() == rows.tobytes()
+        assert list(sol.residuals) == norms.tolist()
+
+    def test_indexing_slicing_and_truthiness(self, rng):
+        p, _ = integer_rooted_poly(rng, 4, 3)
+        sol = cf.solve_circ_poly(p)
+        roots = list(sol.roots)
+        assert len(roots) == 81 and bool(sol.roots)
+        assert [r.row.tobytes() for r in roots] == [sol.roots[k].row.tobytes() for k in range(81)]
+        assert sol.roots[-1].row.tobytes() == roots[80].row.tobytes()
+        window = sol.roots[3:7]
+        assert isinstance(window, tuple) and [r.row.tobytes() for r in window] == [
+            r.row.tobytes() for r in roots[3:7]
+        ]
+        assert sol.residuals[3:7] == tuple(sol.residuals)[3:7]
+        assert all(not r.row.flags.writeable for r in (*roots, sol.roots[5]))
+        with pytest.raises(IndexError):
+            sol.roots[81]
+        with pytest.raises(IndexError):
+            sol.roots[-82]
+        empty = cf.solve_circ_poly(plant_channel(p, 1, keep_constant=False))
+        assert not empty.roots and not empty.residuals and list(empty.roots) == []
+        assert empty.verified.rows.shape == (0, 4) and empty.verified.residuals.shape == (0,)
+
+    def test_json_roots_match_per_root_serialization(self, rng):
+        p, _ = integer_rooted_poly(rng, 6, 2)
+        sol = cf.solve_circ_poly(p)
+        obj = solution_set_to_obj(sol)
+        assert json.dumps(obj["roots"]) == json.dumps([circulant_to_obj(r) for r in sol.roots])
+        assert json.dumps(obj["residuals"]) == json.dumps([float(r) for r in sol.residuals])
+
+    def test_two_solves_are_equal(self, rng):
+        p, _ = integer_rooted_poly(rng, 5, 2)
+        sol, again = cf.solve_circ_poly(p), cf.solve_circ_poly(p)
+        assert sol == again and not (sol != again)
+        assert sol.roots == again.roots and sol.residuals == again.residuals
+        assert not any(isinstance(v, np.ndarray) for v in vars(sol).values())
+        other = cf.solve_circ_poly(integer_rooted_poly(rng, 5, 2)[0])
+        assert sol != other and sol.roots != other.roots
+
+    @pytest.mark.parametrize("status", ["finite", "infinite-family"])
+    def test_pickled_set_keeps_read_only_arrays(self, rng, status):
+        p, _ = integer_rooted_poly(rng, 5, 2)
+        if status == "infinite-family":
+            p = plant_channel(p, 2, keep_constant=False)
+        sol = cf.solve_circ_poly(p)
+        restored = pickle.loads(pickle.dumps(sol))
+        assert restored == sol and not (restored != sol)
+        assert (type(restored.verified), type(restored.table)) == (solver.RootTable, solver.ChannelRoots)
+        assert all(not a.flags.writeable for a in (*restored.verified, *restored.table))
+        assert restored.status.value == status and restored.free_channels == sol.free_channels
 
 
 def plant_channel(p: CircPoly, channel: int, keep_constant: bool) -> CircPoly:
