@@ -33,8 +33,6 @@ from .errors import ChannelSingularityError
 from .functions import (
     ChannelView,
     CircFunction,
-    PolyFunction,
-    RationalFunction,
     _column_table,
     _same_columns,
     classify,
@@ -51,7 +49,7 @@ NOISE_FLOOR = 1e-6
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # it writes its own __eq__, so hash() raises naming PathSpec
 class PathSpec:
     """A path to infinity: unit-modulus direction times increasing scales.
 
@@ -199,7 +197,7 @@ class DivisorReport(_ChannelRecords):
     table: ChannelTable
     numerator_degree: int
     denominator_degree: int
-    expected_k: int | None  # n - m when both polynomials are regular
+    expected_k: int | None  # n - m when both polynomials are regular and G is constant
     matches_expected: bool | None  # global k against expected_k, when both exist
     bounds_ok: bool | None
     retries_used: int
@@ -341,17 +339,16 @@ def estimate_divisor(
     f: CircFunction,
     path: PathSpec | None = None,
 ) -> DivisorReport:
-    """Estimate the per-channel divisors k_i of a polynomial or rational
-    function and the global divisor when they agree.
+    """Estimate the per-channel divisors k_i of F = P Q^+ exp(G) and the
+    global divisor when they agree.
 
-    Each converged k_i must land in [-m, n] for numerator/denominator
-    degrees n and m; when both polynomials are regular the global value
-    equals n - m and is cross-checked against that expectation.
+    The limit exists exactly where F is rational: a channel where G_i is
+    not constant diverges, and the report is not rational.  Each converged
+    k_i must land in [-m, n] for the degrees n of P and m of Q (0 without
+    Q); when both polynomials are regular and G is constant, the global
+    value equals n - m and is cross-checked against that expectation.
     """
-    if not isinstance(f, (PolyFunction, RationalFunction)):
-        raise TypeError("divisor estimation applies to polynomial and rational functions")
-    parts = f.parts()
-    num, den = parts["P"], parts.get("Q")
+    num, den = f.P, f.Q
 
     if path is None:
         path = PathSpec.default(f.d)
@@ -365,7 +362,8 @@ def estimate_divisor(
     global_k = int(ks[0]) if rational and np.all(ks == ks[0]) else None
 
     regular = classify(num).regular and (den is None or classify(den).regular)
-    expected = n - m if regular else None
+    # n - m is the divisor only of a rational F: G, where present, is constant on every channel.
+    expected = n - m if regular and (f.G is None or np.all(f.G.channel_degrees() <= 0)) else None
     matches = (global_k == expected) if (expected is not None and global_k is not None) else None
     bounds_ok = bool(np.all((-m <= ks) & (ks <= n))) if ks.size else None
 
@@ -406,9 +404,9 @@ def entire_zero_bound(
     does it match when it equals G' channel-wise and n differs from deg P,
     which the report shows as ``degree_check=False``.
     """
-    if isinstance(f, RationalFunction):
+    if f.Q is not None:
         raise TypeError("zero-count bounds apply to entire functions only")
-    if isinstance(q_entire, RationalFunction):
+    if q_entire.Q is not None:
         raise TypeError("the witness must be entire")
     if q_entire.d != f.d:
         raise ValueError(f"order mismatch: witness has {q_entire.d}, function has {f.d}")
@@ -432,18 +430,17 @@ def entire_zero_bound(
 
 def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool | None:
     """When the witness equals G' channel-wise, n should be deg P."""
-    if not isinstance(q_entire, PolyFunction):
+    if q_entire.G is not None:
         return None
-    g = f.parts().get("G")  # a polynomial is P exp(0)
-    gm = g.channel_matrix() if g is not None else np.zeros((1, f.d))
-    qm = q_entire.poly.channel_matrix()
+    gm = f.G.channel_matrix() if f.G is not None else np.zeros((1, f.d))  # without G, F is P exp(0)
+    qm = q_entire.P.channel_matrix()
     rows = max(qm.shape[0], gm.shape[0] - 1)
     pads = np.zeros((2, rows, f.d), dtype=np.complex128)  # the witness and G', below leading zeros
     pads[0, rows - qm.shape[0] :] = qm
     pads[1, rows - gm.shape[0] + 1 :] = gm[:-1] * np.arange(gm.shape[0] - 1, 0, -1)[:, None]
     if np.max(np.abs(pads[0] - pads[1])) > 1e-9 * max(float(np.max(np.abs(pads))), 1.0):
         return None
-    return n == f.parts()["P"].degree
+    return n == f.P.degree
 
 
 def detect_poly_degree(

@@ -16,7 +16,6 @@ import sys
 from . import serialize
 from .characterize import PathSpec, detect_poly_degree, estimate_divisor
 from .errors import CircfunError
-from .functions import PolyFunction
 from .serialize import SchemaError
 from .solver import SolutionStatus, solve_circ_poly
 from .spectral import pseudoinverse, spectrum
@@ -115,10 +114,10 @@ def _run_eval(args) -> tuple[dict, int]:
 def _run_solve(args) -> tuple[dict, int]:
     doc = _read_document(args.input)
     f = serialize.function_from_obj(doc, "polynomial")
-    if not isinstance(f, PolyFunction):
+    if f.Q is not None or f.G is not None:
         raise SchemaError("polynomial.kind", "solve expects kind 'poly'")
     tol = args.tol if args.tol is not None else 1e-8
-    result = solve_circ_poly(f.poly, tol=tol)
+    result = solve_circ_poly(f.P, tol=tol)
     return serialize.solution_set_to_obj(result), _EXIT_BY_STATUS[result.status]
 
 

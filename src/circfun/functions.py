@@ -1,19 +1,23 @@
-"""Polynomial, rational, and exponential-polynomial functions of a circulant
-variable, together with their evaluation and differentiation.
+"""Functions F(Z) = P(Z) Q(Z)^+ exp(G(Z)) of a circulant variable, with
+their evaluation and differentiation.
 
-Because every circulant of order d diagonalizes in the common Fourier basis,
-a function with circulant coefficients splits into d independent scalar
-"channel" functions of one complex variable each.  Evaluation works either in
-the ring directly (Horner) or channel-wise on the spectrum; differentiation
-uses the channel rule: the derivative's i-th eigenvalue is the ordinary
-scalar derivative of the i-th channel function at the i-th eigenvalue of the
+Every function class of the paper has this form: polynomial (Q = I, G = 0),
+rational (G = 0) and exponential-polynomial (Q = I).  :class:`CircFunction`
+holds the parts P, Q and G, the last two optional, and writes the channel
+calculus once; its three subclasses are the JSON kinds.  Because every
+circulant of order d diagonalizes in the common Fourier basis, a function
+with circulant coefficients splits into d independent scalar "channel"
+functions of one complex variable each.  Evaluation works either in the ring
+directly (Horner) or channel-wise on the spectrum; differentiation uses the
+channel rule: the derivative's i-th eigenvalue is the ordinary scalar
+derivative of the i-th channel function at the i-th eigenvalue of the
 argument.  A finite-difference variant is provided for cross-validation.
 """
 
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -167,38 +171,75 @@ def polyval_with_scale(coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     return value, scale
 
 
+@dataclass(frozen=True)
 class CircFunction:
-    """Base class of the supported function kinds (tagged union).
+    """F(Z) = P(Z) Q(Z)^+ exp(G(Z)), the paper's class of functions of a
+    circulant variable, with the pseudoinverse and the exponential applied
+    channel-wise.
 
-    Subclasses name their constituent polynomials in ``PARTS`` and provide
-    the channel-wise scalar value, derivative, and logarithmic derivative;
-    ring-level evaluation and differentiation are derived from those here.
+    The parts are named by their JSON letters.  Q and G are optional: an
+    absent part stands for Q = I or G = 0 and is skipped, not evaluated.
+    Every part has the same order d, and Q needs at least one invertible
+    coefficient, which bounds its root set and keeps the quotient
+    well-defined at infinity.  The subclasses are the three JSON kinds; each
+    fixes its positional signature, its ``kind`` and the ``LETTERS`` of its
+    parts, in JSON order.
     """
 
-    kind: str
-    d: int
-    #: Constituent polynomial letter -> attribute: P for every kind, then the
-    #: denominator Q (rational) or the exponent G (exppoly).  The letters are
-    #: the JSON field names, read and written in this order.
-    PARTS: ClassVar[dict[str, str]]
+    P: CircPoly
+    Q: CircPoly | None = None
+    G: CircPoly | None = None
+    kind: ClassVar[str | None] = None
+    LETTERS: ClassVar[tuple[str, ...]] = ("P", "Q", "G")
 
-    def parts(self) -> dict[str, CircPoly]:
-        return {letter: getattr(self, name) for letter, name in self.PARTS.items()}
+    def __post_init__(self):
+        for letter in ("Q", "G"):
+            part = getattr(self, letter)
+            if part is not None and part.d != self.P.d:
+                raise DimensionError(f"order mismatch: P has {self.P.d}, {letter} has {part.d}")
+        if self.Q is not None and not any(is_invertible(b) for b in self.Q.coeffs):
+            raise ValueError("Q needs at least one invertible coefficient")
+
+    @property
+    def d(self) -> int:
+        return self.P.d
 
     def degenerate_channels(self) -> np.ndarray:
         """Mask of the channels where F is identically 0 or 0/0: P or Q is
         identically zero there.  exp(G) never vanishes, so G is not checked."""
-        mask = np.zeros(self.d, dtype=bool)
-        for letter, poly in self.parts().items():
-            if letter != "G":
-                mask |= poly.channel_degrees() < 0
-        return mask
+        mask = self.P.channel_degrees() < 0
+        return mask if self.Q is None else mask | (self.Q.channel_degrees() < 0)
 
     def channel_values(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d).  A
+        channel where Q_i(u_i) falls to the rank threshold is zeroed, as the
+        pseudoinverse zeroes it."""
+        value, _ = polyval_with_scale(self.P.channel_matrix(), u)
+        if self.Q is not None:
+            q, _ = polyval_with_scale(self.Q.channel_matrix(), u)
+            largest = np.max(np.abs(q))
+            keep = np.abs(q) > RANK_REL_TOL * self.d * largest if largest > 0 else np.zeros(q.shape, bool)
+            p, value = value, np.zeros_like(value)
+            value[keep] = p[keep] / q[keep]
+        if self.G is not None:
+            g, _ = polyval_with_scale(self.G.channel_matrix(), u)
+            value = value * np.exp(g)
+        return value
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """F_i'(u_i) on every channel: the quotient rule where Q is present,
+        then the product rule with exp(G_i).  A pole raises
+        ChannelSingularityError."""
+        dp, p, _ = _quotient_terms(self.P, u, None)
+        if self.Q is not None:
+            dq, q, q_scale = _quotient_terms(self.Q, u, None)
+            _raise_on_zero([(q, q_scale, "Q")])
+            dp = (dp * q - dq * p) / (q * q)
+        if self.G is not None:
+            dg, g, _ = _quotient_terms(self.G, u, None)
+            ratio = p if self.Q is None else p / q
+            dp = (dp + ratio * dg) * np.exp(g)
+        return dp
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
         """F'_i(u_i) / F_i(u_i), computed in ratio form so that it stays
@@ -207,17 +248,33 @@ class CircFunction:
         ``channels`` (0-based indices into ``u``) restricts the evaluation
         to those channels, in that order.  A ChannelSingularityError names
         the offending channels by their 1-based numbers among all d."""
-        raise NotImplementedError
+        dlog, dg = self._logderiv_terms(u, channels)
+        return dlog if self.G is None else dlog + dg
+
+    def _logderiv_terms(self, u: np.ndarray, channels=None) -> tuple[np.ndarray, np.ndarray | float]:
+        """(P'/P - Q'/Q, G') on the selected channels, the terms of F'/F kept
+        apart: a large G' swamps the rest in their sum.  An absent part
+        contributes no term; G' is 0.0 without G."""
+        dp, p, p_scale = _quotient_terms(self.P, u, channels)
+        checks = [(p, p_scale, "P")]
+        if self.Q is not None:
+            dq, q, q_scale = _quotient_terms(self.Q, u, channels)
+            checks.append((q, q_scale, "Q"))
+        _raise_on_zero(checks, channels)
+        dlog = dp / p if self.Q is None else dp / p - dq / q
+        return dlog, 0.0 if self.G is None else _quotient_terms(self.G, u, channels)[0]
 
     def evaluate(self, z: Circulant) -> Circulant:
         value, _ = self.evaluate_with_report(z)
         return value
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        """Evaluate and report 1-based channels zeroed by rank thresholding
-        (only rational functions ever flag any)."""
+        """Evaluate channel-wise and report the 1-based channels that the
+        rank threshold of Q zeroes (none without Q)."""
         self._check_order(z)
-        return from_spectrum(self.channel_values(spectrum(z))), ()
+        u = spectrum(z)
+        value = from_spectrum(self.channel_values(u))
+        return value, () if self.Q is None else _zeroed_channels(polyval_with_scale(self.Q.channel_matrix(), u)[0])
 
     def derivative(self, z: Circulant) -> Circulant:
         """Derivative via the channel rule: eigenvalue i of the result is
@@ -230,141 +287,56 @@ class CircFunction:
             raise DimensionError(f"order mismatch: point has {z.d}, function has {self.d}")
 
 
-@dataclass(frozen=True)
 class PolyFunction(CircFunction):
-    poly: CircPoly
-    kind: str = field(default="poly", init=False)
-    PARTS = {"P": "poly"}
+    """P(Z), evaluated by ring Horner."""
 
-    @property
-    def d(self) -> int:
-        return self.poly.d
+    kind, LETTERS = "poly", ("P",)
 
-    def channel_values(self, u: np.ndarray) -> np.ndarray:
-        value, _ = polyval_with_scale(self.poly.channel_matrix(), u)
-        return value
-
-    def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        return _quotient_terms(self.poly, u, None)[0]
-
-    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
-        return self._logderiv_terms(u, channels)[0]
-
-    def _logderiv_terms(self, u: np.ndarray, channels=None) -> tuple[np.ndarray, float]:
-        """(P'/P, G') with G' = 0: a polynomial is P exp(0)."""
-        dp, p, p_scale = _quotient_terms(self.poly, u, channels)
-        _raise_on_zero([(p, p_scale, "polynomial value")], channels)
-        return dp / p, 0.0
+    def __init__(self, P: CircPoly):
+        super().__init__(P)
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
-        return self.poly.evaluate(z), ()
+        return self.P.evaluate(z), ()
 
 
-@dataclass(frozen=True)
 class RationalFunction(CircFunction):
-    """P(Z) * pseudoinverse(Q(Z)).
+    """P(Z) Q(Z)^+, evaluated in the ring."""
 
-    The denominator must have at least one invertible coefficient, which
-    bounds its root set and keeps the quotient well-defined at infinity.
-    """
+    kind, LETTERS = "rational", ("P", "Q")
 
-    numerator: CircPoly
-    denominator: CircPoly
-    kind: str = field(default="rational", init=False)
-    PARTS = {"P": "numerator", "Q": "denominator"}
-
-    def __post_init__(self):
-        if self.numerator.d != self.denominator.d:
-            raise DimensionError(
-                f"order mismatch: numerator has {self.numerator.d}, denominator has {self.denominator.d}"
-            )
-        if not any(is_invertible(b) for b in self.denominator.coeffs):
-            raise ValueError("denominator needs at least one invertible coefficient")
-
-    @property
-    def d(self) -> int:
-        return self.numerator.d
-
-    def channel_values(self, u: np.ndarray) -> np.ndarray:
-        p, _ = polyval_with_scale(self.numerator.channel_matrix(), u)
-        q, _ = polyval_with_scale(self.denominator.channel_matrix(), u)
-        out = np.zeros_like(p)
-        largest = np.max(np.abs(q))
-        keep = np.abs(q) > RANK_REL_TOL * self.d * largest if largest > 0 else np.zeros(q.shape, bool)
-        out[keep] = p[keep] / q[keep]
-        return out
-
-    def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        dp, p, _ = _quotient_terms(self.numerator, u, None)
-        dq, q, q_scale = _quotient_terms(self.denominator, u, None)
-        _raise_on_zero([(q, q_scale, "denominator")])
-        return (dp * q - dq * p) / (q * q)
-
-    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
-        dp, p, p_scale = _quotient_terms(self.numerator, u, channels)
-        dq, q, q_scale = _quotient_terms(self.denominator, u, channels)
-        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")], channels)
-        return dp / p - dq / q
+    def __init__(self, P: CircPoly, Q: CircPoly):
+        super().__init__(P, Q)
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
-        qz = self.denominator.evaluate(z)
-        value = core.mul(self.numerator.evaluate(z), pseudoinverse(qz))
-        q_spec = np.abs(spectrum(qz))
-        largest = np.max(q_spec)
-        if largest == 0.0:
-            zeroed = tuple(range(1, self.d + 1))
-        else:
-            zeroed = tuple(int(i) + 1 for i in np.nonzero(q_spec <= RANK_REL_TOL * self.d * largest)[0])
-        return value, zeroed
+        qz = self.Q.evaluate(z)
+        return core.mul(self.P.evaluate(z), pseudoinverse(qz)), _zeroed_channels(spectrum(qz))
 
 
-@dataclass(frozen=True)
 class ExpPolyFunction(CircFunction):
-    """Z -> P(Z) * exp(G(Z)) with the exponential applied channel-wise."""
+    """P(Z) exp(G(Z))."""
 
-    poly: CircPoly
-    exponent: CircPoly
-    kind: str = field(default="exppoly", init=False)
-    PARTS = {"P": "poly", "G": "exponent"}
+    kind, LETTERS = "exppoly", ("P", "G")
 
-    def __post_init__(self):
-        if self.poly.d != self.exponent.d:
-            raise DimensionError(
-                f"order mismatch: factor has {self.poly.d}, exponent has {self.exponent.d}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.poly.d
-
-    def channel_values(self, u: np.ndarray) -> np.ndarray:
-        p, _ = polyval_with_scale(self.poly.channel_matrix(), u)
-        g, _ = polyval_with_scale(self.exponent.channel_matrix(), u)
-        return p * np.exp(g)
-
-    def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        dp, p, _ = _quotient_terms(self.poly, u, None)
-        dg, g, _ = _quotient_terms(self.exponent, u, None)
-        return (dp + p * dg) * np.exp(g)
-
-    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
-        dlog_p, dg = self._logderiv_terms(u, channels)
-        return dlog_p + dg
-
-    def _logderiv_terms(self, u: np.ndarray, channels=None) -> tuple[np.ndarray, np.ndarray]:
-        """(P'/P, G') on the selected channels, the terms of F'/F kept apart:
-        a large G' swamps P'/P in their sum."""
-        dp, p, p_scale = _quotient_terms(self.poly, u, channels)
-        _raise_on_zero([(p, p_scale, "polynomial factor")], channels)
-        return dp / p, _quotient_terms(self.exponent, u, channels)[0]
+    def __init__(self, P: CircPoly, G: CircPoly):
+        super().__init__(P, G=G)
 
 
 #: Function kind name (the JSON "kind") -> class.
 FUNCTION_KINDS: dict[str, type[CircFunction]] = {
     cls.kind: cls for cls in (PolyFunction, RationalFunction, ExpPolyFunction)
 }
+
+
+def _zeroed_channels(q: np.ndarray) -> tuple[int, ...]:
+    """1-based channels where the values ``q`` of Q, shape (d,), sit at or
+    below the rank threshold of the pseudoinverse: every one when all vanish."""
+    magnitude = np.abs(q)
+    largest = np.max(magnitude)
+    if largest == 0.0:
+        return tuple(range(1, q.size + 1))
+    return tuple(int(i) + 1 for i in np.nonzero(magnitude <= RANK_REL_TOL * q.size * largest)[0])
 
 
 def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:

@@ -4,6 +4,8 @@ Complex numbers serialize as two-element [re, im] arrays everywhere.  A
 circulant is {"d": int, "row": [[re, im], ...]}; a function is
 {"kind": "poly"|"rational"|"exppoly", "d": int, "P": [circulant, ...]} with
 "Q" (rational) or "G" (exppoly) as required, coefficient lists leading-first.
+The letters are the part names of the function: a kind's ``LETTERS`` list
+the parts it reads and writes, in order.
 The channel lists of solution sets and limit reports are written from the
 arrays of their tables in numpy passes, with no per-channel record object.
 """
@@ -97,9 +99,11 @@ def poly_to_obj(p: CircPoly) -> list:
 
 
 def function_to_obj(f: CircFunction) -> dict:
+    if f.kind is None:
+        raise ValueError("only the poly, rational and exppoly kinds have a JSON form")
     obj = {"kind": f.kind, "d": f.d}
-    for letter, poly in f.parts().items():
-        obj[letter] = poly_to_obj(poly)
+    for letter in f.LETTERS:
+        obj[letter] = poly_to_obj(getattr(f, letter))
     return obj
 
 
@@ -114,15 +118,15 @@ def function_from_obj(obj: Any, field: str = "function") -> CircFunction:
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise SchemaError(f"{field}.d", f"expected an integer >= 2, got {d!r}")
     cls = FUNCTION_KINDS[kind]
-    parts = {}
-    for letter, name in cls.PARTS.items():
+    parts = []
+    for letter in cls.LETTERS:
         if letter not in obj:
             raise SchemaError(f"{field}.{letter}", "missing")
-        parts[name] = _poly_from_obj(obj[letter], d, f"{field}.{letter}")
+        parts.append(_poly_from_obj(obj[letter], d, f"{field}.{letter}"))
     try:
-        return cls(**parts)
-    except ValueError as exc:  # a rational checks its last part, Q, for an invertible coefficient
-        raise SchemaError(f"{field}.{letter}", str(exc)) from exc
+        return cls(*parts)
+    except ValueError as exc:  # only Q is checked beyond its order: it needs an invertible coefficient
+        raise SchemaError(f"{field}.Q", str(exc)) from exc
 
 
 def solution_set_to_obj(s: SolutionSet) -> dict:

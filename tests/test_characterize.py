@@ -147,6 +147,11 @@ class TestPathSpec:
                 PathSpec.default(10**4, t_max=1e305)
 
 
+    def test_path_is_unhashable_by_name(self):
+        # The generated __hash__ would fail inside numpy on the array fields.
+        with pytest.raises(TypeError, match="unhashable type: 'PathSpec'"):
+            hash(PathSpec.default(4))
+
     def test_pickled_path_keeps_read_only_arrays(self):
         path = PathSpec.default(4)
         path._points  # a cached attribute is not carried over
@@ -269,11 +274,23 @@ class TestEstimateDivisor:
         assert report.status == "rational"
         assert all(c.final_error <= 1e-3 for c in report.channels)
 
-    def test_exppoly_rejected(self):
+    def test_exppoly_is_not_rational(self):
+        # exp(Z): G_i = u is not constant on any channel, so no limit exists.
         d = 2
         f = ExpPolyFunction(CircPoly([cf.identity(d)]), CircPoly.from_scalars([1, 0], d))
-        with pytest.raises(TypeError):
-            cf.estimate_divisor(f)
+        report = cf.estimate_divisor(f)
+        assert report.status == "not-rational" and not report.converged and report.k is None
+        assert [c.flag for c in report.channels] == ["diverged"] * d
+        assert report.numerator_degree == 0 and report.denominator_degree == 0
+        assert report.expected_k is None and report.matches_expected is None and report.bounds_ok is None
+
+    def test_exppoly_with_constant_exponent_is_rational(self, rng):
+        # P exp(B) with constant B is rational: the divisor is deg P.
+        d = 3
+        p = random_regular_poly(rng, d, 2)
+        f = ExpPolyFunction(p, CircPoly([random_circulant(rng, d, 0.5)]))
+        report = cf.estimate_divisor(f)
+        assert report.status == "rational" and report.k == 2 and report.matches_expected
 
     def test_indeterminate_channel_reported(self):
         # numerator E Z: channel 2 identically zero over a fine denominator

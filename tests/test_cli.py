@@ -206,6 +206,22 @@ class TestRoundTrips:
         f = ser.function_from_obj(doc)
         assert ser.function_to_obj(f) == doc
 
+    def test_function_without_a_kind_has_no_json_form(self):
+        from circfun import serialize as ser
+
+        p = cf.CircPoly([cf.identity(2)])
+        with pytest.raises(ValueError, match="JSON form"):
+            ser.function_to_obj(cf.CircFunction(p, p, p))
+
+    def test_denominator_without_invertible_coefficient_names_q(self):
+        from circfun import serialize as ser
+
+        doc = json.loads((FIXTURES / "rational_mixed_d2.json").read_text())
+        doc["Q"] = [ser.circulant_to_obj(cf.ones(2))]
+        with pytest.raises(ser.SchemaError) as err:
+            ser.function_from_obj(doc)
+        assert err.value.field == "function.Q"
+
     def test_circulant_roundtrip(self):
         from circfun import serialize as ser
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circfun as cf
 from circfun import (
     ChannelSingularityError,
+    CircFunction,
     CircPoly,
     DimensionError,
     ExpPolyFunction,
@@ -13,8 +16,8 @@ from circfun import (
     RationalFunction,
 )
 from circfun.core import FFT_THRESHOLD
-from circfun.functions import SPECTRAL_SNAP_REL_TOL, polyval_with_scale
-from circfun.spectral import forward_rows
+from circfun.functions import SPECTRAL_SNAP_REL_TOL, _quotient_terms, _raise_on_zero, polyval_with_scale
+from circfun.spectral import RANK_REL_TOL, forward_rows
 from circfun.testkit import dense_mul, random_circulant, random_invertible_circulant, random_regular_poly
 
 from conftest import assert_circ_close
@@ -274,6 +277,195 @@ class TestChannelModel:
         g = channel_poly([[0.0, 1.0, 1.0]])
         assert ExpPolyFunction(p, g).degenerate_channels().tolist() == [False, True, False]
         assert PolyFunction(g).degenerate_channels().tolist() == [True, False, False]
+
+
+def per_kind_values(f, u):
+    """The per-kind channel values as PolyFunction, RationalFunction and
+    ExpPolyFunction each wrote them before one class held the formulas."""
+    p, _ = polyval_with_scale(f.P.channel_matrix(), u)
+    if f.kind == "poly":
+        return p
+    if f.kind == "rational":
+        q, _ = polyval_with_scale(f.Q.channel_matrix(), u)
+        out = np.zeros_like(p)
+        largest = np.max(np.abs(q))
+        keep = np.abs(q) > RANK_REL_TOL * f.d * largest if largest > 0 else np.zeros(q.shape, bool)
+        out[keep] = p[keep] / q[keep]
+        return out
+    g, _ = polyval_with_scale(f.G.channel_matrix(), u)
+    return p * np.exp(g)
+
+
+def per_kind_derivatives(f, u):
+    dp, p, _ = _quotient_terms(f.P, u, None)
+    if f.kind == "poly":
+        return dp
+    if f.kind == "rational":
+        dq, q, q_scale = _quotient_terms(f.Q, u, None)
+        _raise_on_zero([(q, q_scale, "denominator")])
+        return (dp * q - dq * p) / (q * q)
+    dg, g, _ = _quotient_terms(f.G, u, None)
+    return (dp + p * dg) * np.exp(g)
+
+
+def per_kind_logderiv_terms(f, u, channels):
+    """(P'/P, G') of a polynomial or exppoly, with G' = 0.0 for a polynomial."""
+    dp, p, p_scale = _quotient_terms(f.P, u, channels)
+    _raise_on_zero([(p, p_scale, "P")], channels)
+    return dp / p, 0.0 if f.kind == "poly" else _quotient_terms(f.G, u, channels)[0]
+
+
+def per_kind_logderiv(f, u, channels):
+    if f.kind == "rational":
+        dp, p, p_scale = _quotient_terms(f.P, u, channels)
+        dq, q, q_scale = _quotient_terms(f.Q, u, channels)
+        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")], channels)
+        return dp / p - dq / q
+    dlog_p, dg = per_kind_logderiv_terms(f, u, channels)
+    return dlog_p if f.kind == "poly" else dlog_p + dg
+
+
+class TestChannelFormulasBitwise:
+    """The one general class gives each kind's channel values, derivatives
+    and log-derivatives bit for bit as the per-kind formulas did: the same
+    Horner passes, and no ``+ 0.0`` that would turn a -0.0 into 0.0."""
+
+    @pytest.mark.parametrize("points", [None, 5], ids=["(d,)", "(S,d)"])
+    @pytest.mark.parametrize("p_degree", [0, 3])
+    @pytest.mark.parametrize("kind", ["poly", "rational", "exppoly"])
+    @pytest.mark.parametrize("d", [2, 7, 32, 64])
+    def test_matches_the_per_kind_formulas(self, rng, d, kind, p_degree, points):
+        # A constant P gives P' = 0 exactly, so P'/P holds signed zeros.
+        p = random_regular_poly(rng, d, p_degree)
+        f = {
+            "poly": lambda: PolyFunction(p),
+            "rational": lambda: RationalFunction(p, random_regular_poly(rng, d, 2)),
+            "exppoly": lambda: ExpPolyFunction(p, random_regular_poly(rng, d, 1, 0.5)),
+        }[kind]()
+        shape = (d,) if points is None else (points, d)
+        u = rng.uniform(1.2, 2.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        assert_same_bits([f.channel_values(u)], [per_kind_values(f, u)])
+        assert_same_bits([f.channel_derivatives(u)], [per_kind_derivatives(f, u)])
+        for channels in (None, [d - 1, 0], rng.permutation(d)[: max(1, d // 3)]):
+            assert_same_bits([f.channel_logderiv(u, channels)], [per_kind_logderiv(f, u, channels)])
+            dlog, dg = f._logderiv_terms(u, channels)
+            if kind == "rational":
+                assert_same_bits([dlog], [per_kind_logderiv(f, u, channels)])
+                assert type(dg) is float and dg == 0.0
+                continue
+            kind_dlog, kind_dg = per_kind_logderiv_terms(f, u, channels)
+            assert_same_bits([dlog], [kind_dlog])
+            if kind == "poly":
+                assert type(dg) is float and dg == 0.0
+            else:
+                assert_same_bits([dg], [kind_dg])
+
+
+def dense_horner(poly: CircPoly, zd: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(zd)
+    for c in poly.coeffs:
+        acc = dense_mul(acc, zd) + cf.to_dense(c)
+    return acc
+
+
+def dense_expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a 20-term Taylor sum."""
+    halvings = max(0, int(np.ceil(np.log2(max(np.linalg.norm(a, 1), 1.0)))) + 1)
+    a = a / 2.0**halvings
+    term = total = np.eye(a.shape[0], dtype=np.complex128)
+    for k in range(1, 21):
+        term = dense_mul(term, a) / k
+        total = total + term
+    for _ in range(halvings):
+        total = dense_mul(total, total)
+    return total
+
+
+def dense_value(f: CircFunction, z: cf.Circulant) -> np.ndarray:
+    """P(Z) Q(Z)^+ exp(G(Z)) from d x d matrices: the oracle of evaluate."""
+    zd = cf.to_dense(z)
+    value = dense_horner(f.P, zd)
+    if f.Q is not None:
+        value = dense_mul(value, np.linalg.pinv(dense_horner(f.Q, zd)))
+    if f.G is not None:
+        value = dense_mul(value, dense_expm(dense_horner(f.G, zd)))
+    return value
+
+
+def rooted_poly(rng, d: int, degree: int, radius: float) -> CircPoly:
+    """Monic polynomial whose channel roots lie within ``radius`` of 0."""
+    roots = radius * np.sqrt(rng.uniform(size=(d, degree))) * np.exp(2j * np.pi * rng.uniform(size=(d, degree)))
+    return channel_poly(np.array([np.poly(r) for r in roots]).T)
+
+
+class TestGeneralFunctionProperty:
+    """Random P, Q and G: the three kinds and the base class with all three
+    parts agree with the dense oracle and with the difference quotient.
+    Q's channel roots lie within 0.5 of 0 and the point's eigenvalues have
+    moduli in [1.2, 2], so Q(Z) stays well conditioned."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        degrees=st.tuples(st.integers(0, 3), st.integers(1, 2), st.integers(1, 2)),
+    )
+    def test_evaluate_and_derivative(self, seed, d, degrees):
+        rng = np.random.default_rng(seed)
+        p = random_regular_poly(rng, d, degrees[0])
+        q = rooted_poly(rng, d, degrees[1], 0.5)
+        g = CircPoly([cf.scale(0.4, c) for c in random_regular_poly(rng, d, degrees[2]).coeffs])
+        z = random_invertible_circulant(rng, d, lo=1.2, hi=2.0)
+        inc = IncrementSpec(direction=cf.identity(d), delta=1e-6)
+        for f in (PolyFunction(p), RationalFunction(p, q), ExpPolyFunction(p, g), CircFunction(p, q, g)):
+            expected = dense_value(f, z)
+            value, zeroed = f.evaluate_with_report(z)
+            assert zeroed == ()
+            scale = max(1.0, np.linalg.norm(expected))
+            assert np.linalg.norm(cf.to_dense(value) - expected) <= 1e-12 * scale
+            exact = f.derivative(z)
+            approx = cf.numeric_derivative(f, z, inc)
+            scale = max(1.0, cf.frobenius_norm(exact), np.linalg.norm(expected))
+            assert cf.frobenius_norm(approx - exact) <= 1e-4 * scale
+
+
+class TestGeneralFunction:
+    def test_parts_must_share_the_order(self):
+        p2, p3 = CircPoly([cf.identity(2)]), CircPoly.from_scalars([1, 0], 3)
+        with pytest.raises(DimensionError, match="Q has 3"):
+            RationalFunction(p2, p3)
+        with pytest.raises(DimensionError, match="G has 3"):
+            CircFunction(p2, None, p3)
+
+    def test_q_needs_an_invertible_coefficient(self):
+        d = 2
+        with pytest.raises(ValueError, match="Q needs"):
+            CircFunction(CircPoly([cf.identity(d)]), CircPoly([cf.ones(d), cf.ones(d)]), CircPoly([cf.ones(d)]))
+
+    def test_kinds_fix_their_parts(self, rng):
+        p, q = random_regular_poly(rng, 3, 2), random_regular_poly(rng, 3, 1)
+        assert (PolyFunction(p).Q, PolyFunction(p).G) == (None, None)
+        assert (ExpPolyFunction(p, q).Q, ExpPolyFunction(p, q).G) == (None, q)
+        assert [cls.LETTERS for cls in cf.functions.FUNCTION_KINDS.values()] == [("P",), ("P", "Q"), ("P", "G")]
+        assert RationalFunction(p, q) == RationalFunction(p, q) != CircFunction(p, q)
+
+    @pytest.mark.parametrize("part", ["P", "Q"])
+    def test_singularity_names_the_part_by_letter(self, part):
+        d = 2
+        linear = CircPoly.from_scalars([1, -2], d)  # vanishes at u = 2
+        one = CircPoly([cf.identity(d)])
+        f = RationalFunction(linear, one) if part == "P" else RationalFunction(one, linear)
+        with pytest.raises(ChannelSingularityError, match=f"^{part} vanishes at channel"):
+            f.channel_logderiv(np.array([2.0, 3.0]))
+
+    def test_base_reports_the_channels_q_zeroes(self):
+        d = 2
+        f = CircFunction(CircPoly([cf.identity(d)]), CircPoly([cf.identity(d), cf.ones(d)]), CircPoly([cf.zero(d)]))
+        ring = RationalFunction(f.P, f.Q)
+        z = cf.scale(1.5, cf.ones(d))  # spectrum (3, 0): Q = Z + E vanishes on channel 2
+        (value, zeroed), (ring_value, ring_zeroed) = f.evaluate_with_report(z), ring.evaluate_with_report(z)
+        assert zeroed == ring_zeroed == (2,)
+        assert_circ_close(value, ring_value, 1e-12)
 
 
 class TestDerivative:
