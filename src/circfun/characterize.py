@@ -35,6 +35,7 @@ from .functions import (
     CircFunction,
     _column_table,
     _same_columns,
+    _with_derivative,
     classify,
 )
 from .spectral import forward_rows, inverse_rows, spectrum
@@ -434,10 +435,10 @@ def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool
         return None
     gm = f.G.channel_matrix() if f.G is not None else np.zeros((1, f.d))  # without G, F is P exp(0)
     qm = q_entire.P.channel_matrix()
-    rows = max(qm.shape[0], gm.shape[0] - 1)
+    rows = max(qm.shape[0], gm.shape[0])
     pads = np.zeros((2, rows, f.d), dtype=np.complex128)  # the witness and G', below leading zeros
     pads[0, rows - qm.shape[0] :] = qm
-    pads[1, rows - gm.shape[0] + 1 :] = gm[:-1] * np.arange(gm.shape[0] - 1, 0, -1)[:, None]
+    pads[1, rows - gm.shape[0] :] = _with_derivative(gm)[:, 1]
     if np.max(np.abs(pads[0] - pads[1])) > 1e-9 * max(float(np.max(np.abs(pads))), 1.0):
         return None
     return n == f.P.degree

@@ -50,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", "-i", default="-", help="input JSON path, or - for stdin")
         cmd.add_argument("--output", "-o", default="-", help="output JSON path, or - for stdout")
-        cmd.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for retry phases")
+        if name in ("pinv", "solve"):
+            cmd.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
         if name in ("divisor", "degree"):
+            cmd.add_argument("--seed", type=int, default=0, help="seed for retry phases")
             cmd.add_argument("--t-min", type=float, default=1e3, help="smallest path scale")
             cmd.add_argument("--t-max", type=float, default=1e8, help="largest path scale")
             cmd.add_argument("--t-points", type=int, default=11, help="number of path scales")
@@ -116,8 +117,7 @@ def _run_solve(args) -> tuple[dict, int]:
     f = serialize.function_from_obj(doc, "polynomial")
     if f.Q is not None or f.G is not None:
         raise SchemaError("polynomial.kind", "solve expects kind 'poly'")
-    tol = args.tol if args.tol is not None else 1e-8
-    result = solve_circ_poly(f.P, tol=tol)
+    result = solve_circ_poly(f.P) if args.tol is None else solve_circ_poly(f.P, tol=args.tol)
     return serialize.solution_set_to_obj(result), _EXIT_BY_STATUS[result.status]
 
 

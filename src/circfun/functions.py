@@ -12,6 +12,9 @@ directly (Horner) or channel-wise on the spectrum; differentiation uses the
 channel rule: the derivative's i-th eigenvalue is the ordinary scalar
 derivative of the i-th channel function at the i-th eigenvalue of the
 argument.  A finite-difference variant is provided for cross-validation.
+Every channel-wise pass, here, in the solver and in the limit scans, runs the
+one scalar Horner loop :func:`_horner`; P' rides along in the same pass
+(:func:`_with_derivative`), and the scale is the loop over |c_k| at |u|.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     DimensionError,
     InvalidIncrementError,
 )
-from .spectral import RANK_REL_TOL, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum
+from .spectral import _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum
 
 #: Relative tolerance for deciding that a spectral coefficient vanishes,
 #: measured against the largest spectral magnitude over all coefficients.
@@ -151,24 +154,46 @@ def classify(p: CircPoly) -> Classification:
     return Classification(not vanishing, vanishing, scale)
 
 
-def polyval_with_scale(coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Horner value of a scalar polynomial together with a running magnitude
+def _horner(coeffs, u: np.ndarray) -> np.ndarray:
+    """Horner value of scalar polynomials, leading coefficient first: the
+    one loop that evaluates coefficient rows.
+
+    The coefficient axis of ``coeffs`` comes first; its trailing axes
+    broadcast against ``u``.  The value keeps the inputs' dtype, so real rows
+    at real points stay real.  Each product goes to its own buffer: numpy
+    rounds a one-entry complex product differently when it multiplies in
+    place.
+    """
+    value = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(coeffs)[1:]), dtype=np.result_type(coeffs, u))
+    product = np.empty_like(value)
+    for row in coeffs:
+        np.add(np.multiply(value, u, out=product), row, out=value)
+    return value
+
+
+def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
+    """The rows of P beside those of P', shape (n + 1, 2, ...) for ``coeffs``
+    of shape (n + 1, ...): one :func:`_horner` pass over them gives P(u) and
+    P'(u) at indices 0 and 1 of the second axis.  P' leads with a zero row,
+    which keeps its value at exact zero until its own first row."""
+    n = coeffs.shape[0] - 1
+    rows = np.zeros((n + 1, 2) + coeffs.shape[1:], dtype=coeffs.dtype)
+    rows[:, 0] = coeffs
+    rows[1:, 1] = coeffs[:-1] * np.arange(n, 0, -1).reshape((n,) + (1,) * (coeffs.ndim - 1))
+    return rows
+
+
+def polyval_with_scale(coeffs, u) -> tuple[np.ndarray, np.ndarray]:
+    """Horner value of a scalar polynomial together with its magnitude
     scale, vectorized over evaluation points.
 
-    ``coeffs`` may be 1-D (one polynomial) or 2-D with one column per point
-    (channel matrix against a spectrum).  The scale sum |c_k| |u|^(n-k) gives
-    a condition-aware yardstick for deciding whether a value is "zero".
-    Horner runs in preallocated arrays, with |coefficients| taken once.
+    ``coeffs`` may be 1-D (one polynomial) or have trailing axes that
+    broadcast against ``u`` (a channel matrix against spectra).  The scale
+    sum |c_k| |u|^(n-k), the same Horner pass over |coeffs| at |u|, gives a
+    condition-aware yardstick for deciding whether a value is "zero".
     """
-    u = np.asarray(u, dtype=np.complex128)
-    absu = np.abs(u)
-    value = np.zeros(np.broadcast_shapes(u.shape, np.shape(coeffs)[1:]), dtype=np.complex128)
-    product = np.empty_like(value)  # out=value would round one-entry products differently
-    scale = np.zeros(value.shape, dtype=np.float64)
-    for row, magnitude in zip(coeffs, np.abs(coeffs)):
-        np.add(np.multiply(value, u, out=product), row, out=value)
-        np.add(np.multiply(scale, absu, out=scale), magnitude, out=scale)
-    return value, scale
+    coeffs, u = np.asarray(coeffs), np.asarray(u, dtype=np.complex128)
+    return _horner(coeffs, u), _horner(np.abs(coeffs), np.abs(u))
 
 
 @dataclass(frozen=True)
@@ -214,16 +239,14 @@ class CircFunction:
         """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d).  A
         channel where Q_i(u_i) falls to the rank threshold is zeroed, as the
         pseudoinverse zeroes it."""
-        value, _ = polyval_with_scale(self.P.channel_matrix(), u)
+        value = _horner(self.P.channel_matrix(), u)
         if self.Q is not None:
-            q, _ = polyval_with_scale(self.Q.channel_matrix(), u)
-            largest = np.max(np.abs(q))
-            keep = np.abs(q) > RANK_REL_TOL * self.d * largest if largest > 0 else np.zeros(q.shape, bool)
+            q = _horner(self.Q.channel_matrix(), u)
+            keep = np.abs(q) > _rank_threshold(np.abs(q))
             p, value = value, np.zeros_like(value)
             value[keep] = p[keep] / q[keep]
         if self.G is not None:
-            g, _ = polyval_with_scale(self.G.channel_matrix(), u)
-            value = value * np.exp(g)
+            value = value * np.exp(_horner(self.G.channel_matrix(), u))
         return value
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
@@ -274,7 +297,7 @@ class CircFunction:
         self._check_order(z)
         u = spectrum(z)
         value = from_spectrum(self.channel_values(u))
-        return value, () if self.Q is None else _zeroed_channels(polyval_with_scale(self.Q.channel_matrix(), u)[0])
+        return value, () if self.Q is None else _zeroed_channels(_horner(self.Q.channel_matrix(), u))
 
     def derivative(self, z: Circulant) -> Circulant:
         """Derivative via the channel rule: eigenvalue i of the result is
@@ -333,38 +356,21 @@ def _zeroed_channels(q: np.ndarray) -> tuple[int, ...]:
     """1-based channels where the values ``q`` of Q, shape (d,), sit at or
     below the rank threshold of the pseudoinverse: every one when all vanish."""
     magnitude = np.abs(q)
-    largest = np.max(magnitude)
-    if largest == 0.0:
-        return tuple(range(1, q.size + 1))
-    return tuple(int(i) + 1 for i in np.nonzero(magnitude <= RANK_REL_TOL * q.size * largest)[0])
+    return tuple(int(i) + 1 for i in np.nonzero(magnitude <= _rank_threshold(magnitude))[0])
 
 
 def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
     """(P'(u), P(u), scale of P(u)) on the selected channels of ``u``, shape
     (d,) or (S, d); the scale is what :func:`_raise_on_zero` measures P(u)
-    against.
-
-    One in-place Horner pass computes all three: the derivative rows, behind
-    a leading zero row, are stacked under the value rows, and |coefficients|
-    is taken once.  The zero row leaves the derivative at exact zero, so
-    each result equals :func:`polyval_with_scale` on its own rows bit for bit.
+    against.  One Horner pass gives P and P' (see :func:`_with_derivative`),
+    each bit for bit what :func:`polyval_with_scale` gives on its own rows.
     """
     cm = poly.channel_matrix()
     if channels is not None:
         cm, u = cm[:, channels], u[..., channels]
-    n = cm.shape[0] - 1
-    rows = np.zeros((n + 1, 2, cm.shape[1]), dtype=np.complex128)
-    rows[:, 0] = cm
-    rows[1:, 1] = cm[:-1] * np.arange(n, 0, -1)[:, None]  # P' leading first
-    rows = rows.reshape(n + 1, 2, *(1,) * (u.ndim - 1), -1)  # broadcast over a points axis
-    magnitudes = np.abs(cm)
-    absu = np.abs(u)
-    value = np.zeros((2,) + u.shape, dtype=np.complex128)
-    scale = np.zeros(u.shape, dtype=np.float64)
-    for row, magnitude in zip(rows, magnitudes):
-        np.add(np.multiply(value, u, out=value), row, out=value)
-        np.add(np.multiply(scale, absu, out=scale), magnitude, out=scale)
-    return value[1], value[0], scale
+    cm = cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1)  # broadcast over a points axis
+    value = _horner(_with_derivative(cm), u)
+    return value[1], value[0], _horner(np.abs(cm), np.abs(u))
 
 
 def _raise_on_zero(checks, channels=None) -> None:

@@ -13,13 +13,14 @@ The root-bearing channels are grouped by effective degree n, and each group
 is solved as one (m, n + 1) matrix of monic rows: Ehrlich-Aberth on the
 (m, n) iterate with an (m, n, n) repulsion tensor, rows leaving the active
 set as they converge, then Newton polishing, clustering into multiplicities
-and the residual check, all row-wise.  Each row starts from Bini's
-Newton-polygon radii: the slopes of the upper concave hull of the points
-(k, log|a_k|) give one radius per root near its modulus, so rows whose roots
-spread over many decades converge in a few iterations instead of creeping in
-from the Cauchy bound.  Rows run in blocks that bound the tensor's size.  Each
-step does on a row exactly what it would do on that row alone, so a channel's
-roots do not depend on the rest of the polynomial, and
+and the residual check, all row-wise, with each row's value and derivative
+from one pass of the scalar Horner loop of :mod:`circfun.functions`.  Each row
+starts from Bini's Newton-polygon radii: the slopes of the upper concave hull
+of the points (k, log|a_k|) give one radius per root near its modulus, so rows
+whose roots spread over many decades converge in a few iterations instead of
+creeping in from the Cauchy bound.  Rows run in blocks that bound the
+tensor's size.  Each step does on a row exactly what it would do on that row
+alone, so a channel's roots do not depend on the rest of the polynomial, and
 :func:`solve_scalar_poly` is the one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
@@ -47,8 +48,9 @@ wraps as read-only Circulant views on access; a root keeps it all alive.
 
 A solution set keeps its channels as arrays in ``table``
 (:class:`ChannelRoots`): the effective degrees, which give the kinds, and
-the distinct roots in CSR form.  Recombination and ``sample_members`` index
-those arrays; ``channel_reports`` builds a ChannelReport per channel on access.
+the distinct roots in CSR form.  Recombination and ``sample_members`` read
+numbered root combinations from them (:meth:`ChannelRoots._values_at`);
+``channel_reports`` builds a ChannelReport per channel on access.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ from .errors import (
     RecombinationLimitError,
     SolverError,
 )
-from .functions import COEFFICIENT_REL_TOL, ChannelView, CircPoly, _column_table, polyval_with_scale
+from .functions import (
+    COEFFICIENT_REL_TOL, ChannelView, CircPoly, _column_table, _horner, _with_derivative, polyval_with_scale,
+)
 from .spectral import forward_rows, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
@@ -140,6 +144,16 @@ class ChannelRoots(NamedTuple):
         roots, mults = tuple(self.roots[lo:hi].tolist()), tuple(self.multiplicities[lo:hi].tolist())
         return ChannelReport(i + 1, KINDS[min(degree, 1) + 1], None if degree < 0 else degree, roots, mults)
 
+    def _values_at(self, index: np.ndarray, channels: np.ndarray) -> np.ndarray:
+        """Values of the 0-based ``channels`` in the root combinations numbered
+        ``index`` (N,), shape (N, len(channels)).  The digits of a number in
+        the mixed radix of the channels' root counts, last digit fastest, pick
+        one root per channel, so the numbers run in ``itertools.product`` order."""
+        sizes, digits = np.diff(self.offsets)[channels], np.empty((index.size, channels.size), dtype=np.intp)
+        for j in reversed(range(channels.size)):
+            index, digits[:, j] = divmod(index, sizes[j])
+        return self.roots[self.offsets[channels] + digits]
+
 
 @_column_table
 class RootTable(NamedTuple):
@@ -199,26 +213,13 @@ class SolutionSet:
         t = self.table
         free = np.flatnonzero(t.degrees < 0)
         fixed = np.flatnonzero(t.degrees > 0)
-        sizes = np.diff(t.offsets)[fixed].tolist()
-        total = math.prod(sizes)  # a Python int: it may exceed int64
+        total = math.prod(np.diff(t.offsets)[fixed].tolist())  # a Python int: it may exceed int64
         index = np.arange(count)
-        digits = _mixed_radix_digits(index if total > count else index % total, sizes)
         grid = np.empty((count, t.degrees.size), dtype=np.complex128)
-        grid[:, fixed] = t.roots[t.offsets[fixed] + np.array(digits, dtype=np.intp).reshape(-1, count).T]
+        grid[:, fixed] = t._values_at(index if total > count else index % total, fixed)
         draws = np.random.default_rng(seed).standard_normal((count, free.size, 2))
         grid[:, free] = magnitude * draws.view(np.complex128)[:, :, 0]
         return Circulant._of_rows(inverse_rows(grid))
-
-
-def _mixed_radix_digits(index, radices: list[int]) -> list:
-    """Digits of ``index`` (a Python int or an integer array) in the mixed
-    radix ``radices``, last digit fastest: index k names the k-th tuple of
-    ``itertools.product`` over sequences of those lengths."""
-    digits = []
-    for radix in reversed(radices):
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    return digits[::-1]
 
 
 def solve_scalar_poly(
@@ -293,15 +294,6 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     return (*(np.concatenate(parts) for parts in zip(*blocks)), errors)
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.polyval``: row i of ``coeffs`` evaluated at row i of ``z``."""
-    value = np.zeros_like(z)
-    for k in range(coeffs.shape[1]):
-        np.multiply(value, z, out=value)
-        np.add(value, coeffs[:, k : k + 1], out=value)
-    return value
-
-
 def _polygon_radii(monic: np.ndarray) -> np.ndarray:
     """Starting radii from the Newton polygon of each row, shape (m, n).
 
@@ -336,7 +328,7 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     m, n = monic.shape[0], monic.shape[1] - 1
     if n == 1:
         return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
-    dcoef = monic[:, :-1] * np.arange(n, 0, -1)
+    rows = _with_derivative(monic.T[:, :, None])  # against z (m, n): P and P' of row i at row i of z
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
     z = _polygon_radii(monic) * np.exp(1j * angles)
     roots = np.empty_like(z)
@@ -345,8 +337,7 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     diagonal = np.arange(n)
     buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
-        p = _horner(monic[active], z)
-        dp = _horner(dcoef[active], z)
+        p, dp = _horner(rows[:, :, active], z)
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
         diff = np.subtract(z[:, :, None], z[:, None, :], out=buffer[: z.shape[0]])
@@ -377,14 +368,12 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
 def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """One Newton step per root, kept only where it lowers |p|; row i of
     ``roots`` belongs to row i of ``monic``."""
-    n = monic.shape[1] - 1
-    dcoef = monic[:, :-1] * np.arange(n, 0, -1)
-    p = _horner(monic, roots)
-    dp = _horner(dcoef, roots)
+    coeffs = monic.T[:, :, None]
+    p, dp = _horner(_with_derivative(coeffs), roots)
     safe = dp != 0
     stepped = roots.copy()
     stepped[safe] = roots[safe] - p[safe] / dp[safe]
-    better = np.abs(_horner(monic, stepped)) < np.abs(p)
+    better = np.abs(_horner(coeffs, stepped)) < np.abs(p)
     return np.where(better, stepped, roots)
 
 
@@ -501,8 +490,7 @@ def solve_circ_poly(
     table = ChannelRoots._make((degrees, np.concatenate([[0], np.cumsum(counts)]), distinct[kept], mults[kept]))
 
     # Only a finite set recombines; the others keep an empty root table.
-    sizes = counts.tolist()
-    count = math.prod(sizes) if np.all(degrees > 0) else 0
+    count = math.prod(counts.tolist()) if np.all(degrees > 0) else 0
     if count > recombination_limit:
         raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
 
@@ -512,9 +500,8 @@ def solve_circ_poly(
     residuals = np.empty(count)
     for start in range(0, count, RECOMBINE_CHUNK):
         stop = min(start + RECOMBINE_CHUNK, count)
-        digits = _mixed_radix_digits(np.arange(start, stop), sizes)
         rows = roots[start:stop]  # the chunk is rebuilt and verified in place
-        rows[:] = inverse_rows(table.roots[table.offsets[:-1] + np.column_stack(digits)])
+        rows[:] = inverse_rows(table._values_at(np.arange(start, stop), np.arange(p.d)))
         magnitudes, scales, residuals[start:stop] = _channel_residuals(cm, rows)
         bounds = tol * np.maximum(scales, floor)
         passed = (magnitudes <= bounds) & np.isfinite(bounds)  # NaN fails; an overflowed scale bounds nothing

@@ -108,6 +108,15 @@ def inverse_rows(spectra: np.ndarray) -> np.ndarray:
     return np.matmul(fourier_context(d).matrix, spectra[:, :, None])[:, :, 0] / d
 
 
+def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):
+    """``rel_tol * max(magnitudes)``, at or below which an eigenvalue modulus
+    counts as zero (all of them when all vanish; with a NaN, none either way);
+    ``rel_tol`` defaults to ``RANK_REL_TOL * d`` for d channels on the last axis."""
+    if rel_tol is None:
+        rel_tol = RANK_REL_TOL * magnitudes.shape[-1]
+    return rel_tol * np.max(magnitudes)
+
+
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     """Moore-Penrose pseudoinverse, computed spectrally.
 
@@ -115,15 +124,11 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     are treated as rank-deficient and zeroed; the rest are inverted.  The
     default tolerance is ``RANK_REL_TOL * d``.  The zero matrix maps to itself.
     """
-    if rel_tol is None:
-        rel_tol = RANK_REL_TOL * x.d
-    if rel_tol < 0:
+    if rel_tol is not None and rel_tol < 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     u = spectrum(x)
-    largest = np.max(np.abs(u))
-    if largest == 0.0:
-        return from_spectrum(np.zeros_like(u))
-    keep = np.abs(u) > rel_tol * largest
+    magnitudes = np.abs(u)
+    keep = magnitudes > _rank_threshold(magnitudes, rel_tol)
     inverted = np.zeros_like(u)
     inverted[keep] = 1.0 / u[keep]
     return from_spectrum(inverted)
@@ -132,6 +137,5 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
 def is_invertible(x: Circulant) -> bool:
     """True when every eigenvalue clears the rank threshold
     ``(RANK_REL_TOL * d) * max_j |u_j|``."""
-    u = np.abs(spectrum(x))
-    largest = np.max(u)
-    return bool(largest > 0.0 and np.min(u) > RANK_REL_TOL * x.d * largest)
+    magnitudes = np.abs(spectrum(x))
+    return bool(np.all(magnitudes > _rank_threshold(magnitudes)))

@@ -186,6 +186,17 @@ class TestErrorsAndDeterminism:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["spectrum", "--bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, stem, flag",
+        [("eval", "eval_reciprocal", ["--seed", "1"]), ("spectrum", "circ_2_1", ["--tol", "1e-3"])],
+    )
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, command, stem, flag):
+        # --tol belongs to pinv and solve, --seed to divisor and degree.
+        assert run([command, "--input", str(FIXTURES / f"{stem}.json"), *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unrecognized arguments: {flag[0]}")
+
     def test_missing_input_file(self, capsys):
         assert run(["spectrum", "--input", "/nonexistent.json", "--output", "-"]) == 1
 

@@ -16,7 +16,14 @@ from circfun import (
     RationalFunction,
 )
 from circfun.core import FFT_THRESHOLD
-from circfun.functions import SPECTRAL_SNAP_REL_TOL, _quotient_terms, _raise_on_zero, polyval_with_scale
+from circfun.functions import (
+    SPECTRAL_SNAP_REL_TOL,
+    _horner,
+    _quotient_terms,
+    _raise_on_zero,
+    _with_derivative,
+    polyval_with_scale,
+)
 from circfun.spectral import RANK_REL_TOL, forward_rows
 from circfun.testkit import dense_mul, random_circulant, random_invertible_circulant, random_regular_poly
 
@@ -120,6 +127,16 @@ def allocating_polyval_with_scale(coeffs, u):
     return value, scl
 
 
+def in_place_row_horner(coeffs, z):
+    """The solver's former row-wise ``np.polyval``, multiplying in place:
+    row i of ``coeffs`` evaluated at row i of ``z``."""
+    value = np.zeros_like(z)
+    for k in range(coeffs.shape[1]):
+        np.multiply(value, z, out=value)
+        np.add(value, coeffs[:, k : k + 1], out=value)
+    return value
+
+
 def assert_same_bits(actual, expected):
     for a, e in zip(actual, expected):
         assert a.shape == e.shape and a.dtype == e.dtype
@@ -169,6 +186,25 @@ class TestPolyvalWithScale:
                 allocating_polyval_with_scale(block.T[:, :, None], z),
             )
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (1, 5), (9, 5), (128, 8)])
+    @pytest.mark.parametrize("rows", ["real", "complex"])
+    def test_solver_kernel_matches_the_in_place_loop(self, rng, m, n, rows):
+        # One pass over P's rows beside P''s gives, bit for bit, what the
+        # solver's row-wise in-place loop gave on monic and dcoef separately.
+        for _ in range(20):
+            c = rng.standard_normal((m, n + 1))
+            if rows == "complex":
+                c = c + 1j * rng.standard_normal((m, n + 1))
+            monic = c / c[:, :1]
+            dcoef = monic[:, :-1] * np.arange(n, 0, -1)
+            points = [rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))]
+            if rows == "real":  # real roots of real rows stay real, as a NaN row's do
+                points.append(rng.standard_normal((m, n)))
+            for z in points:
+                p, dp = _horner(_with_derivative(monic.T[:, :, None]), z)
+                assert_same_bits([p, dp], [in_place_row_horner(monic, z), in_place_row_horner(dcoef, z)])
+                assert_same_bits([_horner(monic.T[:, :, None], z)], [in_place_row_horner(monic, z)])
+
 
 class TestClassify:
     def test_identity_leading_is_regular(self):
@@ -207,6 +243,16 @@ class TestFuncEval:
         value, zeroed = f.evaluate_with_report(z)
         assert zeroed == (2,)
         assert abs(cf.spectrum(value)[1]) <= 1e-12
+
+    @pytest.mark.parametrize("cls", [CircFunction, RationalFunction])
+    def test_rank_threshold_at_zero_and_nan(self, cls):
+        # Q = Z vanishes on every channel at Z = 0, which zeroes and reports
+        # every one; at a NaN point the threshold is NaN, which reports none.
+        d = 3
+        f = cls(CircPoly([cf.identity(d)]), CircPoly.from_scalars([1, 0], d))
+        value, zeroed = f.evaluate_with_report(cf.zero(d))
+        assert zeroed == (1, 2, 3) and not np.any(value.row)
+        assert f.evaluate_with_report(cf.Circulant([np.nan, 0.0, 0.0]))[1] == ()
 
     def test_channel_consistency_all_kinds(self, rng):
         d = 4

@@ -113,6 +113,13 @@ class TestPseudoinverse:
         assert not cf.is_invertible(cf.ones(4))
         assert not cf.is_invertible(cf.zero(3))
 
+    @pytest.mark.parametrize("rel_tol", [None, 0.0])
+    def test_nan_spectrum_keeps_no_channel(self, rel_tol):
+        # A NaN spectrum makes the rank threshold NaN, which no modulus clears.
+        x = cf.Circulant([np.nan, 1.0, 0.0])
+        assert not np.any(cf.pseudoinverse(x, rel_tol).row)
+        assert not cf.is_invertible(x)
+
 
 class TestFourierContext:
     @pytest.mark.parametrize("d", [2, 3, 7, 16, 64])
