@@ -160,14 +160,14 @@ def _horner(coeffs, u: np.ndarray) -> np.ndarray:
 
     The coefficient axis of ``coeffs`` comes first; its trailing axes
     broadcast against ``u``.  The value keeps the inputs' dtype, so real rows
-    at real points stay real.  Each product goes to its own buffer: numpy
-    rounds a one-entry complex product differently when it multiplies in
-    place.
+    at real points stay real.  Each product goes to the spare buffer, since
+    numpy rounds a one-entry complex product differently when it multiplies
+    in place; the row is added there in place, and the buffers swap.
     """
-    value = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(coeffs)[1:]), dtype=np.result_type(coeffs, u))
-    product = np.empty_like(value)
+    value = np.zeros(np.broadcast(u, coeffs[0]).shape, dtype=np.result_type(coeffs, u))
+    spare = np.empty_like(value)
     for row in coeffs:
-        np.add(np.multiply(value, u, out=product), row, out=value)
+        value, spare = np.add(np.multiply(value, u, out=spare), row, out=spare), value
     return value
 
 
