@@ -155,15 +155,11 @@ def classify(p: CircPoly) -> Classification:
 
 
 def _horner(coeffs, u: np.ndarray) -> np.ndarray:
-    """Horner value of scalar polynomials, leading coefficient first: the
-    one loop that evaluates coefficient rows.
-
-    The coefficient axis of ``coeffs`` comes first; its trailing axes
-    broadcast against ``u``.  The value keeps the inputs' dtype, so real rows
-    at real points stay real.  Each product goes to the spare buffer, since
-    numpy rounds a one-entry complex product differently when it multiplies
-    in place; the row is added there in place, and the buffers swap.
-    """
+    """Horner value of scalar polynomials, the one loop over coefficient rows:
+    the coefficient axis comes first and the trailing axes broadcast against
+    ``u``; the value keeps the inputs' dtype.  Each product goes to a spare
+    buffer, the row is added there and the buffers swap: numpy rounds a
+    one-entry complex product differently when it multiplies in place."""
     value = np.zeros(np.broadcast(u, coeffs[0]).shape, dtype=np.result_type(coeffs, u))
     spare = np.empty_like(value)
     for row in coeffs:
@@ -184,14 +180,10 @@ def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
 
 
 def polyval_with_scale(coeffs, u) -> tuple[np.ndarray, np.ndarray]:
-    """Horner value of a scalar polynomial together with its magnitude
-    scale, vectorized over evaluation points.
-
-    ``coeffs`` may be 1-D (one polynomial) or have trailing axes that
-    broadcast against ``u`` (a channel matrix against spectra).  The scale
-    sum |c_k| |u|^(n-k), the same Horner pass over |coeffs| at |u|, gives a
-    condition-aware yardstick for deciding whether a value is "zero".
-    """
+    """:func:`_horner` value of scalar polynomials at complex points, with
+    the scale sum |c_k| |u|^(n-k), the same pass over |coeffs| at |u|: a
+    condition-aware yardstick for deciding whether a value is "zero".  The
+    residual gates evaluate channel matrices with it, one column per channel."""
     coeffs, u = np.asarray(coeffs), np.asarray(u, dtype=np.complex128)
     return _horner(coeffs, u), _horner(np.abs(coeffs), np.abs(u))
 
@@ -253,13 +245,13 @@ class CircFunction:
         """F_i'(u_i) on every channel: the quotient rule where Q is present,
         then the product rule with exp(G_i).  A pole raises
         ChannelSingularityError."""
-        dp, p, _ = _quotient_terms(self.P, u, None)
+        p, dp = _value_and_derivative(self.P.channel_matrix(), u)
         if self.Q is not None:
             dq, q, q_scale = _quotient_terms(self.Q, u, None)
             _raise_on_zero([(q, q_scale, "Q")])
             dp = (dp * q - dq * p) / (q * q)
         if self.G is not None:
-            dg, g, _ = _quotient_terms(self.G, u, None)
+            g, dg = _value_and_derivative(self.G.channel_matrix(), u)
             ratio = p if self.Q is None else p / q
             dp = (dp + ratio * dg) * np.exp(g)
         return dp
@@ -362,15 +354,21 @@ def _zeroed_channels(q: np.ndarray) -> tuple[int, ...]:
 def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
     """(P'(u), P(u), scale of P(u)) on the selected channels of ``u``, shape
     (d,) or (S, d); the scale is what :func:`_raise_on_zero` measures P(u)
-    against.  One Horner pass gives P and P' (see :func:`_with_derivative`),
-    each bit for bit what :func:`polyval_with_scale` gives on its own rows.
+    against.  Each is bit for bit what :func:`polyval_with_scale` gives on
+    its own rows.
     """
     cm = poly.channel_matrix()
     if channels is not None:
         cm, u = cm[:, channels], u[..., channels]
-    cm = cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1)  # broadcast over a points axis
-    value = _horner(_with_derivative(cm), u)
-    return value[1], value[0], _horner(np.abs(cm), np.abs(u))
+    p, dp = _value_and_derivative(cm, u)
+    return dp, p, _horner(np.abs(cm), np.abs(u))
+
+
+def _value_and_derivative(cm: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(u), P'(u)) from the channel matrix of P at points of shape (C,) or
+    (S, C), in one Horner pass over the rows of :func:`_with_derivative`."""
+    value = _horner(_with_derivative(cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1)), u)
+    return value[0], value[1]
 
 
 def _raise_on_zero(checks, channels=None) -> None:

@@ -145,10 +145,9 @@ class ChannelRoots(NamedTuple):
         return ChannelReport(i + 1, KINDS[min(degree, 1) + 1], None if degree < 0 else degree, roots, mults)
 
     def _values_at(self, index: np.ndarray, channels: np.ndarray) -> np.ndarray:
-        """Values of the 0-based ``channels`` in the root combinations numbered
-        ``index`` (N,), shape (N, len(channels)).  The digits of a number in
-        the mixed radix of the channels' root counts, last digit fastest, pick
-        one root per channel, so the numbers run in ``itertools.product`` order."""
+        """Values (N, len(channels)) of the 0-based ``channels`` in the root combinations numbered
+        ``index`` (N,): a number's digits in the mixed radix of the channels' root counts, last
+        fastest, pick one root per channel, so the numbers follow ``itertools.product`` order."""
         sizes, digits = np.diff(self.offsets)[channels], np.empty((index.size, channels.size), dtype=np.intp)
         for j in reversed(range(channels.size)):
             index, digits[:, j] = divmod(index, sizes[j])
