@@ -5,7 +5,9 @@ previous one shifted cyclically to the right.  The ring element is therefore
 stored as a length-d complex vector, and the matrix product reduces to the
 cyclic convolution of first rows.  Multiplication dispatches on the order
 alone: a direct O(d^2) convolution below ``FFT_THRESHOLD`` and an FFT-based
-O(d log d) path at or above it; both paths accept arbitrary d.
+O(d log d) path at or above it; both paths accept arbitrary d.  So does ring
+Horner, which at FFT orders transforms once and runs the scalar loop
+:func:`_horner`, shared with the channel calculus, over the channels.
 """
 
 from __future__ import annotations
@@ -238,11 +240,28 @@ def frobenius_norm(x: Circulant) -> float:
     return float(np.sqrt(x.d * np.sum(np.abs(x.row) ** 2)))
 
 
+def _horner(coeffs, u: np.ndarray) -> np.ndarray:
+    """Horner value of scalar polynomials, the one loop over coefficient rows:
+    the coefficient axis comes first and the trailing axes broadcast against
+    ``u``; the value keeps the inputs' dtype.  Each product goes to a spare
+    buffer, the row is added there and the buffers swap: numpy rounds a
+    one-entry complex product differently when it multiplies in place."""
+    value = np.zeros(np.broadcast(u, coeffs[0]).shape, dtype=np.result_type(coeffs, u))
+    spare = np.empty_like(value)
+    for row in coeffs:
+        value, spare = np.add(np.multiply(value, u, out=spare), row, out=spare), value
+    return value
+
+
 def horner(coeff_rows: Sequence[np.ndarray], z_row: np.ndarray) -> np.ndarray:
-    """First row of C_0 Z^n + ... + C_n by ring Horner: each step is the product
-    of :func:`mul` plus the next coefficient, on rows, without a Circulant."""
-    fft = z_row.size >= FFT_THRESHOLD
+    """First row of C_0 Z^n + ... + C_n by ring Horner on rows.  At FFT orders:
+    one batched FFT of the rows and the point, :func:`_horner` over the d
+    channels and one inverse FFT.  Below them each step is the direct product
+    plus the next row.  A degree-0 polynomial returns its row unchanged."""
+    if z_row.size >= FFT_THRESHOLD and len(coeff_rows) > 1:
+        spectra = np.fft.fft(np.stack([*coeff_rows, z_row]), axis=-1)
+        return np.fft.ifft(_horner(spectra[:-1], spectra[-1]))
     acc = coeff_rows[0]
     for c in coeff_rows[1:]:
-        acc = _mul_rows(acc, z_row, fft) + c
+        acc = _mul_rows(acc, z_row, fft=False) + c
     return acc

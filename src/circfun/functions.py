@@ -13,8 +13,9 @@ channel rule: the derivative's i-th eigenvalue is the ordinary scalar
 derivative of the i-th channel function at the i-th eigenvalue of the
 argument.  A finite-difference variant is provided for cross-validation.
 Every channel-wise pass, here, in the solver and in the limit scans, runs the
-one scalar Horner loop :func:`_horner`; P' rides along in the same pass
-(:func:`_with_derivative`), and the scale is the loop over |c_k| at |u|.
+one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
+FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
+and the scale is the loop over |c_k| at |u|.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import core
-from .core import Circulant
+from .core import Circulant, _horner
 from .errors import (
     ChannelSingularityError,
     DimensionError,
     InvalidIncrementError,
 )
-from .spectral import _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum
+from .spectral import (
+    _invert_spectrum, _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum,
+)
 
 #: Relative tolerance for deciding that a spectral coefficient vanishes,
 #: measured against the largest spectral magnitude over all coefficients.
@@ -154,19 +157,6 @@ def classify(p: CircPoly) -> Classification:
     return Classification(not vanishing, vanishing, scale)
 
 
-def _horner(coeffs, u: np.ndarray) -> np.ndarray:
-    """Horner value of scalar polynomials, the one loop over coefficient rows:
-    the coefficient axis comes first and the trailing axes broadcast against
-    ``u``; the value keeps the inputs' dtype.  Each product goes to a spare
-    buffer, the row is added there and the buffers swap: numpy rounds a
-    one-entry complex product differently when it multiplies in place."""
-    value = np.zeros(np.broadcast(u, coeffs[0]).shape, dtype=np.result_type(coeffs, u))
-    spare = np.empty_like(value)
-    for row in coeffs:
-        value, spare = np.add(np.multiply(value, u, out=spare), row, out=spare), value
-    return value
-
-
 def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
     """The rows of P beside those of P', shape (n + 1, 2, ...) for ``coeffs``
     of shape (n + 1, ...): one :func:`_horner` pass over them gives P(u) and
@@ -229,8 +219,8 @@ class CircFunction:
 
     def channel_values(self, u: np.ndarray) -> np.ndarray:
         """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d).  A
-        channel where Q_i(u_i) falls to the rank threshold is zeroed, as the
-        pseudoinverse zeroes it."""
+        channel where Q_i(u_i) falls to the rank threshold of its point is
+        zeroed, as the pseudoinverse zeroes it."""
         value = _horner(self.P.channel_matrix(), u)
         if self.Q is not None:
             q = _horner(self.Q.channel_matrix(), u)
@@ -277,7 +267,7 @@ class CircFunction:
             checks.append((q, q_scale, "Q"))
         _raise_on_zero(checks, channels)
         dlog = dp / p if self.Q is None else dp / p - dq / q
-        return dlog, 0.0 if self.G is None else _quotient_terms(self.G, u, channels)[0]
+        return dlog, 0.0 if self.G is None else _value_and_derivative(*_selected(self.G, u, channels))[1]
 
     def evaluate(self, z: Circulant) -> Circulant:
         value, _ = self.evaluate_with_report(z)
@@ -325,8 +315,8 @@ class RationalFunction(CircFunction):
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
-        qz = self.Q.evaluate(z)
-        return core.mul(self.P.evaluate(z), pseudoinverse(qz)), _zeroed_channels(spectrum(qz))
+        q = spectrum(self.Q.evaluate(z))
+        return core.mul(self.P.evaluate(z), from_spectrum(_invert_spectrum(q))), _zeroed_channels(q)
 
 
 class ExpPolyFunction(CircFunction):
@@ -357,11 +347,16 @@ def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray
     against.  Each is bit for bit what :func:`polyval_with_scale` gives on
     its own rows.
     """
-    cm = poly.channel_matrix()
-    if channels is not None:
-        cm, u = cm[:, channels], u[..., channels]
+    cm, u = _selected(poly, u, channels)
     p, dp = _value_and_derivative(cm, u)
     return dp, p, _horner(np.abs(cm), np.abs(u))
+
+
+def _selected(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray]:
+    """The channel matrix of ``poly`` and the points ``u`` on the selected
+    channels, all of them when ``channels`` is None."""
+    cm = poly.channel_matrix()
+    return (cm, u) if channels is None else (cm[:, channels], u[..., channels])
 
 
 def _value_and_derivative(cm: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

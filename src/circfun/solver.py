@@ -14,7 +14,7 @@ is solved as one (m, n + 1) matrix of monic rows: Ehrlich-Aberth on the
 (m, n) iterate with an (m, n, n) repulsion tensor, rows leaving the active
 set as they converge, then Newton polishing, clustering into multiplicities
 and the residual check, all row-wise, with each row's value and derivative
-from one pass of the scalar Horner loop of :mod:`circfun.functions`.  Each row
+from one pass of the scalar Horner loop of :mod:`circfun.core`.  Each row
 starts from Bini's Newton-polygon radii: the slopes of the upper concave hull
 of the points (k, log|a_k|) give one radius per root near its modulus, so rows
 whose roots spread over many decades converge in a few iterations instead of
@@ -39,7 +39,8 @@ backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
 scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
 modulus.  Since that check reads the same channel matrix the solve used, the
 root of each chunk with the worst ratio to its bound is also evaluated by
-ring Horner on the coefficient rows, and its Frobenius norm must stay within
+ring Horner on the raw coefficient rows, not the snapped channel matrix (at
+FFT orders on their own transforms), and its Frobenius norm must stay within
 the 2-norm of its channel bounds.
 
 The verified rows are the storage of the roots: one (count, d) array, kept
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import Circulant
+from .core import Circulant, _horner
 from .errors import (
     DegeneratePolynomialError,
     DimensionError,
@@ -71,7 +72,7 @@ from .errors import (
     SolverError,
 )
 from .functions import (
-    COEFFICIENT_REL_TOL, ChannelView, CircPoly, _column_table, _horner, _with_derivative, polyval_with_scale,
+    COEFFICIENT_REL_TOL, ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale,
 )
 from .spectral import forward_rows, inverse_rows
 
@@ -239,15 +240,16 @@ def solve_scalar_poly(
     Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
     condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
     the batched solve that :func:`solve_circ_poly` runs over its channels.
-    NaN or infinite coefficients raise ValueError.
+    NaN or infinite coefficients, or a ``tol`` that is not positive and
+    finite, raise ValueError.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty vector")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     scale = np.max(np.abs(c))
     if scale == 0.0:
         raise DegeneratePolynomialError("identically zero polynomial")
@@ -456,10 +458,11 @@ def solve_circ_poly(
     from the mixed-radix digits of its index and rebuilt and verified a chunk
     of ``RECOMBINE_CHUNK`` at a time (see the module docstring).  A root
     failing a check raises SolverError.  A channel matrix with NaN or
-    infinite entries raises ValueError.
+    infinite entries, or a ``tol`` that is not positive and finite, raises
+    ValueError.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if p.degree < 1:
         raise ValueError("polynomial degree must be >= 1")
 

@@ -109,12 +109,22 @@ def inverse_rows(spectra: np.ndarray) -> np.ndarray:
 
 
 def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):
-    """``rel_tol * max(magnitudes)``, at or below which an eigenvalue modulus
-    counts as zero (all of them when all vanish; with a NaN, none either way);
-    ``rel_tol`` defaults to ``RANK_REL_TOL * d`` for d channels on the last axis."""
+    """``rel_tol * max(magnitudes)`` per point (the last axis), at or below
+    which an eigenvalue modulus counts as zero (all of them when all vanish;
+    with a NaN, none either way); ``rel_tol`` defaults to ``RANK_REL_TOL * d``."""
     if rel_tol is None:
         rel_tol = RANK_REL_TOL * magnitudes.shape[-1]
-    return rel_tol * np.max(magnitudes)
+    return rel_tol * np.max(magnitudes, axis=-1, keepdims=True)
+
+
+def _invert_spectrum(u: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
+    """The pseudoinverse's spectrum for the spectrum ``u``: channels at or
+    below the rank threshold are zeroed, the rest inverted."""
+    magnitudes = np.abs(u)
+    keep = magnitudes > _rank_threshold(magnitudes, rel_tol)
+    inverted = np.zeros_like(u)
+    inverted[keep] = 1.0 / u[keep]
+    return inverted
 
 
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
@@ -122,16 +132,12 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
 
     Channels whose eigenvalue modulus is at most ``rel_tol * max_j |u_j|``
     are treated as rank-deficient and zeroed; the rest are inverted.  The
-    default tolerance is ``RANK_REL_TOL * d``.  The zero matrix maps to itself.
+    default tolerance is ``RANK_REL_TOL * d``; a given one must be finite
+    and >= 0.  The zero matrix maps to itself.
     """
-    if rel_tol is not None and rel_tol < 0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
-    u = spectrum(x)
-    magnitudes = np.abs(u)
-    keep = magnitudes > _rank_threshold(magnitudes, rel_tol)
-    inverted = np.zeros_like(u)
-    inverted[keep] = 1.0 / u[keep]
-    return from_spectrum(inverted)
+    if rel_tol is not None and not 0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    return from_spectrum(_invert_spectrum(spectrum(x), rel_tol))
 
 
 def is_invertible(x: Circulant) -> bool:

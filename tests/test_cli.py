@@ -183,6 +183,17 @@ class TestErrorsAndDeterminism:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} must be finite")
 
+    @pytest.mark.parametrize(
+        "command, stem, field", [("pinv", "circ_2_1", "rel_tol"), ("solve", "poly_z2_minus_i_d2", "tol")]
+    )
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_names_field(self, capsys, command, stem, field, tol):
+        argv = [command, "--input", str(FIXTURES / f"{stem}.json"), "--output", "-", f"--tol={tol}"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["spectrum", "--bogus"]) == 1
 

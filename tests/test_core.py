@@ -181,10 +181,19 @@ class TestMulAgainstDenseOracle:
         kernel = cf.mul_fft if d >= cf.core.FFT_THRESHOLD else cf.mul_naive
         assert np.array_equal(cf.mul(x, y).row, kernel(x, y).row)
         coeffs = [random_circulant(rng, d) for _ in range(4)]
-        acc = coeffs[0]
-        for c in coeffs[1:]:
-            acc = cf.add(cf.mul(acc, x), c)
-        assert np.array_equal(cf.core.horner([c.row for c in coeffs], x.row), acc.row)
+        rows = [c.row for c in coeffs]
+        if d >= cf.core.FFT_THRESHOLD:
+            # Ring Horner at FFT orders: one forward transform of the rows and
+            # the point, the scalar loop over the channels, one inverse.
+            spectra = np.fft.fft(np.stack(rows + [x.row]), axis=-1)
+            expected = np.fft.ifft(cf.core._horner(spectra[:-1], spectra[-1]))
+        else:
+            acc = coeffs[0]
+            for c in coeffs[1:]:
+                acc = cf.add(cf.mul(acc, x), c)
+            expected = acc.row
+        assert np.array_equal(cf.core.horner(rows, x.row), expected)
+        assert cf.core.horner(rows[:1], x.row) is rows[0]  # degree 0: the row itself
 
 
 finite_complex = st.complex_numbers(

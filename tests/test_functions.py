@@ -22,6 +22,7 @@ from circfun.functions import (
     _quotient_terms,
     _raise_on_zero,
     _with_derivative,
+    _zeroed_channels,
     polyval_with_scale,
 )
 from circfun.spectral import RANK_REL_TOL, forward_rows
@@ -56,15 +57,19 @@ class TestPolyEval:
         assert np.max(np.abs(u[1:])) <= 1e-9 * max(1.0, abs(u[0]))
 
     def test_horner_matches_dense_evaluation(self, rng):
-        d = 4
-        p = random_regular_poly(rng, d, 3)
-        z = random_circulant(rng, d)
-        dense_z = cf.to_dense(z)
-        acc = cf.to_dense(p.coeffs[0])
-        for c in p.coeffs[1:]:
-            acc = dense_mul(acc, dense_z) + cf.to_dense(c)
-        fast = cf.to_dense(p.evaluate(z))
-        assert np.linalg.norm(fast - acc) / np.linalg.norm(acc) <= 1e-10
+        # Both sides of the FFT threshold, at orders with and without a fast
+        # transform.  The oracle keeps the first row of the dense Horner value:
+        # row 0 of A Z is row 0 of A times the dense Z.
+        for d in (4, 31, 32, 33, 64, 255, 256, 1024):
+            z = random_circulant(rng, d)
+            dense_z = cf.to_dense(z)
+            for degree in range(7):
+                p = random_regular_poly(rng, d, degree)
+                acc = p.coeffs[0].row
+                for c in p.coeffs[1:]:
+                    acc = acc @ dense_z + c.row
+                fast = p.evaluate(z).row
+                assert np.linalg.norm(fast - acc) <= 1e-12 * np.linalg.norm(acc), (d, degree)
 
     def test_order_mismatch(self, rng):
         p = CircPoly.from_scalars([1, 0], 2)
@@ -254,6 +259,30 @@ class TestFuncEval:
         assert zeroed == (1, 2, 3) and not np.any(value.row)
         assert f.evaluate_with_report(cf.Circulant([np.nan, 0.0, 0.0]))[1] == ()
 
+    @pytest.mark.parametrize("d", [8, 31, 32, 64])
+    def test_rational_is_the_ring_product_with_the_pseudoinverse(self, rng, d):
+        # Q(Z) is transformed once; its spectrum serves both the pseudoinverse
+        # and the report, bit for bit as the two separate calls give them.
+        p, q = random_regular_poly(rng, d, 3), random_regular_poly(rng, d, 2)
+        z = random_circulant(rng, d)
+        value, zeroed = RationalFunction(p, q).evaluate_with_report(z)
+        qz = q.evaluate(z)
+        assert np.array_equal(value.row, cf.mul(p.evaluate(z), cf.pseudoinverse(qz)).row)
+        assert zeroed == _zeroed_channels(cf.spectrum(qz))
+
+    def test_rank_threshold_is_per_point(self, rng):
+        # 1/Z at d = 2: a large second point must not zero the first one's channels.
+        f = CircFunction(CircPoly.from_scalars([1], 2), CircPoly.from_scalars([1, 0], 2))
+        u = np.array([[1e-3, 2e-3], [1e12, 1e12]], dtype=np.complex128)
+        np.testing.assert_allclose(f.channel_values(u)[0], [1000, 500], rtol=1e-15)
+        for d in (2, 7, 32):
+            f = RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 2))
+            u = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            u *= 10.0 ** rng.integers(-6, 7, size=(5, 1))
+            batch = f.channel_values(u)
+            for k in range(u.shape[0]):
+                assert_same_bits([batch[k]], [f.channel_values(u[k])])
+
     def test_channel_consistency_all_kinds(self, rng):
         d = 4
         p = random_regular_poly(rng, d, 3)
@@ -334,8 +363,8 @@ def per_kind_values(f, u):
     if f.kind == "rational":
         q, _ = polyval_with_scale(f.Q.channel_matrix(), u)
         out = np.zeros_like(p)
-        largest = np.max(np.abs(q))
-        keep = np.abs(q) > RANK_REL_TOL * f.d * largest if largest > 0 else np.zeros(q.shape, bool)
+        largest = np.max(np.abs(q), axis=-1, keepdims=True)  # each point on its own
+        keep = np.abs(q) > RANK_REL_TOL * f.d * largest
         out[keep] = p[keep] / q[keep]
         return out
     g, _ = polyval_with_scale(f.G.channel_matrix(), u)

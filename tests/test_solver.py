@@ -110,6 +110,13 @@ class TestScalarRoots:
         with pytest.raises(ValueError):
             cf.solve_scalar_poly([1, 1], tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            cf.solve_scalar_poly([1, 1], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 0], 2), tol=tol)
+
     def test_polygon_radii_follow_root_moduli(self):
         radii = solver._polygon_radii(np.poly([1e-3, 1e3])[None])
         np.testing.assert_allclose(radii, [[1e-3, 1e3]], rtol=1e-2)

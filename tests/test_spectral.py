@@ -97,6 +97,12 @@ class TestPseudoinverse:
         with pytest.raises(ValueError):
             cf.pseudoinverse(cf.identity(2), rel_tol=-1.0)
 
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance_rejected(self, rel_tol):
+        # A NaN threshold would zero every channel of an invertible matrix.
+        with pytest.raises(ValueError, match="rel_tol"):
+            cf.pseudoinverse(cf.Circulant([2, 1]), rel_tol=rel_tol)
+
     def test_penrose_conditions_random(self, rng):
         worst = 0.0
         for _ in range(100):
