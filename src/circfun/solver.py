@@ -13,23 +13,24 @@ The root-bearing channels are grouped by effective degree n, and each group
 is solved as one (m, n + 1) matrix of monic rows: Ehrlich-Aberth on the
 (m, n) iterate with an (m, n, n) repulsion tensor, rows leaving the active
 set as they converge, then Newton polishing, clustering into multiplicities
-and the residual check, all row-wise, with each row's value and derivative
-from one pass of the scalar Horner loop of :mod:`circfun.core`.  Each row
-starts from Bini's Newton-polygon radii: the slopes of the upper concave hull
-of the points (k, log|a_k|) give one radius per root near its modulus, so rows
-whose roots spread over many decades converge in a few iterations instead of
-creeping in from the Cauchy bound.  Rows run in blocks that bound the
-tensor's size.  Each step does on a row exactly what it would do on that row
-alone, so a channel's roots do not depend on the rest of the polynomial, and
-:func:`solve_scalar_poly` is the one-row case.
+by inclusion discs and the residual check, all row-wise, with each row's
+value and derivative from one pass of the scalar Horner loop of
+:mod:`circfun.core`.  Each row starts from Bini's Newton-polygon radii: the
+slopes of the upper concave hull of the points (k, log|a_k|) give one radius
+per root near its modulus, so rows whose roots spread over many decades
+converge in a few iterations instead of creeping in from the Cauchy bound.
+Rows run in blocks that bound the tensor's size.  Each step does on a row
+exactly what it would do on that row alone, so a channel's roots do not
+depend on the rest of the polynomial, and :func:`solve_scalar_poly` is the
+one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
 with invertible leading coefficient therefore has between 1 and n^d roots.
 
-No duplicate check is needed: each channel's roots are distinct after
-clustering, so distinct combinations are distinct spectra, which the
-bijective inverse transform maps to distinct circulants.
+No duplicate check is needed: clustering leaves each channel one root per
+component of disjoint discs, so distinct combinations are distinct spectra,
+which the bijective inverse transform maps to distinct circulants.
 
 Recombined roots are verified a chunk at a time in the spectral domain.  The
 forward transform of the chunk's rows gives the spectra u_k, the channel
@@ -72,15 +73,12 @@ from .errors import (
     SolverError,
 )
 from .functions import (
-    COEFFICIENT_REL_TOL, ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale,
+    ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale,
 )
 from .spectral import forward_rows, inverse_rows
 
 #: Default cap on the number of root combinations materialized.
 DEFAULT_RECOMBINATION_LIMIT = 10**6
-
-#: Relative clustering width for assigning multiplicities to scalar roots.
-CLUSTER_REL_TOL = 1e-7
 
 #: Root combinations rebuilt per batched inverse transform.
 RECOMBINE_CHUNK = 1024
@@ -235,7 +233,8 @@ def solve_scalar_poly(
     the Newton polygon of the coefficients (see :func:`_polygon_radii`), at
     evenly spaced angles.  Falls back to companion-matrix eigenvalues if the
     iteration stalls, then polishes with one Newton step per root and merges
-    near-coincident roots into multiplicities.
+    roots whose inclusion discs touch (:func:`_cluster_roots`) into
+    multiplicities.  Only exactly zero leading coefficients are stripped.
 
     Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
     condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
@@ -250,11 +249,10 @@ def solve_scalar_poly(
         raise ValueError("coefficients must be finite")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
         raise DegeneratePolynomialError("identically zero polynomial")
-    lead = int(np.argmax(np.abs(c) > COEFFICIENT_REL_TOL * scale))
-    c = c[lead:]
+    c = c[nonzero[0] :]
     if c.size == 1:
         raise DegeneratePolynomialError("constant polynomial has no roots")
     roots, mults, iterations, residuals, errors = _solve_monic_rows((c / c[0])[None], tol, max_iter)
@@ -281,11 +279,18 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     for start in range(0, monic.shape[0], step):
         block = monic[start : start + step]
         roots, iterations, failures = _aberth(block, max_iter)
-        roots = _newton_polish(block, roots)
-        distinct, mults = _cluster_roots(roots)
-        values, scales = polyval_with_scale(block.T[:, :, None], distinct)
-        max_residuals = np.max(np.abs(values), axis=1)
-        rejected = ~np.all(np.abs(values) <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
+        values, scales = polyval_with_scale(block.T[:, :, None], roots)
+        polished, residuals = _newton_polish(block, roots)
+        distinct, mults, radii = _cluster_roots(roots, values, scales, polished)
+        for i in np.flatnonzero(~np.all(np.isfinite(radii), axis=1)).tolist():
+            errors[start + i] = SolverError("inclusion disc radii are not finite")
+        # The gate reuses the scales of the unpolished roots; only merged centers are new points.
+        merged = np.flatnonzero(mults[:, -1] == 0)  # rows with fewer than n distinct roots
+        if merged.size:
+            at_centers, scales[merged] = polyval_with_scale(block[merged].T[:, :, None], distinct[merged])
+            residuals[merged] = np.abs(at_centers)
+        max_residuals = np.max(residuals, axis=1)
+        rejected = ~np.all(residuals <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
         for i in np.flatnonzero(rejected).tolist():
             errors[start + i] = SolverError(
                 f"root residual {max_residuals[i]:.3e} exceeds tolerance {tol:.1e} after polishing"
@@ -366,63 +371,55 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     return roots, iterations, failures
 
 
-def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Newton step per root, kept only where it lowers |p|; row i of
-    ``roots`` belongs to row i of ``monic``."""
+    ``roots`` belongs to row i of ``monic``.  Returns the roots and |p| there."""
     coeffs = monic.T[:, :, None]
     p, dp = _horner(_with_derivative(coeffs), roots)
     safe = dp != 0
     stepped = roots.copy()
     stepped[safe] = roots[safe] - p[safe] / dp[safe]
-    better = np.abs(_horner(coeffs, stepped)) < np.abs(p)
-    return np.where(better, stepped, roots)
+    before, after = np.abs(p), np.abs(_horner(coeffs, stepped))
+    better = after < before
+    return np.where(better, stepped, roots), np.where(better, after, before)
 
 
-def _cluster_roots(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_roots(roots: np.ndarray, values: np.ndarray, scales: np.ndarray, polished: np.ndarray):
     """Distinct roots of each row in lexicographic order, with multiplicities.
 
-    Row i of the returned matrix starts with the row's k_i distinct roots and
-    is padded with copies of the first; row i of the multiplicity matrix
-    holds their k_i multiplicities, then zeros.  If no sorted root lies
-    within twice the clustering width of an earlier one, the greedy
-    running-mean loop keeps every root as its own group, whose mean is the
-    root itself, so only rows with a close pair run the loop.  The factor 2 covers rounding differences between this
-    distance and the loop's scalar ``abs``.
+    Approximation z_i in a row of ``roots`` (m, n), where ``values`` and
+    ``scales`` are the monic row's :func:`polyval_with_scale`, gets the disc
+    of radius n (|p(z_i)| + 4 n eps s(z_i)) / prod_{j != i} |z_i - z_j| (Bini
+    & Fiorentino, Numer. Algorithms 23, 2000).  A connected component of k
+    touching discs holds k roots and becomes one root of multiplicity k: the
+    mean of its members, or the ``polished`` root if k = 1, plus 0.0.  The
+    discs come first, as a Newton step at a multiple root is mostly rounding
+    error and can bring two approximations close enough to blow up their
+    discs.  Returns the distinct roots (each row's k_i, then copies of its
+    first), their multiplicities (zero past the k_i-th) and the radii.
     """
-    rows = np.arange(roots.shape[0])[:, None]
-    roots = roots[rows, np.lexsort((roots.imag, roots.real))]
-    gap = roots.real[:, :, None] - roots.real[:, None, :]
-    gap = np.hypot(gap, roots.imag[:, :, None] - roots.imag[:, None, :], out=gap)  # |r_i - r_j|
-    width = 2 * CLUSTER_REL_TOL * np.maximum(1.0, np.abs(roots))
-    close = np.any(np.tril(gap <= width[:, None, :], -1), axis=(1, 2))
-    distinct = (roots + 0.0) / 1  # np.mean of a one-root group, bit for bit
-    distinct = distinct[rows, np.lexsort((distinct.imag, distinct.real))]
-    mults = np.ones(roots.shape, dtype=np.intp)
-    for i in np.flatnonzero(close):
-        centers, mult = _greedy_clusters(roots[i])
-        order = np.lexsort((centers.imag, centers.real))
-        distinct[i, : centers.size] = centers[order]
-        distinct[i, centers.size :] = centers[order[0]]
-        mults[i, : centers.size] = mult[order]
-        mults[i, centers.size :] = 0
-    return distinct, mults
-
-
-def _greedy_clusters(sorted_roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    groups: list[list[complex]] = []
-    for r in sorted_roots:
-        placed = False
-        for g in groups:
-            center = np.mean(g)
-            if abs(r - center) <= CLUSTER_REL_TOL * max(1.0, abs(center)):
-                g.append(r)
-                placed = True
-                break
-        if not placed:
-            groups.append([r])
-    distinct = np.array([np.mean(g) for g in groups])
-    mult = np.array([len(g) for g in groups], dtype=np.intp)
-    return distinct, mult
+    m, n = roots.shape
+    diagonal = np.arange(n)
+    gap = np.abs(roots[:, None, :] - roots[:, :, None])
+    gap[:, diagonal, diagonal] = 1.0  # out of the product, which is a sum of logs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slack = n * (np.abs(values) + 4 * n * np.finfo(np.float64).eps * scales)
+        radii = np.exp(np.log(slack) - np.sum(np.log(gap), axis=2))
+    touch = gap <= radii[:, :, None] + radii[:, None, :]
+    touch[:, diagonal, diagonal] = True
+    # Min-label propagation: each root ends with the smallest index in its component.
+    labels, spread = None, np.broadcast_to(diagonal, (m, n))
+    while not np.array_equal(labels, spread):
+        labels, spread = spread, np.min(np.where(touch, spread[:, None, :], n), axis=2)
+    # A center is its first member plus the members' mean offset from it.
+    flat = (labels + n * np.arange(m)[:, None]).ravel()
+    sizes = np.bincount(flat, minlength=m * n).reshape(m, n)
+    offsets = (roots - np.take_along_axis(roots, labels, 1)).ravel()
+    mean = (np.bincount(flat, offsets.real, m * n) + 1j * np.bincount(flat, offsets.imag, m * n)).reshape(m, n)
+    centers = np.where(sizes == 1, polished, roots) + mean / np.maximum(sizes, 1)
+    order = np.lexsort((centers.imag, centers.real, sizes == 0))
+    distinct, mults = np.take_along_axis(centers, order, 1), np.take_along_axis(sizes, order, 1)
+    return np.where(mults > 0, distinct, distinct[:, :1]), mults, radii
 
 
 def residual(p: CircPoly, z: Circulant) -> float:

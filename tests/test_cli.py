@@ -89,6 +89,14 @@ class TestSolve:
         assert doc["status"] == "infinite-family"
         assert doc["free_channels"] == [2]
 
+    def test_clustered_roots(self, tmp_path):
+        # (Z - 2I)^3 (Z + I)^2: each channel has the double root -1 and the
+        # triple root 2, so there are 2^2 roots.
+        code, doc = run_to_file(tmp_path, ["solve"], "poly_clustered_d2.json")
+        assert code == 0
+        assert [sorted(c["multiplicities"]) for c in doc["channels"]] == [[2, 3], [2, 3]]
+        assert len(doc["roots"]) == 4
+
     def test_rejects_non_poly_kind(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, ["solve"], "rational_mixed_d2.json")
         assert code == 1
@@ -184,7 +192,7 @@ class TestErrorsAndDeterminism:
         assert captured.err.startswith(f"error: {field} must be finite")
 
     @pytest.mark.parametrize(
-        "command, stem, field", [("pinv", "circ_2_1", "rel_tol"), ("solve", "poly_z2_minus_i_d2", "tol")]
+        "command, stem, field", [("pinv", "circ_2_1", "tol"), ("solve", "poly_z2_minus_i_d2", "tol")]
     )
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_names_field(self, capsys, command, stem, field, tol):

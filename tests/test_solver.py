@@ -32,7 +32,7 @@ def polish(coeffs, roots):
     """One Newton polishing pass on the roots of one scalar polynomial, as
     the batched solve runs it on a row of monic coefficients."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    return solver._newton_polish((c / c[0])[None], np.asarray(roots, dtype=np.complex128)[None])[0]
+    return solver._newton_polish((c / c[0])[None], np.asarray(roots, dtype=np.complex128)[None])[0][0]
 
 
 def random_monic(rng, n):
@@ -73,6 +73,53 @@ class TestScalarRoots:
         np.testing.assert_allclose(r.roots[order], [-1, 2], atol=1e-6)
         np.testing.assert_array_equal(r.multiplicities[order], [1, 2])
 
+    @pytest.mark.parametrize("roots, mults", [([-1, 2], [2, 3]), ([-1, 2], [1, 4])])
+    def test_multiple_roots_form_one_cluster(self, roots, mults):
+        # Aberth stalls on these into the companion-matrix fallback, which
+        # spreads the multiple root 2 over 1e-5 and more.
+        r = cf.solve_scalar_poly(np.poly(np.repeat(roots, mults)))
+        np.testing.assert_allclose(r.roots, roots, atol=1e-4)
+        np.testing.assert_array_equal(r.multiplicities, mults)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seeded_sweep_gives_exact_multiplicities(self):
+        # 1 to 3 distinct roots of multiplicity 1 to 3, with moduli in
+        # [0.3, 3] * 10^e for e in [-3, 3], pairwise at least a quarter of the
+        # largest modulus apart, and the coefficients scaled by 10^[-100, 100].
+        # Each solve gives every root with its exact multiplicity or raises.
+        rng = np.random.default_rng(16)
+        wrong, failed = [], 0
+        for case in range(500):
+            e, k = rng.uniform(-3, 3), int(rng.integers(1, 4))
+            while True:
+                roots = rng.uniform(0.3, 3, k) * 10**e * np.exp(2j * np.pi * rng.uniform(size=k))
+                gaps = np.abs(roots[:, None] - roots[None, :])
+                np.fill_diagonal(gaps, np.inf)
+                if np.all(gaps >= 0.25 * np.max(np.abs(roots))):
+                    break
+            mults = rng.integers(1, 4, k)
+            coeffs = np.poly(np.repeat(roots, mults)) * 10 ** rng.uniform(-100, 100)
+            try:
+                r = cf.solve_scalar_poly(coeffs)
+            except SolverError:
+                failed += 1
+                continue
+            nearest = np.argmin(np.abs(r.roots[:, None] - roots[None, :]), axis=1)
+            if sorted(nearest.tolist()) != list(range(k)) or not np.array_equal(r.multiplicities, mults[nearest]):
+                wrong.append((case, mults.tolist(), r.multiplicities.tolist()))
+        assert wrong == []
+        assert failed <= 5  # raising is no answer either
+
+    @pytest.mark.parametrize(
+        "coeffs, roots", [(np.poly([1e4, 2e4, 3e4]), [1e4, 2e4, 3e4]), ([1e-20, 1, 1], [-1e20, -1])]
+    )
+    def test_small_leading_coefficient_is_kept(self, coeffs, roots):
+        # The leading coefficients are 1e-12 and 1e-20 of the largest; only
+        # exactly zero ones are stripped.
+        r = cf.solve_scalar_poly(coeffs)
+        np.testing.assert_allclose(np.sort_complex(r.roots), roots, rtol=1e-8)
+        np.testing.assert_array_equal(r.multiplicities, 1)
+
     def test_total_multiplicity_equals_degree(self, rng):
         for _ in range(30):
             deg = int(rng.integers(1, 9))
@@ -105,6 +152,14 @@ class TestScalarRoots:
         *_, errors = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, 100)
         assert list(errors) == [0] and isinstance(errors[0], SolverError)
         assert "root residual nan" in str(errors[0])
+
+    def test_coincident_approximations_fail_the_row(self, monkeypatch):
+        # Both approximations of (u - 1)^2 exactly at 1: the residuals
+        # vanish, but the inclusion discs have no finite radius.
+        fake = (np.ones((1, 2), dtype=np.complex128), np.zeros(1, dtype=np.intp), {})
+        monkeypatch.setattr(solver, "_aberth", lambda monic, max_iter: fake)
+        *_, errors = solver._solve_monic_rows(np.array([[1.0, -2.0, 1.0]]), 1e-10, 100)
+        assert list(errors) == [0] and "inclusion disc radii are not finite" in str(errors[0])
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
@@ -269,8 +324,8 @@ class TestCircSolve:
 
     def test_batched_channels_match_scalar_solves(self, rng):
         # Degrees 1, 3 and 5 in one polynomial: (u - 2)^2 (u + 1) has a double
-        # root that takes the greedy clustering loop, and (u - 2)^3 (u + 1)^2
-        # stalls Aberth into the companion-matrix fallback.
+        # root, and (u - 2)^3 (u + 1)^2 stalls Aberth into the companion-matrix
+        # fallback, which spreads its triple root over about 1e-5.
         channels = [
             [1.0, -3.0, 0.0, 4.0],
             np.poly([2, 2, 2, -1, -1]),
@@ -284,6 +339,7 @@ class TestCircSolve:
         assert sol.status is SolutionStatus.FINITE
         assert [r.effective_degree for r in sol.channel_reports] == [3, 5, 1, 5, 3, 1]
         assert sol.channel_reports[0].multiplicities == (1, 2)
+        assert sol.channel_reports[1].multiplicities == (2, 3)
         col = p.channel_matrix()[:, 1]
         assert cf.solve_scalar_poly(col, tol=1e-8).iterations == solver.ABERTH_MAX_ITER
         self.assert_reports_match_scalar_solves(p, sol)
