@@ -227,14 +227,12 @@ def solve_scalar_poly(
 ) -> ScalarRoots:
     """All complex roots of a scalar polynomial (leading coefficient first).
 
-    Runs the Ehrlich-Aberth simultaneous iteration, which updates every root
-    approximation at once using the Newton correction damped by the repulsion
-    from the other approximations.  The approximations start on the radii of
-    the Newton polygon of the coefficients (see :func:`_polygon_radii`), at
-    evenly spaced angles.  Falls back to companion-matrix eigenvalues if the
-    iteration stalls, then polishes with one Newton step per root and merges
-    roots whose inclusion discs touch (:func:`_cluster_roots`) into
-    multiplicities.  Only exactly zero leading coefficients are stripped.
+    Runs the Ehrlich-Aberth iteration from the radii of the Newton polygon of
+    the coefficients (see :func:`_polygon_radii`) at evenly spaced angles,
+    falls back to companion-matrix eigenvalues if it stalls, polishes with
+    one Newton step per root and merges roots whose inclusion discs touch
+    (:func:`_cluster_roots`) into multiplicities.  Only exactly zero leading
+    coefficients are stripped.
 
     Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
     condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
@@ -281,7 +279,7 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
         roots, iterations, failures = _aberth(block, max_iter)
         values, scales = polyval_with_scale(block.T[:, :, None], roots)
         polished, residuals = _newton_polish(block, roots)
-        distinct, mults, radii = _cluster_roots(roots, values, scales, polished)
+        distinct, mults, radii = _cluster_roots(block, roots, values, scales, polished)
         for i in np.flatnonzero(~np.all(np.isfinite(radii), axis=1)).tolist():
             errors[start + i] = SolverError("inclusion disc radii are not finite")
         # The gate reuses the scales of the unpolished roots; only merged centers are new points.
@@ -384,19 +382,20 @@ def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np
     return np.where(better, stepped, roots), np.where(better, after, before)
 
 
-def _cluster_roots(roots: np.ndarray, values: np.ndarray, scales: np.ndarray, polished: np.ndarray):
+def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, scales: np.ndarray, polished):
     """Distinct roots of each row in lexicographic order, with multiplicities.
 
-    Approximation z_i in a row of ``roots`` (m, n), where ``values`` and
-    ``scales`` are the monic row's :func:`polyval_with_scale`, gets the disc
-    of radius n (|p(z_i)| + 4 n eps s(z_i)) / prod_{j != i} |z_i - z_j| (Bini
-    & Fiorentino, Numer. Algorithms 23, 2000).  A connected component of k
+    Approximation z_i in a row of ``roots`` (m, n), with ``values`` and
+    ``scales`` the :func:`polyval_with_scale` of the row of ``monic``, gets
+    the disc of radius n (|p(z_i)| + 4 n eps s(z_i)) / prod_{j != i} |z_i - z_j|
+    (Bini & Fiorentino, Numer. Algorithms 23, 2000), or {0} if it is one of
+    the k exact zeros the companion-matrix fallback gives for k trailing zero
+    coefficients: the z_i^k cancel from the other discs.  A component of k
     touching discs holds k roots and becomes one root of multiplicity k: the
-    mean of its members, or the ``polished`` root if k = 1, plus 0.0.  The
-    discs come first, as a Newton step at a multiple root is mostly rounding
-    error and can bring two approximations close enough to blow up their
-    discs.  Returns the distinct roots (each row's k_i, then copies of its
-    first), their multiplicities (zero past the k_i-th) and the radii.
+    mean of its members, or the ``polished`` root plus 0.0 if k = 1.  Discs
+    come before polishing, which can blow them up at a multiple root.  Returns
+    the distinct roots (each row's k_i, then copies of its first), their
+    multiplicities (zero past the k_i-th) and the radii.
     """
     m, n = roots.shape
     diagonal = np.arange(n)
@@ -405,12 +404,13 @@ def _cluster_roots(roots: np.ndarray, values: np.ndarray, scales: np.ndarray, po
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slack = n * (np.abs(values) + 4 * n * np.finfo(np.float64).eps * scales)
         radii = np.exp(np.log(slack) - np.sum(np.log(gap), axis=2))
+    zero = roots == 0  # exact roots if no more than the trailing zero coefficients: the disc {0}
+    radii[zero & (np.count_nonzero(zero, axis=1) <= np.argmax(monic[:, ::-1] != 0, axis=1))[:, None]] = 0.0
     touch = gap <= radii[:, :, None] + radii[:, None, :]
-    touch[:, diagonal, diagonal] = True
     # Min-label propagation: each root ends with the smallest index in its component.
     labels, spread = None, np.broadcast_to(diagonal, (m, n))
     while not np.array_equal(labels, spread):
-        labels, spread = spread, np.min(np.where(touch, spread[:, None, :], n), axis=2)
+        labels, spread = spread, np.minimum(spread, np.min(np.where(touch, spread[:, None, :], n), axis=2))
     # A center is its first member plus the members' mean offset from it.
     flat = (labels + n * np.arange(m)[:, None]).ravel()
     sizes = np.bincount(flat, minlength=m * n).reshape(m, n)

@@ -153,6 +153,16 @@ class TestScalarRoots:
         assert list(errors) == [0] and isinstance(errors[0], SolverError)
         assert "root residual nan" in str(errors[0])
 
+    @pytest.mark.parametrize(
+        "roots, mults", [([0, 1], [2, 2]), ([0], [7]), ([0], [12]), ([-1, 0, 2], [2, 2, 3])]
+    )
+    def test_exact_zero_roots_cluster(self, roots, mults):
+        # Aberth stalls on all but the first into the companion-matrix
+        # fallback, which returns one exact zero per trailing zero coefficient.
+        r = cf.solve_scalar_poly(np.poly(np.repeat(roots, mults)))
+        np.testing.assert_allclose(r.roots, roots, atol=1e-4)
+        np.testing.assert_array_equal(r.multiplicities, mults)
+
     def test_coincident_approximations_fail_the_row(self, monkeypatch):
         # Both approximations of (u - 1)^2 exactly at 1: the residuals
         # vanish, but the inclusion discs have no finite radius.
@@ -219,6 +229,15 @@ class TestCircSolve:
         for e in expected:
             assert any(e.isclose(r, 1e-10) for r in sol.roots)
         assert max(sol.residuals) <= 1e-10
+
+    def test_exact_zero_roots_cluster_d2(self):
+        # Z^2 (Z - 2I)^3 (Z + I)^2: every channel takes the companion-matrix
+        # fallback, whose two exact zeros form one root of multiplicity 2.
+        sol = cf.solve_circ_poly(CircPoly.from_scalars(np.poly([0, 0, 2, 2, 2, -1, -1]), 2))
+        assert sol.status is SolutionStatus.FINITE and len(sol.roots) == 9
+        for report in sol.channel_reports:
+            np.testing.assert_allclose(report.roots, [-1, 0, 2], atol=1e-4)
+            assert report.multiplicities == (2, 2, 3)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_units_z_plus_identity_has_no_solution(self, d):
