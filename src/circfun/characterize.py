@@ -39,13 +39,7 @@ from .functions import (
     classify,
 )
 from .spectral import forward_rows, inverse_rows, spectrum
-
-#: |estimate - nearest integer| accepted as converged, after extrapolation.
-ROUND_TOL = 1e-3
-
-#: Below this absolute error the contraction test is waived: estimates at
-#: the floating-point noise floor jitter instead of shrinking.
-NOISE_FLOOR = 1e-6
+from .tolerances import CONTRACTION_FACTOR, NOISE_FLOOR, ROUND_TOL, UNIT_MODULUS_TOL, WITNESS_MATCH_REL_TOL
 
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,14 +65,17 @@ class PathSpec:
             raise ValueError("direction must be a complex vector of length >= 2")
         if not np.all(np.isfinite(direction)):
             raise ValueError("direction entries must be finite")
-        if np.any(np.abs(np.abs(direction) - 1.0) > 1e-9):
+        if np.any(np.abs(np.abs(direction) - 1.0) > UNIT_MODULUS_TOL):
             raise ValueError("direction entries must have unit modulus")
         if scales.ndim != 1 or scales.size < 4:
-            raise ValueError("need at least 4 scale points")
+            raise ValueError(f"scales must be a vector of at least 4 points, got shape {scales.shape}")
         if not (np.all(np.isfinite(scales)) and math.isfinite(float(scales[-1]) * direction.size)):
             raise ValueError("scales must be finite, and so must the largest times d")
         if np.any(scales <= 0) or np.any(np.diff(scales) <= 0):
             raise ValueError("scales must be positive and strictly increasing")
+        for name in ("retry_budget", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         direction.flags.writeable = False
         scales.flags.writeable = False
         object.__setattr__(self, "direction", direction)
@@ -116,8 +113,8 @@ class PathSpec:
 
         The irrational phase step keeps channels away from coincidental
         alignment with real-axis zeros or poles.  Requires finite scales
-        with 0 < t_min < t_max and a finite t_max * d, the largest modulus
-        a scan point's transform can take.
+        with 0 < t_min < t_max, a finite t_max * d, the largest modulus a
+        scan point's transform can take, and points >= 4.
 
         Memoized on the argument tuple, 16 paths at most: a call with the
         same arguments returns the same read-only path, and its scan points
@@ -128,6 +125,8 @@ class PathSpec:
             raise ValueError(f"t_min must be finite and positive, got {t_min}")
         if not (math.isfinite(float(t_max) * d) and t_max > t_min):
             raise ValueError(f"t_max must be finite and greater than t_min, with t_max * d finite, got {t_max}")
+        if points < 4:
+            raise ValueError(f"points must be >= 4, got {points}")
         phases = 2 * np.pi * _GOLDEN_FRACTION * np.arange(d)
         direction = np.exp(1j * phases)
         scales = np.geomspace(t_min, t_max, points)
@@ -249,8 +248,8 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
     PathSpec requires.
 
     Converged means: the last three Richardson-extrapolated estimates sit
-    within ``ROUND_TOL`` of one integer and the error does not grow, allowing
-    floating-point jitter once the tail is at machine level.  A column whose
+    within ``ROUND_TOL`` of one integer and the error contracts, or sits
+    below ``NOISE_FLOOR`` (:mod:`circfun.tolerances`).  A column whose
     estimates or final extrapolated estimate are not finite diverges with no
     k and no error.
 
@@ -266,8 +265,8 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
         k = np.rint(np.where(usable, final.real, 0.0))
         tail = np.abs(refined[-3:] - k)
         within = np.all(tail <= ROUND_TOL, axis=0) & (np.abs(final.imag) <= ROUND_TOL)
-        shrinking = ((tail[1] <= tail[0] * 1.5) | (tail[1] <= NOISE_FLOOR)) & (
-            (tail[2] <= tail[1] * 1.5) | (tail[2] <= NOISE_FLOOR)
+        shrinking = ((tail[1] <= tail[0] * CONTRACTION_FACTOR) | (tail[1] <= NOISE_FLOOR)) & (
+            (tail[2] <= tail[1] * CONTRACTION_FACTOR) | (tail[2] <= NOISE_FLOOR)
         )
     converged = usable & within & shrinking
     return np.where(converged, k, np.nan), converged, refined, np.where(usable, tail[2], np.nan)
@@ -439,7 +438,7 @@ def _degree_cross_check(f: CircFunction, q_entire: CircFunction, n: int) -> bool
     pads = np.zeros((2, rows, f.d), dtype=np.complex128)  # the witness and G', below leading zeros
     pads[0, rows - qm.shape[0] :] = qm
     pads[1, rows - gm.shape[0] :] = _with_derivative(gm)[:, 1]
-    if np.max(np.abs(pads[0] - pads[1])) > 1e-9 * max(float(np.max(np.abs(pads))), 1.0):
+    if np.max(np.abs(pads[0] - pads[1])) > WITNESS_MATCH_REL_TOL * max(float(np.max(np.abs(pads))), 1.0):
         return None
     return n == f.P.degree
 

@@ -73,7 +73,7 @@ def _read_document(path: str):
 
 
 def _write_document(path: str, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -154,10 +154,10 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         document, code = _HANDLERS[args.command](args)
+        _write_document(args.output, document)
     except (CircfunError, ValueError, TypeError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_document(args.output, document)
     return code
 
 

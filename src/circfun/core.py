@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
+from .tolerances import ISCLOSE_TOL, NORM_SAFE_MIN
 
 #: Orders at or above this multiply and transform by FFT.  Stacks of rows,
 #: as the solver and the limit scan transform them, favour the FFT from here.
@@ -80,7 +81,7 @@ class Circulant:
         """Matrix order."""
         return self.row.size
 
-    def isclose(self, other: "Circulant", tol: float = 1e-9) -> bool:
+    def isclose(self, other: "Circulant", tol: float = ISCLOSE_TOL) -> bool:
         """Tolerance-based equality: max entrywise modulus difference <= tol."""
         if self.d != other.d:
             return False
@@ -237,7 +238,24 @@ def to_dense(x: Circulant) -> np.ndarray:
 
 def frobenius_norm(x: Circulant) -> float:
     """Frobenius norm of the dense expansion, sqrt(d * sum |row_j|^2)."""
-    return float(np.sqrt(x.d * np.sum(np.abs(x.row) ** 2)))
+    return float(_norm2(np.abs(x.row), x.d))
+
+
+def _norm2(magnitudes: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """sqrt(weight * sum of squares) of nonnegative ``magnitudes`` over the
+    last axis.  A result that overflowed or fell below ``NORM_SAFE_MIN`` is
+    taken again from its row scaled by the power of two at its largest entry,
+    which keeps every bit (as dnrm2 scales; Higham, Accuracy and Stability of
+    Numerical Algorithms, 27.5).  Every other result is the plain one."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(weight * np.sum(np.square(magnitudes), axis=-1))
+        redo = (norms < NORM_SAFE_MIN) | (norms == np.inf)
+        if np.any(redo):
+            norms, rows = np.array(norms), magnitudes[redo]
+            exponents = np.frexp(np.max(rows, axis=-1))[1]
+            sums = np.sum(np.square(np.ldexp(rows, -exponents[:, None])), axis=-1)
+            norms[redo] = np.ldexp(np.sqrt(weight * sums), exponents)
+    return norms
 
 
 def _horner(coeffs, u: np.ndarray) -> np.ndarray:

@@ -36,18 +36,7 @@ from .errors import (
 from .spectral import (
     _invert_spectrum, _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum,
 )
-
-#: Relative tolerance for deciding that a spectral coefficient vanishes,
-#: measured against the largest spectral magnitude over all coefficients.
-COEFFICIENT_REL_TOL = 1e-10
-
-#: Relative tolerance below which a channel denominator counts as a pole.
-SINGULARITY_REL_TOL = 1e-12
-
-#: Spectral coefficients this far below the largest one are rounding junk
-#: from the transform of structured coefficients; they are snapped to zero
-#: so that degree drops stay exact.
-SPECTRAL_SNAP_REL_TOL = 1e-14
+from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
 
 class CircPoly:
@@ -87,11 +76,11 @@ class CircPoly:
     def channel_matrix(self) -> np.ndarray:
         """Spectral coefficients, shape (degree + 1, d); column i is channel i.
 
-        Entries below ``SPECTRAL_SNAP_REL_TOL`` times the largest magnitude
-        are zeroed: they are transform round-off, and keeping them would turn
-        exact channel degree drops into huge spurious terms at large
-        arguments.  Computed once and cached, with that largest magnitude
-        (snapping leaves it in place); the returned array is read-only.
+        Transform round-off is zeroed by the table's ``SPECTRAL_SNAP_REL_TOL``
+        (:mod:`circfun.tolerances`): kept, it would turn exact channel degree
+        drops into huge spurious terms at large arguments.  Computed once and
+        cached, with the largest magnitude S (snapping leaves it in place);
+        the returned array is read-only.
         """
         if self._channel_matrix is None:
             cm = forward_rows(np.stack([c.row for c in self.coeffs]))
@@ -105,9 +94,8 @@ class CircPoly:
     def channel_degrees(self) -> np.ndarray:
         """Effective degree of each channel, -1 where it is identically zero.
 
-        A spectral coefficient counts as zero at or below
-        ``COEFFICIENT_REL_TOL`` times the largest magnitude over all
-        coefficients, so the leading ones that fall below it drop out.
+        Leading coefficients that vanish by the table's
+        ``COEFFICIENT_REL_TOL`` (:mod:`circfun.tolerances`) drop out.
         Computed once and cached; the returned array is read-only.
         """
         if self._channel_degrees is None:
@@ -142,19 +130,10 @@ class Classification:
 
 
 def classify(p: CircPoly) -> Classification:
-    """Regular iff the leading coefficient is invertible.
-
-    The per-channel test compares the leading spectral coefficient against
-    the largest spectral magnitude over all coefficients.
-    """
-    cm = p.channel_matrix()
-    scale = p._scale
-    if scale == 0.0:
-        vanishing = tuple(range(1, p.d + 1))
-        return Classification(False, vanishing, 0.0)
-    leading = np.abs(cm[0])
-    vanishing = tuple(int(i) + 1 for i in np.nonzero(leading <= COEFFICIENT_REL_TOL * scale)[0])
-    return Classification(not vanishing, vanishing, scale)
+    """Regular iff the leading coefficient is invertible: no channel's
+    effective degree (:meth:`CircPoly.channel_degrees`) falls below the degree."""
+    vanishing = tuple((np.flatnonzero(p.channel_degrees() < p.degree) + 1).tolist())
+    return Classification(not vanishing, vanishing, p._scale)
 
 
 def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
@@ -375,7 +354,7 @@ def _raise_on_zero(checks, channels=None) -> None:
     there, so a batch over points raises as a loop over them would.
     ``channels`` maps positions in the last axis to 0-based channel indices.
     """
-    bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * np.maximum(s, 1e-300) for v, s, _ in checks])
+    bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * s for v, s, _ in checks])
     if not np.any(bad):
         return
     bad = bad.reshape(len(checks), -1, bad.shape[-1])

@@ -42,7 +42,7 @@ modulus.  Since that check reads the same channel matrix the solve used, the
 root of each chunk with the worst ratio to its bound is also evaluated by
 ring Horner on the raw coefficient rows, not the snapped channel matrix (at
 FFT orders on their own transforms), and its Frobenius norm must stay within
-the 2-norm of its channel bounds.
+the finite 2-norm of its channel bounds (norms by :func:`core._norm2`).
 
 The verified rows are the storage of the roots: one (count, d) array, kept
 with the residuals in ``verified`` (:class:`RootTable`), whose rows ``roots``
@@ -76,6 +76,7 @@ from .functions import (
     ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale,
 )
 from .spectral import forward_rows, inverse_rows
+from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR, SCALAR_RESIDUAL_TOL
 
 #: Default cap on the number of root combinations materialized.
 DEFAULT_RECOMBINATION_LIMIT = 10**6
@@ -222,7 +223,7 @@ class SolutionSet:
 
 def solve_scalar_poly(
     coeffs,
-    tol: float = 1e-10,
+    tol: float = SCALAR_RESIDUAL_TOL,
     max_iter: int = ABERTH_MAX_ITER,
 ) -> ScalarRoots:
     """All complex roots of a scalar polynomial (leading coefficient first).
@@ -234,9 +235,9 @@ def solve_scalar_poly(
     (:func:`_cluster_roots`) into multiplicities.  Only exactly zero leading
     coefficients are stripped.
 
-    Residuals are accepted when ``|p(r)| <= tol * scale(r)`` with the
-    condition-aware scale sum |c_k| |r|^(n-k).  This is the one-row case of
-    the batched solve that :func:`solve_circ_poly` runs over its channels.
+    Residuals pass the row gate of :mod:`circfun.tolerances` against the
+    scale sum |c_k| |r|^(n-k).  This is the one-row case of the batched
+    solve that :func:`solve_circ_poly` runs over its channels.
     NaN or infinite coefficients, or a ``tol`` that is not positive and
     finite, raise ValueError.
     """
@@ -305,8 +306,8 @@ def _polygon_radii(monic: np.ndarray) -> np.ndarray:
     exp(-s_t), where s_t = min_{i <= t} max_{j > t} (y_j - y_i) / (j - i) is
     the slope of the upper concave hull of the points (k, y_k) on [t, t + 1]
     (Bini, Numer. Algorithms 13, 1996).  A zero root gives radius 0, which is
-    raised to 1e-3 times the row's smallest positive radius (1 if it has
-    none) so that the starting points stay distinct.
+    raised to ``POLYGON_FLOOR`` times the row's smallest positive radius (1
+    if it has none) so that the starting points stay distinct.
     """
     n = monic.shape[1] - 1
     k = np.arange(n + 1)
@@ -320,7 +321,7 @@ def _polygon_radii(monic: np.ndarray) -> np.ndarray:
     hull = np.min(np.where(k[:, None] <= k[None, :-1], beyond, np.inf), axis=1)  # min over i <= t
     radius = np.exp(-hull)
     smallest = np.min(np.where(radius > 0, radius, np.inf), axis=1, keepdims=True)
-    return np.maximum(radius, np.where(np.isfinite(smallest), 1e-3 * smallest, 1.0))
+    return np.maximum(radius, np.where(np.isfinite(smallest), POLYGON_FLOOR * smallest, 1.0))
 
 
 def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -342,16 +343,16 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
         p, dp = _horner(rows[:, :, active], z)
-        dp = np.where(dp == 0, 1e-300, dp)
+        dp = np.where(dp == 0, DIVISION_GUARD, dp)
         w = p / dp
         diff = np.subtract(z[:, :, None], z[:, None, :], out=buffer[: z.shape[0]])
         diff[:, diagonal, diagonal] = 1.0
         repulsion = np.sum(np.divide(1.0, diff, out=diff), axis=2) - 1.0  # remove the diagonal's 1/1
         denom = 1.0 - w * repulsion
-        denom = np.where(denom == 0, 1e-300, denom)
+        denom = np.where(denom == 0, DIVISION_GUARD, denom)
         correction = w / denom
         z = z - correction
-        done = np.all(np.abs(correction) <= 1e-14 * (1.0 + np.abs(z)), axis=1)
+        done = np.all(np.abs(correction) <= ABERTH_STOP_REL_TOL * (1.0 + np.abs(z)), axis=1)
         roots[active[done]] = z[done]
         iterations[active[done]] = iteration
         active, z = active[~done], z[~done]
@@ -438,12 +439,12 @@ def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     P(Z_k) for each row."""
     values, scales = polyval_with_scale(cm[:, None, :], forward_rows(rows))
     magnitudes = np.abs(values)
-    return magnitudes, scales, np.sqrt(np.sum(np.square(magnitudes), axis=1))
+    return magnitudes, scales, core._norm2(magnitudes)
 
 
 def solve_circ_poly(
     p: CircPoly,
-    tol: float = 1e-8,
+    tol: float = CIRC_RESIDUAL_TOL,
     recombination_limit: int = DEFAULT_RECOMBINATION_LIMIT,
 ) -> SolutionSet:
     """Classify and solve P(Z) = 0.
@@ -513,8 +514,8 @@ def solve_circ_poly(
                 f" in channel {i + 1} of root {start + k + 1}"
             )
         ring = core.frobenius_norm(Circulant(core.horner(coeff_rows, rows[k])))
-        allowed = float(np.sqrt(np.sum(np.square(bounds[k]))))
-        if not ring <= allowed:
+        allowed = float(core._norm2(bounds[k]))
+        if not ring <= allowed < np.inf:  # an overflowed bound bounds nothing
             raise SolverError(
                 f"reconstructed root residual {ring:.3e} exceeds {allowed:.1e}"
                 f" in the ring check of root {start + k + 1}"

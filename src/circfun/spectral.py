@@ -17,10 +17,7 @@ import numpy as np
 
 from .core import FFT_THRESHOLD, Circulant
 from .errors import DimensionError
-
-#: Rank tolerance per unit of order: an eigenvalue counts as zero when its
-#: modulus is at most ``(RANK_REL_TOL * d) * max_j |u_j|``.
-RANK_REL_TOL = 1e-12
+from .tolerances import RANK_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,8 @@ def inverse_rows(spectra: np.ndarray) -> np.ndarray:
 def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):
     """``rel_tol * max(magnitudes)`` per point (the last axis), at or below
     which an eigenvalue modulus counts as zero (all of them when all vanish;
-    with a NaN, none either way); ``rel_tol`` defaults to ``RANK_REL_TOL * d``."""
+    with a NaN, none either way); ``rel_tol`` defaults to the table's
+    ``RANK_REL_TOL * d`` (:mod:`circfun.tolerances`)."""
     if rel_tol is None:
         rel_tol = RANK_REL_TOL * magnitudes.shape[-1]
     return rel_tol * np.max(magnitudes, axis=-1, keepdims=True)
@@ -131,9 +129,10 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     """Moore-Penrose pseudoinverse, computed spectrally.
 
     Channels whose eigenvalue modulus is at most ``rel_tol * max_j |u_j|``
-    are treated as rank-deficient and zeroed; the rest are inverted.  The
-    default tolerance is ``RANK_REL_TOL * d``; a given one must be finite
-    and >= 0.  The zero matrix maps to itself.
+    are treated as rank-deficient and zeroed; the rest are inverted.
+    ``rel_tol`` defaults to the table's ``RANK_REL_TOL * d``
+    (:mod:`circfun.tolerances`); a given one must be finite and >= 0.  The
+    zero matrix maps to itself.
     """
     if rel_tol is not None and not 0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
@@ -141,7 +140,7 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
 
 
 def is_invertible(x: Circulant) -> bool:
-    """True when every eigenvalue clears the rank threshold
-    ``(RANK_REL_TOL * d) * max_j |u_j|``."""
+    """True when every eigenvalue clears the rank threshold of the table's
+    ``RANK_REL_TOL`` (:mod:`circfun.tolerances`)."""
     magnitudes = np.abs(spectrum(x))
     return bool(np.all(magnitudes > _rank_threshold(magnitudes)))

@@ -16,6 +16,7 @@ from .core import Circulant, to_dense
 from .errors import DimensionError
 from .functions import CircPoly
 from .spectral import fourier_matrix, from_spectrum
+from .tolerances import LATTICE_TOL
 
 
 def dense_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ class LatticeSpec:
     im_min: float = -3.0
     im_max: float = 3.0
     step: float = 0.25
-    tol: float = 1e-6
+    tol: float = LATTICE_TOL
 
 
 def brute_force_roots(p: CircPoly, grid: LatticeSpec = LatticeSpec()) -> list[Circulant]:

@@ -137,6 +137,22 @@ class TestPathSpec:
             with pytest.raises(ValueError, match=f"^{field} "):
                 PathSpec.default(2, t_min=t_min, t_max=t_max)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            # A negative budget ran no attempt and blamed a path singularity.
+            (lambda path: PathSpec(path.direction, path.scales, retry_budget=-1), "retry_budget"),
+            # A negative seed failed only on a retry, in numpy.
+            (lambda path: PathSpec(path.direction, path.scales, seed=-1), "seed"),
+            (lambda path: PathSpec.default(2, seed=-1), "seed"),
+            (lambda path: PathSpec.default(2, points=3), "points"),
+        ],
+        ids=["retry_budget", "seed", "default-seed", "default-points"],
+    )
+    def test_rejects_bad_counts(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            make(PathSpec.default(2))
+
     def test_default_bounds_t_max_by_the_order(self):
         # 1e305 is fine at d = 2 but not at d = 10^4, where a scan point's
         # transform can reach 1e309.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import circfun as cf
+from circfun import cli
 from circfun.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -179,6 +180,8 @@ class TestErrorsAndDeterminism:
             (["--t-max", "inf"], "t_max"),
             (["--t-min", "-5"], "t_min"),
             (["--t-max", "1e308"], "t_max"),  # finite, but the scan points overflow at d = 2
+            (["--seed", "-1"], "seed"),  # accepted before, and failed only on a retry
+            (["--t-points", "3"], "points"),
         ],
     )
     def test_bad_path_scale_names_field(self, capsys, command, flags, field):
@@ -189,7 +192,7 @@ class TestErrorsAndDeterminism:
             assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {field} must be finite")
+        assert captured.err.startswith(f"error: {field} must be {'finite' if field.startswith('t_') else '>='}")
 
     @pytest.mark.parametrize(
         "command, stem, field", [("pinv", "circ_2_1", "tol"), ("solve", "poly_z2_minus_i_d2", "tol")]
@@ -218,6 +221,24 @@ class TestErrorsAndDeterminism:
 
     def test_missing_input_file(self, capsys):
         assert run(["spectrum", "--input", "/nonexistent.json", "--output", "-"]) == 1
+
+    def test_non_finite_output_is_an_error(self, monkeypatch, capsys):
+        # Infinity is not JSON: nothing is written, and the exit code is 1.
+        monkeypatch.setitem(cli._HANDLERS, "spectrum", lambda args: ({"values": [float("inf")]}, 0))
+        assert run(["spectrum", "--input", str(FIXTURES / "circ_2_1.json"), "--output", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+
+    def test_scaled_polynomial_solves_to_strict_json(self, capsys):
+        # Coefficients near 1e200: the squared residuals overflowed, and the
+        # document carried Infinity.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["solve", "--input", str(FIXTURES / "poly_scaled_1e200_d3.json"), "--output", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
+        assert len(doc["roots"]) == 8
+        assert all(0 < r < float("inf") for r in doc["residuals"])
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

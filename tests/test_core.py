@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import circfun as cf
 from circfun import Circulant, DimensionError
+from circfun.core import _norm2
 from circfun.testkit import dense_mul, random_circulant
 
 from conftest import assert_circ_close
@@ -149,6 +151,25 @@ class TestDense:
     def test_frobenius_matches_dense(self, rng):
         x = random_circulant(rng, 7)
         assert cf.frobenius_norm(x) == pytest.approx(np.linalg.norm(cf.to_dense(x)))
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_frobenius_neither_overflows_nor_underflows(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = cf.frobenius_norm(Circulant([3 * c, 4 * c]))
+        assert norm == pytest.approx(5 * c * np.sqrt(2), rel=1e-15, abs=0)
+
+    def test_norm2_rescales_only_the_rows_out_of_range(self, rng):
+        # In range, the bits are those of the plain formula; out of range, a
+        # power-of-two scaling gives the exact 5 c.
+        rows = np.abs(rng.standard_normal((6, 12)))
+        rows[1], rows[3], rows[4] = [3e-200, 4e-200] + [0] * 10, [3e200, 4e200] + [0] * 10, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _norm2(rows)
+        plain = [0, 2, 5]
+        assert np.array_equal(norms[plain], np.sqrt(np.sum(np.square(rows[plain]), axis=1)))
+        assert norms[1] == 5e-200 and norms[3] == pytest.approx(5e200, rel=1e-15) and norms[4] == 0.0
 
 
 class TestMulAgainstDenseOracle:

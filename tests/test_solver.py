@@ -1,6 +1,7 @@
 import itertools
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,22 @@ class TestCircSolve:
             assert sol.status is SolutionStatus.FINITE
             assert len(sol.roots) == 900
             assert max(dense_backward_errors(p, sol.roots)) <= 1e-9
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_scaled_coefficients_keep_roots_and_finite_residuals(self, c):
+        # At 1e200 the squared channel values overflowed: every residual was
+        # inf, and the ring check passed as inf <= inf.  At 1e-200 they
+        # underflowed to 0.
+        p = random_regular_poly(np.random.default_rng(0), 3, 2)
+        base = cf.solve_circ_poly(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = cf.solve_circ_poly(CircPoly([cf.scale(c, x) for x in p.coeffs]))
+        assert sol.status is SolutionStatus.FINITE and len(sol.roots) == 8
+        rows = base.verified.rows
+        assert np.max(np.abs(sol.verified.rows - rows)) <= 1e-12 * np.max(np.abs(rows))
+        residuals = sol.verified.residuals / c
+        assert np.all(np.isfinite(residuals)) and np.all((0 < residuals) & (residuals < 1e-12))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
