@@ -43,6 +43,9 @@ from .tolerances import CONTRACTION_FACTOR, NOISE_FLOOR, ROUND_TOL, UNIT_MODULUS
 
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Most scan-point entries, points * d, a default path may take: 64 MB of complex128.
+MAX_SCAN_ENTRIES = 2**22
+
 
 @dataclass(frozen=True, eq=False)  # it writes its own __eq__, so hash() raises naming PathSpec
 class PathSpec:
@@ -114,7 +117,9 @@ class PathSpec:
         The irrational phase step keeps channels away from coincidental
         alignment with real-axis zeros or poles.  Requires finite scales
         with 0 < t_min < t_max, a finite t_max * d, the largest modulus a
-        scan point's transform can take, and points >= 4.
+        scan point's transform can take, and points >= 4 with points * d at
+        most ``MAX_SCAN_ENTRIES`` (2**22 entries, 64 MB of scan points),
+        checked before anything is allocated.
 
         Memoized on the argument tuple, 16 paths at most: a call with the
         same arguments returns the same read-only path, and its scan points
@@ -127,6 +132,8 @@ class PathSpec:
             raise ValueError(f"t_max must be finite and greater than t_min, with t_max * d finite, got {t_max}")
         if points < 4:
             raise ValueError(f"points must be >= 4, got {points}")
+        if points * d > MAX_SCAN_ENTRIES:
+            raise ValueError(f"points must be <= {MAX_SCAN_ENTRIES // d} at d = {d}, got {points}")
         phases = 2 * np.pi * _GOLDEN_FRACTION * np.arange(d)
         direction = np.exp(1j * phases)
         scales = np.geomspace(t_min, t_max, points)

@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import serialize
 from .characterize import PathSpec, detect_poly_degree, estimate_divisor
 from .errors import CircfunError
@@ -89,7 +91,11 @@ def _path_from_args(args, d: int) -> PathSpec:
 
 def _run_spectrum(args) -> tuple[dict, int]:
     x = serialize.circulant_from_obj(_read_document(args.input), "circulant")
-    return serialize.spectrum_to_obj(spectrum(x)), 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an eigenvalue that overflows is refused next
+        values = spectrum(x)
+    if not np.all(np.isfinite(values)):
+        raise SchemaError("circulant.row", "an eigenvalue overflows the float range")
+    return serialize.spectrum_to_obj(values), 0
 
 
 def _run_pinv(args) -> tuple[dict, int]:

@@ -295,7 +295,7 @@ class RationalFunction(CircFunction):
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
         q = spectrum(self.Q.evaluate(z))
-        return core.mul(self.P.evaluate(z), from_spectrum(_invert_spectrum(q))), _zeroed_channels(q)
+        return core.mul(self.P.evaluate(z), from_spectrum(_invert_spectrum(q)[0])), _zeroed_channels(q)
 
 
 class ExpPolyFunction(CircFunction):

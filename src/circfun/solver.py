@@ -19,10 +19,15 @@ value and derivative from one pass of the scalar Horner loop of
 slopes of the upper concave hull of the points (k, log|a_k|) give one radius
 per root near its modulus, so rows whose roots spread over many decades
 converge in a few iterations instead of creeping in from the Cauchy bound.
-Rows run in blocks that bound the tensor's size.  Each step does on a row
-exactly what it would do on that row alone, so a channel's roots do not
-depend on the rest of the polynomial, and :func:`solve_scalar_poly` is the
-one-row case.
+Rows run in blocks whose tensors hold at most ``BLOCK_ENTRIES`` = 2**16
+entries of 16 bytes: the smallest bound of a sweep over 2**15 to 2**18 that
+solves each degree group of the benchmark in one block, which took its
+heaviest cases from about 20 to 16 ms for 0.5 MB more peak RSS (40.8 MB).
+The P and P' passes of Aberth and polishing take their points as one
+contiguous (2, rows, n) stack, not the iterate broadcast twice.  Each step
+does on a row exactly what it would do on that row alone, so a channel's
+roots depend neither on the rest of the polynomial nor on the blocks, and
+:func:`solve_scalar_poly` is the one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
@@ -84,8 +89,16 @@ DEFAULT_RECOMBINATION_LIMIT = 10**6
 #: Root combinations rebuilt per batched inverse transform.
 RECOMBINE_CHUNK = 1024
 
-#: Entries of the (rows, n, n) Aberth temporaries per block of channels.
-BLOCK_ENTRIES = 2**15
+#: Entries of the (rows, n, n) Aberth temporaries per block of channels:
+#: each complex tensor takes BLOCK_ENTRIES * 16 bytes, 1 MB.  Chosen from a
+#: sweep of 2**15 to 2**18 on the heaviest solve-channels cases (median ms
+#: per solve on 2 vCPUs, numpy 2.4.6; d16n60 / d32n40 / d64n30): 20.3 /
+#: 17.1 / 18.5 at 2**15, which splits each into two blocks, and 16.9 /
+#: 14.8 / 16.2 at 2**16, the smallest bound that makes every degree group of
+#: the benchmark one block (the largest hold 15 * 60**2, 31 * 40**2 and
+#: 63 * 30**2 entries).  2**17 and 2**18 make the same blocks there and timed
+#: the same within host drift.  Peak RSS was 40.3 MB at 2**15, 40.8 MB above.
+BLOCK_ENTRIES = 2**16
 
 #: Aberth iterations before the companion-matrix fallback.
 ABERTH_MAX_ITER = 100
@@ -333,7 +346,7 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     m, n = monic.shape[0], monic.shape[1] - 1
     if n == 1:
         return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
-    rows = _with_derivative(monic.T[:, :, None])  # against z (m, n): P and P' of row i at row i of z
+    rows = _with_derivative(monic.T[:, :, None])  # against (z, z): P and P' of row i at row i of z
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
     z = _polygon_radii(monic) * np.exp(1j * angles)
     roots = np.empty_like(z)
@@ -342,7 +355,7 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     diagonal = np.arange(n)
     buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
-        p, dp = _horner(rows[:, :, active], z)
+        p, dp = _horner(rows[:, :, active], np.stack((z, z)))
         dp = np.where(dp == 0, DIVISION_GUARD, dp)
         w = p / dp
         diff = np.subtract(z[:, :, None], z[:, None, :], out=buffer[: z.shape[0]])
@@ -374,7 +387,7 @@ def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np
     """One Newton step per root, kept only where it lowers |p|; row i of
     ``roots`` belongs to row i of ``monic``.  Returns the roots and |p| there."""
     coeffs = monic.T[:, :, None]
-    p, dp = _horner(_with_derivative(coeffs), roots)
+    p, dp = _horner(_with_derivative(coeffs), np.stack((roots, roots)))
     safe = dp != 0
     stepped = roots.copy()
     stepped[safe] = roots[safe] - p[safe] / dp[safe]

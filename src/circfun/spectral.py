@@ -115,14 +115,15 @@ def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):
     return rel_tol * np.max(magnitudes, axis=-1, keepdims=True)
 
 
-def _invert_spectrum(u: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
-    """The pseudoinverse's spectrum for the spectrum ``u``: channels at or
-    below the rank threshold are zeroed, the rest inverted."""
+def _invert_spectrum(u: np.ndarray, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudoinverse's spectrum for the spectrum ``u``, with the rank
+    threshold: channels at or below it are zeroed, the rest inverted."""
     magnitudes = np.abs(u)
-    keep = magnitudes > _rank_threshold(magnitudes, rel_tol)
+    threshold = _rank_threshold(magnitudes, rel_tol)
+    keep = magnitudes > threshold
     inverted = np.zeros_like(u)
     inverted[keep] = 1.0 / u[keep]
-    return inverted
+    return inverted, threshold
 
 
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
@@ -133,10 +134,22 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     ``rel_tol`` defaults to the table's ``RANK_REL_TOL * d``
     (:mod:`circfun.tolerances`); a given one must be finite and >= 0.  The
     zero matrix maps to itself.
+
+    A row whose largest eigenvalue modulus overflows (a non-finite rank
+    threshold) is taken again scaled by 2^-e, with 2^e the power of two at
+    its largest real or imaginary part, and the result is scaled by the same
+    power, as :func:`core._norm2` scales: pinv(2^e Y) = 2^-e pinv(Y).  Every
+    other row keeps the plain result and its bits.
     """
     if rel_tol is not None and not 0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    return from_spectrum(_invert_spectrum(spectrum(x), rel_tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spectrum is taken again below
+        inverted, threshold = _invert_spectrum(spectrum(x), rel_tol)
+    if threshold[0] < np.inf:
+        return from_spectrum(inverted)
+    factor = 2.0 ** -int(np.frexp(np.max(np.abs(x.row.view(np.float64))))[1])
+    inverted, _ = _invert_spectrum(forward_rows(factor * x.row), rel_tol)
+    return Circulant(factor * inverse_rows(inverted[None])[0])
 
 
 def is_invertible(x: Circulant) -> bool:

@@ -153,6 +153,14 @@ class TestPathSpec:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             make(PathSpec.default(2))
 
+    def test_default_caps_the_scan_points(self):
+        # 10**9 points at d = 2 would allocate tens of gigabytes in geomspace:
+        # the cap is checked first.
+        with pytest.raises(ValueError, match=r"^points must be <= 2097152 at d = 2, got 1000000000"):
+            PathSpec.default(2, points=10**9)
+        with pytest.raises(ValueError, match=r"^points must be <= 4 at d = 1048576, got 5"):
+            PathSpec.default(2**20, points=5)
+
     def test_default_bounds_t_max_by_the_order(self):
         # 1e305 is fine at d = 2 but not at d = 10^4, where a scan point's
         # transform can reach 1e309.

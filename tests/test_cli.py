@@ -194,6 +194,35 @@ class TestErrorsAndDeterminism:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} must be {'finite' if field.startswith('t_') else '>='}")
 
+    @pytest.mark.parametrize("command", ["divisor", "degree"])
+    def test_scan_point_cap_names_points(self, capsys, command):
+        # 10**9 scan points at d = 2 allocated gigabytes before the cap.
+        argv = [command, "--input", str(FIXTURES / "rational_mixed_d2.json"), "--output", "-"]
+        assert run([*argv, "--t-points", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: points must be <= ")
+
+    def test_overflowing_spectrum_names_the_row(self, tmp_path, capsys):
+        # The eigenvalue 2e308 is not a float: refused, naming the field.
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"d": 2, "row": [[1e308, 0], [1e308, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["spectrum", "--input", str(doc), "--output", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: circulant.row: ")
+
+    def test_pinv_of_an_overflowing_spectrum(self, tmp_path, capsys):
+        # It printed the zero matrix; channel 1 holds 1/(2e308).
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"d": 2, "row": [[1e308, 0], [1e308, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["pinv", "--input", str(doc), "--output", "-"]) == 0
+        np.testing.assert_allclose(json.loads(capsys.readouterr().out)["row"], [[2.5e-309, 0]] * 2, rtol=1e-12)
+
     @pytest.mark.parametrize(
         "command, stem, field", [("pinv", "circ_2_1", "tol"), ("solve", "poly_z2_minus_i_d2", "tol")]
     )

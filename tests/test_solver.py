@@ -376,7 +376,9 @@ class TestCircSolve:
         with pytest.raises(SolverError, match=r"^channel 3: root residual"):
             cf.solve_circ_poly(p, tol=1e-30)
 
-    def test_infinite_family_spanning_several_blocks(self, rng):
+    def test_infinite_family_spanning_several_blocks(self, rng, monkeypatch):
+        # A small bound (64 rows of degree 8 per block), whatever the tuned default.
+        monkeypatch.setattr(solver, "BLOCK_ENTRIES", 2**12)
         d, n = 1024, 8
         p = poly_from_channels([random_monic(rng, n) for _ in range(d - 1)] + [[0.0]], n)
         assert d - 1 > solver.BLOCK_ENTRIES // n**2
@@ -388,6 +390,25 @@ class TestCircSolve:
         step = solver.BLOCK_ENTRIES // n**2
         sample = set(range(0, d, 31)) | {k * step + j for k in range(1, d // step) for j in (-1, 0)}
         self.assert_reports_match_scalar_solves(p, sol, [sol.channel_reports[i] for i in sorted(sample)])
+
+    @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
+    def test_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
+        # Random rows, clusters, a companion-matrix fallback and exact zeros;
+        # at tol 1e-30 every row fails but that of the roots 0, 0, 1, 2, 3.
+        n = 5
+        rows = [random_monic(rng, n) for _ in range(8)] + [
+            np.poly([2, 2, 2, -1, -1]), np.poly([1, 1, 0.5, 0.5, 3]), np.poly([0, 0, 1, 2, 3]),
+            np.poly([1e-3, 1e3, 1, 2, -5]), np.poly([1, 2, 3, 4, 5]),
+        ]  # fmt: skip
+        monic = np.array(rows, dtype=np.complex128)
+        outcomes = []
+        for entries in (n * n, 4 * n * n, solver.BLOCK_ENTRIES):  # 1 row, 4 rows, all rows per block
+            monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
+            *arrays, errors = solver._solve_monic_rows(monic, tol, solver.ABERTH_MAX_ITER)
+            outcomes.append(([a.tobytes() for a in arrays], {i: str(e) for i, e in errors.items()}))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        failed = set(outcomes[0][1])
+        assert failed == (set() if tol > 1e-30 else set(range(len(rows))) - {10})
 
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,23 @@ class TestPseudoinverse:
         assert cf.is_invertible(cf.identity(4))
         assert not cf.is_invertible(cf.ones(4))
         assert not cf.is_invertible(cf.zero(3))
+
+    @pytest.mark.parametrize("rel_tol", [None, 0.0])
+    def test_overflowing_spectrum_is_taken_scaled(self, rel_tol):
+        # Channel 1 holds 1/(2e308): the plain spectrum overflows, which
+        # zeroed every channel.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pinv = cf.pseudoinverse(cf.Circulant([1e308, 1e308]), rel_tol)
+        np.testing.assert_allclose(pinv.row, [2.5e-309, 2.5e-309], rtol=1e-12, atol=0)
+
+    def test_overflowing_spectrum_scales_back(self, rng):
+        # pinv(2^1021 Y) = 2^-1021 pinv(Y); every entry of Y is at least 1, so channel 1 overflows.
+        y = cf.Circulant(1.0 + 0.5 * rng.uniform(size=8) + 0.5j * rng.uniform(size=8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pinv = cf.pseudoinverse(cf.Circulant(2.0**1021 * y.row))
+        np.testing.assert_allclose(pinv.row, 2.0**-1021 * cf.pseudoinverse(y).row, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("rel_tol", [None, 0.0])
     def test_nan_spectrum_keeps_no_channel(self, rel_tol):
