@@ -268,28 +268,28 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         refined = _richardson(scales[:, None], values)
         final = refined[-1]
-        usable = np.all(np.isfinite(values), axis=0) & np.isfinite(final)
-        k = np.rint(np.where(usable, final.real, 0.0))
+        usable = np.isfinite(values).all(axis=0) & np.isfinite(final)
+        k = np.where(usable, final.real, 0.0).round()
         tail = np.abs(refined[-3:] - k)
-        within = np.all(tail <= ROUND_TOL, axis=0) & (np.abs(final.imag) <= ROUND_TOL)
-        shrinking = ((tail[1] <= tail[0] * CONTRACTION_FACTOR) | (tail[1] <= NOISE_FLOOR)) & (
-            (tail[2] <= tail[1] * CONTRACTION_FACTOR) | (tail[2] <= NOISE_FLOOR)
-        )
+        within = (tail <= ROUND_TOL).all(axis=0) & (np.abs(final.imag) <= ROUND_TOL)
+        shrinking = ((tail[1:] <= tail[:-1] * CONTRACTION_FACTOR) | (tail[1:] <= NOISE_FLOOR)).all(axis=0)
     converged = usable & within & shrinking
     return np.where(converged, k, np.nan), converged, refined, np.where(usable, tail[2], np.nan)
 
 
 def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTable, int]:
     indeterminate = f.degenerate_channels()
-    if np.all(indeterminate):
+    if not indeterminate.any():
+        live = None
+    elif indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
-
-    # Degenerate channels would raise on every direction; scan only the rest.
-    live = np.flatnonzero(~indeterminate)
+    else:
+        # Degenerate channels would raise on every direction; scan only the rest.
+        live = np.flatnonzero(~indeterminate)
     estimates, retries = _scan(f, path, qfun, live)
     k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
     columns = [np.where(converged, CONVERGED, DIVERGED), k, estimates, refined, errors]
-    if live.size < f.d:
+    if live is not None:
         fills = (INDETERMINATE, np.nan, np.nan, np.nan, np.nan)
         for j, (column, fill) in enumerate(zip(columns, fills)):
             columns[j] = np.full(column.shape[:-1] + (f.d,), fill, dtype=column.dtype)
@@ -297,12 +297,13 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTa
     return ChannelTable._make(columns), retries
 
 
-def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
+def _scan(f, path: PathSpec, qfun, live: np.ndarray | None) -> tuple[np.ndarray, int]:
     """Estimate sequences for the ``live`` channels over the path's scales,
     all scales in one batch.
 
     Returns an array of shape (n_scales, len(live)), one column per live
-    channel.  On a channel singularity the direction is re-randomized
+    channel; ``live`` None means every channel, read as whole arrays with
+    no column copy.  On a channel singularity the direction is re-randomized
     (seeded) up to the retry budget, after which the error propagates,
     naming the channels of the first scale where the singularity sits.
 
@@ -317,6 +318,7 @@ def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
     draws are those of a generator made up front.
     """
     u = path._points
+    columns = slice(None) if live is None else live
     last_error: ChannelSingularityError | None = None
     for attempt in range(path.retry_budget + 1):
         if attempt:
@@ -326,12 +328,12 @@ def _scan(f, path: PathSpec, qfun, live: np.ndarray) -> tuple[np.ndarray, int]:
             u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
             if qfun is None:
-                values = u[:, live] * f.channel_logderiv(u, live)
+                values = u[:, columns] * f.channel_logderiv(u, live)
             else:
                 # The witness approximates G', so it comes off G' before P'/P
                 # is added: P'/P + G' would lose P'/P when G' is large.
                 dlog_p, dg = f._logderiv_terms(u, live)
-                values = u[:, live] * (dlog_p + (dg - qfun(u)[:, live]))
+                values = u[:, columns] * (dlog_p + (dg - qfun(u)[:, columns]))
         except ChannelSingularityError as exc:
             last_error = exc
             continue

@@ -273,13 +273,20 @@ def _horner(coeffs, u: np.ndarray) -> np.ndarray:
 
 def horner(coeff_rows: Sequence[np.ndarray], z_row: np.ndarray) -> np.ndarray:
     """First row of C_0 Z^n + ... + C_n by ring Horner on rows.  At FFT orders:
-    one batched FFT of the rows and the point, :func:`_horner` over the d
-    channels and one inverse FFT.  Below them each step is the direct product
-    plus the next row.  A degree-0 polynomial returns its row unchanged."""
+    one batched FFT of the rows, then :func:`_horner_spectra`.  Below them
+    each step is the direct product plus the next row.  A degree-0
+    polynomial returns its row unchanged."""
     if z_row.size >= FFT_THRESHOLD and len(coeff_rows) > 1:
-        spectra = np.fft.fft(np.stack([*coeff_rows, z_row]), axis=-1)
-        return np.fft.ifft(_horner(spectra[:-1], spectra[-1]))
+        return _horner_spectra(np.fft.fft(np.array(coeff_rows), axis=-1), z_row)
     acc = coeff_rows[0]
     for c in coeff_rows[1:]:
         acc = _mul_rows(acc, z_row, fft=False) + c
     return acc
+
+
+def _horner_spectra(spectra: np.ndarray, z_row: np.ndarray) -> np.ndarray:
+    """Ring Horner at FFT orders from the coefficient rows' FFTs ``spectra``
+    (shape (n + 1, d)): the FFT of the point, :func:`_horner` over the d
+    channels and one inverse FFT.  Each FFT row is bit for bit the one-row
+    transform, so cached spectra give what one stacked transform gives."""
+    return np.fft.ifft(_horner(spectra, np.fft.fft(z_row)))

@@ -16,6 +16,11 @@ Every channel-wise pass, here, in the solver and in the limit scans, runs the
 one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
 FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
 and the scale is the loop over |c_k| at |u|.
+
+A :class:`CircPoly` caches, read-only and for its lifetime, the raw spectra
+of its coefficient rows, (degree + 1) * d complex entries; the channel matrix,
+which is that same array unless an entry snaps, and only then a copy of it;
+and the channel matrix's moduli, (degree + 1) * d floats, once read.
 """
 
 from __future__ import annotations
@@ -27,14 +32,14 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import core
-from .core import Circulant, _horner
+from .core import FFT_THRESHOLD, Circulant, _horner, _horner_spectra
 from .errors import (
     ChannelSingularityError,
     DimensionError,
     InvalidIncrementError,
 )
 from .spectral import (
-    _invert_spectrum, _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum,
+    _pinv_row, _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum,
 )
 from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
@@ -43,6 +48,12 @@ class CircPoly:
     """A polynomial with circulant coefficients, leading coefficient first.
 
     ``CircPoly([a0, a1, a2])`` represents a0*Z^2 + a1*Z + a2.
+
+    The coefficient rows are transformed once, in one stacked call, when
+    the channel matrix or ring Horner at FFT orders first needs them.
+    Snapping, effective degrees, the scale passes of the limit scan and ring
+    Horner then read the cached arrays: the raw spectra, the channel matrix
+    and its moduli, the last filled on first read (``_moduli``).
     """
 
     def __init__(self, coeffs: Sequence[Circulant]):
@@ -55,7 +66,9 @@ class CircPoly:
                 raise DimensionError(f"coefficient order mismatch: {c.d} vs {d}")
         self.coeffs = coeffs
         self.d = d
+        self._spectra: np.ndarray | None = None
         self._channel_matrix: np.ndarray | None = None
+        self._moduli_cache: np.ndarray | None = None
         self._channel_degrees: np.ndarray | None = None
 
     @classmethod
@@ -68,41 +81,68 @@ class CircPoly:
         return len(self.coeffs) - 1
 
     def evaluate(self, z: Circulant) -> Circulant:
-        """Horner evaluation in the circulant ring."""
+        """Horner evaluation in the circulant ring, at FFT orders from the
+        cached raw spectra (:func:`circfun.core._horner_spectra`)."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {self.d}")
+        if self.d >= FFT_THRESHOLD and self.degree:
+            return Circulant(_horner_spectra(self._raw_spectra(), z.row))
         return Circulant(core.horner([c.row for c in self.coeffs], z.row))
+
+    def _raw_spectra(self) -> np.ndarray:
+        """The coefficient rows' transforms, shape (degree + 1, d), unsnapped:
+        one stacked :func:`forward_rows` call, each row bit for bit its
+        one-row transform.  Computed once and cached, read-only."""
+        if self._spectra is None:
+            spectra = forward_rows(np.array([c.row for c in self.coeffs]))
+            spectra.flags.writeable = False
+            self._spectra = spectra
+        return self._spectra
 
     def channel_matrix(self) -> np.ndarray:
         """Spectral coefficients, shape (degree + 1, d); column i is channel i.
 
         Transform round-off is zeroed by the table's ``SPECTRAL_SNAP_REL_TOL``
         (:mod:`circfun.tolerances`): kept, it would turn exact channel degree
-        drops into huge spurious terms at large arguments.  Computed once and
-        cached, with the largest magnitude S (snapping leaves it in place);
-        the returned array is read-only.
+        drops into huge spurious terms at large arguments.  Computed once
+        from the raw spectra and cached, with the largest magnitude S
+        (snapping leaves it in place); the moduli are taken once for both.
+        When no entry snaps, the matrix is the raw spectra array itself;
+        otherwise it is a snapped copy.  The returned array is read-only.
         """
         if self._channel_matrix is None:
-            cm = forward_rows(np.stack([c.row for c in self.coeffs]))
-            top = np.max(np.abs(cm))
+            cm = self._raw_spectra()
+            moduli = np.abs(cm)
+            top = moduli.max()
             if 0.0 < top < np.inf:  # an overflowed entry would snap every finite one
-                cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0
-            cm.flags.writeable = False
+                snap = moduli <= SPECTRAL_SNAP_REL_TOL * top
+                if snap.any():
+                    cm = cm.copy()
+                    cm[snap] = 0.0
+                    cm.flags.writeable = False
             self._channel_matrix, self._scale = cm, float(top)
         return self._channel_matrix
+
+    @property
+    def _moduli(self) -> np.ndarray:
+        """|channel matrix|, filled on first read and cached, read-only."""
+        if self._moduli_cache is None:
+            moduli = np.abs(self.channel_matrix())
+            moduli.flags.writeable = False
+            self._moduli_cache = moduli
+        return self._moduli_cache
 
     def channel_degrees(self) -> np.ndarray:
         """Effective degree of each channel, -1 where it is identically zero.
 
         Leading coefficients that vanish by the table's
         ``COEFFICIENT_REL_TOL`` (:mod:`circfun.tolerances`) drop out.
-        Computed once and cached; the returned array is read-only.
+        Computed once from the cached moduli; the returned array is read-only.
         """
         if self._channel_degrees is None:
-            cm = self.channel_matrix()
-            nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * self._scale
-            degrees = cm.shape[0] - 1 - np.argmax(nonzero, axis=0)
-            degrees[~np.any(nonzero, axis=0)] = -1
+            nonzero = self._moduli > COEFFICIENT_REL_TOL * self._scale
+            degrees = nonzero.shape[0] - 1 - nonzero.argmax(axis=0)
+            degrees[~nonzero.any(axis=0)] = -1
             degrees.flags.writeable = False
             self._channel_degrees = degrees
         return self._channel_degrees
@@ -294,8 +334,8 @@ class RationalFunction(CircFunction):
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
-        q = spectrum(self.Q.evaluate(z))
-        return core.mul(self.P.evaluate(z), from_spectrum(_invert_spectrum(q)[0])), _zeroed_channels(q)
+        inverse, zeroed = _pinv_row(self.Q.evaluate(z))
+        return core.mul(self.P.evaluate(z), Circulant(inverse)), tuple((np.flatnonzero(zeroed) + 1).tolist())
 
 
 class ExpPolyFunction(CircFunction):
@@ -324,11 +364,12 @@ def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray
     """(P'(u), P(u), scale of P(u)) on the selected channels of ``u``, shape
     (d,) or (S, d); the scale is what :func:`_raise_on_zero` measures P(u)
     against.  Each is bit for bit what :func:`polyval_with_scale` gives on
-    its own rows.
+    its own rows; the scale pass reads the cached moduli of ``poly``.
     """
     cm, u = _selected(poly, u, channels)
     p, dp = _value_and_derivative(cm, u)
-    return dp, p, _horner(np.abs(cm), np.abs(u))
+    moduli = poly._moduli if channels is None else poly._moduli[:, channels]
+    return dp, p, _horner(moduli, np.abs(u))
 
 
 def _selected(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +396,7 @@ def _raise_on_zero(checks, channels=None) -> None:
     ``channels`` maps positions in the last axis to 0-based channel indices.
     """
     bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * s for v, s, _ in checks])
-    if not np.any(bad):
+    if not bad.any():
         return
     bad = bad.reshape(len(checks), -1, bad.shape[-1])
     point = np.argmax(np.any(bad, axis=(0, 2)))

@@ -112,18 +112,40 @@ def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):
     ``RANK_REL_TOL * d`` (:mod:`circfun.tolerances`)."""
     if rel_tol is None:
         rel_tol = RANK_REL_TOL * magnitudes.shape[-1]
-    return rel_tol * np.max(magnitudes, axis=-1, keepdims=True)
+    return rel_tol * magnitudes.max(axis=-1, keepdims=True)
 
 
-def _invert_spectrum(u: np.ndarray, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The pseudoinverse's spectrum for the spectrum ``u``, with the rank
-    threshold: channels at or below it are zeroed, the rest inverted."""
+def _scaled_spectrum(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(u, |u|, rank threshold, factor) for the circulant ``x``: its
+    spectrum u, with factor 1.0, unless the threshold is not finite (the
+    largest eigenvalue modulus overflowed).  Such a row is taken again scaled
+    by factor = 2^-e, with 2^e the power of two at its largest real or
+    imaginary part, as :func:`core._norm2` scales; its spectrum is then at
+    most d * sqrt(2) in modulus.  An in-range row takes one pass and keeps
+    its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spectrum is taken again below
+        u = spectrum(x)
+        magnitudes = np.abs(u)
+        threshold = _rank_threshold(magnitudes, rel_tol)
+    if threshold[0] < np.inf:
+        return u, magnitudes, threshold, 1.0
+    factor = 2.0 ** -int(np.frexp(np.max(np.abs(x.row.view(np.float64))))[1])
+    u = forward_rows(factor * x.row)
     magnitudes = np.abs(u)
-    threshold = _rank_threshold(magnitudes, rel_tol)
+    return u, magnitudes, _rank_threshold(magnitudes, rel_tol), factor
+
+
+def _pinv_row(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """First row of the pseudoinverse of ``x`` and the mask of the channels
+    it zeroes, those at or below the rank threshold (all of them when every
+    eigenvalue vanishes; none at a NaN threshold), from
+    :func:`_scaled_spectrum`: pinv(2^e Y) = 2^-e pinv(Y)."""
+    u, magnitudes, threshold, factor = _scaled_spectrum(x, rel_tol)
     keep = magnitudes > threshold
     inverted = np.zeros_like(u)
     inverted[keep] = 1.0 / u[keep]
-    return inverted, threshold
+    row = inverse_rows(inverted[None])[0]
+    return (row if factor == 1.0 else factor * row), magnitudes <= threshold
 
 
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
@@ -133,27 +155,18 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     are treated as rank-deficient and zeroed; the rest are inverted.
     ``rel_tol`` defaults to the table's ``RANK_REL_TOL * d``
     (:mod:`circfun.tolerances`); a given one must be finite and >= 0.  The
-    zero matrix maps to itself.
-
-    A row whose largest eigenvalue modulus overflows (a non-finite rank
-    threshold) is taken again scaled by 2^-e, with 2^e the power of two at
-    its largest real or imaginary part, and the result is scaled by the same
-    power, as :func:`core._norm2` scales: pinv(2^e Y) = 2^-e pinv(Y).  Every
-    other row keeps the plain result and its bits.
+    zero matrix maps to itself.  A row whose largest eigenvalue modulus
+    overflows is inverted scaled by a power of two (:func:`_scaled_spectrum`),
+    and every other row keeps the plain result and its bits.
     """
     if rel_tol is not None and not 0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spectrum is taken again below
-        inverted, threshold = _invert_spectrum(spectrum(x), rel_tol)
-    if threshold[0] < np.inf:
-        return from_spectrum(inverted)
-    factor = 2.0 ** -int(np.frexp(np.max(np.abs(x.row.view(np.float64))))[1])
-    inverted, _ = _invert_spectrum(forward_rows(factor * x.row), rel_tol)
-    return Circulant(factor * inverse_rows(inverted[None])[0])
+    return Circulant(_pinv_row(x, rel_tol)[0])
 
 
 def is_invertible(x: Circulant) -> bool:
     """True when every eigenvalue clears the rank threshold of the table's
-    ``RANK_REL_TOL`` (:mod:`circfun.tolerances`)."""
-    magnitudes = np.abs(spectrum(x))
-    return bool(np.all(magnitudes > _rank_threshold(magnitudes)))
+    ``RANK_REL_TOL`` (:mod:`circfun.tolerances`), taken scaled by a power of
+    two when the largest eigenvalue modulus overflows (:func:`_scaled_spectrum`)."""
+    _, magnitudes, threshold, _ = _scaled_spectrum(x)
+    return bool((magnitudes > threshold).all())

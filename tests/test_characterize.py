@@ -476,6 +476,9 @@ class TestScan:
                 dlog_p, dg = f._logderiv_terms(u, live)
                 expected = u[live] * (dlog_p + (dg - qfun(u)[live]))
             assert np.array_equal(row, expected)
+        # live None reads every channel whole, bit for bit as selecting all of them.
+        whole, selected = _scan(f, path, qfun, None), _scan(f, path, qfun, np.arange(d))
+        assert whole[1] == selected[1] == 0 and whole[0].tobytes() == selected[0].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 31, 32, 100])
     def test_forward_rows_equal_spectrum_row_by_row(self, rng, d):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from circfun import (
 )
 from circfun.core import FFT_THRESHOLD
 from circfun.functions import (
+    COEFFICIENT_REL_TOL,
     SPECTRAL_SNAP_REL_TOL,
     _horner,
     _quotient_terms,
@@ -117,6 +120,77 @@ class TestChannelDecomposition:
         p = CircPoly.from_scalars([1, 0, -1], 2)  # u^2 - 1 per channel
         column = p.channel_matrix()[:, 0]
         assert np.polyval(column, 3.0) == pytest.approx(8.0)
+
+
+def spread_poly(rng, d: int) -> CircPoly:
+    """Coefficients whose moduli spread over 1e-16..1: the smallest row's
+    spectra fall below the snap threshold of the largest."""
+    return CircPoly(
+        [cf.Circulant(s * (rng.standard_normal(d) + 1j * rng.standard_normal(d))) for s in (1.0, 1e-4, 1e-10, 1e-16)]
+    )
+
+
+class TestSpectralCache:
+    """The raw spectra and moduli a CircPoly caches give every consumer the
+    bits of the uncached formulas."""
+
+    @pytest.mark.parametrize("d", [32, 33, 64, 255, 256, 1000, 1024, 8192])
+    def test_fft_rows_do_not_depend_on_the_batch(self, rng, d):
+        rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        batch = forward_rows(rows)
+        for k in range(rows.shape[0]):
+            assert batch[k].tobytes() == np.fft.fft(rows[k]).tobytes()
+
+    @pytest.mark.parametrize("d", [32, 33, 255, 1024])
+    def test_ring_horner_reads_the_cached_spectra(self, rng, d):
+        p = random_regular_poly(rng, d, 3)
+        rows = [c.row for c in p.coeffs]
+        for z in (random_circulant(rng, d), random_circulant(rng, d)):  # the second reads the cache
+            stacked = np.fft.fft(np.stack(rows + [z.row]), axis=-1)
+            expected = np.fft.ifft(_horner(stacked[:-1], stacked[-1]))
+            assert p.evaluate(z).row.tobytes() == cf.core.horner(rows, z.row).tobytes() == expected.tobytes()
+        assert p._spectra is not None
+
+    @pytest.mark.parametrize("d", [2, 7, 31, 32, 100])
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_cached_arrays_equal_the_uncached_formulas(self, rng, d, spread):
+        p = spread_poly(rng, d) if spread else random_regular_poly(rng, d, 3)
+        raw = forward_rows(np.stack([c.row for c in p.coeffs]))
+        top = np.max(np.abs(raw))
+        cm = raw.copy()
+        cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0
+        nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * top
+        degrees = cm.shape[0] - 1 - np.argmax(nonzero, axis=0)
+        degrees[~np.any(nonzero, axis=0)] = -1
+        assert p.channel_matrix().tobytes() == cm.tobytes() and p._scale == float(top)
+        assert np.array_equal(p.channel_degrees(), degrees)
+        u = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        for channels in (None, np.arange(0, d, 2)):
+            cols, points = (cm, u) if channels is None else (cm[:, channels], u[:, channels])
+            dp, value, scale = _quotient_terms(p, u, channels)
+            assert scale.tobytes() == _horner(np.abs(cols), np.abs(points)).tobytes()
+            assert value.tobytes() == _horner(cols, points).tobytes()
+        # The channel matrix is the raw spectra unless an entry snaps; then a copy.
+        snapped = not np.array_equal(raw, cm)
+        assert snapped == spread
+        assert (p.channel_matrix() is p._raw_spectra()) != snapped
+        assert np.shares_memory(p.channel_matrix(), p._raw_spectra()) != snapped
+        assert p._raw_spectra().tobytes() == raw.tobytes()
+
+    def test_every_cached_array_is_read_only(self, rng):
+        for p in (random_regular_poly(rng, 33, 3), spread_poly(rng, 8)):
+            p.evaluate(random_circulant(rng, p.d))
+            p.channel_degrees()
+            for array in (p._raw_spectra(), p.channel_matrix(), p._moduli, p.channel_degrees()):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_moduli_are_filled_on_first_read(self, rng):
+        p = random_regular_poly(rng, 4, 2)
+        p.channel_matrix()
+        assert p._moduli_cache is None
+        assert p._moduli is p._moduli is p._moduli_cache
 
 
 def allocating_polyval_with_scale(coeffs, u):
@@ -269,6 +343,20 @@ class TestFuncEval:
         qz = q.evaluate(z)
         assert np.array_equal(value.row, cf.mul(p.evaluate(z), cf.pseudoinverse(qz)).row)
         assert zeroed == _zeroed_channels(cf.spectrum(qz))
+
+    def test_rational_inverts_an_overflowing_spectrum_scaled(self):
+        # Q(Z) = Z = circ(1e308, 1e308) has the spectrum (2e308, 0): channel 1
+        # overflows, which zeroed both channels, and channel 2 is exactly 0.
+        d = 2
+        f = RationalFunction(CircPoly([cf.identity(d)]), CircPoly([cf.identity(d), cf.zero(d)]))
+        z = cf.Circulant([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, zeroed = f.evaluate_with_report(z)
+            expected = cf.pseudoinverse(z)
+        assert value.row.tobytes() == expected.row.tobytes()
+        assert zeroed == (2,)
+        np.testing.assert_allclose(value.row, [2.5e-309, 2.5e-309], rtol=1e-12, atol=0)
 
     def test_rank_threshold_is_per_point(self, rng):
         # 1/Z at d = 2: a large second point must not zero the first one's channels.

@@ -138,6 +138,30 @@ class TestPseudoinverse:
             pinv = cf.pseudoinverse(cf.Circulant(2.0**1021 * y.row))
         np.testing.assert_allclose(pinv.row, 2.0**-1021 * cf.pseudoinverse(y).row, rtol=1e-9, atol=0)
 
+    def test_overflowing_spectrum_is_invertible(self):
+        # The largest eigenvalue, 2.9e308, overflows: the rank threshold is
+        # inf and no modulus cleared it.  The row / 4 is in range.
+        x = cf.Circulant([1e308, 1e308, 0.9e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cf.is_invertible(x)
+            assert cf.is_invertible(cf.Circulant(x.row / 4))
+            assert not cf.is_invertible(cf.Circulant([1e308, 1e308]))  # spectrum (2e308, 0)
+
+    @pytest.mark.parametrize("d", [2, 8, 33])
+    def test_in_range_rows_take_one_transform(self, rng, d, monkeypatch):
+        calls = []
+        forward = cf.spectral.forward_rows
+        monkeypatch.setattr(cf.spectral, "forward_rows", lambda rows: calls.append(rows) or forward(rows))
+        x = random_circulant(rng, d)
+        for fn in (cf.is_invertible, cf.pseudoinverse):
+            calls.clear()
+            fn(x)
+            assert len(calls) == 1
+        calls.clear()
+        cf.is_invertible(cf.Circulant(np.full(d, 1e308)))
+        assert len(calls) == 2  # the overflowing row is taken again, scaled
+
     @pytest.mark.parametrize("rel_tol", [None, 0.0])
     def test_nan_spectrum_keeps_no_channel(self, rel_tol):
         # A NaN spectrum makes the rank threshold NaN, which no modulus clears.
