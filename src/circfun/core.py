@@ -5,9 +5,10 @@ previous one shifted cyclically to the right.  The ring element is therefore
 stored as a length-d complex vector, and the matrix product reduces to the
 cyclic convolution of first rows.  Multiplication dispatches on the order
 alone: a direct O(d^2) convolution below ``FFT_THRESHOLD`` and an FFT-based
-O(d log d) path at or above it; both paths accept arbitrary d.  So does ring
-Horner, which at FFT orders transforms once and runs the scalar loop
-:func:`_horner`, shared with the channel calculus, over the channels.
+O(d log d) path at or above it; both paths accept arbitrary d.  The scalar
+Horner loop :func:`_horner` is shared by ring Horner at FFT orders
+(:meth:`circfun.functions.CircPoly.evaluate`), the channel calculus and the
+solver.
 """
 
 from __future__ import annotations
@@ -269,24 +270,3 @@ def _horner(coeffs, u: np.ndarray) -> np.ndarray:
     for row in coeffs:
         value, spare = np.add(np.multiply(value, u, out=spare), row, out=spare), value
     return value
-
-
-def horner(coeff_rows: Sequence[np.ndarray], z_row: np.ndarray) -> np.ndarray:
-    """First row of C_0 Z^n + ... + C_n by ring Horner on rows.  At FFT orders:
-    one batched FFT of the rows, then :func:`_horner_spectra`.  Below them
-    each step is the direct product plus the next row.  A degree-0
-    polynomial returns its row unchanged."""
-    if z_row.size >= FFT_THRESHOLD and len(coeff_rows) > 1:
-        return _horner_spectra(np.fft.fft(np.array(coeff_rows), axis=-1), z_row)
-    acc = coeff_rows[0]
-    for c in coeff_rows[1:]:
-        acc = _mul_rows(acc, z_row, fft=False) + c
-    return acc
-
-
-def _horner_spectra(spectra: np.ndarray, z_row: np.ndarray) -> np.ndarray:
-    """Ring Horner at FFT orders from the coefficient rows' FFTs ``spectra``
-    (shape (n + 1, d)): the FFT of the point, :func:`_horner` over the d
-    channels and one inverse FFT.  Each FFT row is bit for bit the one-row
-    transform, so cached spectra give what one stacked transform gives."""
-    return np.fft.ifft(_horner(spectra, np.fft.fft(z_row)))

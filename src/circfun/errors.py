@@ -18,9 +18,9 @@ class InvalidIncrementError(CircfunError, ValueError):
 
 
 class ChannelSingularityError(CircfunError, ArithmeticError):
-    """Raised when an eigenchannel hits a pole or zero where a finite
-    value is required.  ``channels`` carries the offending 1-based
-    channel indices."""
+    """Raised when an eigenchannel hits a pole or zero where a finite value
+    is required, or exp(G_i(u_i)) overflows where G_i(u_i) is finite.
+    ``channels`` carries the offending 1-based channel indices."""
 
     def __init__(self, channels, message: str | None = None):
         self.channels = tuple(int(c) for c in channels)

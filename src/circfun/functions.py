@@ -8,10 +8,11 @@ calculus once; its three subclasses are the JSON kinds.  Because every
 circulant of order d diagonalizes in the common Fourier basis, a function
 with circulant coefficients splits into d independent scalar "channel"
 functions of one complex variable each.  Evaluation works either in the ring
-directly (Horner) or channel-wise on the spectrum; differentiation uses the
-channel rule: the derivative's i-th eigenvalue is the ordinary scalar
-derivative of the i-th channel function at the i-th eigenvalue of the
-argument.  A finite-difference variant is provided for cross-validation.
+directly (:meth:`CircPoly.evaluate`, the one ring Horner) or channel-wise on
+the spectrum; differentiation uses the channel rule: the derivative's i-th
+eigenvalue is the ordinary scalar derivative of the i-th channel function at
+the i-th eigenvalue of the argument.  A finite-difference variant is provided
+for cross-validation.  An exp(G_i) that overflows raises (:func:`_exp`).
 Every channel-wise pass, here, in the solver and in the limit scans, runs the
 one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
 FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
@@ -32,7 +33,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import core
-from .core import FFT_THRESHOLD, Circulant, _horner, _horner_spectra
+from .core import FFT_THRESHOLD, Circulant, _horner, _mul_rows
 from .errors import (
     ChannelSingularityError,
     DimensionError,
@@ -81,13 +82,18 @@ class CircPoly:
         return len(self.coeffs) - 1
 
     def evaluate(self, z: Circulant) -> Circulant:
-        """Horner evaluation in the circulant ring, at FFT orders from the
-        cached raw spectra (:func:`circfun.core._horner_spectra`)."""
+        """P(Z) by Horner in the ring on the raw coefficient rows: below
+        ``FFT_THRESHOLD`` the direct product with Z plus the next row, at FFT
+        orders the FFT of Z, :func:`circfun.core._horner` over the cached raw
+        spectra and one inverse FFT."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {self.d}")
         if self.d >= FFT_THRESHOLD and self.degree:
-            return Circulant(_horner_spectra(self._raw_spectra(), z.row))
-        return Circulant(core.horner([c.row for c in self.coeffs], z.row))
+            return Circulant(np.fft.ifft(_horner(self._raw_spectra(), np.fft.fft(z.row))))
+        acc = self.coeffs[0].row
+        for c in self.coeffs[1:]:
+            acc = _mul_rows(acc, z.row, fft=False) + c.row
+        return Circulant(acc)
 
     def _raw_spectra(self) -> np.ndarray:
         """The coefficient rows' transforms, shape (degree + 1, d), unsnapped:
@@ -240,20 +246,27 @@ class CircFunction:
         """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d).  A
         channel where Q_i(u_i) falls to the rank threshold of its point is
         zeroed, as the pseudoinverse zeroes it."""
-        value = _horner(self.P.channel_matrix(), u)
+        return self._values_and_zeroed(u)[0]
+
+    def _values_and_zeroed(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`channel_values` and the mask of the channels it zeroes (None
+        without Q), in one pass of Q; at a NaN threshold neither holds."""
+        value, zeroed = _horner(self.P.channel_matrix(), u), None
         if self.Q is not None:
             q = _horner(self.Q.channel_matrix(), u)
-            keep = np.abs(q) > _rank_threshold(np.abs(q))
+            magnitude = np.abs(q)
+            threshold = _rank_threshold(magnitude)
+            keep, zeroed = magnitude > threshold, magnitude <= threshold
             p, value = value, np.zeros_like(value)
             value[keep] = p[keep] / q[keep]
         if self.G is not None:
-            value = value * np.exp(_horner(self.G.channel_matrix(), u))
-        return value
+            value = value * _exp(_horner(self.G.channel_matrix(), u))
+        return value, zeroed
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
         """F_i'(u_i) on every channel: the quotient rule where Q is present,
-        then the product rule with exp(G_i).  A pole raises
-        ChannelSingularityError."""
+        then the product rule with exp(G_i).  A pole, or an exp(G_i) that
+        overflows, raises ChannelSingularityError."""
         p, dp = _value_and_derivative(self.P.channel_matrix(), u)
         if self.Q is not None:
             dq, q, q_scale = _quotient_terms(self.Q, u, None)
@@ -262,7 +275,7 @@ class CircFunction:
         if self.G is not None:
             g, dg = _value_and_derivative(self.G.channel_matrix(), u)
             ratio = p if self.Q is None else p / q
-            dp = (dp + ratio * dg) * np.exp(g)
+            dp = (dp + ratio * dg) * _exp(g)
         return dp
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
@@ -296,9 +309,8 @@ class CircFunction:
         """Evaluate channel-wise and report the 1-based channels that the
         rank threshold of Q zeroes (none without Q)."""
         self._check_order(z)
-        u = spectrum(z)
-        value = from_spectrum(self.channel_values(u))
-        return value, () if self.Q is None else _zeroed_channels(_horner(self.Q.channel_matrix(), u))
+        values, zeroed = self._values_and_zeroed(spectrum(z))
+        return from_spectrum(values), () if zeroed is None else tuple((np.flatnonzero(zeroed) + 1).tolist())
 
     def derivative(self, z: Circulant) -> Circulant:
         """Derivative via the channel rule: eigenvalue i of the result is
@@ -353,11 +365,17 @@ FUNCTION_KINDS: dict[str, type[CircFunction]] = {
 }
 
 
-def _zeroed_channels(q: np.ndarray) -> tuple[int, ...]:
-    """1-based channels where the values ``q`` of Q, shape (d,), sit at or
-    below the rank threshold of the pseudoinverse: every one when all vanish."""
-    magnitude = np.abs(q)
-    return tuple(int(i) + 1 for i in np.nonzero(magnitude <= _rank_threshold(magnitude))[0])
+def _exp(g: np.ndarray) -> np.ndarray:
+    """exp(g) for the values ``g`` of G, shape (C,) or (S, C); where g is
+    finite and exp(g) is not, :func:`_raise_where` names the channels."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named next
+        value = np.exp(g)
+    finite = np.isfinite(value)
+    if not finite.all():  # one pass when nothing overflows
+        bad = np.isfinite(g) & ~finite
+        if bad.any():
+            _raise_where(bad[None], ["exp(G) overflows"])
+    return value
 
 
 def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
@@ -388,24 +406,26 @@ def _value_and_derivative(cm: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np
 
 def _raise_on_zero(checks, channels=None) -> None:
     """Raise ChannelSingularityError where a checked value vanishes.
-
-    ``checks`` lists (values, scales, what) in order; the values have shape
-    (C,) or (S, C) with a leading points axis.  The error names the channels
-    of the first point where any check fails, by the first check that fails
-    there, so a batch over points raises as a loop over them would.
-    ``channels`` maps positions in the last axis to 0-based channel indices.
-    """
+    ``checks`` lists (values, scales, what) in order; :func:`_raise_where`
+    names the channels and the part."""
     bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * s for v, s, _ in checks])
-    if not bad.any():
-        return
-    bad = bad.reshape(len(checks), -1, bad.shape[-1])
+    if bad.any():
+        _raise_where(bad, [f"{what} vanishes" for _, _, what in checks], channels)
+
+
+def _raise_where(bad: np.ndarray, problems: list[str], channels=None) -> None:
+    """Raise ChannelSingularityError for the masks ``bad`` of ``problems``,
+    each (C,) or (S, C), naming the channels of the first point where any
+    holds by the first problem there, as a loop over the points would.
+    ``channels`` maps positions in the last axis to 0-based channel indices."""
+    bad = bad.reshape(len(problems), -1, bad.shape[-1])
     point = np.argmax(np.any(bad, axis=(0, 2)))
     which = np.argmax(np.any(bad[:, point], axis=1))
     index = np.nonzero(bad[which, point])[0]
     if channels is not None:
         index = np.asarray(channels)[index]
     numbers = [int(i) + 1 for i in index]
-    raise ChannelSingularityError(numbers, f"{checks[which][2]} vanishes at channel(s) {numbers}")
+    raise ChannelSingularityError(numbers, f"{problems[which]} at channel(s) {numbers}")
 
 
 class ChannelView(abc.Sequence):

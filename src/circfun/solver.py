@@ -45,9 +45,9 @@ backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
 scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
 modulus.  Since that check reads the same channel matrix the solve used, the
 root of each chunk with the worst ratio to its bound is also evaluated by
-ring Horner on the raw coefficient rows, not the snapped channel matrix (at
-FFT orders on their own transforms), and its Frobenius norm must stay within
-the finite 2-norm of its channel bounds (norms by :func:`core._norm2`).
+ring Horner (:meth:`CircPoly.evaluate`) on the raw coefficient rows, not the
+snapped channel matrix, and its Frobenius norm must stay within the finite
+2-norm of its channel bounds (norms by :func:`core._norm2`).
 
 The verified rows are the storage of the roots: one (count, d) array, kept
 with the residuals in ``verified`` (:class:`RootTable`), whose rows ``roots``
@@ -507,7 +507,6 @@ def solve_circ_poly(
     if count > recombination_limit:
         raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
 
-    coeff_rows = [c.row for c in p.coeffs]
     floor = max(1.0, p._scale)  # the largest spectral coefficient modulus
     roots = np.empty((count, p.d), dtype=np.complex128)
     residuals = np.empty(count)
@@ -526,7 +525,7 @@ def solve_circ_poly(
                 f"reconstructed root residual {magnitudes[k, i]:.3e} exceeds {bounds[k, i]:.1e}"
                 f" in channel {i + 1} of root {start + k + 1}"
             )
-        ring = core.frobenius_norm(Circulant(core.horner(coeff_rows, rows[k])))
+        ring = core.frobenius_norm(p.evaluate(Circulant(rows[k])))
         allowed = float(core._norm2(bounds[k]))
         if not ring <= allowed < np.inf:  # an overflowed bound bounds nothing
             raise SolverError(

@@ -69,6 +69,23 @@ class TestEval:
         assert code == 1
         assert "point" in capsys.readouterr().err
 
+    def test_exp_overflow_names_the_channels(self, tmp_path, capsys):
+        # P = I, G = 1000 Z at circ(2, 1): exp(3000) and exp(1000) overflow.
+        # The value was inf and NaN, and the JSON writer refused it unnamed.
+        identity, zero = {"d": 2, "row": [[1, 0], [0, 0]]}, {"d": 2, "row": [[0, 0], [0, 0]]}
+        g = [{"d": 2, "row": [[1000, 0], [0, 0]]}, zero]
+        doc = tmp_path / "overflow.json"
+        doc.write_text(json.dumps({
+            "function": {"kind": "exppoly", "d": 2, "P": [identity], "G": g},
+            "point": {"d": 2, "row": [[2, 0], [1, 0]]},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval", "--input", str(doc), "--output", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exp(G) overflows at channel(s) [1, 2]\n"
+
 
 class TestSolve:
     def test_finite_case(self, tmp_path):

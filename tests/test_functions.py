@@ -25,7 +25,6 @@ from circfun.functions import (
     _quotient_terms,
     _raise_on_zero,
     _with_derivative,
-    _zeroed_channels,
     polyval_with_scale,
 )
 from circfun.spectral import RANK_REL_TOL, forward_rows
@@ -148,7 +147,7 @@ class TestSpectralCache:
         for z in (random_circulant(rng, d), random_circulant(rng, d)):  # the second reads the cache
             stacked = np.fft.fft(np.stack(rows + [z.row]), axis=-1)
             expected = np.fft.ifft(_horner(stacked[:-1], stacked[-1]))
-            assert p.evaluate(z).row.tobytes() == cf.core.horner(rows, z.row).tobytes() == expected.tobytes()
+            assert p.evaluate(z).row.tobytes() == expected.tobytes()
         assert p._spectra is not None
 
     @pytest.mark.parametrize("d", [2, 7, 31, 32, 100])
@@ -342,7 +341,8 @@ class TestFuncEval:
         value, zeroed = RationalFunction(p, q).evaluate_with_report(z)
         qz = q.evaluate(z)
         assert np.array_equal(value.row, cf.mul(p.evaluate(z), cf.pseudoinverse(qz)).row)
-        assert zeroed == _zeroed_channels(cf.spectrum(qz))
+        magnitude = np.abs(cf.spectrum(qz))
+        assert zeroed == tuple((np.flatnonzero(magnitude <= RANK_REL_TOL * d * magnitude.max()) + 1).tolist())
 
     def test_rational_inverts_an_overflowing_spectrum_scaled(self):
         # Q(Z) = Z = circ(1e308, 1e308) has the spectrum (2e308, 0): channel 1
@@ -357,6 +357,43 @@ class TestFuncEval:
         assert value.row.tobytes() == expected.row.tobytes()
         assert zeroed == (2,)
         np.testing.assert_allclose(value.row, [2.5e-309, 2.5e-309], rtol=1e-12, atol=0)
+
+    def test_report_evaluates_q_once(self, monkeypatch, rng):
+        # One Horner pass per part: Q's values give both the quotient and
+        # the report of zeroed channels.
+        d = 4
+        f = CircFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1), random_regular_poly(rng, d, 1))
+        z = random_circulant(rng, d)
+        expected = f.evaluate_with_report(z)
+        calls = []
+        monkeypatch.setattr(cf.functions, "_horner", lambda *args: calls.append(1) or _horner(*args))
+        value, zeroed = f.evaluate_with_report(z)
+        assert len(calls) == 3
+        assert value.row.tobytes() == expected[0].row.tobytes() and zeroed == expected[1] == ()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row, channels", [([2.0, 1.0], (1, 2)), ([0.5, -0.5], (2,))])
+    def test_exp_overflow_names_the_channels(self, row, channels):
+        # G = 1000 Z: exp(G_i(u_i)) overflows where Re u_i > 0.71.  The
+        # spectrum of circ(2, 1) is (3, 1), that of circ(0.5, -0.5) is (0, 1).
+        d = 2
+        f = ExpPolyFunction(CircPoly([cf.identity(d)]), CircPoly.from_scalars([1000, 0], d))
+        z = cf.Circulant(row)
+        for call in (f.evaluate, f.derivative):
+            with pytest.raises(ChannelSingularityError, match=r"^exp\(G\) overflows at channel\(s\) ") as info:
+                call(z)
+            assert info.value.channels == channels
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exp_overflow_names_the_first_point_and_skips_non_finite_exponents(self):
+        d = 2
+        f = ExpPolyFunction(CircPoly([cf.identity(d)]), CircPoly.from_scalars([1000, 0], d))
+        with pytest.raises(ChannelSingularityError) as info:
+            f.channel_values(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex))
+        assert info.value.channels == (2,)
+        # A NaN exponent is no overflow: its channel is NaN, the other exp(0).
+        value = f.channel_values(np.array([np.nan, 0.0], dtype=complex))
+        assert np.isnan(value[0]) and value[1] == 1.0
 
     def test_rank_threshold_is_per_point(self, rng):
         # 1/Z at d = 2: a large second point must not zero the first one's channels.

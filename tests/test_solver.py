@@ -501,11 +501,13 @@ class TestCircSolve:
         with pytest.raises(SolverError, match=r"^reconstructed root residual .* in channel 1 of root 4$"):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], d))
 
-    def test_ring_check_rejects_a_row_the_spectral_check_misses(self, monkeypatch, rng):
+    @pytest.mark.parametrize("d", [5, 33])
+    def test_ring_check_rejects_a_row_the_spectral_check_misses(self, monkeypatch, rng, d):
         # Z - A has the one root A. The spectral check is handed the exact
-        # spectrum, so only the ring Horner spot-check sees the corrupted row.
-        a = random_circulant(rng, 5)
-        p = CircPoly([cf.identity(5), cf.neg(a)])
+        # spectrum, so only the ring Horner spot-check sees the corrupted row,
+        # below the FFT threshold and at an FFT order.
+        a = random_circulant(rng, d)
+        p = CircPoly([cf.identity(d), cf.neg(a)])
         assert len(cf.solve_circ_poly(p).roots) == 1
         grids = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((0, 2), rows[0, 2] + 1e-6))
         monkeypatch.setattr(solver, "forward_rows", lambda rows: grids[-1])
