@@ -279,17 +279,15 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
 
 def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTable, int]:
     indeterminate = f.degenerate_channels()
-    if not indeterminate.any():
-        live = None
-    elif indeterminate.all():
+    if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
-    else:
-        # Degenerate channels would raise on every direction; scan only the rest.
-        live = np.flatnonzero(~indeterminate)
+    degenerate = indeterminate.any()
+    # Degenerate channels would raise on every direction; scan only the rest.
+    live = np.flatnonzero(~indeterminate) if degenerate else slice(None)
     estimates, retries = _scan(f, path, qfun, live)
     k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
     columns = [np.where(converged, CONVERGED, DIVERGED), k, estimates, refined, errors]
-    if live is not None:
+    if degenerate:
         fills = (INDETERMINATE, np.nan, np.nan, np.nan, np.nan)
         for j, (column, fill) in enumerate(zip(columns, fills)):
             columns[j] = np.full(column.shape[:-1] + (f.d,), fill, dtype=column.dtype)
@@ -297,15 +295,16 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTa
     return ChannelTable._make(columns), retries
 
 
-def _scan(f, path: PathSpec, qfun, live: np.ndarray | None) -> tuple[np.ndarray, int]:
+def _scan(f, path: PathSpec, qfun, live) -> tuple[np.ndarray, int]:
     """Estimate sequences for the ``live`` channels over the path's scales,
     all scales in one batch.
 
-    Returns an array of shape (n_scales, len(live)), one column per live
-    channel; ``live`` None means every channel, read as whole arrays with
-    no column copy.  On a channel singularity the direction is re-randomized
-    (seeded) up to the retry budget, after which the error propagates,
-    naming the channels of the first scale where the singularity sits.
+    Returns an array of shape (n_scales, C), one column per channel that
+    the indexer ``live`` selects: ``slice(None)``, every channel, read as
+    whole arrays with no column copy, or an index array.  On a channel
+    singularity the direction is re-randomized (seeded) up to the retry
+    budget, after which the error propagates, naming the channels of the
+    first scale where the singularity sits.
 
     The points are u = spectrum(from_spectrum(t * direction)), computed for
     all scales by one inverse_rows and one forward_rows call, not
@@ -318,7 +317,6 @@ def _scan(f, path: PathSpec, qfun, live: np.ndarray | None) -> tuple[np.ndarray,
     draws are those of a generator made up front.
     """
     u = path._points
-    columns = slice(None) if live is None else live
     last_error: ChannelSingularityError | None = None
     for attempt in range(path.retry_budget + 1):
         if attempt:
@@ -328,12 +326,12 @@ def _scan(f, path: PathSpec, qfun, live: np.ndarray | None) -> tuple[np.ndarray,
             u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
             if qfun is None:
-                values = u[:, columns] * f.channel_logderiv(u, live)
+                values = u[:, live] * f.channel_logderiv(u, live)
             else:
                 # The witness approximates G', so it comes off G' before P'/P
                 # is added: P'/P + G' would lose P'/P when G' is large.
                 dlog_p, dg = f._logderiv_terms(u, live)
-                values = u[:, columns] * (dlog_p + (dg - qfun(u)[:, columns]))
+                values = u[:, live] * (dlog_p + (dg - qfun(u)[:, live]))
         except ChannelSingularityError as exc:
             last_error = exc
             continue

@@ -41,14 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="circfun", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("spectrum", "eigenvalues of a circulant"),
-        ("pinv", "Moore-Penrose pseudoinverse of a circulant"),
-        ("eval", "evaluate a function at a point"),
-        ("solve", "solve a polynomial equation P(Z) = 0"),
-        ("divisor", "estimate per-channel divisors of a rational function"),
-        ("degree", "detect polynomial degree from the log-derivative limit"),
-    ]:
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", "-i", default="-", help="input JSON path, or - for stdin")
         cmd.add_argument("--output", "-o", default="-", help="output JSON path, or - for stdout")
@@ -141,13 +134,14 @@ def _run_degree(args) -> tuple[dict, int]:
     return serialize.degree_report_to_obj(report), 0 if report.is_polynomial else 4
 
 
-_HANDLERS = {
-    "spectrum": _run_spectrum,
-    "pinv": _run_pinv,
-    "eval": _run_eval,
-    "solve": _run_solve,
-    "divisor": _run_divisor,
-    "degree": _run_degree,
+#: Subcommand name -> (help text, handler), in the order ``--help`` lists them.
+_COMMANDS = {
+    "spectrum": ("eigenvalues of a circulant", _run_spectrum),
+    "pinv": ("Moore-Penrose pseudoinverse of a circulant", _run_pinv),
+    "eval": ("evaluate a function at a point", _run_eval),
+    "solve": ("solve a polynomial equation P(Z) = 0", _run_solve),
+    "divisor": ("estimate per-channel divisors of a rational function", _run_divisor),
+    "degree": ("detect polynomial degree from the log-derivative limit", _run_degree),
 }
 
 
@@ -159,7 +153,7 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        document, code = _HANDLERS[args.command](args)
+        document, code = _COMMANDS[args.command][1](args)
         _write_document(args.output, document)
     except (CircfunError, ValueError, TypeError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -12,16 +12,20 @@ directly (:meth:`CircPoly.evaluate`, the one ring Horner) or channel-wise on
 the spectrum; differentiation uses the channel rule: the derivative's i-th
 eigenvalue is the ordinary scalar derivative of the i-th channel function at
 the i-th eigenvalue of the argument.  A finite-difference variant is provided
-for cross-validation.  An exp(G_i) that overflows raises (:func:`_exp`).
+for cross-validation.  An exp(G_i), or a product with it, that overflows
+raises (:func:`_times_exp`).
 Every channel-wise pass, here, in the solver and in the limit scans, runs the
 one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
 FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
-and the scale is the loop over |c_k| at |u|.
+and the scale is the loop over |c_k| at |u|.  A pass selects its channels
+with one numpy indexer: ``slice(None)`` for all of them, or the index array of
+the live ones.
 
 A :class:`CircPoly` caches, read-only and for its lifetime, the raw spectra
 of its coefficient rows, (degree + 1) * d complex entries; the channel matrix,
 which is that same array unless an entry snaps, and only then a copy of it;
-and the channel matrix's moduli, (degree + 1) * d floats, once read.
+and the channel matrix's moduli, (degree + 1) * d floats, the one modulus
+pass the snap test takes, with the snapped entries zeroed.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class CircPoly:
     the channel matrix or ring Horner at FFT orders first needs them.
     Snapping, effective degrees, the scale passes of the limit scan and ring
     Horner then read the cached arrays: the raw spectra, the channel matrix
-    and its moduli, the last filled on first read (``_moduli``).
+    and its moduli (``_moduli``), the last two made together.
     """
 
     def __init__(self, coeffs: Sequence[Circulant]):
@@ -69,7 +73,6 @@ class CircPoly:
         self.d = d
         self._spectra: np.ndarray | None = None
         self._channel_matrix: np.ndarray | None = None
-        self._moduli_cache: np.ndarray | None = None
         self._channel_degrees: np.ndarray | None = None
 
     @classmethod
@@ -112,9 +115,10 @@ class CircPoly:
         (:mod:`circfun.tolerances`): kept, it would turn exact channel degree
         drops into huge spurious terms at large arguments.  Computed once
         from the raw spectra and cached, with the largest magnitude S
-        (snapping leaves it in place); the moduli are taken once for both.
-        When no entry snaps, the matrix is the raw spectra array itself;
-        otherwise it is a snapped copy.  The returned array is read-only.
+        (snapping leaves it in place) and the moduli ``_moduli``: one modulus
+        pass serves S, the snap test and the moduli, zeroed where an entry
+        snaps.  When no entry snaps, the matrix is the raw spectra array
+        itself; otherwise it is a snapped copy.  Both arrays are read-only.
         """
         if self._channel_matrix is None:
             cm = self._raw_spectra()
@@ -124,19 +128,11 @@ class CircPoly:
                 snap = moduli <= SPECTRAL_SNAP_REL_TOL * top
                 if snap.any():
                     cm = cm.copy()
-                    cm[snap] = 0.0
+                    cm[snap] = moduli[snap] = 0.0
                     cm.flags.writeable = False
-            self._channel_matrix, self._scale = cm, float(top)
-        return self._channel_matrix
-
-    @property
-    def _moduli(self) -> np.ndarray:
-        """|channel matrix|, filled on first read and cached, read-only."""
-        if self._moduli_cache is None:
-            moduli = np.abs(self.channel_matrix())
             moduli.flags.writeable = False
-            self._moduli_cache = moduli
-        return self._moduli_cache
+            self._channel_matrix, self._moduli, self._scale = cm, moduli, float(top)
+        return self._channel_matrix
 
     def channel_degrees(self) -> np.ndarray:
         """Effective degree of each channel, -1 where it is identically zero.
@@ -146,6 +142,7 @@ class CircPoly:
         Computed once from the cached moduli; the returned array is read-only.
         """
         if self._channel_degrees is None:
+            self.channel_matrix()  # makes the moduli and S
             nonzero = self._moduli > COEFFICIENT_REL_TOL * self._scale
             degrees = nonzero.shape[0] - 1 - nonzero.argmax(axis=0)
             degrees[~nonzero.any(axis=0)] = -1
@@ -260,22 +257,23 @@ class CircFunction:
             p, value = value, np.zeros_like(value)
             value[keep] = p[keep] / q[keep]
         if self.G is not None:
-            value = value * _exp(_horner(self.G.channel_matrix(), u))
+            g = _horner(self.G.channel_matrix(), u)
+            value = _times_exp(value, g, "P exp(G)" if self.Q is None else "P Q^+ exp(G)")
         return value, zeroed
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
         """F_i'(u_i) on every channel: the quotient rule where Q is present,
-        then the product rule with exp(G_i).  A pole, or an exp(G_i) that
-        overflows, raises ChannelSingularityError."""
-        p, dp = _value_and_derivative(self.P.channel_matrix(), u)
+        then the product rule with exp(G_i).  A pole, or an exp(G_i) or
+        product with it that overflows, raises ChannelSingularityError."""
+        p, dp = _value_and_derivative(self.P, u)
         if self.Q is not None:
-            dq, q, q_scale = _quotient_terms(self.Q, u, None)
+            dq, q, q_scale = _quotient_terms(self.Q, u)
             _raise_on_zero([(q, q_scale, "Q")])
             dp = (dp * q - dq * p) / (q * q)
         if self.G is not None:
-            g, dg = _value_and_derivative(self.G.channel_matrix(), u)
+            g, dg = _value_and_derivative(self.G, u)
             ratio = p if self.Q is None else p / q
-            dp = (dp + ratio * dg) * _exp(g)
+            dp = _times_exp(dp + ratio * dg, g, "F'")
         return dp
 
     def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
@@ -283,23 +281,25 @@ class CircFunction:
         finite even where F itself would overflow.
 
         ``channels`` (0-based indices into ``u``) restricts the evaluation
-        to those channels, in that order.  A ChannelSingularityError names
-        the offending channels by their 1-based numbers among all d."""
-        dlog, dg = self._logderiv_terms(u, channels)
+        to those channels, in that order; None means all of them.  A
+        ChannelSingularityError names the offending channels by their
+        1-based numbers among all d."""
+        dlog, dg = self._logderiv_terms(u, slice(None) if channels is None else channels)
         return dlog if self.G is None else dlog + dg
 
-    def _logderiv_terms(self, u: np.ndarray, channels=None) -> tuple[np.ndarray, np.ndarray | float]:
-        """(P'/P - Q'/Q, G') on the selected channels, the terms of F'/F kept
-        apart: a large G' swamps the rest in their sum.  An absent part
-        contributes no term; G' is 0.0 without G."""
+    def _logderiv_terms(self, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray | float]:
+        """(P'/P - Q'/Q, G') on the channels of ``u`` that the indexer
+        ``channels`` selects, the terms of F'/F kept apart: a large G' swamps
+        the rest in their sum.  An absent part contributes no term; G' is 0.0
+        without G."""
         dp, p, p_scale = _quotient_terms(self.P, u, channels)
         checks = [(p, p_scale, "P")]
         if self.Q is not None:
             dq, q, q_scale = _quotient_terms(self.Q, u, channels)
             checks.append((q, q_scale, "Q"))
-        _raise_on_zero(checks, channels)
+        _raise_on_zero(checks, channels, u.shape[-1])
         dlog = dp / p if self.Q is None else dp / p - dq / q
-        return dlog, 0.0 if self.G is None else _value_and_derivative(*_selected(self.G, u, channels))[1]
+        return dlog, 0.0 if self.G is None else _value_and_derivative(self.G, u, channels)[1]
 
     def evaluate(self, z: Circulant) -> Circulant:
         value, _ = self.evaluate_with_report(z)
@@ -365,66 +365,61 @@ FUNCTION_KINDS: dict[str, type[CircFunction]] = {
 }
 
 
-def _exp(g: np.ndarray) -> np.ndarray:
-    """exp(g) for the values ``g`` of G, shape (C,) or (S, C); where g is
-    finite and exp(g) is not, :func:`_raise_where` names the channels."""
+def _times_exp(factor: np.ndarray, g: np.ndarray, product: str) -> np.ndarray:
+    """``factor`` * exp(g) for the values ``g`` of G, shape (C,) or (S, C).
+    Where g is finite and exp(g) is not, or both factors are finite and the
+    ``product`` is not, :func:`_raise_where` names the channels."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named next
-        value = np.exp(g)
+        exp_g = np.exp(g)
+        value = factor * exp_g
     finite = np.isfinite(value)
     if not finite.all():  # one pass when nothing overflows
-        bad = np.isfinite(g) & ~finite
+        exp_finite = np.isfinite(exp_g)
+        bad = np.array([np.isfinite(g) & ~exp_finite, np.isfinite(factor) & exp_finite & ~finite])
         if bad.any():
-            _raise_where(bad[None], ["exp(G) overflows"])
+            _raise_where(bad, ["exp(G) overflows", f"{product} overflows"])
     return value
 
 
-def _quotient_terms(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, ...]:
-    """(P'(u), P(u), scale of P(u)) on the selected channels of ``u``, shape
-    (d,) or (S, d); the scale is what :func:`_raise_on_zero` measures P(u)
-    against.  Each is bit for bit what :func:`polyval_with_scale` gives on
-    its own rows; the scale pass reads the cached moduli of ``poly``.
+def _quotient_terms(poly: CircPoly, u: np.ndarray, channels=slice(None)) -> tuple[np.ndarray, ...]:
+    """(P'(u), P(u), scale of P(u)) on the channels of ``u``, shape (d,) or
+    (S, d), that the indexer ``channels`` selects; the scale is what
+    :func:`_raise_on_zero` measures P(u) against.  Each is bit for bit what
+    :func:`polyval_with_scale` gives on its own rows; the scale pass reads
+    the cached moduli of ``poly``.
     """
-    cm, u = _selected(poly, u, channels)
-    p, dp = _value_and_derivative(cm, u)
-    moduli = poly._moduli if channels is None else poly._moduli[:, channels]
-    return dp, p, _horner(moduli, np.abs(u))
+    p, dp = _value_and_derivative(poly, u, channels)
+    return dp, p, _horner(poly._moduli[:, channels], np.abs(u[..., channels]))
 
 
-def _selected(poly: CircPoly, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray]:
-    """The channel matrix of ``poly`` and the points ``u`` on the selected
-    channels, all of them when ``channels`` is None."""
-    cm = poly.channel_matrix()
-    return (cm, u) if channels is None else (cm[:, channels], u[..., channels])
-
-
-def _value_and_derivative(cm: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P(u), P'(u)) from the channel matrix of P at points of shape (C,) or
-    (S, C), in one Horner pass over the rows of :func:`_with_derivative`."""
+def _value_and_derivative(poly: CircPoly, u: np.ndarray, channels=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(P(u), P'(u)) on the channels of ``u``, shape (d,) or (S, d), that the
+    indexer ``channels`` selects, in one Horner pass over the rows of
+    :func:`_with_derivative` of those columns of the channel matrix."""
+    cm, u = poly.channel_matrix()[:, channels], u[..., channels]
     value = _horner(_with_derivative(cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1)), u)
     return value[0], value[1]
 
 
-def _raise_on_zero(checks, channels=None) -> None:
+def _raise_on_zero(checks, channels=slice(None), d: int = 0) -> None:
     """Raise ChannelSingularityError where a checked value vanishes.
     ``checks`` lists (values, scales, what) in order; :func:`_raise_where`
     names the channels and the part."""
     bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * s for v, s, _ in checks])
     if bad.any():
-        _raise_where(bad, [f"{what} vanishes" for _, _, what in checks], channels)
+        _raise_where(bad, [f"{what} vanishes" for _, _, what in checks], channels, d)
 
 
-def _raise_where(bad: np.ndarray, problems: list[str], channels=None) -> None:
+def _raise_where(bad: np.ndarray, problems: list[str], channels=slice(None), d: int = 0) -> None:
     """Raise ChannelSingularityError for the masks ``bad`` of ``problems``,
     each (C,) or (S, C), naming the channels of the first point where any
     holds by the first problem there, as a loop over the points would.
-    ``channels`` maps positions in the last axis to 0-based channel indices."""
+    The indexer ``channels`` selected the last axis from ``d`` channels; d
+    may be left 0 when it selects all of them."""
     bad = bad.reshape(len(problems), -1, bad.shape[-1])
     point = np.argmax(np.any(bad, axis=(0, 2)))
     which = np.argmax(np.any(bad[:, point], axis=1))
-    index = np.nonzero(bad[which, point])[0]
-    if channels is not None:
-        index = np.asarray(channels)[index]
-    numbers = [int(i) + 1 for i in index]
+    numbers = (np.arange(max(d, bad.shape[-1]))[channels][np.nonzero(bad[which, point])[0]] + 1).tolist()
     raise ChannelSingularityError(numbers, f"{problems[which]} at channel(s) {numbers}")
 
 

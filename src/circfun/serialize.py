@@ -100,7 +100,8 @@ def poly_to_obj(p: CircPoly) -> list:
 
 def function_to_obj(f: CircFunction) -> dict:
     if f.kind is None:
-        raise ValueError("only the poly, rational and exppoly kinds have a JSON form")
+        *names, last = FUNCTION_KINDS
+        raise ValueError(f"only the {', '.join(names)} and {last} kinds have a JSON form")
     obj = {"kind": f.kind, "d": f.d}
     for letter in f.LETTERS:
         obj[letter] = poly_to_obj(getattr(f, letter))

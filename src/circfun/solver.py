@@ -23,11 +23,14 @@ Rows run in blocks whose tensors hold at most ``BLOCK_ENTRIES`` = 2**16
 entries of 16 bytes: the smallest bound of a sweep over 2**15 to 2**18 that
 solves each degree group of the benchmark in one block, which took its
 heaviest cases from about 20 to 16 ms for 0.5 MB more peak RSS (40.8 MB).
-The P and P' passes of Aberth and polishing take their points as one
-contiguous (2, rows, n) stack, not the iterate broadcast twice.  Each step
-does on a row exactly what it would do on that row alone, so a channel's
-roots depend neither on the rest of the polynomial nor on the blocks, and
-:func:`solve_scalar_poly` is the one-row case.
+Each block builds the rows of P beside those of P' once, for Aberth and
+polishing.  Aberth's P and P' pass takes its points as one contiguous
+(2, rows, n) stack, not the iterate broadcast twice; polishing takes p at
+the approximations from the pass the inclusion discs read and evaluates
+only P' there.  Each step does on a row exactly what it would do on that
+row alone, so a channel's roots depend neither on the rest of the
+polynomial nor on the blocks, and :func:`solve_scalar_poly` is the one-row
+case.
 
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
@@ -290,9 +293,11 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     blocks, errors = [], {}
     for start in range(0, monic.shape[0], step):
         block = monic[start : start + step]
-        roots, iterations, failures = _aberth(block, max_iter)
-        values, scales = polyval_with_scale(block.T[:, :, None], roots)
-        polished, residuals = _newton_polish(block, roots)
+        coeffs = block.T[:, :, None]
+        rows = _with_derivative(coeffs)  # P and P' of row i at row i of the points
+        roots, iterations, failures = _aberth(block, rows, max_iter)
+        values, scales = polyval_with_scale(coeffs, roots)
+        polished, residuals = _newton_polish(rows, roots, values)
         distinct, mults, radii = _cluster_roots(block, roots, values, scales, polished)
         for i in np.flatnonzero(~np.all(np.isfinite(radii), axis=1)).tolist():
             errors[start + i] = SolverError("inclusion disc radii are not finite")
@@ -337,16 +342,16 @@ def _polygon_radii(monic: np.ndarray) -> np.ndarray:
     return np.maximum(radius, np.where(np.isfinite(smallest), POLYGON_FLOOR * smallest, 1.0))
 
 
-def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
+def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Ehrlich-Aberth on every row; a row leaves the active set once its
-    corrections are negligible.  Slot t of every row starts at its
-    Newton-polygon radius and the angle 2 pi t / n + 0.7.  Returns the roots,
-    the iteration counts and the SolverError of each row whose
+    corrections are negligible.  ``rows`` holds the :func:`_with_derivative`
+    rows of ``monic``, shape (n + 1, 2, m, 1).  Slot t of every row starts at
+    its Newton-polygon radius and the angle 2 pi t / n + 0.7.  Returns the
+    roots, the iteration counts and the SolverError of each row whose
     companion-matrix fallback failed."""
     m, n = monic.shape[0], monic.shape[1] - 1
     if n == 1:
         return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
-    rows = _with_derivative(monic.T[:, :, None])  # against (z, z): P and P' of row i at row i of z
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
     z = _polygon_radii(monic) * np.exp(1j * angles)
     roots = np.empty_like(z)
@@ -383,15 +388,17 @@ def _aberth(monic: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, d
     return roots, iterations, failures
 
 
-def _newton_polish(monic: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step per root, kept only where it lowers |p|; row i of
-    ``roots`` belongs to row i of ``monic``.  Returns the roots and |p| there."""
-    coeffs = monic.T[:, :, None]
-    p, dp = _horner(_with_derivative(coeffs), np.stack((roots, roots)))
+def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step per root, kept only where it lowers |p|.  ``rows``
+    holds the :func:`_with_derivative` rows of the monic polynomials, shape
+    (n + 1, 2, m, 1), whose row i owns row i of ``roots``, and ``p`` their
+    values there; only P' is evaluated.  Returns the roots and |p| there."""
+    dp = _horner(rows[:, 1], roots)
     safe = dp != 0
-    stepped = roots.copy()
-    stepped[safe] = roots[safe] - p[safe] / dp[safe]
-    before, after = np.abs(p), np.abs(_horner(coeffs, stepped))
+    stepped = roots.astype(p.dtype)  # a copy, complex like p where the roots of real rows are real
+    with np.errstate(invalid="ignore"):  # a NaN root fails the residual gate next
+        stepped[safe] = roots[safe] - p[safe] / dp[safe]
+    before, after = np.abs(p), np.abs(_horner(rows[:, 0], stepped))
     better = after < before
     return np.where(better, stepped, roots), np.where(better, after, before)
 

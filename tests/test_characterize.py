@@ -476,8 +476,8 @@ class TestScan:
                 dlog_p, dg = f._logderiv_terms(u, live)
                 expected = u[live] * (dlog_p + (dg - qfun(u)[live]))
             assert np.array_equal(row, expected)
-        # live None reads every channel whole, bit for bit as selecting all of them.
-        whole, selected = _scan(f, path, qfun, None), _scan(f, path, qfun, np.arange(d))
+        # slice(None) reads every channel whole, bit for bit as selecting all of them.
+        whole, selected = _scan(f, path, qfun, slice(None)), _scan(f, path, qfun, np.arange(d))
         assert whole[1] == selected[1] == 0 and whole[0].tobytes() == selected[0].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 31, 32, 100])

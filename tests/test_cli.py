@@ -86,6 +86,27 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == "error: exp(G) overflows at channel(s) [1, 2]\n"
 
+    def test_product_overflow_names_the_channels(self, tmp_path, capsys):
+        # P = 1e300 I, G = 700 Z at circ(1, 0): exp(700) is finite on both
+        # channels, 1e300 exp(700) is not.  The value was inf, and the JSON
+        # writer refused it unnamed.
+        zero = {"d": 2, "row": [[0, 0], [0, 0]]}
+        doc = tmp_path / "overflow.json"
+        doc.write_text(json.dumps({
+            "function": {
+                "kind": "exppoly", "d": 2,
+                "P": [{"d": 2, "row": [[1e300, 0], [0, 0]]}],
+                "G": [{"d": 2, "row": [[700, 0], [0, 0]]}, zero],
+            },
+            "point": {"d": 2, "row": [[1, 0], [0, 0]]},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval", "--input", str(doc), "--output", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: P exp(G) overflows at channel(s) [1, 2]\n"
+
 
 class TestSolve:
     def test_finite_case(self, tmp_path):
@@ -270,7 +291,8 @@ class TestErrorsAndDeterminism:
 
     def test_non_finite_output_is_an_error(self, monkeypatch, capsys):
         # Infinity is not JSON: nothing is written, and the exit code is 1.
-        monkeypatch.setitem(cli._HANDLERS, "spectrum", lambda args: ({"values": [float("inf")]}, 0))
+        help_text, _ = cli._COMMANDS["spectrum"]
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (help_text, lambda args: ({"values": [float("inf")]}, 0)))
         assert run(["spectrum", "--input", str(FIXTURES / "circ_2_1.json"), "--output", "-"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

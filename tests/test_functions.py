@@ -164,8 +164,8 @@ class TestSpectralCache:
         assert p.channel_matrix().tobytes() == cm.tobytes() and p._scale == float(top)
         assert np.array_equal(p.channel_degrees(), degrees)
         u = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
-        for channels in (None, np.arange(0, d, 2)):
-            cols, points = (cm, u) if channels is None else (cm[:, channels], u[:, channels])
+        for channels in (slice(None), np.arange(0, d, 2)):
+            cols, points = cm[:, channels], u[:, channels]
             dp, value, scale = _quotient_terms(p, u, channels)
             assert scale.tobytes() == _horner(np.abs(cols), np.abs(points)).tobytes()
             assert value.tobytes() == _horner(cols, points).tobytes()
@@ -185,11 +185,15 @@ class TestSpectralCache:
                 with pytest.raises(ValueError):
                     array[0] = 0
 
-    def test_moduli_are_filled_on_first_read(self, rng):
-        p = random_regular_poly(rng, 4, 2)
-        p.channel_matrix()
-        assert p._moduli_cache is None
-        assert p._moduli is p._moduli is p._moduli_cache
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_moduli_are_the_moduli_of_the_channel_matrix(self, rng, spread):
+        # One modulus pass, with the snapped entries zeroed: the same bits as
+        # a second pass over the channel matrix, snapped zeros included.
+        p = spread_poly(rng, 8) if spread else random_regular_poly(rng, 8, 3)
+        cm = p.channel_matrix()
+        assert np.any(cm == 0) == spread
+        assert p._moduli.tobytes() == np.abs(cm).tobytes()
+        assert p._moduli is p._moduli
 
 
 def allocating_polyval_with_scale(coeffs, u):
@@ -385,6 +389,40 @@ class TestFuncEval:
             assert info.value.channels == channels
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row, channels", [([1.0, 0.0], (1, 2)), ([0.5, 0.5], (1,))])
+    def test_product_overflow_names_the_channels(self, row, channels):
+        # P = 1e300 I, G = 700 Z: exp(700) is finite, 1e300 exp(700) is not.
+        # The spectrum of circ(1, 0) is (1, 1), that of circ(0.5, 0.5) is (1, 0).
+        d = 2
+        p, g = CircPoly([cf.scale(1e300, cf.identity(d))]), CircPoly.from_scalars([700, 0], d)
+        z = cf.Circulant(row)
+        with_q = CircFunction(p, CircPoly([cf.identity(d)]), g)
+        for f, product in ((ExpPolyFunction(p, g), "P exp(G)"), (with_q, "P Q^+ exp(G)")):
+            for call, what in ((f.evaluate, product), (f.derivative, "F'")):
+                with pytest.raises(ChannelSingularityError) as info:
+                    call(z)
+                assert str(info.value) == f"{what} overflows at channel(s) {list(channels)}"
+                assert info.value.channels == channels
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            ([[0.0, 20.0], [800.0, 0.0]], "P exp(G) overflows at channel(s) [2]"),  # the first point wins
+            ([[800.0, 20.0]], "exp(G) overflows at channel(s) [1]"),  # then the exponent, then the product
+            ([[0.0, 0.0], [20.0, 800.0]], "exp(G) overflows at channel(s) [2]"),
+        ],
+        ids=["product-first-point", "exp-before-product", "exp-second-point"],
+    )
+    def test_exp_and_product_overflow_name_the_first_point_and_problem(self, u, message):
+        # P = 1e300 I, G = Z: exp(u) overflows above 709.8, 1e300 exp(u) above 19.1.
+        d = 2
+        f = ExpPolyFunction(CircPoly([cf.scale(1e300, cf.identity(d))]), CircPoly.from_scalars([1, 0], d))
+        with pytest.raises(ChannelSingularityError) as info:
+            f.channel_values(np.array(u, dtype=complex))
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exp_overflow_names_the_first_point_and_skips_non_finite_exponents(self):
         d = 2
         f = ExpPolyFunction(CircPoly([cf.identity(d)]), CircPoly.from_scalars([1000, 0], d))
@@ -497,21 +535,22 @@ def per_kind_values(f, u):
 
 
 def per_kind_derivatives(f, u):
-    dp, p, _ = _quotient_terms(f.P, u, None)
+    dp, p, _ = _quotient_terms(f.P, u)
     if f.kind == "poly":
         return dp
     if f.kind == "rational":
-        dq, q, q_scale = _quotient_terms(f.Q, u, None)
+        dq, q, q_scale = _quotient_terms(f.Q, u)
         _raise_on_zero([(q, q_scale, "denominator")])
         return (dp * q - dq * p) / (q * q)
-    dg, g, _ = _quotient_terms(f.G, u, None)
+    dg, g, _ = _quotient_terms(f.G, u)
     return (dp + p * dg) * np.exp(g)
 
 
 def per_kind_logderiv_terms(f, u, channels):
-    """(P'/P, G') of a polynomial or exppoly, with G' = 0.0 for a polynomial."""
+    """(P'/P, G') of a polynomial or exppoly on the channels the indexer
+    ``channels`` selects, with G' = 0.0 for a polynomial."""
     dp, p, p_scale = _quotient_terms(f.P, u, channels)
-    _raise_on_zero([(p, p_scale, "P")], channels)
+    _raise_on_zero([(p, p_scale, "P")], channels, u.shape[-1])
     return dp / p, 0.0 if f.kind == "poly" else _quotient_terms(f.G, u, channels)[0]
 
 
@@ -519,7 +558,7 @@ def per_kind_logderiv(f, u, channels):
     if f.kind == "rational":
         dp, p, p_scale = _quotient_terms(f.P, u, channels)
         dq, q, q_scale = _quotient_terms(f.Q, u, channels)
-        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")], channels)
+        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")], channels, u.shape[-1])
         return dp / p - dq / q
     dlog_p, dg = per_kind_logderiv_terms(f, u, channels)
     return dlog_p if f.kind == "poly" else dlog_p + dg
@@ -547,13 +586,14 @@ class TestChannelFormulasBitwise:
         assert_same_bits([f.channel_values(u)], [per_kind_values(f, u)])
         assert_same_bits([f.channel_derivatives(u)], [per_kind_derivatives(f, u)])
         for channels in (None, [d - 1, 0], rng.permutation(d)[: max(1, d // 3)]):
-            assert_same_bits([f.channel_logderiv(u, channels)], [per_kind_logderiv(f, u, channels)])
-            dlog, dg = f._logderiv_terms(u, channels)
+            selection = slice(None) if channels is None else channels  # the private passes take an indexer
+            assert_same_bits([f.channel_logderiv(u, channels)], [per_kind_logderiv(f, u, selection)])
+            dlog, dg = f._logderiv_terms(u, selection)
             if kind == "rational":
-                assert_same_bits([dlog], [per_kind_logderiv(f, u, channels)])
+                assert_same_bits([dlog], [per_kind_logderiv(f, u, selection)])
                 assert type(dg) is float and dg == 0.0
                 continue
-            kind_dlog, kind_dg = per_kind_logderiv_terms(f, u, channels)
+            kind_dlog, kind_dg = per_kind_logderiv_terms(f, u, selection)
             assert_same_bits([dlog], [kind_dlog])
             if kind == "poly":
                 assert type(dg) is float and dg == 0.0

@@ -15,6 +15,7 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
+from circfun.functions import _with_derivative, polyval_with_scale
 from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
@@ -31,9 +32,12 @@ def poly_from_channels(channel_coeffs, degree):
 
 def polish(coeffs, roots):
     """One Newton polishing pass on the roots of one scalar polynomial, as
-    the batched solve runs it on a row of monic coefficients."""
+    the batched solve runs it on a row of monic coefficients: from the
+    block's P/P' rows and p at the roots."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    return solver._newton_polish((c / c[0])[None], np.asarray(roots, dtype=np.complex128)[None])[0][0]
+    coeffs, roots = (c / c[0])[None].T[:, :, None], np.asarray(roots, dtype=np.complex128)[None]
+    values, _ = polyval_with_scale(coeffs, roots)
+    return solver._newton_polish(_with_derivative(coeffs), roots, values)[0][0]
 
 
 def random_monic(rng, n):
@@ -168,7 +172,7 @@ class TestScalarRoots:
         # Both approximations of (u - 1)^2 exactly at 1: the residuals
         # vanish, but the inclusion discs have no finite radius.
         fake = (np.ones((1, 2), dtype=np.complex128), np.zeros(1, dtype=np.intp), {})
-        monkeypatch.setattr(solver, "_aberth", lambda monic, max_iter: fake)
+        monkeypatch.setattr(solver, "_aberth", lambda monic, rows, max_iter: fake)
         *_, errors = solver._solve_monic_rows(np.array([[1.0, -2.0, 1.0]]), 1e-10, 100)
         assert list(errors) == [0] and "inclusion disc radii are not finite" in str(errors[0])
 
