@@ -46,6 +46,9 @@ _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 #: Most scan-point entries, points * d, a default path may take: 64 MB of complex128.
 MAX_SCAN_ENTRIES = 2**22
 
+#: Seeded phase retries a scan makes after a channel singularity before it gives up.
+RETRY_BUDGET = 5
+
 
 @dataclass(frozen=True, eq=False)  # it writes its own __eq__, so hash() raises naming PathSpec
 class PathSpec:
@@ -58,7 +61,6 @@ class PathSpec:
 
     direction: np.ndarray
     scales: np.ndarray
-    retry_budget: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -76,16 +78,15 @@ class PathSpec:
             raise ValueError("scales must be finite, and so must the largest times d")
         if np.any(scales <= 0) or np.any(np.diff(scales) <= 0):
             raise ValueError("scales must be positive and strictly increasing")
-        for name in ("retry_budget", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         direction.flags.writeable = False
         scales.flags.writeable = False
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "scales", scales)
 
     def __reduce__(self):  # through the constructor: read-only arrays, no cached scan points
-        return PathSpec, (self.direction, self.scales, self.retry_budget, self.seed)
+        return PathSpec, (self.direction, self.scales, self.seed)
 
     def __eq__(self, other):  # the generated one would ask numpy for the truth of an array
         return isinstance(other, PathSpec) and _same_columns(self.__reduce__()[1], other.__reduce__()[1])
@@ -302,9 +303,9 @@ def _scan(f, path: PathSpec, qfun, live) -> tuple[np.ndarray, int]:
     Returns an array of shape (n_scales, C), one column per channel that
     the indexer ``live`` selects: ``slice(None)``, every channel, read as
     whole arrays with no column copy, or an index array.  On a channel
-    singularity the direction is re-randomized (seeded) up to the retry
-    budget, after which the error propagates, naming the channels of the
-    first scale where the singularity sits.
+    singularity the direction is re-randomized (seeded) ``RETRY_BUDGET``
+    times at most, after which the error propagates, naming the channels of
+    the first scale where the singularity sits.
 
     The points are u = spectrum(from_spectrum(t * direction)), computed for
     all scales by one inverse_rows and one forward_rows call, not
@@ -317,28 +318,27 @@ def _scan(f, path: PathSpec, qfun, live) -> tuple[np.ndarray, int]:
     draws are those of a generator made up front.
     """
     u = path._points
-    last_error: ChannelSingularityError | None = None
-    for attempt in range(path.retry_budget + 1):
+    for attempt in range(RETRY_BUDGET + 1):
         if attempt:
             if attempt == 1:
                 rng = np.random.default_rng(path.seed)
             direction = np.exp(2j * np.pi * rng.uniform(size=path.d))
             u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
-            if qfun is None:
-                values = u[:, live] * f.channel_logderiv(u, live)
-            else:
+            dlog, dg = f._logderiv_terms(u, live)
+            if qfun is not None:
                 # The witness approximates G', so it comes off G' before P'/P
                 # is added: P'/P + G' would lose P'/P when G' is large.
-                dlog_p, dg = f._logderiv_terms(u, live)
-                values = u[:, live] * (dlog_p + (dg - qfun(u)[:, live]))
+                dg = dg - qfun(u)[:, live]
         except ChannelSingularityError as exc:
             last_error = exc
             continue
-        return values, attempt
+        if f.G is not None or qfun is not None:  # adding 0.0 would turn -0.0 into 0.0
+            dlog = dlog + dg
+        with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows diverges
+            return u[:, live] * dlog, attempt
     raise ChannelSingularityError(
-        last_error.channels if last_error else (),
-        f"path singularity persisted across {path.retry_budget} phase retries",
+        last_error.channels, f"path singularity persisted across {RETRY_BUDGET} phase retries"
     )
 
 

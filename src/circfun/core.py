@@ -121,36 +121,35 @@ class Circulant:
         return power(self, k)
 
 
-def elementary(d: int) -> Circulant:
-    """The cyclic-shift generator circ(0, 1, 0, ..., 0); its d-th power is the identity."""
+def _zero_row(d: int) -> np.ndarray:
+    """The zero first row of order ``d``, which must be at least 2."""
     if d < 2:
         raise DimensionError(f"order must be >= 2, got {d}")
-    row = np.zeros(d, dtype=np.complex128)
+    return np.zeros(d, dtype=np.complex128)
+
+
+def elementary(d: int) -> Circulant:
+    """The cyclic-shift generator circ(0, 1, 0, ..., 0); its d-th power is the identity."""
+    row = _zero_row(d)
     row[1] = 1.0
     return Circulant(row)
 
 
 def identity(d: int) -> Circulant:
     """circ(1, 0, ..., 0), the multiplicative unit."""
-    if d < 2:
-        raise DimensionError(f"order must be >= 2, got {d}")
-    row = np.zeros(d, dtype=np.complex128)
+    row = _zero_row(d)
     row[0] = 1.0
     return Circulant(row)
 
 
 def ones(d: int) -> Circulant:
     """circ(1, 1, ..., 1), the matrix of units."""
-    if d < 2:
-        raise DimensionError(f"order must be >= 2, got {d}")
-    return Circulant(np.ones(d, dtype=np.complex128))
+    return Circulant(_zero_row(d) + 1.0)
 
 
 def zero(d: int) -> Circulant:
     """The additive unit circ(0, ..., 0)."""
-    if d < 2:
-        raise DimensionError(f"order must be >= 2, got {d}")
-    return Circulant(np.zeros(d, dtype=np.complex128))
+    return Circulant(_zero_row(d))
 
 
 def _check_same_order(x: Circulant, y: Circulant) -> None:
@@ -187,9 +186,8 @@ def mul(x: Circulant, y: Circulant) -> Circulant:
     """Ring product: cyclic convolution of rows, equal to the dense matrix product.
 
     Dispatches to the direct path below ``FFT_THRESHOLD`` and to the FFT
-    path at or above it.
+    path at or above it; each checks the orders.
     """
-    _check_same_order(x, y)
     if x.d >= FFT_THRESHOLD:
         return mul_fft(x, y)
     return mul_naive(x, y)

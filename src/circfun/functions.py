@@ -169,14 +169,13 @@ class Classification:
 
     regular: bool
     vanishing_channels: tuple[int, ...]  # 1-based
-    coefficient_scale: float
 
 
 def classify(p: CircPoly) -> Classification:
     """Regular iff the leading coefficient is invertible: no channel's
     effective degree (:meth:`CircPoly.channel_degrees`) falls below the degree."""
     vanishing = tuple((np.flatnonzero(p.channel_degrees() < p.degree) + 1).tolist())
-    return Classification(not vanishing, vanishing, p._scale)
+    return Classification(not vanishing, vanishing)
 
 
 def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
@@ -276,22 +275,18 @@ class CircFunction:
             dp = _times_exp(dp + ratio * dg, g, "F'")
         return dp
 
-    def channel_logderiv(self, u: np.ndarray, channels=None) -> np.ndarray:
+    def channel_logderiv(self, u: np.ndarray) -> np.ndarray:
         """F'_i(u_i) / F_i(u_i), computed in ratio form so that it stays
-        finite even where F itself would overflow.
-
-        ``channels`` (0-based indices into ``u``) restricts the evaluation
-        to those channels, in that order; None means all of them.  A
-        ChannelSingularityError names the offending channels by their
-        1-based numbers among all d."""
-        dlog, dg = self._logderiv_terms(u, slice(None) if channels is None else channels)
+        finite even where F itself would overflow.  A ChannelSingularityError
+        names the offending channels by their 1-based numbers."""
+        dlog, dg = self._logderiv_terms(u, slice(None))
         return dlog if self.G is None else dlog + dg
 
     def _logderiv_terms(self, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray | float]:
         """(P'/P - Q'/Q, G') on the channels of ``u`` that the indexer
         ``channels`` selects, the terms of F'/F kept apart: a large G' swamps
         the rest in their sum.  An absent part contributes no term; G' is 0.0
-        without G."""
+        without G, and evaluated alone with it, so G itself cannot overflow."""
         dp, p, p_scale = _quotient_terms(self.P, u, channels)
         checks = [(p, p_scale, "P")]
         if self.Q is not None:
@@ -299,7 +294,7 @@ class CircFunction:
             checks.append((q, q_scale, "Q"))
         _raise_on_zero(checks, channels, u.shape[-1])
         dlog = dp / p if self.Q is None else dp / p - dq / q
-        return dlog, 0.0 if self.G is None else _value_and_derivative(self.G, u, channels)[1]
+        return dlog, 0.0 if self.G is None else _value_and_derivative(self.G, u, channels, part=1)
 
     def evaluate(self, z: Circulant) -> Circulant:
         value, _ = self.evaluate_with_report(z)
@@ -392,13 +387,13 @@ def _quotient_terms(poly: CircPoly, u: np.ndarray, channels=slice(None)) -> tupl
     return dp, p, _horner(poly._moduli[:, channels], np.abs(u[..., channels]))
 
 
-def _value_and_derivative(poly: CircPoly, u: np.ndarray, channels=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _value_and_derivative(poly: CircPoly, u: np.ndarray, channels=slice(None), part=slice(None)) -> np.ndarray:
     """(P(u), P'(u)) on the channels of ``u``, shape (d,) or (S, d), that the
     indexer ``channels`` selects, in one Horner pass over the rows of
-    :func:`_with_derivative` of those columns of the channel matrix."""
+    :func:`_with_derivative` of those columns of the channel matrix;
+    ``part=1`` takes P'(u) alone, bit for bit, over the P' rows only."""
     cm, u = poly.channel_matrix()[:, channels], u[..., channels]
-    value = _horner(_with_derivative(cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1)), u)
-    return value[0], value[1]
+    return _horner(_with_derivative(cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1))[:, part], u)
 
 
 def _raise_on_zero(checks, channels=slice(None), d: int = 0) -> None:

@@ -157,12 +157,20 @@ def solution_set_to_obj(s: SolutionSet) -> dict:
 def _channel_estimates_to_obj(t: ChannelTable) -> list:
     """The channel records of a limit report, read from its table in numpy
     passes.  A channel's final estimate is the last of its refined sequence,
-    which is its raw one where the final error is NaN (None)."""
+    which is its raw one where the final error is NaN (None).  An estimate
+    that is not finite, which only a diverged channel holds, is written as
+    null: strict JSON has no infinity or NaN."""
     flags = t.flag.tolist()
     ks = t.k.tolist()
     errors = t.final_error.tolist()
-    finals = _pairs(np.where(np.isnan(t.final_error), t.estimates[-1], t.refined[-1]))
+    final_values = np.where(np.isnan(t.final_error), t.estimates[-1], t.refined[-1])
+    finals = _pairs(final_values)
     estimates = _pairs(t.estimates.T)
+    shown = t.flag != INDETERMINATE
+    for i, j in np.argwhere(shown[:, None] & ~np.isfinite(t.estimates.T)).tolist():
+        estimates[i][j] = None
+    for i in np.flatnonzero(shown & ~np.isfinite(final_values)).tolist():
+        finals[i] = None
     return [
         {
             "channel": i + 1,

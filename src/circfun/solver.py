@@ -86,8 +86,8 @@ from .functions import (
 from .spectral import forward_rows, inverse_rows
 from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR, SCALAR_RESIDUAL_TOL
 
-#: Default cap on the number of root combinations materialized.
-DEFAULT_RECOMBINATION_LIMIT = 10**6
+#: Cap on the number of root combinations materialized, read at each solve.
+RECOMBINATION_LIMIT = 10**6
 
 #: Root combinations rebuilt per batched inverse transform.
 RECOMBINE_CHUNK = 1024
@@ -462,11 +462,7 @@ def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     return magnitudes, scales, core._norm2(magnitudes)
 
 
-def solve_circ_poly(
-    p: CircPoly,
-    tol: float = CIRC_RESIDUAL_TOL,
-    recombination_limit: int = DEFAULT_RECOMBINATION_LIMIT,
-) -> SolutionSet:
+def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     """Classify and solve P(Z) = 0.
 
     The root-bearing channels are grouped by effective degree, and each group
@@ -474,8 +470,9 @@ def solve_circ_poly(
     the lowest-numbered one.  The finite case returns every combination of
     one root per channel, without dedup, in ``itertools.product`` order, read
     from the mixed-radix digits of its index and rebuilt and verified a chunk
-    of ``RECOMBINE_CHUNK`` at a time (see the module docstring).  A root
-    failing a check raises SolverError.  A channel matrix with NaN or
+    of ``RECOMBINE_CHUNK`` at a time (see the module docstring); more than
+    ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
+    built.  A root failing a check raises SolverError.  A channel matrix with NaN or
     infinite entries, or a ``tol`` that is not positive and finite, raises
     ValueError.
     """
@@ -511,8 +508,8 @@ def solve_circ_poly(
 
     # Only a finite set recombines; the others keep an empty root table.
     count = math.prod(counts.tolist()) if np.all(degrees > 0) else 0
-    if count > recombination_limit:
-        raise RecombinationLimitError(f"root combinations exceed the cap of {recombination_limit}")
+    if count > RECOMBINATION_LIMIT:
+        raise RecombinationLimitError(f"root combinations exceed the cap of {RECOMBINATION_LIMIT}")
 
     floor = max(1.0, p._scale)  # the largest spectral coefficient modulus
     roots = np.empty((count, p.d), dtype=np.complex128)

@@ -25,11 +25,10 @@ class FourierContext:
     """Cached root-of-unity tables for one order d."""
 
     d: int
-    omega: complex
 
     @functools.cached_property
     def power_table(self) -> np.ndarray:
-        """omega^k for k = 0..d-1, with exact values on the quadrant axes."""
+        """omega^k for k = 0..d-1, omega = exp(2 pi i / d), exact on the quadrant axes."""
         k = np.arange(self.d)
         table = np.exp(2j * np.pi * k / self.d)
         on_axis = (4 * k) % self.d == 0
@@ -54,7 +53,7 @@ class FourierContext:
 def fourier_context(d: int) -> FourierContext:
     if d < 2:
         raise DimensionError(f"order must be >= 2, got {d}")
-    return FourierContext(d=d, omega=complex(np.exp(2j * np.pi / d)))
+    return FourierContext(d)
 
 
 def fourier_matrix(d: int) -> np.ndarray:
@@ -98,7 +97,26 @@ def inverse_rows(spectra: np.ndarray) -> np.ndarray:
     """Batched inverse transform of the rows of ``spectra`` (shape (N, d)).
     Below the FFT threshold it runs stacked matrix-vector products, not
     ``spectra @ S.T`` (another summation order for d >= 3), so each row is
-    bit-identical to a one-row call."""
+    bit-identical to a one-row call.  A finite row whose sums overflow is
+    taken again scaled by 2^-e, with 2^e the power of two at its largest
+    real or imaginary part (as :func:`_scaled_spectrum` scales), and scaled
+    back, with no warning; every other row keeps its bits."""
+    try:
+        with np.errstate(over="raise"):  # the flag costs no pass over the rows
+            return _inverse_kernel(spectra)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # a result out of range stays infinite
+        rows = _inverse_kernel(spectra)
+        redo = np.isfinite(spectra).all(axis=1) & ~np.isfinite(rows).all(axis=1)
+        parts = spectra[redo].astype(np.complex128).view(np.float64)  # real and imaginary parts
+        exponents = np.frexp(np.max(np.abs(parts), axis=1))[1][:, None]
+        scaled = _inverse_kernel(np.ldexp(parts, -exponents).view(np.complex128))
+        rows[redo] = np.ldexp(scaled.view(np.float64), exponents).view(np.complex128)
+    return rows
+
+
+def _inverse_kernel(spectra: np.ndarray) -> np.ndarray:
     d = spectra.shape[1]
     if d >= FFT_THRESHOLD:
         return np.fft.ifft(spectra, axis=1)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import functools
 import json
@@ -140,14 +141,12 @@ class TestPathSpec:
     @pytest.mark.parametrize(
         "make, field",
         [
-            # A negative budget ran no attempt and blamed a path singularity.
-            (lambda path: PathSpec(path.direction, path.scales, retry_budget=-1), "retry_budget"),
             # A negative seed failed only on a retry, in numpy.
             (lambda path: PathSpec(path.direction, path.scales, seed=-1), "seed"),
             (lambda path: PathSpec.default(2, seed=-1), "seed"),
             (lambda path: PathSpec.default(2, points=3), "points"),
         ],
-        ids=["retry_budget", "seed", "default-seed", "default-points"],
+        ids=["seed", "default-seed", "default-points"],
     )
     def test_rejects_bad_counts(self, make, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
@@ -251,7 +250,7 @@ class TestPathMemo:
 
         rng = np.random.default_rng(path.seed)
         direction = path.direction
-        for attempt in range(path.retry_budget + 1):
+        for attempt in range(characterize.RETRY_BUDGET + 1):
             u = forward_rows(inverse_rows(path.scales[:, None] * direction))
             try:
                 expected = u * f.channel_logderiv(u)
@@ -341,32 +340,32 @@ class TestEstimateDivisor:
         assert report.status == "rational"
         assert report.k == 1
 
-    def test_retry_budget_exhaustion(self):
+    def test_retry_budget_exhaustion(self, monkeypatch):
         # a channel polynomial that vanishes identically in the numerator is
         # masked; here instead the numerator has a zero *everywhere* on any
         # circle of radius t: impossible for polynomials, so emulate with a
         # zero retry budget and a singular hit
+        assert characterize.RETRY_BUDGET == 5
         d = 2
         root = cf.from_spectrum(np.array([1e3 + 0j, 0.5 + 0j]))
         f = PolyFunction(CircPoly([cf.identity(d), cf.neg(root)]))
-        path = PathSpec.default(d)
-        starved = PathSpec(direction=path.direction, scales=path.scales, retry_budget=0)
-        with pytest.raises(ChannelSingularityError):
-            cf.estimate_divisor(f, path=starved)
+        monkeypatch.setattr(characterize, "RETRY_BUDGET", 0)
+        with pytest.raises(ChannelSingularityError, match="persisted across 0 phase retries"):
+            cf.estimate_divisor(f)
 
-    def test_persistent_singularity_names_channels_of_first_failing_scale(self):
+    def test_persistent_singularity_names_channels_of_first_failing_scale(self, monkeypatch):
         # The denominator vanishes on channel 2 at the first scale, the
         # numerator on channel 1 at the sixth: the first scale decides.
         d = 2
         path = PathSpec.default(d)
-        starved = PathSpec(direction=path.direction, scales=path.scales, retry_budget=0)
+        monkeypatch.setattr(characterize, "RETRY_BUDGET", 0)
         v, t = path.direction, path.scales
         num_root = cf.from_spectrum(np.array([t[5] * v[0], 0.5 + 0j]))
         den_root = cf.from_spectrum(np.array([0.5 + 0j, t[0] * v[1]]))
         i = cf.identity(d)
         f = RationalFunction(CircPoly([i, cf.neg(num_root)]), CircPoly([i, cf.neg(den_root)]))
         with pytest.raises(ChannelSingularityError) as info:
-            cf.estimate_divisor(f, path=starved)
+            cf.estimate_divisor(f, path=path)
         assert info.value.channels == (2,)
 
     def test_asymptotic_tail_shrinks_like_one_over_t(self, rng):
@@ -471,7 +470,7 @@ class TestScan:
         for row, t in zip(values, path.scales):
             u = spectrum(from_spectrum(t * path.direction))
             if qfun is None:
-                expected = u[live] * f.channel_logderiv(u, live)
+                expected = u[live] * f.channel_logderiv(u)[live]
             else:
                 dlog_p, dg = f._logderiv_terms(u, live)
                 expected = u[live] * (dlog_p + (dg - qfun(u)[live]))
@@ -635,6 +634,11 @@ def eager_records(d, live, scales, values):
     return records
 
 
+def json_pair(z: complex):
+    """[re, im], or None where ``z`` is not finite: strict JSON has neither."""
+    return complex_to_pair(z) if cmath.isfinite(z) else None
+
+
 def eager_channels_json(records):
     """The channel JSON written record by record from ``records``."""
     return json.dumps(
@@ -643,9 +647,9 @@ def eager_channels_json(records):
                 "channel": c.channel,
                 "flag": c.flag,
                 "k": c.k,
-                "final_estimate": complex_to_pair(c.refined[-1]) if c.refined else None,
+                "final_estimate": json_pair(c.refined[-1]) if c.refined else None,
                 "final_error": c.final_error,
-                "estimates": [complex_to_pair(z) for z in c.estimates],
+                "estimates": [json_pair(z) for z in c.estimates],
             }
             for c in records
         ]

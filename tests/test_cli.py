@@ -107,6 +107,28 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == "error: P exp(G) overflows at channel(s) [1, 2]\n"
 
+    def test_finite_values_near_the_float_limit_recombine(self, tmp_path, capsys):
+        # P = 1e300 I, G = Z + 17.6 I at circ(1, 0): both channel values are
+        # 1.196e308, finite, and the inverse transform overflowed summing
+        # them, though the value circ(1.196e308, 0) is representable.
+        zero = {"d": 2, "row": [[0, 0], [0, 0]]}
+        doc = tmp_path / "near-limit.json"
+        doc.write_text(json.dumps({
+            "function": {
+                "kind": "exppoly", "d": 2,
+                "P": [{"d": 2, "row": [[1e300, 0], [0, 0]]}],
+                "G": [{"d": 2, "row": [[1, 0], [0, 0]]}, {"d": 2, "row": [[17.6, 0], [0, 0]]}],
+            },
+            "point": {"d": 2, "row": [[1, 0], [0, 0]]},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval", "--input", str(doc), "--output", "-"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]["row"]
+        expected = 1e300 * np.exp(18.6)
+        assert abs(value[0][0] - expected) <= 1e-15 * expected
+        assert value[0][1] == value[1][0] == value[1][1] == 0.0
+
 
 class TestSolve:
     def test_finite_case(self, tmp_path):
@@ -174,6 +196,25 @@ class TestDivisorAndDegree:
         doc = json.loads(out.read_text())
         assert not doc["is_polynomial"]
         assert [c["final_error"] for c in doc["channels"]] == [None, None]
+
+    @pytest.mark.parametrize("command", ["divisor", "degree"])
+    def test_overflowing_estimates_are_null(self, tmp_path, capsys, command):
+        # P = I, G = 1e301 Z: u G' reaches 1e309 at the largest scales.  Both
+        # commands printed overflow warnings and wrote no document.
+        i, o = cf.identity(2), cf.zero(2)
+        f = cf.ExpPolyFunction(cf.CircPoly([i]), cf.CircPoly([cf.scale(1e301, i), o]))
+        from circfun import serialize as ser
+
+        document = tmp_path / "exppoly.json"
+        document.write_text(json.dumps(ser.function_to_obj(f)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([command, "--input", str(document), "--output", "-"]) == 4
+        doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
+        assert doc.get("status", "not-rational") == "not-rational" and not doc.get("is_polynomial")
+        for c in doc["channels"]:
+            assert c["flag"] == "diverged" and c["final_estimate"] is None and c["final_error"] is None
+            assert c["estimates"][0] is not None and c["estimates"][-1] is None
 
     def test_path_flags_accepted(self, tmp_path):
         code, doc = run_to_file(

@@ -485,9 +485,11 @@ class TestChannelModel:
         d = 7
         f = one_of_each_kind(rng, d)[kind]
         u = cf.spectrum(random_invertible_circulant(rng, d, lo=1.2, hi=2.0))
-        full = f.channel_logderiv(u)
+        full_dlog, full_dg = f._logderiv_terms(u, slice(None))
         for channels in ([4, 0, 2], [6], list(range(d)), np.array([5, 3])):
-            np.testing.assert_array_equal(f.channel_logderiv(u, channels), full[channels])
+            dlog, dg = f._logderiv_terms(u, channels)
+            np.testing.assert_array_equal(dlog, full_dlog[channels])
+            np.testing.assert_array_equal(dg, 0.0 if f.G is None else full_dg[channels])
 
     @pytest.mark.parametrize("kind", ["poly", "numerator", "denominator", "exppoly"])
     def test_restricted_singularity_names_original_channel(self, kind):
@@ -504,10 +506,19 @@ class TestChannelModel:
             "exppoly": ExpPolyFunction(linear, linear),
         }[kind]
         with pytest.raises(ChannelSingularityError) as err:
-            f.channel_logderiv(u, [1, 3])
+            f._logderiv_terms(u, [1, 3])
         assert err.value.channels == (4,)
         assert "channel(s) [4]" in str(err.value)
-        assert f.channel_logderiv(u, [0, 1, 2]).shape == (3,)
+        assert f._logderiv_terms(u, [0, 1, 2])[0].shape == (3,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_logderiv_terms_leave_g_unevaluated(self):
+        # G = 1e301 Z overflows at |u| = 1e8, and G' = 1e301 does not.
+        d = 2
+        g = CircPoly([cf.scale(1e301, cf.identity(d)), cf.zero(d)])
+        f = ExpPolyFunction(CircPoly([cf.identity(d)]), g)
+        dlog, dg = f._logderiv_terms(np.array([[1e8, -1e8j]]), slice(None))
+        assert np.array_equal(dlog, np.zeros((1, d))) and np.array_equal(dg, np.full((1, d), 1e301))
 
     def test_degenerate_channels_ignore_the_exponent(self):
         # P vanishes identically on channel index 1, G on channel index 0.
@@ -585,9 +596,8 @@ class TestChannelFormulasBitwise:
         u = rng.uniform(1.2, 2.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
         assert_same_bits([f.channel_values(u)], [per_kind_values(f, u)])
         assert_same_bits([f.channel_derivatives(u)], [per_kind_derivatives(f, u)])
-        for channels in (None, [d - 1, 0], rng.permutation(d)[: max(1, d // 3)]):
-            selection = slice(None) if channels is None else channels  # the private passes take an indexer
-            assert_same_bits([f.channel_logderiv(u, channels)], [per_kind_logderiv(f, u, selection)])
+        assert_same_bits([f.channel_logderiv(u)], [per_kind_logderiv(f, u, slice(None))])
+        for selection in (slice(None), [d - 1, 0], rng.permutation(d)[: max(1, d // 3)]):
             dlog, dg = f._logderiv_terms(u, selection)
             if kind == "rational":
                 assert_same_bits([dlog], [per_kind_logderiv(f, u, selection)])

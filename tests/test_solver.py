@@ -434,10 +434,11 @@ class TestCircSolve:
             off = conj - np.diag(np.diagonal(conj))
             assert np.max(np.abs(off)) <= 1e-9
 
-    def test_recombination_cap(self, rng):
+    def test_recombination_cap(self, rng, monkeypatch):
         p = random_regular_poly(rng, 3, 3)  # 27 combination roots
-        with pytest.raises(RecombinationLimitError):
-            cf.solve_circ_poly(p, recombination_limit=10)
+        monkeypatch.setattr(solver, "RECOMBINATION_LIMIT", 10)
+        with pytest.raises(RecombinationLimitError, match="exceed the cap of 10$"):
+            cf.solve_circ_poly(p)
 
     def test_deterministic_ordering(self, rng):
         p = random_regular_poly(rng, 2, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import circfun as cf
-from circfun.spectral import fourier_context
+from circfun.spectral import fourier_context, inverse_rows
 from circfun.testkit import (
     dense_conjugate,
     penrose_check,
@@ -78,6 +78,38 @@ class TestFromSpectrum:
         u = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         back = cf.spectrum(cf.from_spectrum(u))
         assert np.max(np.abs(back - u)) <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spectra, expected",
+        [
+            # The matmul kernel summed 2.39e308 and gave NaN.
+            (np.array([[1.196e308, 1.196e308]]), np.array([[1.196e308, 0.0]])),
+            # The FFT kernel summed 6.4e308 and gave inf.
+            (np.full((1, 64), 1e307), np.eye(1, 64) * 1e307),
+            # Entries at the float limit on both parts.
+            (np.array([[1.7e308 + 1.7e308j, 1.7e308 - 1.7e308j]]), np.array([[1.7e308, 1.7e308j]])),
+        ],
+        ids=["d2", "d64", "d2-both-parts"],
+    )
+    def test_inverse_of_finite_values_near_the_float_limit(self, spectra, expected):
+        rows = inverse_rows(spectra.astype(complex))
+        assert np.all(np.isfinite(rows))
+        assert np.max(np.abs(rows - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("d", [2, 7, 64])
+    def test_only_the_overflowing_rows_are_taken_again(self, rng, d):
+        plain = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+        spectra = plain.copy()
+        spectra[1] = 1e308
+        spectra[3, 0] = np.inf  # not finite: left as the kernel gives it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = inverse_rows(spectra)
+        for i in (0, 2):
+            assert rows[i].tobytes() == inverse_rows(plain[i : i + 1])[0].tobytes()
+        assert np.all(np.isfinite(rows[1])) and abs(rows[1, 0] - 1e308) <= 1e293
+        assert not np.all(np.isfinite(rows[3]))
 
 
 class TestPseudoinverse:
@@ -175,9 +207,10 @@ class TestFourierContext:
     def test_root_of_unity_closes(self, d):
         from circfun.spectral import fourier_context
 
-        omega = fourier_context(d).omega
-        assert abs(abs(omega) - 1.0) <= 1e-14
-        assert abs(omega**d - 1.0) <= 1e-14
+        table = fourier_context(d).power_table
+        assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-14
+        assert abs(table[1] ** d - 1.0) <= 1e-14
+        assert np.max(np.abs(table - table[1] ** np.arange(d))) <= 1e-13
 
     def test_order_validated(self):
         from circfun.spectral import fourier_context
