@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Circulant
-from .errors import ChannelSingularityError
+from .errors import ChannelSingularityError, DimensionError
 from .functions import (
     ChannelView,
     CircFunction,
@@ -279,33 +279,26 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
 
 
 def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTable, int]:
+    if path.d != f.d:
+        raise DimensionError(f"order mismatch: path has {path.d}, function has {f.d}")
     indeterminate = f.degenerate_channels()
     if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
-    degenerate = indeterminate.any()
-    # Degenerate channels would raise on every direction; scan only the rest.
-    live = np.flatnonzero(~indeterminate) if degenerate else slice(None)
-    estimates, retries = _scan(f, path, qfun, live)
+    estimates, retries = _scan(f, path, qfun, indeterminate)
     k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
-    columns = [np.where(converged, CONVERGED, DIVERGED), k, estimates, refined, errors]
-    if degenerate:
-        fills = (INDETERMINATE, np.nan, np.nan, np.nan, np.nan)
-        for j, (column, fill) in enumerate(zip(columns, fills)):
-            columns[j] = np.full(column.shape[:-1] + (f.d,), fill, dtype=column.dtype)
-            columns[j][..., live] = column
-    return ChannelTable._make(columns), retries
+    flag = np.where(indeterminate, INDETERMINATE, np.where(converged, CONVERGED, DIVERGED))
+    columns = [np.where(indeterminate, np.nan, column) for column in (k, estimates, refined, errors)]
+    return ChannelTable._make([flag, *columns]), retries
 
 
-def _scan(f, path: PathSpec, qfun, live) -> tuple[np.ndarray, int]:
-    """Estimate sequences for the ``live`` channels over the path's scales,
-    all scales in one batch.
-
-    Returns an array of shape (n_scales, C), one column per channel that
-    the indexer ``live`` selects: ``slice(None)``, every channel, read as
-    whole arrays with no column copy, or an index array.  On a channel
-    singularity the direction is re-randomized (seeded) ``RETRY_BUDGET``
-    times at most, after which the error propagates, naming the channels of
-    the first scale where the singularity sits.
+def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
+    """Estimate sequences, shape (n_scales, d), over the path's scales, all
+    scales in one batch.  The columns of the channels that the mask ``skip``
+    sets, the degenerate ones, which would raise on every direction, go
+    unchecked and are meaningless.  On any other channel singularity the
+    direction is re-randomized (seeded) ``RETRY_BUDGET`` times at most,
+    after which the error propagates, naming the channels of the first
+    scale where the singularity sits.
 
     The points are u = spectrum(from_spectrum(t * direction)), computed for
     all scales by one inverse_rows and one forward_rows call, not
@@ -325,18 +318,18 @@ def _scan(f, path: PathSpec, qfun, live) -> tuple[np.ndarray, int]:
             direction = np.exp(2j * np.pi * rng.uniform(size=path.d))
             u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
-            dlog, dg = f._logderiv_terms(u, live)
+            dlog, dg = f._logderiv_terms(u, skip)
             if qfun is not None:
                 # The witness approximates G', so it comes off G' before P'/P
                 # is added: P'/P + G' would lose P'/P when G' is large.
-                dg = dg - qfun(u)[:, live]
+                dg = dg - qfun(u)
         except ChannelSingularityError as exc:
             last_error = exc
             continue
         if f.G is not None or qfun is not None:  # adding 0.0 would turn -0.0 into 0.0
             dlog = dlog + dg
         with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows diverges
-            return u[:, live] * dlog, attempt
+            return u * dlog, attempt
     raise ChannelSingularityError(
         last_error.channels, f"path singularity persisted across {RETRY_BUDGET} phase retries"
     )
@@ -416,7 +409,7 @@ def entire_zero_bound(
     if q_entire.Q is not None:
         raise TypeError("the witness must be entire")
     if q_entire.d != f.d:
-        raise ValueError(f"order mismatch: witness has {q_entire.d}, function has {f.d}")
+        raise DimensionError(f"order mismatch: witness has {q_entire.d}, function has {f.d}")
 
     if path is None:
         path = PathSpec.default(f.d)

@@ -17,9 +17,8 @@ raises (:func:`_times_exp`).
 Every channel-wise pass, here, in the solver and in the limit scans, runs the
 one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
 FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
-and the scale is the loop over |c_k| at |u|.  A pass selects its channels
-with one numpy indexer: ``slice(None)`` for all of them, or the index array of
-the live ones.
+and the scale is the loop over |c_k| at |u|.  Every pass runs on all d
+channels; the limit scan masks the degenerate ones.
 
 A :class:`CircPoly` caches, read-only and for its lifetime, the raw spectra
 of its coefficient rows, (degree + 1) * d complex entries; the channel matrix,
@@ -279,22 +278,26 @@ class CircFunction:
         """F'_i(u_i) / F_i(u_i), computed in ratio form so that it stays
         finite even where F itself would overflow.  A ChannelSingularityError
         names the offending channels by their 1-based numbers."""
-        dlog, dg = self._logderiv_terms(u, slice(None))
+        dlog, dg = self._logderiv_terms(u, False)
         return dlog if self.G is None else dlog + dg
 
-    def _logderiv_terms(self, u: np.ndarray, channels) -> tuple[np.ndarray, np.ndarray | float]:
-        """(P'/P - Q'/Q, G') on the channels of ``u`` that the indexer
-        ``channels`` selects, the terms of F'/F kept apart: a large G' swamps
-        the rest in their sum.  An absent part contributes no term; G' is 0.0
-        without G, and evaluated alone with it, so G itself cannot overflow."""
-        dp, p, p_scale = _quotient_terms(self.P, u, channels)
+    def _logderiv_terms(self, u: np.ndarray, skip) -> tuple[np.ndarray, np.ndarray | float]:
+        """(P'/P - Q'/Q, G') on every channel of ``u``, the terms of F'/F kept
+        apart: a large G' swamps the rest in their sum.  The channels that
+        the boolean mask ``skip`` sets (False sets none) are not checked for
+        singularities, and their terms are meaningless.  An absent part
+        contributes no term; G' is 0.0 without G, and evaluated alone with
+        it, so G itself cannot overflow."""
+        dp, p, p_scale = _quotient_terms(self.P, u)
         checks = [(p, p_scale, "P")]
         if self.Q is not None:
-            dq, q, q_scale = _quotient_terms(self.Q, u, channels)
+            dq, q, q_scale = _quotient_terms(self.Q, u)
             checks.append((q, q_scale, "Q"))
-        _raise_on_zero(checks, channels, u.shape[-1])
-        dlog = dp / p if self.Q is None else dp / p - dq / q
-        return dlog, 0.0 if self.G is None else _value_and_derivative(self.G, u, channels, part=1)
+        _raise_on_zero(checks, skip)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a skipped channel may divide 0 by 0
+            dlog = dp / p if self.Q is None else dp / p - dq / q
+        with np.errstate(over="ignore", invalid="ignore"):  # a G' that overflows diverges
+            return dlog, 0.0 if self.G is None else _value_and_derivative(self.G, u, part=1)
 
     def evaluate(self, z: Circulant) -> Circulant:
         value, _ = self.evaluate_with_report(z)
@@ -361,7 +364,7 @@ FUNCTION_KINDS: dict[str, type[CircFunction]] = {
 
 
 def _times_exp(factor: np.ndarray, g: np.ndarray, product: str) -> np.ndarray:
-    """``factor`` * exp(g) for the values ``g`` of G, shape (C,) or (S, C).
+    """``factor`` * exp(g) for the values ``g`` of G, shape (d,) or (S, d).
     Where g is finite and exp(g) is not, or both factors are finite and the
     ``product`` is not, :func:`_raise_where` names the channels."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named next
@@ -376,45 +379,42 @@ def _times_exp(factor: np.ndarray, g: np.ndarray, product: str) -> np.ndarray:
     return value
 
 
-def _quotient_terms(poly: CircPoly, u: np.ndarray, channels=slice(None)) -> tuple[np.ndarray, ...]:
-    """(P'(u), P(u), scale of P(u)) on the channels of ``u``, shape (d,) or
-    (S, d), that the indexer ``channels`` selects; the scale is what
-    :func:`_raise_on_zero` measures P(u) against.  Each is bit for bit what
-    :func:`polyval_with_scale` gives on its own rows; the scale pass reads
-    the cached moduli of ``poly``.
+def _quotient_terms(poly: CircPoly, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(P'(u), P(u), scale of P(u)) on every channel of ``u``, shape (d,) or
+    (S, d); the scale is what :func:`_raise_on_zero` measures P(u) against.
+    Each is bit for bit what :func:`polyval_with_scale` gives on its own
+    rows; the scale pass reads the cached moduli of ``poly``.
     """
-    p, dp = _value_and_derivative(poly, u, channels)
-    return dp, p, _horner(poly._moduli[:, channels], np.abs(u[..., channels]))
+    p, dp = _value_and_derivative(poly, u)
+    return dp, p, _horner(poly._moduli, np.abs(u))
 
 
-def _value_and_derivative(poly: CircPoly, u: np.ndarray, channels=slice(None), part=slice(None)) -> np.ndarray:
-    """(P(u), P'(u)) on the channels of ``u``, shape (d,) or (S, d), that the
-    indexer ``channels`` selects, in one Horner pass over the rows of
-    :func:`_with_derivative` of those columns of the channel matrix;
-    ``part=1`` takes P'(u) alone, bit for bit, over the P' rows only."""
-    cm, u = poly.channel_matrix()[:, channels], u[..., channels]
+def _value_and_derivative(poly: CircPoly, u: np.ndarray, part=slice(None)) -> np.ndarray:
+    """(P(u), P'(u)) on every channel of ``u``, shape (d,) or (S, d), in one
+    Horner pass over the rows of :func:`_with_derivative` of the channel
+    matrix; ``part=1`` takes P'(u) alone, bit for bit, over the P' rows only."""
+    cm = poly.channel_matrix()
     return _horner(_with_derivative(cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1))[:, part], u)
 
 
-def _raise_on_zero(checks, channels=slice(None), d: int = 0) -> None:
-    """Raise ChannelSingularityError where a checked value vanishes.
-    ``checks`` lists (values, scales, what) in order; :func:`_raise_where`
-    names the channels and the part."""
-    bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * s for v, s, _ in checks])
+def _raise_on_zero(checks, skip=False) -> None:
+    """Raise ChannelSingularityError where a checked value vanishes on a
+    channel that the mask ``skip`` leaves.  ``checks`` lists (values,
+    scales, what) in order; :func:`_raise_where` names the channels and the
+    part."""
+    bad = np.array([np.abs(v) <= SINGULARITY_REL_TOL * s for v, s, _ in checks]) & np.logical_not(skip)
     if bad.any():
-        _raise_where(bad, [f"{what} vanishes" for _, _, what in checks], channels, d)
+        _raise_where(bad, [f"{what} vanishes" for _, _, what in checks])
 
 
-def _raise_where(bad: np.ndarray, problems: list[str], channels=slice(None), d: int = 0) -> None:
+def _raise_where(bad: np.ndarray, problems: list[str]) -> None:
     """Raise ChannelSingularityError for the masks ``bad`` of ``problems``,
-    each (C,) or (S, C), naming the channels of the first point where any
-    holds by the first problem there, as a loop over the points would.
-    The indexer ``channels`` selected the last axis from ``d`` channels; d
-    may be left 0 when it selects all of them."""
+    each (d,) or (S, d), naming the channels of the first point where any
+    holds by the first problem there, as a loop over the points would."""
     bad = bad.reshape(len(problems), -1, bad.shape[-1])
     point = np.argmax(np.any(bad, axis=(0, 2)))
     which = np.argmax(np.any(bad[:, point], axis=1))
-    numbers = (np.arange(max(d, bad.shape[-1]))[channels][np.nonzero(bad[which, point])[0]] + 1).tolist()
+    numbers = (np.flatnonzero(bad[which, point]) + 1).tolist()
     raise ChannelSingularityError(numbers, f"{problems[which]} at channel(s) {numbers}")
 
 

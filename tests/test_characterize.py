@@ -12,6 +12,7 @@ import circfun as cf
 from circfun import (
     ChannelSingularityError,
     CircPoly,
+    DimensionError,
     ExpPolyFunction,
     PathSpec,
     PolyFunction,
@@ -92,6 +93,13 @@ class TestPathSpec:
             PathSpec(direction=np.array([1.0, 0.0]), scales=np.geomspace(1e3, 1e8, 8))
         with pytest.raises(ValueError):
             PathSpec(direction=np.array([1.0, 2.0]), scales=np.geomspace(1e3, 1e8, 8))
+
+    @pytest.mark.parametrize("estimate", ["estimate_divisor", "detect_poly_degree", "entire_zero_bound"])
+    def test_path_of_another_order_rejected(self, estimate):
+        f = PolyFunction(CircPoly.from_scalars([1, 2], 4))
+        witness = (PolyFunction(CircPoly([cf.zero(4)])),) if estimate == "entire_zero_bound" else ()
+        with pytest.raises(DimensionError, match=r"^order mismatch: path has 2, function has 4$"):
+            getattr(cf, estimate)(f, *witness, path=PathSpec.default(2))
 
     def test_rejects_bad_scales(self):
         ones = np.ones(2, dtype=complex)
@@ -464,20 +472,20 @@ class TestScan:
         }[kind]
         qfun = PolyFunction(CircPoly([g.coeffs[0]])).channel_values if kind.endswith("witness") else None
         path = PathSpec.default(d)
-        live = np.arange(0, d, 2)
-        values, attempt = _scan(f, path, qfun, live)
-        assert attempt == 0 and values.shape == (path.scales.size, live.size)
+        values, attempt = _scan(f, path, qfun, np.zeros(d, dtype=bool))
+        assert attempt == 0 and values.shape == (path.scales.size, d)
         for row, t in zip(values, path.scales):
             u = spectrum(from_spectrum(t * path.direction))
             if qfun is None:
-                expected = u[live] * f.channel_logderiv(u)[live]
+                expected = u * f.channel_logderiv(u)
             else:
-                dlog_p, dg = f._logderiv_terms(u, live)
-                expected = u[live] * (dlog_p + (dg - qfun(u)[live]))
+                dlog_p, dg = f._logderiv_terms(u, False)
+                expected = u * (dlog_p + (dg - qfun(u)))
             assert np.array_equal(row, expected)
-        # slice(None) reads every channel whole, bit for bit as selecting all of them.
-        whole, selected = _scan(f, path, qfun, slice(None)), _scan(f, path, qfun, np.arange(d))
-        assert whole[1] == selected[1] == 0 and whole[0].tobytes() == selected[0].tobytes()
+        # A skip mask leaves the other columns' bits as they are without it.
+        skip = np.arange(d) % 2 == 0
+        masked, attempt = _scan(f, path, qfun, skip)
+        assert attempt == 0 and masked[:, ~skip].tobytes() == values[:, ~skip].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 31, 32, 100])
     def test_forward_rows_equal_spectrum_row_by_row(self, rng, d):
@@ -522,6 +530,11 @@ class TestEntireZeroBound:
             cf.entire_zero_bound(f, entire)
         with pytest.raises(TypeError):
             cf.entire_zero_bound(entire, f)
+
+    def test_witness_of_another_order_rejected(self):
+        f = PolyFunction(CircPoly.from_scalars([1, 2], 4))
+        with pytest.raises(DimensionError, match=r"^order mismatch: witness has 2, function has 4$"):
+            cf.entire_zero_bound(f, PolyFunction(CircPoly([cf.zero(2)])))
 
     def test_mismatched_witness_leaves_degree_check_unset(self, rng):
         d = 2
@@ -616,13 +629,14 @@ def eager_analyze(scales, values):
     return ks, ok, columns, errors
 
 
-def eager_records(d, live, scales, values):
+def eager_records(skip, scales, values):
     """One ChannelEstimate per channel, built eagerly from the scan's
-    estimates of the ``live`` channels: the reference for the records a
-    report's table builds on access."""
-    ks, ok, refined, errors = eager_analyze(scales, values)
-    records = [ChannelEstimate(i + 1, "indeterminate", None, (), (), None) for i in range(d)]
-    for j, (i, seq) in enumerate(zip(live.tolist(), values.T.tolist())):
+    estimates, indeterminate where the mask ``skip`` is set: the reference
+    for the records a report's table builds on access."""
+    live = np.flatnonzero(~skip)
+    ks, ok, refined, errors = eager_analyze(scales, values[:, live])
+    records = [ChannelEstimate(i + 1, "indeterminate", None, (), (), None) for i in range(skip.size)]
+    for j, (i, seq) in enumerate(zip(live.tolist(), values[:, live].T.tolist())):
         records[i] = ChannelEstimate(
             channel=i + 1,
             flag="converged" if ok[j] else "diverged",
@@ -701,10 +715,10 @@ class TestChannelRecords:
         estimate, f, witness = self.estimate(rng, d, kind)
         report = estimate(f)
         path = PathSpec.default(d)
-        live = np.flatnonzero(~f.degenerate_channels())
+        skip = f.degenerate_channels()
         qfun = None if witness is None else PolyFunction(CircPoly([witness])).channel_values
-        values, retries = _scan(f, path, qfun, live)
-        expected = eager_records(d, live, path.scales, values)
+        values, retries = _scan(f, path, qfun, skip)
+        expected = eager_records(skip, path.scales, values)
         assert report.retries_used == retries
         assert len(report.channels) == d
         assert [repr(c) for c in report.channels] == [repr(c) for c in expected]  # -0.0 and types too
@@ -718,20 +732,20 @@ class TestChannelRecords:
 
     def test_every_flag_in_one_report(self, monkeypatch):
         # A scan stand-in hands back converged, diverged, non-finite and
-        # overflowing columns; channel 3 of 6 is degenerate.
+        # overflowing columns; channel 3 of 6 is degenerate, and its
+        # converging column is not read.
         d = 6
         p = CircPoly([cf.identity(d), cf.ones(d)])
         f = RationalFunction(zero_channel(p, 2), CircPoly([cf.identity(d)]))
         path = PathSpec.default(d)
         t = path.scales
         block = np.stack(
-            [2.0 + 3.7 / t, t, np.full(t.size, np.nan), 1e300 * t / t[0], -1.0 + 0.3j / t],
+            [2.0 + 3.7 / t, t, 1.0 + 0.5 / t, np.full(t.size, np.nan), 1e300 * t / t[0], -1.0 + 0.3j / t],
             axis=1,
         ).astype(complex)
-        monkeypatch.setattr(characterize, "_scan", lambda f, path, qfun, live: (block, 0))
+        monkeypatch.setattr(characterize, "_scan", lambda f, path, qfun, skip: (block, 0))
         report = cf.estimate_divisor(f)
-        live = np.flatnonzero(~f.degenerate_channels())
-        expected = eager_records(d, live, t, block)
+        expected = eager_records(f.degenerate_channels(), t, block)
         assert [c.flag for c in expected] == [
             "converged", "diverged", "indeterminate", "diverged", "diverged", "converged",
         ]

@@ -200,21 +200,24 @@ class TestDivisorAndDegree:
     @pytest.mark.parametrize("command", ["divisor", "degree"])
     def test_overflowing_estimates_are_null(self, tmp_path, capsys, command):
         # P = I, G = 1e301 Z: u G' reaches 1e309 at the largest scales.  Both
-        # commands printed overflow warnings and wrote no document.
+        # commands printed overflow warnings and wrote no document.  With
+        # G = 1e308 Z^2, G' = 2e308 Z overflows itself, and every estimate
+        # is null.
         i, o = cf.identity(2), cf.zero(2)
-        f = cf.ExpPolyFunction(cf.CircPoly([i]), cf.CircPoly([cf.scale(1e301, i), o]))
         from circfun import serialize as ser
 
-        document = tmp_path / "exppoly.json"
-        document.write_text(json.dumps(ser.function_to_obj(f)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run([command, "--input", str(document), "--output", "-"]) == 4
-        doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
-        assert doc.get("status", "not-rational") == "not-rational" and not doc.get("is_polynomial")
-        for c in doc["channels"]:
-            assert c["flag"] == "diverged" and c["final_estimate"] is None and c["final_error"] is None
-            assert c["estimates"][0] is not None and c["estimates"][-1] is None
+        for g, first_finite in (([cf.scale(1e301, i), o], True), ([cf.scale(1e308, i), o, o], False)):
+            f = cf.ExpPolyFunction(cf.CircPoly([i]), cf.CircPoly(g))
+            document = tmp_path / "exppoly.json"
+            document.write_text(json.dumps(ser.function_to_obj(f)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run([command, "--input", str(document), "--output", "-"]) == 4
+            doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
+            assert doc.get("status", "not-rational") == "not-rational" and not doc.get("is_polynomial")
+            for c in doc["channels"]:
+                assert c["flag"] == "diverged" and c["final_estimate"] is None and c["final_error"] is None
+                assert (c["estimates"][0] is not None) == first_finite and c["estimates"][-1] is None
 
     def test_path_flags_accepted(self, tmp_path):
         code, doc = run_to_file(

@@ -164,11 +164,9 @@ class TestSpectralCache:
         assert p.channel_matrix().tobytes() == cm.tobytes() and p._scale == float(top)
         assert np.array_equal(p.channel_degrees(), degrees)
         u = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
-        for channels in (slice(None), np.arange(0, d, 2)):
-            cols, points = cm[:, channels], u[:, channels]
-            dp, value, scale = _quotient_terms(p, u, channels)
-            assert scale.tobytes() == _horner(np.abs(cols), np.abs(points)).tobytes()
-            assert value.tobytes() == _horner(cols, points).tobytes()
+        dp, value, scale = _quotient_terms(p, u)
+        assert scale.tobytes() == _horner(np.abs(cm), np.abs(u)).tobytes()
+        assert value.tobytes() == _horner(cm, u).tobytes()
         # The channel matrix is the raw spectra unless an entry snaps; then a copy.
         snapped = not np.array_equal(raw, cm)
         assert snapped == spread
@@ -482,18 +480,23 @@ def one_of_each_kind(rng, d):
 class TestChannelModel:
     @pytest.mark.parametrize("kind", [0, 1, 2], ids=["poly", "rational", "exppoly"])
     def test_restricted_logderiv_selects_columns(self, rng, kind):
+        # A skip mask leaves every column's bits as they are without it.
         d = 7
         f = one_of_each_kind(rng, d)[kind]
         u = cf.spectrum(random_invertible_circulant(rng, d, lo=1.2, hi=2.0))
-        full_dlog, full_dg = f._logderiv_terms(u, slice(None))
-        for channels in ([4, 0, 2], [6], list(range(d)), np.array([5, 3])):
-            dlog, dg = f._logderiv_terms(u, channels)
-            np.testing.assert_array_equal(dlog, full_dlog[channels])
-            np.testing.assert_array_equal(dg, 0.0 if f.G is None else full_dg[channels])
+        full_dlog, full_dg = f._logderiv_terms(u, False)
+        for skip in ([1, 0, 0, 0, 1, 0, 1], [1] * d, [0] * d):
+            dlog, dg = f._logderiv_terms(u, np.array(skip, dtype=bool))
+            assert_same_bits([dlog], [full_dlog])
+            if f.G is None:
+                assert type(dg) is float and dg == 0.0
+            else:
+                assert_same_bits([dg], [full_dg])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["poly", "numerator", "denominator", "exppoly"])
     def test_restricted_singularity_names_original_channel(self, kind):
-        # Z - A vanishes on channel index 3 at u; the call sees channels 1 and 3.
+        # Z - A vanishes on channel index 3 at u; the call skips channels 0 and 2.
         d = 4
         u = np.array([2.0, 3.0 + 1.0j, -1.5j, 0.5 - 2.0j])
         a = np.array([7.0, 1.0, 1.0, u[3]])
@@ -506,10 +509,30 @@ class TestChannelModel:
             "exppoly": ExpPolyFunction(linear, linear),
         }[kind]
         with pytest.raises(ChannelSingularityError) as err:
-            f._logderiv_terms(u, [1, 3])
+            f._logderiv_terms(u, np.array([True, False, True, False]))
         assert err.value.channels == (4,)
         assert "channel(s) [4]" in str(err.value)
-        assert f._logderiv_terms(u, [0, 1, 2])[0].shape == (3,)
+        assert f._logderiv_terms(u, np.array([False, False, False, True]))[0].shape == (d,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["poly", "rational", "exppoly"])
+    def test_skipped_channels_are_not_checked(self, kind):
+        # P is identically zero on channel index 1, where P'/P is 0/0, and
+        # vanishes at u on channel index 3.
+        u = np.array([2.0, 3.0 + 1.0j, -1.5j, 0.5 - 2.0j])
+        a = np.array([7.0, 0.0, 1.0, u[3]])
+        p = channel_poly([[1.0, 0.0, 1.0, 1.0], -a])
+        f = {
+            "poly": PolyFunction(p),
+            "rational": RationalFunction(p, CircPoly([cf.identity(4)])),
+            "exppoly": ExpPolyFunction(p, channel_poly([np.ones(4), np.zeros(4)])),
+        }[kind]
+        for skip, named in (([0, 0, 0, 0], (2, 4)), ([0, 1, 0, 0], (4,)), ([0, 0, 0, 1], (2,))):
+            with pytest.raises(ChannelSingularityError) as err:
+                f._logderiv_terms(u, np.array(skip, dtype=bool))
+            assert err.value.channels == named
+        dlog, dg = f._logderiv_terms(u, np.array([False, True, False, True]))
+        np.testing.assert_allclose(dlog[[0, 2]], 1 / (u[[0, 2]] - a[[0, 2]]), rtol=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_logderiv_terms_leave_g_unevaluated(self):
@@ -517,8 +540,17 @@ class TestChannelModel:
         d = 2
         g = CircPoly([cf.scale(1e301, cf.identity(d)), cf.zero(d)])
         f = ExpPolyFunction(CircPoly([cf.identity(d)]), g)
-        dlog, dg = f._logderiv_terms(np.array([[1e8, -1e8j]]), slice(None))
+        dlog, dg = f._logderiv_terms(np.array([[1e8, -1e8j]]), False)
         assert np.array_equal(dlog, np.zeros((1, d))) and np.array_equal(dg, np.full((1, d), 1e301))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_g_prime_is_not_finite(self):
+        # G = 1e308 Z^2: the P' rows of G' hold 2e308, so G' overflows quietly.
+        d = 2
+        g = CircPoly([cf.scale(1e308, cf.identity(d)), cf.zero(d), cf.zero(d)])
+        f = ExpPolyFunction(CircPoly([cf.identity(d)]), g)
+        dlog, dg = f._logderiv_terms(np.array([[1e3, -1e3j], [1e8, -1e8j]]), False)
+        assert np.array_equal(dlog, np.zeros((2, d))) and not np.isfinite(dg).any()
 
     def test_degenerate_channels_ignore_the_exponent(self):
         # P vanishes identically on channel index 1, G on channel index 0.
@@ -557,21 +589,20 @@ def per_kind_derivatives(f, u):
     return (dp + p * dg) * np.exp(g)
 
 
-def per_kind_logderiv_terms(f, u, channels):
-    """(P'/P, G') of a polynomial or exppoly on the channels the indexer
-    ``channels`` selects, with G' = 0.0 for a polynomial."""
-    dp, p, p_scale = _quotient_terms(f.P, u, channels)
-    _raise_on_zero([(p, p_scale, "P")], channels, u.shape[-1])
-    return dp / p, 0.0 if f.kind == "poly" else _quotient_terms(f.G, u, channels)[0]
+def per_kind_logderiv_terms(f, u):
+    """(P'/P, G') of a polynomial or exppoly, with G' = 0.0 for a polynomial."""
+    dp, p, p_scale = _quotient_terms(f.P, u)
+    _raise_on_zero([(p, p_scale, "P")])
+    return dp / p, 0.0 if f.kind == "poly" else _quotient_terms(f.G, u)[0]
 
 
-def per_kind_logderiv(f, u, channels):
+def per_kind_logderiv(f, u):
     if f.kind == "rational":
-        dp, p, p_scale = _quotient_terms(f.P, u, channels)
-        dq, q, q_scale = _quotient_terms(f.Q, u, channels)
-        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")], channels, u.shape[-1])
+        dp, p, p_scale = _quotient_terms(f.P, u)
+        dq, q, q_scale = _quotient_terms(f.Q, u)
+        _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")])
         return dp / p - dq / q
-    dlog_p, dg = per_kind_logderiv_terms(f, u, channels)
+    dlog_p, dg = per_kind_logderiv_terms(f, u)
     return dlog_p if f.kind == "poly" else dlog_p + dg
 
 
@@ -596,14 +627,14 @@ class TestChannelFormulasBitwise:
         u = rng.uniform(1.2, 2.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
         assert_same_bits([f.channel_values(u)], [per_kind_values(f, u)])
         assert_same_bits([f.channel_derivatives(u)], [per_kind_derivatives(f, u)])
-        assert_same_bits([f.channel_logderiv(u)], [per_kind_logderiv(f, u, slice(None))])
-        for selection in (slice(None), [d - 1, 0], rng.permutation(d)[: max(1, d // 3)]):
-            dlog, dg = f._logderiv_terms(u, selection)
+        assert_same_bits([f.channel_logderiv(u)], [per_kind_logderiv(f, u)])
+        for skip in (False, rng.permutation(d) < max(1, d // 3)):
+            dlog, dg = f._logderiv_terms(u, skip)
             if kind == "rational":
-                assert_same_bits([dlog], [per_kind_logderiv(f, u, selection)])
+                assert_same_bits([dlog], [per_kind_logderiv(f, u)])
                 assert type(dg) is float and dg == 0.0
                 continue
-            kind_dlog, kind_dg = per_kind_logderiv_terms(f, u, selection)
+            kind_dlog, kind_dg = per_kind_logderiv_terms(f, u)
             assert_same_bits([dlog], [kind_dlog])
             if kind == "poly":
                 assert type(dg) is float and dg == 0.0
