@@ -292,13 +292,15 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTa
 
 
 def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
-    """Estimate sequences, shape (n_scales, d), over the path's scales, all
-    scales in one batch.  The columns of the channels that the mask ``skip``
-    sets, the degenerate ones, which would raise on every direction, go
-    unchecked and are meaningless.  On any other channel singularity the
-    direction is re-randomized (seeded) ``RETRY_BUDGET`` times at most,
-    after which the error propagates, naming the channels of the first
-    scale where the singularity sits.
+    """Estimate sequences u F'/F, shape (n_scales, d), over the path's
+    scales, all scales in one batch: u times one
+    :meth:`CircFunction._logderiv` call, which takes the values of the
+    witness function ``qfun`` (None for none) off G'.  The columns of the
+    channels that the mask ``skip`` sets, the degenerate ones, which would
+    raise on every direction, go unchecked and are meaningless.  On any
+    other channel singularity the direction is re-randomized (seeded)
+    ``RETRY_BUDGET`` times at most, after which the error propagates,
+    naming the channels of the first scale where the singularity sits.
 
     The points are u = spectrum(from_spectrum(t * direction)), computed for
     all scales by one inverse_rows and one forward_rows call, not
@@ -318,16 +320,10 @@ def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
             direction = np.exp(2j * np.pi * rng.uniform(size=path.d))
             u = forward_rows(inverse_rows(path.scales[:, None] * direction))
         try:
-            dlog, dg = f._logderiv_terms(u, skip)
-            if qfun is not None:
-                # The witness approximates G', so it comes off G' before P'/P
-                # is added: P'/P + G' would lose P'/P when G' is large.
-                dg = dg - qfun(u)
+            dlog = f._logderiv(u, skip, qfun)
         except ChannelSingularityError as exc:
             last_error = exc
             continue
-        if f.G is not None or qfun is not None:  # adding 0.0 would turn -0.0 into 0.0
-            dlog = dlog + dg
         with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows diverges
             return u * dlog, attempt
     raise ChannelSingularityError(

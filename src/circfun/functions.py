@@ -43,7 +43,7 @@ from .errors import (
     InvalidIncrementError,
 )
 from .spectral import (
-    _pinv_row, _rank_threshold, forward_rows, from_spectrum, is_invertible, pseudoinverse, spectrum,
+    _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, pseudoinverse, spectrum,
 )
 from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
@@ -86,12 +86,14 @@ class CircPoly:
     def evaluate(self, z: Circulant) -> Circulant:
         """P(Z) by Horner in the ring on the raw coefficient rows: below
         ``FFT_THRESHOLD`` the direct product with Z plus the next row, at FFT
-        orders the FFT of Z, :func:`circfun.core._horner` over the cached raw
-        spectra and one inverse FFT."""
+        orders the transform of Z, :func:`circfun.core._horner` over the
+        cached raw spectra and one inverse transform, which
+        :func:`circfun.spectral.inverse_rows` takes again scaled where its
+        sums overflow."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {self.d}")
         if self.d >= FFT_THRESHOLD and self.degree:
-            return Circulant(np.fft.ifft(_horner(self._raw_spectra(), np.fft.fft(z.row))))
+            return Circulant(inverse_rows(_horner(self._raw_spectra(), forward_rows(z.row))[None])[0])
         acc = self.coeffs[0].row
         for c in self.coeffs[1:]:
             acc = _mul_rows(acc, z.row, fft=False) + c.row
@@ -278,16 +280,18 @@ class CircFunction:
         """F'_i(u_i) / F_i(u_i), computed in ratio form so that it stays
         finite even where F itself would overflow.  A ChannelSingularityError
         names the offending channels by their 1-based numbers."""
-        dlog, dg = self._logderiv_terms(u, False)
-        return dlog if self.G is None else dlog + dg
+        return self._logderiv(u)
 
-    def _logderiv_terms(self, u: np.ndarray, skip) -> tuple[np.ndarray, np.ndarray | float]:
-        """(P'/P - Q'/Q, G') on every channel of ``u``, the terms of F'/F kept
-        apart: a large G' swamps the rest in their sum.  The channels that
-        the boolean mask ``skip`` sets (False sets none) are not checked for
-        singularities, and their terms are meaningless.  An absent part
-        contributes no term; G' is 0.0 without G, and evaluated alone with
-        it, so G itself cannot overflow."""
+    def _logderiv(self, u: np.ndarray, skip=False, witness=None) -> np.ndarray:
+        """P'/P - Q'/Q + (G' - q) on every channel of ``u``, shape (d,) or
+        (S, d), with q the values of the ``witness`` function at ``u``.  The
+        witness approximates G', so it comes off G' before P'/P is added: a
+        large G' would swamp P'/P in their sum.  An absent part contributes
+        no term, and without G or a witness nothing is added, so a -0.0
+        survives.  G' is evaluated alone, so G itself cannot overflow; a G',
+        witness or sum that overflows is not finite, with no warning.  The
+        channels that the boolean mask ``skip`` sets (False sets none) are
+        not checked for singularities, and their values are meaningless."""
         dp, p, p_scale = _quotient_terms(self.P, u)
         checks = [(p, p_scale, "P")]
         if self.Q is not None:
@@ -296,8 +300,11 @@ class CircFunction:
         _raise_on_zero(checks, skip)
         with np.errstate(divide="ignore", invalid="ignore"):  # a skipped channel may divide 0 by 0
             dlog = dp / p if self.Q is None else dp / p - dq / q
-        with np.errstate(over="ignore", invalid="ignore"):  # a G' that overflows diverges
-            return dlog, 0.0 if self.G is None else _value_and_derivative(self.G, u, part=1)
+        if self.G is None and witness is None:
+            return dlog
+        with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows diverges
+            dg = 0.0 if self.G is None else _value_and_derivative(self.G, u, part=1)
+            return dlog + (dg if witness is None else dg - witness(u))
 
     def evaluate(self, z: Circulant) -> Circulant:
         value, _ = self.evaluate_with_report(z)

@@ -158,25 +158,25 @@ def _channel_estimates_to_obj(t: ChannelTable) -> list:
     """The channel records of a limit report, read from its table in numpy
     passes.  A channel's final estimate is the last of its refined sequence,
     which is its raw one where the final error is NaN (None).  An estimate
-    that is not finite, which only a diverged channel holds, is written as
-    null: strict JSON has no infinity or NaN."""
+    that is not finite is written as null: strict JSON has no infinity or
+    NaN.  An indeterminate channel holds NaN in every column, so its final
+    estimate is null, and its list of estimates is empty."""
     flags = t.flag.tolist()
     ks = t.k.tolist()
     errors = t.final_error.tolist()
     final_values = np.where(np.isnan(t.final_error), t.estimates[-1], t.refined[-1])
     finals = _pairs(final_values)
     estimates = _pairs(t.estimates.T)
-    shown = t.flag != INDETERMINATE
-    for i, j in np.argwhere(shown[:, None] & ~np.isfinite(t.estimates.T)).tolist():
+    for i, j in np.argwhere(~np.isfinite(t.estimates.T)).tolist():
         estimates[i][j] = None
-    for i in np.flatnonzero(shown & ~np.isfinite(final_values)).tolist():
+    for i in np.flatnonzero(~np.isfinite(final_values)).tolist():
         finals[i] = None
     return [
         {
             "channel": i + 1,
             "flag": FLAGS[flag],
             "k": int(ks[i]) if flag == CONVERGED else None,
-            "final_estimate": finals[i] if flag != INDETERMINATE else None,
+            "final_estimate": finals[i],
             "final_error": None if errors[i] != errors[i] else errors[i],  # NaN stands for None
             "estimates": estimates[i] if flag != INDETERMINATE else [],
         }

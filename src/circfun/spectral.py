@@ -6,12 +6,15 @@ eigenvalues u_1..u_d (the "spectrum", indexed by channel) are the conjugate
 discrete Fourier transform of the first row, so the transform pair is exactly
 the standard DFT/inverse-DFT.  Every ring operation acts channel-wise on the
 spectrum, which is what the rest of the package exploits.
+
+Below ``FFT_THRESHOLD`` the kernels sum with the one cache of tables,
+:func:`fourier_context`, the read-only pair (S, conj S) per order;
+:func:`fourier_matrix` builds S afresh for the dense oracles.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,45 +23,28 @@ from .errors import DimensionError
 from .tolerances import RANK_REL_TOL
 
 
-@dataclass(frozen=True)
-class FourierContext:
-    """Cached root-of-unity tables for one order d."""
-
-    d: int
-
-    @functools.cached_property
-    def power_table(self) -> np.ndarray:
-        """omega^k for k = 0..d-1, omega = exp(2 pi i / d), exact on the quadrant axes."""
-        k = np.arange(self.d)
-        table = np.exp(2j * np.pi * k / self.d)
-        on_axis = (4 * k) % self.d == 0
-        quadrant = np.array([1.0, 1j, -1.0, -1j])
-        table[on_axis] = quadrant[(4 * k[on_axis] // self.d) % 4]
-        return table
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The full d x d matrix S with entries omega^(i*j), 0-based."""
-        d = self.d
-        exponents = np.outer(np.arange(d), np.arange(d)) % d
-        return self.power_table[exponents]
-
-    @functools.cached_property
-    def conj_matrix(self) -> np.ndarray:
-        """conj(S), the forward transform matrix."""
-        return np.conj(self.matrix)
+def fourier_matrix(d: int) -> np.ndarray:
+    """The symmetric Vandermonde matrix S with entries omega^(i*j), 0-based,
+    omega = exp(2 pi i / d), exact on the quadrant axes; (sqrt(d)/d) * S is
+    unitary.  Built afresh on each call."""
+    if d < 2:
+        raise DimensionError(f"order must be >= 2, got {d}")
+    k = np.arange(d)
+    powers = np.exp(2j * np.pi * k / d)
+    on_axis = (4 * k) % d == 0
+    powers[on_axis] = np.array([1.0, 1j, -1.0, -1j])[4 * k[on_axis] // d]
+    return powers[np.outer(k, k) % d]
 
 
 @functools.lru_cache(maxsize=64)
-def fourier_context(d: int) -> FourierContext:
-    if d < 2:
-        raise DimensionError(f"order must be >= 2, got {d}")
-    return FourierContext(d)
-
-
-def fourier_matrix(d: int) -> np.ndarray:
-    """The symmetric Vandermonde matrix S; (sqrt(d)/d) * S is unitary."""
-    return fourier_context(d).matrix.copy()
+def fourier_context(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, conj S) of :func:`fourier_matrix`, read-only and cached: the
+    tables the direct kernels read below ``FFT_THRESHOLD``."""
+    s = fourier_matrix(d)
+    pair = s, np.conj(s)
+    for table in pair:
+        table.flags.writeable = False
+    return pair
 
 
 def spectrum(x: Circulant) -> np.ndarray:
@@ -79,7 +65,7 @@ def forward_rows(rows: np.ndarray) -> np.ndarray:
     d = rows.shape[-1]
     if d >= FFT_THRESHOLD:
         return np.fft.fft(rows, axis=-1)
-    matrix = fourier_context(d).conj_matrix
+    matrix = fourier_context(d)[1]
     if rows.ndim == 1:
         return matrix @ rows
     return np.matmul(matrix, rows[:, :, None])[:, :, 0]
@@ -120,7 +106,7 @@ def _inverse_kernel(spectra: np.ndarray) -> np.ndarray:
     d = spectra.shape[1]
     if d >= FFT_THRESHOLD:
         return np.fft.ifft(spectra, axis=1)
-    return np.matmul(fourier_context(d).matrix, spectra[:, :, None])[:, :, 0] / d
+    return np.matmul(fourier_context(d)[0], spectra[:, :, None])[:, :, 0] / d
 
 
 def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):

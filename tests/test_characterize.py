@@ -20,6 +20,7 @@ from circfun import (
 )
 from circfun import characterize
 from circfun.characterize import DIVERGED, ChannelEstimate, ChannelTable, _analyze_sequence, _scan
+from circfun.functions import _quotient_terms
 from circfun.serialize import _channel_estimates_to_obj, complex_to_pair
 from circfun.spectral import forward_rows, from_spectrum, inverse_rows, spectrum
 from circfun.testkit import (
@@ -284,6 +285,12 @@ class TestEstimateDivisor:
         assert report.bounds_ok
         assert all(c.flag == "converged" for c in report.channels)
 
+    def test_every_channel_degenerate_raises(self):
+        f = PolyFunction(CircPoly([cf.zero(2), cf.zero(2)]))
+        with pytest.raises(ChannelSingularityError, match="every channel is degenerate") as err:
+            cf.estimate_divisor(f)
+        assert err.value.channels == (1, 2)
+
     def test_polynomial_divisor_is_degree(self, rng):
         f = PolyFunction(CircPoly.from_scalars([1, 0, 0], 3))  # Z^2
         report = cf.estimate_divisor(f)
@@ -478,9 +485,9 @@ class TestScan:
             u = spectrum(from_spectrum(t * path.direction))
             if qfun is None:
                 expected = u * f.channel_logderiv(u)
-            else:
-                dlog_p, dg = f._logderiv_terms(u, False)
-                expected = u * (dlog_p + (dg - qfun(u)))
+            else:  # the witness comes off G' before P'/P is added
+                dp, p, _ = _quotient_terms(f.P, u)
+                expected = u * (dp / p + (_quotient_terms(f.G, u)[0] - qfun(u)))
             assert np.array_equal(row, expected)
         # A skip mask leaves the other columns' bits as they are without it.
         skip = np.arange(d) % 2 == 0
@@ -569,6 +576,39 @@ class TestEntireZeroBound:
         assert report.n == 1 and report.bound == 1
         assert report.degree_check is True
         assert all(c.flag == "converged" and c.k == 1 for c in report.channels)
+
+    def test_exponential_witness_leaves_degree_check_unset(self):
+        # (Z - 2I) exp(3Z) with the witness 3I exp(0): it matches G' = 3I
+        # channel-wise, but only a polynomial witness is cross-checked.
+        d = 2
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly([i, cf.scale(-2, i)]), CircPoly([cf.scale(3, i), o]))
+        report = cf.entire_zero_bound(f, ExpPolyFunction(CircPoly([cf.scale(3, i)]), CircPoly([o])))
+        assert report.matched and report.n == 1
+        assert report.degree_check is None
+
+    def test_witness_off_g_prime_leaves_degree_check_unset(self):
+        # The witness (3 + 1e-7) I misses G' = 3I by more than the match
+        # tolerance; up to |u| = 1e3 its u 1e-7 drift stays below the
+        # rounding tolerance, so the scan still converges to n = 1.
+        d = 2
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly([i, cf.scale(-2, i)]), CircPoly([cf.scale(3, i), o]))
+        path = PathSpec(PathSpec.default(d).direction, np.geomspace(10, 1e3, 11))
+        report = cf.entire_zero_bound(f, PolyFunction(CircPoly([cf.scale(3 + 1e-7, i)])), path)
+        assert report.matched and report.n == 1
+        assert report.degree_check is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_witness_diverges_quietly(self):
+        # P = I, G = 1e308 Z^2 and the witness 1e308 Z: G' = 2e308 Z and the
+        # witness overflow along the path, with no numpy warning.
+        d = 2
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly([i]), CircPoly([cf.scale(1e308, i), o, o]))
+        report = cf.entire_zero_bound(f, PolyFunction(CircPoly([cf.scale(1e308, i), o])))
+        assert report.matched is False
+        assert [c.flag for c in report.channels] == ["diverged", "diverged"]
 
 
 class TestDetectPolyDegree:

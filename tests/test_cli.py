@@ -28,6 +28,10 @@ GOLDEN_CASES = [
     *[(command, stem) for command in ("solve", "divisor", "degree") for stem in FUNCTION_FIXTURES],
 ]
 
+ROW_2 = [[1, 0], [0, 0]]
+I_2 = {"d": 2, "row": ROW_2}
+I_3 = {"d": 3, "row": [[1, 0], [0, 0], [0, 0]]}
+
 
 def run_to_file(tmp_path, argv_head, input_name, extra=()):
     out = tmp_path / "out.json"
@@ -128,6 +132,22 @@ class TestEval:
         expected = 1e300 * np.exp(18.6)
         assert abs(value[0][0] - expected) <= 1e-15 * expected
         assert value[0][1] == value[1][0] == value[1][1] == 0.0
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_ring_horner_value_near_the_float_limit(self, monkeypatch, capsys, d):
+        # P = 3e306 Z at I: each of the d channel values is 3e306, and at
+        # FFT orders ring Horner's inverse transform overflowed summing 64
+        # of them, though the value 3e306 I is representable.
+        def circ(first):
+            return {"d": d, "row": [[first, 0]] + [[0, 0]] * (d - 1)}
+
+        doc = {"function": {"kind": "poly", "d": d, "P": [circ(3e306), circ(0)]}, "point": circ(1)}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]["row"]
+        assert value == [[3e306, 0.0]] + [[0.0, 0.0]] * (d - 1)
 
 
 class TestSolve:
@@ -253,6 +273,32 @@ class TestErrorsAndDeterminism:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"circulant.{field}: expected finite numbers" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("spectrum", [1, 2], "circulant: expected an object"),
+            ("spectrum", {"row": ROW_2}, "circulant.d: missing"),
+            ("spectrum", {"d": 2}, "circulant.row: missing"),
+            ("spectrum", {"d": True, "row": ROW_2}, "circulant.d: expected an integer >= 2"),
+            ("spectrum", {"d": 2, "row": [[1], [0, 0]]}, "circulant.row[0]: expected a [re, im] number pair"),
+            ("spectrum", {"d": 2, "row": [[10**400, 0], [0, 0]]}, "circulant.row[0]: expected finite numbers"),
+            ("divisor", [1], "function: expected an object"),
+            ("divisor", {"kind": "foo", "d": 2, "P": [I_2]}, "function.kind: expected 'poly', 'rational' or 'exppoly'"),
+            ("divisor", {"kind": "poly", "d": 0, "P": [I_2]}, "function.d"),
+            ("divisor", {"kind": "poly", "d": 2, "P": []}, "function.P: expected a nonempty list"),
+            ("divisor", {"kind": "poly", "d": 2, "P": [I_3]}, "function.P[0].d: expected order 2, got 3"),
+            ("divisor", {"kind": "rational", "d": 2, "P": [I_2]}, "function.Q: missing"),
+            ("eval", [], "document: expected an object with 'function' and 'point'"),
+            ("eval", {"point": I_2}, "function: missing"),
+        ],
+    )
+    def test_input_check_names_field(self, monkeypatch, capsys, command, doc, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert run([command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("command", ["divisor", "degree"])
     @pytest.mark.parametrize(

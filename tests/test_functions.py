@@ -484,14 +484,9 @@ class TestChannelModel:
         d = 7
         f = one_of_each_kind(rng, d)[kind]
         u = cf.spectrum(random_invertible_circulant(rng, d, lo=1.2, hi=2.0))
-        full_dlog, full_dg = f._logderiv_terms(u, False)
+        full = f._logderiv(u)
         for skip in ([1, 0, 0, 0, 1, 0, 1], [1] * d, [0] * d):
-            dlog, dg = f._logderiv_terms(u, np.array(skip, dtype=bool))
-            assert_same_bits([dlog], [full_dlog])
-            if f.G is None:
-                assert type(dg) is float and dg == 0.0
-            else:
-                assert_same_bits([dg], [full_dg])
+            assert_same_bits([f._logderiv(u, np.array(skip, dtype=bool))], [full])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["poly", "numerator", "denominator", "exppoly"])
@@ -509,16 +504,16 @@ class TestChannelModel:
             "exppoly": ExpPolyFunction(linear, linear),
         }[kind]
         with pytest.raises(ChannelSingularityError) as err:
-            f._logderiv_terms(u, np.array([True, False, True, False]))
+            f._logderiv(u, np.array([True, False, True, False]))
         assert err.value.channels == (4,)
         assert "channel(s) [4]" in str(err.value)
-        assert f._logderiv_terms(u, np.array([False, False, False, True]))[0].shape == (d,)
+        assert f._logderiv(u, np.array([False, False, False, True])).shape == (d,)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["poly", "rational", "exppoly"])
     def test_skipped_channels_are_not_checked(self, kind):
         # P is identically zero on channel index 1, where P'/P is 0/0, and
-        # vanishes at u on channel index 3.
+        # vanishes at u on channel index 3.  G = Z adds G' = 1.
         u = np.array([2.0, 3.0 + 1.0j, -1.5j, 0.5 - 2.0j])
         a = np.array([7.0, 0.0, 1.0, u[3]])
         p = channel_poly([[1.0, 0.0, 1.0, 1.0], -a])
@@ -529,10 +524,11 @@ class TestChannelModel:
         }[kind]
         for skip, named in (([0, 0, 0, 0], (2, 4)), ([0, 1, 0, 0], (4,)), ([0, 0, 0, 1], (2,))):
             with pytest.raises(ChannelSingularityError) as err:
-                f._logderiv_terms(u, np.array(skip, dtype=bool))
+                f._logderiv(u, np.array(skip, dtype=bool))
             assert err.value.channels == named
-        dlog, dg = f._logderiv_terms(u, np.array([False, True, False, True]))
-        np.testing.assert_allclose(dlog[[0, 2]], 1 / (u[[0, 2]] - a[[0, 2]]), rtol=1e-15)
+        dlog = f._logderiv(u, np.array([False, True, False, True]))
+        dg = 1.0 if kind == "exppoly" else 0.0
+        np.testing.assert_allclose(dlog[[0, 2]], 1 / (u[[0, 2]] - a[[0, 2]]) + dg, rtol=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_logderiv_terms_leave_g_unevaluated(self):
@@ -540,8 +536,7 @@ class TestChannelModel:
         d = 2
         g = CircPoly([cf.scale(1e301, cf.identity(d)), cf.zero(d)])
         f = ExpPolyFunction(CircPoly([cf.identity(d)]), g)
-        dlog, dg = f._logderiv_terms(np.array([[1e8, -1e8j]]), False)
-        assert np.array_equal(dlog, np.zeros((1, d))) and np.array_equal(dg, np.full((1, d), 1e301))
+        assert np.array_equal(f._logderiv(np.array([[1e8, -1e8j]])), np.full((1, d), 1e301))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_g_prime_is_not_finite(self):
@@ -549,8 +544,18 @@ class TestChannelModel:
         d = 2
         g = CircPoly([cf.scale(1e308, cf.identity(d)), cf.zero(d), cf.zero(d)])
         f = ExpPolyFunction(CircPoly([cf.identity(d)]), g)
-        dlog, dg = f._logderiv_terms(np.array([[1e3, -1e3j], [1e8, -1e8j]]), False)
-        assert np.array_equal(dlog, np.zeros((2, d))) and not np.isfinite(dg).any()
+        assert not np.isfinite(f._logderiv(np.array([[1e3, -1e3j], [1e8, -1e8j]]))).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_witness_is_not_finite(self):
+        # G = 1e308 Z^2 and the witness 1e308 Z: G' and the witness both
+        # overflow at |u| = 1e3, and their difference is not finite, quietly.
+        d = 2
+        g = CircPoly([cf.scale(1e308, cf.identity(d)), cf.zero(d), cf.zero(d)])
+        f = ExpPolyFunction(CircPoly([cf.identity(d)]), g)
+        witness = PolyFunction(CircPoly([cf.scale(1e308, cf.identity(d)), cf.zero(d)]))
+        u = np.array([[1e3, -1e3j]])
+        assert not np.isfinite(f._logderiv(u, witness=witness.channel_values)).any()
 
     def test_degenerate_channels_ignore_the_exponent(self):
         # P vanishes identically on channel index 1, G on channel index 0.
@@ -589,21 +594,19 @@ def per_kind_derivatives(f, u):
     return (dp + p * dg) * np.exp(g)
 
 
-def per_kind_logderiv_terms(f, u):
-    """(P'/P, G') of a polynomial or exppoly, with G' = 0.0 for a polynomial."""
+def per_kind_logderiv(f, u, witness=None):
+    """F'/F as each kind wrote it, with the witness values q taken off G'
+    (a polynomial's G' is 0.0) before P'/P is added."""
     dp, p, p_scale = _quotient_terms(f.P, u)
-    _raise_on_zero([(p, p_scale, "P")])
-    return dp / p, 0.0 if f.kind == "poly" else _quotient_terms(f.G, u)[0]
-
-
-def per_kind_logderiv(f, u):
     if f.kind == "rational":
-        dp, p, p_scale = _quotient_terms(f.P, u)
         dq, q, q_scale = _quotient_terms(f.Q, u)
         _raise_on_zero([(p, p_scale, "numerator"), (q, q_scale, "denominator")])
         return dp / p - dq / q
-    dlog_p, dg = per_kind_logderiv_terms(f, u)
-    return dlog_p if f.kind == "poly" else dlog_p + dg
+    _raise_on_zero([(p, p_scale, "P")])
+    dg = 0.0 if f.kind == "poly" else _quotient_terms(f.G, u)[0]
+    if witness is not None:
+        return dp / p + (dg - witness(u))
+    return dp / p if f.kind == "poly" else dp / p + dg
 
 
 class TestChannelFormulasBitwise:
@@ -628,18 +631,11 @@ class TestChannelFormulasBitwise:
         assert_same_bits([f.channel_values(u)], [per_kind_values(f, u)])
         assert_same_bits([f.channel_derivatives(u)], [per_kind_derivatives(f, u)])
         assert_same_bits([f.channel_logderiv(u)], [per_kind_logderiv(f, u)])
+        witness = PolyFunction(random_regular_poly(rng, d, 0)).channel_values
         for skip in (False, rng.permutation(d) < max(1, d // 3)):
-            dlog, dg = f._logderiv_terms(u, skip)
-            if kind == "rational":
-                assert_same_bits([dlog], [per_kind_logderiv(f, u)])
-                assert type(dg) is float and dg == 0.0
-                continue
-            kind_dlog, kind_dg = per_kind_logderiv_terms(f, u)
-            assert_same_bits([dlog], [kind_dlog])
-            if kind == "poly":
-                assert type(dg) is float and dg == 0.0
-            else:
-                assert_same_bits([dg], [kind_dg])
+            assert_same_bits([f._logderiv(u, skip)], [per_kind_logderiv(f, u)])
+            if kind != "rational":
+                assert_same_bits([f._logderiv(u, skip, witness)], [per_kind_logderiv(f, u, witness)])
 
 
 def dense_horner(poly: CircPoly, zd: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ class TestSpectrum:
             x = random_circulant(rng, d)
             u = cf.spectrum(x)
             fft = np.fft.fft(x.row)
-            direct = fourier_context(d).conj_matrix @ x.row
+            direct = fourier_context(d)[1] @ x.row
             for other in (fft, direct):
                 assert np.max(np.abs(u - other)) <= 1e-10 * max(1.0, np.max(np.abs(other)))
 
@@ -205,18 +205,31 @@ class TestPseudoinverse:
 class TestFourierContext:
     @pytest.mark.parametrize("d", [2, 3, 7, 16, 64])
     def test_root_of_unity_closes(self, d):
-        from circfun.spectral import fourier_context
-
-        table = fourier_context(d).power_table
-        assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-14
-        assert abs(table[1] ** d - 1.0) <= 1e-14
-        assert np.max(np.abs(table - table[1] ** np.arange(d))) <= 1e-13
+        powers = cf.fourier_matrix(d)[1]  # omega^k, k = 0..d-1
+        assert np.max(np.abs(np.abs(powers) - 1.0)) <= 1e-14
+        assert abs(powers[1] ** d - 1.0) <= 1e-14
+        assert np.max(np.abs(powers - powers[1] ** np.arange(d))) <= 1e-13
 
     def test_order_validated(self):
-        from circfun.spectral import fourier_context
-
         with pytest.raises(cf.DimensionError):
             fourier_context(1)
+        with pytest.raises(cf.DimensionError):
+            cf.fourier_matrix(1)
+
+    @pytest.mark.parametrize("d", [2, 7, 31])
+    def test_context_is_the_read_only_pair(self, d):
+        s, conj_s = fourier_context(d)
+        assert s.tobytes() == cf.fourier_matrix(d).tobytes()
+        assert conj_s.tobytes() == np.conj(s).tobytes()
+        assert not s.flags.writeable and not conj_s.flags.writeable
+        assert fourier_context(d) is fourier_context(d)
+
+    def test_fourier_matrix_fills_no_cache(self):
+        fourier_context.cache_clear()
+        s = cf.fourier_matrix(64)
+        s[0, 0] = 2.0  # a fresh, writable copy
+        assert fourier_context.cache_info().currsize == 0
+        assert cf.fourier_matrix(64)[0, 0] == 1.0
 
 
 class TestFourierMatrix:
