@@ -285,10 +285,10 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTa
     if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
     estimates, retries = _scan(f, path, qfun, indeterminate)
+    estimates = np.where(indeterminate, np.nan, estimates)  # analysed as not finite: no k, no error
     k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
     flag = np.where(indeterminate, INDETERMINATE, np.where(converged, CONVERGED, DIVERGED))
-    columns = [np.where(indeterminate, np.nan, column) for column in (k, estimates, refined, errors)]
-    return ChannelTable._make([flag, *columns]), retries
+    return ChannelTable._make([flag, k, estimates, refined, errors]), retries
 
 
 def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:

@@ -194,10 +194,24 @@ def mul(x: Circulant, y: Circulant) -> Circulant:
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, fft: bool) -> np.ndarray:
-    """Cyclic convolution of two first rows, by FFT or directly."""
+    """Cyclic convolution of two first rows, by FFT or directly.  An FFT
+    product that overflows is taken again with each operand scaled by 2^-e,
+    with 2^e the power of two at its largest real or imaginary part (as
+    :func:`circfun.spectral.inverse_rows` scales), and scaled back by the
+    product of the two factors; every other product keeps its bits."""
     a, b = _canonical_pair(a, b)
     if fft:
-        return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+        try:
+            with np.errstate(over="raise"):  # the flag costs no pass over the rows
+                return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+        except FloatingPointError:
+            pass
+        parts = [x.view(np.float64) for x in (a, b)]  # real and imaginary parts
+        exponents = [np.frexp(np.max(np.abs(x)))[1] for x in parts]
+        a, b = (np.ldexp(x, -e).view(np.complex128) for x, e in zip(parts, exponents))
+        with np.errstate(over="ignore", invalid="ignore"):  # a product out of range stays infinite
+            product = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+            return np.ldexp(product.view(np.float64), sum(exponents)).view(np.complex128)
     full = np.convolve(a, b)
     out = full[: a.size].copy()
     out[: a.size - 1] += full[a.size :]

@@ -95,6 +95,11 @@ class TestPathSpec:
         with pytest.raises(ValueError):
             PathSpec(direction=np.array([1.0, 2.0]), scales=np.geomspace(1e3, 1e8, 8))
 
+    @pytest.mark.parametrize("direction", [np.ones(1), np.ones((2, 2))], ids=["length-1", "2-D"])
+    def test_direction_must_be_a_vector_of_length_two(self, direction):
+        with pytest.raises(ValueError, match="^direction must be a complex vector of length >= 2$"):
+            PathSpec(direction=direction, scales=np.geomspace(1e3, 1e8, 8))
+
     @pytest.mark.parametrize("estimate", ["estimate_divisor", "detect_poly_degree", "entire_zero_bound"])
     def test_path_of_another_order_rejected(self, estimate):
         f = PolyFunction(CircPoly.from_scalars([1, 2], 4))

@@ -149,6 +149,21 @@ class TestEval:
         value = json.loads(capsys.readouterr().out)["value"]["row"]
         assert value == [[3e306, 0.0]] + [[0.0, 0.0]] * (d - 1)
 
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_ring_product_near_the_float_limit(self, monkeypatch, capsys, d):
+        # P = circ(1e307, ..., 1e307), Q = I at I: the value is P itself.  At
+        # FFT orders the product P Q^+ overflowed in the forward transform,
+        # where P's eigenvalue 6.4e308 is not a float.
+        identity = {"d": d, "row": [[1, 0]] + [[0, 0]] * (d - 1)}
+        p = {"d": d, "row": [[1e307, 0]] * d}
+        doc = {"function": {"kind": "rational", "d": d, "P": [p], "Q": [identity]}, "point": identity}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]["row"]
+        np.testing.assert_allclose(value, [[1e307, 0.0]] * d, rtol=0, atol=1e-14 * 1e307)
+
 
 class TestSolve:
     def test_finite_case(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -96,6 +97,27 @@ class TestRingOps:
         assert_circ_close(2.0 * x, cf.scale(2.0, x), 0)
         assert_circ_close(x * y, cf.mul(x, y), 0)
         assert_circ_close(x**3, cf.power(x, 3), 0)
+        assert_circ_close(-x, cf.neg(x), 0)
+        assert_circ_close(x * 2, cf.scale(2, x), 0)
+
+    def test_isclose_across_orders_and_repr(self):
+        x = cf.Circulant([1, 0.5j])
+        assert not x.isclose(cf.identity(3))
+        assert repr(x) == "Circulant(d=2, row=[1.+0.j , 0.+0.5j])"
+
+    @pytest.mark.parametrize(
+        "op, symbol",
+        [
+            (lambda x: x + None, "+: 'Circulant' and 'NoneType'"),
+            (lambda x: x - None, "-: 'Circulant' and 'NoneType'"),
+            (lambda x: x * None, "*: 'Circulant' and 'NoneType'"),
+            (lambda x: None * x, "*: 'NoneType' and 'Circulant'"),
+        ],
+        ids=["add", "sub", "mul", "rmul"],
+    )
+    def test_unsupported_operand_raises_type_error(self, op, symbol):
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {symbol}")):
+            op(cf.identity(2))
 
 
 class TestPower:
@@ -196,6 +218,24 @@ class TestMulAgainstDenseOracle:
         a, b = cf.mul_naive(x, y), cf.mul_fft(x, y)
         rel = np.max(np.abs(a.row - b.row)) / np.max(np.abs(b.row))
         assert rel <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["square", "times_identity", "random"])
+    def test_fft_product_near_the_float_limit(self, case, rng):
+        # At d = 64 an eigenvalue of each operand, or of their product, is
+        # beyond the float range, while every entry of the product is a
+        # float: circ(2.3e152, ...) squared is circ(3.3856e306, ...).  The
+        # FFT product gave inf; it is taken again scaled by powers of two.
+        d = 64
+        if case == "square":
+            x = y = cf.Circulant(np.full(d, 2.3e152))
+        elif case == "times_identity":
+            x, y = cf.Circulant(np.full(d, 1e307)), cf.identity(d)
+        else:
+            x, y = (cf.Circulant(1e153 * random_circulant(rng, d).row) for _ in range(2))
+        fast, naive = cf.mul(x, y).row, cf.mul_naive(x, y).row
+        assert np.all(np.isfinite(naive))
+        assert np.max(np.abs(fast - naive)) <= 1e-14 * np.max(np.abs(naive))
 
     @pytest.mark.parametrize("d", [cf.core.FFT_THRESHOLD - 1, cf.core.FFT_THRESHOLD])
     def test_dispatch_is_fixed_at_the_threshold(self, d, rng):

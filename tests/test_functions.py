@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -77,6 +78,32 @@ class TestPolyEval:
         p = CircPoly.from_scalars([1, 0], 2)
         with pytest.raises(DimensionError):
             p.evaluate(cf.identity(3))
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda f: CircPoly([]), ValueError, "a polynomial needs at least one coefficient"),
+            (
+                lambda f: CircPoly([cf.identity(2), cf.identity(3)]),
+                DimensionError,
+                "coefficient order mismatch: 3 vs 2",
+            ),
+            (lambda f: f.P * 2, TypeError, "unsupported operand type(s) for *: 'CircPoly' and 'int'"),
+            (lambda f: f.evaluate(cf.identity(3)), DimensionError, "order mismatch: point has 3, function has 2"),
+            (lambda f: f.derivative(cf.identity(3)), DimensionError, "order mismatch: point has 3, function has 2"),
+            (
+                lambda f: cf.numeric_derivative(f, cf.identity(2), IncrementSpec(cf.identity(3), 1e-6)),
+                DimensionError,
+                "order mismatch: direction has 3, point has 2",
+            ),
+        ],
+        ids=["no-coefficient", "mixed-orders", "times-int", "evaluate", "derivative", "increment"],
+    )
+    def test_bad_operand_names_the_order(self, call, error, message):
+        f = PolyFunction(CircPoly.from_scalars([1, 0], 2))
+        assert repr(f.P) == "CircPoly(d=2, degree=1)"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(f)
 
 
 class TestChannelDecomposition:
@@ -478,6 +505,12 @@ def one_of_each_kind(rng, d):
 
 
 class TestChannelModel:
+    @pytest.mark.parametrize("channels, message", [([3], "3"), (range(1, 3), "1, 2")])
+    def test_singularity_default_message_names_the_channels(self, channels, message):
+        error = ChannelSingularityError(channels)
+        assert error.channels == tuple(channels)
+        assert str(error) == f"singular at channel(s) {message}"
+
     @pytest.mark.parametrize("kind", [0, 1, 2], ids=["poly", "rational", "exppoly"])
     def test_restricted_logderiv_selects_columns(self, rng, kind):
         # A skip mask leaves every column's bits as they are without it.

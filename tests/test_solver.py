@@ -86,6 +86,24 @@ class TestScalarRoots:
         np.testing.assert_allclose(r.roots, roots, atol=1e-4)
         np.testing.assert_array_equal(r.multiplicities, mults)
 
+    @pytest.mark.parametrize(
+        "roots, mults",
+        [
+            ([-0.0077 + 0.0302j, -0.029 - 0.0188j, -0.0128 - 0.0117j], [4, 4, 4]),
+            ([-0.0129, 0.0155 + 0.0302j, -0.0265 + 0.0032j], [4, 2, 4]),
+            ([-0.0118 - 0.0186j, -0.0115 + 0.0015j, -0.0015 - 0.0123j], [4, 4, 4]),
+        ],
+    )
+    def test_companion_fallback_separates_stalled_clusters(self, roots, mults):
+        # Aberth stalls on these rows of the multiplicity-4 sweep.  Its last
+        # iterates merge into the counts [8, 4], [10] and [12]; the
+        # companion-matrix eigenvalues give every root its multiplicity.
+        roots = np.array(roots)
+        r = cf.solve_scalar_poly(np.poly(np.repeat(roots, mults)))
+        nearest = np.argmin(np.abs(r.roots[:, None] - roots[None, :]), axis=1)
+        assert sorted(nearest.tolist()) == list(range(len(roots)))
+        np.testing.assert_array_equal(r.multiplicities, np.array(mults)[nearest])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_seeded_sweep_gives_exact_multiplicities(self):
         # 1 to 3 distinct roots of multiplicity 1 to 3, with moduli in
@@ -146,6 +164,11 @@ class TestScalarRoots:
             cf.solve_scalar_poly([3.0])
         with pytest.raises(DegeneratePolynomialError):
             cf.solve_scalar_poly([0.0, 0.0])
+
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-D"])
+    def test_coefficients_must_be_a_nonempty_vector(self, coeffs):
+        with pytest.raises(ValueError, match="^coefficients must be a nonempty vector$"):
+            cf.solve_scalar_poly(coeffs)
 
     @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf], [1.0, 2.0, complex(0, -np.inf)]])
     def test_non_finite_coefficients_rejected(self, coeffs):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -73,6 +74,12 @@ class TestFromSpectrum:
         for d in (2, 3, 17, 64):
             x = random_circulant(rng, d)
             assert_circ_close(cf.from_spectrum(cf.spectrum(x)), x, 1e-10)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 2)])
+    def test_spectrum_must_be_a_vector_of_length_two(self, shape):
+        message = f"spectrum must be a vector of length >= 2, got shape {shape}"
+        with pytest.raises(cf.DimensionError, match=f"^{re.escape(message)}$"):
+            cf.from_spectrum(np.ones(shape))
 
     def test_spectrum_of_reconstruction(self, rng):
         u = rng.standard_normal(10) + 1j * rng.standard_normal(10)
