@@ -43,7 +43,8 @@ from .errors import (
     InvalidIncrementError,
 )
 from .spectral import (
-    _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, pseudoinverse, spectrum,
+    _inverted_spectrum, _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible,
+    pseudoinverse, spectrum,
 )
 from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
@@ -342,7 +343,9 @@ class PolyFunction(CircFunction):
 
 
 class RationalFunction(CircFunction):
-    """P(Z) Q(Z)^+, evaluated in the ring."""
+    """P(Z) Q(Z)^+: evaluated channel-wise at FFT orders, as the base class
+    evaluates, and in the ring below them, where the ring is as fast, or
+    where a spectrum or channel value overflows."""
 
     kind, LETTERS = "rational", ("P", "Q")
 
@@ -350,6 +353,12 @@ class RationalFunction(CircFunction):
         super().__init__(P, Q)
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
+        if self.d >= FFT_THRESHOLD:
+            try:
+                with np.errstate(over="raise", invalid="raise"):  # an overflow is taken again in the ring
+                    return super().evaluate_with_report(z)
+            except FloatingPointError:
+                pass
         self._check_order(z)
         inverse, zeroed = _pinv_row(self.Q.evaluate(z))
         return core.mul(self.P.evaluate(z), Circulant(inverse)), tuple((np.flatnonzero(zeroed) + 1).tolist())
@@ -489,10 +498,22 @@ def numeric_derivative(f: CircFunction, z: Circulant, inc: IncrementSpec) -> Cir
     """First-order difference quotient (F(Z + dZ) - F(Z)) * dZ^-1.
 
     Converges linearly in ``inc.delta`` to :func:`derivative` at smooth
-    points; kept as an independent cross-check of the channel rule.
+    points; kept as an independent cross-check of the channel rule.  F is
+    evaluated at both points in the ring; the product with dZ^-1 is taken in
+    the spectrum, the spectrum of the difference times the inverted spectrum
+    of dZ (:func:`circfun.spectral._inverted_spectrum`), with one inverse
+    transform.  A spectrum that overflows, though the quotient may be a
+    float, is left for the ring product with the pseudoinverse, which
+    rescales.
     """
     if inc.direction.d != z.d:
         raise DimensionError(f"order mismatch: direction has {inc.direction.d}, point has {z.d}")
     dz = core.scale(inc.delta, inc.direction)
     diff = core.add(f.evaluate(core.add(z, dz)), core.neg(f.evaluate(z)))
-    return core.mul(diff, pseudoinverse(dz))
+    inverted, _, factor = _inverted_spectrum(dz)
+    try:
+        with np.errstate(over="raise"):
+            quotient = from_spectrum(spectrum(diff) * inverted)
+    except FloatingPointError:
+        return core.mul(diff, pseudoinverse(dz))
+    return quotient if factor == 1.0 else core.scale(factor, quotient)

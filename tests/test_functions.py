@@ -28,7 +28,7 @@ from circfun.functions import (
     _with_derivative,
     polyval_with_scale,
 )
-from circfun.spectral import RANK_REL_TOL, forward_rows
+from circfun.spectral import RANK_REL_TOL, _pinv_row, forward_rows
 from circfun.testkit import dense_mul, random_circulant, random_invertible_circulant, random_regular_poly
 
 from conftest import assert_circ_close
@@ -363,15 +363,40 @@ class TestFuncEval:
 
     @pytest.mark.parametrize("d", [8, 31, 32, 64])
     def test_rational_is_the_ring_product_with_the_pseudoinverse(self, rng, d):
-        # Q(Z) is transformed once; its spectrum serves both the pseudoinverse
-        # and the report, bit for bit as the two separate calls give them.
+        # Below FFT_THRESHOLD the value is the ring product P(Z) Q(Z)^+, bit
+        # for bit; at FFT orders it is the channel rule's value, bit for bit,
+        # and the dense oracle's: value Q(Z) = P(Z).  Q's values, once
+        # computed, give the report on either path.
         p, q = random_regular_poly(rng, d, 3), random_regular_poly(rng, d, 2)
         z = random_circulant(rng, d)
-        value, zeroed = RationalFunction(p, q).evaluate_with_report(z)
-        qz = q.evaluate(z)
-        assert np.array_equal(value.row, cf.mul(p.evaluate(z), cf.pseudoinverse(qz)).row)
-        magnitude = np.abs(cf.spectrum(qz))
+        f = RationalFunction(p, q)
+        value, zeroed = f.evaluate_with_report(z)
+        if d < FFT_THRESHOLD:
+            qz = q.evaluate(z)
+            assert np.array_equal(value.row, cf.mul(p.evaluate(z), cf.pseudoinverse(qz)).row)
+            magnitude = np.abs(cf.spectrum(qz))
+        else:
+            u = cf.spectrum(z)
+            assert np.array_equal(value.row, cf.from_spectrum(f.channel_values(u)).row)
+            dense_z = cf.to_dense(z)
+            lhs = dense_mul(cf.to_dense(value), dense_horner(q, dense_z))
+            rhs = dense_horner(p, dense_z)
+            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+            magnitude = np.abs(_horner(q.channel_matrix(), u))
         assert zeroed == tuple((np.flatnonzero(magnitude <= RANK_REL_TOL * d * magnitude.max()) + 1).tolist())
+
+    @pytest.mark.parametrize("d", [32, 64, 1024])
+    def test_planted_vanishing_channel_is_zeroed_on_both_paths(self, rng, d):
+        # Q = Z - u_8 I vanishes on channel 8 at Z.  The channel path zeroes
+        # and reports it, as the ring product with the pseudoinverse does.
+        z = random_circulant(rng, d)
+        p = random_regular_poly(rng, d, 3)
+        q = CircPoly([cf.identity(d), cf.scale(-cf.spectrum(z)[7], cf.identity(d))])
+        value, zeroed = RationalFunction(p, q).evaluate_with_report(z)
+        inverse, ring_zeroed = _pinv_row(q.evaluate(z))
+        ring = cf.mul(p.evaluate(z), cf.Circulant(inverse))
+        assert zeroed == tuple((np.flatnonzero(ring_zeroed) + 1).tolist()) == (8,)
+        assert np.max(np.abs(value.row - ring.row)) <= 1e-13 * np.max(np.abs(ring.row))
 
     def test_rational_inverts_an_overflowing_spectrum_scaled(self):
         # Q(Z) = Z = circ(1e308, 1e308) has the spectrum (2e308, 0): channel 1
@@ -906,3 +931,71 @@ class TestNumericDerivative:
         approx = cf.numeric_derivative(f, z, inc)
         rel = cf.frobenius_norm(approx - exact) / max(1e-12, cf.frobenius_norm(exact))
         assert rel <= 1e-4
+
+    @pytest.mark.parametrize("d", [8, 64, 1024])
+    def test_is_the_spectral_product_with_the_inverse_increment(self, rng, d):
+        # The product with dZ^-1 is taken in the spectrum: it is the ring
+        # product with the pseudoinverse of dZ, up to rounding.
+        f = RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1))
+        z = random_invertible_circulant(rng, d, lo=2.0, hi=3.0)
+        inc = IncrementSpec(direction=random_invertible_circulant(rng, d), delta=1e-6)
+        approx = cf.numeric_derivative(f, z, inc)
+        dz = cf.scale(inc.delta, inc.direction)
+        ring = cf.mul(f.evaluate(z + dz) - f.evaluate(z), cf.pseudoinverse(dz))
+        assert cf.frobenius_norm(approx - ring) <= 1e-12 * cf.frobenius_norm(ring)
+        exact = f.derivative(z)
+        assert cf.frobenius_norm(approx - exact) <= 1e-4 * cf.frobenius_norm(exact)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_quotient_near_the_float_limit(self, d):
+        # P = (1e308 / d) E Z^2 at I, E the matrix of units: P'(I) = 2 P(I)
+        # has the eigenvalue 2e308, which is not a float, though its entries
+        # are 2 (1e308 / d).  The spectral product overflows, and the ring
+        # product, which rescales, gives the quotient.
+        f = PolyFunction(CircPoly([cf.scale(1e308 / d, cf.ones(d)), cf.zero(d), cf.zero(d)]))
+        z = cf.identity(d)
+        inc = IncrementSpec(direction=cf.identity(d), delta=1e-6)
+        approx = cf.numeric_derivative(f, z, inc)
+        entry = 2 * (1e308 / d)
+        np.testing.assert_allclose(approx.row, np.full(d, entry), rtol=1e-5, atol=1e-9 * entry)
+        dz = cf.scale(inc.delta, inc.direction)
+        ring = cf.mul(f.evaluate(z + dz) - f.evaluate(z), cf.pseudoinverse(dz))
+        assert approx.row.tobytes() == ring.row.tobytes()
+
+
+class TestTransformCount:
+    """FFT calls per evaluation, on fresh objects: no cache is warm."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+
+        def counted(kernel):
+            return lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs)
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        return calls
+
+    @pytest.mark.parametrize("d, expected", [(16, 0), (64, 4)])
+    def test_rational_evaluation(self, fft_calls, rng, d, expected):
+        # The spectrum of Z, P's and Q's stacked coefficient spectra, and one
+        # inverse transform.
+        f = RationalFunction(random_regular_poly(rng, d, 3), random_regular_poly(rng, d, 1))
+        z = random_circulant(rng, d)
+        fft_calls.clear()
+        f.evaluate_with_report(z)
+        assert len(fft_calls) == expected
+
+    @pytest.mark.parametrize("d, expected", [(16, 0), (64, 8)])
+    def test_difference_quotient(self, fft_calls, rng, d, expected):
+        # Ring Horner at Z + dZ (P's spectra, Z + dZ, the inverse) and at Z
+        # (Z, the inverse); then the spectra of dZ and of the difference, and
+        # one inverse transform.
+        f = PolyFunction(random_regular_poly(rng, d, 3))
+        z = random_circulant(rng, d)
+        inc = IncrementSpec(direction=random_invertible_circulant(rng, d), delta=1e-6)
+        fft_calls.clear()
+        cf.numeric_derivative(f, z, inc)
+        assert len(fft_calls) == expected
