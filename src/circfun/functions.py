@@ -43,8 +43,7 @@ from .errors import (
     InvalidIncrementError,
 )
 from .spectral import (
-    _inverted_spectrum, _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible,
-    pseudoinverse, spectrum,
+    _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, pseudoinverse, spectrum,
 )
 from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
@@ -246,19 +245,22 @@ class CircFunction:
         zeroed, as the pseudoinverse zeroes it."""
         return self._values_and_zeroed(u)[0]
 
-    def _values_and_zeroed(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _values_and_zeroed(self, u: np.ndarray, raw: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """:meth:`channel_values` and the mask of the channels it zeroes (None
-        without Q), in one pass of Q; at a NaN threshold neither holds."""
-        value, zeroed = _horner(self.P.channel_matrix(), u), None
+        without Q), in one pass of Q; at a NaN threshold neither holds.  With
+        ``raw`` the parts' raw spectra, which ring Horner reads, stand in for
+        their snapped channel matrices."""
+        coefficients = CircPoly._raw_spectra if raw else CircPoly.channel_matrix
+        value, zeroed = _horner(coefficients(self.P), u), None
         if self.Q is not None:
-            q = _horner(self.Q.channel_matrix(), u)
+            q = _horner(coefficients(self.Q), u)
             magnitude = np.abs(q)
             threshold = _rank_threshold(magnitude)
             keep, zeroed = magnitude > threshold, magnitude <= threshold
             p, value = value, np.zeros_like(value)
             value[keep] = p[keep] / q[keep]
         if self.G is not None:
-            g = _horner(self.G.channel_matrix(), u)
+            g = _horner(coefficients(self.G), u)
             value = _times_exp(value, g, "P exp(G)" if self.Q is None else "P Q^+ exp(G)")
         return value, zeroed
 
@@ -343,9 +345,10 @@ class PolyFunction(CircFunction):
 
 
 class RationalFunction(CircFunction):
-    """P(Z) Q(Z)^+: evaluated channel-wise at FFT orders, as the base class
-    evaluates, and in the ring below them, where the ring is as fast, or
-    where a spectrum or channel value overflows."""
+    """P(Z) Q(Z)^+: evaluated channel-wise at FFT orders, on the raw spectra
+    that ring Horner reads, and in the ring below them, where the ring is as
+    fast, at a point whose spectrum is not finite, or where a channel value
+    overflows."""
 
     kind, LETTERS = "rational", ("P", "Q")
 
@@ -353,13 +356,16 @@ class RationalFunction(CircFunction):
         super().__init__(P, Q)
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        if self.d >= FFT_THRESHOLD:
-            try:
-                with np.errstate(over="raise", invalid="raise"):  # an overflow is taken again in the ring
-                    return super().evaluate_with_report(z)
-            except FloatingPointError:
-                pass
         self._check_order(z)
+        if self.d >= FFT_THRESHOLD:
+            u = spectrum(z)
+            if np.isfinite(u).all():  # a NaN raises no flag below, and would zero every channel
+                try:
+                    with np.errstate(over="raise", invalid="raise"):  # an overflow is taken again in the ring
+                        values, zeroed = self._values_and_zeroed(u, raw=True)
+                    return from_spectrum(values), tuple((np.flatnonzero(zeroed) + 1).tolist())
+                except FloatingPointError:
+                    pass
         inverse, zeroed = _pinv_row(self.Q.evaluate(z))
         return core.mul(self.P.evaluate(z), Circulant(inverse)), tuple((np.flatnonzero(zeroed) + 1).tolist())
 
@@ -498,22 +504,10 @@ def numeric_derivative(f: CircFunction, z: Circulant, inc: IncrementSpec) -> Cir
     """First-order difference quotient (F(Z + dZ) - F(Z)) * dZ^-1.
 
     Converges linearly in ``inc.delta`` to :func:`derivative` at smooth
-    points; kept as an independent cross-check of the channel rule.  F is
-    evaluated at both points in the ring; the product with dZ^-1 is taken in
-    the spectrum, the spectrum of the difference times the inverted spectrum
-    of dZ (:func:`circfun.spectral._inverted_spectrum`), with one inverse
-    transform.  A spectrum that overflows, though the quotient may be a
-    float, is left for the ring product with the pseudoinverse, which
-    rescales.
+    points; kept as an independent cross-check of the channel rule.
     """
     if inc.direction.d != z.d:
         raise DimensionError(f"order mismatch: direction has {inc.direction.d}, point has {z.d}")
     dz = core.scale(inc.delta, inc.direction)
     diff = core.add(f.evaluate(core.add(z, dz)), core.neg(f.evaluate(z)))
-    inverted, _, factor = _inverted_spectrum(dz)
-    try:
-        with np.errstate(over="raise"):
-            quotient = from_spectrum(spectrum(diff) * inverted)
-    except FloatingPointError:
-        return core.mul(diff, pseudoinverse(dz))
-    return quotient if factor == 1.0 else core.scale(factor, quotient)
+    return core.mul(diff, pseudoinverse(dz))

@@ -139,26 +139,17 @@ def _scaled_spectrum(x: Circulant, rel_tol: float | None = None) -> tuple[np.nda
     return u, magnitudes, _rank_threshold(magnitudes, rel_tol), factor
 
 
-def _inverted_spectrum(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(inverted, zeroed, factor) for the circulant ``x``, from
-    :func:`_scaled_spectrum`: the spectrum of pinv(factor * x), 1/u on the
-    channels above the rank threshold and 0 on the rest; the mask of the
-    channels it zeroes (all of them when every eigenvalue vanishes; none at
-    a NaN threshold); and the factor: pinv(x) is ``factor`` times the
-    inverse transform of ``inverted``, since pinv(2^e Y) = 2^-e pinv(Y)."""
+def _pinv_row(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """First row of the pseudoinverse of ``x`` and the mask of the channels
+    it zeroes, those at or below the rank threshold (all of them when every
+    eigenvalue vanishes; none at a NaN threshold), from
+    :func:`_scaled_spectrum`: pinv(2^e Y) = 2^-e pinv(Y)."""
     u, magnitudes, threshold, factor = _scaled_spectrum(x, rel_tol)
     keep = magnitudes > threshold
     inverted = np.zeros_like(u)
     inverted[keep] = 1.0 / u[keep]
-    return inverted, magnitudes <= threshold, factor
-
-
-def _pinv_row(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """First row of the pseudoinverse of ``x`` and the mask of the channels
-    it zeroes, from :func:`_inverted_spectrum`."""
-    inverted, zeroed, factor = _inverted_spectrum(x, rel_tol)
     row = inverse_rows(inverted[None])[0]
-    return (row if factor == 1.0 else factor * row), zeroed
+    return (row if factor == 1.0 else factor * row), magnitudes <= threshold
 
 
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:

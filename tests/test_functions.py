@@ -363,27 +363,56 @@ class TestFuncEval:
 
     @pytest.mark.parametrize("d", [8, 31, 32, 64])
     def test_rational_is_the_ring_product_with_the_pseudoinverse(self, rng, d):
-        # Below FFT_THRESHOLD the value is the ring product P(Z) Q(Z)^+, bit
-        # for bit; at FFT orders it is the channel rule's value, bit for bit,
-        # and the dense oracle's: value Q(Z) = P(Z).  Q's values, once
-        # computed, give the report on either path.
+        # The value is the ring product P(Z) Q(Z)^+: bit for bit below
+        # FFT_THRESHOLD, where the ring product is the path, and to rounding
+        # at FFT orders, where the channel rule is.  The report is the
+        # pseudoinverse's.
         p, q = random_regular_poly(rng, d, 3), random_regular_poly(rng, d, 2)
         z = random_circulant(rng, d)
+        value, zeroed = RationalFunction(p, q).evaluate_with_report(z)
+        inverse, ring_zeroed = _pinv_row(q.evaluate(z))
+        ring = cf.mul(p.evaluate(z), cf.Circulant(inverse))
+        if d < FFT_THRESHOLD:
+            assert np.array_equal(value.row, ring.row)
+        else:
+            assert cf.frobenius_norm(value - ring) <= 1e-12 * cf.frobenius_norm(ring)
+        assert zeroed == tuple((np.flatnonzero(ring_zeroed) + 1).tolist())
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_rational_channel_path_at_fft_orders(self, rng, d, spread, scale):
+        # At FFT orders the value is P_i(u_i) / Q_i(u_i), bit for bit, on the
+        # raw spectra that ring Horner reads, not on the snapped channel
+        # matrices: with coefficients spread over 1e-16..1 the smallest row
+        # snaps, yet near Z = 0 it is the largest term.  Where nothing snaps
+        # that is the channel rule's value.  The dense oracle: value Q(Z) = P(Z).
+        if spread:
+            p, q = spread_poly(rng, d), spread_poly(rng, d)
+        else:
+            p, q = random_regular_poly(rng, d, 3), random_regular_poly(rng, d, 3)
+        z = cf.scale(scale, random_circulant(rng, d))
         f = RationalFunction(p, q)
         value, zeroed = f.evaluate_with_report(z)
-        if d < FFT_THRESHOLD:
-            qz = q.evaluate(z)
-            assert np.array_equal(value.row, cf.mul(p.evaluate(z), cf.pseudoinverse(qz)).row)
-            magnitude = np.abs(cf.spectrum(qz))
-        else:
-            u = cf.spectrum(z)
+        u = cf.spectrum(z)
+        quotient = _horner(p._raw_spectra(), u) / _horner(q._raw_spectra(), u)
+        assert zeroed == () and np.array_equal(value.row, cf.from_spectrum(quotient).row)
+        if not spread:
             assert np.array_equal(value.row, cf.from_spectrum(f.channel_values(u)).row)
-            dense_z = cf.to_dense(z)
-            lhs = dense_mul(cf.to_dense(value), dense_horner(q, dense_z))
-            rhs = dense_horner(p, dense_z)
-            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
-            magnitude = np.abs(_horner(q.channel_matrix(), u))
-        assert zeroed == tuple((np.flatnonzero(magnitude <= RANK_REL_TOL * d * magnitude.max()) + 1).tolist())
+        dense_z = cf.to_dense(z)
+        lhs = dense_mul(cf.to_dense(value), dense_horner(q, dense_z))
+        rhs = dense_horner(p, dense_z)
+        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_rational_at_a_nan_point_is_nan_on_both_paths(self, d):
+        # A NaN raises no floating-point flag, and at its NaN rank threshold
+        # the channel rule would keep no channel and give 0; the ring product
+        # gives NaN, below FFT_THRESHOLD and at FFT orders alike.
+        f = RationalFunction(CircPoly.from_scalars([1, 2], d), CircPoly.from_scalars([1, 3], d))
+        with np.errstate(all="ignore"):
+            value, zeroed = f.evaluate_with_report(cf.Circulant(np.full(d, np.nan)))
+        assert np.isnan(value.row).all() and zeroed == ()
 
     @pytest.mark.parametrize("d", [32, 64, 1024])
     def test_planted_vanishing_channel_is_zeroed_on_both_paths(self, rng, d):
@@ -932,37 +961,6 @@ class TestNumericDerivative:
         rel = cf.frobenius_norm(approx - exact) / max(1e-12, cf.frobenius_norm(exact))
         assert rel <= 1e-4
 
-    @pytest.mark.parametrize("d", [8, 64, 1024])
-    def test_is_the_spectral_product_with_the_inverse_increment(self, rng, d):
-        # The product with dZ^-1 is taken in the spectrum: it is the ring
-        # product with the pseudoinverse of dZ, up to rounding.
-        f = RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1))
-        z = random_invertible_circulant(rng, d, lo=2.0, hi=3.0)
-        inc = IncrementSpec(direction=random_invertible_circulant(rng, d), delta=1e-6)
-        approx = cf.numeric_derivative(f, z, inc)
-        dz = cf.scale(inc.delta, inc.direction)
-        ring = cf.mul(f.evaluate(z + dz) - f.evaluate(z), cf.pseudoinverse(dz))
-        assert cf.frobenius_norm(approx - ring) <= 1e-12 * cf.frobenius_norm(ring)
-        exact = f.derivative(z)
-        assert cf.frobenius_norm(approx - exact) <= 1e-4 * cf.frobenius_norm(exact)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("d", [16, 64])
-    def test_quotient_near_the_float_limit(self, d):
-        # P = (1e308 / d) E Z^2 at I, E the matrix of units: P'(I) = 2 P(I)
-        # has the eigenvalue 2e308, which is not a float, though its entries
-        # are 2 (1e308 / d).  The spectral product overflows, and the ring
-        # product, which rescales, gives the quotient.
-        f = PolyFunction(CircPoly([cf.scale(1e308 / d, cf.ones(d)), cf.zero(d), cf.zero(d)]))
-        z = cf.identity(d)
-        inc = IncrementSpec(direction=cf.identity(d), delta=1e-6)
-        approx = cf.numeric_derivative(f, z, inc)
-        entry = 2 * (1e308 / d)
-        np.testing.assert_allclose(approx.row, np.full(d, entry), rtol=1e-5, atol=1e-9 * entry)
-        dz = cf.scale(inc.delta, inc.direction)
-        ring = cf.mul(f.evaluate(z + dz) - f.evaluate(z), cf.pseudoinverse(dz))
-        assert approx.row.tobytes() == ring.row.tobytes()
-
 
 class TestTransformCount:
     """FFT calls per evaluation, on fresh objects: no cache is warm."""
@@ -988,11 +986,11 @@ class TestTransformCount:
         f.evaluate_with_report(z)
         assert len(fft_calls) == expected
 
-    @pytest.mark.parametrize("d, expected", [(16, 0), (64, 8)])
+    @pytest.mark.parametrize("d, expected", [(16, 0), (64, 10)])
     def test_difference_quotient(self, fft_calls, rng, d, expected):
         # Ring Horner at Z + dZ (P's spectra, Z + dZ, the inverse) and at Z
-        # (Z, the inverse); then the spectra of dZ and of the difference, and
-        # one inverse transform.
+        # (Z, the inverse); the pseudoinverse of dZ (its spectrum, the
+        # inverse); the ring product (both operands, the inverse).
         f = PolyFunction(random_regular_poly(rng, d, 3))
         z = random_circulant(rng, d)
         inc = IncrementSpec(direction=random_invertible_circulant(rng, d), delta=1e-6)
