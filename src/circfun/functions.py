@@ -13,18 +13,16 @@ the spectrum; differentiation uses the channel rule: the derivative's i-th
 eigenvalue is the ordinary scalar derivative of the i-th channel function at
 the i-th eigenvalue of the argument.  A finite-difference variant is provided
 for cross-validation.  An exp(G_i), or a product with it, that overflows
-raises (:func:`_times_exp`).
+raises (:func:`_times_exp`), as does a value that overflows.  A value or
+derivative at a matrix point reads the raw coefficient spectra at every order,
+as ring Horner does; only the log-derivative,
+:meth:`CircFunction.channel_values` (the limit scan's witness) and the solver
+read the snapped channel matrix, where exact degree drops must stay exact.
 Every channel-wise pass, here, in the solver and in the limit scans, runs the
 one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
 FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
 and the scale is the loop over |c_k| at |u|.  Every pass runs on all d
 channels; the limit scan masks the degenerate ones.
-
-A :class:`CircPoly` caches, read-only and for its lifetime, the raw spectra
-of its coefficient rows, (degree + 1) * d complex entries; the channel matrix,
-which is that same array unless an entry snaps, and only then a copy of it;
-and the channel matrix's moduli, (degree + 1) * d floats, the one modulus
-pass the snap test takes, with the snapped entries zeroed.
 """
 
 from __future__ import annotations
@@ -37,11 +35,7 @@ import numpy as np
 
 from . import core
 from .core import FFT_THRESHOLD, Circulant, _horner, _mul_rows
-from .errors import (
-    ChannelSingularityError,
-    DimensionError,
-    InvalidIncrementError,
-)
+from .errors import ChannelSingularityError, DimensionError, InvalidIncrementError
 from .spectral import (
     _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, pseudoinverse, spectrum,
 )
@@ -53,11 +47,12 @@ class CircPoly:
 
     ``CircPoly([a0, a1, a2])`` represents a0*Z^2 + a1*Z + a2.
 
-    The coefficient rows are transformed once, in one stacked call, when
-    the channel matrix or ring Horner at FFT orders first needs them.
-    Snapping, effective degrees, the scale passes of the limit scan and ring
-    Horner then read the cached arrays: the raw spectra, the channel matrix
-    and its moduli (``_moduli``), the last two made together.
+    The coefficient rows are transformed once, in one stacked call, when a
+    pass first needs them, and cached read-only for the polynomial's
+    lifetime: the raw spectra, (degree + 1) * d complex entries; the channel
+    matrix, that same array unless an entry snaps, and only then a copy; and
+    its moduli (``_moduli``), (degree + 1) * d floats, made with it in the
+    one modulus pass of the snap test, with the snapped entries zeroed.
     """
 
     def __init__(self, coeffs: Sequence[Circulant]):
@@ -114,12 +109,12 @@ class CircPoly:
 
         Transform round-off is zeroed by the table's ``SPECTRAL_SNAP_REL_TOL``
         (:mod:`circfun.tolerances`): kept, it would turn exact channel degree
-        drops into huge spurious terms at large arguments.  Computed once
-        from the raw spectra and cached, with the largest magnitude S
-        (snapping leaves it in place) and the moduli ``_moduli``: one modulus
-        pass serves S, the snap test and the moduli, zeroed where an entry
-        snaps.  When no entry snaps, the matrix is the raw spectra array
-        itself; otherwise it is a snapped copy.  Both arrays are read-only.
+        drops into huge spurious terms at large arguments.  So the degrees,
+        the log-derivative, ``channel_values`` and the solver read it; a value
+        or derivative at a matrix point reads the raw spectra.  Cached with
+        the largest magnitude S, which snapping leaves in place, and the
+        moduli ``_moduli``, all from one modulus pass; it is the raw spectra
+        array itself when no entry snaps, else a read-only snapped copy.
         """
         if self._channel_matrix is None:
             cm = self._raw_spectra()
@@ -265,16 +260,16 @@ class CircFunction:
         return value, zeroed
 
     def channel_derivatives(self, u: np.ndarray) -> np.ndarray:
-        """F_i'(u_i) on every channel: the quotient rule where Q is present,
-        then the product rule with exp(G_i).  A pole, or an exp(G_i) or
-        product with it that overflows, raises ChannelSingularityError."""
-        p, dp = _value_and_derivative(self.P, u)
+        """F_i'(u_i) on every channel, on the raw spectra: the quotient rule
+        where Q is present, then the product rule with exp(G_i).  A pole, or
+        an overflow of exp(G_i) or the product, raises ChannelSingularityError."""
+        p, dp = _value_and_derivative(self.P._raw_spectra(), u)
         if self.Q is not None:
-            dq, q, q_scale = _quotient_terms(self.Q, u)
-            _raise_on_zero([(q, q_scale, "Q")])
+            q, dq = _value_and_derivative(self.Q._raw_spectra(), u)
+            _raise_on_zero([(q, _horner(np.abs(self.Q._raw_spectra()), np.abs(u)), "Q")])
             dp = (dp * q - dq * p) / (q * q)
         if self.G is not None:
-            g, dg = _value_and_derivative(self.G, u)
+            g, dg = _value_and_derivative(self.G._raw_spectra(), u)
             ratio = p if self.Q is None else p / q
             dp = _times_exp(dp + ratio * dg, g, "F'")
         return dp
@@ -306,18 +301,23 @@ class CircFunction:
         if self.G is None and witness is None:
             return dlog
         with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows diverges
-            dg = 0.0 if self.G is None else _value_and_derivative(self.G, u, part=1)
+            dg = 0.0 if self.G is None else _value_and_derivative(self.G.channel_matrix(), u, part=1)
             return dlog + (dg if witness is None else dg - witness(u))
 
     def evaluate(self, z: Circulant) -> Circulant:
-        value, _ = self.evaluate_with_report(z)
-        return value
+        return self.evaluate_with_report(z)[0]
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        """Evaluate channel-wise and report the 1-based channels that the
-        rank threshold of Q zeroes (none without Q)."""
+        """Evaluate channel-wise on the raw spectra and report the 1-based
+        channels that the rank threshold of Q zeroes (none without Q).  A
+        value that overflows at a finite eigenvalue raises, naming them."""
         self._check_order(z)
-        values, zeroed = self._values_and_zeroed(spectrum(z))
+        u = spectrum(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is named next
+            values, zeroed = self._values_and_zeroed(u, raw=True)
+        overflow = np.isfinite(u) & ~np.isfinite(values)
+        if overflow.any():
+            _raise_where(overflow[None], ["F overflows"])
         return from_spectrum(values), () if zeroed is None else tuple((np.flatnonzero(zeroed) + 1).tolist())
 
     def derivative(self, z: Circulant) -> Circulant:
@@ -332,7 +332,7 @@ class CircFunction:
 
 
 class PolyFunction(CircFunction):
-    """P(Z), evaluated by ring Horner."""
+    """P(Z) by ring Horner, which takes no transform below ``FFT_THRESHOLD``."""
 
     kind, LETTERS = "poly", ("P",)
 
@@ -345,10 +345,9 @@ class PolyFunction(CircFunction):
 
 
 class RationalFunction(CircFunction):
-    """P(Z) Q(Z)^+: evaluated channel-wise at FFT orders, on the raw spectra
-    that ring Horner reads, and in the ring below them, where the ring is as
-    fast, at a point whose spectrum is not finite, or where a channel value
-    overflows."""
+    """P(Z) Q(Z)^+, channel-wise on the raw spectra at every order (the ring
+    product adds a pseudoinverse and a product), and in the ring only at a
+    point whose spectrum is not finite, or where a channel value overflows."""
 
     kind, LETTERS = "rational", ("P", "Q")
 
@@ -357,15 +356,14 @@ class RationalFunction(CircFunction):
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
-        if self.d >= FFT_THRESHOLD:
-            u = spectrum(z)
-            if np.isfinite(u).all():  # a NaN raises no flag below, and would zero every channel
-                try:
-                    with np.errstate(over="raise", invalid="raise"):  # an overflow is taken again in the ring
-                        values, zeroed = self._values_and_zeroed(u, raw=True)
+        try:
+            with np.errstate(over="raise", invalid="raise"):  # an overflow is taken again in the ring
+                u = spectrum(z)
+                if np.isfinite(u).all():  # a NaN raises no flag, and would zero every channel
+                    values, zeroed = self._values_and_zeroed(u, raw=True)
                     return from_spectrum(values), tuple((np.flatnonzero(zeroed) + 1).tolist())
-                except FloatingPointError:
-                    pass
+        except FloatingPointError:
+            pass
         inverse, zeroed = _pinv_row(self.Q.evaluate(z))
         return core.mul(self.P.evaluate(z), Circulant(inverse)), tuple((np.flatnonzero(zeroed) + 1).tolist())
 
@@ -403,20 +401,20 @@ def _times_exp(factor: np.ndarray, g: np.ndarray, product: str) -> np.ndarray:
 
 def _quotient_terms(poly: CircPoly, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """(P'(u), P(u), scale of P(u)) on every channel of ``u``, shape (d,) or
-    (S, d); the scale is what :func:`_raise_on_zero` measures P(u) against.
-    Each is bit for bit what :func:`polyval_with_scale` gives on its own
-    rows; the scale pass reads the cached moduli of ``poly``.
-    """
-    p, dp = _value_and_derivative(poly, u)
+    (S, d), on the snapped channel matrix, as the log-derivative reads it;
+    the scale is what :func:`_raise_on_zero` measures P(u) against.  Each is
+    bit for bit what :func:`polyval_with_scale` gives on its own rows; the
+    scale pass reads the cached moduli of ``poly``."""
+    p, dp = _value_and_derivative(poly.channel_matrix(), u)
     return dp, p, _horner(poly._moduli, np.abs(u))
 
 
-def _value_and_derivative(poly: CircPoly, u: np.ndarray, part=slice(None)) -> np.ndarray:
-    """(P(u), P'(u)) on every channel of ``u``, shape (d,) or (S, d), in one
-    Horner pass over the rows of :func:`_with_derivative` of the channel
-    matrix; ``part=1`` takes P'(u) alone, bit for bit, over the P' rows only."""
-    cm = poly.channel_matrix()
-    return _horner(_with_derivative(cm.reshape(cm.shape[0], *(1,) * (u.ndim - 1), -1))[:, part], u)
+def _value_and_derivative(coeffs: np.ndarray, u: np.ndarray, part=slice(None)) -> np.ndarray:
+    """(P(u), P'(u)) on every channel of ``u``, shape (d,) or (S, d), for the
+    channel coefficients ``coeffs`` of P (raw spectra or channel matrix), in
+    one Horner pass over the rows of :func:`_with_derivative`; ``part=1``
+    takes P'(u) alone, bit for bit, over the P' rows only."""
+    return _horner(_with_derivative(coeffs.reshape(coeffs.shape[0], *(1,) * (u.ndim - 1), -1))[:, part], u)
 
 
 def _raise_on_zero(checks, skip=False) -> None:

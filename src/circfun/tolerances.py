@@ -44,7 +44,9 @@ Where each acts:
   sets each channel's effective degree (``CircPoly.channel_degrees``), and
   through it ``classify`` and the channel kinds of ``solve_circ_poly``.
 * SPECTRAL_SNAP_REL_TOL: transform round-off at or below it is snapped to
-  zero in ``CircPoly.channel_matrix``, so that exact degree drops stay exact.
+  zero in ``CircPoly.channel_matrix``, so that exact degree drops stay exact
+  where the degrees, the log-derivative, ``channel_values`` and the solver
+  read it; a value or derivative at a matrix point reads the raw spectra.
 * SINGULARITY_REL_TOL: a channel value of P or Q at or below it times s(u)
   is a zero or pole of the log-derivative and derivative passes.
 * ROUND_TOL, NOISE_FLOOR, CONTRACTION_FACTOR: a limit scan converges when

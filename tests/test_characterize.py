@@ -604,6 +604,23 @@ class TestEntireZeroBound:
         assert report.matched and report.n == 1
         assert report.degree_check is None
 
+    def test_witness_reads_the_snapped_channel_matrix(self):
+        # G = A Z + B, where channel index 2 of A was zeroed in the spectrum
+        # and holds only transform round-off; the witness is A, so G' - A is
+        # exactly 0 there only if both read the snapped channel matrices.  Read
+        # raw, the witness leaves u times the round-off, which grows along
+        # the path to t_max = 1e12, and the scan does not converge.
+        d = 4
+        rng = np.random.default_rng(3)
+        p = random_regular_poly(rng, d, 2)
+        spec, b = np.fft.fft(random_circulant(rng, d).row), random_circulant(rng, d)
+        spec[2] = 0
+        a = cf.Circulant(np.fft.ifft(spec))
+        assert spectrum(a)[2] != 0
+        f = ExpPolyFunction(p, CircPoly([a, b]))
+        report = cf.entire_zero_bound(f, PolyFunction(CircPoly([a])), PathSpec.default(d, t_max=1e12))
+        assert report.matched and report.n == 2 and report.degree_check is True
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_witness_diverges_quietly(self):
         # P = I, G = 1e308 Z^2 and the witness 1e308 Z: G' = 2e308 Z and the

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -164,6 +165,23 @@ class TestEval:
         value = json.loads(capsys.readouterr().out)["value"]["row"]
         np.testing.assert_allclose(value, [[1e307, 0.0]] * d, rtol=0, atol=1e-14 * 1e307)
 
+
+    def test_exppoly_value_overflow_names_the_channels(self, monkeypatch, capsys):
+        # P = circ(1e307, ..., 1e307), G = 0 at I: at d = 64 P's eigenvalue
+        # 6.4e308 is not a float.  The forward transform overflowed with a
+        # warning, and the JSON writer refused the value unnamed.
+        d = 64
+        identity = {"d": d, "row": [[1, 0]] + [[0, 0]] * (d - 1)}
+        p, zero = {"d": d, "row": [[1e307, 0]] * d}, {"d": d, "row": [[0, 0]] * d}
+        doc = {"function": {"kind": "exppoly", "d": d, "P": [p], "G": [zero]}, "point": identity}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # Channel 1 overflows; the transform's inf - inf may spoil others.
+        assert re.fullmatch(r"error: F overflows at channel\(s\) \[1(, \d+)*\]\n", captured.err)
 
 class TestSolve:
     def test_finite_case(self, tmp_path):

@@ -34,14 +34,15 @@ def test_every_traced_name_resolves_in_its_owner(layer, owner, attr):
 
 
 def test_installed_tracer_records_and_restores():
-    d = 64
+    # A rational evaluates channel-wise below FFT_THRESHOLD as at it.
     rng = np.random.default_rng(7)
-    f = cf.RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1))
-    z = random_circulant(rng, d)
-    before = {(owner, attr): vars(owner)[attr] for _, owner, attr in TARGETS}
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        f.evaluate_with_report(z)
-    assert {(owner, attr): vars(owner)[attr] for _, owner, attr in TARGETS} == before
-    names = {span.name for span in tracer.spans}
-    assert {"functions.evaluate", "spectral.spectrum", "spectral.from_spectrum"} <= names
+    for d in (8, 64):
+        f = cf.RationalFunction(random_regular_poly(rng, d, 2), random_regular_poly(rng, d, 1))
+        z = random_circulant(rng, d)
+        before = {(owner, attr): vars(owner)[attr] for _, owner, attr in TARGETS}
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            f.evaluate_with_report(z)
+        assert {(owner, attr): vars(owner)[attr] for _, owner, attr in TARGETS} == before
+        names = {span.name for span in tracer.spans}
+        assert {"functions.evaluate", "spectral.spectrum", "spectral.from_spectrum"} <= names
