@@ -361,6 +361,19 @@ class TestFuncEval:
         assert zeroed == (1, 2, 3) and not np.any(value.row)
         assert f.evaluate_with_report(cf.Circulant([np.nan, 0.0, 0.0]))[1] == ()
 
+    @pytest.mark.parametrize("d", [8, 31, 32, 64])
+    def test_rational_is_the_ring_product_with_the_pseudoinverse(self, rng, d):
+        # The value is the ring product P(Z) Q(Z)^+ to rounding, below
+        # FFT_THRESHOLD as at it: the channel rule is the path at every
+        # order.  The report is the pseudoinverse's.
+        p, q = random_regular_poly(rng, d, 3), random_regular_poly(rng, d, 2)
+        z = random_circulant(rng, d)
+        value, zeroed = RationalFunction(p, q).evaluate_with_report(z)
+        inverse, ring_zeroed = _pinv_row(q.evaluate(z))
+        ring = cf.mul(p.evaluate(z), cf.Circulant(inverse))
+        assert cf.frobenius_norm(value - ring) <= 1e-12 * cf.frobenius_norm(ring)
+        assert zeroed == tuple((np.flatnonzero(ring_zeroed) + 1).tolist())
+
     @pytest.mark.parametrize("scale", [1.0, 1e-7])
     @pytest.mark.parametrize("spread", [False, True])
     @pytest.mark.parametrize("d", [2, 8, 31, 32, 64])
