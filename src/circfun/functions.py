@@ -322,9 +322,18 @@ class CircFunction:
 
     def derivative(self, z: Circulant) -> Circulant:
         """Derivative via the channel rule: eigenvalue i of the result is
-        dF_i/du at u = eigenvalue i of z."""
+        dF_i/du at u = eigenvalue i of z.  A derivative that overflows at a
+        finite eigenvalue raises, naming the channels, as a value does."""
         self._check_order(z)
-        return from_spectrum(self.channel_derivatives(spectrum(z)))
+        u = spectrum(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # a derivative that overflows is named next
+            values = self.channel_derivatives(u)
+        finite = np.isfinite(values)
+        if not finite.all():
+            overflow = np.isfinite(u) & ~finite
+            if overflow.any():
+                _raise_where(overflow[None], ["F' overflows"])
+        return from_spectrum(values)
 
     def _check_order(self, z: Circulant) -> None:
         if z.d != self.d:

@@ -40,10 +40,17 @@ No duplicate check is needed: clustering leaves each channel one root per
 component of disjoint discs, so distinct combinations are distinct spectra,
 which the bijective inverse transform maps to distinct circulants.
 
-Recombined roots are verified a chunk at a time in the spectral domain.  The
-forward transform of the chunk's rows gives the spectra u_k, the channel
-matrix is evaluated at them with its scales, and by Parseval the residual
-||P(Z_k)||_F is sqrt(sum_i |p_i(u_ki)|^2).  Each channel value must pass the
+Recombined roots are rebuilt and verified a chunk at a time: an inverse
+transform of the chunk's root combinations, then in the spectral domain.
+These root stacks, like :func:`residual` and ``sample_members``, pass
+``ROOT_FFT_THRESHOLD`` to the batched transforms and take the FFT at every
+order: on a stack of ``RECOMBINE_CHUNK`` rows it takes about half the direct
+sums' time or less at most orders below ``FFT_THRESHOLD`` (measured in
+:mod:`circfun.core`).  A row's bits depend neither on its chunk nor on its
+batch, so ``residual`` reproduces each root's residual exactly.  The forward
+transform of the chunk's rows gives the spectra u_k, the channel matrix is
+evaluated at them with its scales, and by Parseval the residual ||P(Z_k)||_F
+is sqrt(sum_i |p_i(u_ki)|^2).  Each channel value must pass the
 backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
 scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
 modulus.  Since that check reads the same channel matrix the solve used, the
@@ -73,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import Circulant, _horner
+from .core import ROOT_FFT_THRESHOLD, Circulant, _horner
 from .errors import (
     DegeneratePolynomialError,
     DimensionError,
@@ -220,11 +227,17 @@ class SolutionSet:
         combinations in ``itertools.product`` order; free channels draw
         complex values from a seeded generator, real part first, member by
         member and channel by channel.  All members go through one batched
-        inverse transform and are read-only views of its rows.  Only
-        meaningful when status is INFINITE_FAMILY.
+        inverse FFT, at every order, and are read-only views of its rows.
+        Only meaningful when status is INFINITE_FAMILY.  A negative ``count``
+        or ``seed``, or a ``magnitude`` that is not finite, raises ValueError.
         """
         if self.status is not SolutionStatus.INFINITE_FAMILY:
             raise ValueError("sampling applies to infinite families only")
+        for name, value in (("count", count), ("seed", seed)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not np.isfinite(magnitude):
+            raise ValueError(f"magnitude must be finite, got {magnitude}")
         t = self.table
         free = np.flatnonzero(t.degrees < 0)
         fixed = np.flatnonzero(t.degrees > 0)
@@ -234,7 +247,7 @@ class SolutionSet:
         grid[:, fixed] = t._values_at(index if total > count else index % total, fixed)
         draws = np.random.default_rng(seed).standard_normal((count, free.size, 2))
         grid[:, free] = magnitude * draws.view(np.complex128)[:, :, 0]
-        return Circulant._of_rows(inverse_rows(grid))
+        return Circulant._of_rows(inverse_rows(grid, threshold=ROOT_FFT_THRESHOLD))
 
 
 def solve_scalar_poly(
@@ -446,8 +459,8 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
 def residual(p: CircPoly, z: Circulant) -> float:
     """Frobenius norm of P(Z), by Parseval from the channel values at the
     spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the
-    check :func:`solve_circ_poly` runs on its roots, so it reproduces their
-    residuals exactly."""
+    check :func:`solve_circ_poly` runs on its roots, on the same FFT kernel,
+    so it reproduces their residuals exactly."""
     if z.d != p.d:
         raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {p.d}")
     return float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
@@ -455,9 +468,9 @@ def residual(p: CircPoly, z: Circulant) -> float:
 
 def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moduli |p_i(u_ki)| of the channel values and their scales, shape
-    (N, d), at the spectra u_k of ``rows`` (N, d), with the Frobenius norm of
-    P(Z_k) for each row."""
-    values, scales = polyval_with_scale(cm[:, None, :], forward_rows(rows))
+    (N, d), at the spectra u_k of ``rows`` (N, d), taken by FFT at every
+    order, with the Frobenius norm of P(Z_k) for each row."""
+    values, scales = polyval_with_scale(cm[:, None, :], forward_rows(rows, threshold=ROOT_FFT_THRESHOLD))
     magnitudes = np.abs(values)
     return magnitudes, scales, core._norm2(magnitudes)
 
@@ -517,7 +530,8 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     for start in range(0, count, RECOMBINE_CHUNK):
         stop = min(start + RECOMBINE_CHUNK, count)
         rows = roots[start:stop]  # the chunk is rebuilt and verified in place
-        rows[:] = inverse_rows(table._values_at(np.arange(start, stop), np.arange(p.d)))
+        grid = table._values_at(np.arange(start, stop), np.arange(p.d))
+        rows[:] = inverse_rows(grid, threshold=ROOT_FFT_THRESHOLD)
         magnitudes, scales, residuals[start:stop] = _channel_residuals(cm, rows)
         bounds = tol * np.maximum(scales, floor)
         passed = (magnitudes <= bounds) & np.isfinite(bounds)  # NaN fails; an overflowed scale bounds nothing

@@ -21,12 +21,14 @@ FUNCTION_FIXTURES = (
     "exppoly_iz_d2",
 )
 #: Every subcommand on every committed fixture it takes, including the
-#: function kinds that solve and divisor reject.
+#: function kinds that solve and divisor reject.  The d = 3 solve pins the
+#: solver's root kernel: at d = 2 every kernel gives the same bits.
 GOLDEN_CASES = [
     ("spectrum", "circ_2_1"),
     ("pinv", "circ_2_1"),
     ("eval", "eval_reciprocal"),
     *[(command, stem) for command in ("solve", "divisor", "degree") for stem in FUNCTION_FIXTURES],
+    ("solve", "poly_integer_roots_d3"),
 ]
 
 ROW_2 = [[1, 0], [0, 0]]

@@ -18,7 +18,7 @@ from circfun import (
     PolyFunction,
     RationalFunction,
 )
-from circfun.core import FFT_THRESHOLD
+from circfun.core import FFT_THRESHOLD, ROOT_FFT_THRESHOLD
 from circfun.functions import (
     COEFFICIENT_REL_TOL,
     SPECTRAL_SNAP_REL_TOL,
@@ -28,8 +28,10 @@ from circfun.functions import (
     _with_derivative,
     polyval_with_scale,
 )
-from circfun.spectral import RANK_REL_TOL, _pinv_row, forward_rows
-from circfun.testkit import dense_mul, random_circulant, random_invertible_circulant, random_regular_poly
+from circfun.spectral import RANK_REL_TOL, _pinv_row, forward_rows, inverse_rows
+from circfun.testkit import (
+    dense_mul, integer_rooted_poly, random_circulant, random_invertible_circulant, random_regular_poly,
+)
 
 from conftest import assert_circ_close
 
@@ -160,12 +162,27 @@ class TestSpectralCache:
     """The raw spectra and moduli a CircPoly caches give every consumer the
     bits of the uncached formulas."""
 
-    @pytest.mark.parametrize("d", [32, 33, 64, 255, 256, 1000, 1024, 8192])
+    @pytest.mark.parametrize("d", [*range(2, 32), 32, 33, 64, 255, 256, 1000, 1024, 8192])
     def test_fft_rows_do_not_depend_on_the_batch(self, rng, d):
+        # The root kernel takes the FFT at every order, and from
+        # FFT_THRESHOLD up every site does.  Row 2 holds entries near 1e308,
+        # whose inverse sums overflow: inverse_rows takes that row again
+        # scaled, beside rows that keep the plain kernel's bits.
         rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
-        batch = forward_rows(rows)
+        fft = {"threshold": ROOT_FFT_THRESHOLD}
+        batch = forward_rows(rows, **fft)
+        if d >= FFT_THRESHOLD:
+            assert forward_rows(rows).tobytes() == batch.tobytes()
         for k in range(rows.shape[0]):
-            assert batch[k].tobytes() == np.fft.fft(rows[k]).tobytes()
+            assert batch[k].tobytes() == forward_rows(rows[k], **fft).tobytes() == np.fft.fft(rows[k]).tobytes()
+        rows[2] = 1e308 * (1.0 + 0.5 * rng.random(d)) + 1e307j * rng.standard_normal(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.fft.ifft(rows[2])).all()
+        batch = inverse_rows(rows, **fft)
+        assert np.isfinite(batch).all()
+        for k in range(rows.shape[0]):
+            assert batch[k].tobytes() == inverse_rows(rows[k : k + 1], **fft)[0].tobytes()
+            assert k == 2 or batch[k].tobytes() == np.fft.ifft(rows[k]).tobytes()
 
     @pytest.mark.parametrize("d", [32, 33, 255, 1024])
     def test_ring_horner_reads_the_cached_spectra(self, rng, d):
@@ -860,6 +877,22 @@ class TestDerivative:
             f.derivative(cf.scale(2.0, cf.ones(d)))  # channel 2 of Q(Z) is zero
         assert err.value.channels == (2,)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_overflowing_derivative_names_the_channels(self, d):
+        # P = 1e308 Z^2: the P' rows hold 2e308, so P'(u) overflows at every
+        # eigenvalue of I; the result was NaN in every entry, with warnings.
+        # At 1e307 it overflows only where |u| = 100, at channels 2, 5, ...
+        for lead, point, channels in [
+            (1e308, cf.identity(d), range(1, d + 1)),
+            (1e307, cf.from_spectrum(np.where(np.arange(d) % 3 == 1, 100.0, 1.0)), range(2, d + 1, 3)),
+        ]:
+            f = PolyFunction(CircPoly([cf.scale(lead, cf.identity(d)), cf.zero(d), cf.zero(d)]))
+            with pytest.raises(ChannelSingularityError) as err:
+                f.derivative(point)
+            assert err.value.channels == tuple(channels)
+            assert str(err.value) == f"F' overflows at channel(s) {list(channels)}"
+
     def test_exppoly_quotient(self, rng):
         d = 3
         p = random_regular_poly(rng, d, 2)
@@ -1014,11 +1047,11 @@ class TestTransformCount:
     def fft_calls(self, monkeypatch):
         calls = []
 
-        def counted(kernel):
-            return lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs)
+        def counted(name, kernel):
+            return lambda *args, **kwargs: calls.append(name) or kernel(*args, **kwargs)
 
         for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         return calls
 
     @pytest.mark.parametrize("d, expected", [(16, 0), (64, 4)])
@@ -1042,3 +1075,12 @@ class TestTransformCount:
         fft_calls.clear()
         cf.numeric_derivative(f, z, inc)
         assert len(fft_calls) == expected
+
+    def test_solve_transforms_each_chunk_of_roots_once_each_way(self, fft_calls, rng):
+        # 4096 roots at d = 12, below FFT_THRESHOLD: four chunks, each
+        # rebuilt by one inverse FFT and verified by one forward FFT.  The
+        # coefficient spectra and the ring check take the direct sums.
+        p, _ = integer_rooted_poly(rng, 12, 2)
+        fft_calls.clear()
+        assert len(cf.solve_circ_poly(p).roots) == 4096
+        assert fft_calls == ["ifft", "fft"] * 4

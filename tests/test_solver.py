@@ -15,6 +15,7 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
+from circfun.core import ROOT_FFT_THRESHOLD
 from circfun.functions import _with_derivative, polyval_with_scale
 from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
@@ -350,11 +351,11 @@ class TestCircSolve:
         assert sol.status is SolutionStatus.FINITE
         combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
         assert len(sol.roots) == len(sol.residuals) == len(combos)
-        # The chunked views hold the bits that copies of one transform of the
-        # whole product grid hold.
-        copies = [cf.Circulant(row) for row in inverse_rows(np.array(combos))]
+        # Each chunked view holds the bits the root kernel gives its
+        # combination alone, and those of one transform of the whole grid.
+        copies = [cf.Circulant(row) for row in inverse_rows(np.array(combos), threshold=ROOT_FFT_THRESHOLD)]
         for root, res, combo, copy in zip(sol.roots, sol.residuals, combos, copies):
-            assert np.array_equal(root.row, cf.from_spectrum(np.array(combo)).row)
+            assert root.row.tobytes() == inverse_rows(np.array([combo]), threshold=ROOT_FFT_THRESHOLD)[0].tobytes()
             assert root.row.tobytes() == copy.row.tobytes()
             assert res == cf.residual(p, root)
 
@@ -506,9 +507,9 @@ class TestCircSolve:
         collects the uncorrupted spectra of each chunk."""
         grids = []
 
-        def corrupted(spectra):
+        def corrupted(spectra, **kwargs):
             grids.append(spectra)
-            rows = inverse_rows(spectra)
+            rows = inverse_rows(spectra, **kwargs)
             change(rows)
             return rows
 
@@ -538,7 +539,7 @@ class TestCircSolve:
         p = CircPoly([cf.identity(d), cf.neg(a)])
         assert len(cf.solve_circ_poly(p).roots) == 1
         grids = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((0, 2), rows[0, 2] + 1e-6))
-        monkeypatch.setattr(solver, "forward_rows", lambda rows: grids[-1])
+        monkeypatch.setattr(solver, "forward_rows", lambda rows, **kwargs: grids[-1])
         with pytest.raises(SolverError, match=r"^reconstructed root residual .* in the ring check of root 1$"):
             cf.solve_circ_poly(p)
 
@@ -573,6 +574,17 @@ class TestCircSolve:
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0], 2), tol=-1.0)
         with pytest.raises(ValueError):
             cf.solve_circ_poly(CircPoly.from_scalars([1], 2))
+
+    @pytest.mark.parametrize(
+        "kwargs, name", [({"count": -1}, "count"), ({"seed": -1}, "seed"), ({"magnitude": np.nan}, "magnitude")]
+    )
+    def test_sampling_arguments_are_checked(self, kwargs, name):
+        # numpy rejected the first two in its own words, and a NaN magnitude
+        # gave NaN members.
+        sol = cf.solve_circ_poly(CircPoly([cf.ones(3), cf.ones(3)]))
+        assert sol.status is SolutionStatus.INFINITE_FAMILY
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            sol.sample_members(**{"count": 2, **kwargs})
 
     def test_sampling_finite_set_rejected(self):
         sol = cf.solve_circ_poly(CircPoly.from_scalars([1, 0], 2))
@@ -657,7 +669,7 @@ class TestRootViews:
         p, _ = integer_rooted_poly(rng, d, 2)
         sol = cf.solve_circ_poly(p)
         combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
-        rows = inverse_rows(combos)
+        rows = inverse_rows(combos, threshold=ROOT_FFT_THRESHOLD)
         _, _, norms = solver._channel_residuals(p.channel_matrix(), rows)
         assert len(sol.roots) == len(sol.residuals) == 2**d
         for k in range(2**d):
