@@ -25,16 +25,12 @@ from .tolerances import ISCLOSE_TOL, NORM_SAFE_MIN
 #: row or an 11-row stack, as points and the limit scan take them, an FFT
 #: call through the batched transforms took 1.1-2.6x the direct sums' time
 #: at d = 2..31 (5.7-17.3 us against 2.2-10.9 us; 2 vCPUs, numpy 2.4.6).
+#: The solver's stacks of recombined roots take the FFT at every order
+#: (``inverse_rows(..., fft=True)`` and ``np.fft.fft``): for a (1024, d)
+#: stack one pocketfft call took 0.20-0.62x the stacked sums' time at
+#: d = 2..31, except at the primes from 13, where the forward call took
+#: 0.90-1.16x and the inverse 0.54-0.82x (median of 11).
 FFT_THRESHOLD = 32
-
-#: The threshold the solver's root stacks pass to the batched transforms:
-#: the FFT at every order.  For a (1024, d) stack of recombined roots one
-#: pocketfft call took 0.20-0.62x the time of the stacked sums at every
-#: d = 2..31 but the primes from 13, where the forward call took 0.90-1.16x
-#: and the inverse 0.54-0.82x (median of 11; 2 vCPUs, numpy 2.4.6).  Its rows
-#: are byte-identical alone or in any batch (d = 2..39 with 1, 3, 64 and
-#: 1000 rows, both directions).
-ROOT_FFT_THRESHOLD = 2
 
 
 def _as_row(entries: Sequence[complex] | np.ndarray) -> np.ndarray:

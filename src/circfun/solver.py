@@ -40,20 +40,22 @@ No duplicate check is needed: clustering leaves each channel one root per
 component of disjoint discs, so distinct combinations are distinct spectra,
 which the bijective inverse transform maps to distinct circulants.
 
-Recombined roots are rebuilt and verified a chunk at a time: an inverse
-transform of the chunk's root combinations, then in the spectral domain.
-These root stacks, like :func:`residual` and ``sample_members``, pass
-``ROOT_FFT_THRESHOLD`` to the batched transforms and take the FFT at every
-order: on a stack of ``RECOMBINE_CHUNK`` rows it takes about half the direct
-sums' time or less at most orders below ``FFT_THRESHOLD`` (measured in
-:mod:`circfun.core`).  A row's bits depend neither on its chunk nor on its
-batch, so ``residual`` reproduces each root's residual exactly.  The forward
-transform of the chunk's rows gives the spectra u_k, the channel matrix is
-evaluated at them with its scales, and by Parseval the residual ||P(Z_k)||_F
-is sqrt(sum_i |p_i(u_ki)|^2).  Each channel value must pass the
-backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
-scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
-modulus.  Since that check reads the same channel matrix the solve used, the
+Recombination writes every combination into the (count, d) root array at
+once (:meth:`ChannelRoots._combinations`), then rebuilds and verifies it a
+chunk of ``RECOMBINE_CHUNK`` rows at a time, in place.  The chunk's inverse
+transform and the verifying forward one, like :func:`residual` and
+``sample_members``, are numpy's FFT at every order: for a stack of
+recombined roots it takes about half the direct sums' time or less at most
+orders below ``FFT_THRESHOLD`` (measured in :mod:`circfun.core`), and a
+solve with a few roots pays a few microseconds for it.  A row's bits depend
+neither on its chunk nor on its batch, so ``residual`` reproduces each
+root's residual exactly.  The forward transform of the chunk's rows gives
+the spectra u_k, the channel matrix is evaluated at them with its scales,
+and by Parseval the residual ||P(Z_k)||_F is sqrt(sum_i |p_i(u_ki)|^2).
+Each channel value must pass the backward-error gate
+|p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with scale_ki =
+sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient modulus.
+Since that check reads the same channel matrix the solve used, the
 root of each chunk with the worst ratio to its bound is also evaluated by
 ring Horner (:meth:`CircPoly.evaluate`) on the raw coefficient rows, not the
 snapped channel matrix, and its Frobenius norm must stay within the finite
@@ -65,8 +67,8 @@ wraps as read-only Circulant views on access; a root keeps it all alive.
 
 A solution set keeps its channels as arrays in ``table``
 (:class:`ChannelRoots`): the effective degrees, which give the kinds, and
-the distinct roots in CSR form.  Recombination and ``sample_members`` read
-numbered root combinations from them (:meth:`ChannelRoots._values_at`);
+the distinct roots in CSR form.  Recombination reads all root combinations
+from them, ``sample_members`` numbered ones (:meth:`ChannelRoots._values_at`);
 ``channel_reports`` builds a ChannelReport per channel on access.
 """
 
@@ -80,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import ROOT_FFT_THRESHOLD, Circulant, _horner
+from .core import Circulant, _horner
 from .errors import (
     DegeneratePolynomialError,
     DimensionError,
@@ -90,7 +92,7 @@ from .errors import (
 from .functions import (
     ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale,
 )
-from .spectral import forward_rows, inverse_rows
+from .spectral import inverse_rows
 from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR, SCALAR_RESIDUAL_TOL
 
 #: Cap on the number of root combinations materialized, read at each solve.
@@ -166,6 +168,19 @@ class ChannelRoots(NamedTuple):
         degree, lo, hi = int(self.degrees[i]), self.offsets[i], self.offsets[i + 1]
         roots, mults = tuple(self.roots[lo:hi].tolist()), tuple(self.multiplicities[lo:hi].tolist())
         return ChannelReport(i + 1, KINDS[min(degree, 1) + 1], None if degree < 0 else degree, roots, mults)
+
+    def _combinations(self) -> np.ndarray:
+        """Every combination of one root per channel, shape (count, d), in
+        ``itertools.product`` order: column j repeats each root of channel j
+        over the combinations of the later channels, and cycles through them
+        over those of the earlier ones.  Every channel needs a root."""
+        sizes = np.diff(self.offsets).tolist()
+        grid = np.empty((math.prod(sizes), len(sizes)), dtype=self.roots.dtype)
+        later = grid.shape[0]
+        for j, size in enumerate(sizes):
+            later //= size
+            grid[:, j].reshape(-1, size, later)[...] = self.roots[self.offsets[j] : self.offsets[j + 1], None]
+        return grid
 
     def _values_at(self, index: np.ndarray, channels: np.ndarray) -> np.ndarray:
         """Values (N, len(channels)) of the 0-based ``channels`` in the root combinations numbered
@@ -247,7 +262,7 @@ class SolutionSet:
         grid[:, fixed] = t._values_at(index if total > count else index % total, fixed)
         draws = np.random.default_rng(seed).standard_normal((count, free.size, 2))
         grid[:, free] = magnitude * draws.view(np.complex128)[:, :, 0]
-        return Circulant._of_rows(inverse_rows(grid, threshold=ROOT_FFT_THRESHOLD))
+        return Circulant._of_rows(inverse_rows(grid, fft=True))
 
 
 def solve_scalar_poly(
@@ -470,7 +485,7 @@ def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     """Moduli |p_i(u_ki)| of the channel values and their scales, shape
     (N, d), at the spectra u_k of ``rows`` (N, d), taken by FFT at every
     order, with the Frobenius norm of P(Z_k) for each row."""
-    values, scales = polyval_with_scale(cm[:, None, :], forward_rows(rows, threshold=ROOT_FFT_THRESHOLD))
+    values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows, axis=-1))
     magnitudes = np.abs(values)
     return magnitudes, scales, core._norm2(magnitudes)
 
@@ -481,9 +496,9 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     The root-bearing channels are grouped by effective degree, and each group
     goes through one batched scalar solve; if channels fail, the error names
     the lowest-numbered one.  The finite case returns every combination of
-    one root per channel, without dedup, in ``itertools.product`` order, read
-    from the mixed-radix digits of its index and rebuilt and verified a chunk
-    of ``RECOMBINE_CHUNK`` at a time (see the module docstring); more than
+    one root per channel, without dedup, in ``itertools.product`` order, all
+    written at once and rebuilt and verified a chunk of ``RECOMBINE_CHUNK``
+    at a time (see the module docstring); more than
     ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
     built.  A root failing a check raises SolverError.  A channel matrix with NaN or
     infinite entries, or a ``tol`` that is not positive and finite, raises
@@ -525,13 +540,12 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
         raise RecombinationLimitError(f"root combinations exceed the cap of {RECOMBINATION_LIMIT}")
 
     floor = max(1.0, p._scale)  # the largest spectral coefficient modulus
-    roots = np.empty((count, p.d), dtype=np.complex128)
+    roots = table._combinations() if count else np.empty((0, p.d), dtype=np.complex128)
     residuals = np.empty(count)
     for start in range(0, count, RECOMBINE_CHUNK):
         stop = min(start + RECOMBINE_CHUNK, count)
         rows = roots[start:stop]  # the chunk is rebuilt and verified in place
-        grid = table._values_at(np.arange(start, stop), np.arange(p.d))
-        rows[:] = inverse_rows(grid, threshold=ROOT_FFT_THRESHOLD)
+        rows[:] = inverse_rows(rows, fft=True)
         magnitudes, scales, residuals[start:stop] = _channel_residuals(cm, rows)
         bounds = tol * np.maximum(scales, floor)
         passed = (magnitudes <= bounds) & np.isfinite(bounds)  # NaN fails; an overflowed scale bounds nothing

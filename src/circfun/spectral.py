@@ -7,16 +7,11 @@ discrete Fourier transform of the first row, so the transform pair is exactly
 the standard DFT/inverse-DFT.  Every ring operation acts channel-wise on the
 spectrum, which is what the rest of the package exploits.
 
-The batched transforms :func:`forward_rows` and :func:`inverse_rows` take
-the FFT from their ``threshold`` up and sum directly below it.  A site picks
-the threshold by what it transforms: points, coefficient stacks and the
-scan's few rows keep ``FFT_THRESHOLD``, where one row sums faster than an
-FFT call; the solver's root stacks, up to ``RECOMBINE_CHUNK`` rows of
-recombined roots, pass ``ROOT_FFT_THRESHOLD`` and take the FFT at every
-order (both in :mod:`circfun.core`, with their measurements).  The direct
-kernels read the one cache of tables, :func:`fourier_context`, the
-read-only pair (S, conj S) per order; :func:`fourier_matrix` builds S
-afresh for the dense oracles.
+Below ``FFT_THRESHOLD`` the kernels sum with the one cache of tables,
+:func:`fourier_context`, the read-only pair (S, conj S) per order;
+:func:`fourier_matrix` builds S afresh for the dense oracles.  A stack of
+many rows, as the solver rebuilds its roots, asks :func:`inverse_rows` for
+the FFT at every order (``fft=True``), and verifies them with ``np.fft.fft``.
 """
 
 from __future__ import annotations
@@ -63,15 +58,14 @@ def spectrum(x: Circulant) -> np.ndarray:
     return forward_rows(x.row)
 
 
-def forward_rows(rows: np.ndarray, threshold: int = FFT_THRESHOLD) -> np.ndarray:
+def forward_rows(rows: np.ndarray) -> np.ndarray:
     """Forward transform of one row (shape (d,)) or of each row of a stack
-    (shape (N, d)): the FFT kernel at or above ``threshold``, the exact
-    summation below it; ``ROOT_FFT_THRESHOLD`` takes the FFT at every order.
-    Below the threshold a stack runs stacked matrix-vector products, as
-    :func:`inverse_rows` does, so on either kernel each row is bit-identical
-    to a one-row call."""
+    (shape (N, d)): the FFT kernel at or above ``FFT_THRESHOLD``, the exact
+    summation below it.  Below the threshold a stack runs stacked
+    matrix-vector products, as :func:`inverse_rows` does, so each row is
+    bit-identical to a one-row call."""
     d = rows.shape[-1]
-    if d >= threshold:
+    if d >= FFT_THRESHOLD:
         return np.fft.fft(rows, axis=-1)
     matrix = fourier_context(d)[1]
     if rows.ndim == 1:
@@ -87,10 +81,10 @@ def from_spectrum(values: np.ndarray) -> Circulant:
     return Circulant(inverse_rows(values[None])[0])
 
 
-def inverse_rows(spectra: np.ndarray, threshold: int = FFT_THRESHOLD) -> np.ndarray:
+def inverse_rows(spectra: np.ndarray, fft: bool = False) -> np.ndarray:
     """Batched inverse transform of the rows of ``spectra`` (shape (N, d)):
-    the FFT kernel at or above ``threshold``, as :func:`forward_rows` takes
-    it.  Below the threshold it runs stacked matrix-vector products, not
+    the FFT kernel at or above ``FFT_THRESHOLD``, or at every order with
+    ``fft``.  The direct kernel runs stacked matrix-vector products, not
     ``spectra @ S.T`` (another summation order for d >= 3), so on either
     kernel each row is bit-identical to a one-row call.  On either kernel a
     finite row whose sums overflow is taken again scaled by 2^-e, with 2^e
@@ -99,22 +93,22 @@ def inverse_rows(spectra: np.ndarray, threshold: int = FFT_THRESHOLD) -> np.ndar
     every other row keeps its bits."""
     try:
         with np.errstate(over="raise"):  # the flag costs no pass over the rows
-            return _inverse_kernel(spectra, threshold)
+            return _inverse_kernel(spectra, fft)
     except FloatingPointError:
         pass
     with np.errstate(over="ignore", invalid="ignore"):  # a result out of range stays infinite
-        rows = _inverse_kernel(spectra, threshold)
+        rows = _inverse_kernel(spectra, fft)
         redo = np.isfinite(spectra).all(axis=1) & ~np.isfinite(rows).all(axis=1)
         parts = spectra[redo].astype(np.complex128).view(np.float64)  # real and imaginary parts
         exponents = np.frexp(np.max(np.abs(parts), axis=1))[1][:, None]
-        scaled = _inverse_kernel(np.ldexp(parts, -exponents).view(np.complex128), threshold)
+        scaled = _inverse_kernel(np.ldexp(parts, -exponents).view(np.complex128), fft)
         rows[redo] = np.ldexp(scaled.view(np.float64), exponents).view(np.complex128)
     return rows
 
 
-def _inverse_kernel(spectra: np.ndarray, threshold: int) -> np.ndarray:
+def _inverse_kernel(spectra: np.ndarray, fft: bool) -> np.ndarray:
     d = spectra.shape[1]
-    if d >= threshold:
+    if fft or d >= FFT_THRESHOLD:
         return np.fft.ifft(spectra, axis=1)
     return np.matmul(fourier_context(d)[0], spectra[:, :, None])[:, :, 0] / d
 

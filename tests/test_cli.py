@@ -22,7 +22,8 @@ FUNCTION_FIXTURES = (
 )
 #: Every subcommand on every committed fixture it takes, including the
 #: function kinds that solve and divisor reject.  The d = 3 solve pins the
-#: solver's root kernel: at d = 2 every kernel gives the same bits.
+#: solver's root kernel: at d = 2 every kernel gives the same bits.  Its
+#: golden was recorded with numpy 2.4.6, so it also pins pocketfft's rounding.
 GOLDEN_CASES = [
     ("spectrum", "circ_2_1"),
     ("pinv", "circ_2_1"),

@@ -18,7 +18,7 @@ from circfun import (
     PolyFunction,
     RationalFunction,
 )
-from circfun.core import FFT_THRESHOLD, ROOT_FFT_THRESHOLD
+from circfun.core import FFT_THRESHOLD
 from circfun.functions import (
     COEFFICIENT_REL_TOL,
     SPECTRAL_SNAP_REL_TOL,
@@ -164,24 +164,23 @@ class TestSpectralCache:
 
     @pytest.mark.parametrize("d", [*range(2, 32), 32, 33, 64, 255, 256, 1000, 1024, 8192])
     def test_fft_rows_do_not_depend_on_the_batch(self, rng, d):
-        # The root kernel takes the FFT at every order, and from
+        # The solver's root stacks take the FFT at every order, and from
         # FFT_THRESHOLD up every site does.  Row 2 holds entries near 1e308,
         # whose inverse sums overflow: inverse_rows takes that row again
         # scaled, beside rows that keep the plain kernel's bits.
         rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
-        fft = {"threshold": ROOT_FFT_THRESHOLD}
-        batch = forward_rows(rows, **fft)
+        batch = np.fft.fft(rows, axis=-1)
         if d >= FFT_THRESHOLD:
             assert forward_rows(rows).tobytes() == batch.tobytes()
         for k in range(rows.shape[0]):
-            assert batch[k].tobytes() == forward_rows(rows[k], **fft).tobytes() == np.fft.fft(rows[k]).tobytes()
+            assert batch[k].tobytes() == np.fft.fft(rows[k]).tobytes()
         rows[2] = 1e308 * (1.0 + 0.5 * rng.random(d)) + 1e307j * rng.standard_normal(d)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(np.fft.ifft(rows[2])).all()
-        batch = inverse_rows(rows, **fft)
+        batch = inverse_rows(rows, fft=True)
         assert np.isfinite(batch).all()
         for k in range(rows.shape[0]):
-            assert batch[k].tobytes() == inverse_rows(rows[k : k + 1], **fft)[0].tobytes()
+            assert batch[k].tobytes() == inverse_rows(rows[k : k + 1], fft=True)[0].tobytes()
             assert k == 2 or batch[k].tobytes() == np.fft.ifft(rows[k]).tobytes()
 
     @pytest.mark.parametrize("d", [32, 33, 255, 1024])

@@ -15,7 +15,6 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
-from circfun.core import ROOT_FFT_THRESHOLD
 from circfun.functions import _with_derivative, polyval_with_scale
 from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
@@ -351,11 +350,12 @@ class TestCircSolve:
         assert sol.status is SolutionStatus.FINITE
         combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
         assert len(sol.roots) == len(sol.residuals) == len(combos)
-        # Each chunked view holds the bits the root kernel gives its
-        # combination alone, and those of one transform of the whole grid.
-        copies = [cf.Circulant(row) for row in inverse_rows(np.array(combos), threshold=ROOT_FFT_THRESHOLD)]
+        # Each chunked view holds the bits of numpy's inverse FFT of its
+        # combination alone (no entry is near overflow), and those of one
+        # transform of the whole grid.
+        copies = [cf.Circulant(row) for row in inverse_rows(np.array(combos), fft=True)]
         for root, res, combo, copy in zip(sol.roots, sol.residuals, combos, copies):
-            assert root.row.tobytes() == inverse_rows(np.array([combo]), threshold=ROOT_FFT_THRESHOLD)[0].tobytes()
+            assert root.row.tobytes() == np.fft.ifft(np.array(combo)).tobytes()
             assert root.row.tobytes() == copy.row.tobytes()
             assert res == cf.residual(p, root)
 
@@ -504,17 +504,17 @@ class TestCircSolve:
     @staticmethod
     def corrupt_rows(monkeypatch, change):
         """Route recombination through ``change(rows)``; returns the list that
-        collects the uncorrupted spectra of each chunk."""
-        grids = []
+        collects copies of each chunk's rows before the change."""
+        clean = []
 
         def corrupted(spectra, **kwargs):
-            grids.append(spectra)
             rows = inverse_rows(spectra, **kwargs)
+            clean.append(rows.copy())
             change(rows)
             return rows
 
         monkeypatch.setattr(solver, "inverse_rows", corrupted)
-        return grids
+        return clean
 
     def test_nan_residual_fails_the_reconstruction_gate(self, monkeypatch):
         # One NaN row after a finite one; NaN compares False with any bound.
@@ -532,14 +532,15 @@ class TestCircSolve:
 
     @pytest.mark.parametrize("d", [5, 33])
     def test_ring_check_rejects_a_row_the_spectral_check_misses(self, monkeypatch, rng, d):
-        # Z - A has the one root A. The spectral check is handed the exact
-        # spectrum, so only the ring Horner spot-check sees the corrupted row,
-        # below the FFT threshold and at an FFT order.
+        # Z - A has the one root A. The spectral check is handed the
+        # uncorrupted row, so only the ring Horner spot-check sees the
+        # corrupted one, below the FFT threshold and at an FFT order.
         a = random_circulant(rng, d)
         p = CircPoly([cf.identity(d), cf.neg(a)])
         assert len(cf.solve_circ_poly(p).roots) == 1
-        grids = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((0, 2), rows[0, 2] + 1e-6))
-        monkeypatch.setattr(solver, "forward_rows", lambda rows, **kwargs: grids[-1])
+        clean = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((0, 2), rows[0, 2] + 1e-6))
+        check = solver._channel_residuals
+        monkeypatch.setattr(solver, "_channel_residuals", lambda cm, rows: check(cm, clean[-1]))
         with pytest.raises(SolverError, match=r"^reconstructed root residual .* in the ring check of root 1$"):
             cf.solve_circ_poly(p)
 
@@ -663,13 +664,22 @@ class TestRootViews:
     array and its residuals as one (count,) array; ``roots`` and
     ``residuals`` are sequences read from them."""
 
+    def test_all_combinations_follow_the_numbered_ones(self):
+        # Channels with 3, 1 and 2 distinct roots: the grid recombination
+        # fills at once is the numbering sample_members reads.
+        roots = np.array([1, 2, 3, 4j, 5, 6], dtype=np.complex128)
+        table = solver.ChannelRoots._make((np.array([3, 1, 2]), np.array([0, 3, 4, 6]), roots, np.ones(6, dtype=np.intp)))
+        grid = table._combinations()
+        assert grid.tobytes() == table._values_at(np.arange(6), np.arange(3)).tobytes()
+        assert grid.tolist() == [list(c) for c in itertools.product([1, 2, 3], [4j], [5, 6])]
+
     @pytest.mark.parametrize("d", [11, 12])
     def test_views_equal_the_eager_reference(self, rng, d):
         # 2048 and 4096 roots: two and four recombination chunks.
         p, _ = integer_rooted_poly(rng, d, 2)
         sol = cf.solve_circ_poly(p)
         combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
-        rows = inverse_rows(combos, threshold=ROOT_FFT_THRESHOLD)
+        rows = np.fft.ifft(combos, axis=1)  # no entry is near overflow
         _, _, norms = solver._channel_residuals(p.channel_matrix(), rows)
         assert len(sol.roots) == len(sol.residuals) == 2**d
         for k in range(2**d):
