@@ -29,7 +29,9 @@ from .tolerances import ISCLOSE_TOL, NORM_SAFE_MIN
 #: (``inverse_rows(..., fft=True)`` and ``np.fft.fft``): for a (1024, d)
 #: stack one pocketfft call took 0.20-0.62x the stacked sums' time at
 #: d = 2..31, except at the primes from 13, where the forward call took
-#: 0.90-1.16x and the inverse 0.54-0.82x (median of 11).
+#: 0.90-1.16x and the inverse 0.54-0.82x (median of 11).  Per solve at
+#: d = 13..31 it took 0.92-0.96x with 4096 roots, and 0.96-1.04x with 64
+#: roots or fewer.
 FFT_THRESHOLD = 32
 
 
