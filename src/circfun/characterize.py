@@ -97,8 +97,11 @@ class PathSpec:
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
-        """The scan points of the first attempt, shape (n_scales, d),
-        read-only; see :func:`_scan`."""
+        """The scan points u = spectrum(from_spectrum(t * direction)) at the
+        scales t, shape (n_scales, d), read-only.  The round trip makes u the
+        exact spectrum of a representable circulant Z on the path, so each
+        estimate of :func:`_scan` is a channel value of Z F'(Z) F(Z)^+ at a
+        matrix argument; the golden CLI output depends on those bits."""
         points = forward_rows(inverse_rows(self.scales[:, None] * self.direction))
         points.flags.writeable = False
         return points
@@ -278,9 +281,18 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
     return np.where(converged, k, np.nan), converged, refined, np.where(usable, tail[2], np.nan)
 
 
-def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTable, int]:
+def _estimate_channels(f: CircFunction, path: PathSpec | None, qfun) -> tuple[ChannelTable, int, PathSpec]:
+    """(table, retries, path) of the scan along ``path``, by default :meth:`PathSpec.default`."""
+    if path is None:
+        path = PathSpec.default(f.d)
     if path.d != f.d:
         raise DimensionError(f"order mismatch: path has {path.d}, function has {f.d}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
+        for letter, part in zip("PQG", (f.P, f.Q, f.G)):
+            if part is not None:
+                part.channel_matrix()
+                if not math.isfinite(part._scale):  # S, the largest modulus, is finite iff every entry is
+                    raise ValueError(f"{letter}: coefficient eigenvalues must be finite")
     indeterminate = f.degenerate_channels()
     if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
@@ -288,7 +300,7 @@ def _estimate_channels(f: CircFunction, path: PathSpec, qfun) -> tuple[ChannelTa
     estimates = np.where(indeterminate, np.nan, estimates)  # analysed as not finite: no k, no error
     k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
     flag = np.where(indeterminate, INDETERMINATE, np.where(converged, CONVERGED, DIVERGED))
-    return ChannelTable._make([flag, k, estimates, refined, errors]), retries
+    return ChannelTable._make([flag, k, estimates, refined, errors]), retries, path
 
 
 def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
@@ -302,23 +314,17 @@ def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
     ``RETRY_BUDGET`` times at most, after which the error propagates,
     naming the channels of the first scale where the singularity sits.
 
-    The points are u = spectrum(from_spectrum(t * direction)), computed for
-    all scales by one inverse_rows and one forward_rows call, not
-    t * direction itself: the round trip makes u the exact spectrum of a
-    representable circulant Z on the path, so each estimate is a channel
-    value of the diagonal of Z F'(Z) F(Z)^+ at a matrix argument, and the
-    CLI output pinned by the golden files depends on those bits.  Attempt 0
-    reads the path's cached points; each retry transforms the points of its
-    own direction.  The seeded generator is made on the first retry, so its
-    draws are those of a generator made up front.
+    Attempt 0 reads the path's cached points (:attr:`PathSpec._points`);
+    each retry reads those of a path of its own direction.  The seeded
+    generator is made on the first retry, so its draws are those of a
+    generator made up front.
     """
     u = path._points
     for attempt in range(RETRY_BUDGET + 1):
         if attempt:
             if attempt == 1:
                 rng = np.random.default_rng(path.seed)
-            direction = np.exp(2j * np.pi * rng.uniform(size=path.d))
-            u = forward_rows(inverse_rows(path.scales[:, None] * direction))
+            u = PathSpec(np.exp(2j * np.pi * rng.uniform(size=path.d)), path.scales)._points
         try:
             dlog = f._logderiv(u, skip, qfun)
         except ChannelSingularityError as exc:
@@ -345,10 +351,7 @@ def estimate_divisor(
     value equals n - m and is cross-checked against that expectation.
     """
     num, den = f.P, f.Q
-
-    if path is None:
-        path = PathSpec.default(f.d)
-    table, retries = _estimate_channels(f, path, None)
+    table, retries, path = _estimate_channels(f, path, None)
 
     n = num.degree
     m = den.degree if den is not None else 0
@@ -407,9 +410,7 @@ def entire_zero_bound(
     if q_entire.d != f.d:
         raise DimensionError(f"order mismatch: witness has {q_entire.d}, function has {f.d}")
 
-    if path is None:
-        path = PathSpec.default(f.d)
-    table, retries = _estimate_channels(f, path, q_entire.channel_values)
+    table, retries, _ = _estimate_channels(f, path, q_entire.channel_values)
 
     n = _common_limit(table)
     degree_check = None if n is None else _degree_cross_check(f, q_entire, n)
@@ -446,9 +447,7 @@ def detect_poly_degree(
     """Recover the degree of a regular polynomial function from its
     log-derivative limit; anything without a common nonnegative integer
     limit is reported as not polynomial."""
-    if path is None:
-        path = PathSpec.default(f.d)
-    table, retries = _estimate_channels(f, path, None)
+    table, retries, _ = _estimate_channels(f, path, None)
     degree = _common_limit(table)
     return DegreeReport(
         is_polynomial=degree is not None, degree=degree, table=table, retries_used=retries

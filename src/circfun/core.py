@@ -207,11 +207,12 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fft: bool) -> np.ndarray:
     product that overflows is taken again with each operand scaled by 2^-e,
     with 2^e the power of two at its largest real or imaginary part (as
     :func:`circfun.spectral.inverse_rows` scales), and scaled back by the
-    product of the two factors; every other product keeps its bits."""
+    product of the two factors; every other product keeps its bits.  A
+    product of an operand that is not finite warns nothing, as the sums do."""
     a, b = _canonical_pair(a, b)
     if fft:
         try:
-            with np.errstate(over="raise"):  # the flag costs no pass over the rows
+            with np.errstate(over="raise", invalid="ignore"):  # the flag costs no pass over the rows
                 return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
         except FloatingPointError:
             pass

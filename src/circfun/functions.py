@@ -84,14 +84,19 @@ class CircPoly:
         orders the transform of Z, :func:`circfun.core._horner` over the
         cached raw spectra and one inverse transform, which
         :func:`circfun.spectral.inverse_rows` takes again scaled where its
-        sums overflow."""
+        sums overflow; where a spectrum overflows, the direct loop with the
+        FFT products of :func:`circfun.core._mul_rows`, which scale too."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {self.d}")
         if self.d >= FFT_THRESHOLD and self.degree:
-            return Circulant(inverse_rows(_horner(self._raw_spectra(), forward_rows(z.row))[None])[0])
+            try:
+                with np.errstate(over="raise", invalid="raise"):  # an overflow runs the loop below
+                    return Circulant(inverse_rows(_horner(self._raw_spectra(), forward_rows(z.row))[None])[0])
+            except FloatingPointError:
+                pass
         acc = self.coeffs[0].row
         for c in self.coeffs[1:]:
-            acc = _mul_rows(acc, z.row, fft=False) + c.row
+            acc = _mul_rows(acc, z.row, fft=self.d >= FFT_THRESHOLD) + c.row
         return Circulant(acc)
 
     def _raw_spectra(self) -> np.ndarray:
@@ -341,7 +346,8 @@ class CircFunction:
 
 
 class PolyFunction(CircFunction):
-    """P(Z) by ring Horner, which takes no transform below ``FFT_THRESHOLD``."""
+    """P(Z) by ring Horner, which takes no transform below ``FFT_THRESHOLD``;
+    a value that is not finite is named by the channel pass where it overflows."""
 
     kind, LETTERS = "poly", ("P",)
 
@@ -350,13 +356,16 @@ class PolyFunction(CircFunction):
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
         self._check_order(z)
-        return self.P.evaluate(z), ()
+        value = self.P.evaluate(z)
+        if not np.isfinite(value.row).all():
+            super().evaluate_with_report(z)
+        return value, ()
 
 
 class RationalFunction(CircFunction):
-    """P(Z) Q(Z)^+, channel-wise on the raw spectra at every order (the ring
-    product adds a pseudoinverse and a product), and in the ring only at a
-    point whose spectrum is not finite, or where a channel value overflows."""
+    """P(Z) Q(Z)^+, channel-wise on the raw spectra at every order, and in the
+    ring only at a point whose spectrum is not finite, or where a channel
+    value overflows; a ring value that is not finite is named as a poly one is."""
 
     kind, LETTERS = "rational", ("P", "Q")
 
@@ -374,7 +383,10 @@ class RationalFunction(CircFunction):
         except FloatingPointError:
             pass
         inverse, zeroed = _pinv_row(self.Q.evaluate(z))
-        return core.mul(self.P.evaluate(z), Circulant(inverse)), tuple((np.flatnonzero(zeroed) + 1).tolist())
+        value = core.mul(self.P.evaluate(z), Circulant(inverse))
+        if not np.isfinite(value.row).all():
+            super().evaluate_with_report(z)
+        return value, tuple((np.flatnonzero(zeroed) + 1).tolist())
 
 
 class ExpPolyFunction(CircFunction):

@@ -7,17 +7,19 @@ circulant is {"d": int, "row": [[re, im], ...]}; a function is
 The letters are the part names of the function: a kind's ``LETTERS`` list
 the parts it reads and writes, in order.
 The channel lists of solution sets and limit reports are written from the
-arrays of their tables in numpy passes, with no per-channel record object.
+arrays of their tables in numpy passes, with no per-channel record object;
+one writer writes every limit report: its fields but ``table``, and that list.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 from typing import Any
 
 import numpy as np
 
-from .characterize import CONVERGED, FLAGS, INDETERMINATE, ChannelTable, DegreeReport, DivisorReport
+from .characterize import CONVERGED, FLAGS, INDETERMINATE, ChannelTable
 from .core import Circulant
 from .functions import FUNCTION_KINDS, CircFunction, CircPoly
 from .solver import KINDS, SolutionSet
@@ -184,26 +186,11 @@ def _channel_estimates_to_obj(t: ChannelTable) -> list:
     ]
 
 
-def divisor_report_to_obj(r: DivisorReport) -> dict:
-    return {
-        "status": r.status,
-        "k": r.k,
-        "expected_k": r.expected_k,
-        "matches_expected": r.matches_expected,
-        "numerator_degree": r.numerator_degree,
-        "denominator_degree": r.denominator_degree,
-        "bounds_ok": r.bounds_ok,
-        "retries_used": r.retries_used,
-        "scales": list(r.scales),
-        "channels": _channel_estimates_to_obj(r.table),
-    }
+def _limit_report_to_obj(r) -> dict:
+    """A limit report's fields but ``table``, whose records become ``channels``."""
+    obj = {field.name: getattr(r, field.name) for field in dataclasses.fields(r) if field.name != "table"}
+    obj["channels"] = _channel_estimates_to_obj(r.table)
+    return obj
 
 
-def degree_report_to_obj(r: DegreeReport) -> dict:
-    return {
-        "is_polynomial": r.is_polynomial,
-        "degree": r.degree,
-        "retries_used": r.retries_used,
-        "channels": _channel_estimates_to_obj(r.table),
-    }
-
+divisor_report_to_obj = degree_report_to_obj = _limit_report_to_obj

@@ -296,6 +296,27 @@ class TestEstimateDivisor:
             cf.estimate_divisor(f)
         assert err.value.channels == (1, 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("part", ["P", "Q", "G"])
+    def test_coefficient_eigenvalues_that_overflow_are_refused(self, d, part):
+        # circ(1e308, ..., 1e308) has the eigenvalue 1e308 d, beyond the float
+        # range.  As P's or G's coefficient of Z, or Q's constant term, it
+        # spread NaN through the scan, which misread every channel as
+        # degenerate (P, Q) or as diverged (G), with overflow warnings.
+        i, o, c = cf.identity(d), cf.zero(d), cf.Circulant(np.full(d, 1e308))
+        f = {
+            "P": PolyFunction(CircPoly([c, o])),
+            "Q": RationalFunction(CircPoly([i]), CircPoly([i, c])),
+            "G": ExpPolyFunction(CircPoly([i]), CircPoly([c, o])),
+        }[part]
+        estimators = [cf.estimate_divisor, cf.detect_poly_degree]
+        if part != "Q":
+            estimators.append(functools.partial(cf.entire_zero_bound, q_entire=PolyFunction(CircPoly([i]))))
+        for estimate in estimators:
+            with pytest.raises(ValueError, match=f"^{part}: coefficient eigenvalues must be finite$"):
+                estimate(f)
+
     def test_polynomial_divisor_is_degree(self, rng):
         f = PolyFunction(CircPoly.from_scalars([1, 0, 0], 3))  # Z^2
         report = cf.estimate_divisor(f)

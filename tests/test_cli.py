@@ -169,6 +169,42 @@ class TestEval:
         np.testing.assert_allclose(value, [[1e307, 0.0]] * d, rtol=0, atol=1e-14 * 1e307)
 
 
+    def test_ring_horner_forward_overflow_at_fft_orders(self, monkeypatch, capsys):
+        # P = [circ(1e307, ..., 1e307), 0] at I: the value is P's constant
+        # row, but P's eigenvalue 6.4e308 is not a float.  The forward
+        # transform overflowed with warnings, and the JSON writer refused
+        # the NaN value.
+        d = 64
+        identity = {"d": d, "row": [[1, 0]] + [[0, 0]] * (d - 1)}
+        p, zero = {"d": d, "row": [[1e307, 0]] * d}, {"d": d, "row": [[0, 0]] * d}
+        doc = {"function": {"kind": "poly", "d": d, "P": [p, zero]}, "point": identity}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]["row"]
+        np.testing.assert_allclose(value, [[1e307, 0.0]] * d, rtol=0, atol=1e-12 * 1e307)
+
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("kind", ["poly", "rational"])
+    def test_poly_and_rational_value_overflow_names_the_channels(self, monkeypatch, capsys, d, kind):
+        # P = 1e308 I Z at Z = 10 I: every F_i is 1e309.  The JSON writer
+        # refused the value unnamed, after numpy warnings at d = 64, where
+        # exppoly named it.
+        def circ(first):
+            return {"d": d, "row": [[first, 0]] + [[0, 0]] * (d - 1)}
+
+        function = {"kind": kind, "d": d, "P": [circ(1e308), circ(0)]}
+        if kind == "rational":
+            function["Q"] = [circ(1)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"function": function, "point": circ(10)})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: F overflows at channel(s) {list(range(1, d + 1))}\n"
+
     def test_exppoly_value_overflow_names_the_channels(self, monkeypatch, capsys):
         # P = circ(1e307, ..., 1e307), G = 0 at I: at d = 64 P's eigenvalue
         # 6.4e308 is not a float.  The forward transform overflowed with a
@@ -274,6 +310,28 @@ class TestDivisorAndDegree:
             for c in doc["channels"]:
                 assert c["flag"] == "diverged" and c["final_estimate"] is None and c["final_error"] is None
                 assert (c["estimates"][0] is not None) == first_finite and c["estimates"][-1] is None
+
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("part", ["P", "Q", "G"])
+    @pytest.mark.parametrize("command", ["divisor", "degree"])
+    def test_coefficient_eigenvalues_that_overflow_are_refused(self, monkeypatch, capsys, command, part, d):
+        # circ(1e308, ..., 1e308), whose eigenvalue 1e308 d is not a float, in
+        # P = c Z, Q = Z + c or G = c Z.  The scan printed overflow warnings
+        # and exited 1 with "every channel is degenerate" (P, Q), or read
+        # channels where G_i = 0 as diverged (G).
+        i, o, c = cf.identity(d), cf.zero(d), cf.Circulant(np.full(d, 1e308))
+        f = {
+            "P": cf.PolyFunction(cf.CircPoly([c, o])),
+            "Q": cf.RationalFunction(cf.CircPoly([i]), cf.CircPoly([i, c])),
+            "G": cf.ExpPolyFunction(cf.CircPoly([i]), cf.CircPoly([c, o])),
+        }[part]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cf.serialize.function_to_obj(f))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {part}: coefficient eigenvalues must be finite\n"
 
     def test_path_flags_accepted(self, tmp_path):
         code, doc = run_to_file(

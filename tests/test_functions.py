@@ -18,7 +18,7 @@ from circfun import (
     PolyFunction,
     RationalFunction,
 )
-from circfun.core import FFT_THRESHOLD
+from circfun.core import FFT_THRESHOLD, _mul_rows
 from circfun.functions import (
     COEFFICIENT_REL_TOL,
     SPECTRAL_SNAP_REL_TOL,
@@ -455,6 +455,73 @@ class TestFuncEval:
         assert value.row.tobytes() == expected.row.tobytes()
         assert zeroed == (2,)
         np.testing.assert_allclose(value.row, [2.5e-309, 2.5e-309], rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [64, 1024])
+    @pytest.mark.parametrize("case", ["Z at circ(1e307, ...)", "circ(1e307, ...) Z at I", "Z I^+ at circ(1e307, ...)"])
+    def test_ring_horner_survives_a_forward_transform_that_overflows(self, d, case):
+        # Each value is circ(1e307, ..., 1e307), whose eigenvalue 1e307 d is
+        # not a float.  At FFT orders ring Horner's forward transform of the
+        # point or of P's rows overflowed, and the value was NaN.
+        i, o, big = cf.identity(d), cf.zero(d), cf.Circulant(np.full(d, 1e307))
+        f, z = {
+            "Z at circ(1e307, ...)": (PolyFunction(CircPoly([i, o])), big),
+            "circ(1e307, ...) Z at I": (PolyFunction(CircPoly([big, o])), i),
+            "Z I^+ at circ(1e307, ...)": (RationalFunction(CircPoly([i, o]), CircPoly([i])), big),
+        }[case]
+        np.testing.assert_allclose(f.evaluate(z).row, np.full(d, 1e307), rtol=0, atol=1e-12 * 1e307)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [32, 33, 64])
+    def test_ring_horner_agrees_with_the_direct_loop_near_the_float_limit(self, rng, d):
+        # Degree 1-3, coefficients and points scaled by up to 1e300 so that
+        # the value lands near the float limit; half of the rows are
+        # constant, whose spectrum gathers d times the entry on channel 1.
+        # Wherever the direct loop of ring Horner is finite, the FFT-order
+        # evaluation is finite too, agrees with it and warns nothing, also
+        # where the transforms of its Horner pass overflow.
+        checked = transforms_overflowed = 0
+        for _ in range(300):
+            degree = int(rng.integers(1, 4))
+            rows = rng.standard_normal((degree + 2, d)) + 1j * rng.standard_normal((degree + 2, d))
+            if rng.random() < 0.5:
+                rows[:] = rows[:, :1]
+            point_exponent = rng.uniform(0, 300 / degree)
+            rows[:-1] *= 10.0 ** np.clip(rng.uniform(300, 310) - degree * point_exponent, 0, 300)
+            rows[-1] *= 10.0**point_exponent
+            coeffs, z = rows[:-1], rows[-1]
+            with np.errstate(all="ignore"):
+                direct = coeffs[0]
+                for c in coeffs[1:]:
+                    direct = _mul_rows(direct, z, fft=False) + c
+                transformed = inverse_rows(_horner(forward_rows(coeffs), forward_rows(z))[None])
+            if not np.isfinite(direct).all():
+                continue
+            value = CircPoly([cf.Circulant(c) for c in coeffs]).evaluate(cf.Circulant(z)).row
+            assert np.isfinite(value).all()
+            assert np.max(np.abs(value - direct)) <= 1e-12 * np.max(np.abs(direct))
+            checked += 1
+            transforms_overflowed += not np.isfinite(transformed).all()
+        assert checked >= 100 and transforms_overflowed >= 20
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("kind", ["poly", "rational"])
+    def test_poly_and_rational_values_that_overflow_are_named(self, d, kind):
+        # P = 1e308 I Z at Z = 10 I (Q = I): every F_i is 1e309 at the finite
+        # eigenvalue 10.  The value was NaN or infinite, and the CLI refused
+        # it unnamed; exppoly named it.
+        i, o = cf.identity(d), cf.zero(d)
+
+        def function(p):
+            return PolyFunction(p) if kind == "poly" else RationalFunction(p, CircPoly([i]))
+
+        # Z^2 at 1e200 I overflows in the second Horner step, and then in
+        # the product with Q^+.
+        for p, z in ((CircPoly([cf.scale(1e308, i), o]), cf.scale(10, i)), (CircPoly([i, o, o]), cf.scale(1e200, i))):
+            with pytest.raises(ChannelSingularityError) as info:
+                function(p).evaluate(z)
+            assert str(info.value) == f"F overflows at channel(s) {list(range(1, d + 1))}"
 
     def test_report_evaluates_q_once(self, monkeypatch, rng):
         # One Horner pass per part: Q's values give both the quotient and
