@@ -241,9 +241,11 @@ def logderiv_diag(f: CircFunction, z: Circulant) -> np.ndarray:
     """Channel values u_i F_i'(u_i) / F_i(u_i) at the eigenvalues of z.
 
     Equals the diagonal of S (Z F'(Z) F(Z)^+) S^-1; raises
-    ChannelSingularityError where a channel sits on a zero or pole.
+    ChannelSingularityError where a channel sits on a zero or pole.  The point
+    is admitted as evaluation admits it: its order must be F's and its
+    entries finite.
     """
-    u = spectrum(z)
+    u = spectrum(f._admit(z))
     return u * f.channel_logderiv(u)
 
 
@@ -281,22 +283,24 @@ def _analyze_sequence(scales: np.ndarray, values: np.ndarray):
     return np.where(converged, k, np.nan), converged, refined, np.where(usable, tail[2], np.nan)
 
 
-def _estimate_channels(f: CircFunction, path: PathSpec | None, qfun) -> tuple[ChannelTable, int, PathSpec]:
-    """(table, retries, path) of the scan along ``path``, by default :meth:`PathSpec.default`."""
+def _estimate_channels(f: CircFunction, path: PathSpec | None, witness=None) -> tuple[ChannelTable, int, PathSpec]:
+    """(table, retries, path) of the scan along ``path``, by default
+    :meth:`PathSpec.default`, with the ``witness``'s values taken off G'.
+    Coefficient eigenvalues of F or the witness that are not finite are refused."""
     if path is None:
         path = PathSpec.default(f.d)
     if path.d != f.d:
         raise DimensionError(f"order mismatch: path has {path.d}, function has {f.d}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
-        for letter, part in zip("PQG", (f.P, f.Q, f.G)):
-            if part is not None:
-                part.channel_matrix()
-                if not math.isfinite(part._scale):  # S, the largest modulus, is finite iff every entry is
-                    raise ValueError(f"{letter}: coefficient eigenvalues must be finite")
+    parts = {"P": f.P, "Q": f.Q, "G": f.G}
+    if witness is not None:
+        parts.update({"witness P": witness.P, "witness G": witness.G})
+    for name, part in parts.items():
+        if part is not None:
+            part._finite_channel_matrix(name)
     indeterminate = f.degenerate_channels()
     if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
-    estimates, retries = _scan(f, path, qfun, indeterminate)
+    estimates, retries = _scan(f, path, None if witness is None else witness.channel_values, indeterminate)
     estimates = np.where(indeterminate, np.nan, estimates)  # analysed as not finite: no k, no error
     k, converged, refined, errors = _analyze_sequence(path.scales, estimates)
     flag = np.where(indeterminate, INDETERMINATE, np.where(converged, CONVERGED, DIVERGED))
@@ -351,7 +355,7 @@ def estimate_divisor(
     value equals n - m and is cross-checked against that expectation.
     """
     num, den = f.P, f.Q
-    table, retries, path = _estimate_channels(f, path, None)
+    table, retries, path = _estimate_channels(f, path)
 
     n = num.degree
     m = den.degree if den is not None else 0
@@ -410,7 +414,7 @@ def entire_zero_bound(
     if q_entire.d != f.d:
         raise DimensionError(f"order mismatch: witness has {q_entire.d}, function has {f.d}")
 
-    table, retries, _ = _estimate_channels(f, path, q_entire.channel_values)
+    table, retries, _ = _estimate_channels(f, path, q_entire)
 
     n = _common_limit(table)
     degree_check = None if n is None else _degree_cross_check(f, q_entire, n)
@@ -447,7 +451,7 @@ def detect_poly_degree(
     """Recover the degree of a regular polynomial function from its
     log-derivative limit; anything without a common nonnegative integer
     limit is reported as not polynomial."""
-    table, retries, _ = _estimate_channels(f, path, None)
+    table, retries, _ = _estimate_channels(f, path)
     degree = _common_limit(table)
     return DegreeReport(
         is_polynomial=degree is not None, degree=degree, table=table, retries_used=retries

@@ -3,26 +3,25 @@ their evaluation and differentiation.
 
 Every function class of the paper has this form: polynomial (Q = I, G = 0),
 rational (G = 0) and exponential-polynomial (Q = I).  :class:`CircFunction`
-holds the parts P, Q and G, the last two optional, and writes the channel
-calculus once; its three subclasses are the JSON kinds.  Because every
-circulant of order d diagonalizes in the common Fourier basis, a function
-with circulant coefficients splits into d independent scalar "channel"
-functions of one complex variable each.  Evaluation works either in the ring
-directly (:meth:`CircPoly.evaluate`, the one ring Horner) or channel-wise on
-the spectrum; differentiation uses the channel rule: the derivative's i-th
-eigenvalue is the ordinary scalar derivative of the i-th channel function at
-the i-th eigenvalue of the argument.  A finite-difference variant is provided
-for cross-validation.  An exp(G_i), or a product with it, that overflows
-raises (:func:`_times_exp`), as does a value that overflows.  A value or
-derivative at a matrix point reads the raw coefficient spectra at every order,
-as ring Horner does; only the log-derivative,
-:meth:`CircFunction.channel_values` (the limit scan's witness) and the solver
-read the snapped channel matrix, where exact degree drops must stay exact.
-Every channel-wise pass, here, in the solver and in the limit scans, runs the
-one scalar Horner loop :func:`circfun.core._horner`, which ring Horner runs at
-FFT orders too; P' rides along in the same pass (:func:`_with_derivative`),
-and the scale is the loop over |c_k| at |u|.  Every pass runs on all d
-channels; the limit scan masks the degenerate ones.
+holds the parts, Q and G optional, and writes the channel calculus once; its
+three subclasses are the JSON kinds.  Every circulant of order d
+diagonalizes in the common Fourier basis, so F splits into d independent
+scalar "channel" functions F_i.  Evaluation runs in the ring
+(:meth:`CircPoly.evaluate`, the one ring Horner) or channel-wise on the
+spectrum; the derivative's i-th eigenvalue is F_i' at the i-th eigenvalue of
+the argument, and a finite-difference variant cross-validates it.  A value
+or derivative at a matrix point, whose entries must be finite, has one rule
+(:meth:`CircFunction._value_at`): the channel pass on the raw spectra where
+every eigenvalue and value is finite, else the kind's ring form where it is
+finite, else an error naming the channels that are not; an exp(G_i), or a
+product with it, that overflows is named too (:func:`_times_exp`).  Only the
+log-derivative, :meth:`CircFunction.channel_values` (the limit scan's
+witness) and the solver read the snapped channel matrix, where exact degree
+drops must stay exact.  Every channel-wise pass, here, in the solver and in
+the limit scans, runs the one scalar Horner loop :func:`circfun.core._horner`,
+which ring Horner runs at FFT orders too; P' rides along in the same pass
+(:func:`_with_derivative`), and the scale is the loop over |c_k| at |u|.
+Every pass runs on all d channels; the limit scan masks the degenerate ones.
 """
 
 from __future__ import annotations
@@ -84,16 +83,16 @@ class CircPoly:
         orders the transform of Z, :func:`circfun.core._horner` over the
         cached raw spectra and one inverse transform, which
         :func:`circfun.spectral.inverse_rows` takes again scaled where its
-        sums overflow; where a spectrum overflows, the direct loop with the
-        FFT products of :func:`circfun.core._mul_rows`, which scale too."""
+        sums overflow; where that is not finite, as where a spectrum overflows,
+        cached or not, the direct loop with the FFT products of
+        :func:`circfun.core._mul_rows`, which scale too."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {self.d}")
         if self.d >= FFT_THRESHOLD and self.degree:
-            try:
-                with np.errstate(over="raise", invalid="raise"):  # an overflow runs the loop below
-                    return Circulant(inverse_rows(_horner(self._raw_spectra(), forward_rows(z.row))[None])[0])
-            except FloatingPointError:
-                pass
+            with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite runs the loop below
+                row = inverse_rows(_horner(self._raw_spectra(), forward_rows(z.row))[None])[0]
+            if np.isfinite(row[0]):  # row 0 is the mean of the channel values, which any that is not finite spoils
+                return Circulant(row)
         acc = self.coeffs[0].row
         for c in self.coeffs[1:]:
             acc = _mul_rows(acc, z.row, fft=self.d >= FFT_THRESHOLD) + c.row
@@ -134,6 +133,14 @@ class CircPoly:
             moduli.flags.writeable = False
             self._channel_matrix, self._moduli, self._scale = cm, moduli, float(top)
         return self._channel_matrix
+
+    def _finite_channel_matrix(self, name: str) -> np.ndarray:
+        """:meth:`channel_matrix`; a ValueError names ``name`` where a coefficient eigenvalue is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
+            cm = self.channel_matrix()
+        if not np.isfinite(self._scale):  # S, the largest modulus, is finite iff every entry is
+            raise ValueError(f"{name}: coefficient eigenvalues must be finite")
+        return cm
 
     def channel_degrees(self) -> np.ndarray:
         """Effective degree of each channel, -1 where it is identically zero.
@@ -240,16 +247,16 @@ class CircFunction:
         return mask if self.Q is None else mask | (self.Q.channel_degrees() < 0)
 
     def channel_values(self, u: np.ndarray) -> np.ndarray:
-        """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d).  A
-        channel where Q_i(u_i) falls to the rank threshold of its point is
-        zeroed, as the pseudoinverse zeroes it."""
+        """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d): 0 where
+        Q_i(u_i) falls to the rank threshold of its point, as the pseudoinverse zeroes it;
+        NaN where Q_i(u_i) is not finite, which leaves that point no threshold and its others 0."""
         return self._values_and_zeroed(u)[0]
 
     def _values_and_zeroed(self, u: np.ndarray, raw: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """:meth:`channel_values` and the mask of the channels it zeroes (None
-        without Q), in one pass of Q; at a NaN threshold neither holds.  With
-        ``raw`` the parts' raw spectra, which ring Horner reads, stand in for
-        their snapped channel matrices."""
+        without Q, meaningless at a point with a NaN channel), in one pass of
+        Q.  With ``raw`` the raw spectra, which ring Horner reads, stand in for
+        the parts' snapped channel matrices."""
         coefficients = CircPoly._raw_spectra if raw else CircPoly.channel_matrix
         value, zeroed = _horner(coefficients(self.P), u), None
         if self.Q is not None:
@@ -257,7 +264,7 @@ class CircFunction:
             magnitude = np.abs(q)
             threshold = _rank_threshold(magnitude)
             keep, zeroed = magnitude > threshold, magnitude <= threshold
-            p, value = value, np.zeros_like(value)
+            p, value = value, np.where(np.isfinite(q), 0j, np.nan)
             value[keep] = p[keep] / q[keep]
         if self.G is not None:
             g = _horner(coefficients(self.G), u)
@@ -313,41 +320,43 @@ class CircFunction:
         return self.evaluate_with_report(z)[0]
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        """Evaluate channel-wise on the raw spectra and report the 1-based
-        channels that the rank threshold of Q zeroes (none without Q).  A
-        value that overflows at a finite eigenvalue raises, naming them."""
-        self._check_order(z)
-        u = spectrum(z)
-        with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is named next
-            values, zeroed = self._values_and_zeroed(u, raw=True)
-        overflow = np.isfinite(u) & ~np.isfinite(values)
-        if overflow.any():
-            _raise_where(overflow[None], ["F overflows"])
-        return from_spectrum(values), () if zeroed is None else tuple((np.flatnonzero(zeroed) + 1).tolist())
+        """F(z) and the 1-based channels Q's rank threshold zeroes, by :meth:`_value_at`."""
+        return self._value_at(z)
 
     def derivative(self, z: Circulant) -> Circulant:
-        """Derivative via the channel rule: eigenvalue i of the result is
-        dF_i/du at u = eigenvalue i of z.  A derivative that overflows at a
-        finite eigenvalue raises, naming the channels, as a value does."""
-        self._check_order(z)
-        u = spectrum(z)
-        with np.errstate(over="ignore", invalid="ignore"):  # a derivative that overflows is named next
-            values = self.channel_derivatives(u)
-        finite = np.isfinite(values)
-        if not finite.all():
-            overflow = np.isfinite(u) & ~finite
-            if overflow.any():
-                _raise_where(overflow[None], ["F' overflows"])
-        return from_spectrum(values)
+        """F'(z) by the channel rule and :meth:`_value_at`.  F' has no ring form:
+        it is named at a point whose eigenvalue overflows even where it is a float (F = Z)."""
+        return self._value_at(z, derivative=True)[0]
 
-    def _check_order(self, z: Circulant) -> None:
+    def _admit(self, z: Circulant) -> Circulant:
+        """``z``, once its order is F's and its entries are finite."""
         if z.d != self.d:
             raise DimensionError(f"order mismatch: point has {z.d}, function has {self.d}")
+        if not np.isfinite(z.row).all():
+            raise ValueError("point entries must be finite")
+        return z
+
+    def _value_at(self, z: Circulant, ring=None, derivative=False) -> tuple[Circulant, tuple[int, ...]]:
+        """The one rule for F(z), or F'(z) with ``derivative``, and the channels
+        Q's rank threshold zeroes: the channel pass on the raw spectra where
+        every eigenvalue and value is finite, else the kind's ring form
+        ``ring(z)`` where finite, else ChannelSingularityError naming the rest."""
+        with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is taken in the ring or named
+            u = spectrum(self._admit(z))
+            values, zeroed = (self.channel_derivatives(u), None) if derivative else self._values_and_zeroed(u, raw=True)
+            if np.isfinite(u).all() and np.isfinite(values).all():
+                value = from_spectrum(values)
+            else:
+                value, zeroed = ring(z) if ring else (None, None)
+                if value is None or not np.isfinite(value.row).all():
+                    bad = ~(np.isfinite(u) & np.isfinite(values))
+                    _raise_where(bad[None], ["F' overflows" if derivative else "F overflows"])
+        return value, () if zeroed is None else tuple((np.flatnonzero(zeroed) + 1).tolist())
 
 
 class PolyFunction(CircFunction):
-    """P(Z) by ring Horner, which takes no transform below ``FFT_THRESHOLD``;
-    a value that is not finite is named by the channel pass where it overflows."""
+    """P(Z) by ring Horner, which takes no transform below ``FFT_THRESHOLD``,
+    and by :meth:`_value_at` where that value is not finite."""
 
     kind, LETTERS = "poly", ("P",)
 
@@ -355,17 +364,12 @@ class PolyFunction(CircFunction):
         super().__init__(P)
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        self._check_order(z)
-        value = self.P.evaluate(z)
-        if not np.isfinite(value.row).all():
-            super().evaluate_with_report(z)
-        return value, ()
+        value = self.P.evaluate(self._admit(z))
+        return (value, ()) if np.isfinite(value.row).all() else self._value_at(z)
 
 
 class RationalFunction(CircFunction):
-    """P(Z) Q(Z)^+, channel-wise on the raw spectra at every order, and in the
-    ring only at a point whose spectrum is not finite, or where a channel
-    value overflows; a ring value that is not finite is named as a poly one is."""
+    """P(Z) Q(Z)^+ by :meth:`_value_at`; its ring form is P(Z) pinv(Q(Z))."""
 
     kind, LETTERS = "rational", ("P", "Q")
 
@@ -373,20 +377,11 @@ class RationalFunction(CircFunction):
         super().__init__(P, Q)
 
     def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        self._check_order(z)
-        try:
-            with np.errstate(over="raise", invalid="raise"):  # an overflow is taken again in the ring
-                u = spectrum(z)
-                if np.isfinite(u).all():  # a NaN raises no flag, and would zero every channel
-                    values, zeroed = self._values_and_zeroed(u, raw=True)
-                    return from_spectrum(values), tuple((np.flatnonzero(zeroed) + 1).tolist())
-        except FloatingPointError:
-            pass
+        return self._value_at(z, self._ring_value)
+
+    def _ring_value(self, z: Circulant) -> tuple[Circulant, np.ndarray]:
         inverse, zeroed = _pinv_row(self.Q.evaluate(z))
-        value = core.mul(self.P.evaluate(z), Circulant(inverse))
-        if not np.isfinite(value.row).all():
-            super().evaluate_with_report(z)
-        return value, tuple((np.flatnonzero(zeroed) + 1).tolist())
+        return core.mul(self.P.evaluate(z), Circulant(inverse)), zeroed
 
 
 class ExpPolyFunction(CircFunction):

@@ -500,19 +500,16 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     written at once and rebuilt and verified a chunk of ``RECOMBINE_CHUNK``
     at a time (see the module docstring); more than
     ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
-    built.  A root failing a check raises SolverError.  A channel matrix with NaN or
-    infinite entries, or a ``tol`` that is not positive and finite, raises
-    ValueError.
+    built.  A root failing a check raises SolverError.  Coefficient
+    eigenvalues that are not finite, or a ``tol`` that is not positive and
+    finite, raise ValueError.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if p.degree < 1:
         raise ValueError("polynomial degree must be >= 1")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # such input is rejected next
-        cm = p.channel_matrix()
-    if not np.all(np.isfinite(cm)):
-        raise ValueError("polynomial coefficients must be finite")
+    cm = p._finite_channel_matrix("polynomial")
     degrees = p.channel_degrees()
     width = max(int(degrees.max()), 0)
     distinct = np.zeros((p.d, width), dtype=np.complex128)  # row i: channel i's roots, padded

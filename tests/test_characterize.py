@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -80,6 +81,24 @@ class TestLogDerivDiag:
         f = PolyFunction(CircPoly.from_scalars([1, -1], d))  # Z - I
         with pytest.raises(ChannelSingularityError):
             cf.logderiv_diag(f, cf.identity(d))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "point, error, message",
+        [
+            (cf.identity(3), DimensionError, "order mismatch: point has 3, function has 4"),
+            (cf.identity(8), DimensionError, "order mismatch: point has 8, function has 4"),
+            (cf.Circulant([np.nan, 1.0, 0.0, 0.0]), ValueError, "point entries must be finite"),
+        ],
+        ids=["order-3", "order-8", "nan"],
+    )
+    def test_point_is_admitted_as_evaluation_admits_it(self, point, error, message):
+        # Z^2 of order 4: a point of another order raised numpy's "shape
+        # mismatch: objects cannot be broadcast to a single shape", and a
+        # NaN point gave NaN channels.
+        f = PolyFunction(CircPoly.from_scalars([1, 0, 0], 4))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cf.logderiv_diag(f, point)
 
 
 class TestPathSpec:
@@ -298,20 +317,25 @@ class TestEstimateDivisor:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d", [2, 64])
-    @pytest.mark.parametrize("part", ["P", "Q", "G"])
+    @pytest.mark.parametrize("part", ["P", "Q", "G", "witness P"])
     def test_coefficient_eigenvalues_that_overflow_are_refused(self, d, part):
         # circ(1e308, ..., 1e308) has the eigenvalue 1e308 d, beyond the float
         # range.  As P's or G's coefficient of Z, or Q's constant term, it
         # spread NaN through the scan, which misread every channel as
-        # degenerate (P, Q) or as diverged (G), with overflow warnings.
+        # degenerate (P, Q) or as diverged (G), with overflow warnings.  As
+        # the zero-bound witness of F = Z it diverged half the channels, and
+        # the report read matched False.
         i, o, c = cf.identity(d), cf.zero(d), cf.Circulant(np.full(d, 1e308))
         f = {
             "P": PolyFunction(CircPoly([c, o])),
             "Q": RationalFunction(CircPoly([i]), CircPoly([i, c])),
             "G": ExpPolyFunction(CircPoly([i]), CircPoly([c, o])),
+            "witness P": PolyFunction(CircPoly([i, o])),
         }[part]
         estimators = [cf.estimate_divisor, cf.detect_poly_degree]
-        if part != "Q":
+        if part == "witness P":
+            estimators = [functools.partial(cf.entire_zero_bound, q_entire=PolyFunction(CircPoly([c])))]
+        elif part != "Q":
             estimators.append(functools.partial(cf.entire_zero_bound, q_entire=PolyFunction(CircPoly([i]))))
         for estimate in estimators:
             with pytest.raises(ValueError, match=f"^{part}: coefficient eigenvalues must be finite$"):

@@ -190,20 +190,30 @@ class TestEval:
     def test_poly_and_rational_value_overflow_names_the_channels(self, monkeypatch, capsys, d, kind):
         # P = 1e308 I Z at Z = 10 I: every F_i is 1e309.  The JSON writer
         # refused the value unnamed, after numpy warnings at d = 64, where
-        # exppoly named it.
+        # exppoly named it.  P = Z^2 at C = circ(1e307, ..., 1e307): C's
+        # eigenvalue 1e307 d is not a float at d = 64, where the value
+        # printed a RuntimeWarning and then "Out of range float values are
+        # not JSON compliant".  Channel 1 overflows; the transform's
+        # inf - inf may spoil others.
         def circ(first):
             return {"d": d, "row": [[first, 0]] + [[0, 0]] * (d - 1)}
 
-        function = {"kind": kind, "d": d, "P": [circ(1e308), circ(0)]}
-        if kind == "rational":
-            function["Q"] = [circ(1)]
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"function": function, "point": circ(10)})))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run(["eval"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: F overflows at channel(s) {list(range(1, d + 1))}\n"
+        c = {"d": d, "row": [[1e307, 0]] * d}
+        every = re.escape(str(list(range(1, d + 1))))
+        for p, point, channels in (
+            ([circ(1e308), circ(0)], circ(10), every),
+            ([circ(1), circ(0), circ(0)], c, r"\[1(, \d+)*\]"),
+        ):
+            function = {"kind": kind, "d": d, "P": p}
+            if kind == "rational":
+                function["Q"] = [circ(1)]
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"function": function, "point": point})))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run(["eval"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(rf"error: F overflows at channel\(s\) {channels}\n", captured.err)
 
     def test_exppoly_value_overflow_names_the_channels(self, monkeypatch, capsys):
         # P = circ(1e307, ..., 1e307), G = 0 at I: at d = 64 P's eigenvalue

@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 
@@ -370,12 +371,46 @@ class TestFuncEval:
     @pytest.mark.parametrize("cls", [CircFunction, RationalFunction])
     def test_rank_threshold_at_zero_and_nan(self, cls):
         # Q = Z vanishes on every channel at Z = 0, which zeroes and reports
-        # every one; at a NaN point the threshold is NaN, which reports none.
+        # every one.  A NaN point is refused: its threshold was NaN, which
+        # reported no channel.
         d = 3
         f = cls(CircPoly([cf.identity(d)]), CircPoly.from_scalars([1, 0], d))
         value, zeroed = f.evaluate_with_report(cf.zero(d))
         assert zeroed == (1, 2, 3) and not np.any(value.row)
-        assert f.evaluate_with_report(cf.Circulant([np.nan, 0.0, 0.0]))[1] == ()
+        with pytest.raises(ValueError, match=r"^point entries must be finite$"):
+            f.evaluate_with_report(cf.Circulant([np.nan, 0.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cls", [CircFunction, RationalFunction])
+    def test_rank_threshold_where_a_q_value_is_not_finite(self, cls):
+        # 1 / (Z + C) at I, d = 64, C = circ(1e307, ..., 1e307): Q's
+        # eigenvalue 1 + 6.4e308 is not a float, and the transform's
+        # inf - inf may spoil others (channel 33 here), so the rank threshold
+        # is NaN.  The channel pass kept and zeroed no channel and gave the
+        # zero matrix with no report.  Now it is not trusted: the ring form, P(Z) times
+        # the pseudoinverse of Q(Z) taken scaled, is 2.44e-311 with 63
+        # channels zeroed; without a ring form the channels are named.
+        d = 64
+        i, c = cf.identity(d), cf.Circulant(np.full(d, 1e307))
+        f = cls(CircPoly([i]), CircPoly([i, c]))
+        with np.errstate(all="ignore"):
+            spoiled = tuple((np.flatnonzero(~np.isfinite(cf.spectrum(c))) + 1).tolist())
+        assert spoiled[0] == 1
+        if cls is RationalFunction:
+            # The same again once an estimator has cached Q's spectra and
+            # refused them: ring Horner took their NaN value without a
+            # floating-point flag, and the value was 0.
+            for _ in range(2):
+                value, zeroed = f.evaluate_with_report(i)
+                assert value.row.tobytes() == cf.pseudoinverse(cf.add(i, c)).row.tobytes()
+                np.testing.assert_allclose(value.row, np.full(d, 1e-307 / d**2), rtol=1e-12, atol=0)
+                assert zeroed == tuple(range(2, d + 1))
+                with pytest.raises(ValueError, match=r"^Q: coefficient eigenvalues must be finite$"):
+                    cf.estimate_divisor(f)
+        else:
+            with pytest.raises(ChannelSingularityError) as info:
+                f.evaluate_with_report(i)
+            assert str(info.value) == f"F overflows at channel(s) {list(spoiled)}"
 
     @pytest.mark.parametrize("d", [8, 31, 32, 64])
     def test_rational_is_the_ring_product_with_the_pseudoinverse(self, rng, d):
@@ -419,15 +454,30 @@ class TestFuncEval:
         rhs = dense_horner(p, dense_z)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [4, 64])
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_a_point_that_is_not_finite_is_refused(self, d, entry):
+        # Z^2 at circ(inf, 0, ..., 0) was NaN in every entry, silently or
+        # with numpy warnings, as value and as derivative.  Every kind
+        # refuses the point before any pass, as the log-derivative does.
+        i, o = cf.identity(d), cf.zero(d)
+        p, q, g = CircPoly([i, o, o]), CircPoly([i]), CircPoly([o])
+        z = cf.Circulant([entry] + [0.0] * (d - 1))
+        for f in (PolyFunction(p), RationalFunction(p, q), ExpPolyFunction(p, g), CircFunction(p, q, g)):
+            for call in (f.evaluate_with_report, f.derivative, functools.partial(cf.logderiv_diag, f)):
+                with pytest.raises(ValueError, match=r"^point entries must be finite$"):
+                    call(z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d", [16, 64])
-    def test_rational_at_a_nan_point_is_nan_on_both_paths(self, d):
-        # A NaN raises no floating-point flag, and at its NaN rank threshold
-        # the channel rule would keep no channel and give 0; the ring product
-        # gives NaN, below FFT_THRESHOLD and at FFT orders alike.
+    def test_rational_at_a_nan_point_is_refused_on_both_paths(self, d):
+        # At its NaN rank threshold the channel rule would keep no channel
+        # and give 0, and the ring product gave NaN, below FFT_THRESHOLD and
+        # at FFT orders alike.  The point is refused before either runs.
         f = RationalFunction(CircPoly.from_scalars([1, 2], d), CircPoly.from_scalars([1, 3], d))
-        with np.errstate(all="ignore"):
-            value, zeroed = f.evaluate_with_report(cf.Circulant(np.full(d, np.nan)))
-        assert np.isnan(value.row).all() and zeroed == ()
+        with pytest.raises(ValueError, match=r"^point entries must be finite$"):
+            f.evaluate_with_report(cf.Circulant(np.full(d, np.nan)))
 
     @pytest.mark.parametrize("d", [32, 64, 1024])
     def test_planted_vanishing_channel_is_zeroed_on_both_paths(self, rng, d):
@@ -505,23 +555,45 @@ class TestFuncEval:
         assert checked >= 100 and transforms_overflowed >= 20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("d", [2, 64])
-    @pytest.mark.parametrize("kind", ["poly", "rational"])
-    def test_poly_and_rational_values_that_overflow_are_named(self, d, kind):
-        # P = 1e308 I Z at Z = 10 I (Q = I): every F_i is 1e309 at the finite
-        # eigenvalue 10.  The value was NaN or infinite, and the CLI refused
-        # it unnamed; exppoly named it.
-        i, o = cf.identity(d), cf.zero(d)
-
-        def function(p):
-            return PolyFunction(p) if kind == "poly" else RationalFunction(p, CircPoly([i]))
-
-        # Z^2 at 1e200 I overflows in the second Horner step, and then in
-        # the product with Q^+.
-        for p, z in ((CircPoly([cf.scale(1e308, i), o]), cf.scale(10, i)), (CircPoly([i, o, o]), cf.scale(1e200, i))):
+    @pytest.mark.parametrize(
+        "kind, d",
+        [(k, d) for k in ("poly", "rational") for d in (2, 32, 64)]
+        + [(k, d) for k in ("exppoly", "meromorphic") for d in (32, 64)],
+    )
+    def test_values_that_overflow_are_named(self, kind, d):
+        # P = 1e308 I Z at Z = 10 I (Q = I, G = 0): every F_i is 1e309 at
+        # the finite eigenvalue 10.  The value was NaN or infinite, and the
+        # CLI refused it unnamed; exppoly named it.  Z^2 at 1e200 I
+        # overflows in the second Horner step, and then in the product with
+        # Q^+.  C = circ(1e307, ..., 1e307) has the eigenvalue 1e307 d, not a
+        # float at d = 32 and 64, where the transform's inf - inf may spoil
+        # more channels: Z^2 at C was NaN or infinite, with numpy warnings.
+        # It is named where the eigenvalue or the value is not finite.  Z at
+        # C is C for the kinds with a ring form, and named for the others.
+        i, o, c = cf.identity(d), cf.zero(d), cf.Circulant(np.full(d, 1e307))
+        q, g = CircPoly([i]), CircPoly([o])
+        function = {
+            "poly": PolyFunction,
+            "rational": lambda p: RationalFunction(p, q),
+            "exppoly": lambda p: ExpPolyFunction(p, g),
+            "meromorphic": lambda p: CircFunction(p, q, g),
+        }[kind]
+        with np.errstate(all="ignore"):
+            at_c = (np.flatnonzero(~np.isfinite(cf.spectrum(c) ** 2)) + 1).tolist()
+        assert at_c[0] == 1
+        for p, z, channels in (
+            (CircPoly([cf.scale(1e308, i), o]), cf.scale(10, i), list(range(1, d + 1))),
+            (CircPoly([i, o, o]), cf.scale(1e200, i), list(range(1, d + 1))),
+            (CircPoly([i, o, o]), c, at_c),
+        ):
             with pytest.raises(ChannelSingularityError) as info:
                 function(p).evaluate(z)
-            assert str(info.value) == f"F overflows at channel(s) {list(range(1, d + 1))}"
+            assert str(info.value) == f"F overflows at channel(s) {channels}"
+        if kind in ("poly", "rational"):
+            np.testing.assert_allclose(function(CircPoly([i, o])).evaluate(c).row, c.row, rtol=0, atol=1e-12 * 1e307)
+        else:
+            with pytest.raises(ChannelSingularityError, match=re.escape(f"F overflows at channel(s) {at_c}")):
+                function(CircPoly([i, o])).evaluate(c)
 
     def test_report_evaluates_q_once(self, monkeypatch, rng):
         # One Horner pass per part: Q's values give both the quotient and
@@ -944,20 +1016,37 @@ class TestDerivative:
         assert err.value.channels == (2,)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("d", [4, 64])
+    @pytest.mark.parametrize("d", [4, 32, 64])
     def test_overflowing_derivative_names_the_channels(self, d):
         # P = 1e308 Z^2: the P' rows hold 2e308, so P'(u) overflows at every
         # eigenvalue of I; the result was NaN in every entry, with warnings.
         # At 1e307 it overflows only where |u| = 100, at channels 2, 5, ...
-        for lead, point, channels in [
-            (1e308, cf.identity(d), range(1, d + 1)),
-            (1e307, cf.from_spectrum(np.where(np.arange(d) % 3 == 1, 100.0, 1.0)), range(2, d + 1, 3)),
-        ]:
-            f = PolyFunction(CircPoly([cf.scale(lead, cf.identity(d)), cf.zero(d), cf.zero(d)]))
+        # C = circ(1e307, ..., 1e307) has the eigenvalue 1e307 d, not a float
+        # at d = 32 and 64: F' of every kind at C, with P = Z^2 or Z, was NaN
+        # or infinite with numpy warnings.  It is named where the eigenvalue
+        # is not finite, even F' = I of F = Z: a derivative has no ring form.
+        i, o = cf.identity(d), cf.zero(d)
+        cases = [
+            (PolyFunction(CircPoly([cf.scale(1e308, i), o, o])), i, list(range(1, d + 1))),
+            (
+                PolyFunction(CircPoly([cf.scale(1e307, i), o, o])),
+                cf.from_spectrum(np.where(np.arange(d) % 3 == 1, 100.0, 1.0)),
+                list(range(2, d + 1, 3)),
+            ),
+        ]
+        if d > 4:
+            c, q, g = cf.Circulant(np.full(d, 1e307)), CircPoly([i]), CircPoly([o])
+            with np.errstate(all="ignore"):
+                at_c = (np.flatnonzero(~np.isfinite(cf.spectrum(c))) + 1).tolist()
+            assert at_c[0] == 1
+            for p in (CircPoly([i, o, o]), CircPoly([i, o])):
+                kinds = (PolyFunction(p), RationalFunction(p, q), ExpPolyFunction(p, g), CircFunction(p, q, g))
+                cases += [(f, c, at_c) for f in kinds]
+        for f, point, channels in cases:
             with pytest.raises(ChannelSingularityError) as err:
                 f.derivative(point)
             assert err.value.channels == tuple(channels)
-            assert str(err.value) == f"F' overflows at channel(s) {list(channels)}"
+            assert str(err.value) == f"F' overflows at channel(s) {channels}"
 
     def test_exppoly_quotient(self, rng):
         d = 3

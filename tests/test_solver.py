@@ -501,6 +501,15 @@ class TestCircSolve:
         with pytest.raises(ValueError, match="finite"):
             cf.solve_circ_poly(p)
 
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_eigenvalues_that_overflow_are_named(self):
+        # circ(1e308, 1e308) Z + I: every coefficient is finite, but the
+        # leading one's eigenvalue 2e308 is not, where the message said the
+        # coefficients were not finite.
+        p = CircPoly([cf.Circulant([1e308, 1e308]), cf.identity(2)])
+        with pytest.raises(ValueError, match=r"^polynomial: coefficient eigenvalues must be finite$"):
+            cf.solve_circ_poly(p)
+
     @staticmethod
     def corrupt_rows(monkeypatch, change):
         """Route recombination through ``change(rows)``; returns the list that
