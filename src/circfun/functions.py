@@ -180,8 +180,9 @@ class Classification:
 
 
 def classify(p: CircPoly) -> Classification:
-    """Regular iff the leading coefficient is invertible: no channel's
-    effective degree (:meth:`CircPoly.channel_degrees`) falls below the degree."""
+    """Regular iff the leading coefficient is invertible: no channel's effective degree
+    (:meth:`CircPoly.channel_degrees`) falls below the degree.  Eigenvalues that are not finite raise ValueError."""
+    p._finite_channel_matrix("polynomial")
     vanishing = tuple((np.flatnonzero(p.channel_degrees() < p.degree) + 1).tolist())
     return Classification(not vanishing, vanishing)
 

@@ -10,27 +10,21 @@ relative tolerance are discarded:
 * identically zero: any value works, giving a free complex parameter.
 
 The root-bearing channels are grouped by effective degree n, and each group
-is solved as one (m, n + 1) matrix of monic rows: Ehrlich-Aberth on the
-(m, n) iterate with an (m, n, n) repulsion tensor, rows leaving the active
-set as they converge, then Newton polishing, clustering into multiplicities
-by inclusion discs and the residual check, all row-wise, with each row's
-value and derivative from one pass of the scalar Horner loop of
-:mod:`circfun.core`.  Each row starts from Bini's Newton-polygon radii: the
-slopes of the upper concave hull of the points (k, log|a_k|) give one radius
-per root near its modulus, so rows whose roots spread over many decades
-converge in a few iterations instead of creeping in from the Cauchy bound.
-Rows run in blocks whose tensors hold at most ``BLOCK_ENTRIES`` = 2**16
-entries of 16 bytes: the smallest bound of a sweep over 2**15 to 2**18 that
-solves each degree group of the benchmark in one block, which took its
-heaviest cases from about 20 to 16 ms for 0.5 MB more peak RSS (40.8 MB).
-Each block builds the rows of P beside those of P' once, for Aberth and
-polishing.  Aberth's P and P' pass takes its points as one contiguous
-(2, rows, n) stack, not the iterate broadcast twice; polishing takes p at
-the approximations from the pass the inclusion discs read and evaluates
-only P' there.  Each step does on a row exactly what it would do on that
-row alone, so a channel's roots depend neither on the rest of the
-polynomial nor on the blocks, and :func:`solve_scalar_poly` is the one-row
-case.
+is solved as one (m, n + 1) matrix of monic rows.  For 2 <= n <=
+``EIG_MAX_DEGREE`` the roots are the eigenvalues of the rows' companion
+matrices, from one batched LAPACK call (Edelman & Murakami, Math. Comp. 64,
+1995), but for rows with two equal nonzero ones.  Those rows, and all above
+it, run Ehrlich-Aberth on the (m, n) iterate with an (m, n, n) repulsion
+tensor, leaving the active set as they converge, from Bini's Newton-polygon
+radii (one per root near its modulus, so roots spread over many decades
+converge in a few iterations); stalled rows take the batched eigenvalues.  Newton polishing, clustering
+into multiplicities by inclusion discs and the residual check follow, all
+row-wise, each row's value and derivative from one pass of the scalar
+Horner loop of :mod:`circfun.core` over the rows of P beside those of P',
+built once per block of at most ``BLOCK_ENTRIES`` tensor entries.  Each
+step does on a row exactly what it would do on that row alone, so a
+channel's roots depend neither on the rest of the polynomial nor on the
+blocks, and :func:`solve_scalar_poly` is the one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
@@ -44,18 +38,15 @@ Recombination writes every combination into the (count, d) root array at
 once (:meth:`ChannelRoots._combinations`), then rebuilds and verifies it a
 chunk of ``RECOMBINE_CHUNK`` rows at a time, in place.  The chunk's inverse
 transform and the verifying forward one, like :func:`residual` and
-``sample_members``, are numpy's FFT at every order: for a stack of
-recombined roots it takes about half the direct sums' time or less at most
-orders below ``FFT_THRESHOLD`` (measured in :mod:`circfun.core`), and a
-solve with a few roots pays a few microseconds for it.  A row's bits depend
-neither on its chunk nor on its batch, so ``residual`` reproduces each
-root's residual exactly.  The forward transform of the chunk's rows gives
-the spectra u_k, the channel matrix is evaluated at them with its scales,
-and by Parseval the residual ||P(Z_k)||_F is sqrt(sum_i |p_i(u_ki)|^2).
-Each channel value must pass the backward-error gate
-|p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with scale_ki =
-sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient modulus.
-Since that check reads the same channel matrix the solve used, the
+``sample_members``, are numpy's FFT at every order (measured in
+:mod:`circfun.core`).  A row's bits depend neither on its chunk nor on its
+batch, so ``residual`` reproduces each root's residual exactly.  The forward
+transform of the chunk's rows gives the spectra u_k, the channel matrix is
+evaluated at them with its scales, and by Parseval the residual ||P(Z_k)||_F
+is sqrt(sum_i |p_i(u_ki)|^2).  Each channel value must pass the
+backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
+scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
+modulus.  Since that check reads the same channel matrix the solve used, the
 root of each chunk with the worst ratio to its bound is also evaluated by
 ring Horner (:meth:`CircPoly.evaluate`) on the raw coefficient rows, not the
 snapped channel matrix, and its Frobenius norm must stay within the finite
@@ -83,15 +74,8 @@ import numpy as np
 
 from . import core
 from .core import Circulant, _horner
-from .errors import (
-    DegeneratePolynomialError,
-    DimensionError,
-    RecombinationLimitError,
-    SolverError,
-)
-from .functions import (
-    ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale,
-)
+from .errors import DegeneratePolynomialError, DimensionError, RecombinationLimitError, SolverError
+from .functions import ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale
 from .spectral import inverse_rows
 from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR, SCALAR_RESIDUAL_TOL
 
@@ -115,6 +99,12 @@ BLOCK_ENTRIES = 2**16
 #: Aberth iterations before the companion-matrix fallback.
 ABERTH_MAX_ITER = 100
 
+#: Largest degree whose rows take companion eigenvalues, not Aberth: the largest
+#: no slower at any group size.  Their time over Aberth's in _solve_monic_rows on
+#: 16 to 8192 random rows (2 vCPUs, numpy 2.4.6, alternating medians): n = 2, 0.38-0.71
+#: at every size; n = 3, 0.44-0.90 up to 256 rows, 1.12-1.24 from 512; n = 4, 1.08-1.62 from 256.
+EIG_MAX_DEGREE = 2
+
 
 class SolutionStatus(Enum):
     FINITE = "finite"
@@ -124,7 +114,7 @@ class SolutionStatus(Enum):
 
 @dataclass(frozen=True)
 class ScalarRoots:
-    """Distinct roots of one channel polynomial with multiplicities."""
+    """Distinct roots of a channel polynomial with multiplicities, and Aberth's iterations (0 if it did not run)."""
 
     roots: np.ndarray
     multiplicities: np.ndarray
@@ -272,12 +262,12 @@ def solve_scalar_poly(
 ) -> ScalarRoots:
     """All complex roots of a scalar polynomial (leading coefficient first).
 
-    Runs the Ehrlich-Aberth iteration from the radii of the Newton polygon of
-    the coefficients (see :func:`_polygon_radii`) at evenly spaced angles,
-    falls back to companion-matrix eigenvalues if it stalls, polishes with
-    one Newton step per root and merges roots whose inclusion discs touch
-    (:func:`_cluster_roots`) into multiplicities.  Only exactly zero leading
-    coefficients are stripped.
+    Takes companion-matrix eigenvalues up to degree ``EIG_MAX_DEGREE``, and
+    above it the Ehrlich-Aberth iteration from the radii of the Newton polygon
+    (see :func:`_polygon_radii`) at evenly spaced angles, with the eigenvalues
+    as fallback if it stalls; polishes with one Newton step per root and
+    merges roots whose inclusion discs touch (:func:`_cluster_roots`) into
+    multiplicities.  Only exactly zero leading coefficients are stripped.
 
     Residuals pass the row gate of :mod:`circfun.tolerances` against the
     scale sum |c_k| |r|^(n-k).  This is the one-row case of the batched
@@ -371,22 +361,30 @@ def _polygon_radii(monic: np.ndarray) -> np.ndarray:
 
 
 def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Ehrlich-Aberth on every row; a row leaves the active set once its
-    corrections are negligible.  ``rows`` holds the :func:`_with_derivative`
-    rows of ``monic``, shape (n + 1, 2, m, 1).  Slot t of every row starts at
-    its Newton-polygon radius and the angle 2 pi t / n + 0.7.  Returns the
-    roots, the iteration counts and the SolverError of each row whose
-    companion-matrix fallback failed."""
+    """The root step: :func:`_companion_roots` at 2 <= n <= ``EIG_MAX_DEGREE``,
+    where only rows with two equal nonzero eigenvalues (no finite inclusion
+    discs) go on; Ehrlich-Aberth on the others, each row leaving once its
+    corrections are negligible, and :func:`_companion_roots` for those left
+    after ``max_iter``.  ``rows`` holds the :func:`_with_derivative` rows of
+    ``monic``, shape (n + 1, 2, m, 1); slot t starts at its Newton-polygon
+    radius and the angle 2 pi t / n + 0.7.  Returns the roots, the iteration
+    counts and the SolverError of each row whose eigenvalues failed."""
     m, n = monic.shape[0], monic.shape[1] - 1
     if n == 1:
         return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
+    roots, failures, active = np.empty((m, n), dtype=np.complex128), {}, np.arange(m)
+    if n <= EIG_MAX_DEGREE:
+        roots, failures = _companion_roots(monic)
+        ordered = np.sort_complex(roots)  # equal values end up side by side
+        active = np.flatnonzero(np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != 0), axis=1))
+        if active.size == 0:
+            return roots, np.zeros(m, dtype=np.intp), failures
+    iterations = np.zeros(m, dtype=np.intp)
+    iterations[active] = max_iter
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
-    z = _polygon_radii(monic) * np.exp(1j * angles)
-    roots = np.empty_like(z)
-    iterations = np.full(m, max_iter, dtype=np.intp)
-    active = np.arange(m)
+    z = _polygon_radii(monic[active]) * np.exp(1j * angles)
     diagonal = np.arange(n)
-    buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
+    buffer = np.empty((active.size, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
         p, dp = _horner(rows[:, :, active], np.stack((z, z)))
         dp = np.where(dp == 0, DIVISION_GUARD, dp)
@@ -403,17 +401,33 @@ def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndar
         iterations[active[done]] = iteration
         active, z = active[~done], z[~done]
         if active.size == 0:
-            break
+            return roots, iterations, failures
     # Stalled (typically root clusters): companion-matrix eigenvalues.
-    failures = {}
-    for i in active.tolist():
+    roots[active], stalled = _companion_roots(monic[active])
+    return roots, iterations, {**failures, **{int(active[i]): error for i, error in stalled.items()}}
+
+
+def _companion_roots(monic: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Eigenvalues (m, n) of the companion matrices of the rows of ``monic``
+    from one batched ``np.linalg.eigvals`` call, and the SolverError of each
+    row whose matrix failed.  A matrix is the one ``np.roots`` builds but
+    keeps trailing zero coefficients, which come back as exact zeros.  A
+    batch that raises is retried row by row, so rows stay independent."""
+    m, n = monic.shape[0], monic.shape[1] - 1
+    companion = np.zeros((m, n, n), dtype=np.complex128)
+    companion[:, 0] = -monic[:, 1:] / monic[:, :1]
+    companion.reshape(m, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+    try:
+        return np.linalg.eigvals(companion), {}
+    except np.linalg.LinAlgError:
+        roots, failures = np.full((m, n), np.nan, dtype=np.complex128), {}
+    for i in range(m):
         try:
-            roots[i] = np.roots(monic[i])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            roots[i] = np.linalg.eigvals(companion[i])
+        except np.linalg.LinAlgError as exc:
             failures[i] = SolverError("companion-matrix fallback failed to converge")
             failures[i].__cause__ = exc
-            roots[i] = np.nan
-    return roots, iterations, failures
+    return roots, failures
 
 
 def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -475,10 +489,16 @@ def residual(p: CircPoly, z: Circulant) -> float:
     """Frobenius norm of P(Z), by Parseval from the channel values at the
     spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the
     check :func:`solve_circ_poly` runs on its roots, on the same FFT kernel,
-    so it reproduces their residuals exactly."""
+    so it reproduces their residuals exactly.  Entries or eigenvalues of Z,
+    or coefficient eigenvalues, that are not finite raise ValueError."""
     if z.d != p.d:
         raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {p.d}")
-    return float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
+    if not np.isfinite(z.row).all():
+        raise ValueError("point entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
+        if not np.isfinite(np.fft.fft(z.row)).all():
+            raise ValueError("point eigenvalues must be finite")
+    return float(_channel_residuals(p._finite_channel_matrix("polynomial"), z.row[None])[2][0])
 
 
 def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -345,6 +345,14 @@ class TestClassify:
         assert verdict.regular
         assert verdict.vanishing_channels == ()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_coefficient_eigenvalues_are_refused(self):
+        # Channel 1's leading eigenvalue 6.4e310 overflows.  The snap scale
+        # was infinite, so every channel read as vanishing: regular=False.
+        d = 64
+        with pytest.raises(ValueError, match="^polynomial: coefficient eigenvalues must be finite$"):
+            cf.classify(CircPoly([cf.Circulant([1e308] * d), cf.identity(d)]))
+
 
 class TestFuncEval:
     def test_rational_reciprocal_is_pseudoinverse(self):

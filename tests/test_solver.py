@@ -199,6 +199,68 @@ class TestScalarRoots:
         *_, errors = solver._solve_monic_rows(np.array([[1.0, -2.0, 1.0]]), 1e-10, 100)
         assert list(errors) == [0] and "inclusion disc radii are not finite" in str(errors[0])
 
+    def test_quadratics_take_companion_eigenvalues(self, rng):
+        # Degree 2 takes no Aberth iteration; degree 3 still does.
+        assert solver.EIG_MAX_DEGREE == 2
+        assert cf.solve_scalar_poly(rng.standard_normal(3)).iterations == 0
+        assert cf.solve_scalar_poly([1.0, -1.0, 1.0, 0.5]).iterations > 0
+
+    def test_companion_roots_of_double_root_quadratics_are_those_of_np_roots(self, rng):
+        # (u - r)^2: the companion matrix is the one np.roots builds.
+        r = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        monic = np.stack([np.ones_like(r), -2 * r, r * r], axis=1)
+        roots, failures = solver._companion_roots(monic)
+        assert failures == {}
+        assert roots.tobytes() == np.array([np.roots(row) for row in monic]).tobytes()
+
+    @pytest.mark.parametrize("z", [1 + 1.1j, -2.1 + 2j])
+    def test_equal_companion_eigenvalues_go_on_to_aberth(self, z):
+        # Both eigenvalues of (u - z)^2 come out bit for bit equal, which
+        # leaves the inclusion discs no finite radius; Aberth separates them.
+        row = np.array([1, -2 * z, z * z])
+        eigenvalues = solver._companion_roots(row[None])[0][0]
+        assert eigenvalues[0] == eigenvalues[1] != 0
+        r = cf.solve_scalar_poly(row)
+        assert 0 < r.iterations and r.multiplicities.tolist() == [2]
+        np.testing.assert_allclose(r.roots, [z], rtol=1e-7)
+
+    def test_stalled_rows_give_one_exact_zero_per_trailing_zero(self, rng):
+        # With no Aberth iteration every row stalls into the batched fallback.
+        for n in (4, 6, 9):
+            zeros = rng.integers(1, n, 200)
+            monic = np.ones((200, n + 1), dtype=np.complex128)
+            monic[:, 1:] = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+            monic[np.arange(n + 1) > n - zeros[:, None]] = 0.0
+            roots, iterations, failures = solver._aberth(monic, _with_derivative(monic.T[:, :, None]), 0)
+            assert failures == {} and np.all(iterations == 0)
+            assert np.array_equal(np.count_nonzero(roots == 0, axis=1), zeros)
+
+    @pytest.mark.parametrize("n, max_iter", [(2, 100), (5, 0)])
+    def test_only_the_row_whose_eigenvalues_fail_is_named(self, monkeypatch, rng, n, max_iter):
+        # LAPACK fails on row 2's companion matrix alone: the batch raises,
+        # and the retry row by row names only that row and keeps the others.
+        monic = np.ones((5, n + 1), dtype=np.complex128)
+        monic[:, 1:] = rng.standard_normal((5, n))
+        monic[2, -1] = 7.0
+        rows = _with_derivative(monic.T[:, :, None])
+        clean, _, _ = solver._aberth(monic, rows, max_iter)
+        eigvals = np.linalg.eigvals
+
+        def failing(a):
+            if np.any(a[..., 0, -1] == -7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        roots, _, failures = solver._aberth(monic, rows, max_iter)
+        assert list(failures) == [2] and str(failures[2]) == "companion-matrix fallback failed to converge"
+        assert isinstance(failures[2].__cause__, np.linalg.LinAlgError)
+        assert np.isnan(roots[2]).all()
+        others = [0, 1, 3, 4]
+        assert roots[others].tobytes() == clean[others].tobytes()
+        *_, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, max_iter)
+        assert list(errors) == [2]
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             cf.solve_scalar_poly([1, 1], tol=0.0)
@@ -438,6 +500,28 @@ class TestCircSolve:
         failed = set(outcomes[0][1])
         assert failed == (set() if tol > 1e-30 else set(range(len(rows))) - {10})
 
+    @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
+    def test_quadratic_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
+        # The companion-matrix path: random quadratics, a double root, u^2
+        # and u(u - 1), and a double root whose two eigenvalues are equal,
+        # which goes on to Aberth (last row); at tol 1e-30 only exactly
+        # representable roots pass.
+        z = 1 + 1.1j
+        rows = [random_monic(rng, 2) for _ in range(9)] + [
+            np.poly([0.5 + 1j, 0.5 + 1j]), [1, 0, 0], [1, -1, 0], [1, -2 * z, z * z],
+        ]  # fmt: skip
+        monic = np.array(rows, dtype=np.complex128)
+        outcomes = []
+        for entries in (4, 16, solver.BLOCK_ENTRIES):  # 1 row, 4 rows, all rows per block
+            monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
+            *arrays, errors = solver._solve_monic_rows(monic, tol, solver.ABERTH_MAX_ITER)
+            outcomes.append(([a.tobytes() for a in arrays], {i: str(e) for i, e in errors.items()}))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        iterations = np.frombuffer(outcomes[0][0][2], dtype=np.intp)
+        assert not iterations[[0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]].any() and iterations[12] > 0
+        if tol > 1e-30:
+            assert outcomes[0][1] == {}
+
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4
         d = 2
@@ -617,6 +701,27 @@ class TestResidual:
     def test_order_mismatch(self):
         with pytest.raises(cf.DimensionError):
             cf.residual(CircPoly.from_scalars([1, 0, -1], 2), cf.identity(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan] + [0.0] * 63, "point entries must be finite"),
+            ([np.inf] + [0.0] * 63, "point entries must be finite"),
+            ([1e308] * 64, "point eigenvalues must be finite"),
+        ],
+        ids=["nan", "inf", "overflowing-spectrum"],
+    )
+    def test_point_that_is_not_finite_is_refused(self, row, message):
+        # Each printed fft or multiply warnings and returned NaN.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cf.residual(CircPoly.from_scalars([1, 0, -1], 64), cf.Circulant(row))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_coefficient_eigenvalues_are_refused(self):
+        p = CircPoly([cf.Circulant([1e308] * 64), cf.identity(64)])
+        with pytest.raises(ValueError, match="^polynomial: coefficient eigenvalues must be finite$"):
+            cf.residual(p, cf.identity(64))
 
     @pytest.mark.parametrize("d", [2, 5, 12, 31, 32, 40, 64])
     def test_spectral_residuals_match_ring_horner(self, rng, d):
