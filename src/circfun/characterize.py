@@ -242,10 +242,13 @@ def logderiv_diag(f: CircFunction, z: Circulant) -> np.ndarray:
 
     Equals the diagonal of S (Z F'(Z) F(Z)^+) S^-1; raises
     ChannelSingularityError where a channel sits on a zero or pole.  The point
-    is admitted as evaluation admits it: its order must be F's and its
-    entries finite.
+    is admitted as evaluation admits it, its order F's and its entries finite,
+    and as :func:`circfun.solver.residual` admits it: its eigenvalues finite.
     """
-    u = spectrum(f._admit(z))
+    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
+        u = spectrum(f._admit(z))
+    if not np.isfinite(u).all():
+        raise ValueError("point eigenvalues must be finite")
     return u * f.channel_logderiv(u)
 
 
@@ -291,12 +294,13 @@ def _estimate_channels(f: CircFunction, path: PathSpec | None, witness=None) -> 
         path = PathSpec.default(f.d)
     if path.d != f.d:
         raise DimensionError(f"order mismatch: path has {path.d}, function has {f.d}")
-    parts = {"P": f.P, "Q": f.Q, "G": f.G}
-    if witness is not None:
-        parts.update({"witness P": witness.P, "witness G": witness.G})
-    for name, part in parts.items():
-        if part is not None:
-            part._finite_channel_matrix(name)
+    witnessed = () if witness is None else (("witness P", witness.P), ("witness G", witness.G))
+    for name, part in (("P", f.P), ("Q", f.Q), ("G", f.G)) + witnessed:
+        try:
+            if part is not None:
+                part.channel_matrix()
+        except ValueError as error:  # the one refusal, with the part's name
+            raise ValueError(name + str(error).removeprefix("polynomial")) from None
     indeterminate = f.degenerate_channels()
     if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")

@@ -113,18 +113,22 @@ class CircPoly:
 
         Transform round-off is zeroed by the table's ``SPECTRAL_SNAP_REL_TOL``
         (:mod:`circfun.tolerances`): kept, it would turn exact channel degree
-        drops into huge spurious terms at large arguments.  So the degrees,
-        the log-derivative, ``channel_values`` and the solver read it; a value
-        or derivative at a matrix point reads the raw spectra.  Cached with
-        the largest magnitude S, which snapping leaves in place, and the
-        moduli ``_moduli``, all from one modulus pass; it is the raw spectra
-        array itself when no entry snaps, else a read-only snapped copy.
+        drops into huge spurious terms at large arguments.  The degrees, the
+        log-derivative, ``channel_values`` and the solver read it; a value or
+        derivative at a matrix point reads the raw spectra.  Cached with the
+        largest modulus S, unmoved by snapping, and the moduli ``_moduli``,
+        from one modulus pass: the raw spectra array where no entry snaps,
+        else a read-only snapped copy.  The one check of coefficient
+        eigenvalues: while S is not finite, every call raises ValueError, with no numpy warning.
         """
         if self._channel_matrix is None:
-            cm = self._raw_spectra()
-            moduli = np.abs(cm)
+            with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
+                cm = self._raw_spectra()
+                moduli = np.abs(cm)
             top = moduli.max()
-            if 0.0 < top < np.inf:  # an overflowed entry would snap every finite one
+            if not np.isfinite(top):  # S, the largest modulus, is finite iff every entry is
+                raise ValueError("polynomial: coefficient eigenvalues must be finite")
+            if top > 0.0:
                 snap = moduli <= SPECTRAL_SNAP_REL_TOL * top
                 if snap.any():
                     cm = cm.copy()
@@ -134,20 +138,12 @@ class CircPoly:
             self._channel_matrix, self._moduli, self._scale = cm, moduli, float(top)
         return self._channel_matrix
 
-    def _finite_channel_matrix(self, name: str) -> np.ndarray:
-        """:meth:`channel_matrix`; a ValueError names ``name`` where a coefficient eigenvalue is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
-            cm = self.channel_matrix()
-        if not np.isfinite(self._scale):  # S, the largest modulus, is finite iff every entry is
-            raise ValueError(f"{name}: coefficient eigenvalues must be finite")
-        return cm
-
     def channel_degrees(self) -> np.ndarray:
         """Effective degree of each channel, -1 where it is identically zero.
 
-        Leading coefficients that vanish by the table's
-        ``COEFFICIENT_REL_TOL`` (:mod:`circfun.tolerances`) drop out.
-        Computed once from the cached moduli; the returned array is read-only.
+        Leading coefficients that vanish by the table's ``COEFFICIENT_REL_TOL``
+        (:mod:`circfun.tolerances`) drop out.  Computed once from the cached moduli
+        of :meth:`channel_matrix`, whose ValueError it raises; read-only.
         """
         if self._channel_degrees is None:
             self.channel_matrix()  # makes the moduli and S
@@ -181,8 +177,7 @@ class Classification:
 
 def classify(p: CircPoly) -> Classification:
     """Regular iff the leading coefficient is invertible: no channel's effective degree
-    (:meth:`CircPoly.channel_degrees`) falls below the degree.  Eigenvalues that are not finite raise ValueError."""
-    p._finite_channel_matrix("polynomial")
+    (:meth:`CircPoly.channel_degrees`, which refuses eigenvalues that are not finite) falls below the degree."""
     vanishing = tuple((np.flatnonzero(p.channel_degrees() < p.degree) + 1).tolist())
     return Classification(not vanishing, vanishing)
 

@@ -489,8 +489,8 @@ def residual(p: CircPoly, z: Circulant) -> float:
     """Frobenius norm of P(Z), by Parseval from the channel values at the
     spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the
     check :func:`solve_circ_poly` runs on its roots, on the same FFT kernel,
-    so it reproduces their residuals exactly.  Entries or eigenvalues of Z,
-    or coefficient eigenvalues, that are not finite raise ValueError."""
+    so it reproduces their residuals exactly; where channel values overflow it is inf, with no
+    warning.  Entries or eigenvalues of Z, or coefficient eigenvalues, that are not finite raise ValueError."""
     if z.d != p.d:
         raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {p.d}")
     if not np.isfinite(z.row).all():
@@ -498,15 +498,16 @@ def residual(p: CircPoly, z: Circulant) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
         if not np.isfinite(np.fft.fft(z.row)).all():
             raise ValueError("point eigenvalues must be finite")
-    return float(_channel_residuals(p._finite_channel_matrix("polynomial"), z.row[None])[2][0])
+    return float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
 
 
 def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moduli |p_i(u_ki)| of the channel values and their scales, shape
     (N, d), at the spectra u_k of ``rows`` (N, d), taken by FFT at every
     order, with the Frobenius norm of P(Z_k) for each row."""
-    values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows, axis=-1))
-    magnitudes = np.abs(values)
+    with np.errstate(over="ignore"):  # a value that overflows is infinite, which fails the gate
+        values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows, axis=-1))
+        magnitudes = np.abs(values)
     return magnitudes, scales, core._norm2(magnitudes)
 
 
@@ -529,7 +530,7 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     if p.degree < 1:
         raise ValueError("polynomial degree must be >= 1")
 
-    cm = p._finite_channel_matrix("polynomial")
+    cm = p.channel_matrix()
     degrees = p.channel_degrees()
     width = max(int(degrees.max()), 0)
     distinct = np.zeros((p.d, width), dtype=np.complex128)  # row i: channel i's roots, padded

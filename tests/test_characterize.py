@@ -100,6 +100,16 @@ class TestLogDerivDiag:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             cf.logderiv_diag(f, point)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_point_whose_eigenvalues_overflow_is_refused(self, d):
+        # F = Z at circ(1e308, ..., 1e308), whose eigenvalue 1e308 d is not a
+        # float: its entries were admitted, and it printed fft and multiply
+        # warnings, then raised a false "P vanishes at channel(s) [2, 4, ...]".
+        f = PolyFunction(CircPoly([cf.identity(d), cf.zero(d)]))
+        with pytest.raises(ValueError, match="^point eigenvalues must be finite$"):
+            cf.logderiv_diag(f, cf.Circulant(np.full(d, 1e308)))
+
 
 class TestPathSpec:
     def test_default_direction_unit_modulus(self):

@@ -354,6 +354,74 @@ class TestClassify:
             cf.classify(CircPoly([cf.Circulant([1e308] * d), cf.identity(d)]))
 
 
+#: Every reader of the snapped channel matrix, each on P and, for the limit
+#: estimators, on F = P, with the message it refuses P's coefficients with.
+SNAPPED_MATRIX_READERS = {
+    "channel_matrix": (lambda p: p.channel_matrix(), "polynomial"),
+    "channel_degrees": (lambda p: p.channel_degrees(), "polynomial"),
+    "degenerate_channels": (lambda p: PolyFunction(p).degenerate_channels(), "polynomial"),
+    "channel_values": (lambda p: PolyFunction(p).channel_values(np.ones(p.d, complex)), "polynomial"),
+    "channel_logderiv": (lambda p: PolyFunction(p).channel_logderiv(np.ones(p.d, complex)), "polynomial"),
+    "classify": (cf.classify, "polynomial"),
+    "solve_circ_poly": (cf.solve_circ_poly, "polynomial"),
+    "residual": (lambda p: cf.residual(p, cf.identity(p.d)), "polynomial"),
+    "estimate_divisor": (lambda p: cf.estimate_divisor(PolyFunction(p)), "P"),
+    "detect_poly_degree": (lambda p: cf.detect_poly_degree(PolyFunction(p)), "P"),
+    "entire_zero_bound": (
+        lambda p: cf.entire_zero_bound(PolyFunction(p), q_entire=PolyFunction(CircPoly([cf.identity(p.d)]))), "P",
+    ),
+}
+
+
+class TestSnappedMatrixGate:
+    """CircPoly.channel_matrix alone refuses coefficient eigenvalues that
+    are not finite, so every reader of the channels refuses them too."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("reader", list(SNAPPED_MATRIX_READERS))
+    def test_every_reader_refuses_an_overflowing_coefficient(self, d, reader):
+        # P = circ(1e308, ..., 1e308) Z + I: the coefficient of Z has the
+        # eigenvalue 1e308 d, beyond the float range, on channel 1, so channel
+        # 1 has degree 1 and the others are the constant 1.  The snap scale
+        # was infinite: the degrees read -1 on every channel, every channel
+        # was degenerate, channel 1's value was inf+nanj and its
+        # log-derivative raised a false "P vanishes at channel(s) [1]", each
+        # with fft warnings.
+        read, name = SNAPPED_MATRIX_READERS[reader]
+        p = CircPoly([cf.Circulant(np.full(d, 1e308)), cf.identity(d)])
+        for _ in range(2):  # the refusal is not cached away
+            with pytest.raises(ValueError, match=f"^{name}: coefficient eigenvalues must be finite$"):
+                read(p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3, 5, 32, 64]),
+        degree=st.integers(1, 3),
+        exponent=st.integers(1020, 1023),
+        mantissa=st.floats(1.0, 1.99),
+    )
+    def test_a_row_near_the_float_limit_gives_finite_degrees_or_the_error(self, seed, d, degree, exponent, mantissa):
+        # One coefficient row scaled toward the float limit: its spectrum may
+        # overflow or not.  The degrees are then finite, or the one error is
+        # raised, and no numpy warning is printed on either way.
+        rng = np.random.default_rng(seed)
+        coeffs = list(random_regular_poly(rng, d, degree).coeffs)
+        row = int(rng.integers(0, degree + 1))
+        coeffs[row] = cf.Circulant(coeffs[row].row / np.max(np.abs(coeffs[row].row)) * (mantissa * 2.0**exponent))
+        p = CircPoly(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflows = not np.isfinite(np.abs(forward_rows(np.array([c.row for c in coeffs])))).all()
+        if overflows:
+            with pytest.raises(ValueError, match="^polynomial: coefficient eigenvalues must be finite$"):
+                p.channel_degrees()
+        else:
+            degrees = p.channel_degrees()
+            assert np.isfinite(p.channel_matrix()).all() and ((-1 <= degrees) & (degrees <= degree)).all()
+
+
 class TestFuncEval:
     def test_rational_reciprocal_is_pseudoinverse(self):
         d = 2

@@ -718,6 +718,22 @@ class TestResidual:
             cf.residual(CircPoly.from_scalars([1, 0, -1], 64), cf.Circulant(row))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("head", [[1e200], [1e200, 1e200j]], ids=["real", "complex"])
+    def test_channel_values_that_overflow_give_an_infinite_residual(self, head):
+        # Z^2 - I at a finite point whose eigenvalues square past the float
+        # range: the norm is infinite.  It was, with two overflow warnings.
+        z = cf.Circulant(head + [0.0] * (64 - len(head)))
+        assert cf.residual(CircPoly.from_scalars([1, 0, -1], 64), z) == np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_rebuilt_root_whose_values_overflow_fails_the_gate(self, monkeypatch):
+        # A chunk rebuilt far from the roots has channel values that overflow:
+        # the infinite magnitude fails the gate, with no warning.
+        monkeypatch.setattr(solver, "inverse_rows", lambda rows, fft: inverse_rows(rows, fft=fft) * 1e200)
+        with pytest.raises(SolverError, match="^reconstructed root residual inf exceeds "):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 4))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_coefficient_eigenvalues_are_refused(self):
         p = CircPoly([cf.Circulant([1e308] * 64), cf.identity(64)])
         with pytest.raises(ValueError, match="^polynomial: coefficient eigenvalues must be finite$"):
