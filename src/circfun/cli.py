@@ -42,16 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="circfun", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--input", "-i", default="-", help="input JSON path, or - for stdin")
         cmd.add_argument("--output", "-o", default="-", help="output JSON path, or - for stdout")
         if name in ("pinv", "solve"):
             cmd.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
-        if name in ("divisor", "degree"):
-            cmd.add_argument("--seed", type=int, default=0, help="seed for retry phases")
-            cmd.add_argument("--t-min", type=float, default=1e3, help="smallest path scale")
-            cmd.add_argument("--t-max", type=float, default=1e8, help="largest path scale")
-            cmd.add_argument("--t-points", type=int, default=11, help="number of path scales")
+        if name in ("divisor", "degree"):  # with no default, a path flag left unset is absent: _path_from_args
+            cmd.add_argument("--seed", type=int, help="seed for retry phases")
+            cmd.add_argument("--t-min", type=float, help="smallest path scale")
+            cmd.add_argument("--t-max", type=float, help="largest path scale")
+            cmd.add_argument("--t-points", type=int, dest="points", metavar="T_POINTS", help="number of path scales")
     return parser
 
 
@@ -77,9 +77,8 @@ def _write_document(path: str, obj) -> None:
 
 
 def _path_from_args(args, d: int) -> PathSpec:
-    return PathSpec.default(
-        d, t_min=args.t_min, t_max=args.t_max, points=args.t_points, seed=args.seed
-    )
+    """``PathSpec.default(d)`` with the path flags given, and its defaults for the rest."""
+    return PathSpec.default(d, **{k: getattr(args, k) for k in ("t_min", "t_max", "points", "seed") if k in args})
 
 
 def _run_spectrum(args) -> tuple[dict, int]:
@@ -116,22 +115,19 @@ def _run_eval(args) -> tuple[dict, int]:
 def _run_solve(args) -> tuple[dict, int]:
     doc = _read_document(args.input)
     f = serialize.function_from_obj(doc, "polynomial")
-    if f.Q is not None or f.G is not None:
+    if f.kind != "poly":
         raise SchemaError("polynomial.kind", "solve expects kind 'poly'")
     result = solve_circ_poly(f.P) if args.tol is None else solve_circ_poly(f.P, tol=args.tol)
     return serialize.solution_set_to_obj(result), _EXIT_BY_STATUS[result.status]
 
 
-def _run_divisor(args) -> tuple[dict, int]:
+def _run_limit(args) -> tuple[dict, int]:
+    """``divisor`` or ``degree``, exit 4 when the report's criterion fails."""
     f = serialize.function_from_obj(_read_document(args.input), "function")
-    report = estimate_divisor(f, path=_path_from_args(args, f.d))
-    return serialize.divisor_report_to_obj(report), 0 if report.converged else 4
-
-
-def _run_degree(args) -> tuple[dict, int]:
-    f = serialize.function_from_obj(_read_document(args.input), "function")
-    report = detect_poly_degree(f, path=_path_from_args(args, f.d))
-    return serialize.degree_report_to_obj(report), 0 if report.is_polynomial else 4
+    divisor = args.command == "divisor"
+    report = (estimate_divisor if divisor else detect_poly_degree)(f, path=_path_from_args(args, f.d))
+    met = report.converged if divisor else report.is_polynomial
+    return serialize.limit_report_to_obj(report), 0 if met else 4
 
 
 #: Subcommand name -> (help text, handler), in the order ``--help`` lists them.
@@ -140,8 +136,8 @@ _COMMANDS = {
     "pinv": ("Moore-Penrose pseudoinverse of a circulant", _run_pinv),
     "eval": ("evaluate a function at a point", _run_eval),
     "solve": ("solve a polynomial equation P(Z) = 0", _run_solve),
-    "divisor": ("estimate per-channel divisors of a rational function", _run_divisor),
-    "degree": ("detect polynomial degree from the log-derivative limit", _run_degree),
+    "divisor": ("estimate per-channel divisors of a rational function", _run_limit),
+    "degree": ("detect polynomial degree from the log-derivative limit", _run_limit),
 }
 
 

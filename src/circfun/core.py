@@ -204,11 +204,9 @@ def mul(x: Circulant, y: Circulant) -> Circulant:
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, fft: bool) -> np.ndarray:
     """Cyclic convolution of two first rows, by FFT or directly.  An FFT
-    product that overflows is taken again with each operand scaled by 2^-e,
-    with 2^e the power of two at its largest real or imaginary part (as
-    :func:`circfun.spectral.inverse_rows` scales), and scaled back by the
-    product of the two factors; every other product keeps its bits.  A
-    product of an operand that is not finite warns nothing, as the sums do."""
+    product that overflows is taken again from operands rescaled by
+    :func:`_rescale_pow2`; every other product keeps its bits.  A product
+    of an operand that is not finite warns nothing, as the sums do."""
     a, b = _canonical_pair(a, b)
     if fft:
         try:
@@ -216,16 +214,23 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fft: bool) -> np.ndarray:
                 return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
         except FloatingPointError:
             pass
-        parts = [x.view(np.float64) for x in (a, b)]  # real and imaginary parts
-        exponents = [np.frexp(np.max(np.abs(x)))[1] for x in parts]
-        a, b = (np.ldexp(x, -e).view(np.complex128) for x, e in zip(parts, exponents))
+        (a, ea), (b, eb) = _rescale_pow2(a), _rescale_pow2(b)
         with np.errstate(over="ignore", invalid="ignore"):  # a product out of range stays infinite
             product = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
-            return np.ldexp(product.view(np.float64), sum(exponents)).view(np.complex128)
+            return np.ldexp(product.view(np.float64), ea + eb).view(np.complex128)
     full = np.convolve(a, b)
     out = full[: a.size].copy()
     out[: a.size - 1] += full[a.size :]
     return out
+
+
+def _rescale_pow2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` (float64 or complex128) scaled exactly by 2^-e over the last
+    axis, and e (that axis kept): 2^e is the power of two at each row's
+    largest real or imaginary part, as dnrm2 scales (Higham 2002, 27.5)."""
+    parts = x.view(np.float64)  # a complex row's real and imaginary parts
+    e = np.frexp(np.max(np.abs(parts), axis=-1, keepdims=True))[1]
+    return np.ldexp(parts, -e).view(x.dtype), e
 
 
 def _canonical_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,17 +272,14 @@ def frobenius_norm(x: Circulant) -> float:
 def _norm2(magnitudes: np.ndarray, weight: float = 1.0) -> np.ndarray:
     """sqrt(weight * sum of squares) of nonnegative ``magnitudes`` over the
     last axis.  A result that overflowed or fell below ``NORM_SAFE_MIN`` is
-    taken again from its row scaled by the power of two at its largest entry,
-    which keeps every bit (as dnrm2 scales; Higham, Accuracy and Stability of
-    Numerical Algorithms, 27.5).  Every other result is the plain one."""
+    taken again from its row rescaled by :func:`_rescale_pow2`, and scaled
+    back.  Every other result is the plain one."""
     with np.errstate(over="ignore"):
         norms = np.sqrt(weight * np.sum(np.square(magnitudes), axis=-1))
         redo = (norms < NORM_SAFE_MIN) | (norms == np.inf)
         if np.any(redo):
-            norms, rows = np.array(norms), magnitudes[redo]
-            exponents = np.frexp(np.max(rows, axis=-1))[1]
-            sums = np.sum(np.square(np.ldexp(rows, -exponents[:, None])), axis=-1)
-            norms[redo] = np.ldexp(np.sqrt(weight * sums), exponents)
+            norms, (rows, e) = np.array(norms), _rescale_pow2(magnitudes[redo])
+            norms[redo] = np.ldexp(np.sqrt(weight * np.sum(np.square(rows), axis=-1)), e[:, 0])
     return norms
 
 

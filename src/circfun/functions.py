@@ -504,8 +504,8 @@ class IncrementSpec:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise InvalidIncrementError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise InvalidIncrementError(f"delta must be positive and finite, got {self.delta}")
         if not is_invertible(self.direction):
             raise InvalidIncrementError("increment direction must be invertible")
 

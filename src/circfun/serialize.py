@@ -186,11 +186,11 @@ def _channel_estimates_to_obj(t: ChannelTable) -> list:
     ]
 
 
-def _limit_report_to_obj(r) -> dict:
+def limit_report_to_obj(r) -> dict:
     """A limit report's fields but ``table``, whose records become ``channels``."""
     obj = {field.name: getattr(r, field.name) for field in dataclasses.fields(r) if field.name != "table"}
     obj["channels"] = _channel_estimates_to_obj(r.table)
     return obj
 
 
-divisor_report_to_obj = degree_report_to_obj = _limit_report_to_obj
+divisor_report_to_obj = limit_report_to_obj  # the benchmark probes' name

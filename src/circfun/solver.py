@@ -490,7 +490,8 @@ def residual(p: CircPoly, z: Circulant) -> float:
     spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the
     check :func:`solve_circ_poly` runs on its roots, on the same FFT kernel,
     so it reproduces their residuals exactly; where channel values overflow it is inf, with no
-    warning.  Entries or eigenvalues of Z, or coefficient eigenvalues, that are not finite raise ValueError."""
+    warning, also where the overflow made the norm NaN (nothing else can at an admitted point).
+    Entries or eigenvalues of Z, or coefficient eigenvalues, that are not finite raise ValueError."""
     if z.d != p.d:
         raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {p.d}")
     if not np.isfinite(z.row).all():
@@ -498,14 +499,15 @@ def residual(p: CircPoly, z: Circulant) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
         if not np.isfinite(np.fft.fft(z.row)).all():
             raise ValueError("point eigenvalues must be finite")
-    return float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
+    norm = float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
+    return np.inf if norm != norm else norm
 
 
 def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moduli |p_i(u_ki)| of the channel values and their scales, shape
     (N, d), at the spectra u_k of ``rows`` (N, d), taken by FFT at every
     order, with the Frobenius norm of P(Z_k) for each row."""
-    with np.errstate(over="ignore"):  # a value that overflows is infinite, which fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows, inf or NaN, fails the gate
         values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows, axis=-1))
         magnitudes = np.abs(values)
     return magnitudes, scales, core._norm2(magnitudes)

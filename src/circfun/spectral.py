@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .core import FFT_THRESHOLD, Circulant
+from .core import FFT_THRESHOLD, Circulant, _rescale_pow2
 from .errors import DimensionError
 from .tolerances import RANK_REL_TOL
 
@@ -87,9 +87,8 @@ def inverse_rows(spectra: np.ndarray, fft: bool = False) -> np.ndarray:
     ``fft``.  The direct kernel runs stacked matrix-vector products, not
     ``spectra @ S.T`` (another summation order for d >= 3), so on either
     kernel each row is bit-identical to a one-row call.  On either kernel a
-    finite row whose sums overflow is taken again scaled by 2^-e, with 2^e
-    the power of two at its largest real or imaginary part (as
-    :func:`_scaled_spectrum` scales), and scaled back, with no warning;
+    finite row whose sums overflow is taken again rescaled by
+    :func:`circfun.core._rescale_pow2`, and scaled back, with no warning;
     every other row keeps its bits."""
     try:
         with np.errstate(over="raise"):  # the flag costs no pass over the rows
@@ -99,10 +98,8 @@ def inverse_rows(spectra: np.ndarray, fft: bool = False) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # a result out of range stays infinite
         rows = _inverse_kernel(spectra, fft)
         redo = np.isfinite(spectra).all(axis=1) & ~np.isfinite(rows).all(axis=1)
-        parts = spectra[redo].astype(np.complex128).view(np.float64)  # real and imaginary parts
-        exponents = np.frexp(np.max(np.abs(parts), axis=1))[1][:, None]
-        scaled = _inverse_kernel(np.ldexp(parts, -exponents).view(np.complex128), fft)
-        rows[redo] = np.ldexp(scaled.view(np.float64), exponents).view(np.complex128)
+        scaled, e = _rescale_pow2(spectra[redo].astype(np.complex128))
+        rows[redo] = np.ldexp(_inverse_kernel(scaled, fft).view(np.float64), e).view(np.complex128)
     return rows
 
 
@@ -126,21 +123,20 @@ def _rank_threshold(magnitudes: np.ndarray, rel_tol: float | None = None):
 def _scaled_spectrum(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(u, |u|, rank threshold, factor) for the circulant ``x``: its
     spectrum u, with factor 1.0, unless the threshold is not finite (the
-    largest eigenvalue modulus overflowed).  Such a row is taken again scaled
-    by factor = 2^-e, with 2^e the power of two at its largest real or
-    imaginary part, as :func:`core._norm2` scales; its spectrum is then at
-    most d * sqrt(2) in modulus.  An in-range row takes one pass and keeps
-    its bits."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spectrum is taken again below
+    largest eigenvalue modulus overflowed).  Such a row is taken again
+    rescaled by :func:`circfun.core._rescale_pow2`, with factor = 2^-e; its
+    spectrum is then at most d * sqrt(2) in modulus.  An in-range row takes
+    one pass and keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spectrum is taken again; inf or NaN stays
         u = spectrum(x)
         magnitudes = np.abs(u)
         threshold = _rank_threshold(magnitudes, rel_tol)
-    if threshold[0] < np.inf:
-        return u, magnitudes, threshold, 1.0
-    factor = 2.0 ** -int(np.frexp(np.max(np.abs(x.row.view(np.float64))))[1])
-    u = forward_rows(factor * x.row)
-    magnitudes = np.abs(u)
-    return u, magnitudes, _rank_threshold(magnitudes, rel_tol), factor
+        if threshold[0] < np.inf:
+            return u, magnitudes, threshold, 1.0
+        row, e = _rescale_pow2(x.row)
+        u = forward_rows(row)
+        magnitudes = np.abs(u)
+        return u, magnitudes, _rank_threshold(magnitudes, rel_tol), 2.0 ** -int(e[0])
 
 
 def _pinv_row(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:

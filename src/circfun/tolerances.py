@@ -84,8 +84,8 @@ Rules with no constant of their own:
   P -> cP.
 * NORM_SAFE_MIN, sqrt(tiny / eps): below it, underflowed squares start to
   cost a 2-norm accuracy, so ``core._norm2`` rescales such a row, and one
-  that overflowed, by the power of two at its largest entry.  That changes
-  no bit of any value, and no verdict.
+  that overflowed, with ``core._rescale_pow2``.  That changes no bit of any
+  value, and no verdict.
 """
 
 import sys

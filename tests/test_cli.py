@@ -351,6 +351,15 @@ class TestDivisorAndDegree:
         assert code == 0
         assert len(doc["scales"]) == 9
 
+    @pytest.mark.parametrize("command", ["divisor", "degree"])
+    def test_unset_path_flags_take_the_default_path(self, command):
+        # The path is the library's own memoized default, not a second one
+        # built from restated defaults; a flag given overrides only its value.
+        parser = cli.build_parser()
+        assert cli._path_from_args(parser.parse_args([command]), 4) is cf.PathSpec.default(4)
+        given = parser.parse_args([command, "--t-points", "9", "--seed", "5"])
+        assert cli._path_from_args(given, 4) is cf.PathSpec.default(4, points=9, seed=5)
+
 
 class TestErrorsAndDeterminism:
     def test_malformed_json(self, tmp_path, capsys):

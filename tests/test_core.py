@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import circfun as cf
 from circfun import Circulant, DimensionError
-from circfun.core import _norm2
+from circfun.core import _norm2, _rescale_pow2
+from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, random_circulant
 
 from conftest import assert_circ_close
@@ -255,6 +256,56 @@ class TestMulAgainstDenseOracle:
             expected = acc.row
         assert np.array_equal(cf.CircPoly(coeffs).evaluate(x).row, expected)
         assert cf.CircPoly(coeffs[:1]).evaluate(x).row.tobytes() == coeffs[0].row.tobytes()  # degree 0
+
+
+#: Powers 2^k from near the bottom of the normal range to near the top, where
+#: the products, transforms and norms below leave the float range.
+RESCALE_POWERS = [*range(-900, 1015, 40), 1015]
+
+
+def _times_pow2(values, k):
+    """2^k values, exact wherever the result is a normal float."""
+    values = np.asarray(values)
+    return np.ldexp(values.view(np.float64), k).view(values.dtype)
+
+
+def _assert_same_where_normal(actual, expected):
+    """Equal bits in every real and imaginary part that is a normal float in ``expected``."""
+    actual, expected = (np.asarray(v).view(np.float64) for v in (actual, expected))
+    normal = (np.finfo(np.float64).tiny <= np.abs(expected)) & (np.abs(expected) <= np.finfo(np.float64).max)
+    assert actual[normal].tobytes() == expected[normal].tobytes()
+
+
+class TestPowerOfTwoRescale:
+    def test_rescale_is_exact_with_the_largest_part_in_half_to_one(self, rng):
+        parts = np.ldexp(rng.standard_normal((4, 12)), np.array([[-1000], [-3], [0], [1020]]))
+        for x in (parts, parts.view(np.complex128), parts[3]):
+            scaled, e = _rescale_pow2(x)
+            assert scaled.dtype == x.dtype and e.shape == x.shape[:-1] + (1,)
+            assert np.ldexp(scaled.view(np.float64), e).tobytes() == x.tobytes()
+            largest = np.max(np.abs(scaled.view(np.float64)), axis=-1)
+            assert np.all((0.5 <= largest) & (largest < 1.0))
+        scaled, e = _rescale_pow2(np.zeros(3, dtype=np.complex128))
+        assert not np.any(scaled) and e.tolist() == [0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 8, 31, 32, 64, 100])
+    def test_scaling_by_a_power_of_two_keeps_every_bit(self, rng, d):
+        # Each site that rescales (the FFT product, both inverse kernels, the
+        # pseudoinverse's spectrum and the norm) scales with its input by 2^k
+        # exactly, 2^-k for the pseudoinverse, out of the float range too.
+        a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        spectra = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        x, y = Circulant(a), Circulant(b)
+        product, pinv, norm = cf.mul_fft(x, y).row, cf.pseudoinverse(x).row, cf.frobenius_norm(x)
+        inverses = {fft: inverse_rows(spectra, fft) for fft in (False, True)}
+        for k in RESCALE_POWERS:
+            xk = Circulant(_times_pow2(a, k))
+            _assert_same_where_normal(cf.mul_fft(xk, y).row, _times_pow2(product, k))
+            _assert_same_where_normal(cf.pseudoinverse(xk).row, _times_pow2(pinv, -k))
+            _assert_same_where_normal(cf.frobenius_norm(xk), _times_pow2(norm, k))
+            for fft, rows in inverses.items():
+                _assert_same_where_normal(inverse_rows(_times_pow2(spectra, k), fft), _times_pow2(rows, k))
 
 
 finite_complex = st.complex_numbers(

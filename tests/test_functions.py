@@ -1256,9 +1256,13 @@ class TestNumericDerivative:
         with pytest.raises(InvalidIncrementError):
             IncrementSpec(direction=cf.ones(2), delta=1e-6)
 
-    def test_non_positive_delta_rejected(self):
-        with pytest.raises(InvalidIncrementError):
-            IncrementSpec(direction=cf.identity(2), delta=0.0)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
+    def test_non_positive_delta_rejected(self, delta):
+        # A NaN or infinite delta got past the check: numeric_derivative then
+        # raised "point entries must be finite" for NaN and warned for inf.
+        with pytest.raises(InvalidIncrementError, match="^delta must be positive and finite, got "):
+            IncrementSpec(direction=cf.identity(2), delta=delta)
 
     def test_random_direction_rational(self, rng):
         d = 3

@@ -718,12 +718,21 @@ class TestResidual:
             cf.residual(CircPoly.from_scalars([1, 0, -1], 64), cf.Circulant(row))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("head", [[1e200], [1e200, 1e200j]], ids=["real", "complex"])
-    def test_channel_values_that_overflow_give_an_infinite_residual(self, head):
-        # Z^2 - I at a finite point whose eigenvalues square past the float
-        # range: the norm is infinite.  It was, with two overflow warnings.
-        z = cf.Circulant(head + [0.0] * (64 - len(head)))
-        assert cf.residual(CircPoly.from_scalars([1, 0, -1], 64), z) == np.inf
+    @pytest.mark.parametrize("d", [4, 64])
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize(
+        "head", [[1e200], [1e200, 1e200j], [1e100, -1e100]], ids=["real", "complex", "cancelling"]
+    )
+    def test_channel_values_that_overflow_give_an_infinite_residual(self, head, n, d):
+        # Z^n - I at a finite point whose eigenvalues' n-th powers pass the
+        # float range: the norm is infinite.  It was, with two overflow
+        # warnings; where Horner's complex product met inf * 0 (n = 5 at
+        # circ(1e200, 0, ...)), it was NaN, with an invalid-value warning.
+        # The eigenvalues at the cancelling point reach 2e100, whose cube
+        # 8e300 is in range.
+        z = cf.Circulant(head + [0.0] * (d - len(head)))
+        norm = cf.residual(CircPoly.from_scalars([1] + [0] * (n - 1) + [-1], d), z)
+        assert norm == np.inf if 1e200 in head or n > 3 else np.isfinite(norm)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_rebuilt_root_whose_values_overflow_fails_the_gate(self, monkeypatch):

@@ -208,6 +208,17 @@ class TestPseudoinverse:
         assert not np.any(cf.pseudoinverse(x, rel_tol).row)
         assert not cf.is_invertible(x)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rel_tol", [None, 0.0])
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_infinite_entry_keeps_no_channel_quietly(self, d, rel_tol):
+        # An infinite entry is taken again as an overflow would be: that pass
+        # warned "invalid value encountered in multiply" (and, below
+        # FFT_THRESHOLD, "in matmul") before it gave the zero matrix.
+        x = cf.Circulant([np.inf] + [0.0] * (d - 1))
+        assert not np.any(cf.pseudoinverse(x, rel_tol).row)
+        assert not cf.is_invertible(x)
+
 
 class TestFourierContext:
     @pytest.mark.parametrize("d", [2, 3, 7, 16, 64])
