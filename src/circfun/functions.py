@@ -3,25 +3,25 @@ their evaluation and differentiation.
 
 Every function class of the paper has this form: polynomial (Q = I, G = 0),
 rational (G = 0) and exponential-polynomial (Q = I).  :class:`CircFunction`
-holds the parts, Q and G optional, and writes the channel calculus once; its
-three subclasses are the JSON kinds.  Every circulant of order d
-diagonalizes in the common Fourier basis, so F splits into d independent
-scalar "channel" functions F_i.  Evaluation runs in the ring
-(:meth:`CircPoly.evaluate`, the one ring Horner) or channel-wise on the
-spectrum; the derivative's i-th eigenvalue is F_i' at the i-th eigenvalue of
-the argument, and a finite-difference variant cross-validates it.  A value
-or derivative at a matrix point, whose entries must be finite, has one rule
-(:meth:`CircFunction._value_at`): the channel pass on the raw spectra where
-every eigenvalue and value is finite, else the kind's ring form where it is
-finite, else an error naming the channels that are not; an exp(G_i), or a
-product with it, that overflows is named too (:func:`_times_exp`).  Only the
+holds the parts, Q and G optional, and every rule reads the parts present,
+not the class: its three subclasses only name the JSON kinds.  Every
+circulant of order d diagonalizes in the common Fourier basis, so F splits
+into d scalar "channel" functions F_i; F' applies F_i' to the i-th
+eigenvalue, and a finite-difference variant cross-validates it.  A value or
+derivative at a matrix point, whose entries must be finite, has one rule
+(:meth:`CircFunction._value_at`): F = P takes ring Horner
+(:meth:`CircPoly.evaluate`) where finite; then the channel pass on the raw
+spectra where every eigenvalue and value is finite; then F = P Q^+ takes
+P(Z) pinv(Q(Z)) where finite; else an error names the channels that are
+not, as it does for F', which has no ring form, and for an exp(G_i), or a
+product with it, that overflows (:func:`_times_exp`).  Only the
 log-derivative, :meth:`CircFunction.channel_values` (the limit scan's
 witness) and the solver read the snapped channel matrix, where exact degree
-drops must stay exact.  Every channel-wise pass, here, in the solver and in
-the limit scans, runs the one scalar Horner loop :func:`circfun.core._horner`,
-which ring Horner runs at FFT orders too; P' rides along in the same pass
-(:func:`_with_derivative`), and the scale is the loop over |c_k| at |u|.
-Every pass runs on all d channels; the limit scan masks the degenerate ones.
+drops must stay exact.  Every channel-wise pass runs the one scalar Horner
+loop :func:`circfun.core._horner`, which ring Horner runs at FFT orders
+too; P' rides along in the same pass (:func:`_with_derivative`), and the
+scale is the loop over |c_k| at |u|.  Every pass runs on all d channels;
+the limit scan masks the degenerate ones.
 """
 
 from __future__ import annotations
@@ -112,11 +112,12 @@ class CircPoly:
         """Spectral coefficients, shape (degree + 1, d); column i is channel i.
 
         Transform round-off is zeroed by the table's ``SPECTRAL_SNAP_REL_TOL``
-        (:mod:`circfun.tolerances`): kept, it would turn exact channel degree
+        (:mod:`circfun.tolerances`) times its row's largest modulus, which
+        Z -> 2^k W scales with it: kept, it would turn exact channel degree
         drops into huge spurious terms at large arguments.  The degrees, the
         log-derivative, ``channel_values`` and the solver read it; a value or
         derivative at a matrix point reads the raw spectra.  Cached with the
-        largest modulus S, unmoved by snapping, and the moduli ``_moduli``,
+        moduli ``_moduli``, each row's largest ``_tops`` and their largest S,
         from one modulus pass: the raw spectra array where no entry snaps,
         else a read-only snapped copy.  The one check of coefficient
         eigenvalues: while S is not finite, every call raises ValueError, with no numpy warning.
@@ -125,29 +126,31 @@ class CircPoly:
             with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
                 cm = self._raw_spectra()
                 moduli = np.abs(cm)
-            top = moduli.max()
+            tops = moduli.max(axis=1, keepdims=True)
+            top = tops.max()
             if not np.isfinite(top):  # S, the largest modulus, is finite iff every entry is
                 raise ValueError("polynomial: coefficient eigenvalues must be finite")
             if top > 0.0:
-                snap = moduli <= SPECTRAL_SNAP_REL_TOL * top
+                snap = moduli <= SPECTRAL_SNAP_REL_TOL * tops
                 if snap.any():
                     cm = cm.copy()
                     cm[snap] = moduli[snap] = 0.0
                     cm.flags.writeable = False
-            moduli.flags.writeable = False
-            self._channel_matrix, self._moduli, self._scale = cm, moduli, float(top)
+            moduli.flags.writeable = tops.flags.writeable = False
+            self._channel_matrix, self._moduli, self._tops, self._scale = cm, moduli, tops, float(top)
         return self._channel_matrix
 
     def channel_degrees(self) -> np.ndarray:
         """Effective degree of each channel, -1 where it is identically zero.
 
         Leading coefficients that vanish by the table's ``COEFFICIENT_REL_TOL``
-        (:mod:`circfun.tolerances`) drop out.  Computed once from the cached moduli
-        of :meth:`channel_matrix`, whose ValueError it raises; read-only.
+        (:mod:`circfun.tolerances`) times their own row's largest modulus drop
+        out.  Computed once from the cached moduli of :meth:`channel_matrix`,
+        whose ValueError it raises; read-only.
         """
         if self._channel_degrees is None:
-            self.channel_matrix()  # makes the moduli and S
-            nonzero = self._moduli > COEFFICIENT_REL_TOL * self._scale
+            self.channel_matrix()  # makes the moduli and each row's largest
+            nonzero = self._moduli > COEFFICIENT_REL_TOL * self._tops
             degrees = nonzero.shape[0] - 1 - nonzero.argmax(axis=0)
             degrees[~nonzero.any(axis=0)] = -1
             degrees.flags.writeable = False
@@ -213,9 +216,9 @@ class CircFunction:
     absent part stands for Q = I or G = 0 and is skipped, not evaluated.
     Every part has the same order d, and Q needs at least one invertible
     coefficient, which bounds its root set and keeps the quotient
-    well-defined at infinity.  The subclasses are the three JSON kinds; each
-    fixes its positional signature, its ``kind`` and the ``LETTERS`` of its
-    parts, in JSON order.
+    well-defined at infinity.  The subclasses are the three JSON kinds and
+    hold no rule: each fixes its positional signature, its ``kind`` and the
+    ``LETTERS`` of its parts, in JSON order.
     """
 
     P: CircPoly
@@ -294,10 +297,11 @@ class CircFunction:
         witness approximates G', so it comes off G' before P'/P is added: a
         large G' would swamp P'/P in their sum.  An absent part contributes
         no term, and without G or a witness nothing is added, so a -0.0
-        survives.  G' is evaluated alone, so G itself cannot overflow; a G',
-        witness or sum that overflows is not finite, with no warning.  The
-        channels that the boolean mask ``skip`` sets (False sets none) are
-        not checked for singularities, and their values are meaningless."""
+        survives.  G' is index 1 of the one pass over G and G', whose G is
+        dropped, overflowed or not; a G', witness or sum that overflows is
+        not finite, with no warning.  The channels that the boolean mask
+        ``skip`` sets (False sets none) are not checked for singularities,
+        and their values are meaningless."""
         dp, p, p_scale = _quotient_terms(self.P, u)
         checks = [(p, p_scale, "P")]
         if self.Q is not None:
@@ -309,7 +313,7 @@ class CircFunction:
         if self.G is None and witness is None:
             return dlog
         with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows diverges
-            dg = 0.0 if self.G is None else _value_and_derivative(self.G.channel_matrix(), u, part=1)
+            dg = 0.0 if self.G is None else _value_and_derivative(self.G.channel_matrix(), u)[1]
             return dlog + (dg if witness is None else dg - witness(u))
 
     def evaluate(self, z: Circulant) -> Circulant:
@@ -332,18 +336,24 @@ class CircFunction:
             raise ValueError("point entries must be finite")
         return z
 
-    def _value_at(self, z: Circulant, ring=None, derivative=False) -> tuple[Circulant, tuple[int, ...]]:
-        """The one rule for F(z), or F'(z) with ``derivative``, and the channels
-        Q's rank threshold zeroes: the channel pass on the raw spectra where
-        every eigenvalue and value is finite, else the kind's ring form
-        ``ring(z)`` where finite, else ChannelSingularityError naming the rest."""
+    def _value_at(self, z: Circulant, derivative=False) -> tuple[Circulant, tuple[int, ...]]:
+        """The one rule for F(z), or F'(z) with ``derivative``, and the channels Q's rank
+        threshold zeroes, read from the parts present: for F = P, ring Horner where finite; then
+        the channel pass on the raw spectra where every eigenvalue and value is finite; then, for
+        F = P Q^+, the ring form P(z) pinv(Q(z)) where finite; else ChannelSingularityError
+        naming the rest.  F' has no ring form."""
+        z, value, ring = self._admit(z), None, not derivative and self.G is None
+        if ring and self.Q is None and np.isfinite((value := self.P.evaluate(z)).row).all():
+            return value, ()
         with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is taken in the ring or named
-            u = spectrum(self._admit(z))
+            u = spectrum(z)
             values, zeroed = (self.channel_derivatives(u), None) if derivative else self._values_and_zeroed(u, raw=True)
             if np.isfinite(u).all() and np.isfinite(values).all():
                 value = from_spectrum(values)
             else:
-                value, zeroed = ring(z) if ring else (None, None)
+                if ring and self.Q is not None:
+                    inverse, zeroed = _pinv_row(self.Q.evaluate(z))
+                    value = core.mul(self.P.evaluate(z), Circulant(inverse))
                 if value is None or not np.isfinite(value.row).all():
                     bad = ~(np.isfinite(u) & np.isfinite(values))
                     _raise_where(bad[None], ["F' overflows" if derivative else "F overflows"])
@@ -351,33 +361,25 @@ class CircFunction:
 
 
 class PolyFunction(CircFunction):
-    """P(Z) by ring Horner, which takes no transform below ``FFT_THRESHOLD``,
-    and by :meth:`_value_at` where that value is not finite."""
+    """P(Z)."""
 
     kind, LETTERS = "poly", ("P",)
 
     def __init__(self, P: CircPoly):
         super().__init__(P)
 
-    def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        value = self.P.evaluate(self._admit(z))
-        return (value, ()) if np.isfinite(value.row).all() else self._value_at(z)
+    evaluate_with_report = CircFunction.evaluate_with_report  # an own entry, which bench/tracing.py wraps
 
 
 class RationalFunction(CircFunction):
-    """P(Z) Q(Z)^+ by :meth:`_value_at`; its ring form is P(Z) pinv(Q(Z))."""
+    """P(Z) Q(Z)^+."""
 
     kind, LETTERS = "rational", ("P", "Q")
 
     def __init__(self, P: CircPoly, Q: CircPoly):
         super().__init__(P, Q)
 
-    def evaluate_with_report(self, z: Circulant) -> tuple[Circulant, tuple[int, ...]]:
-        return self._value_at(z, self._ring_value)
-
-    def _ring_value(self, z: Circulant) -> tuple[Circulant, np.ndarray]:
-        inverse, zeroed = _pinv_row(self.Q.evaluate(z))
-        return core.mul(self.P.evaluate(z), Circulant(inverse)), zeroed
+    evaluate_with_report = CircFunction.evaluate_with_report  # an own entry, which bench/tracing.py wraps
 
 
 class ExpPolyFunction(CircFunction):
@@ -421,12 +423,11 @@ def _quotient_terms(poly: CircPoly, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return dp, p, _horner(poly._moduli, np.abs(u))
 
 
-def _value_and_derivative(coeffs: np.ndarray, u: np.ndarray, part=slice(None)) -> np.ndarray:
+def _value_and_derivative(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(P(u), P'(u)) on every channel of ``u``, shape (d,) or (S, d), for the
     channel coefficients ``coeffs`` of P (raw spectra or channel matrix), in
-    one Horner pass over the rows of :func:`_with_derivative`; ``part=1``
-    takes P'(u) alone, bit for bit, over the P' rows only."""
-    return _horner(_with_derivative(coeffs.reshape(coeffs.shape[0], *(1,) * (u.ndim - 1), -1))[:, part], u)
+    one Horner pass over the rows of :func:`_with_derivative`."""
+    return _horner(_with_derivative(coeffs.reshape(coeffs.shape[0], *(1,) * (u.ndim - 1), -1)), u)
 
 
 def _raise_on_zero(checks, skip=False) -> None:

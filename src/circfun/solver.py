@@ -513,6 +513,15 @@ def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     return magnitudes, scales, core._norm2(magnitudes)
 
 
+def _gate_failure(residual: float, bound: float, where: str) -> str:
+    """The message of a root that fails a gate.  An infinite bound comes of
+    a scale sum that overflows, so it names the overflow, whatever the
+    residual reads: inf, or NaN where Horner met inf * 0."""
+    if bound == np.inf:
+        return f"reconstructed root channel values overflow in {where}"
+    return f"reconstructed root residual {residual:.3e} exceeds {bound:.1e} in {where}"
+
+
 def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     """Classify and solve P(Z) = 0.
 
@@ -573,17 +582,11 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
         ratios = np.divide(magnitudes, bounds, out=np.full(bounds.shape, np.inf), where=passed)
         k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
         if not passed[k, i]:
-            raise SolverError(
-                f"reconstructed root residual {magnitudes[k, i]:.3e} exceeds {bounds[k, i]:.1e}"
-                f" in channel {i + 1} of root {start + k + 1}"
-            )
+            raise SolverError(_gate_failure(magnitudes[k, i], bounds[k, i], f"channel {i + 1} of root {start + k + 1}"))
         ring = core.frobenius_norm(p.evaluate(Circulant(rows[k])))
         allowed = float(core._norm2(bounds[k]))
         if not ring <= allowed < np.inf:  # an overflowed bound bounds nothing
-            raise SolverError(
-                f"reconstructed root residual {ring:.3e} exceeds {allowed:.1e}"
-                f" in the ring check of root {start + k + 1}"
-            )
+            raise SolverError(_gate_failure(ring, allowed, f"the ring check of root {start + k + 1}"))
     free = () if np.any(degrees == 0) else tuple((np.flatnonzero(degrees < 0) + 1).tolist())
     status = SolutionStatus.INFINITE_FAMILY if free else SolutionStatus.NO_SOLUTION
     return SolutionSet(SolutionStatus.FINITE if count else status, RootTable._make((roots, residuals)), table, free)

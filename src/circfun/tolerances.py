@@ -7,16 +7,17 @@ u F'/F settles within a tolerance of.  Other modules import these names and
 define no tolerance of their own.
 
 Columns: the value; what the threshold is multiplied by or compared against
-(S = max over all spectral coefficients |c_ki|; s(u) = sum_k |c_k| |u|^(n-k),
-the Horner scale; "absolute" when nothing); how it grows with the order d;
-and whether a verdict keeps under P -> cP for any c != 0.
+(S_k = max_i |c_ki|, the largest spectral coefficient of row k; S = max_k S_k;
+s(u) = sum_k |c_k| |u|^(n-k), the Horner scale; "absolute" when nothing); how
+it grows with the order d; and whether a verdict keeps under P -> cP for any
+c != 0.
 
 =====================  ======  =============================  =======  =========
 name                   value   against                        in d     P -> cP
 =====================  ======  =============================  =======  =========
 RANK_REL_TOL           1e-12   d * max_j |u_j| per point      linear   yes
-COEFFICIENT_REL_TOL    1e-10   S                              const    yes
-SPECTRAL_SNAP_REL_TOL  1e-14   S                              const    yes
+COEFFICIENT_REL_TOL    1e-10   S_k of the entry's row k       const    yes
+SPECTRAL_SNAP_REL_TOL  1e-14   S_k of the entry's row k       const    yes
 SINGULARITY_REL_TOL    1e-12   s(u) per channel               const    yes
 ROUND_TOL              1e-3    absolute, on u F'/F - k        const    yes
 NOISE_FLOOR            1e-6    absolute, on u F'/F - k        const    yes
@@ -47,6 +48,9 @@ Where each acts:
   zero in ``CircPoly.channel_matrix``, so that exact degree drops stay exact
   where the degrees, the log-derivative, ``channel_values`` and the solver
   read it; a value or derivative at a matrix point reads the raw spectra.
+* Both measure an entry against S_k of its own row, whose transform rounds
+  at that row's size, so Z -> lambda W (row k times lambda^(n-k)) moves
+  neither decision: P is regular when its leading coefficient is invertible.
 * SINGULARITY_REL_TOL: a channel value of P or Q at or below it times s(u)
   is a zero or pole of the log-derivative and derivative passes.
 * ROUND_TOL, NOISE_FLOOR, CONTRACTION_FACTOR: a limit scan converges when

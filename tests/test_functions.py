@@ -153,9 +153,19 @@ class TestChannelDecomposition:
 
 def spread_poly(rng, d: int) -> CircPoly:
     """Coefficients whose moduli spread over 1e-16..1: the smallest row's
-    spectra fall below the snap threshold of the largest."""
+    spectra would fall below a snap threshold taken from the largest row."""
     return CircPoly(
         [cf.Circulant(s * (rng.standard_normal(d) + 1j * rng.standard_normal(d))) for s in (1.0, 1e-4, 1e-10, 1e-16)]
+    )
+
+
+def snapping_poly(rng, d: int) -> CircPoly:
+    """Rows at scales 1 to 1e-16 whose spectra spread over 1e-15..1 within
+    the row: each row's 1e-15 entries snap against its own largest modulus,
+    and its 1e-12 entries stay but fall below its COEFFICIENT_REL_TOL."""
+    moduli = np.array([1.0, 1e-15, 1e-12, 1e-4])[np.arange(d) % 4]
+    return CircPoly(
+        [cf.Circulant(np.fft.ifft(s * moduli * np.exp(2j * np.pi * rng.random(d)))) for s in (1.0, 1e-4, 1e-10, 1e-16)]
     )
 
 
@@ -197,15 +207,17 @@ class TestSpectralCache:
     @pytest.mark.parametrize("d", [2, 7, 31, 32, 100])
     @pytest.mark.parametrize("spread", [False, True])
     def test_cached_arrays_equal_the_uncached_formulas(self, rng, d, spread):
-        p = spread_poly(rng, d) if spread else random_regular_poly(rng, d, 3)
+        # Both tests measure an entry against its own row's largest modulus.
+        p = snapping_poly(rng, d) if spread else random_regular_poly(rng, d, 3)
         raw = forward_rows(np.stack([c.row for c in p.coeffs]))
-        top = np.max(np.abs(raw))
+        tops = np.max(np.abs(raw), axis=1, keepdims=True)
         cm = raw.copy()
-        cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * top] = 0.0
-        nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * top
+        cm[np.abs(cm) <= SPECTRAL_SNAP_REL_TOL * tops] = 0.0
+        nonzero = np.abs(cm) > COEFFICIENT_REL_TOL * tops
         degrees = cm.shape[0] - 1 - np.argmax(nonzero, axis=0)
         degrees[~np.any(nonzero, axis=0)] = -1
-        assert p.channel_matrix().tobytes() == cm.tobytes() and p._scale == float(top)
+        assert p.channel_matrix().tobytes() == cm.tobytes() and p._scale == float(tops.max())
+        assert p._tops.tobytes() == tops.tobytes()
         assert np.array_equal(p.channel_degrees(), degrees)
         u = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
         dp, value, scale = _quotient_terms(p, u)
@@ -219,10 +231,10 @@ class TestSpectralCache:
         assert p._raw_spectra().tobytes() == raw.tobytes()
 
     def test_every_cached_array_is_read_only(self, rng):
-        for p in (random_regular_poly(rng, 33, 3), spread_poly(rng, 8)):
+        for p in (random_regular_poly(rng, 33, 3), snapping_poly(rng, 8)):
             p.evaluate(random_circulant(rng, p.d))
             p.channel_degrees()
-            for array in (p._raw_spectra(), p.channel_matrix(), p._moduli, p.channel_degrees()):
+            for array in (p._raw_spectra(), p.channel_matrix(), p._moduli, p._tops, p.channel_degrees()):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -231,7 +243,7 @@ class TestSpectralCache:
     def test_moduli_are_the_moduli_of_the_channel_matrix(self, rng, spread):
         # One modulus pass, with the snapped entries zeroed: the same bits as
         # a second pass over the channel matrix, snapped zeros included.
-        p = spread_poly(rng, 8) if spread else random_regular_poly(rng, 8, 3)
+        p = snapping_poly(rng, 8) if spread else random_regular_poly(rng, 8, 3)
         cm = p.channel_matrix()
         assert np.any(cm == 0) == spread
         assert p._moduli.tobytes() == np.abs(cm).tobytes()
@@ -463,30 +475,29 @@ class TestFuncEval:
         # eigenvalue 1 + 6.4e308 is not a float, and the transform's
         # inf - inf may spoil others (channel 33 here), so the rank threshold
         # is NaN.  The channel pass kept and zeroed no channel and gave the
-        # zero matrix with no report.  Now it is not trusted: the ring form, P(Z) times
-        # the pseudoinverse of Q(Z) taken scaled, is 2.44e-311 with 63
-        # channels zeroed; without a ring form the channels are named.
+        # zero matrix with no report.  Now it is not trusted: F = P Q^+, of
+        # either class, takes its ring form, P(Z) times the pseudoinverse of
+        # Q(Z) taken scaled, 2.44e-311 with 63 channels zeroed; with a G
+        # there is no ring form, and the channels are named.
         d = 64
         i, c = cf.identity(d), cf.Circulant(np.full(d, 1e307))
         f = cls(CircPoly([i]), CircPoly([i, c]))
         with np.errstate(all="ignore"):
             spoiled = tuple((np.flatnonzero(~np.isfinite(cf.spectrum(c))) + 1).tolist())
         assert spoiled[0] == 1
-        if cls is RationalFunction:
-            # The same again once an estimator has cached Q's spectra and
-            # refused them: ring Horner took their NaN value without a
-            # floating-point flag, and the value was 0.
-            for _ in range(2):
-                value, zeroed = f.evaluate_with_report(i)
-                assert value.row.tobytes() == cf.pseudoinverse(cf.add(i, c)).row.tobytes()
-                np.testing.assert_allclose(value.row, np.full(d, 1e-307 / d**2), rtol=1e-12, atol=0)
-                assert zeroed == tuple(range(2, d + 1))
-                with pytest.raises(ValueError, match=r"^Q: coefficient eigenvalues must be finite$"):
-                    cf.estimate_divisor(f)
-        else:
-            with pytest.raises(ChannelSingularityError) as info:
-                f.evaluate_with_report(i)
-            assert str(info.value) == f"F overflows at channel(s) {list(spoiled)}"
+        # The same again once an estimator has cached Q's spectra and
+        # refused them: ring Horner took their NaN value without a
+        # floating-point flag, and the value was 0.
+        for _ in range(2):
+            value, zeroed = f.evaluate_with_report(i)
+            assert value.row.tobytes() == cf.pseudoinverse(cf.add(i, c)).row.tobytes()
+            np.testing.assert_allclose(value.row, np.full(d, 1e-307 / d**2), rtol=1e-12, atol=0)
+            assert zeroed == tuple(range(2, d + 1))
+            with pytest.raises(ValueError, match=r"^Q: coefficient eigenvalues must be finite$"):
+                cf.estimate_divisor(f)
+        with pytest.raises(ChannelSingularityError) as info:
+            CircFunction(f.P, f.Q, CircPoly([cf.zero(d)])).evaluate_with_report(i)
+        assert str(info.value) == f"F overflows at channel(s) {list(spoiled)}"
 
     @pytest.mark.parametrize("d", [8, 31, 32, 64])
     def test_rational_is_the_ring_product_with_the_pseudoinverse(self, rng, d):
@@ -508,8 +519,8 @@ class TestFuncEval:
         # At every order, below FFT_THRESHOLD as at it, the value is
         # P_i(u_i) / Q_i(u_i), bit for bit, on the raw spectra that ring
         # Horner reads, not on the snapped channel matrices: with coefficients
-        # spread over 1e-16..1 the smallest row snaps, yet near Z = 0 it is
-        # the largest term.  Where nothing snaps that is the channel rule's
+        # spread over 1e-16..1, a snap against the largest row would drop the
+        # smallest, yet near Z = 0 it is the largest term.  Where nothing snaps that is the channel rule's
         # value.  The dense oracle: value Q(Z) = P(Z).  The report is the
         # pseudoinverse's.
         if spread:
@@ -1061,6 +1072,44 @@ class TestGeneralFunction:
         assert zeroed == ring_zeroed == (2,)
         assert_circ_close(value, ring_value, 1e-12)
 
+    @staticmethod
+    def outcome(evaluate, z):
+        """The bytes of a value and its report, or the error's type and message."""
+        try:
+            value, zeroed = evaluate(z)
+        except ChannelSingularityError as error:
+            return type(error), str(error), error.channels
+        return value.row.tobytes(), zeroed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 8, 31, 32, 64, 1024])
+    def test_same_parts_give_the_same_bytes(self, rng, d):
+        # The value rule reads the parts present, never the class: P alone
+        # takes ring Horner first, and P Q^+ its ring form where the channel
+        # pass is not finite.  The points include where each path overflows:
+        # Q = Z + C at I with C = circ(1e307, ...), 1e308 Z at 10 I and Z^2
+        # at 1e200 I.
+        eye, zero = cf.identity(d), cf.zero(d)
+        polys = [
+            random_regular_poly(rng, d, 3),
+            random_regular_poly(rng, d, 1),
+            CircPoly([cf.scale(1e308, eye), zero]),
+            CircPoly([eye, zero, zero]),
+            CircPoly([eye, cf.Circulant(np.full(d, 1e307))]),
+        ]
+        points = [random_circulant(rng, d), random_circulant(rng, d, 1e3), eye, cf.scale(10.0, eye), cf.scale(1e200, eye)]
+        for p in polys:
+            for z in points:
+                same = self.outcome(CircFunction(p).evaluate_with_report, z)
+                assert same == self.outcome(PolyFunction(p).evaluate_with_report, z)
+                same = self.outcome(lambda z: (CircFunction(p).derivative(z), ()), z)
+                assert same == self.outcome(lambda z: (PolyFunction(p).derivative(z), ()), z)
+                for q in polys[1:]:
+                    same = self.outcome(CircFunction(p, q).evaluate_with_report, z)
+                    assert same == self.outcome(RationalFunction(p, q).evaluate_with_report, z)
+                    same = self.outcome(lambda z: (CircFunction(p, q).derivative(z), ()), z)
+                    assert same == self.outcome(lambda z: (RationalFunction(p, q).derivative(z), ()), z)
+
 
 class TestDerivative:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -1200,7 +1249,8 @@ class TestValuesReadTheRawSpectra:
     @pytest.mark.parametrize("d", [3, 64])
     def test_spread_coefficients_against_the_dense_oracles(self, rng, d, scale):
         # Coefficients spread over 1e-16..1 at a point near 0, where the
-        # smallest row, which snaps, is the largest term of P and Q.
+        # smallest row, which a snap against the largest row would drop, is
+        # the largest term of P and Q.
         p, q = spread_poly(rng, d), spread_poly(rng, d)
         g = CircPoly([cf.scale(0.01, c) for c in spread_poly(rng, d).coeffs])
         z = cf.scale(scale, random_invertible_circulant(rng, d, lo=0.5, hi=1.0))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pickle
 import warnings
 
@@ -687,6 +688,63 @@ class TestCircSolve:
             sol.sample_members(3)
 
 
+def planted_degree_poly(rng, d, n, regular):
+    """P of degree n at order d with a random effective degree per channel:
+    n on every channel if ``regular``, else at least one channel below n, and
+    a degree 0 or identically zero channel wherever the finite set would
+    exceed 256 roots.  Channel coefficients above a channel's degree are
+    exactly zero, so their transforms leave only round-off."""
+    degrees = np.full(d, n) if regular else rng.integers(-1, n + 1, size=d)
+    if not regular and (degrees == n).all():
+        degrees[rng.integers(d)] = rng.integers(-1, n)
+    if (degrees > 0).all() and math.prod(degrees.tolist()) > 256:
+        degrees[rng.integers(d)] = rng.integers(-1, 1)
+    return poly_from_channels([rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1) for k in degrees], n)
+
+
+class TestUnitsOfTheVariable:
+    """Z = 2^k W scales coefficient row j (leading first) of P exactly by
+    2^(k (n - j)), transform included.  Every coefficient is snapped and
+    tested against its own row's largest modulus, so the verdicts keep."""
+
+    ORDERS = [(2, 3), (3, 3), (4, 3), (8, 2), (16, 1), (64, 1)]
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(16)
+        for d, n in TestUnitsOfTheVariable.ORDERS:
+            yield planted_degree_poly(rng, d, n, True)
+            for _ in range(3):
+                yield planted_degree_poly(rng, d, n, False)
+
+    @staticmethod
+    def substituted(p, k):
+        return CircPoly([cf.Circulant(c.row * 2.0 ** (k * (p.degree - j))) for j, c in enumerate(p.coeffs)])
+
+    def test_verdicts_keep_under_z_to_2k_w(self):
+        for p in self.cases():
+            sol = cf.solve_circ_poly(p)
+            expected = cf.classify(p), p.channel_degrees().tolist()
+            outcome = sol.status, len(sol.roots), sol.free_channels
+            for k in range(-60, 61):
+                w = self.substituted(p, k)
+                assert (cf.classify(w), w.channel_degrees().tolist()) == expected, (p, k)
+                if k <= 40 and k % 4 == 0:  # every fourth k keeps the solves under a second
+                    sol = cf.solve_circ_poly(w)
+                    assert (sol.status, len(sol.roots), sol.free_channels) == outcome, (p, k)
+
+    def test_regular_with_a_small_but_invertible_leading_coefficient(self):
+        # 1e-12 Z^2 + Z and Z^2 + 1e-15 I at d = 2: each row is measured
+        # against itself, so 1e-12 I is an invertible leading coefficient
+        # and 1e-15 I a constant that splits the double root Z = 0.
+        for scalars, roots in (([1e-12, 1, 0], [-1e12, 0]), ([1, 0, 1e-15], [-1j * 10**-7.5, 1j * 10**-7.5])):
+            p = CircPoly.from_scalars(scalars, 2)
+            sol = cf.solve_circ_poly(p)
+            assert cf.classify(p).regular and sol.status is SolutionStatus.FINITE and len(sol.roots) == 4
+            for report in sol.channel_reports:
+                np.testing.assert_allclose(sorted(report.roots, key=lambda r: (r.real, r.imag)), roots, rtol=1e-12)
+
+
 class TestResidual:
     def test_zero_at_root(self):
         p = CircPoly.from_scalars([1, 0, -1], 2)
@@ -737,10 +795,13 @@ class TestResidual:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_rebuilt_root_whose_values_overflow_fails_the_gate(self, monkeypatch):
         # A chunk rebuilt far from the roots has channel values that overflow:
-        # the infinite magnitude fails the gate, with no warning.
+        # they fail the gate, with no warning, and the message names the
+        # overflow, not a residual of inf (Z^2 - I) or NaN (Z^5 - I, where
+        # Horner meets inf * 0) against an infinite bound.
         monkeypatch.setattr(solver, "inverse_rows", lambda rows, fft: inverse_rows(rows, fft=fft) * 1e200)
-        with pytest.raises(SolverError, match="^reconstructed root residual inf exceeds "):
-            cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 4))
+        for scalars in ([1, 0, -1], [1, 0, 0, 0, 0, -1]):
+            with pytest.raises(SolverError, match="^reconstructed root channel values overflow in channel 1 of root 1$"):
+                cf.solve_circ_poly(CircPoly.from_scalars(scalars, 4))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_coefficient_eigenvalues_are_refused(self):
