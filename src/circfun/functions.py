@@ -2,33 +2,34 @@
 their evaluation and differentiation.
 
 Every function class of the paper has this form: polynomial (Q = I, G = 0),
-rational (G = 0) and exponential-polynomial (Q = I).  :class:`CircFunction`
-holds the parts, Q and G optional, and every rule reads the parts present,
-not the class: its three subclasses only name the JSON kinds.  Every
-circulant of order d diagonalizes in the common Fourier basis, so F splits
-into d scalar "channel" functions F_i; F' applies F_i' to the i-th
-eigenvalue, and a finite-difference variant cross-validates it.  A value or
-derivative at a matrix point, whose entries must be finite, has one rule
-(:meth:`CircFunction._value_at`): F = P takes ring Horner
+rational (G = 0), exponential-polynomial (Q = I) and meromorphic (all three
+parts).  :class:`CircFunction` holds the parts, Q and G optional, and every
+rule reads the parts present, not the class; so does its JSON kind, in the
+one table :data:`FUNCTION_KINDS`.  Its three subclasses only fix a
+positional signature.  Every circulant of order d diagonalizes in the common
+Fourier basis, so F splits into d scalar "channel" functions F_i; F' applies
+F_i' to the i-th eigenvalue, and a finite-difference variant cross-validates
+it.  A value or derivative at a matrix point, whose entries must be finite,
+has one rule (:meth:`CircFunction._value_at`): F = P takes ring Horner
 (:meth:`CircPoly.evaluate`) where finite; then the channel pass on the raw
 spectra where every eigenvalue and value is finite; then F = P Q^+ takes
-P(Z) pinv(Q(Z)) where finite; else an error names the channels that are
-not, as it does for F', which has no ring form, and for an exp(G_i), or a
-product with it, that overflows (:func:`_times_exp`).  Only the
-log-derivative, :meth:`CircFunction.channel_values` (the limit scan's
-witness) and the solver read the snapped channel matrix, where exact degree
-drops must stay exact.  Every channel-wise pass runs the one scalar Horner
-loop :func:`circfun.core._horner`, which ring Horner runs at FFT orders
-too; P' rides along in the same pass (:func:`_with_derivative`), and the
-scale is the loop over |c_k| at |u|.  Every pass runs on all d channels;
-the limit scan masks the degenerate ones.
+P(Z) pinv(Q(Z)) where finite; else an error names the channels that are not,
+as it does for F', which has no ring form, and for an exp(G_i), or a product
+with it, that overflows (:func:`_times_exp`).  Only the log-derivative,
+:meth:`CircFunction.channel_values` (the limit scan's witness) and the
+solver read the snapped channel matrix, where exact degree drops must stay
+exact.  Every channel-wise pass runs the one scalar Horner loop
+:func:`circfun.core._horner`, which ring Horner runs at FFT orders too; P'
+rides along in the same pass (:func:`_with_derivative`), and the scale is
+the loop over |c_k| at |u|.  Every pass runs on all d channels; the limit
+scan masks the degenerate ones.
 """
 
 from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -206,6 +207,10 @@ def polyval_with_scale(coeffs, u) -> tuple[np.ndarray, np.ndarray]:
     return _horner(coeffs, u), _horner(np.abs(coeffs), np.abs(u))
 
 
+#: The JSON kind of a function -> the letters of the parts it holds, in JSON order.
+FUNCTION_KINDS = {"poly": ("P",), "rational": ("P", "Q"), "exppoly": ("P", "G"), "meromorphic": ("P", "Q", "G")}
+
+
 @dataclass(frozen=True)
 class CircFunction:
     """F(Z) = P(Z) Q(Z)^+ exp(G(Z)), the paper's class of functions of a
@@ -216,16 +221,13 @@ class CircFunction:
     absent part stands for Q = I or G = 0 and is skipped, not evaluated.
     Every part has the same order d, and Q needs at least one invertible
     coefficient, which bounds its root set and keeps the quotient
-    well-defined at infinity.  The subclasses are the three JSON kinds and
-    hold no rule: each fixes its positional signature, its ``kind`` and the
-    ``LETTERS`` of its parts, in JSON order.
+    well-defined at infinity.  The parts present give the JSON ``kind``;
+    the subclasses hold no rule and fix only their positional signatures.
     """
 
     P: CircPoly
     Q: CircPoly | None = None
     G: CircPoly | None = None
-    kind: ClassVar[str | None] = None
-    LETTERS: ClassVar[tuple[str, ...]] = ("P", "Q", "G")
 
     def __post_init__(self):
         for letter in ("Q", "G"):
@@ -238,6 +240,12 @@ class CircFunction:
     @property
     def d(self) -> int:
         return self.P.d
+
+    @property
+    def kind(self) -> str:
+        """The JSON kind whose letters in :data:`FUNCTION_KINDS` are the parts present."""
+        letters = tuple(letter for letter in "PQG" if getattr(self, letter) is not None)
+        return next(kind for kind, kind_letters in FUNCTION_KINDS.items() if kind_letters == letters)
 
     def degenerate_channels(self) -> np.ndarray:
         """Mask of the channels where F is identically 0 or 0/0: P or Q is
@@ -363,8 +371,6 @@ class CircFunction:
 class PolyFunction(CircFunction):
     """P(Z)."""
 
-    kind, LETTERS = "poly", ("P",)
-
     def __init__(self, P: CircPoly):
         super().__init__(P)
 
@@ -373,8 +379,6 @@ class PolyFunction(CircFunction):
 
 class RationalFunction(CircFunction):
     """P(Z) Q(Z)^+."""
-
-    kind, LETTERS = "rational", ("P", "Q")
 
     def __init__(self, P: CircPoly, Q: CircPoly):
         super().__init__(P, Q)
@@ -385,16 +389,8 @@ class RationalFunction(CircFunction):
 class ExpPolyFunction(CircFunction):
     """P(Z) exp(G(Z))."""
 
-    kind, LETTERS = "exppoly", ("P", "G")
-
     def __init__(self, P: CircPoly, G: CircPoly):
         super().__init__(P, G=G)
-
-
-#: Function kind name (the JSON "kind") -> class.
-FUNCTION_KINDS: dict[str, type[CircFunction]] = {
-    cls.kind: cls for cls in (PolyFunction, RationalFunction, ExpPolyFunction)
-}
 
 
 def _times_exp(factor: np.ndarray, g: np.ndarray, product: str) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Complex numbers serialize as two-element [re, im] arrays everywhere.  A
 circulant is {"d": int, "row": [[re, im], ...]}; a function is
-{"kind": "poly"|"rational"|"exppoly", "d": int, "P": [circulant, ...]} with
-"Q" (rational) or "G" (exppoly) as required, coefficient lists leading-first.
-The letters are the part names of the function: a kind's ``LETTERS`` list
-the parts it reads and writes, in order.
+{"kind": kind, "d": int, "P": [circulant, ...]}, of the kind "poly",
+"rational", "exppoly" or "meromorphic", with "Q" (rational, meromorphic) and
+"G" (exppoly, meromorphic) as required, coefficient lists leading-first.
+The letters are the part names of the function: ``functions.FUNCTION_KINDS``
+lists the parts each kind reads and writes, in order, and the parts present
+give a function's kind.
 The channel lists of solution sets and limit reports are written from the
 arrays of their tables in numpy passes, with no per-channel record object;
 one writer writes every limit report: its fields but ``table``, and that list.
@@ -101,11 +103,8 @@ def poly_to_obj(p: CircPoly) -> list:
 
 
 def function_to_obj(f: CircFunction) -> dict:
-    if f.kind is None:
-        *names, last = FUNCTION_KINDS
-        raise ValueError(f"only the {', '.join(names)} and {last} kinds have a JSON form")
     obj = {"kind": f.kind, "d": f.d}
-    for letter in f.LETTERS:
+    for letter in FUNCTION_KINDS[f.kind]:
         obj[letter] = poly_to_obj(getattr(f, letter))
     return obj
 
@@ -120,14 +119,13 @@ def function_from_obj(obj: Any, field: str = "function") -> CircFunction:
     d = obj.get("d")
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise SchemaError(f"{field}.d", f"expected an integer >= 2, got {d!r}")
-    cls = FUNCTION_KINDS[kind]
-    parts = []
-    for letter in cls.LETTERS:
+    parts = {}
+    for letter in FUNCTION_KINDS[kind]:
         if letter not in obj:
             raise SchemaError(f"{field}.{letter}", "missing")
-        parts.append(_poly_from_obj(obj[letter], d, f"{field}.{letter}"))
+        parts[letter] = _poly_from_obj(obj[letter], d, f"{field}.{letter}")
     try:
-        return cls(*parts)
+        return CircFunction(**parts)
     except ValueError as exc:  # only Q is checked beyond its order: it needs an invertible coefficient
         raise SchemaError(f"{field}.Q", str(exc)) from exc
 

@@ -272,16 +272,16 @@ def solve_scalar_poly(
     Residuals pass the row gate of :mod:`circfun.tolerances` against the
     scale sum |c_k| |r|^(n-k).  This is the one-row case of the batched
     solve that :func:`solve_circ_poly` runs over its channels.
-    NaN or infinite coefficients, or a ``tol`` that is not positive and
-    finite, raise ValueError.
+    NaN or infinite coefficients, or a ``tol`` outside (0, 1), raise
+    ValueError.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty vector")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0 < tol < 1:  # at tol >= 1 every gate passes every point: |p(u)| <= s(u)
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     nonzero = np.flatnonzero(c)
     if nonzero.size == 0:
         raise DegeneratePolynomialError("identically zero polynomial")
@@ -533,11 +533,11 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     at a time (see the module docstring); more than
     ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
     built.  A root failing a check raises SolverError.  Coefficient
-    eigenvalues that are not finite, or a ``tol`` that is not positive and
-    finite, raise ValueError.
+    eigenvalues that are not finite, or a ``tol`` outside (0, 1), raise
+    ValueError.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0 < tol < 1:  # at tol >= 1 every gate passes every point: |p(u)| <= s(u)
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     if p.degree < 1:
         raise ValueError("polynomial degree must be >= 1")
 

@@ -65,7 +65,8 @@ Where each acts:
   root when |p(r)| <= tol * max(s(r), 1); the recombination gate accepts a
   channel value when it is at most tol * max(s_i, max(1, S)), and the ring
   check bounds ||P(Z)||_F by the 2-norm of those bounds, which grows like
-  sqrt(d); an overflowed bound fails.
+  sqrt(d); an overflowed bound fails.  A ``tol`` outside (0, 1) is refused:
+  at tol >= 1 every gate passes every point, since |p(u)| <= s(u).
 * ABERTH_STOP_REL_TOL: a row leaves Ehrlich-Aberth when every correction is
   at most it times 1 + |z|.
 * POLYGON_FLOOR: a zero starting radius is raised to it times the row's

@@ -19,15 +19,19 @@ FUNCTION_FIXTURES = (
     "poly_infinite_family_d2",
     "rational_mixed_d2",
     "exppoly_iz_d2",
+    "meromorphic_d2",
 )
 #: Every subcommand on every committed fixture it takes, including the
-#: function kinds that solve and divisor reject.  The d = 3 solve pins the
-#: solver's root kernel: at d = 2 every kernel gives the same bits.  Its
-#: golden was recorded with numpy 2.4.6, so it also pins pocketfft's rounding.
+#: function kinds that solve and divisor reject.  The meromorphic fixture
+#: holds all three parts, and eval takes it at a point where Q vanishes on a
+#: channel.  The d = 3 solve pins the solver's root kernel: at d = 2 every
+#: kernel gives the same bits.  Its golden was recorded with numpy 2.4.6, so
+#: it also pins pocketfft's rounding.
 GOLDEN_CASES = [
     ("spectrum", "circ_2_1"),
     ("pinv", "circ_2_1"),
     ("eval", "eval_reciprocal"),
+    ("eval", "eval_meromorphic"),
     *[(command, stem) for command in ("solve", "divisor", "degree") for stem in FUNCTION_FIXTURES],
     ("solve", "poly_integer_roots_d3"),
 ]
@@ -397,7 +401,7 @@ class TestErrorsAndDeterminism:
             ("spectrum", {"d": 2, "row": [[1], [0, 0]]}, "circulant.row[0]: expected a [re, im] number pair"),
             ("spectrum", {"d": 2, "row": [[10**400, 0], [0, 0]]}, "circulant.row[0]: expected finite numbers"),
             ("divisor", [1], "function: expected an object"),
-            ("divisor", {"kind": "foo", "d": 2, "P": [I_2]}, "function.kind: expected 'poly', 'rational' or 'exppoly'"),
+            ("divisor", {"kind": "foo", "d": 2, "P": [I_2]}, "function.kind: expected 'poly', 'rational', 'exppoly' or 'meromorphic'"),
             ("divisor", {"kind": "poly", "d": 0, "P": [I_2]}, "function.d"),
             ("divisor", {"kind": "poly", "d": 2, "P": []}, "function.P: expected a nonempty list"),
             ("divisor", {"kind": "poly", "d": 2, "P": [I_3]}, "function.P[0].d: expected order 2, got 3"),
@@ -475,6 +479,18 @@ class TestErrorsAndDeterminism:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} must be")
 
+    @pytest.mark.parametrize("tol", ["1e308", "6e307", "1.0"])
+    def test_solve_tol_of_one_or_more_names_field(self, capsys, tol):
+        # 1e308 overflowed the gate's bounds with a warning, and 6e307 failed
+        # the exact roots in the ring check; at tol >= 1 every gate passes.
+        argv = ["solve", "--input", str(FIXTURES / "poly_z2_minus_i_d2.json"), "--output", "-", f"--tol={tol}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be in (0, 1), got {float(tol)}\n"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["spectrum", "--bogus"]) == 1
 
@@ -520,7 +536,9 @@ class TestErrorsAndDeterminism:
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("name", ["rational_mixed_d2.json", "poly_z2_minus_i_d2.json", "exppoly_iz_d2.json"])
+    @pytest.mark.parametrize(
+        "name", ["rational_mixed_d2.json", "poly_z2_minus_i_d2.json", "exppoly_iz_d2.json", "meromorphic_d2.json"]
+    )
     def test_function_roundtrip(self, name):
         from circfun import serialize as ser
 
@@ -528,12 +546,15 @@ class TestRoundTrips:
         f = ser.function_from_obj(doc)
         assert ser.function_to_obj(f) == doc
 
-    def test_function_without_a_kind_has_no_json_form(self):
+    def test_function_with_all_three_parts_round_trips(self):
+        # It had no JSON form: the kind lived on the subclasses, and the
+        # base class with P, Q and G had none.
         from circfun import serialize as ser
 
         p = cf.CircPoly([cf.identity(2)])
-        with pytest.raises(ValueError, match="JSON form"):
-            ser.function_to_obj(cf.CircFunction(p, p, p))
+        obj = ser.function_to_obj(cf.CircFunction(p, p, p))
+        assert obj["kind"] == "meromorphic" and list(obj) == ["kind", "d", "P", "Q", "G"]
+        assert ser.function_to_obj(ser.function_from_obj(obj)) == obj
 
     def test_denominator_without_invertible_coefficient_names_q(self):
         from circfun import serialize as ser

@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 import warnings
 
@@ -29,6 +30,7 @@ from circfun.functions import (
     _with_derivative,
     polyval_with_scale,
 )
+from circfun.serialize import function_from_obj, function_to_obj
 from circfun.spectral import RANK_REL_TOL, _pinv_row, forward_rows, inverse_rows
 from circfun.testkit import (
     dense_mul, integer_rooted_poly, random_circulant, random_invertible_circulant, random_regular_poly,
@@ -1051,7 +1053,12 @@ class TestGeneralFunction:
         p, q = random_regular_poly(rng, 3, 2), random_regular_poly(rng, 3, 1)
         assert (PolyFunction(p).Q, PolyFunction(p).G) == (None, None)
         assert (ExpPolyFunction(p, q).Q, ExpPolyFunction(p, q).G) == (None, q)
-        assert [cls.LETTERS for cls in cf.functions.FUNCTION_KINDS.values()] == [("P",), ("P", "Q"), ("P", "G")]
+        kinds = {"poly": ("P",), "rational": ("P", "Q"), "exppoly": ("P", "G"), "meromorphic": ("P", "Q", "G")}
+        assert cf.functions.FUNCTION_KINDS == kinds
+        # The parts present give the kind, whatever the class.
+        fs = (PolyFunction(p), RationalFunction(p, q), ExpPolyFunction(p, q), CircFunction(p, q, q))
+        assert [f.kind for f in fs] == list(kinds)
+        assert [CircFunction(p).kind, CircFunction(p, q).kind, CircFunction(p, None, q).kind] == list(kinds)[:3]
         assert RationalFunction(p, q) == RationalFunction(p, q) != CircFunction(p, q)
 
     @pytest.mark.parametrize("part", ["P", "Q"])
@@ -1088,7 +1095,8 @@ class TestGeneralFunction:
         # takes ring Horner first, and P Q^+ its ring form where the channel
         # pass is not finite.  The points include where each path overflows:
         # Q = Z + C at I with C = circ(1e307, ...), 1e308 Z at 10 I and Z^2
-        # at 1e200 I.
+        # at 1e200 I.  So does the JSON kind: the base class writes the bytes
+        # of the subclass with its parts, and every kind reads back as written.
         eye, zero = cf.identity(d), cf.zero(d)
         polys = [
             random_regular_poly(rng, d, 3),
@@ -1109,6 +1117,15 @@ class TestGeneralFunction:
                     assert same == self.outcome(RationalFunction(p, q).evaluate_with_report, z)
                     same = self.outcome(lambda z: (CircFunction(p, q).derivative(z), ()), z)
                     assert same == self.outcome(lambda z: (RationalFunction(p, q).derivative(z), ()), z)
+        for p in polys:
+            for q in polys[1:]:
+                pairs = ((PolyFunction(p), (p,)), (RationalFunction(p, q), (p, q)), (ExpPolyFunction(p, q), (p, None, q)))
+                for f, parts in pairs:
+                    assert json.dumps(function_to_obj(CircFunction(*parts))) == json.dumps(function_to_obj(f))
+            q = polys[-1]
+            for f in (CircFunction(p), CircFunction(p, q), CircFunction(p, None, q), CircFunction(p, q, q)):
+                doc = function_to_obj(f)
+                assert function_to_obj(function_from_obj(doc)) == doc
 
 
 class TestDerivative:

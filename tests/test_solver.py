@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -272,6 +273,18 @@ class TestScalarRoots:
             cf.solve_scalar_poly([1, 1], tol=tol)
         with pytest.raises(ValueError, match="tol"):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0], 2), tol=tol)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tol", [1e308, 6e307, 1.0])
+    def test_tolerance_of_one_or_more_is_refused(self, tol):
+        # At tol >= 1 every gate passes every point, as |p(u)| <= s(u).  At
+        # d = 4, P = Z^2 - I, tol = 1e308 overflowed the gate's bounds with a
+        # warning, and 6e307 failed the exact roots +-1 in the ring check.
+        message = re.escape(f"tol must be in (0, 1), got {tol}")
+        with pytest.raises(ValueError, match=message):
+            cf.solve_scalar_poly([1, 0, -1], tol=tol)
+        with pytest.raises(ValueError, match=message):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 4), tol=tol)
 
     def test_polygon_radii_follow_root_moduli(self):
         radii = solver._polygon_radii(np.poly([1e-3, 1e3])[None])
