@@ -92,8 +92,8 @@ def _run_spectrum(args) -> tuple[dict, int]:
 
 def _run_pinv(args) -> tuple[dict, int]:
     x = serialize.circulant_from_obj(_read_document(args.input), "circulant")
-    if args.tol is not None and not 0 <= args.tol < float("inf"):  # checked here to name the flag
-        raise ValueError(f"tol must be finite and >= 0, got {args.tol}")
+    if args.tol is not None and not 0 <= args.tol < 1:  # checked here to name the flag
+        raise ValueError(f"tol must be in [0, 1), got {args.tol}")
     y = pseudoinverse(x, rel_tol=args.tol)
     return serialize.circulant_to_obj(y), 0
 

@@ -13,11 +13,15 @@ The root-bearing channels are grouped by effective degree n, and each group
 is solved as one (m, n + 1) matrix of monic rows.  For 2 <= n <=
 ``EIG_MAX_DEGREE`` the roots are the eigenvalues of the rows' companion
 matrices, from one batched LAPACK call (Edelman & Murakami, Math. Comp. 64,
-1995), but for rows with two equal nonzero ones.  Those rows, and all above
-it, run Ehrlich-Aberth on the (m, n) iterate with an (m, n, n) repulsion
-tensor, leaving the active set as they converge, from Bini's Newton-polygon
-radii (one per root near its modulus, so roots spread over many decades
-converge in a few iterations); stalled rows take the batched eigenvalues.  Newton polishing, clustering
+1995), but for rows with two equal nonzero ones.  For n = 3 they are
+Cardano's closed form, kept for rows whose inclusion discs are finite and
+pairwise disjoint, each of which then holds exactly one root, and whose
+Newton corrections pass Aberth's stop test.  The rows neither keeps, and
+all of degree 4 and above, run Ehrlich-Aberth on the (m, n) iterate with an
+(m, n, n) repulsion tensor, leaving the active set as they converge, from
+Bini's Newton-polygon radii (one per root near its modulus, so roots spread
+over many decades converge in a few iterations); stalled rows take the
+batched eigenvalues.  Newton polishing, clustering
 into multiplicities by inclusion discs and the residual check follow, all
 row-wise, each row's value and derivative from one pass of the scalar
 Horner loop of :mod:`circfun.core` over the rows of P beside those of P',
@@ -103,6 +107,8 @@ ABERTH_MAX_ITER = 100
 #: no slower at any group size.  Their time over Aberth's in _solve_monic_rows on
 #: 16 to 8192 random rows (2 vCPUs, numpy 2.4.6, alternating medians): n = 2, 0.38-0.71
 #: at every size; n = 3, 0.44-0.90 up to 256 rows, 1.12-1.24 from 512; n = 4, 1.08-1.62 from 256.
+#: Degree 3 takes Cardano's closed form instead (:func:`_cubic_roots`): the whole row
+#: solve took 0.29-0.39x Aberth's on the same sweep.
 EIG_MAX_DEGREE = 2
 
 
@@ -262,12 +268,14 @@ def solve_scalar_poly(
 ) -> ScalarRoots:
     """All complex roots of a scalar polynomial (leading coefficient first).
 
-    Takes companion-matrix eigenvalues up to degree ``EIG_MAX_DEGREE``, and
-    above it the Ehrlich-Aberth iteration from the radii of the Newton polygon
-    (see :func:`_polygon_radii`) at evenly spaced angles, with the eigenvalues
-    as fallback if it stalls; polishes with one Newton step per root and
-    merges roots whose inclusion discs touch (:func:`_cluster_roots`) into
-    multiplicities.  Only exactly zero leading coefficients are stripped.
+    Takes companion-matrix eigenvalues up to degree ``EIG_MAX_DEGREE`` and
+    Cardano's closed form at degree 3, each kept where the inclusion discs
+    show distinct roots (see :func:`_aberth` and :func:`_solve_monic_rows`),
+    and otherwise the Ehrlich-Aberth iteration from the radii of the Newton
+    polygon (see :func:`_polygon_radii`) at evenly spaced angles, with the
+    eigenvalues as fallback if it stalls; polishes with one Newton step per
+    root and merges roots whose inclusion discs touch (:func:`_cluster_roots`)
+    into multiplicities.  Only exactly zero leading coefficients are stripped.
 
     Residuals pass the row gate of :mod:`circfun.tolerances` against the
     scale sum |c_k| |r|^(n-k).  This is the one-row case of the batched
@@ -303,36 +311,65 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     (m, n), zero past the k-th; the iteration counts; the largest residuals;
     and a dict of the SolverError of each row that failed.  Rows run in
     blocks whose (rows, n, n) temporaries hold about ``BLOCK_ENTRIES``
-    entries.  Every step acts on a row exactly as it would on that row
-    alone, so the results do not depend on the grouping.
+    entries.  At n = 3 a block first takes :func:`_cubic_roots` through
+    :func:`_check_roots`, and only the rows whose closed-form roots it does
+    not keep run :func:`_aberth`, from their polygon starts, and are checked
+    again.  Every step acts on a row exactly as it would on that row alone,
+    so the results do not depend on the grouping.
     """
     n = monic.shape[1] - 1
     step = max(1, BLOCK_ENTRIES // (n * n))
     blocks, errors = [], {}
     for start in range(0, monic.shape[0], step):
         block = monic[start : start + step]
-        coeffs = block.T[:, :, None]
-        rows = _with_derivative(coeffs)  # P and P' of row i at row i of the points
-        roots, iterations, failures = _aberth(block, rows, max_iter)
-        values, scales = polyval_with_scale(coeffs, roots)
-        polished, residuals = _newton_polish(rows, roots, values)
-        distinct, mults, radii = _cluster_roots(block, roots, values, scales, polished)
-        for i in np.flatnonzero(~np.all(np.isfinite(radii), axis=1)).tolist():
-            errors[start + i] = SolverError("inclusion disc radii are not finite")
-        # The gate reuses the scales of the unpolished roots; only merged centers are new points.
-        merged = np.flatnonzero(mults[:, -1] == 0)  # rows with fewer than n distinct roots
-        if merged.size:
-            at_centers, scales[merged] = polyval_with_scale(block[merged].T[:, :, None], distinct[merged])
-            residuals[merged] = np.abs(at_centers)
-        max_residuals = np.max(residuals, axis=1)
-        rejected = ~np.all(residuals <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
-        for i in np.flatnonzero(rejected).tolist():
-            errors[start + i] = SolverError(
-                f"root residual {max_residuals[i]:.3e} exceeds tolerance {tol:.1e} after polishing"
-            )
-        errors.update((start + i, error) for i, error in failures.items())
-        blocks.append((distinct, mults, iterations, max_residuals))
+        rows = _with_derivative(block.T[:, :, None])  # P and P' of row i at row i of the points
+        if n != 3:
+            arrays, found = _check_roots(block, rows, *_aberth(block, rows, max_iter), tol)[:2]
+        else:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # such rows are not kept
+                roots = _cubic_roots(block)
+                unrun = np.zeros(block.shape[0], dtype=np.intp)  # no iterations
+                arrays, found, stepped, finite = _check_roots(block, rows, roots, unrun, {}, tol)
+                settled = np.abs(stepped - roots) <= ABERTH_STOP_REL_TOL * (1.0 + np.abs(roots))  # NaN fails
+            # Kept: finite discs, none merged, so that each holds one root, and
+            # Newton corrections that would stop Aberth, so that they are accurate.
+            kept = finite & (arrays[1][:, -1] != 0) & np.all(settled, axis=1)
+            again = np.flatnonzero(~kept)
+            if again.size:
+                part, rows = block[again], rows[:, :, again]
+                redone, refound = _check_roots(part, rows, *_aberth(part, rows, max_iter), tol)[:2]
+                for whole, fresh in zip(arrays, redone):
+                    whole[again] = fresh
+                found = {i: e for i, e in found.items() if kept[i]}
+                found.update((int(again[i]), error) for i, error in refound.items())
+        errors.update((start + i, error) for i, error in found.items())
+        blocks.append(arrays)
     return (*(np.concatenate(parts) for parts in zip(*blocks)), errors)
+
+
+def _check_roots(monic: np.ndarray, rows: np.ndarray, roots: np.ndarray, iterations, failures: dict, tol: float):
+    """Polishing, clustering and the row gate for the root step's ``roots``,
+    ``iterations`` and ``failures`` of the rows of ``monic`` (see
+    :func:`_aberth`), with ``rows`` their :func:`_with_derivative` rows.
+    Returns the distinct roots, multiplicities, iteration counts and largest
+    residuals; the SolverError of each row that failed; the Newton points of
+    :func:`_newton_polish`; and whether each row's inclusion discs are finite."""
+    values, scales = polyval_with_scale(monic.T[:, :, None], roots)
+    polished, residuals, stepped = _newton_polish(rows, roots, values)
+    distinct, mults, radii = _cluster_roots(monic, roots, values, scales, polished)
+    finite = np.all(np.isfinite(radii), axis=1)
+    errors = {i: SolverError("inclusion disc radii are not finite") for i in np.flatnonzero(~finite).tolist()}
+    # The gate reuses the scales of the unpolished roots; only merged centers are new points.
+    merged = np.flatnonzero(mults[:, -1] == 0)  # rows with fewer than n distinct roots
+    if merged.size:
+        at_centers, scales[merged] = polyval_with_scale(monic[merged].T[:, :, None], distinct[merged])
+        residuals[merged] = np.abs(at_centers)
+    max_residuals = np.max(residuals, axis=1)
+    rejected = ~np.all(residuals <= tol * np.maximum(scales, 1.0), axis=1)  # NaN fails
+    for i in np.flatnonzero(rejected).tolist():
+        errors[i] = SolverError(f"root residual {max_residuals[i]:.3e} exceeds tolerance {tol:.1e} after polishing")
+    errors.update(failures)
+    return (distinct, mults, iterations, max_residuals), errors, stepped, finite
 
 
 def _polygon_radii(monic: np.ndarray) -> np.ndarray:
@@ -430,11 +467,31 @@ def _companion_roots(monic: np.ndarray) -> tuple[np.ndarray, dict]:
     return roots, failures
 
 
-def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cubic_roots(monic: np.ndarray) -> np.ndarray:
+    """Cardano's roots (m, 3) of the rows u^3 + a u^2 + b u + c of ``monic``:
+    with u = t - a / 3 the row is t^3 + p t + q, and C is the principal cube
+    root of whichever of -q / 2 +- sqrt(q^2 / 4 + p^3 / 27) has the larger
+    modulus (the sum that does not cancel; it is 0 only at a triple root),
+    so that t = w C - p / (3 w C) over the cube roots of unity w.  A triple
+    root, an overflow or an underflow leaves NaN, infinite or inaccurate
+    roots, which :func:`_solve_monic_rows` does not keep."""
+    a, b, c = monic[:, 1:].T.astype(np.complex128)
+    shift = a / 3
+    p = b - a * shift
+    half = shift * (shift * shift - b / 2) + c / 2  # q / 2
+    root = np.sqrt(half * half + p * p * p / 27)
+    plus, minus = root - half, -root - half
+    larger = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    cube = (larger ** (1 / 3))[:, None] * np.array([1, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
+    return cube - (p / 3)[:, None] / cube - shift[:, None]
+
+
+def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray):
     """One Newton step per root, kept only where it lowers |p|.  ``rows``
     holds the :func:`_with_derivative` rows of the monic polynomials, shape
     (n + 1, 2, m, 1), whose row i owns row i of ``roots``, and ``p`` their
-    values there; only P' is evaluated.  Returns the roots and |p| there."""
+    values there; only P' is evaluated.  Returns the roots and |p| there,
+    and the Newton points, kept or not (the roots where P' = 0)."""
     dp = _horner(rows[:, 1], roots)
     safe = dp != 0
     stepped = roots.astype(p.dtype)  # a copy, complex like p where the roots of real rows are real
@@ -442,7 +499,7 @@ def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray) -> tuple[
         stepped[safe] = roots[safe] - p[safe] / dp[safe]
     before, after = np.abs(p), np.abs(_horner(rows[:, 0], stepped))
     better = after < before
-    return np.where(better, stepped, roots), np.where(better, after, before)
+    return np.where(better, stepped, roots), np.where(better, after, before), stepped
 
 
 def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, scales: np.ndarray, polished):

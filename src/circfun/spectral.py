@@ -158,13 +158,14 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     Channels whose eigenvalue modulus is at most ``rel_tol * max_j |u_j|``
     are treated as rank-deficient and zeroed; the rest are inverted.
     ``rel_tol`` defaults to the table's ``RANK_REL_TOL * d``
-    (:mod:`circfun.tolerances`); a given one must be finite and >= 0.  The
-    zero matrix maps to itself.  A row whose largest eigenvalue modulus
+    (:mod:`circfun.tolerances`); a given one must lie in [0, 1): at 1 the
+    threshold reaches the largest modulus, and every channel would be zeroed.
+    The zero matrix maps to itself.  A row whose largest eigenvalue modulus
     overflows is inverted scaled by a power of two (:func:`_scaled_spectrum`),
     and every other row keeps the plain result and its bits.
     """
-    if rel_tol is not None and not 0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    if rel_tol is not None and not 0 <= rel_tol < 1:  # NaN fails too
+        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
     return Circulant(_pinv_row(x, rel_tol)[0])
 
 

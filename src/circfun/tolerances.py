@@ -40,7 +40,9 @@ Where each acts:
 
 * RANK_REL_TOL: an eigenvalue at or below the threshold counts as zero in
   ``pseudoinverse``, ``is_invertible`` and the rational channel values; the
-  default ``rel_tol`` of ``pseudoinverse`` is RANK_REL_TOL * d.
+  default ``rel_tol`` of ``pseudoinverse`` is RANK_REL_TOL * d.  A given
+  ``rel_tol`` outside [0, 1) is refused: at 1 the threshold reaches the
+  largest modulus, and every channel is zeroed.
 * COEFFICIENT_REL_TOL: a spectral coefficient at or below it vanishes, which
   sets each channel's effective degree (``CircPoly.channel_degrees``), and
   through it ``classify`` and the channel kinds of ``solve_circ_poly``.
@@ -68,7 +70,8 @@ Where each acts:
   sqrt(d); an overflowed bound fails.  A ``tol`` outside (0, 1) is refused:
   at tol >= 1 every gate passes every point, since |p(u)| <= s(u).
 * ABERTH_STOP_REL_TOL: a row leaves Ehrlich-Aberth when every correction is
-  at most it times 1 + |z|.
+  at most it times 1 + |z|, and a cubic row keeps its closed-form roots only
+  where every Newton correction is.
 * POLYGON_FLOOR: a zero starting radius is raised to it times the row's
   smallest positive one, so that starting points stay distinct.
 * ISCLOSE_TOL: the default of ``Circulant.isclose``.
@@ -87,6 +90,13 @@ Rules with no constant of their own:
 * The floor 1 in max(1, S) of the recombination gate is absolute: below
   S = 1 the bound stops shrinking with c, so it does not keep under
   P -> cP.
+* The 1 in ABERTH_STOP_REL_TOL's 1 + |z| is absolute: below |z| = 1 a row
+  stops once its corrections fall under 1e-14, so roots near 2^-44 or
+  smaller can stop on their starting points after 1 to 7 iterations and
+  merge.  A purely relative stop test mends the counts, but a row with a
+  zero root then runs all ``ABERTH_MAX_ITER`` iterations; the fix is a
+  backward-error stop test.  The cubic closed form's keep rule shares the
+  floor, but keeps a row only where its inclusion discs are also disjoint.
 * NORM_SAFE_MIN, sqrt(tiny / eps): below it, underflowed squares start to
   cost a 2-norm accuracy, so ``core._norm2`` rescales such a row, and one
   that overflowed, with ``core._rescale_pow2``.  That changes no bit of any

@@ -24,9 +24,11 @@ FUNCTION_FIXTURES = (
 #: Every subcommand on every committed fixture it takes, including the
 #: function kinds that solve and divisor reject.  The meromorphic fixture
 #: holds all three parts, and eval takes it at a point where Q vanishes on a
-#: channel.  The d = 3 solve pins the solver's root kernel: at d = 2 every
-#: kernel gives the same bits.  Its golden was recorded with numpy 2.4.6, so
-#: it also pins pocketfft's rounding.
+#: channel.  The d = 3 solves pin the solver's root kernels: at d = 2 every
+#: kernel gives the same bits.  Quadratic channels take companion-matrix
+#: eigenvalues, and the cubic fixture's channels Cardano's closed form.
+#: Their goldens were recorded with numpy 2.4.6, so they also pin
+#: pocketfft's rounding.
 GOLDEN_CASES = [
     ("spectrum", "circ_2_1"),
     ("pinv", "circ_2_1"),
@@ -34,6 +36,7 @@ GOLDEN_CASES = [
     ("eval", "eval_meromorphic"),
     *[(command, stem) for command in ("solve", "divisor", "degree") for stem in FUNCTION_FIXTURES],
     ("solve", "poly_integer_roots_d3"),
+    ("solve", "poly_cubic_roots_d3"),
 ]
 
 ROW_2 = [[1, 0], [0, 0]]
@@ -478,6 +481,16 @@ class TestErrorsAndDeterminism:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("tol", ["1", "2", "1e300"])
+    def test_pinv_tol_of_one_or_more_names_field(self, capsys, tol):
+        # circ(2, 1) has eigenvalues 3 and 1; at tol >= 1 both fell under
+        # the rank threshold, and pinv printed the zero matrix with exit 0.
+        argv = ["pinv", "--input", str(FIXTURES / "circ_2_1.json"), "--output", "-", f"--tol={tol}"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be in [0, 1), got {float(tol)}\n"
 
     @pytest.mark.parametrize("tol", ["1e308", "6e307", "1.0"])
     def test_solve_tol_of_one_or_more_names_field(self, capsys, tol):

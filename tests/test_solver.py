@@ -202,10 +202,65 @@ class TestScalarRoots:
         assert list(errors) == [0] and "inclusion disc radii are not finite" in str(errors[0])
 
     def test_quadratics_take_companion_eigenvalues(self, rng):
-        # Degree 2 takes no Aberth iteration; degree 3 still does.
+        # Degree 2 takes no Aberth iteration, nor does a degree-3 row that
+        # keeps its closed-form roots; degree 4 still does.
         assert solver.EIG_MAX_DEGREE == 2
         assert cf.solve_scalar_poly(rng.standard_normal(3)).iterations == 0
-        assert cf.solve_scalar_poly([1.0, -1.0, 1.0, 0.5]).iterations > 0
+        assert cf.solve_scalar_poly([1.0, -1.0, 1.0, 0.5]).iterations == 0
+        assert cf.solve_scalar_poly([1.0, -1.0, 1.0, 0.5, 2.0]).iterations > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_cubics_keep_their_closed_form_roots(self):
+        # Roots times 2^k multiply coefficient j by 2^(k j).  Every row's
+        # discs stay disjoint, and up to roots of modulus about 1 every
+        # Newton correction passes Aberth's stop test 1e-14 (1 + |z|), so no
+        # row iterates.  Above, that test is relative, and a row whose
+        # closed-form roots are off by more than 1e-14 relative goes on to
+        # Aberth.  Either way the roots are those of np.roots.
+        rng = np.random.default_rng(38)
+        monic = np.ones((20, 4), dtype=np.complex128)
+        monic[:, 1:] = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+        for k in range(-60, 61):
+            rows = monic * 2.0 ** (k * np.arange(4))
+            roots, mults, iterations, _, errors = solver._solve_monic_rows(
+                rows, solver.SCALAR_RESIDUAL_TOL, solver.ABERTH_MAX_ITER
+            )
+            assert errors == {} and np.all(mults == 1), k
+            assert k > 0 or np.all(iterations == 0), k
+            for row, got in zip(rows, roots):
+                expected = np.roots(row)
+                nearest = np.argmin(np.abs(got[:, None] - expected[None, :]), axis=1)
+                assert sorted(nearest.tolist()) == [0, 1, 2], (k, row)
+                np.testing.assert_allclose(got, expected[nearest], rtol=1e-12, err_msg=str(k))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coeffs", [np.poly([1e5, 1, 1e-5]), [1, 1e5, 1, 1]])
+    def test_spread_cubics_with_inaccurate_closed_form_roots_go_on_to_aberth(self, coeffs):
+        # Depressing the cubic loses the small roots beside one of modulus
+        # 1e5: they come out 6e-8 to 1e-2 relative off, inside discs that
+        # are still disjoint, and one Newton step would leave residuals over
+        # the gate.  Their Newton corrections fail Aberth's stop test, so
+        # the rows iterate.
+        r = cf.solve_scalar_poly(coeffs)
+        assert r.iterations > 0 and np.array_equal(r.multiplicities, np.ones(3))
+        expected = polish(coeffs, np.roots(coeffs))
+        nearest = np.argmin(np.abs(r.roots[:, None] - expected[None, :]), axis=1)
+        assert sorted(nearest.tolist()) == [0, 1, 2]
+        np.testing.assert_allclose(r.roots, expected[nearest], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "roots, mults", [([-1, 2], [1, 2]), ([1.5], [3]), ([-2, 1 + 1j], [1, 2]), ([0, 3], [2, 1])]
+    )
+    def test_cubics_with_a_multiple_root_go_on_to_aberth(self, roots, mults):
+        # A double or triple root leaves the closed-form roots discs that
+        # touch or are not finite.  Clustered as they are, the roots of
+        # (u - 2)^2 (u + 1) would merge into one root of multiplicity 3.
+        r = cf.solve_scalar_poly(np.poly(np.repeat(roots, mults)))
+        assert r.iterations > 0
+        nearest = np.argmin(np.abs(r.roots[:, None] - np.array(roots)[None, :]), axis=1)
+        assert sorted(nearest.tolist()) == list(range(len(roots)))
+        np.testing.assert_array_equal(r.multiplicities, np.array(mults)[nearest])
+        np.testing.assert_allclose(r.roots, np.array(roots)[nearest], atol=1e-4)
 
     def test_companion_roots_of_double_root_quadratics_are_those_of_np_roots(self, rng):
         # (u - r)^2: the companion matrix is the one np.roots builds.
@@ -504,14 +559,7 @@ class TestCircSolve:
             np.poly([2, 2, 2, -1, -1]), np.poly([1, 1, 0.5, 0.5, 3]), np.poly([0, 0, 1, 2, 3]),
             np.poly([1e-3, 1e3, 1, 2, -5]), np.poly([1, 2, 3, 4, 5]),
         ]  # fmt: skip
-        monic = np.array(rows, dtype=np.complex128)
-        outcomes = []
-        for entries in (n * n, 4 * n * n, solver.BLOCK_ENTRIES):  # 1 row, 4 rows, all rows per block
-            monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
-            *arrays, errors = solver._solve_monic_rows(monic, tol, solver.ABERTH_MAX_ITER)
-            outcomes.append(([a.tobytes() for a in arrays], {i: str(e) for i, e in errors.items()}))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        failed = set(outcomes[0][1])
+        failed = set(self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)[1])
         assert failed == (set() if tol > 1e-30 else set(range(len(rows))) - {10})
 
     @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
@@ -524,17 +572,39 @@ class TestCircSolve:
         rows = [random_monic(rng, 2) for _ in range(9)] + [
             np.poly([0.5 + 1j, 0.5 + 1j]), [1, 0, 0], [1, -1, 0], [1, -2 * z, z * z],
         ]  # fmt: skip
-        monic = np.array(rows, dtype=np.complex128)
-        outcomes = []
-        for entries in (4, 16, solver.BLOCK_ENTRIES):  # 1 row, 4 rows, all rows per block
+        arrays, errors = self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)
+        iterations = np.frombuffer(arrays[2], dtype=np.intp)
+        assert not iterations[[0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]].any() and iterations[12] > 0
+        if tol > 1e-30:
+            assert errors == {}
+
+    @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
+    def test_cubic_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
+        # The closed form: random cubics and u (u - 1)(u - 2) keep it; u^3,
+        # a cluster 1e-9 wide, a double zero, a double and a triple root,
+        # and roots 1e5, 1 and 1e-5, whose closed form is inaccurate, go on
+        # to Aberth.
+        rows = [random_monic(rng, 3) for _ in range(9)] + [
+            [1, 0, 0, 0], np.poly([0, 1, 2]), np.poly([1, 1 + 1e-9, 3]), np.poly([0, 0, 2]),
+            np.poly([2, 2, -1]), np.poly([1.5] * 3), np.poly([1e5, 1, 1e-5]),
+        ]  # fmt: skip
+        arrays, errors = self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)
+        iterations = np.frombuffer(arrays[2], dtype=np.intp)
+        assert not iterations[[*range(9), 10]].any() and iterations[[9, 11, 12, 13, 14, 15]].all()
+        if tol > 1e-30:
+            assert errors == {}
+
+    @staticmethod
+    def outcome_in_any_block(monkeypatch, monic, tol):
+        """The bytes of every array and the errors of ``_solve_monic_rows``,
+        the same with 1 row, 4 rows and all rows per block."""
+        n, outcomes = monic.shape[1] - 1, []
+        for entries in (n * n, 4 * n * n, solver.BLOCK_ENTRIES):
             monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
             *arrays, errors = solver._solve_monic_rows(monic, tol, solver.ABERTH_MAX_ITER)
             outcomes.append(([a.tobytes() for a in arrays], {i: str(e) for i, e in errors.items()}))
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        iterations = np.frombuffer(outcomes[0][0][2], dtype=np.intp)
-        assert not iterations[[0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]].any() and iterations[12] > 0
-        if tol > 1e-30:
-            assert outcomes[0][1] == {}
+        return outcomes[0]
 
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4
@@ -742,7 +812,7 @@ class TestUnitsOfTheVariable:
             for k in range(-60, 61):
                 w = self.substituted(p, k)
                 assert (cf.classify(w), w.channel_degrees().tolist()) == expected, (p, k)
-                if k <= 40 and k % 4 == 0:  # every fourth k keeps the solves under a second
+                if k % 4 == 0:  # every fourth k keeps the solves near a second
                     sol = cf.solve_circ_poly(w)
                     assert (sol.status, len(sol.roots), sol.free_channels) == outcome, (p, k)
 

@@ -138,6 +138,13 @@ class TestPseudoinverse:
         with pytest.raises(ValueError):
             cf.pseudoinverse(cf.identity(2), rel_tol=-1.0)
 
+    @pytest.mark.parametrize("rel_tol", [1.0, 2.0, 1e300])
+    def test_tolerance_of_one_or_more_rejected(self, rel_tol):
+        # At rel_tol >= 1 the threshold reaches the largest modulus, and
+        # circ(2, 1), with eigenvalues 3 and 1, came back as the zero matrix.
+        with pytest.raises(ValueError, match=r"^rel_tol must be in \[0, 1\), got "):
+            cf.pseudoinverse(cf.Circulant([2, 1]), rel_tol=rel_tol)
+
     @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -np.inf])
     def test_non_finite_tolerance_rejected(self, rel_tol):
         # A NaN threshold would zero every channel of an invertible matrix.
