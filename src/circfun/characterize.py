@@ -244,12 +244,22 @@ def logderiv_diag(f: CircFunction, z: Circulant) -> np.ndarray:
     ChannelSingularityError where a channel sits on a zero or pole.  The point
     is admitted as evaluation admits it, its order F's and its entries finite,
     and as :func:`circfun.solver.residual` admits it: its eigenvalues finite.
+    A part whose coefficient eigenvalues are not finite is refused by its
+    letter.  Where u F'/F overflows it is not finite (inf where only the
+    product with u overflows), with no warning, as along the scan.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
         u = spectrum(f._admit(z))
     if not np.isfinite(u).all():
         raise ValueError("point eigenvalues must be finite")
-    return u * f.channel_logderiv(u)
+    return _times_u(u, f.channel_logderiv(u))
+
+
+def _times_u(u: np.ndarray, dlog: np.ndarray) -> np.ndarray:
+    """u F'/F from ``dlog``, the values of F'/F at ``u``: a value that
+    overflows is not finite, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows diverges
+        return u * dlog
 
 
 def _richardson(scales: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -294,13 +304,9 @@ def _estimate_channels(f: CircFunction, path: PathSpec | None, witness=None) -> 
         path = PathSpec.default(f.d)
     if path.d != f.d:
         raise DimensionError(f"order mismatch: path has {path.d}, function has {f.d}")
-    witnessed = () if witness is None else (("witness P", witness.P), ("witness G", witness.G))
-    for name, part in (("P", f.P), ("Q", f.Q), ("G", f.G)) + witnessed:
-        try:
-            if part is not None:
-                part.channel_matrix()
-        except ValueError as error:  # the one refusal, with the part's name
-            raise ValueError(name + str(error).removeprefix("polynomial")) from None
+    f._admit_coefficients()
+    if witness is not None:
+        witness._admit_coefficients("witness ")
     indeterminate = f.degenerate_channels()
     if indeterminate.all():
         raise ChannelSingularityError(range(1, f.d + 1), "every channel is degenerate")
@@ -313,9 +319,9 @@ def _estimate_channels(f: CircFunction, path: PathSpec | None, witness=None) -> 
 
 def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
     """Estimate sequences u F'/F, shape (n_scales, d), over the path's
-    scales, all scales in one batch: u times one
-    :meth:`CircFunction._logderiv` call, which takes the values of the
-    witness function ``qfun`` (None for none) off G'.  The columns of the
+    scales, all scales in one batch: one :meth:`CircFunction._logderiv`
+    call, which takes the values of the witness function ``qfun`` (None for
+    none) off G', times u (:func:`_times_u`).  The columns of the
     channels that the mask ``skip`` sets, the degenerate ones, which would
     raise on every direction, go unchecked and are meaningless.  On any
     other channel singularity the direction is re-randomized (seeded)
@@ -334,12 +340,9 @@ def _scan(f, path: PathSpec, qfun, skip) -> tuple[np.ndarray, int]:
                 rng = np.random.default_rng(path.seed)
             u = PathSpec(np.exp(2j * np.pi * rng.uniform(size=path.d)), path.scales)._points
         try:
-            dlog = f._logderiv(u, skip, qfun)
+            return _times_u(u, f._logderiv(u, skip, qfun)), attempt
         except ChannelSingularityError as exc:
             last_error = exc
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows diverges
-            return u * dlog, attempt
     raise ChannelSingularityError(
         last_error.channels, f"path singularity persisted across {RETRY_BUDGET} phase retries"
     )

@@ -296,8 +296,20 @@ class CircFunction:
     def channel_logderiv(self, u: np.ndarray) -> np.ndarray:
         """F'_i(u_i) / F_i(u_i), computed in ratio form so that it stays
         finite even where F itself would overflow.  A ChannelSingularityError
-        names the offending channels by their 1-based numbers."""
+        names the offending channels by their 1-based numbers; a part whose
+        coefficient eigenvalues are not finite is refused by its letter."""
+        self._admit_coefficients()
         return self._logderiv(u)
+
+    def _admit_coefficients(self, prefix: str = "") -> None:
+        """Read each part's channel matrix, the one check of coefficient eigenvalues, so that the
+        first part it refuses is named by ``prefix`` and its letter instead of as "polynomial"."""
+        for part, letter in ((self.P, "P"), (self.Q, "Q"), (self.G, "G")):
+            try:
+                if part is not None:
+                    part.channel_matrix()
+            except ValueError as error:  # the one refusal, with the part's name
+                raise ValueError(prefix + letter + str(error).removeprefix("polynomial")) from None
 
     def _logderiv(self, u: np.ndarray, skip=False, witness=None) -> np.ndarray:
         """P'/P - Q'/Q + (G' - q) on every channel of ``u``, shape (d,) or

@@ -10,25 +10,14 @@ relative tolerance are discarded:
 * identically zero: any value works, giving a free complex parameter.
 
 The root-bearing channels are grouped by effective degree n, and each group
-is solved as one (m, n + 1) matrix of monic rows.  For 2 <= n <=
-``EIG_MAX_DEGREE`` the roots are the eigenvalues of the rows' companion
-matrices, from one batched LAPACK call (Edelman & Murakami, Math. Comp. 64,
-1995), but for rows with two equal nonzero ones.  For n = 3 they are
-Cardano's closed form, kept for rows whose inclusion discs are finite and
-pairwise disjoint, each of which then holds exactly one root, and whose
-Newton corrections pass Aberth's stop test.  The rows neither keeps, and
-all of degree 4 and above, run Ehrlich-Aberth on the (m, n) iterate with an
-(m, n, n) repulsion tensor, leaving the active set as they converge, from
-Bini's Newton-polygon radii (one per root near its modulus, so roots spread
-over many decades converge in a few iterations); stalled rows take the
-batched eigenvalues.  Newton polishing, clustering
-into multiplicities by inclusion discs and the residual check follow, all
-row-wise, each row's value and derivative from one pass of the scalar
-Horner loop of :mod:`circfun.core` over the rows of P beside those of P',
-built once per block of at most ``BLOCK_ENTRIES`` tensor entries.  Each
-step does on a row exactly what it would do on that row alone, so a
-channel's roots depend neither on the rest of the polynomial nor on the
-blocks, and :func:`solve_scalar_poly` is the one-row case.
+is solved as one (m, n + 1) matrix of monic rows, a block at a time, all
+row-wise (:func:`_solve_monic_rows`): a direct root step up to n = 3, kept
+where the inclusion discs allow, Ehrlich-Aberth (:func:`_aberth`) on the
+other rows, then Newton polishing, clustering into multiplicities by the
+discs and the residual check.  Each step does on a row exactly what it
+would do on that row alone, so a channel's roots depend neither on the rest
+of the polynomial nor on the blocks, and :func:`solve_scalar_poly` is the
+one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
@@ -103,8 +92,8 @@ BLOCK_ENTRIES = 2**16
 #: Aberth iterations before the companion-matrix fallback.
 ABERTH_MAX_ITER = 100
 
-#: Largest degree whose rows take companion eigenvalues, not Aberth: the largest
-#: no slower at any group size.  Their time over Aberth's in _solve_monic_rows on
+#: Largest degree whose direct root step is companion eigenvalues: the largest no slower
+#: than Aberth at any group size.  Their time over Aberth's in _solve_monic_rows on
 #: 16 to 8192 random rows (2 vCPUs, numpy 2.4.6, alternating medians): n = 2, 0.38-0.71
 #: at every size; n = 3, 0.44-0.90 up to 256 rows, 1.12-1.24 from 512; n = 4, 1.08-1.62 from 256.
 #: Degree 3 takes Cardano's closed form instead (:func:`_cubic_roots`): the whole row
@@ -266,22 +255,13 @@ def solve_scalar_poly(
     tol: float = SCALAR_RESIDUAL_TOL,
     max_iter: int = ABERTH_MAX_ITER,
 ) -> ScalarRoots:
-    """All complex roots of a scalar polynomial (leading coefficient first).
-
-    Takes companion-matrix eigenvalues up to degree ``EIG_MAX_DEGREE`` and
-    Cardano's closed form at degree 3, each kept where the inclusion discs
-    show distinct roots (see :func:`_aberth` and :func:`_solve_monic_rows`),
-    and otherwise the Ehrlich-Aberth iteration from the radii of the Newton
-    polygon (see :func:`_polygon_radii`) at evenly spaced angles, with the
-    eigenvalues as fallback if it stalls; polishes with one Newton step per
-    root and merges roots whose inclusion discs touch (:func:`_cluster_roots`)
-    into multiplicities.  Only exactly zero leading coefficients are stripped.
-
-    Residuals pass the row gate of :mod:`circfun.tolerances` against the
-    scale sum |c_k| |r|^(n-k).  This is the one-row case of the batched
-    solve that :func:`solve_circ_poly` runs over its channels.
-    NaN or infinite coefficients, or a ``tol`` outside (0, 1), raise
-    ValueError.
+    """All complex roots of a scalar polynomial (leading coefficient first),
+    with multiplicities: the one-row case of the batched solve that
+    :func:`solve_circ_poly` runs over its channels (:func:`_solve_monic_rows`),
+    whose residuals pass the row gate of :mod:`circfun.tolerances` against
+    the scale sum |c_k| |r|^(n-k).  Only exactly zero leading coefficients
+    are stripped.  NaN or infinite coefficients, or a ``tol`` outside (0, 1),
+    raise ValueError.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
@@ -311,11 +291,19 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     (m, n), zero past the k-th; the iteration counts; the largest residuals;
     and a dict of the SolverError of each row that failed.  Rows run in
     blocks whose (rows, n, n) temporaries hold about ``BLOCK_ENTRIES``
-    entries.  At n = 3 a block first takes :func:`_cubic_roots` through
-    :func:`_check_roots`, and only the rows whose closed-form roots it does
-    not keep run :func:`_aberth`, from their polygon starts, and are checked
-    again.  Every step acts on a row exactly as it would on that row alone,
-    so the results do not depend on the grouping.
+    entries, each under one floating-point scope: a value that is not finite
+    fails the discs or the gate.  At n <= 3 a block first takes one direct
+    root step: the exact root at n = 1, the eigenvalues of
+    :func:`_companion_roots` at n = 2 (Edelman & Murakami, Math. Comp. 64,
+    1995) and :func:`_cubic_roots` at n = 3.  A row keeps them where
+    :func:`_check_roots` finds its discs finite; Cardano's roots are not
+    backward stable, so a cubic row also needs discs that stay disjoint,
+    each then holding one root, and Newton corrections that pass Aberth's
+    stop test.  Only the other rows run :func:`_aberth` and are checked
+    again.  P and P' of each row come from one Horner pass over the
+    :func:`_with_derivative` rows, built once per block.  Every step acts on
+    a row exactly as it would on that row alone, so the results do not
+    depend on the grouping.
     """
     n = monic.shape[1] - 1
     step = max(1, BLOCK_ENTRIES // (n * n))
@@ -323,25 +311,29 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     for start in range(0, monic.shape[0], step):
         block = monic[start : start + step]
         rows = _with_derivative(block.T[:, :, None])  # P and P' of row i at row i of the points
-        if n != 3:
-            arrays, found = _check_roots(block, rows, *_aberth(block, rows, max_iter), tol)[:2]
-        else:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # such rows are not kept
-                roots = _cubic_roots(block)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # not finite: fails the discs or the gate
+            if n > 3:
+                arrays, found = _check_roots(block, rows, *_aberth(block, rows, max_iter), tol)[:2]
+            else:
+                if n == 1:
+                    roots = -block[:, 1:]
+                elif n <= EIG_MAX_DEGREE:
+                    roots = _companion_roots(block)[0]  # NaN where LAPACK failed: no finite discs
+                else:
+                    roots = _cubic_roots(block)
                 unrun = np.zeros(block.shape[0], dtype=np.intp)  # no iterations
-                arrays, found, stepped, finite = _check_roots(block, rows, roots, unrun, {}, tol)
-                settled = np.abs(stepped - roots) <= ABERTH_STOP_REL_TOL * (1.0 + np.abs(roots))  # NaN fails
-            # Kept: finite discs, none merged, so that each holds one root, and
-            # Newton corrections that would stop Aberth, so that they are accurate.
-            kept = finite & (arrays[1][:, -1] != 0) & np.all(settled, axis=1)
-            again = np.flatnonzero(~kept)
-            if again.size:
-                part, rows = block[again], rows[:, :, again]
-                redone, refound = _check_roots(part, rows, *_aberth(part, rows, max_iter), tol)[:2]
-                for whole, fresh in zip(arrays, redone):
-                    whole[again] = fresh
-                found = {i: e for i, e in found.items() if kept[i]}
-                found.update((int(again[i]), error) for i, error in refound.items())
+                arrays, found, stepped, kept = _check_roots(block, rows, roots, unrun, {}, tol)
+                if n == 3:  # no merged discs, and Newton corrections that would stop Aberth
+                    settled = np.abs(stepped - roots) <= ABERTH_STOP_REL_TOL * (1.0 + np.abs(roots))  # NaN fails
+                    kept &= (arrays[1][:, -1] != 0) & np.all(settled, axis=1)
+                again = np.flatnonzero(~kept)
+                if again.size:
+                    part, rows = block[again], rows[:, :, again]
+                    redone, refound = _check_roots(part, rows, *_aberth(part, rows, max_iter), tol)[:2]
+                    for whole, fresh in zip(arrays, redone):
+                        whole[again] = fresh
+                    found = {i: e for i, e in found.items() if kept[i]}
+                    found.update((int(again[i]), error) for i, error in refound.items())
         errors.update((start + i, error) for i, error in found.items())
         blocks.append(arrays)
     return (*(np.concatenate(parts) for parts in zip(*blocks)), errors)
@@ -350,7 +342,8 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
 def _check_roots(monic: np.ndarray, rows: np.ndarray, roots: np.ndarray, iterations, failures: dict, tol: float):
     """Polishing, clustering and the row gate for the root step's ``roots``,
     ``iterations`` and ``failures`` of the rows of ``monic`` (see
-    :func:`_aberth`), with ``rows`` their :func:`_with_derivative` rows.
+    :func:`_aberth`), with ``rows`` their :func:`_with_derivative` rows, in
+    the floating-point scope of :func:`_solve_monic_rows`.
     Returns the distinct roots, multiplicities, iteration counts and largest
     residuals; the SolverError of each row that failed; the Newton points of
     :func:`_newton_polish`; and whether each row's inclusion discs are finite."""
@@ -398,30 +391,19 @@ def _polygon_radii(monic: np.ndarray) -> np.ndarray:
 
 
 def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The root step: :func:`_companion_roots` at 2 <= n <= ``EIG_MAX_DEGREE``,
-    where only rows with two equal nonzero eigenvalues (no finite inclusion
-    discs) go on; Ehrlich-Aberth on the others, each row leaving once its
+    """Ehrlich-Aberth on the rows of ``monic``, each row leaving once its
     corrections are negligible, and :func:`_companion_roots` for those left
     after ``max_iter``.  ``rows`` holds the :func:`_with_derivative` rows of
     ``monic``, shape (n + 1, 2, m, 1); slot t starts at its Newton-polygon
     radius and the angle 2 pi t / n + 0.7.  Returns the roots, the iteration
     counts and the SolverError of each row whose eigenvalues failed."""
     m, n = monic.shape[0], monic.shape[1] - 1
-    if n == 1:
-        return -monic[:, 1:], np.zeros(m, dtype=np.intp), {}
-    roots, failures, active = np.empty((m, n), dtype=np.complex128), {}, np.arange(m)
-    if n <= EIG_MAX_DEGREE:
-        roots, failures = _companion_roots(monic)
-        ordered = np.sort_complex(roots)  # equal values end up side by side
-        active = np.flatnonzero(np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != 0), axis=1))
-        if active.size == 0:
-            return roots, np.zeros(m, dtype=np.intp), failures
-    iterations = np.zeros(m, dtype=np.intp)
-    iterations[active] = max_iter
+    roots, active = np.empty((m, n), dtype=np.complex128), np.arange(m)
+    iterations = np.full(m, max_iter, dtype=np.intp)
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
-    z = _polygon_radii(monic[active]) * np.exp(1j * angles)
+    z = _polygon_radii(monic) * np.exp(1j * angles)
     diagonal = np.arange(n)
-    buffer = np.empty((active.size, n, n), dtype=np.complex128)  # reused: one tensor alive per block
+    buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
         p, dp = _horner(rows[:, :, active], np.stack((z, z)))
         dp = np.where(dp == 0, DIVISION_GUARD, dp)
@@ -438,10 +420,10 @@ def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndar
         iterations[active[done]] = iteration
         active, z = active[~done], z[~done]
         if active.size == 0:
-            return roots, iterations, failures
+            return roots, iterations, {}
     # Stalled (typically root clusters): companion-matrix eigenvalues.
     roots[active], stalled = _companion_roots(monic[active])
-    return roots, iterations, {**failures, **{int(active[i]): error for i, error in stalled.items()}}
+    return roots, iterations, {int(active[i]): error for i, error in stalled.items()}
 
 
 def _companion_roots(monic: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -495,8 +477,7 @@ def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray):
     dp = _horner(rows[:, 1], roots)
     safe = dp != 0
     stepped = roots.astype(p.dtype)  # a copy, complex like p where the roots of real rows are real
-    with np.errstate(invalid="ignore"):  # a NaN root fails the residual gate next
-        stepped[safe] = roots[safe] - p[safe] / dp[safe]
+    stepped[safe] = roots[safe] - p[safe] / dp[safe]
     before, after = np.abs(p), np.abs(_horner(rows[:, 0], stepped))
     better = after < before
     return np.where(better, stepped, roots), np.where(better, after, before), stepped
@@ -521,9 +502,8 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
     diagonal = np.arange(n)
     gap = np.abs(roots[:, None, :] - roots[:, :, None])
     gap[:, diagonal, diagonal] = 1.0  # out of the product, which is a sum of logs
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slack = n * (np.abs(values) + 4 * n * np.finfo(np.float64).eps * scales)
-        radii = np.exp(np.log(slack) - np.sum(np.log(gap), axis=2))
+    slack = n * (np.abs(values) + 4 * n * np.finfo(np.float64).eps * scales)
+    radii = np.exp(np.log(slack) - np.sum(np.log(gap), axis=2))
     zero = roots == 0  # exact roots if no more than the trailing zero coefficients: the disc {0}
     radii[zero & (np.count_nonzero(zero, axis=1) <= np.argmax(monic[:, ::-1] != 0, axis=1))[:, None]] = 0.0
     touch = gap <= radii[:, :, None] + radii[:, None, :]

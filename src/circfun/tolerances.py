@@ -70,8 +70,8 @@ Where each acts:
   sqrt(d); an overflowed bound fails.  A ``tol`` outside (0, 1) is refused:
   at tol >= 1 every gate passes every point, since |p(u)| <= s(u).
 * ABERTH_STOP_REL_TOL: a row leaves Ehrlich-Aberth when every correction is
-  at most it times 1 + |z|, and a cubic row keeps its closed-form roots only
-  where every Newton correction is.
+  at most it times 1 + |z|; of the direct root steps, only a cubic row, not
+  backward stable, keeps its roots only where every Newton correction is.
 * POLYGON_FLOOR: a zero starting radius is raised to it times the row's
   smallest positive one, so that starting points stay distinct.
 * ISCLOSE_TOL: the default of ``Circulant.isclose``.

@@ -111,6 +111,20 @@ class TestLogDerivDiag:
             cf.logderiv_diag(f, cf.Circulant(np.full(d, 1e308)))
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_that_overflows_is_inf(self):
+        # F = Z exp(Z^2) at 1e160 i I, d = 4: u F'/F = 1 + 2 u^2 is about
+        # -2e320, beyond the float range.  F'/F is finite, and the product
+        # with u printed an overflow warning; it is inf now, as on the scan.
+        d = 4
+        i, o = cf.identity(d), cf.zero(d)
+        f = ExpPolyFunction(CircPoly([i, o]), CircPoly([i, o, o]))
+        point = cf.Circulant(np.array([1e160j, 0, 0, 0]))
+        assert np.isfinite(f.channel_logderiv(cf.spectrum(point))).all()
+        assert cf.logderiv_diag(f, point).tolist() == [complex(-np.inf, 0.0)] * d
+        np.testing.assert_allclose(cf.logderiv_diag(f, cf.scale(1e10j, i)), np.full(d, 1 - 2e20), rtol=1e-15)
+
+
 class TestPathSpec:
     def test_default_direction_unit_modulus(self):
         path = PathSpec.default(5)

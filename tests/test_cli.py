@@ -267,6 +267,18 @@ class TestSolve:
         assert [sorted(c["multiplicities"]) for c in doc["channels"]] == [[2, 3], [2, 3]]
         assert len(doc["roots"]) == 4
 
+    def test_channel_root_whose_cube_overflows_is_one_error_line(self, monkeypatch, capsys):
+        # Z^3 + 1e120 Z^2 + Z + I at d = 2: each channel has a root near
+        # -1e120.  Four numpy warnings were printed before the error.
+        p = cf.CircPoly.from_scalars([1, 1e120, 1, 1], 2)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cf.serialize.function_to_obj(cf.PolyFunction(p)))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["solve"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: channel 1: inclusion disc radii are not finite\n"
+
     def test_rejects_non_poly_kind(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, ["solve"], "rational_mixed_d2.json")
         assert code == 1

@@ -375,7 +375,8 @@ SNAPPED_MATRIX_READERS = {
     "channel_degrees": (lambda p: p.channel_degrees(), "polynomial"),
     "degenerate_channels": (lambda p: PolyFunction(p).degenerate_channels(), "polynomial"),
     "channel_values": (lambda p: PolyFunction(p).channel_values(np.ones(p.d, complex)), "polynomial"),
-    "channel_logderiv": (lambda p: PolyFunction(p).channel_logderiv(np.ones(p.d, complex)), "polynomial"),
+    "channel_logderiv": (lambda p: PolyFunction(p).channel_logderiv(np.ones(p.d, complex)), "P"),
+    "logderiv_diag": (lambda p: cf.logderiv_diag(PolyFunction(p), cf.identity(p.d)), "P"),
     "classify": (cf.classify, "polynomial"),
     "solve_circ_poly": (cf.solve_circ_poly, "polynomial"),
     "residual": (lambda p: cf.residual(p, cf.identity(p.d)), "polynomial"),
@@ -495,8 +496,11 @@ class TestFuncEval:
             assert value.row.tobytes() == cf.pseudoinverse(cf.add(i, c)).row.tobytes()
             np.testing.assert_allclose(value.row, np.full(d, 1e-307 / d**2), rtol=1e-12, atol=0)
             assert zeroed == tuple(range(2, d + 1))
-            with pytest.raises(ValueError, match=r"^Q: coefficient eigenvalues must be finite$"):
-                cf.estimate_divisor(f)
+            # Every reader of the log-derivative names the part: the two
+            # outside the estimators said "polynomial".
+            for read in (cf.estimate_divisor, lambda f: cf.logderiv_diag(f, i), lambda f: f.channel_logderiv(i.row)):
+                with pytest.raises(ValueError, match=r"^Q: coefficient eigenvalues must be finite$"):
+                    read(f)
         with pytest.raises(ChannelSingularityError) as info:
             CircFunction(f.P, f.Q, CircPoly([cf.zero(d)])).evaluate_with_report(i)
         assert str(info.value) == f"F overflows at channel(s) {list(spoiled)}"

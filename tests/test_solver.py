@@ -64,6 +64,27 @@ def dense_backward_errors(p, roots):
     return errors
 
 
+def fail_lapack_on_rows_ending_in_7(monkeypatch):
+    """Patch np.linalg.eigvals to fail on the companion matrix of a row
+    whose constant coefficient is 7, and on every batch that holds one."""
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.any(a[..., 0, -1] == -7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+def random_rows_with_a_7(rng, n):
+    """Five random monic rows of degree n, row 2 with the constant coefficient 7."""
+    monic = np.ones((5, n + 1), dtype=np.complex128)
+    monic[:, 1:] = rng.standard_normal((5, n))
+    monic[2, -1] = 7.0
+    return monic
+
+
 class TestScalarRoots:
     def test_difference_of_squares(self):
         r = cf.solve_scalar_poly([1, 0, -1])
@@ -177,11 +198,21 @@ class TestScalarRoots:
         with pytest.raises(ValueError, match="finite"):
             cf.solve_scalar_poly(coeffs)
 
-    def test_nan_residual_fails_the_row_gate(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_residual_fails_the_row_gate(self, monkeypatch):
         # A NaN root has a NaN residual, which compares False with any bound.
-        *_, errors = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, 100)
+        roots = np.array([[1, 2, 3, np.nan]], dtype=np.complex128)
+        monkeypatch.setattr(solver, "_aberth", lambda monic, rows, max_iter: (roots, np.ones(1, dtype=np.intp), {}))
+        *_, errors = solver._solve_monic_rows(np.poly([1, 2, 3, 4])[None], 1e-10, 100)
         assert list(errors) == [0] and isinstance(errors[0], SolverError)
         assert "root residual nan" in str(errors[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_linear_row_goes_on_to_aberth_and_fails_in_the_fallback(self):
+        # The direct root of u + NaN has no finite disc, and Aberth never
+        # settles on it; LAPACK refuses its companion matrix.
+        *_, errors = solver._solve_monic_rows(np.array([[1.0, np.nan]]), 1e-10, 100)
+        assert list(errors) == [0] and str(errors[0]) == "companion-matrix fallback failed to converge"
 
     @pytest.mark.parametrize(
         "roots, mults", [([0, 1], [2, 2]), ([0], [7]), ([0], [12]), ([-1, 0, 2], [2, 2, 3])]
@@ -193,13 +224,24 @@ class TestScalarRoots:
         np.testing.assert_allclose(r.roots, roots, atol=1e-4)
         np.testing.assert_array_equal(r.multiplicities, mults)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_coincident_approximations_fail_the_row(self, monkeypatch):
-        # Both approximations of (u - 1)^2 exactly at 1: the residuals
+        # All four approximations of (u - 1)^4 exactly at 1: the residuals
         # vanish, but the inclusion discs have no finite radius.
-        fake = (np.ones((1, 2), dtype=np.complex128), np.zeros(1, dtype=np.intp), {})
+        fake = (np.ones((1, 4), dtype=np.complex128), np.ones(1, dtype=np.intp), {})
         monkeypatch.setattr(solver, "_aberth", lambda monic, rows, max_iter: fake)
-        *_, errors = solver._solve_monic_rows(np.array([[1.0, -2.0, 1.0]]), 1e-10, 100)
+        *_, errors = solver._solve_monic_rows(np.poly([1, 1, 1, 1])[None], 1e-10, 100)
         assert list(errors) == [0] and "inclusion disc radii are not finite" in str(errors[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_root_whose_cube_overflows_fails_without_warnings(self):
+        # u^3 + 1e120 u^2 + u + 1 has the roots about -1e120 and +-1e-60 i.
+        # Cardano's roots and Aberth's iterates overflow, which printed numpy
+        # warnings; every value that is not finite now fails the discs.
+        with pytest.raises(SolverError, match="^inclusion disc radii are not finite$"):
+            cf.solve_scalar_poly([1, 1e120, 1, 1])
+        with pytest.raises(SolverError, match="^channel 1: inclusion disc radii are not finite$"):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 1e120, 1, 1], 2))
 
     def test_quadratics_take_companion_eigenvalues(self, rng):
         # Degree 2 takes no Aberth iteration, nor does a degree-3 row that
@@ -292,31 +334,37 @@ class TestScalarRoots:
             assert failures == {} and np.all(iterations == 0)
             assert np.array_equal(np.count_nonzero(roots == 0, axis=1), zeros)
 
-    @pytest.mark.parametrize("n, max_iter", [(2, 100), (5, 0)])
-    def test_only_the_row_whose_eigenvalues_fail_is_named(self, monkeypatch, rng, n, max_iter):
-        # LAPACK fails on row 2's companion matrix alone: the batch raises,
-        # and the retry row by row names only that row and keeps the others.
-        monic = np.ones((5, n + 1), dtype=np.complex128)
-        monic[:, 1:] = rng.standard_normal((5, n))
-        monic[2, -1] = 7.0
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_only_the_row_whose_eigenvalues_fail_is_named(self, monkeypatch, rng, n):
+        # LAPACK fails on row 2's companion matrix alone, and with no Aberth
+        # iteration every row stalls into the fallback.  The batch raises,
+        # and the retry row by row names only row 2 and keeps the others.
+        monic = random_rows_with_a_7(rng, n)
         rows = _with_derivative(monic.T[:, :, None])
-        clean, _, _ = solver._aberth(monic, rows, max_iter)
-        eigvals = np.linalg.eigvals
-
-        def failing(a):
-            if np.any(a[..., 0, -1] == -7.0):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", failing)
-        roots, _, failures = solver._aberth(monic, rows, max_iter)
+        clean, _, _ = solver._aberth(monic, rows, 0)
+        fail_lapack_on_rows_ending_in_7(monkeypatch)
+        roots, _, failures = solver._aberth(monic, rows, 0)
         assert list(failures) == [2] and str(failures[2]) == "companion-matrix fallback failed to converge"
         assert isinstance(failures[2].__cause__, np.linalg.LinAlgError)
         assert np.isnan(roots[2]).all()
         others = [0, 1, 3, 4]
         assert roots[others].tobytes() == clean[others].tobytes()
-        *_, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, max_iter)
+        *_, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 0)
         assert list(errors) == [2]
+
+    def test_quadratic_row_whose_eigenvalues_fail_goes_on_to_aberth(self, monkeypatch, rng):
+        # Its direct roots are NaN, with no finite discs, so Aberth solves the
+        # row from its polygon starts; the other rows keep their bits.
+        monic = random_rows_with_a_7(rng, 2)
+        *clean, _ = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
+        fail_lapack_on_rows_ending_in_7(monkeypatch)
+        *arrays, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
+        assert errors == {}
+        assert arrays[2][2] > 0 and not arrays[2][[0, 1, 3, 4]].any()  # iterations
+        for got, want in zip(arrays, clean):
+            assert got[[0, 1, 3, 4]].tobytes() == want[[0, 1, 3, 4]].tobytes()
+        np.testing.assert_array_equal(arrays[1][2], [1, 1])
+        np.testing.assert_allclose(arrays[0][2], clean[0][2], rtol=1e-14)
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
@@ -562,19 +610,33 @@ class TestCircSolve:
         failed = set(self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)[1])
         assert failed == (set() if tol > 1e-30 else set(range(len(rows))) - {10})
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch):
+        # The exact root: random rows, u and u + 1e-300 keep it.  u + 1e308,
+        # whose scale sum overflows, and u + NaN have no finite disc, go on
+        # to Aberth and fail there.
+        rows = [random_monic(rng, 1) for _ in range(6)] + [[1, 0], [1, 1e-300], [1, 1e308], [1, np.nan]]
+        monic = np.array(rows, dtype=np.complex128)
+        arrays, errors = self.outcome_in_any_block(monkeypatch, monic, solver.SCALAR_RESIDUAL_TOL)
+        iterations = np.frombuffer(arrays[2], dtype=np.intp)
+        assert not iterations[:8].any() and iterations[8:].all()
+        assert errors == {8: "inclusion disc radii are not finite", 9: "companion-matrix fallback failed to converge"}
+
     @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
     def test_quadratic_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
         # The companion-matrix path: random quadratics, a double root, u^2
-        # and u(u - 1), and a double root whose two eigenvalues are equal,
-        # which goes on to Aberth (last row); at tol 1e-30 only exactly
-        # representable roots pass.
+        # and u(u - 1) keep their eigenvalues.  A double root whose two
+        # eigenvalues are equal, and a row whose LAPACK call fails, alone or
+        # in its batch, go on to Aberth (last two rows).  At tol 1e-30 only
+        # exactly representable roots pass.
         z = 1 + 1.1j
         rows = [random_monic(rng, 2) for _ in range(9)] + [
-            np.poly([0.5 + 1j, 0.5 + 1j]), [1, 0, 0], [1, -1, 0], [1, -2 * z, z * z],
+            np.poly([0.5 + 1j, 0.5 + 1j]), [1, 0, 0], [1, -1, 0], [1, -2 * z, z * z], [1, 0.5, 7],
         ]  # fmt: skip
+        fail_lapack_on_rows_ending_in_7(monkeypatch)
         arrays, errors = self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)
         iterations = np.frombuffer(arrays[2], dtype=np.intp)
-        assert not iterations[[0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]].any() and iterations[12] > 0
+        assert not iterations[[0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]].any() and iterations[12:].all()
         if tol > 1e-30:
             assert errors == {}
 
