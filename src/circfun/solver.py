@@ -260,8 +260,10 @@ def solve_scalar_poly(
     :func:`solve_circ_poly` runs over its channels (:func:`_solve_monic_rows`),
     whose residuals pass the row gate of :mod:`circfun.tolerances` against
     the scale sum |c_k| |r|^(n-k).  Only exactly zero leading coefficients
-    are stripped.  NaN or infinite coefficients, or a ``tol`` outside (0, 1),
-    raise ValueError.
+    are stripped.  ``max_iter`` caps the Aberth iterations; at 0 a row that
+    the direct root step does not settle takes companion eigenvalues at once.
+    NaN or infinite coefficients, a ``tol`` outside (0, 1), or a ``max_iter``
+    that is not an integer >= 0 raise ValueError.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
@@ -270,6 +272,8 @@ def solve_scalar_poly(
         raise ValueError("coefficients must be finite")
     if not 0 < tol < 1:  # at tol >= 1 every gate passes every point: |p(u)| <= s(u)
         raise ValueError(f"tol must be in (0, 1), got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     nonzero = np.flatnonzero(c)
     if nonzero.size == 0:
         raise DegeneratePolynomialError("identically zero polynomial")
@@ -343,12 +347,16 @@ def _check_roots(monic: np.ndarray, rows: np.ndarray, roots: np.ndarray, iterati
     """Polishing, clustering and the row gate for the root step's ``roots``,
     ``iterations`` and ``failures`` of the rows of ``monic`` (see
     :func:`_aberth`), with ``rows`` their :func:`_with_derivative` rows, in
-    the floating-point scope of :func:`_solve_monic_rows`.
-    Returns the distinct roots, multiplicities, iteration counts and largest
-    residuals; the SolverError of each row that failed; the Newton points of
+    the floating-point scope of :func:`_solve_monic_rows`.  P and P' at the
+    roots, cast to complex, come from one Horner pass over ``rows``, bit for
+    bit as :func:`polyval_with_scale` gives P and the scales.  Returns the
+    distinct roots, multiplicities, iteration counts and largest residuals;
+    the SolverError of each row that failed; the Newton points of
     :func:`_newton_polish`; and whether each row's inclusion discs are finite."""
-    values, scales = polyval_with_scale(monic.T[:, :, None], roots)
-    polished, residuals, stepped = _newton_polish(rows, roots, values)
+    roots = roots.astype(np.complex128, copy=False)
+    values, dp = _horner(rows, roots)
+    scales = _horner(np.abs(monic.T[:, :, None]), np.abs(roots))
+    polished, residuals, stepped = _newton_polish(rows, roots, values, dp)
     distinct, mults, radii = _cluster_roots(monic, roots, values, scales, polished)
     finite = np.all(np.isfinite(radii), axis=1)
     errors = {i: SolverError("inclusion disc radii are not finite") for i in np.flatnonzero(~finite).tolist()}
@@ -402,25 +410,25 @@ def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndar
     iterations = np.full(m, max_iter, dtype=np.intp)
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
     z = _polygon_radii(monic) * np.exp(1j * angles)
-    diagonal = np.arange(n)
     buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
     for iteration in range(1, max_iter + 1):
-        p, dp = _horner(rows[:, :, active], np.stack((z, z)))
+        p, dp = _horner(rows, z)
         dp = np.where(dp == 0, DIVISION_GUARD, dp)
         w = p / dp
         diff = np.subtract(z[:, :, None], z[:, None, :], out=buffer[: z.shape[0]])
-        diff[:, diagonal, diagonal] = 1.0
+        diff.reshape(-1, n * n)[:, :: n + 1] = 1.0  # the diagonal, through a strided view
         repulsion = np.sum(np.divide(1.0, diff, out=diff), axis=2) - 1.0  # remove the diagonal's 1/1
         denom = 1.0 - w * repulsion
         denom = np.where(denom == 0, DIVISION_GUARD, denom)
         correction = w / denom
         z = z - correction
         done = np.all(np.abs(correction) <= ABERTH_STOP_REL_TOL * (1.0 + np.abs(z)), axis=1)
-        roots[active[done]] = z[done]
-        iterations[active[done]] = iteration
-        active, z = active[~done], z[~done]
-        if active.size == 0:
-            return roots, iterations, {}
+        if done.any():  # the active rows' coefficients are regathered only when a row leaves
+            roots[active[done]] = z[done]
+            iterations[active[done]] = iteration
+            active, z, rows = active[~done], z[~done], rows[:, :, ~done]
+            if active.size == 0:
+                return roots, iterations, {}
     # Stalled (typically root clusters): companion-matrix eigenvalues.
     roots[active], stalled = _companion_roots(monic[active])
     return roots, iterations, {int(active[i]): error for i, error in stalled.items()}
@@ -468,16 +476,14 @@ def _cubic_roots(monic: np.ndarray) -> np.ndarray:
     return cube - (p / 3)[:, None] / cube - shift[:, None]
 
 
-def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray):
+def _newton_polish(rows: np.ndarray, roots: np.ndarray, p: np.ndarray, dp: np.ndarray):
     """One Newton step per root, kept only where it lowers |p|.  ``rows``
     holds the :func:`_with_derivative` rows of the monic polynomials, shape
-    (n + 1, 2, m, 1), whose row i owns row i of ``roots``, and ``p`` their
-    values there; only P' is evaluated.  Returns the roots and |p| there,
-    and the Newton points, kept or not (the roots where P' = 0)."""
-    dp = _horner(rows[:, 1], roots)
-    safe = dp != 0
-    stepped = roots.astype(p.dtype)  # a copy, complex like p where the roots of real rows are real
-    stepped[safe] = roots[safe] - p[safe] / dp[safe]
+    (n + 1, 2, m, 1), whose row i owns row i of the complex ``roots``, and
+    ``p`` and ``dp`` are P and P' there; only P is evaluated, at the Newton
+    points.  Returns the roots and |p| there, and the Newton points, kept or
+    not (the roots where P' = 0)."""
+    stepped = np.where(dp != 0, roots - p / dp, roots)  # p / dp at P' = 0 is dropped, in the caller's scope
     before, after = np.abs(p), np.abs(_horner(rows[:, 0], stepped))
     better = after < before
     return np.where(better, stepped, roots), np.where(better, after, before), stepped
@@ -493,10 +499,12 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
     the k exact zeros the companion-matrix fallback gives for k trailing zero
     coefficients: the z_i^k cancel from the other discs.  A component of k
     touching discs holds k roots and becomes one root of multiplicity k: the
-    mean of its members, or the ``polished`` root plus 0.0 if k = 1.  Discs
-    come before polishing, which can blow them up at a multiple root.  Returns
-    the distinct roots (each row's k_i, then copies of its first), their
-    multiplicities (zero past the k_i-th) and the radii.
+    mean of its members, or the ``polished`` root plus 0.0 if k = 1.  Only
+    rows where two discs touch run the component pass; in every other row
+    each root is its own component.  Discs come before polishing, which can
+    blow them up at a multiple root.  Returns the distinct roots (each row's
+    k_i, then copies of its first), their multiplicities (zero past the
+    k_i-th) and the radii.
     """
     m, n = roots.shape
     diagonal = np.arange(n)
@@ -505,21 +513,28 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
     slack = n * (np.abs(values) + 4 * n * np.finfo(np.float64).eps * scales)
     radii = np.exp(np.log(slack) - np.sum(np.log(gap), axis=2))
     zero = roots == 0  # exact roots if no more than the trailing zero coefficients: the disc {0}
-    radii[zero & (np.count_nonzero(zero, axis=1) <= np.argmax(monic[:, ::-1] != 0, axis=1))[:, None]] = 0.0
+    if zero.any():
+        radii[zero & (np.count_nonzero(zero, axis=1) <= np.argmax(monic[:, ::-1] != 0, axis=1))[:, None]] = 0.0
     touch = gap <= radii[:, :, None] + radii[:, None, :]
-    # Min-label propagation: each root ends with the smallest index in its component.
-    labels, spread = None, np.broadcast_to(diagonal, (m, n))
-    while not np.array_equal(labels, spread):
-        labels, spread = spread, np.minimum(spread, np.min(np.where(touch, spread[:, None, :], n), axis=2))
-    # A center is its first member plus the members' mean offset from it.
-    flat = (labels + n * np.arange(m)[:, None]).ravel()
-    sizes = np.bincount(flat, minlength=m * n).reshape(m, n)
-    offsets = (roots - np.take_along_axis(roots, labels, 1)).ravel()
-    mean = (np.bincount(flat, offsets.real, m * n) + 1j * np.bincount(flat, offsets.imag, m * n)).reshape(m, n)
-    centers = np.where(sizes == 1, polished, roots) + mean / np.maximum(sizes, 1)
-    order = np.lexsort((centers.imag, centers.real, sizes == 0))
-    distinct, mults = np.take_along_axis(centers, order, 1), np.take_along_axis(sizes, order, 1)
-    return np.where(mults > 0, distinct, distinct[:, :1]), mults, radii
+    touch[:, diagonal, diagonal] = False
+    distinct, mults = np.sort(polished + 0.0, axis=1), np.ones((m, n), dtype=np.intp)  # complex order is lexicographic
+    merged = np.flatnonzero(touch.any(axis=(1, 2)))
+    if merged.size:
+        roots, touch, polished, m = roots[merged], touch[merged], polished[merged], merged.size
+        # Min-label propagation: each root ends with the smallest index in its component.
+        labels, spread = None, np.broadcast_to(diagonal, (m, n))
+        while not np.array_equal(labels, spread):
+            labels, spread = spread, np.minimum(spread, np.min(np.where(touch, spread[:, None, :], n), axis=2))
+        # A center is its first member plus the members' mean offset from it.
+        flat = (labels + n * np.arange(m)[:, None]).ravel()
+        sizes = np.bincount(flat, minlength=m * n).reshape(m, n)
+        offsets = (roots - np.take_along_axis(roots, labels, 1)).ravel()
+        mean = (np.bincount(flat, offsets.real, m * n) + 1j * np.bincount(flat, offsets.imag, m * n)).reshape(m, n)
+        centers = np.where(sizes == 1, polished, roots) + mean / np.maximum(sizes, 1)
+        order = np.lexsort((centers.imag, centers.real, sizes == 0))
+        centers, mults[merged] = np.take_along_axis(centers, order, 1), np.take_along_axis(sizes, order, 1)
+        distinct[merged] = np.where(mults[merged] > 0, centers, centers[:, :1])
+    return distinct, mults, radii
 
 
 def residual(p: CircPoly, z: Circulant) -> float:

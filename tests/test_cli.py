@@ -28,7 +28,11 @@ FUNCTION_FIXTURES = (
 #: kernel gives the same bits.  Quadratic channels take companion-matrix
 #: eigenvalues, and the cubic fixture's channels Cardano's closed form.
 #: Their goldens were recorded with numpy 2.4.6, so they also pin
-#: pocketfft's rounding.
+#: pocketfft's rounding.  Two degree-6 solves at d = 2 pin the rest of the
+#: scalar solver: the clustered fixture's discs touch, so its channels stall
+#: into companion eigenvalues and go through the component pass; the
+#: distinct fixture's channels keep Ehrlich-Aberth's iterates (5 and 7
+#: iterations), and none of its discs touch.
 GOLDEN_CASES = [
     ("spectrum", "circ_2_1"),
     ("pinv", "circ_2_1"),
@@ -37,6 +41,8 @@ GOLDEN_CASES = [
     *[(command, stem) for command in ("solve", "divisor", "degree") for stem in FUNCTION_FIXTURES],
     ("solve", "poly_integer_roots_d3"),
     ("solve", "poly_cubic_roots_d3"),
+    ("solve", "poly_clustered_d2"),
+    ("solve", "poly_distinct_deg6_d2"),
 ]
 
 ROW_2 = [[1, 0], [0, 0]]

@@ -17,6 +17,7 @@ from circfun import (
     SolverError,
 )
 from circfun import solver
+from circfun.core import _horner
 from circfun.functions import _with_derivative, polyval_with_scale
 from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
@@ -35,11 +36,12 @@ def poly_from_channels(channel_coeffs, degree):
 def polish(coeffs, roots):
     """One Newton polishing pass on the roots of one scalar polynomial, as
     the batched solve runs it on a row of monic coefficients: from the
-    block's P/P' rows and p at the roots."""
+    block's P/P' rows and P and P' at the roots, from one Horner pass."""
     c = np.asarray(coeffs, dtype=np.complex128)
     coeffs, roots = (c / c[0])[None].T[:, :, None], np.asarray(roots, dtype=np.complex128)[None]
-    values, _ = polyval_with_scale(coeffs, roots)
-    return solver._newton_polish(_with_derivative(coeffs), roots, values)[0][0]
+    rows = _with_derivative(coeffs)
+    values, dp = _horner(rows, roots)
+    return solver._newton_polish(rows, roots, values, dp)[0][0]
 
 
 def random_monic(rng, n):
@@ -389,6 +391,20 @@ class TestScalarRoots:
         with pytest.raises(ValueError, match=message):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 4), tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [-1, 2.5])
+    def test_max_iter_that_is_not_a_count_is_refused(self, max_iter):
+        # -1 skipped Aberth and reported -1 iterations; 2.5 raised a bare
+        # TypeError from range.
+        message = re.escape(f"max_iter must be an integer >= 0, got {max_iter!r}")
+        with pytest.raises(ValueError, match=message):
+            cf.solve_scalar_poly([1, 2, 3, 4, 5], max_iter=max_iter)
+
+    def test_max_iter_of_zero_takes_companion_eigenvalues_at_once(self):
+        r = cf.solve_scalar_poly([1, 2, 3, 4, 5], max_iter=0)
+        assert r.iterations == 0
+        assert r.multiplicities.tolist() == [1, 1, 1, 1]
+        np.testing.assert_allclose(np.sort_complex(r.roots), np.sort_complex(np.roots([1, 2, 3, 4, 5])), rtol=1e-12)
+
     def test_polygon_radii_follow_root_moduli(self):
         radii = solver._polygon_radii(np.poly([1e-3, 1e3])[None])
         np.testing.assert_allclose(radii, [[1e-3, 1e3]], rtol=1e-2)
@@ -423,6 +439,24 @@ class TestScalarRoots:
         exact = np.array([2.0 + 0j, -1.0 + 0j])
         polished = polish(coeffs, exact)
         np.testing.assert_allclose(polished, exact, atol=1e-15)
+
+    def test_rows_whose_discs_do_not_touch_keep_their_polished_roots(self):
+        # Each root is its own component: multiplicity 1, the polished roots
+        # in lexicographic order, and a -0.0 part comes back +0.0, as the
+        # component pass returns it (the root plus its zero offset).
+        roots = np.array([[2, complex(0, -1), -1, 1j], [3, 1, -2, -1]], dtype=np.complex128)
+        monic = np.array([np.poly(r) for r in roots])
+        values, scales = polyval_with_scale(monic.T[:, :, None], roots)
+        polished = roots.copy()
+        polished[0, 2], polished[0, 3], polished[1, 3] = complex(-1, -0.0), complex(-0.0, 1), complex(-1, -0.0)
+        distinct, mults, radii = solver._cluster_roots(monic, roots, values, scales, polished)
+        gap = np.where(np.eye(4, dtype=bool), np.inf, np.abs(roots[:, None, :] - roots[:, :, None]))
+        assert np.all(gap > radii[:, :, None] + radii[:, None, :])  # no two discs touch
+        assert mults.tolist() == [[1, 1, 1, 1], [1, 1, 1, 1]]
+        expected = [[complex(-1, 0), complex(0, -1), complex(0, 1), complex(2, 0)], [-2, -1, 1, 3]]
+        np.testing.assert_array_equal(distinct, np.array(expected, dtype=np.complex128))
+        zeros = np.concatenate([distinct.real[distinct.real == 0], distinct.imag[distinct.imag == 0]])
+        assert zeros.size == 8 and not np.signbit(zeros).any()
 
 
 class TestCircSolve:
