@@ -28,26 +28,27 @@ component of disjoint discs, so distinct combinations are distinct spectra,
 which the bijective inverse transform maps to distinct circulants.
 
 Recombination writes every combination into the (count, d) root array at
-once (:meth:`ChannelRoots._combinations`), then rebuilds and verifies it a
-chunk of ``RECOMBINE_CHUNK`` rows at a time, in place.  The chunk's inverse
-transform and the verifying forward one, like :func:`residual` and
-``sample_members``, are numpy's FFT at every order (measured in
-:mod:`circfun.core`).  A row's bits depend neither on its chunk nor on its
-batch, so ``residual`` reproduces each root's residual exactly.  The forward
-transform of the chunk's rows gives the spectra u_k, the channel matrix is
-evaluated at them with its scales, and by Parseval the residual ||P(Z_k)||_F
-is sqrt(sum_i |p_i(u_ki)|^2).  Each channel value must pass the
-backward-error gate |p_i(u_ki)| <= tol * max(scale_ki, max(1, S)), with
-scale_ki = sum_j |c_ji| |u_ki|^(n-j) and S the largest spectral coefficient
-modulus.  Since that check reads the same channel matrix the solve used, the
-root of each chunk with the worst ratio to its bound is also evaluated by
-ring Horner (:meth:`CircPoly.evaluate`) on the raw coefficient rows, not the
-snapped channel matrix, and its Frobenius norm must stay within the finite
-2-norm of its channel bounds (norms by :func:`core._norm2`).
+once (:meth:`ChannelRoots._combinations`) and rebuilds it in place a chunk
+of ``RECOMBINE_CHUNK`` rows at a time by numpy's inverse FFT at every order
+(:func:`_rebuild`); a row's bits depend neither on its chunk nor on its
+batch.  Each part of the gap between a chunk's forward FFT and its
+combinations must stay within the round-off radius delta of
+``ROUND_TRIP_FACTOR``.  Each distinct channel root r is then certified once
+for all v within rho, sqrt(2) times the largest part: with s_i(x) = sum_j
+|c_ji| x^(n-j), S the largest spectral coefficient modulus and g = s_i(|r|
++ rho) - s_i(|r|) >= |p_i(v) - p_i(r)|, |p_i(r)| + g <= tol * max(s_i(|r|)
+- g, max(1, S)) gives, s_i being convex, the per-root gate |p_i(v)| <= tol
+* max(s_i(|v|), max(1, S)).  Only the rows holding a root the certificate
+misses take that gate, at their forward FFT.  The row combining each
+channel's root of least modulus is evaluated by ring Horner
+(:meth:`CircPoly.evaluate`) on the raw, not snapped, coefficient rows: its
+Frobenius norm must stay within the finite 2-norm of its channel bounds plus
+the snap's and its own round-off.
 
-The verified rows are the storage of the roots: one (count, d) array, kept
-with the residuals in ``verified`` (:class:`RootTable`), whose rows ``roots``
-wraps as read-only Circulant views on access; a root keeps it all alive.
+The rows, which ``roots`` views as read-only Circulants (a root keeps them
+alive), are in ``verified`` (:class:`RootTable`) with their residuals
+sqrt(sum_i |p_i(u_ki)|^2) = ||P(Z_k)||_F at the forward FFT u_k of row k,
+taken on first access by the pass :func:`residual` runs on one root.
 
 A solution set keeps its channels as arrays in ``table``
 (:class:`ChannelRoots`): the effective degrees, which give the kinds, and
@@ -58,8 +59,9 @@ from them, ``sample_members`` numbered ones (:meth:`ChannelRoots._values_at`);
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -70,34 +72,27 @@ from .core import Circulant, _horner
 from .errors import DegeneratePolynomialError, DimensionError, RecombinationLimitError, SolverError
 from .functions import ChannelView, CircPoly, _column_table, _with_derivative, polyval_with_scale
 from .spectral import inverse_rows
-from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR, SCALAR_RESIDUAL_TOL
+from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR
+from .tolerances import ROUND_TRIP_FACTOR, SCALAR_RESIDUAL_TOL, SPECTRAL_SNAP_REL_TOL
 
 #: Cap on the number of root combinations materialized, read at each solve.
 RECOMBINATION_LIMIT = 10**6
 
-#: Root combinations rebuilt per batched inverse transform.
+#: Root combinations rebuilt per batched inverse transform, and residual rows per pass.
 RECOMBINE_CHUNK = 1024
 
 #: Entries of the (rows, n, n) Aberth temporaries per block of channels:
-#: each complex tensor takes BLOCK_ENTRIES * 16 bytes, 1 MB.  Chosen from a
-#: sweep of 2**15 to 2**18 on the heaviest solve-channels cases (median ms
-#: per solve on 2 vCPUs, numpy 2.4.6; d16n60 / d32n40 / d64n30): 20.3 /
-#: 17.1 / 18.5 at 2**15, which splits each into two blocks, and 16.9 /
-#: 14.8 / 16.2 at 2**16, the smallest bound that makes every degree group of
-#: the benchmark one block (the largest hold 15 * 60**2, 31 * 40**2 and
-#: 63 * 30**2 entries).  2**17 and 2**18 make the same blocks there and timed
-#: the same within host drift.  Peak RSS was 40.3 MB at 2**15, 40.8 MB above.
+#: each complex tensor takes BLOCK_ENTRIES * 16 bytes, 1 MB.  The smallest
+#: bound that makes every degree group of the benchmark one block, and the
+#: fastest of 2**15 to 2**18 on them (measured in CHANGES.md).
 BLOCK_ENTRIES = 2**16
 
 #: Aberth iterations before the companion-matrix fallback.
 ABERTH_MAX_ITER = 100
 
 #: Largest degree whose direct root step is companion eigenvalues: the largest no slower
-#: than Aberth at any group size.  Their time over Aberth's in _solve_monic_rows on
-#: 16 to 8192 random rows (2 vCPUs, numpy 2.4.6, alternating medians): n = 2, 0.38-0.71
-#: at every size; n = 3, 0.44-0.90 up to 256 rows, 1.12-1.24 from 512; n = 4, 1.08-1.62 from 256.
-#: Degree 3 takes Cardano's closed form instead (:func:`_cubic_roots`): the whole row
-#: solve took 0.29-0.39x Aberth's on the same sweep.
+#: than Aberth at any group size (measured in CHANGES.md).  Degree 3 takes Cardano's
+#: closed form instead (:func:`_cubic_roots`).
 EIG_MAX_DEGREE = 2
 
 
@@ -186,9 +181,11 @@ class RootTable(NamedTuple):
 
 
 class RootView(ChannelView):
-    """Read-only Circulant views of the rows of ``rows``, made on access or, by iteration, in one batch."""
+    """Read-only Circulant views of the rows of ``rows``, which it makes read-only, made on access
+    or, by iteration, in one batch."""
 
     def __init__(self, rows: np.ndarray):
+        rows.flags.writeable = False  # also once unpickled
         super().__init__(lambda k: Circulant._of_rows(rows[k : k + 1])[0], rows.shape[0])
         self._rows = rows
 
@@ -198,18 +195,25 @@ class RootView(ChannelView):
     def __eq__(self, other):
         return np.array_equal(self._rows, other._rows) if isinstance(other, RootView) else NotImplemented
 
+    def __reduce__(self):
+        return RootView, (self._rows,)
+
 
 @dataclass(frozen=True)
 class SolutionSet:
     status: SolutionStatus
-    verified: RootTable
+    roots: RootView  # in ``itertools.product`` order of the channel roots
     table: ChannelRoots
     free_channels: tuple[int, ...] = ()  # 1-based, infinite families only
+    _poly: CircPoly | None = field(default=None, compare=False, repr=False)  # the equation, if finite
 
-    @property
-    def roots(self) -> RootView:
-        """The roots, in ``itertools.product`` order of the channel roots."""
-        return RootView(self.verified.rows)
+    @functools.cached_property
+    def verified(self) -> RootTable:
+        """The roots' rows with their residuals, taken on first access (see the module docstring)."""
+        rows = self.roots._rows
+        chunks = (rows[k : k + RECOMBINE_CHUNK] for k in range(0, rows.shape[0], RECOMBINE_CHUNK))
+        residuals = [_channel_residuals(self._poly.channel_matrix(), chunk) for chunk in chunks]
+        return RootTable._make((rows, np.concatenate([np.empty(0), *residuals])))
 
     @property
     def residuals(self) -> ChannelView:  # ||P(Z_k)||_F of each root, as Python floats
@@ -540,8 +544,8 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
 def residual(p: CircPoly, z: Circulant) -> float:
     """Frobenius norm of P(Z), by Parseval from the channel values at the
     spectrum of Z: sqrt(sum_i |p_i(u_i)|^2).  This is the one-row case of the
-    check :func:`solve_circ_poly` runs on its roots, on the same FFT kernel,
-    so it reproduces their residuals exactly; where channel values overflow it is inf, with no
+    pass that gives a solution set's residuals, on the same FFT kernel, so
+    it reproduces them exactly; where channel values overflow it is inf, with no
     warning, also where the overflow made the norm NaN (nothing else can at an admitted point).
     Entries or eigenvalues of Z, or coefficient eigenvalues, that are not finite raise ValueError."""
     if z.d != p.d:
@@ -551,18 +555,23 @@ def residual(p: CircPoly, z: Circulant) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
         if not np.isfinite(np.fft.fft(z.row)).all():
             raise ValueError("point eigenvalues must be finite")
-    norm = float(_channel_residuals(p.channel_matrix(), z.row[None])[2][0])
+    norm = float(_channel_residuals(p.channel_matrix(), z.row[None])[0])
     return np.inf if norm != norm else norm
 
 
-def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moduli |p_i(u_ki)| of the channel values and their scales, shape
-    (N, d), at the spectra u_k of ``rows`` (N, d), taken by FFT at every
-    order, with the Frobenius norm of P(Z_k) for each row."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows, inf or NaN, fails the gate
-        values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows, axis=-1))
-        magnitudes = np.abs(values)
-    return magnitudes, scales, core._norm2(magnitudes)
+def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The Frobenius norms of P(Z_k) for ``rows`` (N, d): the 2-norms of the
+    channel values |p_i(u_ki)| at the spectra u_k, taken by FFT at every order."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is inf or NaN
+        magnitudes = np.abs(_horner(cm[:, None, :], np.fft.fft(rows, axis=-1)))
+    return core._norm2(magnitudes)
+
+
+def _transform_gaps(rebuilt: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """|Re| and |Im|, (N, 2 d), of the gaps between the forward FFT of ``rebuilt`` (N, d) and ``spectra``."""
+    gaps = np.fft.fft(rebuilt, axis=-1)
+    parts = np.subtract(gaps, spectra, out=gaps).view(np.float64)
+    return np.abs(parts, out=parts)
 
 
 def _gate_failure(residual: float, bound: float, where: str) -> str:
@@ -574,6 +583,53 @@ def _gate_failure(residual: float, bound: float, where: str) -> str:
     return f"reconstructed root residual {residual:.3e} exceeds {bound:.1e} in {where}"
 
 
+def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.ndarray, tol: float):
+    """Rebuild in place and verify the combinations ``roots`` (count, d) of the ``counts`` roots of
+    each channel in ``distinct`` (d, w), padded with copies of the first (see the module docstring)."""
+    cm, moduli, largest, floats = p.channel_matrix(), np.abs(distinct), 0.0, np.finfo(np.float64)
+    rounding = floats.eps * math.hypot(*moduli.max(axis=1).tolist()) + p.d * floats.smallest_subnormal
+    delta = ROUND_TRIP_FACTOR * (p.d - 1).bit_length() * rounding
+    floor, strides = max(1.0, p._scale), roots.shape[0] // np.cumprod(counts)
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: fails the radius or the gate
+        for start in range(0, roots.shape[0], RECOMBINE_CHUNK):
+            spectra = roots[start : start + RECOMBINE_CHUNK]
+            rebuilt = inverse_rows(spectra, fft=True)
+            parts = _transform_gaps(rebuilt, spectra)
+            top = parts.max()
+            if not top <= delta:  # NaN fails
+                k, i = divmod(int(np.argmin(parts <= delta)) // 2, p.d)
+                gap, where = np.hypot(parts[k, 2 * i], parts[k, 2 * i + 1]), f"channel {i + 1} of root {start + k + 1}"
+                raise SolverError(f"reconstructed root spectrum is off by {gap:.3e}, beyond {delta:.1e}, in {where}")
+            spectra[...], largest = rebuilt, max(largest, top)
+        # The certificate over sqrt(2) times the largest part of a gap.  P at r and the scales at |r| and
+        # |r| + radius take one complex Horner pass: a complex product of reals is the real product.
+        points, coeffs = np.array([distinct, moduli, moduli + 2**0.5 * largest]), np.array([cm, np.abs(cm), np.abs(cm)])
+        values, scales, wider = _horner(coeffs.swapaxes(0, 1)[:, :, :, None], points)
+        growth = (wider - scales).real
+        valid = np.arange(distinct.shape[1]) < counts[:, None]  # not a padding copy
+        missed = ~(np.abs(values) + growth <= tol * np.maximum(scales.real - growth, floor)) & valid  # NaN misses
+        # The ring check's row combines each channel's root of least modulus (its number is in the mixed radix
+        # of the root counts).  Its bound allows for the snap and ring Horner's round-off, as for n + 1 products
+        # of inner dimension d: (snap + (n + 1)(d + 1) eps) sum_k ||A_k||_F ||Z||_F^(n-k), norms by Parseval.
+        least = np.argmin(np.where(valid, moduli, np.inf), axis=1)
+        ring, size, slack = int(least @ strides), math.hypot(*moduli[np.arange(p.d), least].tolist()), 0.0
+        for row in p._moduli.tolist():  # the raw spectra's moduli
+            slack = slack * size + (SPECTRAL_SNAP_REL_TOL + cm.shape[0] * (p.d + 1) * floats.eps) * math.hypot(*row)
+        allowed = math.hypot(*(tol * np.maximum(scales.real[np.arange(p.d), least], floor)).tolist()) + slack
+        for i, j in zip(*np.nonzero(missed)):  # the rows that hold root j of channel i take the per-root gate
+            index = np.arange(roots.shape[0]).reshape(-1, counts[i], strides[i])[:, j].ravel()
+            values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(roots[index], axis=-1))
+            magnitudes, bounds = np.abs(values), tol * np.maximum(scales, floor)
+            passed = (magnitudes <= bounds) & (bounds < np.inf)  # NaN fails; an overflowed scale bounds nothing
+            if not passed.all():
+                k, c = np.argwhere(~passed)[0]
+                where = f"channel {c + 1} of root {index[k] + 1}"
+                raise SolverError(_gate_failure(magnitudes[k, c], bounds[k, c], where))
+    residual = core.frobenius_norm(p.evaluate(Circulant(roots[ring])))
+    if not residual <= allowed < np.inf:  # an overflowed bound bounds nothing
+        raise SolverError(_gate_failure(residual, allowed, f"the ring check of root {ring + 1}"))
+
+
 def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     """Classify and solve P(Z) = 0.
 
@@ -581,8 +637,8 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     goes through one batched scalar solve; if channels fail, the error names
     the lowest-numbered one.  The finite case returns every combination of
     one root per channel, without dedup, in ``itertools.product`` order, all
-    written at once and rebuilt and verified a chunk of ``RECOMBINE_CHUNK``
-    at a time (see the module docstring); more than
+    written at once and rebuilt a chunk of ``RECOMBINE_CHUNK`` at a time,
+    with the residuals taken on access (see the module docstring); more than
     ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
     built.  A root failing a check raises SolverError.  Coefficient
     eigenvalues that are not finite, or a ``tol`` outside (0, 1), raise
@@ -620,25 +676,9 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     if count > RECOMBINATION_LIMIT:
         raise RecombinationLimitError(f"root combinations exceed the cap of {RECOMBINATION_LIMIT}")
 
-    floor = max(1.0, p._scale)  # the largest spectral coefficient modulus
     roots = table._combinations() if count else np.empty((0, p.d), dtype=np.complex128)
-    residuals = np.empty(count)
-    for start in range(0, count, RECOMBINE_CHUNK):
-        stop = min(start + RECOMBINE_CHUNK, count)
-        rows = roots[start:stop]  # the chunk is rebuilt and verified in place
-        rows[:] = inverse_rows(rows, fft=True)
-        magnitudes, scales, residuals[start:stop] = _channel_residuals(cm, rows)
-        bounds = tol * np.maximum(scales, floor)
-        passed = (magnitudes <= bounds) & np.isfinite(bounds)  # NaN fails; an overflowed scale bounds nothing
-        # A failing entry ranks first; otherwise the worst ratio to its bound.
-        ratios = np.divide(magnitudes, bounds, out=np.full(bounds.shape, np.inf), where=passed)
-        k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if not passed[k, i]:
-            raise SolverError(_gate_failure(magnitudes[k, i], bounds[k, i], f"channel {i + 1} of root {start + k + 1}"))
-        ring = core.frobenius_norm(p.evaluate(Circulant(rows[k])))
-        allowed = float(core._norm2(bounds[k]))
-        if not ring <= allowed < np.inf:  # an overflowed bound bounds nothing
-            raise SolverError(_gate_failure(ring, allowed, f"the ring check of root {start + k + 1}"))
+    if count:
+        _rebuild(p, np.where(kept, distinct, distinct[:, :1]), counts, roots, tol)
     free = () if np.any(degrees == 0) else tuple((np.flatnonzero(degrees < 0) + 1).tolist())
     status = SolutionStatus.INFINITE_FAMILY if free else SolutionStatus.NO_SOLUTION
-    return SolutionSet(SolutionStatus.FINITE if count else status, RootTable._make((roots, residuals)), table, free)
+    return SolutionSet(SolutionStatus.FINITE if count else status, RootView(roots), table, free, p if count else None)

@@ -26,6 +26,7 @@ UNIT_MODULUS_TOL       1e-9    absolute, on |direction_j|-1   const    n/a
 WITNESS_MATCH_REL_TOL  1e-9    max(witness and G' coeffs, 1)  const    yes
 SCALAR_RESIDUAL_TOL    1e-10   max(s(r), 1), monic row        const    yes
 CIRC_RESIDUAL_TOL      1e-8    max(s_i(u_i), max(1, S))       const    no
+ROUND_TRIP_FACTOR      8       ceil(log2 d) eps ||u||_2       log      yes
 ABERTH_STOP_REL_TOL    1e-14   1 + |z|, monic row             const    yes
 POLYGON_FLOOR          1e-3    the row's least positive       const    yes
                                Newton-polygon radius
@@ -64,11 +65,21 @@ Where each acts:
   the report cross-checks n against deg P.
 * SCALAR_RESIDUAL_TOL, CIRC_RESIDUAL_TOL: the default ``tol`` of
   ``solve_scalar_poly`` and ``solve_circ_poly``.  The row gate accepts a
-  root when |p(r)| <= tol * max(s(r), 1); the recombination gate accepts a
-  channel value when it is at most tol * max(s_i, max(1, S)), and the ring
-  check bounds ||P(Z)||_F by the 2-norm of those bounds, which grows like
-  sqrt(d); an overflowed bound fails.  A ``tol`` outside (0, 1) is refused:
-  at tol >= 1 every gate passes every point, since |p(u)| <= s(u).
+  root when |p(r)| <= tol * max(s(r), 1); a recombined root passes when its
+  channel values pass tol * max(s_i, max(1, S)), which :mod:`circfun.solver`
+  certifies once per channel root, or checks at the rows holding one it
+  misses; the ring check bounds ||P(Z)||_F by the 2-norm of those bounds,
+  which grows like sqrt(d), plus (SPECTRAL_SNAP_REL_TOL + (n + 1)(d + 1)
+  eps) sum_k ||A_k||_F ||Z||_F^(n-k), the snap of the channel matrix and the
+  round-off of ring Horner's n + 1 steps, each a product of inner dimension
+  d (Higham, 2nd ed., 3.5 and 5.1); an overflowed bound fails.  A
+  ``tol`` outside (0, 1) is refused: at tol >= 1 every gate passes every
+  point, since |p(u)| <= s(u).
+* ROUND_TRIP_FACTOR: each part of a rebuilt root's transform round-trip gap
+  is at most it times ceil(log2 d) (eps R + d t), R = sqrt(sum_i max_j
+  |r_ij|^2) >= ||u||_2, t the smallest subnormal: a radix-2 FFT errs by at
+  most about 3.3 eps log2 d ||u||_2, a round trip twice that, under 8 (Higham,
+  Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1).
 * ABERTH_STOP_REL_TOL: a row leaves Ehrlich-Aberth when every correction is
   at most it times 1 + |z|; of the direct root steps, only a cubic row, not
   backward stable, keeps its roots only where every Newton correction is.
@@ -116,6 +127,7 @@ UNIT_MODULUS_TOL = 1e-9
 WITNESS_MATCH_REL_TOL = 1e-9
 SCALAR_RESIDUAL_TOL = 1e-10
 CIRC_RESIDUAL_TOL = 1e-8
+ROUND_TRIP_FACTOR = 8
 ABERTH_STOP_REL_TOL = 1e-14
 POLYGON_FLOOR = 1e-3
 DIVISION_GUARD = 1e-300

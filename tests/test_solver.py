@@ -22,6 +22,7 @@ from circfun.functions import _with_derivative, polyval_with_scale
 from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
+from circfun.tolerances import CIRC_RESIDUAL_TOL
 
 
 def poly_from_channels(channel_coeffs, degree):
@@ -790,32 +791,158 @@ class TestCircSolve:
         return clean
 
     def test_nan_residual_fails_the_reconstruction_gate(self, monkeypatch):
-        # One NaN row after a finite one; NaN compares False with any bound.
+        # One NaN row after a finite one; NaN compares False with any radius.
         self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__(1, np.nan))
-        with pytest.raises(SolverError, match="reconstructed root residual nan"):
+        message = r"^reconstructed root spectrum is off by nan, .* in channel 1 of root 2$"
+        with pytest.raises(SolverError, match=message):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 2))
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_perturbed_root_fails_the_gate(self, monkeypatch, d):
-        # Moving one row entry by 1e-6 moves every channel value by 2e-6,
-        # a hundred times its bound 1e-8 * max(scale, 1) = 2e-8.
+        # Moving one row entry by 1e-6 moves every channel of its spectrum by
+        # 1e-6, about 1e9 times the transform radius of roots of modulus 1.
         self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((3, 0), rows[3, 0] + 1e-6))
-        with pytest.raises(SolverError, match=r"^reconstructed root residual .* in channel 1 of root 4$"):
+        message = r"^reconstructed root spectrum is off by 1\.000e-06, .* in channel 1 of root 4$"
+        with pytest.raises(SolverError, match=message):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], d))
 
     @pytest.mark.parametrize("d", [5, 33])
     def test_ring_check_rejects_a_row_the_spectral_check_misses(self, monkeypatch, rng, d):
-        # Z - A has the one root A. The spectral check is handed the
-        # uncorrupted row, so only the ring Horner spot-check sees the
-        # corrupted one, below the FFT threshold and at an FFT order.
+        # Z - A has the one root A. The transform check is handed the
+        # uncorrupted row, so only the ring Horner check sees the corrupted
+        # one, below the FFT threshold and at an FFT order.
         a = random_circulant(rng, d)
         p = CircPoly([cf.identity(d), cf.neg(a)])
         assert len(cf.solve_circ_poly(p).roots) == 1
         clean = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((0, 2), rows[0, 2] + 1e-6))
-        check = solver._channel_residuals
-        monkeypatch.setattr(solver, "_channel_residuals", lambda cm, rows: check(cm, clean[-1]))
+        gaps = solver._transform_gaps
+        monkeypatch.setattr(solver, "_transform_gaps", lambda rebuilt, spectra: gaps(clean[-1], spectra))
         with pytest.raises(SolverError, match=r"^reconstructed root residual .* in the ring check of root 1$"):
             cf.solve_circ_poly(p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+    def test_a_wrong_transform_fails_at_every_coefficient_scale(self, monkeypatch, c):
+        # Every rebuilt root is off by 0.5 in entry 0, so its spectrum is off
+        # by 0.5 in every channel.  Scaled by 1e-200, the channel-value gate's
+        # absolute floor max(1, S) accepted these rows; the transform radius
+        # does not move under P -> cP.
+        p = random_regular_poly(np.random.default_rng(0), 3, 2)
+        scaled = CircPoly([cf.scale(c, x) for x in p.coeffs])
+        assert len(cf.solve_circ_poly(scaled).roots) == 8
+        self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((slice(None), 0), rows[:, 0] + 0.5))
+        with pytest.raises(SolverError, match=r"^reconstructed root spectrum is off by .* in channel 1 of root 1$"):
+            cf.solve_circ_poly(scaled)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_a_wrong_transform_fails_at_every_unit_of_the_variable(self, monkeypatch, k):
+        # Z = 2^k W scales the roots, and the corruption with them: 0.5 alone
+        # is below one unit in the last place of entries near 2^60.
+        p, _ = integer_rooted_poly(np.random.default_rng(0), 3, 2)
+        w = TestUnitsOfTheVariable.substituted(p, -k)
+        assert len(cf.solve_circ_poly(w).roots) == 8
+        self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((slice(None), 0), rows[:, 0] + 0.5 * 2.0**k))
+        with pytest.raises(SolverError, match=r"^reconstructed root spectrum is off by .* in channel 1 of root 1$"):
+            cf.solve_circ_poly(w)
+
+    def test_an_inaccurate_channel_root_fails_the_per_root_gate(self, monkeypatch):
+        # The scalar solve is made to return every root 1e-6 off: the rows
+        # rebuild exactly, so only the certificate of the channel roots sees
+        # it, and the rows that hold such a root fail the per-root gate,
+        # 2e-6 against a bound of 1e-8 * max(scale, 1) = 2e-8.
+        solve = solver._solve_monic_rows
+
+        def off(monic, tol, max_iter):
+            roots, *rest = solve(monic, tol, max_iter)
+            return (roots + 1e-6, *rest)
+
+        monkeypatch.setattr(solver, "_solve_monic_rows", off)
+        message = r"^reconstructed root residual 2\.000e-06 exceeds 2\.0e-08 in channel 1 of root 1$"
+        with pytest.raises(SolverError, match=message):
+            cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 2))
+
+    def test_the_certificate_covers_the_gaps_the_transform_left(self, monkeypatch):
+        # 1e-12 Z^2 + Z has the channel roots -1e12 and 0, so gaps up to the
+        # transform radius 2.5e-3 pass.  Every rebuilt root is made 1e-4 off
+        # in every channel (1.2e-4 after rounding beside 5e11), which moves
+        # p_i from 0 at the root 0 as far: the certificate, over that radius,
+        # misses the root 0, and root 3, the first row holding it in channel
+        # 1, fails the per-root gate.
+        self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((slice(None), 0), rows[:, 0] + 1e-4))
+        message = r"^reconstructed root residual 1\.\d+e-04 exceeds 1\.0e-08 in channel 1 of root 3$"
+        with pytest.raises(SolverError, match=message):
+            cf.solve_circ_poly(CircPoly.from_scalars([1e-12, 1, 0], 2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_gate_that_overflows_names_the_overflow(self):
+        # 1e10 Z^2 - 1e308 I: the monic rows u^2 - 1e298 pass the row gate,
+        # but the scale sum of the channel at its roots 1e149 is 2e308, in
+        # the certificate and in the per-root gate.
+        p = CircPoly.from_scalars([1e10, 0, -1e308], 2)
+        with pytest.raises(SolverError, match="^reconstructed root channel values overflow in channel 1 of root 1$"):
+            cf.solve_circ_poly(p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_root_the_certificate_misses_takes_the_per_root_gate(self, monkeypatch):
+        # Channel roots of modulus near 3 beside roots near 1e7: the gaps
+        # the transform leaves beside 1e7 widen the certificate's radius past
+        # what the small roots' bounds allow, yet every row holding one
+        # passes the per-root gate, as each did root by root.
+        p = random_regular_poly(np.random.default_rng(0), 7, 3, 1e7)
+        gated = []
+        monkeypatch.setattr(solver, "polyval_with_scale", lambda *args: gated.append(1) or polyval_with_scale(*args))
+        sol = cf.solve_circ_poly(p)
+        assert len(sol.roots) == 3**7 and gated
+        cm = p.channel_matrix()
+        values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
+        assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, max(1.0, p._scale)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_ring_check_allows_for_its_own_round_off(self):
+        # Channels scaled 4e-25 and 2.5e10: ring Horner on the raw rows mixes
+        # them, and its round-off at the ring check's row is above the 2-norm
+        # of the row's channel bounds, which alone refused this set.
+        roots = np.repeat([682.234217987794 + 229.2413089254975j, 155.3250180472055 - 108.01720167264382j], [4, 3])
+        cm = np.zeros((8, 2), dtype=np.complex128)
+        cm[:, 0] = np.poly(roots) * 4.062817958188713e-25
+        cm[3:, 1] = np.poly(np.repeat(0.008784741781655345 + 0.028392961496764808j, 4)) * 25305237445.01119
+        p = CircPoly([cf.from_spectrum(row) for row in cm])
+        sol = cf.solve_circ_poly(p)
+        assert len(sol.roots) == 7 and [r.multiplicities for r in sol.channel_reports] == [(1,) * 7, (4,)]
+        _, scales = polyval_with_scale(p.channel_matrix()[:, None, :], np.fft.fft(sol.verified.rows[:1], axis=1))
+        bound = CIRC_RESIDUAL_TOL * np.linalg.norm(np.maximum(scales, max(1.0, p._scale)))
+        assert cf.frobenius_norm(p.evaluate(sol.roots[0])) > bound
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [3, 8, 33])
+    @pytest.mark.parametrize("a", [1e-310, 1e-315])
+    def test_subnormal_roots_pass_the_transform_check(self, rng, d, a):
+        # Z - A with subnormal entries: the round trip's gaps are a few
+        # subnormal units, which a radius relative to the roots alone
+        # (0 or 5e-324 here) refused.
+        p = CircPoly([cf.identity(d), cf.neg(cf.scale(a, random_circulant(rng, d)))])
+        assert len(cf.solve_circ_poly(p).roots) == 1
+
+    @pytest.mark.parametrize(
+        "d, n, kind",
+        [(5, 3, "int"), (6, 2, "int"), (7, 3, "int"), (8, 2, "int"), (10, 2, "int"), (12, 2, "int"),
+         (2, 10, "random"), (2, 30, "random")],
+    )
+    def test_every_root_passes_the_channel_value_gate(self, d, n, kind):
+        # The certificate covers every point the forward FFT of a rebuilt
+        # root can land on, so each reported root passes the gate the
+        # channel values were checked against root by root:
+        # |p_i(u_i)| <= tol * max(s_i(u_i), max(1, S)).
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            p = integer_rooted_poly(rng, d, n)[0] if kind == "int" else random_regular_poly(rng, d, n)
+            sol = cf.solve_circ_poly(p)
+            assert len(sol.roots) == n**d
+            cm = p.channel_matrix()
+            values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
+            floor = max(1.0, float(np.max(np.abs(cm))))
+            assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, floor))
 
     def test_deep_order_two_equations_pass_a_dense_backward_error_check(self, rng):
         # Degree 30 at d = 2: the per-channel gate scales with each root's
@@ -973,13 +1100,14 @@ class TestResidual:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_rebuilt_root_whose_values_overflow_fails_the_gate(self, monkeypatch):
-        # A chunk rebuilt far from the roots has channel values that overflow:
-        # they fail the gate, with no warning, and the message names the
-        # overflow, not a residual of inf (Z^2 - I) or NaN (Z^5 - I, where
-        # Horner meets inf * 0) against an infinite bound.
+        # A chunk rebuilt far from the roots would have channel values that
+        # overflow, to inf (Z^2 - I) or NaN (Z^5 - I, where Horner meets
+        # inf * 0); its spectrum fails the transform radius first, with no
+        # warning, and no channel value is taken.
         monkeypatch.setattr(solver, "inverse_rows", lambda rows, fft: inverse_rows(rows, fft=fft) * 1e200)
         for scalars in ([1, 0, -1], [1, 0, 0, 0, 0, -1]):
-            with pytest.raises(SolverError, match="^reconstructed root channel values overflow in channel 1 of root 1$"):
+            message = r"^reconstructed root spectrum is off by 1\.000e\+200, .* in channel 1 of root 1$"
+            with pytest.raises(SolverError, match=message):
                 cf.solve_circ_poly(CircPoly.from_scalars(scalars, 4))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1059,7 +1187,7 @@ class TestRootViews:
         sol = cf.solve_circ_poly(p)
         combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
         rows = np.fft.ifft(combos, axis=1)  # no entry is near overflow
-        _, _, norms = solver._channel_residuals(p.channel_matrix(), rows)
+        norms = solver._channel_residuals(p.channel_matrix(), rows)
         assert len(sol.roots) == len(sol.residuals) == 2**d
         for k in range(2**d):
             assert sol.roots[k].row.tobytes() == rows[k].tobytes()
@@ -1103,6 +1231,21 @@ class TestRootViews:
         assert not any(isinstance(v, np.ndarray) for v in vars(sol).values())
         other = cf.solve_circ_poly(integer_rooted_poly(rng, 5, 2)[0])
         assert sol != other and sol.roots != other.roots
+
+    def test_residuals_are_taken_on_first_access_and_kept(self, rng):
+        # The solve takes no residual; the first access takes them all, in
+        # chunks, bit for bit what residual() gives, and a pickle taken
+        # before or after keeps them read-only.
+        p, _ = integer_rooted_poly(rng, 11, 2)
+        sol = cf.solve_circ_poly(p)
+        early = pickle.dumps(sol)
+        assert "verified" not in vars(sol)
+        residuals = sol.verified.residuals
+        assert sol.verified.residuals is residuals and not residuals.flags.writeable
+        assert [residuals[k] for k in (0, 1024, 2047)] == [cf.residual(p, sol.roots[k]) for k in (0, 1024, 2047)]
+        for restored in (pickle.loads(early), pickle.loads(pickle.dumps(sol))):
+            assert restored.verified.residuals.tobytes() == residuals.tobytes()
+            assert all(not a.flags.writeable for a in restored.verified)
 
     @pytest.mark.parametrize("status", ["finite", "infinite-family"])
     def test_pickled_set_keeps_read_only_arrays(self, rng, status):
