@@ -3,26 +3,26 @@ their evaluation and differentiation.
 
 Every function class of the paper has this form: polynomial (Q = I, G = 0),
 rational (G = 0), exponential-polynomial (Q = I) and meromorphic (all three
-parts).  :class:`CircFunction` holds the parts, Q and G optional, and every
-rule reads the parts present, not the class; so does its JSON kind, in the
-one table :data:`FUNCTION_KINDS`.  Its three subclasses only fix a
-positional signature.  Every circulant of order d diagonalizes in the common
-Fourier basis, so F splits into d scalar "channel" functions F_i; F' applies
-F_i' to the i-th eigenvalue, and a finite-difference variant cross-validates
-it.  A value or derivative at a matrix point, whose entries must be finite,
-has one rule (:meth:`CircFunction._value_at`): F = P takes ring Horner
-(:meth:`CircPoly.evaluate`) where finite; then the channel pass on the raw
-spectra where every eigenvalue and value is finite; then F = P Q^+ takes
-P(Z) pinv(Q(Z)) where finite; else an error names the channels that are not,
-as it does for F', which has no ring form, and for an exp(G_i), or a product
-with it, that overflows (:func:`_times_exp`).  Only the log-derivative,
-:meth:`CircFunction.channel_values` (the limit scan's witness) and the
-solver read the snapped channel matrix, where exact degree drops must stay
-exact.  Every channel-wise pass runs the one scalar Horner loop
-:func:`circfun.core._horner`, which ring Horner runs at FFT orders too; P'
-rides along in the same pass (:func:`_with_derivative`), and the scale is
-the loop over |c_k| at |u|.  Every pass runs on all d channels; the limit
-scan masks the degenerate ones.
+parts).  :class:`CircFunction` holds the parts, Q and G optional, and every rule
+reads the parts present, not the class; so does its JSON kind, in the one table
+:data:`FUNCTION_KINDS`.  Its three subclasses only fix a positional signature.
+Every circulant of order d diagonalizes in the common Fourier basis, so F splits
+into d scalar "channel" functions F_i; F' applies F_i' to the i-th eigenvalue,
+and :func:`numeric_derivative` checks it by differencing the F_i (3 transforms
+for F = P at FFT orders).  A value or derivative at a matrix point, whose
+entries must be finite, has one rule (:meth:`CircFunction._value_at`): F = P
+takes ring Horner (:meth:`CircPoly.evaluate`) where finite; then the channel
+pass on the raw spectra where every eigenvalue and value is finite; then
+F = P Q^+ takes P(Z) pinv(Q(Z)) where finite; else an error names the channels
+that are not, as it does for F', which has no ring form, and for an exp(G_i), or
+a product with it, that overflows (:func:`_times_exp`).  Only the
+log-derivative, :meth:`CircFunction.channel_values` (the limit scan's witness)
+and the solver read the snapped channel matrix, where exact degree drops must
+stay exact.  Every channel-wise pass runs the one scalar Horner loop
+:func:`circfun.core._horner`, which ring Horner runs at FFT orders too; P' rides
+along in the same pass (:func:`_with_derivative`), and the scale is the loop
+over |c_k| at |u|.  Every pass runs on all d channels; the limit scan masks the
+degenerate ones.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import core
 from .core import FFT_THRESHOLD, Circulant, _horner, _mul_rows
 from .errors import ChannelSingularityError, DimensionError, InvalidIncrementError
 from .spectral import (
-    _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, pseudoinverse, spectrum,
+    _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, spectrum,
 )
 from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
@@ -100,11 +100,12 @@ class CircPoly:
         return Circulant(acc)
 
     def _raw_spectra(self) -> np.ndarray:
-        """The coefficient rows' transforms, shape (degree + 1, d), unsnapped:
-        one stacked :func:`forward_rows` call, each row bit for bit its
-        one-row transform.  Computed once and cached, read-only."""
+        """The coefficient rows' transforms, shape (degree + 1, d), unsnapped: one stacked :func:`forward_rows`
+        call, each row bit for bit its one-row transform, at FFT orders written over the stacked copy
+        of the rows, so the transform makes no second array.  Computed once and cached, read-only."""
         if self._spectra is None:
-            spectra = forward_rows(np.array([c.row for c in self.coeffs]))
+            rows = np.array([c.row for c in self.coeffs])
+            spectra = forward_rows(rows, out=rows)
             spectra.flags.writeable = False
             self._spectra = spectra
         return self._spectra
@@ -520,13 +521,27 @@ class IncrementSpec:
 
 
 def numeric_derivative(f: CircFunction, z: Circulant, inc: IncrementSpec) -> Circulant:
-    """First-order difference quotient (F(Z + dZ) - F(Z)) * dZ^-1.
-
-    Converges linearly in ``inc.delta`` to :func:`derivative` at smooth
-    points; kept as an independent cross-check of the channel rule.
-    """
+    """First-order difference quotient (F(Z + dZ) - F(Z)) dZ^+, by channel: one stacked transform of
+    Z + dZ, Z and dZ, one pass of F at both points, a division by the step the two points' eigenvalues
+    took where dZ's rank threshold keeps a channel (else 0), one inverse transform.  It never forms P'
+    or G' rows or the quotient and product rules, so it cross-checks :meth:`CircFunction.derivative`, to
+    which it converges linearly in ``inc.delta`` at smooth points.  ChannelSingularityError names the
+    channels where a point's eigenvalue or F is not finite, then dZ's or the quotient ("F' overflows");
+    InvalidIncrementError those that dZ^+ keeps where Z + dZ and Z have equal eigenvalues."""
     if inc.direction.d != z.d:
         raise DimensionError(f"order mismatch: direction has {inc.direction.d}, point has {z.d}")
-    dz = core.scale(inc.delta, inc.direction)
-    diff = core.add(f.evaluate(core.add(z, dz)), core.neg(f.evaluate(z)))
-    return core.mul(diff, pseudoinverse(dz))
+    with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is refused or named next
+        dz = inc.delta * inc.direction.row
+        u = forward_rows(np.array([f._admit(Circulant(z.row + dz)).row, z.row, dz]))
+        values = f._values_and_zeroed(u[:2], raw=True)[0]
+        keep = (magnitude := np.abs(u[2])) > _rank_threshold(magnitude)
+        lost = keep & (u[0] == u[1])
+        quotient = np.divide(values[0] - values[1], u[0] - u[1], out=np.zeros_like(u[2]), where=keep & ~lost)
+    if (bad := ~(np.isfinite(u[:2]) & np.isfinite(values))).any():
+        _raise_where(bad, ["F overflows"])
+    if (bad := ~(np.isfinite(u[2]) & np.isfinite(quotient))).any():
+        _raise_where(bad, ["F' overflows"])
+    if lost.any():
+        numbers = (np.flatnonzero(lost) + 1).tolist()
+        raise InvalidIncrementError(f"increment is lost in rounding at channel(s) {numbers}")
+    return from_spectrum(quotient)

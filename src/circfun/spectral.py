@@ -58,15 +58,15 @@ def spectrum(x: Circulant) -> np.ndarray:
     return forward_rows(x.row)
 
 
-def forward_rows(rows: np.ndarray) -> np.ndarray:
-    """Forward transform of one row (shape (d,)) or of each row of a stack
-    (shape (N, d)): the FFT kernel at or above ``FFT_THRESHOLD``, the exact
-    summation below it.  Below the threshold a stack runs stacked
-    matrix-vector products, as :func:`inverse_rows` does, so each row is
-    bit-identical to a one-row call."""
+def forward_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward transform of one row (shape (d,)) or of each row of a stack (shape (N, d)):
+    the FFT kernel at or above ``FFT_THRESHOLD``, the exact summation below it.  Below the
+    threshold a stack runs stacked matrix-vector products, as :func:`inverse_rows` does, so
+    each row is bit-identical to a one-row call.  The FFT kernel writes to ``out``, which may
+    be ``rows`` itself, with the same bits; the sums ignore it and return a new array."""
     d = rows.shape[-1]
     if d >= FFT_THRESHOLD:
-        return np.fft.fft(rows, axis=-1)
+        return np.fft.fft(rows, axis=-1, out=out)
     matrix = fourier_context(d)[1]
     if rows.ndim == 1:
         return matrix @ rows

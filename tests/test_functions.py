@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circfun as cf
+from circfun import spectral
 from circfun import (
     ChannelSingularityError,
     CircFunction,
@@ -174,6 +176,24 @@ def snapping_poly(rng, d: int) -> CircPoly:
 class TestSpectralCache:
     """The raw spectra and moduli a CircPoly caches give every consumer the
     bits of the uncached formulas."""
+
+    @pytest.mark.parametrize("d", [32, 33, 255, 256, 8192])
+    def test_raw_spectra_are_transformed_in_place_with_the_same_bits(self, rng, d):
+        # At FFT orders the stacked copy of the coefficient rows is
+        # transformed in place: the cache is that one array, with the bits
+        # of the out-of-place transform, and no coefficient row changes.
+        # From d = 255 the rows outweigh the bookkeeping, so the peak shows
+        # that no second (n + 1, d) array was made.
+        p = random_regular_poly(rng, d, 3)
+        rows = [c.row.copy() for c in p.coeffs]
+        tracemalloc.start()
+        spectra = p._raw_spectra()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert spectra.tobytes() == np.fft.fft(np.array(rows), axis=-1).tobytes()
+        assert not spectra.flags.writeable
+        assert d < 255 or peak < 1.5 * spectra.nbytes
+        assert all(c.row.tobytes() == row.tobytes() for c, row in zip(p.coeffs, rows))
 
     @pytest.mark.parametrize("d", [*range(2, 32), 32, 33, 64, 255, 256, 1000, 1024, 8192])
     def test_fft_rows_do_not_depend_on_the_batch(self, rng, d):
@@ -1345,12 +1365,73 @@ class TestNumericDerivative:
         rel = cf.frobenius_norm(approx - exact) / max(1e-12, cf.frobenius_norm(exact))
         assert rel <= 1e-4
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 31, 32, 33, 64, 255, 1024])
+    def test_channel_quotient_matches_the_ring_formula(self, d):
+        # The ring formula numeric_derivative took before it went channel by
+        # channel: two evaluations of F, and the product with pinv(dZ).
+        rng = np.random.default_rng(d)
+        s = 1.0 / np.sqrt(d)
+        for _ in range(5):
+            p = random_regular_poly(rng, d, 3, s)
+            q = random_regular_poly(rng, d, 1, 0.25 * s)
+            g = random_regular_poly(rng, d, 1, s)
+            z = random_invertible_circulant(rng, d, lo=2.0, hi=3.0)
+            inc = IncrementSpec(random_invertible_circulant(rng, d), 1e-6)
+            dz = cf.scale(inc.delta, inc.direction)
+            for f in (PolyFunction(p), RationalFunction(p, q), ExpPolyFunction(p, g), CircFunction(p, q, g)):
+                ring = cf.mul(cf.add(f.evaluate(cf.add(z, dz)), cf.neg(f.evaluate(z))), cf.pseudoinverse(dz))
+                rel = cf.frobenius_norm(cf.numeric_derivative(f, z, inc) - ring) / cf.frobenius_norm(ring)
+                assert rel <= 1e-8, f"{f.kind}: relative difference {rel:.2e}"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_step_lost_in_rounding_is_refused(self, d):
+        # At Z = 1e102 I, Z + 1e-6 I rounds to Z on every channel: the
+        # quotient read 0 where F'(Z) = 3e204 I.
+        f = monomial(3, d)
+        inc = IncrementSpec(cf.identity(d), 1e-6)
+        numbers = list(range(1, d + 1))
+        message = f"increment is lost in rounding at channel(s) {numbers}"
+        with pytest.raises(InvalidIncrementError, match=f"^{re.escape(message)}$"):
+            cf.numeric_derivative(f, cf.scale(1e102, cf.identity(d)), inc)
+        assert cf.numeric_derivative(f, cf.scale(1e2, cf.identity(d)), inc).isclose(cf.scale(3e4, cf.identity(d)), 1e-3)
+        # At Z = 1e10 (1 + 0.1i) I the step Z + dZ - Z that rounding leaves
+        # is 91% off dZ on every channel.  The quotient divides by that step,
+        # so F = Z still gives F' = I; divided by dZ it was 91% off.
+        z = cf.scale(1e10 * (1 + 0.1j), cf.identity(d))
+        assert cf.numeric_derivative(monomial(1, d), z, inc).isclose(cf.identity(d), 1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_overflow_is_named_without_a_warning(self, d):
+        identity, scalars = cf.identity(d), functools.partial(CircPoly.from_scalars, d=d)
+        inc = IncrementSpec(identity, 1e-6)
+        numbers = list(range(1, d + 1))
+        cases = [
+            (monomial(3, d), cf.scale(1e110, identity), "F overflows"),
+            (RationalFunction(scalars([1, 0, 0]), scalars([1, 0, 1j])), cf.scale(1e160j, identity), "F overflows"),
+            (ExpPolyFunction(scalars([1]), scalars([1, 0])), cf.scale(1e3, identity), "exp(G) overflows"),
+        ]
+        for f, z, problem in cases:
+            with pytest.raises(ChannelSingularityError, match=f"^{re.escape(f'{problem} at channel(s) {numbers}')}$"):
+                cf.numeric_derivative(f, z, inc)
+        # Every entry is finite, but they sum to 2e308: channel 1 of Z
+        # overflows, and is named, where ring Horner would give F(Z) = Z.
+        with pytest.raises(ChannelSingularityError, match=rf"^{re.escape('F overflows at channel(s) [1]')}$"):
+            cf.numeric_derivative(monomial(1, d), cf.Circulant(np.full(d, 1e308 / d * 2)), inc)
+        nan_point = cf.Circulant([np.nan] + [0.0] * (d - 1))
+        for z, step in ((nan_point, inc), (cf.scale(1.7e308, identity), IncrementSpec(identity, 1e308))):
+            with pytest.raises(ValueError, match="^point entries must be finite$"):
+                cf.numeric_derivative(monomial(1, d), z, step)
+
 
 class TestTransformCount:
     """FFT calls per evaluation, on fresh objects: no cache is warm."""
 
     @pytest.fixture
     def fft_calls(self, monkeypatch):
+        # Below FFT_THRESHOLD every forward and inverse transform reads the
+        # tables of spectral.fourier_context once: each read counts as "sums".
         calls = []
 
         def counted(name, kernel):
@@ -1358,9 +1439,10 @@ class TestTransformCount:
 
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(spectral, "fourier_context", counted("sums", spectral.fourier_context))
         return calls
 
-    @pytest.mark.parametrize("d, expected", [(16, 0), (64, 4)])
+    @pytest.mark.parametrize("d, expected", [(16, 4), (64, 4)])
     def test_rational_evaluation(self, fft_calls, rng, d, expected):
         # The spectrum of Z, P's and Q's stacked coefficient spectra, and one
         # inverse transform.
@@ -1370,11 +1452,10 @@ class TestTransformCount:
         f.evaluate_with_report(z)
         assert len(fft_calls) == expected
 
-    @pytest.mark.parametrize("d, expected", [(16, 0), (64, 10)])
+    @pytest.mark.parametrize("d, expected", [(16, 3), (64, 3)])
     def test_difference_quotient(self, fft_calls, rng, d, expected):
-        # Ring Horner at Z + dZ (P's spectra, Z + dZ, the inverse) and at Z
-        # (Z, the inverse); the pseudoinverse of dZ (its spectrum, the
-        # inverse); the ring product (both operands, the inverse).
+        # P's stacked coefficient spectra, one stacked transform of Z + dZ,
+        # Z and dZ, and one inverse transform of the channel quotient.
         f = PolyFunction(random_regular_poly(rng, d, 3))
         z = random_circulant(rng, d)
         inc = IncrementSpec(direction=random_invertible_circulant(rng, d), delta=1e-6)
@@ -1383,10 +1464,11 @@ class TestTransformCount:
         assert len(fft_calls) == expected
 
     def test_solve_transforms_each_chunk_of_roots_once_each_way(self, fft_calls, rng):
-        # 4096 roots at d = 12, below FFT_THRESHOLD: four chunks, each
-        # rebuilt by one inverse FFT and verified by one forward FFT.  The
-        # coefficient spectra and the ring check take the direct sums.
+        # 4096 roots at d = 12, below FFT_THRESHOLD: the coefficient spectra
+        # take the direct sums once, then four chunks are each rebuilt by one
+        # inverse FFT and verified by one forward FFT.  The ring check, ring
+        # Horner below the threshold, takes no transform.
         p, _ = integer_rooted_poly(rng, 12, 2)
         fft_calls.clear()
         assert len(cf.solve_circ_poly(p).roots) == 4096
-        assert fft_calls == ["ifft", "fft"] * 4
+        assert fft_calls == ["sums"] + ["ifft", "fft"] * 4
