@@ -27,23 +27,29 @@ No duplicate check is needed: clustering leaves each channel one root per
 component of disjoint discs, so distinct combinations are distinct spectra,
 which the bijective inverse transform maps to distinct circulants.
 
-Recombination writes every combination into the (count, d) root array at
-once (:meth:`ChannelRoots._combinations`) and rebuilds it in place a chunk
-of ``RECOMBINE_CHUNK`` rows at a time by numpy's inverse FFT at every order
-(:func:`_rebuild`); a row's bits depend neither on its chunk nor on its
-batch.  Each part of the gap between a chunk's forward FFT and its
-combinations must stay within the round-off radius delta of
-``ROUND_TRIP_FACTOR``.  Each distinct channel root r is then certified once
-for all v within rho, sqrt(2) times the largest part: with s_i(x) = sum_j
-|c_ji| x^(n-j), S the largest spectral coefficient modulus and g = s_i(|r|
-+ rho) - s_i(|r|) >= |p_i(v) - p_i(r)|, |p_i(r)| + g <= tol * max(s_i(|r|)
-- g, max(1, S)) gives, s_i being convex, the per-root gate |p_i(v)| <= tol
-* max(s_i(|v|), max(1, S)).  Only the rows holding a root the certificate
-misses take that gate, at their forward FFT.  The row combining each
-channel's root of least modulus is evaluated by ring Horner
-(:meth:`CircPoly.evaluate`) on the raw, not snapped, coefficient rows: its
-Frobenius norm must stay within the finite 2-norm of its channel bounds plus
-the snap's and its own round-off.
+The transform is linear, so recombination (:func:`_rebuild`) writes the set
+as outer sums of two half tables.  The head channels are the leading ones
+whose root counts first multiply to at least sqrt(count), leaving a tail
+channel; head row a, the a-th combination of their roots, and tail row b,
+the b-th of the rest, are zero elsewhere.  One inverse FFT, at every order,
+takes the heads + tails half rows, and root a tails + b is head row a plus
+tail row b (at d = 2, bit for bit the inverse FFT of the combination).
+Each part of a half row's round-trip gap must stay within the round-off
+radius delta of ``ROUND_TRIP_FACTOR``, and each part of a root's gap, taken
+by no transform, is within rho: the tables' largest parts, the sum's
+rounding and 3 delta / 2.  Each distinct channel root r is then certified
+once for all v within sqrt(2) rho: with s_i(x) = sum_j |c_ji| x^(n-j), S the
+largest spectral coefficient modulus and g = s_i(|r| + sqrt(2) rho) -
+s_i(|r|) >= |p_i(v) - p_i(r)|, |p_i(r)| + g <= tol * max(s_i(|r|) - g,
+max(1, S)) gives, s_i being convex, the per-root gate |p_i(v)| <= tol *
+max(s_i(|v|), max(1, S)).  If it misses a root, the set is rebuilt whole,
+``RECOMBINE_CHUNK`` rows at a time, by inverse FFTs of the combinations;
+sqrt(2) times the largest part of the gaps measured there certifies it
+again, or the rows holding it take that gate, at their forward FFT.  The
+row combining each channel's root of least modulus is evaluated by ring
+Horner (:meth:`CircPoly.evaluate`) on the raw, not snapped, coefficient
+rows: its Frobenius norm must stay within the finite 2-norm of its channel
+bounds plus the snap's and its own round-off.
 
 The rows, which ``roots`` views as read-only Circulants (a root keeps them
 alive), are in ``verified`` (:class:`RootTable`) with their residuals
@@ -78,7 +84,7 @@ from .tolerances import ROUND_TRIP_FACTOR, SCALAR_RESIDUAL_TOL, SPECTRAL_SNAP_RE
 #: Cap on the number of root combinations materialized, read at each solve.
 RECOMBINATION_LIMIT = 10**6
 
-#: Root combinations rebuilt per batched inverse transform, and residual rows per pass.
+#: Rows of a finite set per transform where it is rebuilt whole, and per residual pass.
 RECOMBINE_CHUNK = 1024
 
 #: Entries of the (rows, n, n) Aberth temporaries per block of channels:
@@ -148,19 +154,6 @@ class ChannelRoots(NamedTuple):
         degree, lo, hi = int(self.degrees[i]), self.offsets[i], self.offsets[i + 1]
         roots, mults = tuple(self.roots[lo:hi].tolist()), tuple(self.multiplicities[lo:hi].tolist())
         return ChannelReport(i + 1, KINDS[min(degree, 1) + 1], None if degree < 0 else degree, roots, mults)
-
-    def _combinations(self) -> np.ndarray:
-        """Every combination of one root per channel, shape (count, d), in
-        ``itertools.product`` order: column j repeats each root of channel j
-        over the combinations of the later channels, and cycles through them
-        over those of the earlier ones.  Every channel needs a root."""
-        sizes = np.diff(self.offsets).tolist()
-        grid = np.empty((math.prod(sizes), len(sizes)), dtype=self.roots.dtype)
-        later = grid.shape[0]
-        for j, size in enumerate(sizes):
-            later //= size
-            grid[:, j].reshape(-1, size, later)[...] = self.roots[self.offsets[j] : self.offsets[j + 1], None]
-        return grid
 
     def _values_at(self, index: np.ndarray, channels: np.ndarray) -> np.ndarray:
         """Values (N, len(channels)) of the 0-based ``channels`` in the root combinations numbered
@@ -584,26 +577,38 @@ def _gate_failure(residual: float, bound: float, where: str) -> str:
 
 
 def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.ndarray, tol: float):
-    """Rebuild in place and verify the combinations ``roots`` (count, d) of the ``counts`` roots of
-    each channel in ``distinct`` (d, w), padded with copies of the first (see the module docstring)."""
-    cm, moduli, largest, floats = p.channel_matrix(), np.abs(distinct), 0.0, np.finfo(np.float64)
+    """Write in ``roots`` (count, d), and verify, the combinations of the ``counts`` roots of each
+    channel in ``distinct`` (d, w), padded with copies of the first (see the module docstring).
+
+    Root k = a tails + b is fl(H_a + T_b) = H_a + T_b + e, with H_a and T_b the inverse FFTs of the
+    half rows.  With f_x = fl_fft(x) - fft(x) and g the half rows' measured gaps, linearity gives
+    fl_fft(root k) - combination k = g_a + g_b + fft(e) + f_k - f_a - f_b.  The sum rounds each part
+    by at most eps / 2 of itself, so |fft(e)_i| <= sqrt(d) ||e||_2 <= eps ||u||_2 / 2 <= ``rounding``
+    (Parseval), and each f is at most half a round trip, delta / 2: rho = the tables' largest parts
+    + ``rounding`` + 3 delta / 2 bounds every part of a root's gap.  Where this certificate misses a
+    root, the set is rebuilt whole and certified over the gaps it measures (see the module docstring)."""
+    cm, moduli, floats, count = p.channel_matrix(), np.abs(distinct), np.finfo(np.float64), roots.shape[0]
     rounding = floats.eps * math.hypot(*moduli.max(axis=1).tolist()) + p.d * floats.smallest_subnormal
     delta = ROUND_TRIP_FACTOR * (p.d - 1).bit_length() * rounding
-    floor, strides = max(1.0, p._scale), roots.shape[0] // np.cumprod(counts)
+    floor, strides = max(1.0, p._scale), count // np.cumprod(counts)
+    split = min(sum(s * s > count for s in strides.tolist()), p.d - 2) + 1  # the head channels
+    heads, tails = count // int(strides[split - 1]), int(strides[split - 1])
+    # The digits of the first root holding each half row, in the mixed radix of the root counts, pick its roots.
+    first = np.concatenate([np.arange(heads) * tails, np.arange(tails)])
+    halves = distinct[np.arange(p.d), first[:, None] // strides % counts]
+    halves[:heads, split:] = halves[heads:, :split] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: fails the radius or the gate
-        for start in range(0, roots.shape[0], RECOMBINE_CHUNK):
-            spectra = roots[start : start + RECOMBINE_CHUNK]
-            rebuilt = inverse_rows(spectra, fft=True)
-            parts = _transform_gaps(rebuilt, spectra)
-            top = parts.max()
-            if not top <= delta:  # NaN fails
-                k, i = divmod(int(np.argmin(parts <= delta)) // 2, p.d)
-                gap, where = np.hypot(parts[k, 2 * i], parts[k, 2 * i + 1]), f"channel {i + 1} of root {start + k + 1}"
-                raise SolverError(f"reconstructed root spectrum is off by {gap:.3e}, beyond {delta:.1e}, in {where}")
-            spectra[...], largest = rebuilt, max(largest, top)
-        # The certificate over sqrt(2) times the largest part of a gap.  P at r and the scales at |r| and
-        # |r| + radius take one complex Horner pass: a complex product of reals is the real product.
-        points, coeffs = np.array([distinct, moduli, moduli + 2**0.5 * largest]), np.array([cm, np.abs(cm), np.abs(cm)])
+        rebuilt = inverse_rows(halves, fft=True)
+        parts = _transform_gaps(rebuilt, halves)
+        if not parts.max() <= delta:  # NaN fails
+            k, i = divmod(int(np.argmin(parts <= delta)) // 2, p.d)
+            gap, where = np.hypot(parts[k, 2 * i], parts[k, 2 * i + 1]), f"channel {i + 1} of root {first[k] + 1}"
+            raise SolverError(f"reconstructed root spectrum is off by {gap:.3e}, beyond {delta:.1e}, in {where}")
+        np.add(rebuilt[:heads, None], rebuilt[heads:], out=roots.reshape(heads, tails, p.d))
+        # The certificate over sqrt(2) rho.  P at r and the scales at |r| and |r| + sqrt(2) rho take one
+        # complex Horner pass: a complex product of reals is the real product.
+        rho = parts[:heads].max() + parts[heads:].max() + rounding + 1.5 * delta
+        points, coeffs = np.array([distinct, moduli, moduli + 2**0.5 * rho]), np.array([cm, np.abs(cm), np.abs(cm)])
         values, scales, wider = _horner(coeffs.swapaxes(0, 1)[:, :, :, None], points)
         growth = (wider - scales).real
         valid = np.arange(distinct.shape[1]) < counts[:, None]  # not a padding copy
@@ -616,8 +621,16 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.nd
         for row in p._moduli.tolist():  # the raw spectra's moduli
             slack = slack * size + (SPECTRAL_SNAP_REL_TOL + cm.shape[0] * (p.d + 1) * floats.eps) * math.hypot(*row)
         allowed = math.hypot(*(tol * np.maximum(scales.real[np.arange(p.d), least], floor)).tolist()) + slack
+        if missed.any():  # rebuilt whole, by inverse FFTs of the combinations, and certified over their gaps
+            np.add(halves[:heads, None], halves[heads:], out=roots.reshape(heads, tails, p.d))  # the combinations
+            largest = 0.0
+            for spectra in np.split(roots, range(RECOMBINE_CHUNK, count, RECOMBINE_CHUNK)):
+                rebuilt = inverse_rows(spectra, fft=True)
+                largest, spectra[...] = np.maximum(largest, _transform_gaps(rebuilt, spectra).max()), rebuilt
+            growth = (_horner(np.abs(cm)[:, :, None], moduli + 2**0.5 * largest) - scales).real
+            missed &= ~(np.abs(values) + growth <= tol * np.maximum(scales.real - growth, floor))  # NaN misses
         for i, j in zip(*np.nonzero(missed)):  # the rows that hold root j of channel i take the per-root gate
-            index = np.arange(roots.shape[0]).reshape(-1, counts[i], strides[i])[:, j].ravel()
+            index = np.arange(count).reshape(-1, counts[i], strides[i])[:, j].ravel()
             values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(roots[index], axis=-1))
             magnitudes, bounds = np.abs(values), tol * np.maximum(scales, floor)
             passed = (magnitudes <= bounds) & (bounds < np.inf)  # NaN fails; an overflowed scale bounds nothing
@@ -636,9 +649,9 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     The root-bearing channels are grouped by effective degree, and each group
     goes through one batched scalar solve; if channels fail, the error names
     the lowest-numbered one.  The finite case returns every combination of
-    one root per channel, without dedup, in ``itertools.product`` order, all
-    written at once and rebuilt a chunk of ``RECOMBINE_CHUNK`` at a time,
-    with the residuals taken on access (see the module docstring); more than
+    one root per channel, without dedup, in ``itertools.product`` order, as
+    outer sums of two half tables, with the residuals taken on access a
+    ``RECOMBINE_CHUNK`` of rows at a time (see the module docstring); more than
     ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
     built.  A root failing a check raises SolverError.  Coefficient
     eigenvalues that are not finite, or a ``tol`` outside (0, 1), raise
@@ -676,7 +689,7 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     if count > RECOMBINATION_LIMIT:
         raise RecombinationLimitError(f"root combinations exceed the cap of {RECOMBINATION_LIMIT}")
 
-    roots = table._combinations() if count else np.empty((0, p.d), dtype=np.complex128)
+    roots = np.empty((count, p.d), dtype=np.complex128)
     if count:
         _rebuild(p, np.where(kept, distinct, distinct[:, :1]), counts, roots, tol)
     free = () if np.any(degrees == 0) else tuple((np.flatnonzero(degrees < 0) + 1).tolist())

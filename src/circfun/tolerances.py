@@ -75,11 +75,16 @@ Where each acts:
   d (Higham, 2nd ed., 3.5 and 5.1); an overflowed bound fails.  A
   ``tol`` outside (0, 1) is refused: at tol >= 1 every gate passes every
   point, since |p(u)| <= s(u).
-* ROUND_TRIP_FACTOR: each part of a rebuilt root's transform round-trip gap
-  is at most it times ceil(log2 d) (eps R + d t), R = sqrt(sum_i max_j
-  |r_ij|^2) >= ||u||_2, t the smallest subnormal: a radix-2 FFT errs by at
-  most about 3.3 eps log2 d ||u||_2, a round trip twice that, under 8 (Higham,
-  Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1).
+* ROUND_TRIP_FACTOR: each part of a rebuilt half row's transform round-trip
+  gap is at most delta, it times ceil(log2 d) (eps R + d t), R = sqrt(sum_i
+  max_j |r_ij|^2) >= ||u||_2, t the smallest subnormal: a radix-2 FFT errs by
+  at most about 3.3 eps log2 d ||u||_2, a round trip twice that, under 8
+  (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1).  A
+  root, a head plus a tail half row, takes no transform: each part of its gap
+  is within the two tables' largest parts, the sum's rounding eps ||u||_2 / 2
+  <= eps R, and 3 delta / 2, the forward rounding of its own FFT and of both
+  halves', each at most half a round trip (``solver._rebuild``); the same
+  bound is assumed at the orders pocketfft takes by Bluestein's algorithm.
 * ABERTH_STOP_REL_TOL: a row leaves Ehrlich-Aberth when every correction is
   at most it times 1 + |z|; of the direct root steps, only a cubic row, not
   backward stable, keeps its roots only where every Newton correction is.

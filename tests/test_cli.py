@@ -28,7 +28,8 @@ FUNCTION_FIXTURES = (
 #: kernel gives the same bits.  Quadratic channels take companion-matrix
 #: eigenvalues, and the cubic fixture's channels Cardano's closed form.
 #: Their goldens were recorded with numpy 2.4.6, so they also pin
-#: pocketfft's rounding.  Two degree-6 solves at d = 2 pin the rest of the
+#: pocketfft's rounding of the two half tables whose outer sums are the
+#: roots.  Two degree-6 solves at d = 2 pin the rest of the
 #: scalar solver: the clustered fixture's discs touch, so its channels stall
 #: into companion eigenvalues and go through the component pass; the
 #: distinct fixture's channels keep Ehrlich-Aberth's iterates (5 and 7

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circfun as cf
 from circfun import (
@@ -22,7 +24,7 @@ from circfun.functions import _with_derivative, polyval_with_scale
 from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
-from circfun.tolerances import CIRC_RESIDUAL_TOL
+from circfun.tolerances import CIRC_RESIDUAL_TOL, ROUND_TRIP_FACTOR
 
 
 def poly_from_channels(channel_coeffs, degree):
@@ -43,6 +45,34 @@ def polish(coeffs, roots):
     rows = _with_derivative(coeffs)
     values, dp = _horner(rows, roots)
     return solver._newton_polish(rows, roots, values, dp)[0][0]
+
+
+def half_tables(channel_roots):
+    """(spectra, numpy's inverse FFTs) of the head and tail half tables of a finite set whose
+    channels have the distinct roots ``channel_roots``.  The head channels are the leading ones
+    whose root counts first multiply to at least sqrt(count), leaving a tail channel; each half
+    row is a combination of its channels' roots, in ``itertools.product`` order, zero elsewhere."""
+    d, sizes = len(channel_roots), np.cumprod([len(r) for r in channel_roots])
+    split = min(int(np.argmax(sizes**2 >= sizes[-1])), d - 2) + 1
+    head = [list(c) + [0] * (d - split) for c in itertools.product(*channel_roots[:split])]
+    tail = [[0] * split + list(c) for c in itertools.product(*channel_roots[split:])]
+    spectra = [np.array(table, dtype=np.complex128) for table in (head, tail)]
+    return [(table, np.fft.ifft(table, axis=1)) for table in spectra]
+
+
+def gap_parts(spectra, rows):
+    """|Re| and |Im| of the gaps between the forward FFTs of ``rows`` and ``spectra``."""
+    return np.abs((np.fft.fft(rows, axis=1) - spectra).view(np.float64))
+
+
+def rebuild_radii(channel_roots, halves):
+    """delta, the round-off radius each half row's gaps must keep within, and rho, the radius
+    within which the recombination derives each part of a root's gap: the half tables' largest
+    parts, the rounding of their sum and 3 delta / 2 of forward rounding."""
+    floats, d = np.finfo(np.float64), len(channel_roots)
+    rounding = floats.eps * math.hypot(*(np.max(np.abs(r)) for r in channel_roots)) + d * floats.smallest_subnormal
+    delta = ROUND_TRIP_FACTOR * (d - 1).bit_length() * rounding
+    return delta, sum(gap_parts(*half).max() for half in halves) + rounding + 1.5 * delta
 
 
 def random_monic(rng, n):
@@ -554,24 +584,82 @@ class TestCircSolve:
         assert max(sol.residuals) <= 1e-8
 
     @pytest.mark.parametrize("d", [2, 5, 12, 31, 32, 40])
-    def test_roots_are_inverse_transforms_of_root_combinations(self, rng, d):
-        # 2048 to 3125 roots span several recombination chunks (d > 2); d >= 32
-        # takes the FFT path, and d = 40 has more channels than numpy 1.x has
-        # array dimensions, so a grid built by np.meshgrid would fail there.
+    def test_roots_are_inverse_transforms_of_root_combinations(self, monkeypatch, rng, d):
+        # 20 to 3125 roots; d >= 32 takes the FFT path, and d = 40 has more
+        # channels than numpy 1.x has array dimensions, so a grid built by
+        # np.meshgrid would fail there.
         degrees = {2: [5, 4], 5: [5] * 5}.get(d, [2] * 11 + [1] * (d - 11))
         p = poly_from_channels([random_monic(rng, k) for k in degrees], max(degrees))
+        # The certificate's one Horner pass takes the points (r, |r|, |r| + sqrt(2) rho).
+        certified, horner = [], solver._horner
+        monkeypatch.setattr(solver, "_horner", lambda rows, x: (x.ndim == 3 and certified.append(x)) or horner(rows, x))
         sol = cf.solve_circ_poly(p)
         assert sol.status is SolutionStatus.FINITE
-        combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
+        roots = [r.roots for r in sol.channel_reports]
+        combos = np.array(list(itertools.product(*roots)))
         assert len(sol.roots) == len(sol.residuals) == len(combos)
-        # Each chunked view holds the bits of numpy's inverse FFT of its
-        # combination alone (no entry is near overflow), and those of one
-        # transform of the whole grid.
-        copies = [cf.Circulant(row) for row in inverse_rows(np.array(combos), fft=True)]
-        for root, res, combo, copy in zip(sol.roots, sol.residuals, combos, copies):
-            assert root.row.tobytes() == np.fft.ifft(np.array(combo)).tobytes()
-            assert root.row.tobytes() == copy.row.tobytes()
+        # Each view holds the bits of its head row plus its tail row, each
+        # numpy's inverse FFT of its half combination alone (no entry is near
+        # overflow), and its forward FFT is within rho of its combination,
+        # the radius the certificate covers (up to the rounding of its point).
+        # At d = 2 the sum is the inverse FFT of the whole combination.
+        (_, head), (_, tail) = halves = half_tables(roots)
+        rows = (head[:, None] + tail[None]).reshape(-1, d)
+        rho = rebuild_radii(roots, halves)[1]
+        assert np.all(gap_parts(combos, rows) <= rho)
+        (_, moduli, wider), = certified
+        assert np.all(wider.real - moduli.real >= 2**0.5 * rho - np.spacing(moduli.real))
+        for root, res, row, combo in zip(sol.roots, sol.residuals, rows, combos):
+            assert root.row.tobytes() == row.tobytes()
+            assert d > 2 or root.row.tobytes() == np.fft.ifft(combo).tobytes()
             assert res == cf.residual(p, root)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rebuilt_roots_are_half_row_sums_within_the_radius(self, data):
+        # 1 to 4 roots per channel, at most 1024 roots in all (channels drawn
+        # later in a random order keep one root past that), each channel's
+        # roots scaled by 10^[-3, 3].  Every root is the sum of its head and
+        # tail half rows, bit for bit, in itertools.product order, and each
+        # part of its forward FFT's gap to its combination is within rho.
+        d = data.draw(st.integers(2, 40))
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+        total = 1
+        for i in data.draw(st.permutations(range(d))):
+            counts[i] = counts[i] if total * counts[i] <= 1024 else 1
+            total *= counts[i]
+        scales = data.draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        self.assert_rebuilt_within_the_radius(rng, scales, counts)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [257, 1021, 4099])
+    def test_the_radius_holds_at_large_prime_orders(self, d):
+        # pocketfft transforms prime orders such as these by Bluestein's
+        # algorithm, not by the radix-2 passes whose error bound the radius
+        # assumes.  Three channels hold 3, 2 and 4 roots and the rest one
+        # each, scaled by 10^[-3, 3]: the same sums and the same radius hold.
+        rng = np.random.default_rng(d)
+        counts = [1] * d
+        counts[0], counts[d // 2], counts[-1] = 3, 2, 4
+        self.assert_rebuilt_within_the_radius(rng, rng.uniform(-3, 3, d), counts)
+
+    @staticmethod
+    def assert_rebuilt_within_the_radius(rng, scales, counts):
+        """Rebuild the roots of random channels, ``counts`` roots each at the magnitudes
+        10^``scales``: each root is its head row plus its tail row, bit for bit, in
+        itertools.product order, and each part of its forward FFT's gap is within rho."""
+        roots = [10**e * (1 + rng.random(k)) * np.exp(2j * np.pi * rng.random(k)) for e, k in zip(scales, counts)]
+        distinct = np.array([np.concatenate([r, np.repeat(r[:1], 4 - r.size)]) for r in roots])
+        p = poly_from_channels([np.poly(r) for r in roots], max(counts))
+        rows = np.empty((math.prod(counts), len(counts)), dtype=np.complex128)
+        solver._rebuild(p, distinct, np.array(counts), rows, CIRC_RESIDUAL_TOL)
+        (_, head), (_, tail) = halves = half_tables(roots)
+        assert rows.tobytes() == (head[:, None] + tail[None]).tobytes()
+        delta, rho = rebuild_radii(roots, halves)
+        assert all(gap_parts(*half).max() <= delta for half in halves)
+        assert gap_parts(np.array(list(itertools.product(*roots))), rows).max() <= rho
 
     @staticmethod
     def assert_reports_match_scalar_solves(p, sol, reports=None):
@@ -777,8 +865,9 @@ class TestCircSolve:
 
     @staticmethod
     def corrupt_rows(monkeypatch, change):
-        """Route recombination through ``change(rows)``; returns the list that
-        collects copies of each chunk's rows before the change."""
+        """Route recombination through ``change(rows)``, the stacked head and
+        tail half rows and each chunk of a set rebuilt whole; returns the
+        list that collects copies of them before the change."""
         clean = []
 
         def corrupted(spectra, **kwargs):
@@ -791,18 +880,23 @@ class TestCircSolve:
         return clean
 
     def test_nan_residual_fails_the_reconstruction_gate(self, monkeypatch):
-        # One NaN row after a finite one; NaN compares False with any radius.
+        # One NaN half row after a finite one; NaN compares False with any
+        # radius.  Z^2 - I at d = 2 has two head rows and two tail rows, and
+        # head row 1 first takes part in root 1 * 2 + 1.
         self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__(1, np.nan))
-        message = r"^reconstructed root spectrum is off by nan, .* in channel 1 of root 2$"
+        message = r"^reconstructed root spectrum is off by nan, .* in channel 1 of root 3$"
         with pytest.raises(SolverError, match=message):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], 2))
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_perturbed_root_fails_the_gate(self, monkeypatch, d):
-        # Moving one row entry by 1e-6 moves every channel of its spectrum by
-        # 1e-6, about 1e9 times the transform radius of roots of modulus 1.
+        # Moving one half row entry by 1e-6 moves every channel of its
+        # spectrum by 1e-6, about 1e9 times the transform radius of roots of
+        # modulus 1.  Z^2 - I has 2^d roots: at d = 2, row 3 is tail row 1 of
+        # 2 and first takes part in root 2; at d = 5, head row 3 of 8, and
+        # each head row in 4 roots from root 3 * 4 + 1.
         self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((3, 0), rows[3, 0] + 1e-6))
-        message = r"^reconstructed root spectrum is off by 1\.000e-06, .* in channel 1 of root 4$"
+        message = rf"^reconstructed root spectrum is off by 1\.000e-06, .* in channel 1 of root {2 if d == 2 else 13}$"
         with pytest.raises(SolverError, match=message):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0, -1], d))
 
@@ -864,15 +958,39 @@ class TestCircSolve:
 
     def test_the_certificate_covers_the_gaps_the_transform_left(self, monkeypatch):
         # 1e-12 Z^2 + Z has the channel roots -1e12 and 0, so gaps up to the
-        # transform radius 2.5e-3 pass.  Every rebuilt root is made 1e-4 off
-        # in every channel (1.2e-4 after rounding beside 5e11), which moves
-        # p_i from 0 at the root 0 as far: the certificate, over that radius,
-        # misses the root 0, and root 3, the first row holding it in channel
-        # 1, fails the per-root gate.
-        self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((slice(None), 0), rows[:, 0] + 1e-4))
+        # transform radius 2.5e-3 pass.  Every half row, and then every root
+        # rebuilt whole, is made 1e-4 off in every channel (1.2e-4 after
+        # rounding beside 5e11), which moves p_i from 0 at the root 0 as far:
+        # the certificate, over either radius, misses the root 0, and root 3,
+        # the first row holding it in channel 1, fails the per-root gate.
+        clean = self.corrupt_rows(monkeypatch, lambda rows: rows.__setitem__((slice(None), 0), rows[:, 0] + 1e-4))
         message = r"^reconstructed root residual 1\.\d+e-04 exceeds 1\.0e-08 in channel 1 of root 3$"
         with pytest.raises(SolverError, match=message):
             cf.solve_circ_poly(CircPoly.from_scalars([1e-12, 1, 0], 2))
+        assert [rows.shape for rows in clean] == [(4, 2), (4, 2)]
+
+    def test_a_set_the_certificate_misses_is_rebuilt_whole(self, monkeypatch):
+        # As above, but only head row 1 is off: the radius the half tables
+        # leave misses the root 0 of channels 1 and 2, so the set is rebuilt
+        # whole from its combinations.  The gaps measured there certify every
+        # root, with no per-root gate, and at d = 2 those inverse transforms
+        # have the bits of the clean half rows' sums.
+        p = CircPoly.from_scalars([1e-12, 1, 0], 2)
+        expected = cf.solve_circ_poly(p).verified.rows
+        spectra, gated = [], []
+
+        def corrupted(rows, **kwargs):
+            spectra.append(rows)
+            rows = inverse_rows(rows, **kwargs)
+            if len(spectra) == 1:
+                rows[1, 0] += 1e-4
+            return rows
+
+        monkeypatch.setattr(solver, "inverse_rows", corrupted)
+        monkeypatch.setattr(solver, "polyval_with_scale", lambda *args: gated.append(1) or polyval_with_scale(*args))
+        sol = cf.solve_circ_poly(p)
+        assert [rows.shape for rows in spectra] == [(4, 2), (4, 2)] and not gated
+        assert sol.verified.rows.tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_gate_that_overflows_names_the_overflow(self):
@@ -896,6 +1014,25 @@ class TestCircSolve:
         assert len(sol.roots) == 3**7 and gated
         cm = p.channel_matrix()
         values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
+        assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, max(1.0, p._scale)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_rows_of_missed_roots_are_gated_as_whole_transforms(self, monkeypatch):
+        # Channel roots from 0.28 to 7e7: the certificate misses the small
+        # ones, whose values in a row are then mostly the forward FFT's
+        # rounding.  As half-table sums, root 84 would read 0.69 in channel
+        # 7, past its bound 0.66, and refuse the set.  Rebuilt whole, as the
+        # inverse transforms of its combinations, the rows holding each of
+        # the 14 roots that their measured gaps still miss pass the gate.
+        rng = np.random.default_rng(165636438)
+        p = random_regular_poly(rng, 8, 3, 10 ** rng.uniform(0, 8))
+        gated = []
+        monkeypatch.setattr(solver, "polyval_with_scale", lambda c, u: gated.append(len(u)) or polyval_with_scale(c, u))
+        sol = cf.solve_circ_poly(p)
+        assert len(sol.roots) == 3**8 and gated == [3**7] * 14
+        combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
+        assert sol.verified.rows[83].tobytes() == np.fft.ifft(combos[83]).tobytes()
+        values, scales = polyval_with_scale(p.channel_matrix()[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
         assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, max(1.0, p._scale)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1100,10 +1237,10 @@ class TestResidual:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_rebuilt_root_whose_values_overflow_fails_the_gate(self, monkeypatch):
-        # A chunk rebuilt far from the roots would have channel values that
-        # overflow, to inf (Z^2 - I) or NaN (Z^5 - I, where Horner meets
-        # inf * 0); its spectrum fails the transform radius first, with no
-        # warning, and no channel value is taken.
+        # Half rows rebuilt far from the roots would give roots whose channel
+        # values overflow, to inf (Z^2 - I) or NaN (Z^5 - I, where Horner
+        # meets inf * 0); their spectra fail the transform radius first, with
+        # no warning, and no channel value is taken.
         monkeypatch.setattr(solver, "inverse_rows", lambda rows, fft: inverse_rows(rows, fft=fft) * 1e200)
         for scalars in ([1, 0, -1], [1, 0, 0, 0, 0, -1]):
             message = r"^reconstructed root spectrum is off by 1\.000e\+200, .* in channel 1 of root 1$"
@@ -1172,21 +1309,30 @@ class TestRootViews:
     ``residuals`` are sequences read from them."""
 
     def test_all_combinations_follow_the_numbered_ones(self):
-        # Channels with 3, 1 and 2 distinct roots: the grid recombination
-        # fills at once is the numbering sample_members reads.
-        roots = np.array([1, 2, 3, 4j, 5, 6], dtype=np.complex128)
-        table = solver.ChannelRoots._make((np.array([3, 1, 2]), np.array([0, 3, 4, 6]), roots, np.ones(6, dtype=np.intp)))
-        grid = table._combinations()
-        assert grid.tobytes() == table._values_at(np.arange(6), np.arange(3)).tobytes()
-        assert grid.tolist() == [list(c) for c in itertools.product([1, 2, 3], [4j], [5, 6])]
+        # Channels with 3, 1 and 2 distinct roots: channel 1 alone reaches
+        # sqrt(6) roots and is the head, channels 2 and 3 the tail.  Root
+        # 2 a + b is head row a plus tail row b, whose spectra are the
+        # combinations that sample_members numbers, zero off their channels,
+        # so the roots follow itertools.product order.
+        p = poly_from_channels([np.poly([1, 2, 3]), [1, -4j], np.poly([5, 6])], 3)
+        sol = cf.solve_circ_poly(p)
+        table, channels = sol.table, np.arange(3)
+        combos = table._values_at(np.arange(6), channels)
+        np.testing.assert_allclose(combos, list(itertools.product([1, 2, 3], [4j], [5, 6])), rtol=1e-12)
+        head = np.where(channels < 1, table._values_at(np.arange(3) * 2, channels), 0)
+        tail = np.where(channels >= 1, table._values_at(np.arange(2), channels), 0)
+        rows = np.fft.ifft(head, axis=1)[:, None] + np.fft.ifft(tail, axis=1)[None]
+        assert sol.verified.rows.tobytes() == rows.reshape(6, 3).tobytes()
+        np.testing.assert_allclose(np.fft.fft(sol.verified.rows, axis=1), combos, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("d", [11, 12])
     def test_views_equal_the_eager_reference(self, rng, d):
-        # 2048 and 4096 roots: two and four recombination chunks.
+        # 2048 and 4096 roots: 32 head rows beside 64 tail rows, and 64
+        # beside 64; the residuals take two and four passes.
         p, _ = integer_rooted_poly(rng, d, 2)
         sol = cf.solve_circ_poly(p)
-        combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
-        rows = np.fft.ifft(combos, axis=1)  # no entry is near overflow
+        (_, head), (_, tail) = half_tables([r.roots for r in sol.channel_reports])
+        rows = (head[:, None] + tail[None]).reshape(-1, d)  # no entry is near overflow
         norms = solver._channel_residuals(p.channel_matrix(), rows)
         assert len(sol.roots) == len(sol.residuals) == 2**d
         for k in range(2**d):
