@@ -13,11 +13,11 @@ The root-bearing channels are grouped by effective degree n, and each group
 is solved as one (m, n + 1) matrix of monic rows, a block at a time, all
 row-wise (:func:`_solve_monic_rows`): a direct root step up to n = 3, kept
 where the inclusion discs allow, Ehrlich-Aberth (:func:`_aberth`) on the
-other rows, then Newton polishing, clustering into multiplicities by the
-discs and the residual check.  Each step does on a row exactly what it
-would do on that row alone, so a channel's roots depend neither on the rest
-of the polynomial nor on the blocks, and :func:`solve_scalar_poly` is the
-one-row case.
+other rows (P and P' by :func:`_split_horner`), then Newton polishing,
+clustering into multiplicities by the discs and the residual check (P and P'
+by Horner).  Each step does on a row exactly what it would do on that row
+alone, so a channel's roots depend neither on the rest of the polynomial nor
+on the blocks, and :func:`solve_scalar_poly` is the one-row case.
 
 When every channel has roots, the solutions are all combinations of one root
 per channel, recombined through the inverse transform; a degree-n equation
@@ -88,7 +88,8 @@ RECOMBINATION_LIMIT = 10**6
 RECOMBINE_CHUNK = 1024
 
 #: Entries of the (rows, n, n) Aberth temporaries per block of channels:
-#: each complex tensor takes BLOCK_ENTRIES * 16 bytes, 1 MB.  The smallest
+#: each complex tensor takes BLOCK_ENTRIES * 16 bytes, 1 MB; the split's
+#: powers (b, rows, n), block sums and table are smaller.  The smallest
 #: bound that makes every degree group of the benchmark one block, and the
 #: fastest of 2**15 to 2**18 on them (measured in CHANGES.md).
 BLOCK_ENTRIES = 2**16
@@ -100,6 +101,10 @@ ABERTH_MAX_ITER = 100
 #: than Aberth at any group size (measured in CHANGES.md).  Degree 3 takes Cardano's
 #: closed form instead (:func:`_cubic_roots`).
 EIG_MAX_DEGREE = 2
+
+#: Smallest degree whose Aberth iterations take P and P' in blocks of b = round(sqrt(2 (n + 1)))
+#: coefficients (:func:`_split_horner`); below it b = 1, Horner (both measured in CHANGES.md).
+SPLIT_MIN_DEGREE = 10
 
 
 class SolutionStatus(Enum):
@@ -301,8 +306,9 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     backward stable, so a cubic row also needs discs that stay disjoint,
     each then holding one root, and Newton corrections that pass Aberth's
     stop test.  Only the other rows run :func:`_aberth` and are checked
-    again.  P and P' of each row come from one Horner pass over the
-    :func:`_with_derivative` rows, built once per block.  Every step acts on
+    again.  P and P' of each row come from the :func:`_with_derivative`
+    rows, built once per block: by one Horner pass, and in Aberth by
+    :func:`_split_horner` over their :func:`_block_table`.  Every step acts on
     a row exactly as it would on that row alone, so the results do not
     depend on the grouping.
     """
@@ -399,17 +405,19 @@ def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndar
     """Ehrlich-Aberth on the rows of ``monic``, each row leaving once its
     corrections are negligible, and :func:`_companion_roots` for those left
     after ``max_iter``.  ``rows`` holds the :func:`_with_derivative` rows of
-    ``monic``, shape (n + 1, 2, m, 1); slot t starts at its Newton-polygon
-    radius and the angle 2 pi t / n + 0.7.  Returns the roots, the iteration
-    counts and the SolverError of each row whose eigenvalues failed."""
+    ``monic``, shape (n + 1, 2, m, 1), whose :func:`_block_table` gives P and
+    P' each iteration; slot t starts at its Newton-polygon radius and the
+    angle 2 pi t / n + 0.7.  Returns the roots, the iteration counts and the
+    SolverError of each row whose eigenvalues failed."""
     m, n = monic.shape[0], monic.shape[1] - 1
     roots, active = np.empty((m, n), dtype=np.complex128), np.arange(m)
     iterations = np.full(m, max_iter, dtype=np.intp)
     angles = 2 * np.pi * np.arange(n) / n + 0.7  # offset breaks axis symmetry
     z = _polygon_radii(monic) * np.exp(1j * angles)
     buffer = np.empty((m, n, n), dtype=np.complex128)  # reused: one tensor alive per block
+    table = _block_table(rows, round(math.sqrt(2 * (n + 1))) if n >= SPLIT_MIN_DEGREE else 1)
     for iteration in range(1, max_iter + 1):
-        p, dp = _horner(rows, z)
+        p, dp = _split_horner(table, z)
         dp = np.where(dp == 0, DIVISION_GUARD, dp)
         w = p / dp
         diff = np.subtract(z[:, :, None], z[:, None, :], out=buffer[: z.shape[0]])
@@ -423,12 +431,36 @@ def _aberth(monic: np.ndarray, rows: np.ndarray, max_iter: int) -> tuple[np.ndar
         if done.any():  # the active rows' coefficients are regathered only when a row leaves
             roots[active[done]] = z[done]
             iterations[active[done]] = iteration
-            active, z, rows = active[~done], z[~done], rows[:, :, ~done]
+            active, z, table = active[~done], z[~done], table[~done]
             if active.size == 0:
                 return roots, iterations, {}
     # Stalled (typically root clusters): companion-matrix eigenvalues.
     roots[active], stalled = _companion_roots(monic[active])
     return roots, iterations, {int(active[i]): error for i, error in stalled.items()}
+
+
+def _block_table(rows: np.ndarray, b: int) -> np.ndarray:
+    """The :func:`_with_derivative` ``rows`` (n + 1, 2, m, 1) in K = ceil((n + 1) / b) blocks, shape (m, 2 K, b):
+    [i, 2 (K - 1 - q) + c, r] holds the coefficient of u^(q b + r) in P (c = 0) or P' (c = 1) of row i."""
+    k, m = -(-rows.shape[0] // b), rows.shape[2]
+    padded = np.pad(rows[..., 0], ((k * b - rows.shape[0], 0), (0, 0), (0, 0)))
+    return np.ascontiguousarray(padded.reshape(k, b, 2, m)[:, ::-1].transpose(3, 0, 2, 1)).reshape(m, 2 * k, b)
+
+
+def _split_horner(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """P and P' (2, m, n) at ``z`` (m, n) for the rows of the :func:`_block_table` ``table``: the baby steps
+    z^0 ... z^(b - 1), one batched ``np.matmul`` for the block sums and :func:`_horner` over them at z^b
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).  A term c_k z^k takes k products, as in Horner, but
+    b + K sums, not n + 1.  At b = 1 the blocks are the coefficients: Horner's pass, bit for bit."""
+    m, k, b = table.shape[0], table.shape[1] // 2, table.shape[2]
+    if b == 1:
+        return _horner(table.reshape(m, k, 2).transpose(1, 2, 0)[..., None], z)
+    powers = np.empty((b,) + z.shape, dtype=np.complex128)
+    powers[0], powers[1] = 1.0, z
+    for r in range(2, b):
+        np.multiply(powers[r - 1], z, out=powers[r])
+    sums = np.matmul(table, powers.transpose(1, 0, 2)).reshape(m, k, 2, -1)
+    return _horner(sums.transpose(1, 2, 0, 3), powers[-1] * z)
 
 
 def _companion_roots(monic: np.ndarray) -> tuple[np.ndarray, dict]:

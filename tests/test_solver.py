@@ -458,6 +458,60 @@ class TestScalarRoots:
         assert np.array_equal(r.multiplicities, np.ones(16))
         np.testing.assert_allclose(np.sort_complex(r.roots), np.sort_complex(roots), rtol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["separated", "spread", "doubled"])
+    def test_planted_roots_above_the_split_crossover(self, kind):
+        # Degrees 13 to 80, where Aberth's P and P' take the split: one root
+        # near each of k angles, moduli in [0.5, 2] or, spread, in 10^[-3, 3].
+        # Doubled rows hold k = n // 2 such roots twice, one of them three
+        # times at odd n, up to n = 24: at higher degrees np.poly's rounding
+        # splits them into simple roots of the float polynomial.  Each solve
+        # gives every root with its exact multiplicity, and separated rows
+        # need no companion-matrix fallback.
+        rng = np.random.default_rng(45)
+        wrong = []
+        for n in range(13, 25) if kind == "doubled" else range(13, 81, 3):
+            k = n // 2 if kind == "doubled" else n
+            moduli = 10 ** rng.uniform(-3, 3, k) if kind == "spread" else rng.uniform(0.5, 2, k)
+            roots = moduli * np.exp(2j * np.pi * (np.arange(k) + rng.uniform(-0.25, 0.25, k)) / k)
+            mults = np.ones(k, dtype=np.intp) if kind != "doubled" else np.array([2 + n % 2] + [2] * (k - 1))
+            r = cf.solve_scalar_poly(np.poly(np.repeat(roots, mults)))
+            nearest = np.argmin(np.abs(r.roots[:, None] - roots[None, :]), axis=1)
+            counts = np.array_equal(r.multiplicities, mults[nearest]) and sorted(nearest.tolist()) == list(range(k))
+            if not counts or kind == "separated" and r.iterations == solver.ABERTH_MAX_ITER:
+                wrong.append(n)
+        assert wrong == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_split_evaluation_is_within_its_bound_of_horner(self, data):
+        # Degree 1 to 80, coefficients and points scaled by 2^[-60, 60], some
+        # coefficients exactly zero and some trailing ones.  At b = 1, which
+        # Aberth takes below SPLIT_MIN_DEGREE, the split is Horner's pass bit
+        # for bit.  At b >= 2 a term c_k z^k takes k complex products, as in
+        # Horner, and b + K sums where Horner takes n; a product errs by at
+        # most sqrt(2) eps, a sum by eps / 2 (Higham, 2nd ed., 3.6), so P and
+        # P' are within (4 (n + 1) + 2 (b + K)) eps s of Horner's, with s the
+        # scale sum at |z|, plus underflow's absolute error.  Where s
+        # overflows nothing is bounded.
+        n, m = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        coeffs = rng.standard_normal((m, n + 1, 2)).view(np.complex128)[..., 0] * 2.0 ** data.draw(st.integers(-60, 60))
+        coeffs[rng.uniform(size=coeffs.shape) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        coeffs[:, n + 1 - data.draw(st.integers(0, n)) :] = 0.0
+        z = rng.standard_normal((m, n, 2)).view(np.complex128)[..., 0] * 2.0 ** data.draw(st.integers(-60, 60))
+        rows, floats = _with_derivative(coeffs.T[:, :, None]), np.finfo(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, scales = _horner(rows, z), _horner(np.abs(rows), np.abs(z))
+            assert solver._split_horner(solver._block_table(rows, 1), z).tobytes() == expected.tobytes()
+            for b in {round(math.sqrt(2 * (n + 1))), data.draw(st.integers(2, 16))} - {1}:
+                got = solver._split_horner(solver._block_table(rows, b), z)
+                k, finite = -(-(n + 1) // b), np.isfinite(scales)
+                underflow = 4 * (n + 1) ** 2 * max(1.0, np.abs(coeffs).max()) * floats.smallest_subnormal
+                bound = (4 * (n + 1) + 2 * (b + k)) * floats.eps * scales + underflow
+                assert np.isfinite(got[finite]).all()
+                assert np.all(np.abs(got - expected)[finite] <= bound[finite])
+
     def test_newton_polish_drives_residual_down(self, rng):
         coeffs = np.poly([1.5, -0.25 + 1j, 3.0])
         rough = np.array([1.5 + 1e-6, -0.25 + 1j + 1e-6, 3.0 - 1e-6])
@@ -721,17 +775,32 @@ class TestCircSolve:
         sample = set(range(0, d, 31)) | {k * step + j for k in range(1, d // step) for j in (-1, 0)}
         self.assert_reports_match_scalar_solves(p, sol, [sol.channel_reports[i] for i in sorted(sample)])
 
+    @pytest.mark.parametrize("n", [5, 16, 40])
     @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
-    def test_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
+    def test_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol, n):
         # Random rows, clusters, a companion-matrix fallback and exact zeros;
-        # at tol 1e-30 every row fails but that of the roots 0, 0, 1, 2, 3.
-        n = 5
-        rows = [random_monic(rng, n) for _ in range(8)] + [
-            np.poly([2, 2, 2, -1, -1]), np.poly([1, 1, 0.5, 0.5, 3]), np.poly([0, 0, 1, 2, 3]),
-            np.poly([1e-3, 1e3, 1, 2, -5]), np.poly([1, 2, 3, 4, 5]),
-        ]  # fmt: skip
-        failed = set(self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)[1])
-        assert failed == (set() if tol > 1e-30 else set(range(len(rows))) - {10})
+        # at n = 5 and tol 1e-30 every row fails but that of the roots 0, 0,
+        # 1, 2, 3.  From SPLIT_MIN_DEGREE on, where Aberth's block sums are
+        # one batched np.matmul, the rest of each planted row's roots lie on a
+        # circle: beside a triple and a double root and a double root alone,
+        # which stall into the fallback, a cluster 1e-3 wide, three exact
+        # zeros and roots 1e-3 and 1e3; at tol 1e-30 every row fails.
+        assert (n >= solver.SPLIT_MIN_DEGREE) == (n > 5)
+        rows = [random_monic(rng, n) for _ in range(8)]
+        if n == 5:
+            rows += [
+                np.poly([2, 2, 2, -1, -1]), np.poly([1, 1, 0.5, 0.5, 3]), np.poly([0, 0, 1, 2, 3]),
+                np.poly([1e-3, 1e3, 1, 2, -5]), np.poly([1, 2, 3, 4, 5]),
+            ]  # fmt: skip
+        else:
+            circle = 1.5 * np.exp(2j * np.pi * (np.arange(n) + 0.3) / n)
+            planted = [[2, 2, 2, -1, -1], [2, 2], 1 + 1e-3 * np.arange(4), [0, 0, 0], [1e-3, 1e3]]
+            rows += [np.poly(np.concatenate([roots, circle[len(roots) :]])) for roots in planted]
+        arrays, errors = self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)
+        if n > 5:
+            assert np.frombuffer(arrays[2], dtype=np.intp)[[8, 9]].tolist() == [solver.ABERTH_MAX_ITER] * 2
+        exact = {10} if n == 5 else set()
+        assert set(errors) == (set() if tol > 1e-30 else set(range(len(rows))) - exact)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_linear_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch):
@@ -782,13 +851,13 @@ class TestCircSolve:
     @staticmethod
     def outcome_in_any_block(monkeypatch, monic, tol):
         """The bytes of every array and the errors of ``_solve_monic_rows``,
-        the same with 1 row, 4 rows and all rows per block."""
+        the same with 1 row, 4 rows, two blocks and all rows per block."""
         n, outcomes = monic.shape[1] - 1, []
-        for entries in (n * n, 4 * n * n, solver.BLOCK_ENTRIES):
+        for entries in (n * n, 4 * n * n, -(-monic.shape[0] // 2) * n * n, solver.BLOCK_ENTRIES):
             monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
             *arrays, errors = solver._solve_monic_rows(monic, tol, solver.ABERTH_MAX_ITER)
             outcomes.append(([a.tobytes() for a in arrays], {i: str(e) for i, e in errors.items()}))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert all(outcome == outcomes[0] for outcome in outcomes)
         return outcomes[0]
 
     def test_degree_drop_reduces_count(self):
