@@ -97,11 +97,6 @@ BLOCK_ENTRIES = 2**16
 #: Aberth iterations before the companion-matrix fallback.
 ABERTH_MAX_ITER = 100
 
-#: Largest degree whose direct root step is companion eigenvalues: the largest no slower
-#: than Aberth at any group size (measured in CHANGES.md).  Degree 3 takes Cardano's
-#: closed form instead (:func:`_cubic_roots`).
-EIG_MAX_DEGREE = 2
-
 #: Smallest degree whose Aberth iterations take P and P' in blocks of b = round(sqrt(2 (n + 1)))
 #: coefficients (:func:`_split_horner`); below it b = 1, Horner (both measured in CHANGES.md).
 SPLIT_MIN_DEGREE = 10
@@ -299,18 +294,17 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     blocks whose (rows, n, n) temporaries hold about ``BLOCK_ENTRIES``
     entries, each under one floating-point scope: a value that is not finite
     fails the discs or the gate.  At n <= 3 a block first takes one direct
-    root step: the exact root at n = 1, the eigenvalues of
-    :func:`_companion_roots` at n = 2 (Edelman & Murakami, Math. Comp. 64,
-    1995) and :func:`_cubic_roots` at n = 3.  A row keeps them where
-    :func:`_check_roots` finds its discs finite; Cardano's roots are not
-    backward stable, so a cubic row also needs discs that stay disjoint,
-    each then holding one root, and Newton corrections that pass Aberth's
-    stop test.  Only the other rows run :func:`_aberth` and are checked
-    again.  P and P' of each row come from the :func:`_with_derivative`
-    rows, built once per block: by one Horner pass, and in Aberth by
-    :func:`_split_horner` over their :func:`_block_table`.  Every step acts on
-    a row exactly as it would on that row alone, so the results do not
-    depend on the grouping.
+    root step, with no LAPACK call: the exact root at n = 1,
+    :func:`_quadratic_roots` at n = 2 and :func:`_cubic_roots` at n = 3.  A
+    row keeps them where :func:`_check_roots` finds its discs finite;
+    Cardano's roots are not backward stable, so a cubic row also needs discs
+    that stay disjoint, each then holding one root, and Newton corrections
+    that pass Aberth's stop test.  Only the other rows run :func:`_aberth`
+    and are checked again.  P and P' of each row come from the
+    :func:`_with_derivative` rows, built once per block: by one Horner pass,
+    and in Aberth by :func:`_split_horner` over their :func:`_block_table`.
+    Every step acts on a row exactly as it would on that row alone, so the
+    results do not depend on the grouping.
     """
     n = monic.shape[1] - 1
     step = max(1, BLOCK_ENTRIES // (n * n))
@@ -324,8 +318,8 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
             else:
                 if n == 1:
                     roots = -block[:, 1:]
-                elif n <= EIG_MAX_DEGREE:
-                    roots = _companion_roots(block)[0]  # NaN where LAPACK failed: no finite discs
+                elif n == 2:
+                    roots = _quadratic_roots(block)
                 else:
                     roots = _cubic_roots(block)
                 unrun = np.zeros(block.shape[0], dtype=np.intp)  # no iterations
@@ -486,6 +480,23 @@ def _companion_roots(monic: np.ndarray) -> tuple[np.ndarray, dict]:
     return roots, failures
 
 
+def _quadratic_roots(monic: np.ndarray) -> np.ndarray:
+    """The roots (m, 2) of the rows u^2 + b u + c of ``monic``: the one of
+    larger modulus, -b / 2 +- sqrt(b^2 / 4 - c) with the sign that does not
+    cancel, then c over it, or two exact zeros where both vanish.  Away from
+    overflow and underflow each step is exact under u -> 2^k u, so the roots
+    of 2^k b and 4^k c are 2^k times those of b and c.  A double root that
+    comes out as two equal roots, or an overflow, leaves discs that are not
+    finite, so the row goes on to Aberth; 0 / 0 at a double zero is dropped,
+    in the caller's scope."""
+    b, c = monic[:, 1:].T.astype(np.complex128)
+    half = b / 2
+    root = np.sqrt(half * half - c)
+    plus, minus = root - half, -root - half
+    larger = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    return np.stack([larger, np.where(larger == 0, 0.0, c / larger)], axis=1)
+
+
 def _cubic_roots(monic: np.ndarray) -> np.ndarray:
     """Cardano's roots (m, 3) of the rows u^3 + a u^2 + b u + c of ``monic``:
     with u = t - a / 3 the row is t^3 + p t + q, and C is the principal cube
@@ -525,15 +536,15 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
     ``scales`` the :func:`polyval_with_scale` of the row of ``monic``, gets
     the disc of radius n (|p(z_i)| + 4 n eps s(z_i)) / prod_{j != i} |z_i - z_j|
     (Bini & Fiorentino, Numer. Algorithms 23, 2000), or {0} if it is one of
-    the k exact zeros the companion-matrix fallback gives for k trailing zero
-    coefficients: the z_i^k cancel from the other discs.  A component of k
-    touching discs holds k roots and becomes one root of multiplicity k: the
-    mean of its members, or the ``polished`` root plus 0.0 if k = 1.  Only
-    rows where two discs touch run the component pass; in every other row
-    each root is its own component.  Discs come before polishing, which can
-    blow them up at a multiple root.  Returns the distinct roots (each row's
-    k_i, then copies of its first), their multiplicities (zero past the
-    k_i-th) and the radii.
+    the k exact zeros the quadratic formula or the companion-matrix fallback
+    gives for k trailing zero coefficients: the z_i^k cancel from the other
+    discs.  A component of k touching discs holds k roots and becomes one
+    root of multiplicity k: the mean of its members, or the ``polished`` root
+    plus 0.0 if k = 1.  Only rows where two discs touch run the component
+    pass; in every other row each root is its own component.  Discs come
+    before polishing, which can blow them up at a multiple root.  Returns the
+    distinct roots (each row's k_i, then copies of its first), their
+    multiplicities (zero past the k_i-th) and the radii.
     """
     m, n = roots.shape
     diagonal = np.arange(n)
@@ -691,8 +702,6 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     """
     if not 0 < tol < 1:  # at tol >= 1 every gate passes every point: |p(u)| <= s(u)
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    if p.degree < 1:
-        raise ValueError("polynomial degree must be >= 1")
 
     cm = p.channel_matrix()
     degrees = p.channel_degrees()

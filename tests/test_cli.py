@@ -25,15 +25,16 @@ FUNCTION_FIXTURES = (
 #: function kinds that solve and divisor reject.  The meromorphic fixture
 #: holds all three parts, and eval takes it at a point where Q vanishes on a
 #: channel.  The d = 3 solves pin the solver's root kernels: at d = 2 every
-#: kernel gives the same bits.  Quadratic channels take companion-matrix
-#: eigenvalues, and the cubic fixture's channels Cardano's closed form.
+#: kernel gives the same bits.  Quadratic channels take the quadratic
+#: formula, and the cubic fixture's channels Cardano's closed form.
 #: Their goldens were recorded with numpy 2.4.6, so they also pin
 #: pocketfft's rounding of the two half tables whose outer sums are the
-#: roots.  Two degree-6 solves at d = 2 pin the rest of the
+#: roots.  A degree-5 and a degree-6 solve at d = 2 pin the rest of the
 #: scalar solver: the clustered fixture's discs touch, so its channels stall
-#: into companion eigenvalues and go through the component pass; the
-#: distinct fixture's channels keep Ehrlich-Aberth's iterates (5 and 7
-#: iterations), and none of its discs touch.
+#: into companion eigenvalues, the one LAPACK call of any solve golden, and
+#: go through the component pass; the distinct fixture's channels keep
+#: Ehrlich-Aberth's iterates (5 and 7 iterations), and none of its discs
+#: touch.
 GOLDEN_CASES = [
     ("spectrum", "circ_2_1"),
     ("pinv", "circ_2_1"),
@@ -285,6 +286,21 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: channel 1: inclusion disc radii are not finite\n"
+
+    @pytest.mark.parametrize("constant, code", [(ROW_2, 2), ([[0, 0], [0, 0]], 3)], ids=["identity", "zero"])
+    def test_degree_zero_polynomial_solves_as_zero_times_z_plus_it(self, monkeypatch, capsys, constant, code):
+        # [C] was refused with "polynomial degree must be >= 1" (exit 1),
+        # while [0 Z, C] solved.  Both now give the same bytes: no solution
+        # for C = I, and every channel free for C = 0.
+        outputs = []
+        for coeffs in ([constant], [[[0, 0], [0, 0]], constant]):
+            doc = {"kind": "poly", "d": 2, "P": [{"d": 2, "row": row} for row in coeffs]}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            assert run(["solve"]) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+        doc = json.loads(outputs[0].out)
+        assert (doc["status"], doc["free_channels"]) == (("no-solution", []) if code == 2 else ("infinite-family", [1, 2]))
 
     def test_rejects_non_poly_kind(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, ["solve"], "rational_mixed_d2.json")
@@ -630,9 +646,27 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("command, stem", GOLDEN_CASES, ids=[f"{c}-{s}" for c, s in GOLDEN_CASES])
     def test_cli_output_is_unchanged(self, capsysbinary, command, stem):
+        self.assert_unchanged(capsysbinary, command, stem)
+
+    @staticmethod
+    def assert_unchanged(capsysbinary, command, stem):
         code = run([command, "--input", str(FIXTURES / f"{stem}.json")])
         captured = capsysbinary.readouterr()
         status = json.loads((EXPECTED / "status.json").read_text())[f"{command}/{stem}"]
         assert captured.out == (EXPECTED / command / f"{stem}.stdout").read_bytes()
         assert captured.err.decode() == status["stderr"]
         assert code == status["exit"]
+
+    def test_solve_goldens_make_no_lapack_call(self, monkeypatch, capsysbinary):
+        # With np.linalg.eigvals made to raise, every solve golden keeps its
+        # bytes but the clustered one, whose channels stall Aberth into the
+        # companion-matrix fallback, which then names channel 1.
+        def refuse(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for command, stem in GOLDEN_CASES:
+            if command == "solve" and stem != "poly_clustered_d2":
+                self.assert_unchanged(capsysbinary, command, stem)
+        assert run(["solve", "--input", str(FIXTURES / "poly_clustered_d2.json")]) == 1
+        assert capsysbinary.readouterr().err == b"error: channel 1: companion-matrix fallback failed to converge\n"

@@ -97,13 +97,13 @@ def dense_backward_errors(p, roots):
     return errors
 
 
-def fail_lapack_on_rows_ending_in_7(monkeypatch):
+def fail_lapack_on_rows_ending_in(monkeypatch, constant):
     """Patch np.linalg.eigvals to fail on the companion matrix of a row
-    whose constant coefficient is 7, and on every batch that holds one."""
+    whose constant coefficient is ``constant``, and on every batch that holds one."""
     eigvals = np.linalg.eigvals
 
     def failing(a):
-        if np.any(a[..., 0, -1] == -7.0):
+        if np.any(a[..., 0, -1] == -constant):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
@@ -276,10 +276,9 @@ class TestScalarRoots:
         with pytest.raises(SolverError, match="^channel 1: inclusion disc radii are not finite$"):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 1e120, 1, 1], 2))
 
-    def test_quadratics_take_companion_eigenvalues(self, rng):
+    def test_kept_closed_form_roots_take_no_iteration(self, rng):
         # Degree 2 takes no Aberth iteration, nor does a degree-3 row that
         # keeps its closed-form roots; degree 4 still does.
-        assert solver.EIG_MAX_DEGREE == 2
         assert cf.solve_scalar_poly(rng.standard_normal(3)).iterations == 0
         assert cf.solve_scalar_poly([1.0, -1.0, 1.0, 0.5]).iterations == 0
         assert cf.solve_scalar_poly([1.0, -1.0, 1.0, 0.5, 2.0]).iterations > 0
@@ -345,13 +344,14 @@ class TestScalarRoots:
         assert failures == {}
         assert roots.tobytes() == np.array([np.roots(row) for row in monic]).tobytes()
 
-    @pytest.mark.parametrize("z", [1 + 1.1j, -2.1 + 2j])
-    def test_equal_companion_eigenvalues_go_on_to_aberth(self, z):
-        # Both eigenvalues of (u - z)^2 come out bit for bit equal, which
-        # leaves the inclusion discs no finite radius; Aberth separates them.
-        row = np.array([1, -2 * z, z * z])
-        eigenvalues = solver._companion_roots(row[None])[0][0]
-        assert eigenvalues[0] == eigenvalues[1] != 0
+    @pytest.mark.parametrize("z", [1.5, 0.5 + 1j])
+    def test_equal_quadratic_roots_go_on_to_aberth(self, z):
+        # Both closed-form roots of (u - z)^2 come out bit for bit equal,
+        # which leaves the inclusion discs no finite radius; Aberth separates
+        # them.
+        row = np.array([1, -2 * z, z * z], dtype=np.complex128)
+        roots = solver._quadratic_roots(row[None])[0]
+        assert roots[0] == roots[1] != 0
         r = cf.solve_scalar_poly(row)
         assert 0 < r.iterations and r.multiplicities.tolist() == [2]
         np.testing.assert_allclose(r.roots, [z], rtol=1e-7)
@@ -372,10 +372,12 @@ class TestScalarRoots:
         # LAPACK fails on row 2's companion matrix alone, and with no Aberth
         # iteration every row stalls into the fallback.  The batch raises,
         # and the retry row by row names only row 2 and keeps the others.
+        # At n = 2 the solve's direct step makes no LAPACK call, so every
+        # row keeps its closed-form roots.
         monic = random_rows_with_a_7(rng, n)
         rows = _with_derivative(monic.T[:, :, None])
         clean, _, _ = solver._aberth(monic, rows, 0)
-        fail_lapack_on_rows_ending_in_7(monkeypatch)
+        fail_lapack_on_rows_ending_in(monkeypatch, 7.0)
         roots, _, failures = solver._aberth(monic, rows, 0)
         assert list(failures) == [2] and str(failures[2]) == "companion-matrix fallback failed to converge"
         assert isinstance(failures[2].__cause__, np.linalg.LinAlgError)
@@ -383,21 +385,26 @@ class TestScalarRoots:
         others = [0, 1, 3, 4]
         assert roots[others].tobytes() == clean[others].tobytes()
         *_, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 0)
-        assert list(errors) == [2]
+        assert list(errors) == ([] if n == 2 else [2])
 
-    def test_quadratic_row_whose_eigenvalues_fail_goes_on_to_aberth(self, monkeypatch, rng):
-        # Its direct roots are NaN, with no finite discs, so Aberth solves the
-        # row from its polygon starts; the other rows keep their bits.
+    def test_quadratic_row_the_direct_step_leaves_is_named_in_the_fallback(self, monkeypatch, rng):
+        # Row 2 is (u - 1.5)^2, whose equal closed-form roots go on to
+        # Aberth, and LAPACK fails on its companion matrix alone.  Aberth
+        # settles on it with no fallback; with no iteration it stalls into
+        # the fallback, which names it.  The other rows keep their bits.
         monic = random_rows_with_a_7(rng, 2)
+        monic[2] = [1, -3, 2.25]
         *clean, _ = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
-        fail_lapack_on_rows_ending_in_7(monkeypatch)
+        assert 0 < clean[2][2] < solver.ABERTH_MAX_ITER and not clean[2][[0, 1, 3, 4]].any()  # iterations
+        assert clean[1][2].tolist() == [2, 0]
+        np.testing.assert_allclose(clean[0][2, 0], 1.5, rtol=1e-7)
+        fail_lapack_on_rows_ending_in(monkeypatch, 2.25)
         *arrays, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
-        assert errors == {}
-        assert arrays[2][2] > 0 and not arrays[2][[0, 1, 3, 4]].any()  # iterations
+        assert errors == {} and [a.tobytes() for a in arrays] == [a.tobytes() for a in clean]
+        *arrays, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 0)
+        assert list(errors) == [2] and str(errors[2]) == "companion-matrix fallback failed to converge"
         for got, want in zip(arrays, clean):
             assert got[[0, 1, 3, 4]].tobytes() == want[[0, 1, 3, 4]].tobytes()
-        np.testing.assert_array_equal(arrays[1][2], [1, 1])
-        np.testing.assert_allclose(arrays[0][2], clean[0][2], rtol=1e-14)
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
@@ -524,6 +531,31 @@ class TestScalarRoots:
         exact = np.array([2.0 + 0j, -1.0 + 0j])
         polished = polish(coeffs, exact)
         np.testing.assert_allclose(polished, exact, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kept_closed_form_roots_match_a_200_bit_reference(self, n):
+        # Every root a row keeps from the direct step, polished, is within
+        # 4 eps relative of mpmath's roots of the row as stored, at 200 bits:
+        # 300 seeded rows with coefficient moduli in 10^[-6, 6], and at n = 2
+        # u^2 - 10^k u + 1, whose small root the unstable formula cancels.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(46 + n)
+        monic = np.ones((300, n + 1), dtype=np.complex128)
+        monic[:, 1:] = 10 ** rng.uniform(-6, 6, (300, n)) * np.exp(2j * np.pi * rng.uniform(size=(300, n)))
+        if n == 2:
+            monic = np.concatenate([monic, [[1, -(10.0**k), 1] for k in (4, 8, 12)]])
+        roots, mults, iterations, _, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
+        kept = np.flatnonzero(iterations == 0)
+        assert errors == {} and np.all(mults[kept] == 1) and kept.size >= (monic.shape[0] if n == 2 else 100)
+        worst = 0.0
+        for row, got in zip(monic[kept], roots[kept]):
+            with mpmath.workprec(200):
+                reference = mpmath.polyroots([mpmath.mpc(complex(c)) for c in row], maxsteps=200, extraprec=200)
+                expected = np.array([complex(r) for r in reference])
+            nearest = np.argmin(np.abs(got[:, None] - expected[None, :]), axis=1)
+            assert sorted(nearest.tolist()) == list(range(n)), row
+            worst = max(worst, np.max(np.abs(got - expected[nearest]) / np.abs(expected[nearest])))
+        assert worst <= 4 * np.finfo(np.float64).eps
 
     def test_rows_whose_discs_do_not_touch_keep_their_polished_roots(self):
         # Each root is its own component: multiplicity 1, the polished roots
@@ -816,19 +848,18 @@ class TestCircSolve:
 
     @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
     def test_quadratic_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
-        # The companion-matrix path: random quadratics, a double root, u^2
-        # and u(u - 1) keep their eigenvalues.  A double root whose two
-        # eigenvalues are equal, and a row whose LAPACK call fails, alone or
-        # in its batch, go on to Aberth (last two rows).  At tol 1e-30 only
-        # exactly representable roots pass.
-        z = 1 + 1.1j
+        # The closed form: random quadratics, a double root whose two roots
+        # come out 3e-8 apart, u^2, u(u - 1) and a row on whose companion
+        # matrix LAPACK fails keep it.  Double roots whose two roots come out
+        # equal go on to Aberth (last two rows).  At tol 1e-30 only exactly
+        # representable roots pass.
         rows = [random_monic(rng, 2) for _ in range(9)] + [
-            np.poly([0.5 + 1j, 0.5 + 1j]), [1, 0, 0], [1, -1, 0], [1, -2 * z, z * z], [1, 0.5, 7],
+            np.poly([-2.1 + 2j] * 2), [1, 0, 0], [1, -1, 0], [1, 0.5, 7], np.poly([0.5 + 1j] * 2), [1, -3, 2.25],
         ]  # fmt: skip
-        fail_lapack_on_rows_ending_in_7(monkeypatch)
+        fail_lapack_on_rows_ending_in(monkeypatch, 7.0)
         arrays, errors = self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)
         iterations = np.frombuffer(arrays[2], dtype=np.intp)
-        assert not iterations[[0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]].any() and iterations[12:].all()
+        assert not iterations[:13].any() and iterations[13:].all()
         if tol > 1e-30:
             assert errors == {}
 
@@ -859,6 +890,19 @@ class TestCircSolve:
             outcomes.append(([a.tobytes() for a in arrays], {i: str(e) for i, e in errors.items()}))
         assert all(outcome == outcomes[0] for outcome in outcomes)
         return outcomes[0]
+
+    def test_quadratic_solves_make_no_lapack_call(self, monkeypatch):
+        # Integer-rooted quadratics at d = 2 to 12 give the same bytes with
+        # np.linalg.eigvals made to raise.
+        rng = np.random.default_rng(46)
+        cases = [integer_rooted_poly(rng, d, 2)[0] for d in range(2, 13)]
+        clean = [json.dumps(solution_set_to_obj(cf.solve_circ_poly(p))) for p in cases]
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert [json.dumps(solution_set_to_obj(cf.solve_circ_poly(p))) for p in cases] == clean
 
     def test_degree_drop_reduces_count(self):
         # leading E drops channel 2 to degree 1: 2 * 1 = 2 roots instead of 4
@@ -1179,8 +1223,18 @@ class TestCircSolve:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             cf.solve_circ_poly(CircPoly.from_scalars([1, 0], 2), tol=-1.0)
-        with pytest.raises(ValueError):
-            cf.solve_circ_poly(CircPoly.from_scalars([1], 2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_degree_zero_solves_as_the_same_equation_of_degree_one(self, d):
+        # P = C was refused as degree 0, while 0 Z + C solved.  A nonzero
+        # constant has no solution, and 0 = 0 leaves every channel free.
+        zero = cf.Circulant(np.zeros(d))
+        for c, status, free in ((cf.identity(d), SolutionStatus.NO_SOLUTION, ()),
+                                (zero, SolutionStatus.INFINITE_FAMILY, tuple(range(1, d + 1)))):
+            sol, padded = cf.solve_circ_poly(CircPoly([c])), cf.solve_circ_poly(CircPoly([zero, c]))
+            assert (sol.status, sol.free_channels, len(sol.roots)) == (status, free, 0)
+            assert sol.table.degrees.tolist() == padded.table.degrees.tolist()
+            assert solution_set_to_obj(sol) == solution_set_to_obj(padded)
 
     @pytest.mark.parametrize(
         "kwargs, name", [({"count": -1}, "count"), ({"seed": -1}, "seed"), ({"magnitude": np.nan}, "magnitude")]
@@ -1244,6 +1298,20 @@ class TestUnitsOfTheVariable:
                 if k % 4 == 0:  # every fourth k keeps the solves near a second
                     sol = cf.solve_circ_poly(w)
                     assert (sol.status, len(sol.roots), sol.free_channels) == outcome, (p, k)
+
+    def test_quadratic_roots_scale_bit_for_bit(self):
+        # u -> 2^k u multiplies b by 2^k and c by 4^k.  The closed form, its
+        # polishing and the merge of a double root whose two roots come out
+        # apart all scale exactly, so the roots of [1, 2^k b, 4^k c] are 2^k
+        # times those of [1, b, c], bit for bit, with the same multiplicities.
+        rng = np.random.default_rng(46)
+        rows = [*rng.standard_normal((20, 2, 2)).view(np.complex128)[..., 0], np.poly([-2.1 + 2j] * 2)[1:], [0, 0]]
+        for b, c in rows:
+            base = cf.solve_scalar_poly([1, b, c])
+            for k in range(-60, 61):
+                r = cf.solve_scalar_poly([1, 2.0**k * b, 4.0**k * c])
+                assert r.roots.tobytes() == (2.0**k * base.roots).tobytes(), (b, c, k)
+                assert r.multiplicities.tolist() == base.multiplicities.tolist(), (b, c, k)
 
     def test_regular_with_a_small_but_invertible_leading_coefficient(self):
         # 1e-12 Z^2 + Z and Z^2 + 1e-15 I at d = 2: each row is measured
