@@ -49,10 +49,10 @@ class CircPoly:
 
     The coefficient rows are transformed once, in one stacked call, when a
     pass first needs them, and cached read-only for the polynomial's
-    lifetime: the raw spectra, (degree + 1) * d complex entries; the channel
-    matrix, that same array unless an entry snaps, and only then a copy; and
-    its moduli (``_moduli``), (degree + 1) * d floats, made with it in the
-    one modulus pass of the snap test, with the snapped entries zeroed.
+    lifetime: the raw spectra, (degree + 1) * d complex entries, and the
+    record of :meth:`channel_matrix`'s one modulus pass: the channel matrix,
+    that same array unless an entry snaps, and only then a copy; its moduli
+    ``_moduli``, snapped entries zero; their largest S; the channel degrees.
     """
 
     def __init__(self, coeffs: Sequence[Circulant]):
@@ -67,7 +67,6 @@ class CircPoly:
         self.d = d
         self._spectra: np.ndarray | None = None
         self._channel_matrix: np.ndarray | None = None
-        self._channel_degrees: np.ndarray | None = None
 
     @classmethod
     def from_scalars(cls, scalars: Sequence[complex], d: int) -> "CircPoly":
@@ -119,10 +118,10 @@ class CircPoly:
         drops into huge spurious terms at large arguments.  The degrees, the
         log-derivative, ``channel_values`` and the solver read it; a value or
         derivative at a matrix point reads the raw spectra.  Cached with the
-        moduli ``_moduli``, each row's largest ``_tops`` and their largest S,
-        from one modulus pass: the raw spectra array where no entry snaps,
-        else a read-only snapped copy.  The one check of coefficient
-        eigenvalues: while S is not finite, every call raises ValueError, with no numpy warning.
+        moduli ``_moduli``, their largest S and the channel degrees, from one
+        modulus pass: the raw spectra array where no entry snaps, else a
+        read-only snapped copy.  The one check of coefficient eigenvalues:
+        while S is not finite, every call raises ValueError, with no numpy warning.
         """
         if self._channel_matrix is None:
             with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused next
@@ -138,8 +137,11 @@ class CircPoly:
                     cm = cm.copy()
                     cm[snap] = moduli[snap] = 0.0
                     cm.flags.writeable = False
-            moduli.flags.writeable = tops.flags.writeable = False
-            self._channel_matrix, self._moduli, self._tops, self._scale = cm, moduli, tops, float(top)
+            nonzero = moduli > COEFFICIENT_REL_TOL * tops
+            degrees = nonzero.shape[0] - 1 - nonzero.argmax(axis=0)
+            degrees[~nonzero.any(axis=0)] = -1
+            moduli.flags.writeable = degrees.flags.writeable = False
+            self._channel_matrix, self._moduli, self._channel_degrees, self._scale = cm, moduli, degrees, float(top)
         return self._channel_matrix
 
     def channel_degrees(self) -> np.ndarray:
@@ -147,16 +149,10 @@ class CircPoly:
 
         Leading coefficients that vanish by the table's ``COEFFICIENT_REL_TOL``
         (:mod:`circfun.tolerances`) times their own row's largest modulus drop
-        out.  Computed once from the cached moduli of :meth:`channel_matrix`,
-        whose ValueError it raises; read-only.
+        out.  Made in the modulus pass of :meth:`channel_matrix`, whose
+        ValueError it raises; read-only.
         """
-        if self._channel_degrees is None:
-            self.channel_matrix()  # makes the moduli and each row's largest
-            nonzero = self._moduli > COEFFICIENT_REL_TOL * self._tops
-            degrees = nonzero.shape[0] - 1 - nonzero.argmax(axis=0)
-            degrees[~nonzero.any(axis=0)] = -1
-            degrees.flags.writeable = False
-            self._channel_degrees = degrees
+        self.channel_matrix()
         return self._channel_degrees
 
     def __mul__(self, other: "CircPoly") -> "CircPoly":

@@ -204,8 +204,9 @@ class SolutionSet:
     def verified(self) -> RootTable:
         """The roots' rows with their residuals, taken on first access (see the module docstring)."""
         rows = self.roots._rows
-        chunks = (rows[k : k + RECOMBINE_CHUNK] for k in range(0, rows.shape[0], RECOMBINE_CHUNK))
-        residuals = [_channel_residuals(self._poly.channel_matrix(), chunk) for chunk in chunks]
+        spectra = (np.fft.fft(rows[k : k + RECOMBINE_CHUNK], axis=-1) for k in range(0, rows.shape[0], RECOMBINE_CHUNK))
+        with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is inf or NaN
+            residuals = [_channel_residuals(self._poly.channel_matrix(), chunk) for chunk in spectra]
         return RootTable._make((rows, np.concatenate([np.empty(0), *residuals])))
 
     @property
@@ -296,7 +297,8 @@ def _solve_monic_rows(monic: np.ndarray, tol: float, max_iter: int):
     fails the discs or the gate.  At n <= 3 a block first takes one direct
     root step, with no LAPACK call: the exact root at n = 1,
     :func:`_quadratic_roots` at n = 2 and :func:`_cubic_roots` at n = 3.  A
-    row keeps them where :func:`_check_roots` finds its discs finite;
+    row keeps them where :func:`_check_roots` finds its discs finite, as are
+    those of two bit-equal quadratic roots, which merge into a double root;
     Cardano's roots are not backward stable, so a cubic row also needs discs
     that stay disjoint, each then holding one root, and Newton corrections
     that pass Aberth's stop test.  Only the other rows run :func:`_aberth`
@@ -486,9 +488,10 @@ def _quadratic_roots(monic: np.ndarray) -> np.ndarray:
     cancel, then c over it, or two exact zeros where both vanish.  Away from
     overflow and underflow each step is exact under u -> 2^k u, so the roots
     of 2^k b and 4^k c are 2^k times those of b and c.  A double root that
-    comes out as two equal roots, or an overflow, leaves discs that are not
-    finite, so the row goes on to Aberth; 0 / 0 at a double zero is dropped,
-    in the caller's scope."""
+    comes out as two bit-equal roots shares one disc (:func:`_cluster_roots`)
+    and merges into one root of multiplicity 2; an overflow leaves discs that
+    are not finite, so the row goes on to Aberth.  0 / 0 at a double zero is
+    dropped, in the caller's scope."""
     b, c = monic[:, 1:].T.astype(np.complex128)
     half = b / 2
     root = np.sqrt(half * half - c)
@@ -538,13 +541,16 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
     (Bini & Fiorentino, Numer. Algorithms 23, 2000), or {0} if it is one of
     the k exact zeros the quadratic formula or the companion-matrix fallback
     gives for k trailing zero coefficients: the z_i^k cancel from the other
-    discs.  A component of k touching discs holds k roots and becomes one
-    root of multiplicity k: the mean of its members, or the ``polished`` root
-    plus 0.0 if k = 1.  Only rows where two discs touch run the component
-    pass; in every other row each root is its own component.  Discs come
-    before polishing, which can blow them up at a multiple root.  Returns the
-    distinct roots (each row's k_i, then copies of its first), their
-    multiplicities (zero past the k_i-th) and the radii.
+    discs.  At n = 2 two bit-equal roots r, whose discs are not finite,
+    share the pair disc of :mod:`circfun.tolerances`: with h = u - r the row
+    is h^2 + p'(r) h + p(r), whose roots it holds (at n >= 3 the other roots
+    break its bound).  A component of k touching discs holds k roots and
+    becomes one root of multiplicity k: the mean of its members, or the
+    ``polished`` root plus 0.0 if k = 1.  Only rows where two discs touch
+    run the component pass; in every other row each root is its own
+    component.  Discs come before polishing, which can blow them up at a
+    multiple root.  Returns the distinct roots (each row's k_i, then copies
+    of its first), their multiplicities (zero past the k_i-th) and the radii.
     """
     m, n = roots.shape
     diagonal = np.arange(n)
@@ -552,6 +558,10 @@ def _cluster_roots(monic: np.ndarray, roots: np.ndarray, values: np.ndarray, sca
     gap[:, diagonal, diagonal] = 1.0  # out of the product, which is a sum of logs
     slack = n * (np.abs(values) + 4 * n * np.finfo(np.float64).eps * scales)
     radii = np.exp(np.log(slack) - np.sum(np.log(gap), axis=2))
+    pair = roots[:, 0] == roots[:, 1] if n == 2 else False  # a bit-equal pair r, r: one disc about r holds both
+    if np.any(pair):
+        slope = np.abs(2 * roots[pair, 0] + monic[pair, 1])  # |p'(r)| = |2 r + b|
+        radii[pair] = ((slope + np.sqrt(slope * slope + 2 * slack[pair, 0])) / 2)[:, None]
     zero = roots == 0  # exact roots if no more than the trailing zero coefficients: the disc {0}
     if zero.any():
         radii[zero & (np.count_nonzero(zero, axis=1) <= np.argmax(monic[:, ::-1] != 0, axis=1))[:, None]] = 0.0
@@ -588,19 +598,18 @@ def residual(p: CircPoly, z: Circulant) -> float:
         raise DimensionError(f"order mismatch: point has {z.d}, coefficients have {p.d}")
     if not np.isfinite(z.row).all():
         raise ValueError("point entries must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused here
-        if not np.isfinite(np.fft.fft(z.row)).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum that overflows is refused, a value is inf or NaN
+        u = np.fft.fft(z.row)
+        if not np.isfinite(u).all():
             raise ValueError("point eigenvalues must be finite")
-    norm = float(_channel_residuals(p.channel_matrix(), z.row[None])[0])
+        norm = float(_channel_residuals(p.channel_matrix(), u[None])[0])
     return np.inf if norm != norm else norm
 
 
-def _channel_residuals(cm: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The Frobenius norms of P(Z_k) for ``rows`` (N, d): the 2-norms of the
-    channel values |p_i(u_ki)| at the spectra u_k, taken by FFT at every order."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is inf or NaN
-        magnitudes = np.abs(_horner(cm[:, None, :], np.fft.fft(rows, axis=-1)))
-    return core._norm2(magnitudes)
+def _channel_residuals(cm: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """The Frobenius norms of P(Z_k) for the ``spectra`` (N, d) u_k of the points, their forward FFTs at
+    every order: the 2-norms of the channel values |p_i(u_ki)|, in the caller's floating-point scope."""
+    return core._norm2(np.abs(_horner(cm[:, None, :], spectra)))
 
 
 def _transform_gaps(rebuilt: np.ndarray, spectra: np.ndarray) -> np.ndarray:
@@ -651,17 +660,19 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.nd
         # The certificate over sqrt(2) rho.  P at r and the scales at |r| and |r| + sqrt(2) rho take one
         # complex Horner pass: a complex product of reals is the real product.
         rho = parts[:heads].max() + parts[heads:].max() + rounding + 1.5 * delta
-        points, coeffs = np.array([distinct, moduli, moduli + 2**0.5 * rho]), np.array([cm, np.abs(cm), np.abs(cm)])
+        points, coeffs = np.array([distinct, moduli, moduli + 2**0.5 * rho]), np.array([cm, p._moduli, p._moduli])
         values, scales, wider = _horner(coeffs.swapaxes(0, 1)[:, :, :, None], points)
-        growth = (wider - scales).real
+        def missing(grown):  # the roots the certificate misses over the radius at which the scales are ``grown``
+            growth = (grown - scales).real
+            return ~(np.abs(values) + growth <= tol * np.maximum(scales.real - growth, floor))  # NaN misses
         valid = np.arange(distinct.shape[1]) < counts[:, None]  # not a padding copy
-        missed = ~(np.abs(values) + growth <= tol * np.maximum(scales.real - growth, floor)) & valid  # NaN misses
+        missed = missing(wider) & valid
         # The ring check's row combines each channel's root of least modulus (its number is in the mixed radix
         # of the root counts).  Its bound allows for the snap and ring Horner's round-off, as for n + 1 products
         # of inner dimension d: (snap + (n + 1)(d + 1) eps) sum_k ||A_k||_F ||Z||_F^(n-k), norms by Parseval.
         least = np.argmin(np.where(valid, moduli, np.inf), axis=1)
         ring, size, slack = int(least @ strides), math.hypot(*moduli[np.arange(p.d), least].tolist()), 0.0
-        for row in p._moduli.tolist():  # the raw spectra's moduli
+        for row in p._moduli.tolist():  # the channel matrix's moduli, snapped entries zero
             slack = slack * size + (SPECTRAL_SNAP_REL_TOL + cm.shape[0] * (p.d + 1) * floats.eps) * math.hypot(*row)
         allowed = math.hypot(*(tol * np.maximum(scales.real[np.arange(p.d), least], floor)).tolist()) + slack
         if missed.any():  # rebuilt whole, by inverse FFTs of the combinations, and certified over their gaps
@@ -670,8 +681,7 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.nd
             for spectra in np.split(roots, range(RECOMBINE_CHUNK, count, RECOMBINE_CHUNK)):
                 rebuilt = inverse_rows(spectra, fft=True)
                 largest, spectra[...] = np.maximum(largest, _transform_gaps(rebuilt, spectra).max()), rebuilt
-            growth = (_horner(np.abs(cm)[:, :, None], moduli + 2**0.5 * largest) - scales).real
-            missed &= ~(np.abs(values) + growth <= tol * np.maximum(scales.real - growth, floor))  # NaN misses
+            missed &= missing(_horner(p._moduli[:, :, None], moduli + 2**0.5 * largest))
         for i, j in zip(*np.nonzero(missed)):  # the rows that hold root j of channel i take the per-root gate
             index = np.arange(count).reshape(-1, counts[i], strides[i])[:, j].ravel()
             values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(roots[index], axis=-1))

@@ -99,6 +99,10 @@ Rules with no constant of their own:
 * Inclusion discs have the slack 4 n eps s(z) on |p(z)| (a Horner rounding
   bound for degree n), so their radii are relative to s and keep under
   P -> cP.
+* Two bit-equal roots r of a quadratic share the disc of radius
+  (|p'(r)| + sqrt(|p'(r)|^2 + 4 (|p(r)| + 8 eps s(r)))) / 2, the same slack:
+  it holds both roots of h^2 + p'(r) h + p(r), h = u - r, and so keeps
+  under P -> cP and, as the quadratic formula does, under u -> 2^k u.
 * The floor 1 in max(s(r), 1) of the row gate is absolute: rows are monic,
   so it keeps under P -> cP, but not under u -> lambda u.  For roots of
   small modulus it bounds |p| by an absolute tol, which any nearby point

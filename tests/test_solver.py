@@ -345,16 +345,42 @@ class TestScalarRoots:
         assert roots.tobytes() == np.array([np.roots(row) for row in monic]).tobytes()
 
     @pytest.mark.parametrize("z", [1.5, 0.5 + 1j])
-    def test_equal_quadratic_roots_go_on_to_aberth(self, z):
-        # Both closed-form roots of (u - z)^2 come out bit for bit equal,
-        # which leaves the inclusion discs no finite radius; Aberth separates
-        # them.
+    def test_equal_quadratic_roots_merge_into_a_double_root(self, z):
+        # Both closed-form roots of (u - z)^2 ([1, -3, 2.25] at z = 1.5) come
+        # out bit for bit equal.  The pair's disc holds both roots of the row,
+        # so they merge into one root of multiplicity 2, with no Aberth iteration.
         row = np.array([1, -2 * z, z * z], dtype=np.complex128)
         roots = solver._quadratic_roots(row[None])[0]
         assert roots[0] == roots[1] != 0
         r = cf.solve_scalar_poly(row)
-        assert 0 < r.iterations and r.multiplicities.tolist() == [2]
-        np.testing.assert_allclose(r.roots, [z], rtol=1e-7)
+        assert r.iterations == 0 and r.multiplicities.tolist() == [2]
+        assert r.roots.tolist() == [z]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_small_double_root_whose_aberth_run_raised_solves(self):
+        # Row 3512 of the sweep below: sent on to Aberth, it ended on roots
+        # whose discs were not finite, and raised.
+        b = complex(-0.0006842044683054919, 0.0006842044683054919)
+        c = complex(1.1744851685584537e-24, -2.3406787722460045e-07)
+        r = cf.solve_scalar_poly([1, b, c])
+        assert r.iterations == 0 and r.multiplicities.tolist() == [2]
+        assert abs(r.roots[0] - (-b / 2)) <= 4 * np.finfo(np.float64).eps * abs(b / 2)
+
+    def test_planted_double_roots_keep_the_closed_form_in_any_block(self, monkeypatch):
+        # (u - r)^2 with r a nonzero Gaussian integer of [-3, 3]^2 times
+        # 10^[-5, 5]: 400 rows of a 4000-row sweep.  Sent on to Aberth, about
+        # half its rows converge only linearly, and a quarter of those stall
+        # into the fallback; merged, every row keeps its closed-form roots.
+        rng = np.random.default_rng(0)
+        grid = np.array([complex(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b])
+        planted = (rng.choice(grid, 4000) * 10 ** rng.uniform(-5, 5, 4000))[3200:3600]
+        monic = np.stack([np.ones_like(planted), -2 * planted, planted * planted], axis=1)
+        monkeypatch.setattr(solver, "_aberth", lambda *args: pytest.fail("a row ran Aberth"))
+        arrays, errors = TestCircSolve.outcome_in_any_block(monkeypatch, monic, solver.SCALAR_RESIDUAL_TOL)
+        assert errors == {}
+        roots, mults = (np.frombuffer(a, dtype=t).reshape(400, 2) for a, t in zip(arrays, (np.complex128, np.intp)))
+        assert np.all(mults == [2, 0])
+        assert np.all(np.abs(roots[:, 0] - planted) <= 4 * np.finfo(np.float64).eps * np.abs(planted))
 
     def test_stalled_rows_give_one_exact_zero_per_trailing_zero(self, rng):
         # With no Aberth iteration every row stalls into the batched fallback.
@@ -388,23 +414,22 @@ class TestScalarRoots:
         assert list(errors) == ([] if n == 2 else [2])
 
     def test_quadratic_row_the_direct_step_leaves_is_named_in_the_fallback(self, monkeypatch, rng):
-        # Row 2 is (u - 1.5)^2, whose equal closed-form roots go on to
-        # Aberth, and LAPACK fails on its companion matrix alone.  Aberth
-        # settles on it with no fallback; with no iteration it stalls into
-        # the fallback, which names it.  The other rows keep their bits.
+        # Row 2, u^2 + 1e200 u + 2.25, has a root near -1e200 whose scale sum
+        # overflows, so its discs are not finite: it goes on to Aberth, which
+        # stalls on it into the fallback, and is refused.  Where LAPACK fails
+        # on its companion matrix alone, the fallback names it, with or
+        # without Aberth iterations.  The other rows keep their bits.
         monic = random_rows_with_a_7(rng, 2)
-        monic[2] = [1, -3, 2.25]
-        *clean, _ = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
-        assert 0 < clean[2][2] < solver.ABERTH_MAX_ITER and not clean[2][[0, 1, 3, 4]].any()  # iterations
-        assert clean[1][2].tolist() == [2, 0]
-        np.testing.assert_allclose(clean[0][2, 0], 1.5, rtol=1e-7)
+        monic[2] = [1, 1e200, 2.25]
+        *clean, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
+        assert clean[2].tolist() == [0, 0, 100, 0, 0]  # iterations
+        assert {i: str(e) for i, e in errors.items()} == {2: "inclusion disc radii are not finite"}
         fail_lapack_on_rows_ending_in(monkeypatch, 2.25)
-        *arrays, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 100)
-        assert errors == {} and [a.tobytes() for a in arrays] == [a.tobytes() for a in clean]
-        *arrays, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, 0)
-        assert list(errors) == [2] and str(errors[2]) == "companion-matrix fallback failed to converge"
-        for got, want in zip(arrays, clean):
-            assert got[[0, 1, 3, 4]].tobytes() == want[[0, 1, 3, 4]].tobytes()
+        for max_iter in (100, 0):
+            *arrays, errors = solver._solve_monic_rows(monic, solver.SCALAR_RESIDUAL_TOL, max_iter)
+            assert list(errors) == [2] and str(errors[2]) == "companion-matrix fallback failed to converge"
+            for got, want in zip(arrays, clean):
+                assert got[[0, 1, 3, 4]].tobytes() == want[[0, 1, 3, 4]].tobytes()
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
@@ -849,19 +874,22 @@ class TestCircSolve:
     @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
     def test_quadratic_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
         # The closed form: random quadratics, a double root whose two roots
-        # come out 3e-8 apart, u^2, u(u - 1) and a row on whose companion
-        # matrix LAPACK fails keep it.  Double roots whose two roots come out
-        # equal go on to Aberth (last two rows).  At tol 1e-30 only exactly
-        # representable roots pass.
+        # come out 3e-8 apart, u^2, u(u - 1), a row on whose companion matrix
+        # LAPACK fails, and double roots whose two roots come out equal,
+        # which merge (rows 13 and 14), keep it.  A row whose scale sum
+        # overflows goes on to Aberth and is refused.  At tol 1e-30 only
+        # exactly representable roots pass.
         rows = [random_monic(rng, 2) for _ in range(9)] + [
             np.poly([-2.1 + 2j] * 2), [1, 0, 0], [1, -1, 0], [1, 0.5, 7], np.poly([0.5 + 1j] * 2), [1, -3, 2.25],
+            [1, 1e200, 1],
         ]  # fmt: skip
         fail_lapack_on_rows_ending_in(monkeypatch, 7.0)
         arrays, errors = self.outcome_in_any_block(monkeypatch, np.array(rows, dtype=np.complex128), tol)
-        iterations = np.frombuffer(arrays[2], dtype=np.intp)
-        assert not iterations[:13].any() and iterations[13:].all()
+        mults, iterations = (np.frombuffer(a, dtype=np.intp) for a in arrays[1:3])
+        assert not iterations[:15].any() and iterations[15]
+        assert mults.reshape(-1, 2)[13:15].tolist() == [[2, 0], [2, 0]]
         if tol > 1e-30:
-            assert errors == {}
+            assert errors == {15: "inclusion disc radii are not finite"}
 
     @pytest.mark.parametrize("tol", [solver.SCALAR_RESIDUAL_TOL, 1e-30])
     def test_cubic_rows_do_not_depend_on_the_block_bound(self, rng, monkeypatch, tol):
@@ -1470,7 +1498,7 @@ class TestRootViews:
         sol = cf.solve_circ_poly(p)
         (_, head), (_, tail) = half_tables([r.roots for r in sol.channel_reports])
         rows = (head[:, None] + tail[None]).reshape(-1, d)  # no entry is near overflow
-        norms = solver._channel_residuals(p.channel_matrix(), rows)
+        norms = solver._channel_residuals(p.channel_matrix(), np.fft.fft(rows, axis=-1))
         assert len(sol.roots) == len(sol.residuals) == 2**d
         for k in range(2**d):
             assert sol.roots[k].row.tobytes() == rows[k].tobytes()
