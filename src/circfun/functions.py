@@ -504,7 +504,8 @@ def _column_table(cls):
 
 @dataclass(frozen=True)
 class IncrementSpec:
-    """Finite-difference increment: step ``delta`` along an invertible direction."""
+    """Finite-difference increment: step ``delta`` along an invertible direction, the one
+    invertibility check on :func:`numeric_derivative`'s path."""
 
     direction: Circulant
     delta: float
@@ -517,25 +518,24 @@ class IncrementSpec:
 
 
 def numeric_derivative(f: CircFunction, z: Circulant, inc: IncrementSpec) -> Circulant:
-    """First-order difference quotient (F(Z + dZ) - F(Z)) dZ^+, by channel: one stacked transform of
-    Z + dZ, Z and dZ, one pass of F at both points, a division by the step the two points' eigenvalues
-    took where dZ's rank threshold keeps a channel (else 0), one inverse transform.  It never forms P'
-    or G' rows or the quotient and product rules, so it cross-checks :meth:`CircFunction.derivative`, to
-    which it converges linearly in ``inc.delta`` at smooth points.  ChannelSingularityError names the
-    channels where a point's eigenvalue or F is not finite, then dZ's or the quotient ("F' overflows");
-    InvalidIncrementError those that dZ^+ keeps where Z + dZ and Z have equal eigenvalues."""
+    """First-order difference quotient (F(Z + dZ) - F(Z)) dZ^-1, by channel: one stacked transform of
+    Z + dZ and Z, one pass of F at both points, a division by the step the two points' eigenvalues took
+    on every channel, one inverse transform.  It never forms P' or G' rows or the quotient and product
+    rules, so it cross-checks :meth:`CircFunction.derivative`, to which it converges linearly in
+    ``inc.delta`` at smooth points.  dZ is invertible: :class:`IncrementSpec` decides it.
+    ChannelSingularityError names the channels where a point's eigenvalue or F is not finite, then the
+    step or the quotient ("F' overflows"); InvalidIncrementError those where Z + dZ and Z have equal
+    eigenvalues, the step lost in rounding."""
     if inc.direction.d != z.d:
         raise DimensionError(f"order mismatch: direction has {inc.direction.d}, point has {z.d}")
     with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is refused or named next
-        dz = inc.delta * inc.direction.row
-        u = forward_rows(np.array([f._admit(Circulant(z.row + dz)).row, z.row, dz]))
-        values = f._values_and_zeroed(u[:2], raw=True)[0]
-        keep = (magnitude := np.abs(u[2])) > _rank_threshold(magnitude)
-        lost = keep & (u[0] == u[1])
-        quotient = np.divide(values[0] - values[1], u[0] - u[1], out=np.zeros_like(u[2]), where=keep & ~lost)
-    if (bad := ~(np.isfinite(u[:2]) & np.isfinite(values))).any():
+        u = forward_rows(np.array([f._admit(Circulant(z.row + inc.delta * inc.direction.row)).row, z.row]))
+        values = f._values_and_zeroed(u, raw=True)[0]
+        lost = (step := u[0] - u[1]) == 0
+        quotient = np.divide(values[0] - values[1], step, out=np.zeros_like(step), where=~lost)
+    if (bad := ~(np.isfinite(u) & np.isfinite(values))).any():
         _raise_where(bad, ["F overflows"])
-    if (bad := ~(np.isfinite(u[2]) & np.isfinite(quotient))).any():
+    if (bad := ~(np.isfinite(step) & np.isfinite(quotient))).any():
         _raise_where(bad, ["F' overflows"])
     if lost.any():
         numbers = (np.flatnonzero(lost) + 1).tolist()

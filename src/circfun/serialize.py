@@ -35,13 +35,10 @@ class SchemaError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _pairs(values) -> list:
     """[re, im] pairs of a complex array or sequence, nested as its axes, in
-    one pass: the same floats, -0.0 included, as :func:`complex_to_pair`."""
+    one pass: the same floats, -0.0 included, as [float(z.real), float(z.imag)]
+    of each entry z."""
     return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).reshape(*np.shape(values), 2).tolist()
 
 

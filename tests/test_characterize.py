@@ -22,7 +22,7 @@ from circfun import (
 from circfun import characterize
 from circfun.characterize import DIVERGED, ChannelEstimate, ChannelTable, _analyze_sequence, _scan
 from circfun.functions import _quotient_terms
-from circfun.serialize import _channel_estimates_to_obj, complex_to_pair
+from circfun.serialize import _channel_estimates_to_obj
 from circfun.spectral import forward_rows, from_spectrum, inverse_rows, spectrum
 from circfun.testkit import (
     dense_conjugate,
@@ -781,7 +781,7 @@ def eager_records(skip, scales, values):
 
 def json_pair(z: complex):
     """[re, im], or None where ``z`` is not finite: strict JSON has neither."""
-    return complex_to_pair(z) if cmath.isfinite(z) else None
+    return [float(z.real), float(z.imag)] if cmath.isfinite(z) else None
 
 
 def eager_channels_json(records):

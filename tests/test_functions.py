@@ -1401,6 +1401,39 @@ class TestNumericDerivative:
         z = cf.scale(1e10 * (1 + 0.1j), cf.identity(d))
         assert cf.numeric_derivative(monomial(1, d), z, inc).isclose(cf.identity(d), 1e-12)
 
+    # An admitted direction whose scaled step has a channel 2 near the rank
+    # threshold, at Z = I and F = Z^2: F'(I) = 2 I.
+    RANK_EDGE = cf.Circulant([0.5 + 1.00001e-12, 0.5 - 1.00001e-12])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_near_the_rank_threshold_is_divided(self):
+        # dZ's own rank threshold cut channel 2 of this step, and the quotient
+        # read 0 there, with no error.
+        inc = IncrementSpec(self.RANK_EDGE, 0.0010471285480508996)
+        assert cf.is_invertible(inc.direction)
+        quotient = cf.spectrum(cf.numeric_derivative(monomial(2, 2), cf.identity(2), inc))
+        assert abs(quotient[1] - 2) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_lost_near_the_rank_threshold_is_refused(self):
+        # Channel 2 of Z + dZ rounds to that of Z: the quotient read 0 there.
+        inc = IncrementSpec(self.RANK_EDGE, 1.0655379505623063e-08)
+        assert cf.is_invertible(inc.direction)
+        message = "increment is lost in rounding at channel(s) [2]"
+        with pytest.raises(InvalidIncrementError, match=f"^{re.escape(message)}$"):
+            cf.numeric_derivative(monomial(2, 2), cf.identity(2), inc)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_step_is_named(self):
+        # Both points' eigenvalues are finite, but channel 1 of the step
+        # between them overflows: F = 1e-10 Z would read F' = 0 there.
+        big = np.finfo(float).max
+        inc = IncrementSpec(cf.Circulant([0.6 * big, 0.5 * big]), 1.0)
+        f = PolyFunction(CircPoly.from_scalars([1e-10, 0], d=2))
+        message = "F' overflows at channel(s) [1]"
+        with pytest.raises(ChannelSingularityError, match=f"^{re.escape(message)}$"):
+            cf.numeric_derivative(f, cf.Circulant([-0.6 * big, 0.0]), inc)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d", [4, 64])
     def test_overflow_is_named_without_a_warning(self, d):
@@ -1454,8 +1487,8 @@ class TestTransformCount:
 
     @pytest.mark.parametrize("d, expected", [(16, 3), (64, 3)])
     def test_difference_quotient(self, fft_calls, rng, d, expected):
-        # P's stacked coefficient spectra, one stacked transform of Z + dZ,
-        # Z and dZ, and one inverse transform of the channel quotient.
+        # P's stacked coefficient spectra, one stacked transform of Z + dZ
+        # and Z, and one inverse transform of the channel quotient.
         f = PolyFunction(random_regular_poly(rng, d, 3))
         z = random_circulant(rng, d)
         inc = IncrementSpec(direction=random_invertible_circulant(rng, d), delta=1e-6)

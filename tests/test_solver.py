@@ -21,7 +21,7 @@ from circfun import (
 from circfun import solver
 from circfun.core import _horner
 from circfun.functions import _with_derivative, polyval_with_scale
-from circfun.serialize import circulant_to_obj, complex_to_pair, solution_set_to_obj
+from circfun.serialize import circulant_to_obj, solution_set_to_obj
 from circfun.spectral import inverse_rows
 from circfun.testkit import dense_mul, integer_rooted_poly, random_circulant, random_regular_poly
 from circfun.tolerances import CIRC_RESIDUAL_TOL, ROUND_TRIP_FACTOR
@@ -1626,7 +1626,7 @@ class TestChannelRecords:
                     "channel": r.channel,
                     "kind": r.kind,
                     "effective_degree": r.effective_degree,
-                    "roots": [complex_to_pair(z) for z in r.roots],
+                    "roots": [[float(z.real), float(z.imag)] for z in r.roots],
                     "multiplicities": list(r.multiplicities),
                 }
                 for r in expected
