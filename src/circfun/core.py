@@ -52,10 +52,11 @@ class Circulant:
     millions of roots.
 
     Roots recombined by the solver skip that copy: each is a read-only view
-    of one row of its solution set's verified (count, d) array (see
-    :meth:`_of_rows`).  Such a view cannot be made writeable again, but a
-    root kept alone keeps that whole array alive, 786 KB for 4096 roots at
-    d = 12.  Unpickling goes through the constructor, so it copies the row.
+    (see :meth:`_of_rows`) of its own sum of two half-table rows, or, once
+    the set's (count, d) rows are built on first read, of one of them.  Such
+    a view cannot be made writeable again; a root read by index keeps only
+    its own d entries alive.  Unpickling goes through the constructor, so it
+    copies the row.
     """
 
     row: np.ndarray = field(repr=False)

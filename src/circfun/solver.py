@@ -51,10 +51,12 @@ Horner (:meth:`CircPoly.evaluate`) on the raw, not snapped, coefficient
 rows: its Frobenius norm must stay within the finite 2-norm of its channel
 bounds plus the snap's and its own round-off.
 
-The rows, which ``roots`` views as read-only Circulants (a root keeps them
-alive), are in ``verified`` (:class:`RootTable`) with their residuals
-sqrt(sum_i |p_i(u_ki)|^2) = ||P(Z_k)||_F at the forward FFT u_k of row k,
-taken on first access by the pass :func:`residual` runs on one root.
+``roots`` (:class:`RootView`) keeps the two half tables and reads a root
+by index as its own head row plus tail row; the (count, d) rows are built
+on first read, the same sums bit for bit, and are in ``verified``
+(:class:`RootTable`) with their residuals sqrt(sum_i |p_i(u_ki)|^2) =
+||P(Z_k)||_F at the forward FFT u_k of row k, taken on first access by the
+pass :func:`residual` runs on one root.
 
 A solution set keeps its channels as arrays in ``table``
 (:class:`ChannelRoots`): the effective degrees, which give the kinds, and
@@ -81,7 +83,7 @@ from .spectral import inverse_rows
 from .tolerances import ABERTH_STOP_REL_TOL, CIRC_RESIDUAL_TOL, DIVISION_GUARD, POLYGON_FLOOR
 from .tolerances import ROUND_TRIP_FACTOR, SCALAR_RESIDUAL_TOL, SPECTRAL_SNAP_REL_TOL
 
-#: Cap on the number of root combinations materialized, read at each solve.
+#: Cap on the number of root combinations that a solve accepts, read at each solve.
 RECOMBINATION_LIMIT = 10**6
 
 #: Rows of a finite set per transform where it is rebuilt whole, and per residual pass.
@@ -174,13 +176,27 @@ class RootTable(NamedTuple):
 
 
 class RootView(ChannelView):
-    """Read-only Circulant views of the rows of ``rows``, which it makes read-only, made on access
-    or, by iteration, in one batch."""
+    """Read-only Circulant views of the roots, root a tails + b being row a of ``head`` (heads, d) plus
+    row b of ``tail`` (tails, d), which it makes read-only: made on access, each from its own sum, or,
+    by iteration, in one batch over ``_rows`` (heads tails, d), the read-only sums, built on first read
+    and kept.  A set rebuilt whole is its own head beside a tail row of -0.0, which adds exactly."""
 
-    def __init__(self, rows: np.ndarray):
-        rows.flags.writeable = False  # also once unpickled
-        super().__init__(lambda k: Circulant._of_rows(rows[k : k + 1])[0], rows.shape[0])
-        self._rows = rows
+    def __init__(self, head: np.ndarray, tail: np.ndarray):
+        head.flags.writeable = tail.flags.writeable = False  # also once unpickled
+        tails = tail.shape[0]
+
+        def root(k):  # a closure, not a method: the view holds no cycle that would keep its rows alive
+            a, b = divmod(k, tails)
+            return Circulant._of_rows(np.add(head[a : a + 1], tail[b : b + 1]))[0]
+
+        super().__init__(root, head.shape[0] * tails)
+        self._head, self._tail = head, tail
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        sums = np.add(self._head[:, None], self._tail)
+        sums.flags.writeable = False
+        return sums.reshape(-1, self._tail.shape[1])
 
     def __iter__(self):
         return iter(Circulant._of_rows(self._rows))
@@ -189,7 +205,7 @@ class RootView(ChannelView):
         return np.array_equal(self._rows, other._rows) if isinstance(other, RootView) else NotImplemented
 
     def __reduce__(self):
-        return RootView, (self._rows,)
+        return RootView, (self._head, self._tail)
 
 
 @dataclass(frozen=True)
@@ -202,7 +218,7 @@ class SolutionSet:
 
     @functools.cached_property
     def verified(self) -> RootTable:
-        """The roots' rows with their residuals, taken on first access (see the module docstring)."""
+        """The roots' rows, built on first read, and their residuals, taken on first access (module docstring)."""
         rows = self.roots._rows
         spectra = (np.fft.fft(rows[k : k + RECOMBINE_CHUNK], axis=-1) for k in range(0, rows.shape[0], RECOMBINE_CHUNK))
         with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is inf or NaN
@@ -628,9 +644,9 @@ def _gate_failure(residual: float, bound: float, where: str) -> str:
     return f"reconstructed root residual {residual:.3e} exceeds {bound:.1e} in {where}"
 
 
-def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.ndarray, tol: float):
-    """Write in ``roots`` (count, d), and verify, the combinations of the ``counts`` roots of each
-    channel in ``distinct`` (d, w), padded with copies of the first (see the module docstring).
+def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, tol: float) -> RootView:
+    """The verified combinations of the ``counts`` roots of each channel in ``distinct`` (d, w), padded
+    with copies of the first, as a RootView of two half tables (see the module docstring).
 
     Root k = a tails + b is fl(H_a + T_b) = H_a + T_b + e, with H_a and T_b the inverse FFTs of the
     half rows.  With f_x = fl_fft(x) - fft(x) and g the half rows' measured gaps, linearity gives
@@ -639,7 +655,7 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.nd
     (Parseval), and each f is at most half a round trip, delta / 2: rho = the tables' largest parts
     + ``rounding`` + 3 delta / 2 bounds every part of a root's gap.  Where this certificate misses a
     root, the set is rebuilt whole and certified over the gaps it measures (see the module docstring)."""
-    cm, moduli, floats, count = p.channel_matrix(), np.abs(distinct), np.finfo(np.float64), roots.shape[0]
+    cm, moduli, floats, count = p.channel_matrix(), np.abs(distinct), np.finfo(np.float64), math.prod(counts.tolist())
     rounding = floats.eps * math.hypot(*moduli.max(axis=1).tolist()) + p.d * floats.smallest_subnormal
     delta = ROUND_TRIP_FACTOR * (p.d - 1).bit_length() * rounding
     floor, strides = max(1.0, p._scale), count // np.cumprod(counts)
@@ -656,7 +672,7 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.nd
             k, i = divmod(int(np.argmin(parts <= delta)) // 2, p.d)
             gap, where = np.hypot(parts[k, 2 * i], parts[k, 2 * i + 1]), f"channel {i + 1} of root {first[k] + 1}"
             raise SolverError(f"reconstructed root spectrum is off by {gap:.3e}, beyond {delta:.1e}, in {where}")
-        np.add(rebuilt[:heads, None], rebuilt[heads:], out=roots.reshape(heads, tails, p.d))
+        roots = RootView(rebuilt[:heads], rebuilt[heads:])
         # The certificate over sqrt(2) rho.  P at r and the scales at |r| and |r| + sqrt(2) rho take one
         # complex Horner pass: a complex product of reals is the real product.
         rho = parts[:heads].max() + parts[heads:].max() + rounding + 1.5 * delta
@@ -676,24 +692,28 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, roots: np.nd
             slack = slack * size + (SPECTRAL_SNAP_REL_TOL + cm.shape[0] * (p.d + 1) * floats.eps) * math.hypot(*row)
         allowed = math.hypot(*(tol * np.maximum(scales.real[np.arange(p.d), least], floor)).tolist()) + slack
         if missed.any():  # rebuilt whole, by inverse FFTs of the combinations, and certified over their gaps
-            np.add(halves[:heads, None], halves[heads:], out=roots.reshape(heads, tails, p.d))  # the combinations
+            rows = np.empty((count, p.d), dtype=np.complex128)  # owns its data: read-only, so are its views
+            np.add(halves[:heads, None], halves[heads:], out=rows.reshape(heads, tails, p.d))  # the combinations
             largest = 0.0
-            for spectra in np.split(roots, range(RECOMBINE_CHUNK, count, RECOMBINE_CHUNK)):
+            for spectra in np.split(rows, range(RECOMBINE_CHUNK, count, RECOMBINE_CHUNK)):
                 rebuilt = inverse_rows(spectra, fft=True)
                 largest, spectra[...] = np.maximum(largest, _transform_gaps(rebuilt, spectra).max()), rebuilt
             missed &= missing(_horner(p._moduli[:, :, None], moduli + 2**0.5 * largest))
+            roots = RootView(rows, np.full((1, p.d), -0.0, dtype=np.complex128))  # x + -0.0 is x, also at -0.0
+            roots._rows = rows  # already the sums: the first read builds no copy
         for i, j in zip(*np.nonzero(missed)):  # the rows that hold root j of channel i take the per-root gate
             index = np.arange(count).reshape(-1, counts[i], strides[i])[:, j].ravel()
-            values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(roots[index], axis=-1))
+            values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows[index], axis=-1))
             magnitudes, bounds = np.abs(values), tol * np.maximum(scales, floor)
             passed = (magnitudes <= bounds) & (bounds < np.inf)  # NaN fails; an overflowed scale bounds nothing
             if not passed.all():
                 k, c = np.argwhere(~passed)[0]
                 where = f"channel {c + 1} of root {index[k] + 1}"
                 raise SolverError(_gate_failure(magnitudes[k, c], bounds[k, c], where))
-    residual = core.frobenius_norm(p.evaluate(Circulant(roots[ring])))
+    residual = core.frobenius_norm(p.evaluate(roots[ring]))
     if not residual <= allowed < np.inf:  # an overflowed bound bounds nothing
         raise SolverError(_gate_failure(residual, allowed, f"the ring check of root {ring + 1}"))
+    return roots
 
 
 def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
@@ -703,7 +723,8 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     goes through one batched scalar solve; if channels fail, the error names
     the lowest-numbered one.  The finite case returns every combination of
     one root per channel, without dedup, in ``itertools.product`` order, as
-    outer sums of two half tables, with the residuals taken on access a
+    outer sums of two half tables, each root built when it is read and all
+    rows on their first read, with the residuals taken on access a
     ``RECOMBINE_CHUNK`` of rows at a time (see the module docstring); more than
     ``RECOMBINATION_LIMIT`` raise RecombinationLimitError before any is
     built.  A root failing a check raises SolverError.  Coefficient
@@ -740,9 +761,8 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     if count > RECOMBINATION_LIMIT:
         raise RecombinationLimitError(f"root combinations exceed the cap of {RECOMBINATION_LIMIT}")
 
-    roots = np.empty((count, p.d), dtype=np.complex128)
-    if count:
-        _rebuild(p, np.where(kept, distinct, distinct[:, :1]), counts, roots, tol)
+    empty = np.empty((0, p.d), dtype=np.complex128)
+    roots = _rebuild(p, np.where(kept, distinct, distinct[:, :1]), counts, tol) if count else RootView(empty, empty)
     free = () if np.any(degrees == 0) else tuple((np.flatnonzero(degrees < 0) + 1).tolist())
     status = SolutionStatus.INFINITE_FAMILY if free else SolutionStatus.NO_SOLUTION
-    return SolutionSet(SolutionStatus.FINITE if count else status, RootView(roots), table, free, p if count else None)
+    return SolutionSet(SolutionStatus.FINITE if count else status, roots, table, free, p if count else None)

@@ -764,8 +764,7 @@ class TestCircSolve:
         roots = [10**e * (1 + rng.random(k)) * np.exp(2j * np.pi * rng.random(k)) for e, k in zip(scales, counts)]
         distinct = np.array([np.concatenate([r, np.repeat(r[:1], 4 - r.size)]) for r in roots])
         p = poly_from_channels([np.poly(r) for r in roots], max(counts))
-        rows = np.empty((math.prod(counts), len(counts)), dtype=np.complex128)
-        solver._rebuild(p, distinct, np.array(counts), rows, CIRC_RESIDUAL_TOL)
+        rows = solver._rebuild(p, distinct, np.array(counts), CIRC_RESIDUAL_TOL)._rows
         (_, head), (_, tail) = halves = half_tables(roots)
         assert rows.tobytes() == (head[:, None] + tail[None]).tobytes()
         delta, rho = rebuild_radii(roots, halves)
@@ -1469,9 +1468,9 @@ class TestZeroCopyRoots:
 
 
 class TestRootViews:
-    """A finite set keeps its verified roots as one read-only (count, d)
-    array and its residuals as one (count,) array; ``roots`` and
-    ``residuals`` are sequences read from them."""
+    """A finite set keeps its verified roots as two read-only half tables,
+    whose (count, d) sums are built on first read, and its residuals as one
+    (count,) array; ``roots`` and ``residuals`` are sequences read from them."""
 
     def test_all_combinations_follow_the_numbered_ones(self):
         # Channels with 3, 1 and 2 distinct roots: channel 1 alone reaches
@@ -1505,6 +1504,60 @@ class TestRootViews:
             assert sol.residuals[k] == norms[k] and type(sol.residuals[k]) is float
         assert sol.verified.rows.tobytes() == rows.tobytes()
         assert list(sol.residuals) == norms.tolist()
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_a_root_read_by_index_is_its_row_of_the_table(self, rng, d):
+        # Read before the table is built, each root is its own head row plus
+        # tail row, byte for byte the row of the table built on first read,
+        # in itertools.product order of the channel roots.
+        p, _ = integer_rooted_poly(rng, d, 2)
+        sol = cf.solve_circ_poly(p)
+        by_index = [sol.roots[k].row.tobytes() for k in range(2**d)]
+        assert "_rows" not in vars(sol.roots)
+        rows = sol.verified.rows
+        assert by_index == [row.tobytes() for row in rows] and not rows.flags.writeable
+        combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
+        np.testing.assert_allclose(np.fft.fft(rows, axis=1), combos, rtol=0, atol=1e-13)
+
+    def test_a_root_read_by_index_holds_only_its_own_entries(self, rng):
+        # A root kept alone pins its d entries, not the (16, 4) table, before
+        # the table is built and after.
+        p, _ = integer_rooted_poly(rng, 4, 2)
+        sol = cf.solve_circ_poly(p)
+        early = sol.roots[5]
+        rows = sol.verified.rows
+        for root in (early, sol.roots[5]):
+            assert root.row.base.shape == (1, 4) and root.row.base is not rows.base
+            assert root.row.tobytes() == rows[5].tobytes() and not root.row.flags.writeable
+
+    def test_a_set_pickled_before_and_after_its_table_is_built(self, rng):
+        p, _ = integer_rooted_poly(rng, 6, 2)
+        sol = cf.solve_circ_poly(p)
+        early = pickle.dumps(sol)
+        rows = sol.verified.rows
+        for restored in (pickle.loads(early), pickle.loads(pickle.dumps(sol))):
+            assert restored.roots[37].row.tobytes() == rows[37].tobytes()
+            assert restored.verified.rows.tobytes() == rows.tobytes() and restored == sol
+            assert not restored.verified.rows.flags.writeable
+            assert all(not r.row.flags.writeable for r in restored.roots)
+
+    def test_a_set_rebuilt_whole_reads_its_rows_through_the_view(self):
+        # The inputs of test_the_rows_of_missed_roots_are_gated_as_whole_transforms:
+        # the set is rebuilt whole, and each root read by index, beside a
+        # tail row of -0.0, has the bytes of its inverse transform.
+        rng = np.random.default_rng(165636438)
+        p = random_regular_poly(rng, 8, 3, 10 ** rng.uniform(0, 8))
+        sol = cf.solve_circ_poly(p)
+        assert sol.roots._head.shape == (3**8, 8) and np.array_equal(sol.roots._tail, np.full((1, 8), -0.0))
+        by_index = [sol.roots[k].row.tobytes() for k in range(3**8)]
+        combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
+        assert by_index[83] == np.fft.ifft(combos[83]).tobytes()
+        assert by_index == [row.tobytes() for row in sol.verified.rows]
+        restored = pickle.loads(pickle.dumps(sol))
+        assert [r.row.tobytes() for r in restored.roots] == by_index
+        for root in (sol.roots[5], next(iter(sol.roots)), next(iter(restored.roots))):
+            with pytest.raises(ValueError):
+                root.row.flags.writeable = True
 
     def test_indexing_slicing_and_truthiness(self, rng):
         p, _ = integer_rooted_poly(rng, 4, 3)
