@@ -37,7 +37,7 @@ from . import core
 from .core import FFT_THRESHOLD, Circulant, _horner, _mul_rows
 from .errors import ChannelSingularityError, DimensionError, InvalidIncrementError
 from .spectral import (
-    _pinv_row, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, spectrum,
+    _pinv_row, _rank_quotient, _rank_threshold, forward_rows, from_spectrum, inverse_rows, is_invertible, spectrum,
 )
 from .tolerances import COEFFICIENT_REL_TOL, SINGULARITY_REL_TOL, SPECTRAL_SNAP_REL_TOL
 
@@ -253,23 +253,20 @@ class CircFunction:
     def channel_values(self, u: np.ndarray) -> np.ndarray:
         """F_i(u_i) on every channel of ``u``, shape (d,) or (S, d): 0 where
         Q_i(u_i) falls to the rank threshold of its point, as the pseudoinverse zeroes it;
-        NaN where Q_i(u_i) is not finite, which leaves that point no threshold and its others 0."""
+        NaN where Q_i(u_i) is not finite, which takes no part in that threshold."""
         return self._values_and_zeroed(u)[0]
 
     def _values_and_zeroed(self, u: np.ndarray, raw: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """:meth:`channel_values` and the mask of the channels it zeroes (None
-        without Q, meaningless at a point with a NaN channel), in one pass of
-        Q.  With ``raw`` the raw spectra, which ring Horner reads, stand in for
-        the parts' snapped channel matrices."""
+        without Q), in one pass of Q and the rank rule of the pseudoinverse,
+        :func:`circfun.spectral._rank_quotient`.  With ``raw`` the raw spectra,
+        which ring Horner reads, stand in for the parts' snapped channel matrices."""
         coefficients = CircPoly._raw_spectra if raw else CircPoly.channel_matrix
         value, zeroed = _horner(coefficients(self.P), u), None
         if self.Q is not None:
             q = _horner(coefficients(self.Q), u)
-            magnitude = np.abs(q)
-            threshold = _rank_threshold(magnitude)
-            keep, zeroed = magnitude > threshold, magnitude <= threshold
-            p, value = value, np.where(np.isfinite(q), 0j, np.nan)
-            value[keep] = p[keep] / q[keep]
+            magnitudes = np.abs(q)
+            value, zeroed = _rank_quotient(value, q, magnitudes, _rank_threshold(magnitudes))
         if self.G is not None:
             g = _horner(coefficients(self.G), u)
             value = _times_exp(value, g, "P exp(G)" if self.Q is None else "P Q^+ exp(G)")

@@ -144,8 +144,8 @@ def solution_set_to_obj(s: SolutionSet) -> dict:
     ]
     return {
         "status": s.status.value,
-        "roots": [{"d": s.verified.rows.shape[1], "row": row} for row in _pairs(s.verified.rows)],
-        "residuals": s.verified.residuals.tolist(),
+        "roots": [{"d": s.roots.rows.shape[1], "row": row} for row in _pairs(s.roots.rows)],
+        "residuals": s.residuals.tolist(),
         "free_channels": list(s.free_channels),
         "channels": channels,
     }

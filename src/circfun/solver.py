@@ -46,23 +46,24 @@ max(s_i(|v|), max(1, S)).  If it misses a root, the set is rebuilt whole,
 ``RECOMBINE_CHUNK`` rows at a time, by inverse FFTs of the combinations;
 sqrt(2) times the largest part of the gaps measured there certifies it
 again, or the rows holding it take that gate, at their forward FFT.  The
-row combining each channel's root of least modulus is evaluated by ring
+row combining each channel's first root of least modulus is evaluated by ring
 Horner (:meth:`CircPoly.evaluate`) on the raw, not snapped, coefficient
 rows: its Frobenius norm must stay within the finite 2-norm of its channel
 bounds plus the snap's and its own round-off.
 
+A solution set keeps one channel table and one root table.  ``table``
+(:class:`ChannelRoots`) holds the channels as arrays: the effective degrees,
+which give the kinds, and the distinct roots in CSR form.  Recombination
+reads all root combinations from it, each half row's roots gathered by its
+digits from the flat roots, and certifies the flat roots in one pass;
+``sample_members`` reads numbered combinations (:meth:`ChannelRoots._values_at`)
+and ``channel_reports`` builds a ChannelReport per channel on access.
 ``roots`` (:class:`RootView`) keeps the two half tables and reads a root
-by index as its own head row plus tail row; the (count, d) rows are built
-on first read, the same sums bit for bit, and are in ``verified``
-(:class:`RootTable`) with their residuals sqrt(sum_i |p_i(u_ki)|^2) =
-||P(Z_k)||_F at the forward FFT u_k of row k, taken on first access by the
-pass :func:`residual` runs on one root.
-
-A solution set keeps its channels as arrays in ``table``
-(:class:`ChannelRoots`): the effective degrees, which give the kinds, and
-the distinct roots in CSR form.  Recombination reads all root combinations
-from them, ``sample_members`` numbered ones (:meth:`ChannelRoots._values_at`);
-``channel_reports`` builds a ChannelReport per channel on access.
+by index as its own head row plus tail row; its (count, d) ``rows`` are
+built on first read, the same sums bit for bit.  ``residuals`` holds
+sqrt(sum_i |p_i(u_ki)|^2) = ||P(Z_k)||_F at the forward FFT u_k of row k,
+taken on first access by the pass :func:`residual` runs on one root.  Both
+arrays are read-only, also in an unpickled set.
 """
 
 from __future__ import annotations
@@ -167,18 +168,10 @@ class ChannelRoots(NamedTuple):
         return self.roots[self.offsets[channels] + digits]
 
 
-@_column_table
-class RootTable(NamedTuple):
-    """Row k of ``rows`` (count, d) is root k, ``residuals[k]`` its ||P(Z_k)||_F; empty unless finite."""
-
-    rows: np.ndarray
-    residuals: np.ndarray
-
-
 class RootView(ChannelView):
     """Read-only Circulant views of the roots, root a tails + b being row a of ``head`` (heads, d) plus
     row b of ``tail`` (tails, d), which it makes read-only: made on access, each from its own sum, or,
-    by iteration, in one batch over ``_rows`` (heads tails, d), the read-only sums, built on first read
+    by iteration, in one batch over ``rows`` (heads tails, d), the read-only sums, built on first read
     and kept.  A set rebuilt whole is its own head beside a tail row of -0.0, which adds exactly."""
 
     def __init__(self, head: np.ndarray, tail: np.ndarray):
@@ -193,16 +186,17 @@ class RootView(ChannelView):
         self._head, self._tail = head, tail
 
     @functools.cached_property
-    def _rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
+        """The (count, d) table: row k is root k, read-only."""
         sums = np.add(self._head[:, None], self._tail)
         sums.flags.writeable = False
         return sums.reshape(-1, self._tail.shape[1])
 
     def __iter__(self):
-        return iter(Circulant._of_rows(self._rows))
+        return iter(Circulant._of_rows(self.rows))
 
     def __eq__(self, other):
-        return np.array_equal(self._rows, other._rows) if isinstance(other, RootView) else NotImplemented
+        return np.array_equal(self.rows, other.rows) if isinstance(other, RootView) else NotImplemented
 
     def __reduce__(self):
         return RootView, (self._head, self._tail)
@@ -210,6 +204,9 @@ class RootView(ChannelView):
 
 @dataclass(frozen=True)
 class SolutionSet:
+    """The outcome of :func:`solve_circ_poly`: the channel table ``table``, the root table ``roots.rows`` and,
+    taken on first access, the residual array ``residuals``; every array is read-only (module docstring)."""
+
     status: SolutionStatus
     roots: RootView  # in ``itertools.product`` order of the channel roots
     table: ChannelRoots
@@ -217,17 +214,18 @@ class SolutionSet:
     _poly: CircPoly | None = field(default=None, compare=False, repr=False)  # the equation, if finite
 
     @functools.cached_property
-    def verified(self) -> RootTable:
-        """The roots' rows, built on first read, and their residuals, taken on first access (module docstring)."""
-        rows = self.roots._rows
+    def residuals(self) -> np.ndarray:
+        """||P(Z_k)||_F of each root k, read-only, taken on first access (module docstring); empty unless finite."""
+        rows = self.roots.rows
         spectra = (np.fft.fft(rows[k : k + RECOMBINE_CHUNK], axis=-1) for k in range(0, rows.shape[0], RECOMBINE_CHUNK))
         with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is inf or NaN
             residuals = [_channel_residuals(self._poly.channel_matrix(), chunk) for chunk in spectra]
-        return RootTable._make((rows, np.concatenate([np.empty(0), *residuals])))
+        residuals = np.concatenate([np.empty(0), *residuals])
+        residuals.flags.writeable = False
+        return residuals
 
-    @property
-    def residuals(self) -> ChannelView:  # ||P(Z_k)||_F of each root, as Python floats
-        return ChannelView(self.verified.residuals.item, self.verified.residuals.size)
+    def __getstate__(self):  # the residuals are taken again, read-only, after unpickling
+        return {name: value for name, value in vars(self).items() if name != "residuals"}
 
     @property
     def channel_reports(self) -> ChannelView:
@@ -644,9 +642,9 @@ def _gate_failure(residual: float, bound: float, where: str) -> str:
     return f"reconstructed root residual {residual:.3e} exceeds {bound:.1e} in {where}"
 
 
-def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, tol: float) -> RootView:
-    """The verified combinations of the ``counts`` roots of each channel in ``distinct`` (d, w), padded
-    with copies of the first, as a RootView of two half tables (see the module docstring).
+def _rebuild(p: CircPoly, table: ChannelRoots, tol: float) -> RootView:
+    """The verified combinations of the roots of each channel in ``table``, one or more each, as a
+    RootView of two half tables (see the module docstring).
 
     Root k = a tails + b is fl(H_a + T_b) = H_a + T_b + e, with H_a and T_b the inverse FFTs of the
     half rows.  With f_x = fl_fft(x) - fft(x) and g the half rows' measured gaps, linearity gives
@@ -654,16 +652,18 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, tol: float) 
     by at most eps / 2 of itself, so |fft(e)_i| <= sqrt(d) ||e||_2 <= eps ||u||_2 / 2 <= ``rounding``
     (Parseval), and each f is at most half a round trip, delta / 2: rho = the tables' largest parts
     + ``rounding`` + 3 delta / 2 bounds every part of a root's gap.  Where this certificate misses a
-    root, the set is rebuilt whole and certified over the gaps it measures (see the module docstring)."""
-    cm, moduli, floats, count = p.channel_matrix(), np.abs(distinct), np.finfo(np.float64), math.prod(counts.tolist())
-    rounding = floats.eps * math.hypot(*moduli.max(axis=1).tolist()) + p.d * floats.smallest_subnormal
+    root, the set is rebuilt whole and certified over the gaps it measures (see the module docstring).
+    The certificate runs over the flat roots, each against its channel's coefficient column."""
+    cm, moduli, counts, starts = p.channel_matrix(), np.abs(table.roots), np.diff(table.offsets), table.offsets[:-1]
+    floats, channel, count = np.finfo(np.float64), np.repeat(np.arange(p.d), counts), math.prod(counts.tolist())
+    rounding = floats.eps * math.hypot(*np.maximum.reduceat(moduli, starts).tolist()) + p.d * floats.smallest_subnormal
     delta = ROUND_TRIP_FACTOR * (p.d - 1).bit_length() * rounding
     floor, strides = max(1.0, p._scale), count // np.cumprod(counts)
     split = min(sum(s * s > count for s in strides.tolist()), p.d - 2) + 1  # the head channels
     heads, tails = count // int(strides[split - 1]), int(strides[split - 1])
     # The digits of the first root holding each half row, in the mixed radix of the root counts, pick its roots.
     first = np.concatenate([np.arange(heads) * tails, np.arange(tails)])
-    halves = distinct[np.arange(p.d), first[:, None] // strides % counts]
+    halves = table.roots[starts + first[:, None] // strides % counts]
     halves[:heads, split:] = halves[heads:, :split] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: fails the radius or the gate
         rebuilt = inverse_rows(halves, fft=True)
@@ -676,21 +676,20 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, tol: float) 
         # The certificate over sqrt(2) rho.  P at r and the scales at |r| and |r| + sqrt(2) rho take one
         # complex Horner pass: a complex product of reals is the real product.
         rho = parts[:heads].max() + parts[heads:].max() + rounding + 1.5 * delta
-        points, coeffs = np.array([distinct, moduli, moduli + 2**0.5 * rho]), np.array([cm, p._moduli, p._moduli])
-        values, scales, wider = _horner(coeffs.swapaxes(0, 1)[:, :, :, None], points)
+        points, coeffs = np.array([table.roots, moduli, moduli + 2**0.5 * rho]), np.array([cm, p._moduli, p._moduli])
+        values, scales, wider = _horner(coeffs[:, :, channel].swapaxes(0, 1), points)
         def missing(grown):  # the roots the certificate misses over the radius at which the scales are ``grown``
             growth = (grown - scales).real
             return ~(np.abs(values) + growth <= tol * np.maximum(scales.real - growth, floor))  # NaN misses
-        valid = np.arange(distinct.shape[1]) < counts[:, None]  # not a padding copy
-        missed = missing(wider) & valid
-        # The ring check's row combines each channel's root of least modulus (its number is in the mixed radix
-        # of the root counts).  Its bound allows for the snap and ring Horner's round-off, as for n + 1 products
-        # of inner dimension d: (snap + (n + 1)(d + 1) eps) sum_k ||A_k||_F ||Z||_F^(n-k), norms by Parseval.
-        least = np.argmin(np.where(valid, moduli, np.inf), axis=1)
-        ring, size, slack = int(least @ strides), math.hypot(*moduli[np.arange(p.d), least].tolist()), 0.0
+        missed = missing(wider)
+        # The ring check's row combines each channel's first root of least modulus (its number is in the mixed
+        # radix of the root counts).  Its bound allows for the snap and ring Horner's round-off, as for n + 1
+        # products of inner dimension d: (snap + (n + 1)(d + 1) eps) sum_k ||A_k||_F ||Z||_F^(n-k), norms by Parseval.
+        least = np.lexsort((moduli, channel))[starts]  # a stable sort: the first of equal moduli
+        ring, size, slack = int((least - starts) @ strides), math.hypot(*moduli[least].tolist()), 0.0
         for row in p._moduli.tolist():  # the channel matrix's moduli, snapped entries zero
             slack = slack * size + (SPECTRAL_SNAP_REL_TOL + cm.shape[0] * (p.d + 1) * floats.eps) * math.hypot(*row)
-        allowed = math.hypot(*(tol * np.maximum(scales.real[np.arange(p.d), least], floor)).tolist()) + slack
+        allowed = math.hypot(*(tol * np.maximum(scales.real[least], floor)).tolist()) + slack
         if missed.any():  # rebuilt whole, by inverse FFTs of the combinations, and certified over their gaps
             rows = np.empty((count, p.d), dtype=np.complex128)  # owns its data: read-only, so are its views
             np.add(halves[:heads, None], halves[heads:], out=rows.reshape(heads, tails, p.d))  # the combinations
@@ -698,11 +697,11 @@ def _rebuild(p: CircPoly, distinct: np.ndarray, counts: np.ndarray, tol: float) 
             for spectra in np.split(rows, range(RECOMBINE_CHUNK, count, RECOMBINE_CHUNK)):
                 rebuilt = inverse_rows(spectra, fft=True)
                 largest, spectra[...] = np.maximum(largest, _transform_gaps(rebuilt, spectra).max()), rebuilt
-            missed &= missing(_horner(p._moduli[:, :, None], moduli + 2**0.5 * largest))
+            missed &= missing(_horner(p._moduli[:, channel], moduli + 2**0.5 * largest))
             roots = RootView(rows, np.full((1, p.d), -0.0, dtype=np.complex128))  # x + -0.0 is x, also at -0.0
-            roots._rows = rows  # already the sums: the first read builds no copy
-        for i, j in zip(*np.nonzero(missed)):  # the rows that hold root j of channel i take the per-root gate
-            index = np.arange(count).reshape(-1, counts[i], strides[i])[:, j].ravel()
+            roots.rows = rows  # already the sums: the first read builds no copy
+        for r, i in zip(np.flatnonzero(missed), channel[missed]):  # rows holding flat root r of channel i: the gate
+            index = np.arange(count).reshape(-1, counts[i], strides[i])[:, r - starts[i]].ravel()
             values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(rows[index], axis=-1))
             magnitudes, bounds = np.abs(values), tol * np.maximum(scales, floor)
             passed = (magnitudes <= bounds) & (bounds < np.inf)  # NaN fails; an overflowed scale bounds nothing
@@ -761,8 +760,7 @@ def solve_circ_poly(p: CircPoly, tol: float = CIRC_RESIDUAL_TOL) -> SolutionSet:
     if count > RECOMBINATION_LIMIT:
         raise RecombinationLimitError(f"root combinations exceed the cap of {RECOMBINATION_LIMIT}")
 
-    empty = np.empty((0, p.d), dtype=np.complex128)
-    roots = _rebuild(p, np.where(kept, distinct, distinct[:, :1]), counts, tol) if count else RootView(empty, empty)
+    roots = _rebuild(p, table, tol) if count else RootView(np.empty((0, p.d), complex), np.empty((0, p.d), complex))
     free = () if np.any(degrees == 0) else tuple((np.flatnonzero(degrees < 0) + 1).tolist())
     status = SolutionStatus.INFINITE_FAMILY if free else SolutionStatus.NO_SOLUTION
     return SolutionSet(SolutionStatus.FINITE if count else status, roots, table, free, p if count else None)

@@ -139,17 +139,29 @@ def _scaled_spectrum(x: Circulant, rel_tol: float | None = None) -> tuple[np.nda
         return u, magnitudes, _rank_threshold(magnitudes, rel_tol), 2.0 ** -int(e[0])
 
 
+def _rank_quotient(numerator, denominator: np.ndarray, magnitudes: np.ndarray, threshold: np.ndarray, rel_tol=None):
+    """The one rank rule of the pseudoinverse: (``numerator / denominator``,
+    zeroed), the quotient taken where the modulus in ``magnitudes`` clears
+    its point's :func:`_rank_threshold` ``threshold``, 0 on the channels
+    ``zeroed``, at or below it, and NaN where the denominator is not finite.
+    Such a value takes no part in its point's threshold: only where a
+    threshold is not finite is it taken again over the finite moduli."""
+    if not threshold.max() < np.inf:  # NaN fails too
+        magnitudes = np.where(np.isfinite(magnitudes), magnitudes, np.nan)  # in neither mask
+        threshold = _rank_threshold(np.nan_to_num(magnitudes), rel_tol)
+    zeroed = magnitudes <= threshold
+    return np.divide(numerator, denominator, out=np.where(zeroed, 0j, np.nan), where=magnitudes > threshold), zeroed
+
+
 def _pinv_row(x: Circulant, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """First row of the pseudoinverse of ``x`` and the mask of the channels
-    it zeroes, those at or below the rank threshold (all of them when every
-    eigenvalue vanishes; none at a NaN threshold), from
+    it zeroes, by :func:`_rank_quotient` (all of them when every eigenvalue
+    vanishes; a row NaN where one is not finite), from
     :func:`_scaled_spectrum`: pinv(2^e Y) = 2^-e pinv(Y)."""
     u, magnitudes, threshold, factor = _scaled_spectrum(x, rel_tol)
-    keep = magnitudes > threshold
-    inverted = np.zeros_like(u)
-    inverted[keep] = 1.0 / u[keep]
+    inverted, zeroed = _rank_quotient(1.0, u, magnitudes, threshold, rel_tol)
     row = inverse_rows(inverted[None])[0]
-    return (row if factor == 1.0 else factor * row), magnitudes <= threshold
+    return (row if factor == 1.0 else factor * row), zeroed
 
 
 def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
@@ -162,11 +174,16 @@ def pseudoinverse(x: Circulant, rel_tol: float | None = None) -> Circulant:
     threshold reaches the largest modulus, and every channel would be zeroed.
     The zero matrix maps to itself.  A row whose largest eigenvalue modulus
     overflows is inverted scaled by a power of two (:func:`_scaled_spectrum`),
-    and every other row keeps the plain result and its bits.
+    and every other row keeps the plain result and its bits.  Entries that
+    are not finite raise ValueError: they leave every channel NaN, which
+    the in-range path reads from one entry of the result.
     """
     if rel_tol is not None and not 0 <= rel_tol < 1:  # NaN fails too
         raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
-    return Circulant(_pinv_row(x, rel_tol)[0])
+    row = _pinv_row(x, rel_tol)[0]
+    if np.isnan(row[0]) and not np.isfinite(x.row).all():  # the mean of the inverted channels, NaN if one is
+        raise ValueError("entries must be finite")
+    return Circulant(row)
 
 
 def is_invertible(x: Circulant) -> bool:

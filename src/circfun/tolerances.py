@@ -41,7 +41,10 @@ Where each acts:
 
 * RANK_REL_TOL: an eigenvalue at or below the threshold counts as zero in
   ``pseudoinverse``, ``is_invertible`` and the rational channel values; the
-  default ``rel_tol`` of ``pseudoinverse`` is RANK_REL_TOL * d.  A given
+  default ``rel_tol`` of ``pseudoinverse`` is RANK_REL_TOL * d.  The
+  pseudoinverse and the channel values take one rule
+  (``spectral._rank_quotient``): a value that is not finite is NaN, and
+  outside its point's threshold, which the finite moduli alone set.  A given
   ``rel_tol`` outside [0, 1) is refused: at 1 the threshold reaches the
   largest modulus, and every channel is zeroed.
 * COEFFICIENT_REL_TOL: a spectral coefficient at or below it vanishes, which

@@ -620,6 +620,37 @@ class TestFuncEval:
         np.testing.assert_allclose(value.row, [2.5e-309, 2.5e-309], rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 31, 32, 64])
+    def test_a_denominator_that_overflows_in_the_ring_is_named(self, d):
+        # F = 1e308 (Z + 1e308 I)^+ at Z = 1e308 I is 0.5 I, but Q(Z) = 2e308 I
+        # overflows: the channel pass is NaN, and the ring form inverted the
+        # spectrum of Q(Z), which is not finite, to 0 and read F = 0 (at FFT
+        # orders with every channel reported zeroed).  Such a value is NaN.
+        i = cf.identity(d)
+        f = RationalFunction(CircPoly([cf.scale(1e308, i)]), CircPoly([i, cf.scale(1e308, i)]))
+        with pytest.raises(ChannelSingularityError) as info:
+            f.evaluate_with_report(cf.scale(1e308, i))
+        assert info.value.channels == tuple(range(1, d + 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 4, 31, 32, 64])
+    def test_a_denominator_that_is_not_finite_takes_no_part_in_the_threshold(self, d):
+        # 1/Z^2 at u = (1e200, 2, ..., d): Q's value 1e400 overflows, which
+        # made the point's rank threshold infinite and zeroed every finite
+        # channel, (NaN, 0, 0, 0) at d = 4.  The overflowed channel is NaN
+        # alone; the point beside it, (1, 2, ..., d), keeps its own threshold.
+        f = RationalFunction(CircPoly([cf.identity(d)]), CircPoly([cf.identity(d), cf.zero(d), cf.zero(d)]))
+        u = np.tile(np.arange(1, d + 1, dtype=complex), (2, 1))
+        u[0, 0] = 1e200
+        with np.errstate(over="ignore"):  # Q's Horner pass overflows
+            values, zeroed = f._values_and_zeroed(u)
+            assert values.tobytes() == f.channel_values(u).tobytes()
+        expected = np.tile(1 / np.arange(1, d + 1) ** 2, (2, 1))
+        expected[0, 0] = np.nan
+        np.testing.assert_array_equal(values, expected)
+        assert not zeroed.any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d", [64, 1024])
     @pytest.mark.parametrize("case", ["Z at circ(1e307, ...)", "circ(1e307, ...) Z at I", "Z I^+ at circ(1e307, ...)"])
     def test_ring_horner_survives_a_forward_transform_that_overflows(self, d, case):

@@ -60,6 +60,13 @@ def half_tables(channel_roots):
     return [(table, np.fft.ifft(table, axis=1)) for table in spectra]
 
 
+def channel_table(channel_roots):
+    """The ChannelRoots table of channels with the simple roots ``channel_roots``, kept in the given order."""
+    counts = [len(r) for r in channel_roots]
+    roots, ones = np.concatenate(channel_roots).astype(np.complex128), np.ones(sum(counts), dtype=np.intp)
+    return solver.ChannelRoots._make((np.array(counts), np.cumsum([0, *counts]), roots, ones))
+
+
 def gap_parts(spectra, rows):
     """|Re| and |Im| of the gaps between the forward FFTs of ``rows`` and ``spectra``."""
     return np.abs((np.fft.fft(rows, axis=1) - spectra).view(np.float64))
@@ -701,10 +708,12 @@ class TestCircSolve:
         # np.meshgrid would fail there.
         degrees = {2: [5, 4], 5: [5] * 5}.get(d, [2] * 11 + [1] * (d - 11))
         p = poly_from_channels([random_monic(rng, k) for k in degrees], max(degrees))
-        # The certificate's one Horner pass takes the points (r, |r|, |r| + sqrt(2) rho).
-        certified, horner = [], solver._horner
-        monkeypatch.setattr(solver, "_horner", lambda rows, x: (x.ndim == 3 and certified.append(x)) or horner(rows, x))
+        # The certificate's one Horner pass takes the points (r, |r|, |r| + sqrt(2) rho) of the flat roots r.
+        points, horner = [], solver._horner
+        monkeypatch.setattr(solver, "_horner", lambda rows, x: points.append(x) or horner(rows, x))
         sol = cf.solve_circ_poly(p)
+        flat = sol.table.roots
+        certified = [x for x in points if x.shape == (3, flat.size) and np.array_equal(x[0], flat)]
         assert sol.status is SolutionStatus.FINITE
         roots = [r.roots for r in sol.channel_reports]
         combos = np.array(list(itertools.product(*roots)))
@@ -756,15 +765,41 @@ class TestCircSolve:
         counts[0], counts[d // 2], counts[-1] = 3, 2, 4
         self.assert_rebuilt_within_the_radius(rng, rng.uniform(-3, 3, d), counts)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 7, 12, 33])
+    def test_the_ring_check_takes_the_first_root_of_least_modulus(self, monkeypatch, d):
+        # Channels of 1 to 4 roots of modulus 1 to 10, at most 1024 roots in
+        # all, and one channel of 2 to 4 that holds -0.5j before 0.5, both of
+        # modulus exactly 0.5.  The rows are the half-table sums, bit for bit,
+        # and the one root ring Horner evaluates combines -0.5j there with
+        # the first root of least modulus of every other channel.
+        rng = np.random.default_rng(d)
+        counts, tie = rng.integers(1, 5, d), int(rng.integers(d))
+        counts[tie], total = max(counts[tie], 2), 1
+        for i in rng.permutation(d):  # the tie channel keeps its roots: 1024 / 4 is left for it
+            counts[i] = counts[i] if i == tie or total * counts[i] <= 256 else 1
+            total *= int(counts[i])
+        roots = [(1 + 9 * rng.random(k)) * np.exp(2j * np.pi * rng.random(k)) for k in counts]
+        roots[tie][np.sort(rng.choice(counts[tie], 2, replace=False))] = -0.5j, 0.5
+        least = [int(np.argmin(np.abs(r))) for r in roots]  # the first of equal moduli
+        assert roots[tie][least[tie]] == -0.5j
+        p = poly_from_channels([np.poly(r) for r in roots], int(counts.max()))
+        evaluated, evaluate = [], CircPoly.evaluate
+        monkeypatch.setattr(CircPoly, "evaluate", lambda self, z: evaluated.append(z) or evaluate(self, z))
+        rows = solver._rebuild(p, channel_table(roots), CIRC_RESIDUAL_TOL).rows
+        (_, head), (_, tail) = half_tables(roots)
+        assert rows.tobytes() == (head[:, None] + tail[None]).tobytes()
+        [ring] = evaluated
+        assert ring.row.tobytes() == rows[np.ravel_multi_index(least, counts)].tobytes()
+
     @staticmethod
     def assert_rebuilt_within_the_radius(rng, scales, counts):
         """Rebuild the roots of random channels, ``counts`` roots each at the magnitudes
         10^``scales``: each root is its head row plus its tail row, bit for bit, in
         itertools.product order, and each part of its forward FFT's gap is within rho."""
         roots = [10**e * (1 + rng.random(k)) * np.exp(2j * np.pi * rng.random(k)) for e, k in zip(scales, counts)]
-        distinct = np.array([np.concatenate([r, np.repeat(r[:1], 4 - r.size)]) for r in roots])
         p = poly_from_channels([np.poly(r) for r in roots], max(counts))
-        rows = solver._rebuild(p, distinct, np.array(counts), CIRC_RESIDUAL_TOL)._rows
+        rows = solver._rebuild(p, channel_table(roots), CIRC_RESIDUAL_TOL).rows
         (_, head), (_, tail) = halves = half_tables(roots)
         assert rows.tobytes() == (head[:, None] + tail[None]).tobytes()
         delta, rho = rebuild_radii(roots, halves)
@@ -1116,7 +1151,7 @@ class TestCircSolve:
         # root, with no per-root gate, and at d = 2 those inverse transforms
         # have the bits of the clean half rows' sums.
         p = CircPoly.from_scalars([1e-12, 1, 0], 2)
-        expected = cf.solve_circ_poly(p).verified.rows
+        expected = cf.solve_circ_poly(p).roots.rows
         spectra, gated = [], []
 
         def corrupted(rows, **kwargs):
@@ -1130,7 +1165,7 @@ class TestCircSolve:
         monkeypatch.setattr(solver, "polyval_with_scale", lambda *args: gated.append(1) or polyval_with_scale(*args))
         sol = cf.solve_circ_poly(p)
         assert [rows.shape for rows in spectra] == [(4, 2), (4, 2)] and not gated
-        assert sol.verified.rows.tobytes() == expected.tobytes()
+        assert sol.roots.rows.tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_gate_that_overflows_names_the_overflow(self):
@@ -1153,7 +1188,7 @@ class TestCircSolve:
         sol = cf.solve_circ_poly(p)
         assert len(sol.roots) == 3**7 and gated
         cm = p.channel_matrix()
-        values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
+        values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.roots.rows, axis=1))
         assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, max(1.0, p._scale)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1171,8 +1206,8 @@ class TestCircSolve:
         sol = cf.solve_circ_poly(p)
         assert len(sol.roots) == 3**8 and gated == [3**7] * 14
         combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
-        assert sol.verified.rows[83].tobytes() == np.fft.ifft(combos[83]).tobytes()
-        values, scales = polyval_with_scale(p.channel_matrix()[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
+        assert sol.roots.rows[83].tobytes() == np.fft.ifft(combos[83]).tobytes()
+        values, scales = polyval_with_scale(p.channel_matrix()[:, None, :], np.fft.fft(sol.roots.rows, axis=1))
         assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, max(1.0, p._scale)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1187,7 +1222,7 @@ class TestCircSolve:
         p = CircPoly([cf.from_spectrum(row) for row in cm])
         sol = cf.solve_circ_poly(p)
         assert len(sol.roots) == 7 and [r.multiplicities for r in sol.channel_reports] == [(1,) * 7, (4,)]
-        _, scales = polyval_with_scale(p.channel_matrix()[:, None, :], np.fft.fft(sol.verified.rows[:1], axis=1))
+        _, scales = polyval_with_scale(p.channel_matrix()[:, None, :], np.fft.fft(sol.roots.rows[:1], axis=1))
         bound = CIRC_RESIDUAL_TOL * np.linalg.norm(np.maximum(scales, max(1.0, p._scale)))
         assert cf.frobenius_norm(p.evaluate(sol.roots[0])) > bound
 
@@ -1217,7 +1252,7 @@ class TestCircSolve:
             sol = cf.solve_circ_poly(p)
             assert len(sol.roots) == n**d
             cm = p.channel_matrix()
-            values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.verified.rows, axis=1))
+            values, scales = polyval_with_scale(cm[:, None, :], np.fft.fft(sol.roots.rows, axis=1))
             floor = max(1.0, float(np.max(np.abs(cm))))
             assert np.all(np.abs(values) <= CIRC_RESIDUAL_TOL * np.maximum(scales, floor))
 
@@ -1242,9 +1277,9 @@ class TestCircSolve:
             warnings.simplefilter("error", RuntimeWarning)
             sol = cf.solve_circ_poly(CircPoly([cf.scale(c, x) for x in p.coeffs]))
         assert sol.status is SolutionStatus.FINITE and len(sol.roots) == 8
-        rows = base.verified.rows
-        assert np.max(np.abs(sol.verified.rows - rows)) <= 1e-12 * np.max(np.abs(rows))
-        residuals = sol.verified.residuals / c
+        rows = base.roots.rows
+        assert np.max(np.abs(sol.roots.rows - rows)) <= 1e-12 * np.max(np.abs(rows))
+        residuals = sol.residuals / c
         assert np.all(np.isfinite(residuals)) and np.all((0 < residuals) & (residuals < 1e-12))
 
     def test_invalid_inputs(self):
@@ -1469,8 +1504,9 @@ class TestZeroCopyRoots:
 
 class TestRootViews:
     """A finite set keeps its verified roots as two read-only half tables,
-    whose (count, d) sums are built on first read, and its residuals as one
-    (count,) array; ``roots`` and ``residuals`` are sequences read from them."""
+    whose (count, d) sums ``roots.rows`` are built on first read, and its
+    residuals as one read-only (count,) array taken on first access;
+    ``roots`` is a sequence read from the half tables."""
 
     def test_all_combinations_follow_the_numbered_ones(self):
         # Channels with 3, 1 and 2 distinct roots: channel 1 alone reaches
@@ -1486,8 +1522,8 @@ class TestRootViews:
         head = np.where(channels < 1, table._values_at(np.arange(3) * 2, channels), 0)
         tail = np.where(channels >= 1, table._values_at(np.arange(2), channels), 0)
         rows = np.fft.ifft(head, axis=1)[:, None] + np.fft.ifft(tail, axis=1)[None]
-        assert sol.verified.rows.tobytes() == rows.reshape(6, 3).tobytes()
-        np.testing.assert_allclose(np.fft.fft(sol.verified.rows, axis=1), combos, rtol=0, atol=1e-14)
+        assert sol.roots.rows.tobytes() == rows.reshape(6, 3).tobytes()
+        np.testing.assert_allclose(np.fft.fft(sol.roots.rows, axis=1), combos, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("d", [11, 12])
     def test_views_equal_the_eager_reference(self, rng, d):
@@ -1501,9 +1537,9 @@ class TestRootViews:
         assert len(sol.roots) == len(sol.residuals) == 2**d
         for k in range(2**d):
             assert sol.roots[k].row.tobytes() == rows[k].tobytes()
-            assert sol.residuals[k] == norms[k] and type(sol.residuals[k]) is float
-        assert sol.verified.rows.tobytes() == rows.tobytes()
-        assert list(sol.residuals) == norms.tolist()
+            assert sol.residuals[k] == norms[k]
+        assert sol.roots.rows.tobytes() == rows.tobytes()
+        assert sol.residuals.tobytes() == norms.tobytes() and not sol.residuals.flags.writeable
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_a_root_read_by_index_is_its_row_of_the_table(self, rng, d):
@@ -1513,8 +1549,8 @@ class TestRootViews:
         p, _ = integer_rooted_poly(rng, d, 2)
         sol = cf.solve_circ_poly(p)
         by_index = [sol.roots[k].row.tobytes() for k in range(2**d)]
-        assert "_rows" not in vars(sol.roots)
-        rows = sol.verified.rows
+        assert "rows" not in vars(sol.roots)
+        rows = sol.roots.rows
         assert by_index == [row.tobytes() for row in rows] and not rows.flags.writeable
         combos = list(itertools.product(*(r.roots for r in sol.channel_reports)))
         np.testing.assert_allclose(np.fft.fft(rows, axis=1), combos, rtol=0, atol=1e-13)
@@ -1525,7 +1561,7 @@ class TestRootViews:
         p, _ = integer_rooted_poly(rng, 4, 2)
         sol = cf.solve_circ_poly(p)
         early = sol.roots[5]
-        rows = sol.verified.rows
+        rows = sol.roots.rows
         for root in (early, sol.roots[5]):
             assert root.row.base.shape == (1, 4) and root.row.base is not rows.base
             assert root.row.tobytes() == rows[5].tobytes() and not root.row.flags.writeable
@@ -1534,11 +1570,11 @@ class TestRootViews:
         p, _ = integer_rooted_poly(rng, 6, 2)
         sol = cf.solve_circ_poly(p)
         early = pickle.dumps(sol)
-        rows = sol.verified.rows
+        rows = sol.roots.rows
         for restored in (pickle.loads(early), pickle.loads(pickle.dumps(sol))):
             assert restored.roots[37].row.tobytes() == rows[37].tobytes()
-            assert restored.verified.rows.tobytes() == rows.tobytes() and restored == sol
-            assert not restored.verified.rows.flags.writeable
+            assert restored.roots.rows.tobytes() == rows.tobytes() and restored == sol
+            assert not restored.roots.rows.flags.writeable
             assert all(not r.row.flags.writeable for r in restored.roots)
 
     def test_a_set_rebuilt_whole_reads_its_rows_through_the_view(self):
@@ -1552,7 +1588,7 @@ class TestRootViews:
         by_index = [sol.roots[k].row.tobytes() for k in range(3**8)]
         combos = np.array(list(itertools.product(*(r.roots for r in sol.channel_reports))))
         assert by_index[83] == np.fft.ifft(combos[83]).tobytes()
-        assert by_index == [row.tobytes() for row in sol.verified.rows]
+        assert by_index == [row.tobytes() for row in sol.roots.rows]
         restored = pickle.loads(pickle.dumps(sol))
         assert [r.row.tobytes() for r in restored.roots] == by_index
         for root in (sol.roots[5], next(iter(sol.roots)), next(iter(restored.roots))):
@@ -1570,15 +1606,16 @@ class TestRootViews:
         assert isinstance(window, tuple) and [r.row.tobytes() for r in window] == [
             r.row.tobytes() for r in roots[3:7]
         ]
-        assert sol.residuals[3:7] == tuple(sol.residuals)[3:7]
+        assert sol.residuals[3:7].tolist() == [sol.residuals[k] for k in range(3, 7)]
         assert all(not r.row.flags.writeable for r in (*roots, sol.roots[5]))
         with pytest.raises(IndexError):
             sol.roots[81]
         with pytest.raises(IndexError):
             sol.roots[-82]
         empty = cf.solve_circ_poly(plant_channel(p, 1, keep_constant=False))
-        assert not empty.roots and not empty.residuals and list(empty.roots) == []
-        assert empty.verified.rows.shape == (0, 4) and empty.verified.residuals.shape == (0,)
+        assert not empty.roots and list(empty.roots) == []
+        assert empty.roots.rows.shape == (0, 4) and empty.residuals.shape == (0,)
+        assert not empty.roots.rows.flags.writeable and not empty.residuals.flags.writeable
 
     def test_json_roots_match_per_root_serialization(self, rng):
         p, _ = integer_rooted_poly(rng, 6, 2)
@@ -1591,8 +1628,8 @@ class TestRootViews:
         p, _ = integer_rooted_poly(rng, 5, 2)
         sol, again = cf.solve_circ_poly(p), cf.solve_circ_poly(p)
         assert sol == again and not (sol != again)
-        assert sol.roots == again.roots and sol.residuals == again.residuals
-        assert not any(isinstance(v, np.ndarray) for v in vars(sol).values())
+        assert not any(isinstance(v, np.ndarray) for v in vars(sol).values())  # no field, nor residuals yet
+        assert sol.roots == again.roots and sol.residuals.tobytes() == again.residuals.tobytes()
         other = cf.solve_circ_poly(integer_rooted_poly(rng, 5, 2)[0])
         assert sol != other and sol.roots != other.roots
 
@@ -1603,13 +1640,29 @@ class TestRootViews:
         p, _ = integer_rooted_poly(rng, 11, 2)
         sol = cf.solve_circ_poly(p)
         early = pickle.dumps(sol)
-        assert "verified" not in vars(sol)
-        residuals = sol.verified.residuals
-        assert sol.verified.residuals is residuals and not residuals.flags.writeable
+        assert "residuals" not in vars(sol)
+        residuals = sol.residuals
+        assert sol.residuals is residuals and not residuals.flags.writeable
         assert [residuals[k] for k in (0, 1024, 2047)] == [cf.residual(p, sol.roots[k]) for k in (0, 1024, 2047)]
         for restored in (pickle.loads(early), pickle.loads(pickle.dumps(sol))):
-            assert restored.verified.residuals.tobytes() == residuals.tobytes()
-            assert all(not a.flags.writeable for a in restored.verified)
+            assert restored.residuals.tobytes() == residuals.tobytes()
+            assert not restored.residuals.flags.writeable and not restored.roots.rows.flags.writeable
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_residuals_are_read_only_and_bit_equal_after_unpickling(self, protocol):
+        # A set rebuilt whole, whose rows are set at the solve, and a set of
+        # two half tables, each pickled before and after the first access of
+        # its residuals: no pickle holds them, and every restored set takes
+        # them again, read-only and bit for bit.
+        rng = np.random.default_rng(165636438)
+        for p in (random_regular_poly(rng, 8, 3, 10 ** rng.uniform(0, 8)), integer_rooted_poly(rng, 6, 2)[0]):
+            sol = cf.solve_circ_poly(p)
+            early = pickle.dumps(sol, protocol)
+            residuals = sol.residuals
+            for restored in (pickle.loads(early), pickle.loads(pickle.dumps(sol, protocol))):
+                assert "residuals" not in vars(restored) and restored == sol
+                assert restored.residuals.tobytes() == residuals.tobytes()
+                assert not restored.residuals.flags.writeable
 
     @pytest.mark.parametrize("status", ["finite", "infinite-family"])
     def test_pickled_set_keeps_read_only_arrays(self, rng, status):
@@ -1619,8 +1672,8 @@ class TestRootViews:
         sol = cf.solve_circ_poly(p)
         restored = pickle.loads(pickle.dumps(sol))
         assert restored == sol and not (restored != sol)
-        assert (type(restored.verified), type(restored.table)) == (solver.RootTable, solver.ChannelRoots)
-        assert all(not a.flags.writeable for a in (*restored.verified, *restored.table))
+        assert type(restored.table) is solver.ChannelRoots and not hasattr(solver, "RootTable")
+        assert all(not a.flags.writeable for a in (restored.roots.rows, restored.residuals, *restored.table))
         assert restored.status.value == status and restored.free_channels == sol.free_channels
 
 

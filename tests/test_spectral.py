@@ -208,23 +208,38 @@ class TestPseudoinverse:
         cf.is_invertible(cf.Circulant(np.full(d, 1e308)))
         assert len(calls) == 2  # the overflowing row is taken again, scaled
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rel_tol", [None, 0.0])
-    def test_nan_spectrum_keeps_no_channel(self, rel_tol):
-        # A NaN spectrum makes the rank threshold NaN, which no modulus clears.
+    def test_nan_entry_is_refused(self, rel_tol):
+        # A NaN entry makes every eigenvalue NaN.  The rank threshold was NaN,
+        # which no modulus cleared, and the pseudoinverse read 0; such a
+        # value is NaN, not inverted to 0, and the entry is refused.
         x = cf.Circulant([np.nan, 1.0, 0.0])
-        assert not np.any(cf.pseudoinverse(x, rel_tol).row)
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            cf.pseudoinverse(x, rel_tol)
         assert not cf.is_invertible(x)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rel_tol", [None, 0.0])
     @pytest.mark.parametrize("d", [2, 64])
-    def test_infinite_entry_keeps_no_channel_quietly(self, d, rel_tol):
+    def test_infinite_entry_is_refused_quietly(self, d, rel_tol):
         # An infinite entry is taken again as an overflow would be: that pass
         # warned "invalid value encountered in multiply" (and, below
-        # FFT_THRESHOLD, "in matmul") before it gave the zero matrix.
+        # FFT_THRESHOLD, "in matmul") before it gave the zero matrix.  No
+        # eigenvalue is finite, so none is inverted to 0: the entry is refused.
         x = cf.Circulant([np.inf] + [0.0] * (d - 1))
-        assert not np.any(cf.pseudoinverse(x, rel_tol).row)
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            cf.pseudoinverse(x, rel_tol)
         assert not cf.is_invertible(x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [2, 3, 31, 32, 64])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_an_entry_that_is_not_finite_is_refused(self, d, entry):
+        # pseudoinverse(circ(nan, 1)) and circ(inf, 1) read the zero matrix
+        # at every order, on both kernels, with no warning.
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            cf.pseudoinverse(cf.Circulant([entry, 1.0] + [0.0] * (d - 2)))
 
 
 class TestFourierContext:
